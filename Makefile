@@ -4,7 +4,7 @@ GO ?= go
 # tee's exit status instead).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs bench bench-all fuzz results clean
+.PHONY: check build vet lint test-race test-allocs bench bench-e2e bench-pair bench-all fuzz results clean
 
 ## check: build + vet + drainvet + race tests + the hot-path allocation
 ## guard.
@@ -53,6 +53,42 @@ bench:
 		-note "shards-vs-serial speedups compare BenchmarkStepSharded's parallel-engine shard counts against shards=1 on the same binary; they depend on available CPUs (see DESIGN.md 'Sharded parallel engine')" \
 		-note "fast-vs-exact speedups compare the counter-based RNG mode against exact mode on the same binary, interleaved runs; the win is concentrated at idle-dominated loads where fast-forward windows open (see DESIGN.md 'Counter-based RNG mode')" \
 		< BENCH_noc.txt
+
+## bench-e2e: the repo's benchmark (BENCHMARK.json, cmd/drainbench) on
+## every workload, ten seeds each, untraced then traced: end-to-end and
+## per-layer medians with spreads, and the result file BENCH_e2e.json.
+bench-e2e:
+	$(GO) run ./cmd/drainbench -runs 10 -out BENCH_e2e.json
+
+## bench-pair: the paired measurement a performance claim rests on.
+## BASE=<git ref> is built in a temporary `git worktree`; then, per
+## workload, PAIRS runs of BASE and of this tree alternate — same seed
+## within a pair, a new seed per pair, the side that goes first
+## alternating — each from its own checkout, untraced. The records go to
+## BENCH_pair_base.json / BENCH_pair_head.json and `drainbench -compare`
+## judges them (ratios are head over base; it also fails on any digest
+## or count that differs for the same workload and seed). SEED defaults
+## to the clock so every invocation measures seeds nobody tuned on.
+PAIRS ?= 10
+WORKLOADS ?= synth_low synth_sat coh_pagerank serve_cold serve_warm reconfig_churn
+SEED ?= $(shell date +%s)
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<git ref> [PAIRS=10] [SEED=n] [WORKLOADS='synth_sat ...']"; exit 2; }
+	set -euo pipefail; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/base.bin" ./cmd/drainbench); \
+	$(GO) build -o "$$tmp/head.bin" ./cmd/drainbench; \
+	run() { (cd "$$2" && "$$tmp/$$1.bin" -workload "$$3" -seed "$$4" -trace 0 -detail | tail -n 1) >> "$$tmp/$$1.recs"; }; \
+	for w in $(WORKLOADS); do for i in $$(seq 1 $(PAIRS)); do \
+		seed=$$(( $(SEED) % 100000 + i )); echo "$$w pair $$i/$(PAIRS) seed $$seed" >&2; \
+		if (( i % 2 )); then run base "$$tmp/base" "$$w" "$$seed"; run head . "$$w" "$$seed"; \
+		else run head . "$$w" "$$seed"; run base "$$tmp/base" "$$w" "$$seed"; fi; \
+	done; done; \
+	stamp() { printf '{"env":{"git_sha":"%s"},"records":[' "$$1"; paste -sd, "$$2"; printf ']}\n'; }; \
+	stamp "$$(git rev-parse --short "$(BASE)")" "$$tmp/base.recs" > BENCH_pair_base.json; \
+	stamp "$$(git rev-parse --short HEAD)$$(git diff --quiet HEAD || echo -dirty)" "$$tmp/head.recs" > BENCH_pair_head.json; \
+	$(GO) run ./cmd/drainbench -compare BENCH_pair_base.json BENCH_pair_head.json
 
 ## bench-all: every benchmark, including the full experiment
 ## reproductions (slow; minutes to hours depending on scale).

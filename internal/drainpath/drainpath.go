@@ -209,6 +209,12 @@ func FindEulerian(g *topology.Graph) (*Path, error) {
 // FindCoveringCycle may attempt before giving up.
 const DefaultSearchBudget = 20_000_000
 
+// ErrSearchBudget is returned by FindCoveringCycle when the budget runs
+// out before a covering cycle is found. It says nothing about whether
+// one exists: sparse topologies can defeat the search's pruning
+// (FindEulerian constructs a path on every connected topology).
+var ErrSearchBudget = errors.New("drainpath: search budget exhausted before finding a covering cycle")
+
 // FindCoveringCycle is the paper-faithful formulation: a recursive search
 // for a single elementary cycle in the link-dependency graph that covers
 // all links, in the style of Hawick & James's circuit enumeration but
@@ -216,7 +222,8 @@ const DefaultSearchBudget = 20_000_000
 // feasibility prune (every unused link must remain reachable, and every
 // router's remaining in/out degrees must stay balanced) keeps the search
 // near-linear on practical topologies. budget caps the number of extension
-// steps; pass 0 for DefaultSearchBudget.
+// steps; pass 0 for DefaultSearchBudget. A search that runs out returns
+// ErrSearchBudget.
 func FindCoveringCycle(g *topology.Graph, budget int) (*Path, error) {
 	if g.NumLinks() == 0 {
 		return nil, errors.New("drainpath: topology has no links")
@@ -247,7 +254,7 @@ func FindCoveringCycle(g *topology.Graph, budget int) (*Path, error) {
 	s.seq = append(s.seq, first)
 	if !s.extend(first.To, first.From) {
 		if s.budget <= 0 {
-			return nil, errors.New("drainpath: search budget exhausted before finding a covering cycle")
+			return nil, ErrSearchBudget
 		}
 		return nil, errors.New("drainpath: no covering cycle exists (assumption violated?)")
 	}

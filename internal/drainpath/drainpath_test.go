@@ -1,12 +1,19 @@
 package drainpath
 
 import (
+	"errors"
+	"fmt"
+	mrand "math/rand"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
 	"drain/internal/topology"
 )
+
+// fixedRand seeds quick.Check's input stream: its default is seeded from
+// the clock, which makes a property test's verdict depend on when it ran.
+func fixedRand() *mrand.Rand { return mrand.New(mrand.NewSource(1)) }
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed^0xdeadbeef)) }
 
@@ -187,28 +194,86 @@ func TestSearchBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// Property: both constructions produce valid drain paths on arbitrary
-// random connected topologies, including after random fault injection.
+// checkBothConstructions is the documented contract of the two
+// constructions on one random connected topology: FindEulerian always
+// succeeds and validates; the budgeted search either returns a path that
+// validates or reports ErrSearchBudget — never an invalid path, never
+// another error.
+func checkBothConstructions(seed uint64, nRaw, extraRaw uint8) error {
+	n := int(nRaw%20) + 2
+	extra := int(extraRaw % 15)
+	g, err := topology.NewRandomConnected(n, extra, testRNG(seed))
+	if err != nil {
+		return err
+	}
+	pe, err := FindEulerian(g)
+	if err != nil {
+		return fmt.Errorf("FindEulerian: %w", err)
+	}
+	if err := Validate(g, pe); err != nil {
+		return fmt.Errorf("FindEulerian path invalid: %w", err)
+	}
+	if pe.Len() != g.NumLinks() {
+		return fmt.Errorf("FindEulerian path covers %d of %d links", pe.Len(), g.NumLinks())
+	}
+	// A budget the search meets in milliseconds when its pruning works;
+	// the default only makes the exhausting inputs take a second each.
+	ps, err := FindCoveringCycle(g, 200_000)
+	if errors.Is(err, ErrSearchBudget) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("FindCoveringCycle: %w", err)
+	}
+	if err := Validate(g, ps); err != nil {
+		return fmt.Errorf("FindCoveringCycle path invalid: %w", err)
+	}
+	if ps.Len() != g.NumLinks() {
+		return fmt.Errorf("FindCoveringCycle path covers %d of %d links", ps.Len(), g.NumLinks())
+	}
+	return nil
+}
+
+// Property: both constructions keep their contracts on arbitrary random
+// connected topologies.
 func TestDrainPathProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, extraRaw uint8) bool {
-		n := int(nRaw%20) + 2
-		extra := int(extraRaw % 15)
-		g, err := topology.NewRandomConnected(n, extra, testRNG(seed))
-		if err != nil {
+		if err := checkBothConstructions(seed, nRaw, extraRaw); err != nil {
+			t.Logf("seed=%#x n=%#x extra=%#x: %v", seed, nRaw, extraRaw, err)
 			return false
 		}
-		pe, err := FindEulerian(g)
-		if err != nil || Validate(g, pe) != nil {
-			return false
-		}
-		ps, err := FindCoveringCycle(g, 0)
-		if err != nil || Validate(g, ps) != nil {
-			return false
-		}
-		return pe.Len() == g.NumLinks() && ps.Len() == g.NumLinks()
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: fixedRand()}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDrainPathSearchBudgetRegressions pins the two inputs on which the
+// time-seeded form of the property used to fail about one run in eight:
+// sparse graphs (n=21/extra=2 and n=16/extra=6) where the search
+// exhausts even DefaultSearchBudget while FindEulerian succeeds.
+func TestDrainPathSearchBudgetRegressions(t *testing.T) {
+	for _, in := range []struct {
+		name        string
+		seed        uint64
+		nRaw, extra uint8
+	}{
+		{"n21-extra2", 0x58a52cd2cbad677b, 0x8b, 0x5c},
+		{"n16-extra6", 0x4ed23f50de0e62d9, 0x0e, 0xba},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			if err := checkBothConstructions(in.seed, in.nRaw, in.extra); err != nil {
+				t.Fatal(err)
+			}
+			g, err := topology.NewRandomConnected(int(in.nRaw%20)+2, int(in.extra%15), testRNG(in.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FindCoveringCycle(g, 200_000); !errors.Is(err, ErrSearchBudget) {
+				t.Errorf("FindCoveringCycle = %v, want ErrSearchBudget (the input no longer pins the exhaustion path)", err)
+			}
+		})
 	}
 }
 
@@ -237,7 +302,7 @@ func TestDrainPathVisitsAllRouters(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: fixedRand()}); err != nil {
 		t.Error(err)
 	}
 }

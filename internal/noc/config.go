@@ -129,6 +129,9 @@ func (c *Config) Validate() error {
 	if c.VCsPerVN <= 0 {
 		c.VCsPerVN = 2
 	}
+	if c.VNets > MaxVCsPerPort || c.VCsPerVN > MaxVCsPerPort || c.VNets*c.VCsPerVN > MaxVCsPerPort {
+		return fmt.Errorf("noc: %d VNets x %d VCsPerVN exceeds %d VCs per port", c.VNets, c.VCsPerVN, MaxVCsPerPort)
+	}
 	if c.Classes <= 0 {
 		c.Classes = 1
 	}

@@ -248,47 +248,42 @@ func (e *eventEngine) check(n *Network) error {
 	if !e.alloc.sumConsistent() || !e.inj.sumConsistent() {
 		return fmt.Errorf("noc: activity bitset summary level disagrees with its words")
 	}
-	head := func(r int, p *Packet) error {
-		if p == nil || p.sending {
-			return nil
-		}
-		if p.readyAt <= n.cycle {
-			if !e.alloc.get(r) {
-				return fmt.Errorf("noc: eligible head (packet %d) at router %d but activity bit clear", p.ID, r)
-			}
-			return nil
-		}
-		if p.readyAt > n.cycle+e.maxOff {
-			return fmt.Errorf("noc: packet %d matures at %d, beyond the wheel horizon %d", p.ID, p.readyAt, n.cycle+e.maxOff)
-		}
-		for _, wr := range e.wakes[p.readyAt&e.mask] {
-			if int(wr) == r {
-				return nil
-			}
-		}
-		return fmt.Errorf("noc: immature head (packet %d) at router %d has no wake at cycle %d", p.ID, r, p.readyAt)
-	}
-	for l := 0; l < n.g.NumLinks(); l++ {
-		router := n.g.Link(l).To
-		for s := range n.linkVC[l] {
-			if err := head(router, n.linkVC[l][s].pkt); err != nil {
-				return err
-			}
-		}
+	if err := n.eachSlot(func(r, _, _ int, s *vcSlot) error {
+		return headArmed(n, r, s, &e.alloc, e.wakes, e.mask, e.maxOff)
+	}); err != nil {
+		return err
 	}
 	for r := 0; r < n.g.N(); r++ {
-		for s := range n.localVC[r] {
-			if err := head(r, n.localVC[r][s].pkt); err != nil {
-				return err
-			}
-		}
-		for c := range n.injQ[r] {
-			if n.injQ[r][c].Len() > 0 && !e.inj.get(r) {
-				return fmt.Errorf("noc: router %d has queued injections but injection bit clear", r)
-			}
+		if n.hasQueued(r) && !e.inj.get(r) {
+			return fmt.Errorf("noc: router %d has queued injections but injection bit clear", r)
 		}
 	}
 	return nil
+}
+
+// headArmed checks the never-stale-clear invariant for one occupied slot
+// of router r against the activity bitmap and wake wheel that own r: an
+// eligible head has its router's bit set, an immature one a pending wake
+// within the wheel horizon. Departing heads need neither.
+func headArmed(n *Network, r int, s *vcSlot, alloc *bitset, wakes [][]int32, mask, maxOff int64) error {
+	if s.sending {
+		return nil
+	}
+	if s.readyAt <= n.cycle {
+		if !alloc.get(r) {
+			return fmt.Errorf("noc: eligible head (packet %d) at router %d but activity bit clear", s.pkt.ID, r)
+		}
+		return nil
+	}
+	if s.readyAt > n.cycle+maxOff {
+		return fmt.Errorf("noc: packet %d matures at %d, beyond the wheel horizon %d", s.pkt.ID, s.readyAt, n.cycle+maxOff)
+	}
+	for _, wr := range wakes[s.readyAt&mask] {
+		if int(wr) == r {
+			return nil
+		}
+	}
+	return fmt.Errorf("noc: immature head (packet %d) at router %d has no wake at cycle %d", s.pkt.ID, r, s.readyAt)
 }
 
 // stop is a no-op: the event engine owns no resources.

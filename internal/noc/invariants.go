@@ -16,99 +16,76 @@ func (n *Network) CheckInvariants() error {
 		seen[p.ID] = where
 		return nil
 	}
-	for l := 0; l < n.g.NumLinks(); l++ {
-		router := n.g.Link(l).To
-		for s := range n.linkVC[l] {
-			p := n.linkVC[l][s].pkt
-			if p == nil {
-				continue
-			}
-			if err := note(p, fmt.Sprintf("linkVC[%d][%d]", l, s)); err != nil {
-				return err
-			}
-			if p.atRouter != router || p.inLink != l || p.slot != s {
-				return fmt.Errorf("noc: packet %d position fields (%d,%d,%d) disagree with linkVC[%d][%d] at router %d",
-					p.ID, p.atRouter, p.inLink, p.slot, l, s, router)
-			}
-			if n.cfg.PolicyEscape && p.InEscape && !n.cfg.IsEscapeSlot(s) {
-				return fmt.Errorf("noc: escape packet %d occupies non-escape slot %d", p.ID, s)
-			}
-			if p.VNet != s/n.cfg.VCsPerVN {
-				return fmt.Errorf("noc: packet %d of VN %d occupies slot %d of VN %d", p.ID, p.VNet, s, s/n.cfg.VCsPerVN)
-			}
+	// Every occupied slot: mask, mirror and position agreement, and the
+	// VC discipline for link ports. occ counts occupancy per router.
+	occ := make([]int32, n.g.N())
+	if err := n.eachSlot(func(router, port, s int, slot *vcSlot) error {
+		p := slot.pkt
+		where := fmt.Sprintf("port %d slot %d", port, s)
+		if err := note(p, where); err != nil {
+			return err
 		}
-	}
-	for r := 0; r < n.g.N(); r++ {
-		for s := range n.localVC[r] {
-			p := n.localVC[r][s].pkt
-			if p == nil {
-				continue
-			}
-			if err := note(p, fmt.Sprintf("localVC[%d][%d]", r, s)); err != nil {
-				return err
-			}
-			if p.atRouter != r || p.inLink != LocalPort || p.slot != s {
-				return fmt.Errorf("noc: packet %d local position fields inconsistent", p.ID)
-			}
+		if p.atRouter != router || n.portOf(p.inLink, router) != port || p.slot != s {
+			return fmt.Errorf("noc: packet %d position fields (%d,%d,%d) disagree with %s at router %d",
+				p.ID, p.atRouter, p.inLink, p.slot, where, router)
 		}
+		if int(slot.dst) != p.Dst {
+			return fmt.Errorf("noc: %s mirrors destination %d, packet %d says %d", where, slot.dst, p.ID, p.Dst)
+		}
+		if p.VNet != s/n.cfg.VCsPerVN {
+			return fmt.Errorf("noc: packet %d of VN %d occupies slot %d of VN %d", p.ID, p.VNet, s, s/n.cfg.VCsPerVN)
+		}
+		if p.inLink != LocalPort && n.cfg.PolicyEscape && p.InEscape && !n.cfg.IsEscapeSlot(s) {
+			return fmt.Errorf("noc: escape packet %d occupies non-escape slot %d", p.ID, s)
+		}
+		occ[router]++
+		return nil
+	}); err != nil {
+		return err
 	}
+	// The per-port masks are derived state: occ marks exactly the slots
+	// holding a packet, free is disjoint from it, and the slots in
+	// neither (reserved) are exactly the targets of pending transfers.
+	reserved := make([]uint64, len(n.ports))
 	var flightErr error
 	n.eng.eachFlight(func(f *flight) {
 		if flightErr != nil {
 			return
 		}
-		if !f.pkt.sending {
+		if !n.slotOf(f.pkt).sending {
 			flightErr = fmt.Errorf("noc: in-flight packet %d not marked sending", f.pkt.ID)
 			return
 		}
-		if !f.eject && !n.linkVC[f.toLink][f.toSlot].reserved {
-			flightErr = fmt.Errorf("noc: in-flight packet %d target slot not reserved", f.pkt.ID)
+		if !f.eject {
+			if reserved[f.toLink]>>uint(f.toSlot)&1 != 0 {
+				flightErr = fmt.Errorf("noc: two transfers target link %d slot %d", f.toLink, f.toSlot)
+			}
+			reserved[f.toLink] |= 1 << uint(f.toSlot)
 		}
 	})
 	if flightErr != nil {
 		return flightErr
 	}
+	all := uint64(1)<<uint(n.vcPerPort) - 1
+	for port, pm := range n.ports {
+		var held uint64
+		for s := 0; s < n.vcPerPort; s++ {
+			slot := &n.vc[port*n.vcPerPort+s]
+			if slot.pkt != nil {
+				held |= 1 << uint(s)
+			} else if *slot != (vcSlot{}) {
+				return fmt.Errorf("noc: port %d slot %d is empty but keeps head state %+v", port, s, *slot)
+			}
+		}
+		if pm.occ != held || pm.free&pm.occ != 0 || pm.free|pm.occ|reserved[port] != all || pm.free&reserved[port] != 0 {
+			return fmt.Errorf("noc: port %d masks occ=%b free=%b, recount occupied=%b reserved=%b", port, pm.occ, pm.free, held, reserved[port])
+		}
+	}
 	// The incremental active-router occupancy counts must agree with a
 	// full recount (allocate() relies on them to skip idle routers).
-	for r := 0; r < n.g.N(); r++ {
-		count := int32(0)
-		for _, l := range n.inLinks[r] {
-			for s := range n.linkVC[l] {
-				if n.linkVC[l][s].pkt != nil {
-					count++
-				}
-			}
-		}
-		for s := range n.localVC[r] {
-			if n.localVC[r][s].pkt != nil {
-				count++
-			}
-		}
-		if n.occIn[r] != count {
-			return fmt.Errorf("noc: router %d occupancy count %d, recount %d", r, n.occIn[r], count)
-		}
-	}
-	// Per-port occupancy counts (request gathering skips empty ports).
-	for l := 0; l < n.g.NumLinks(); l++ {
-		count := int32(0)
-		for s := range n.linkVC[l] {
-			if n.linkVC[l][s].pkt != nil {
-				count++
-			}
-		}
-		if n.occLink[l] != count {
-			return fmt.Errorf("noc: link %d port occupancy %d, recount %d", l, n.occLink[l], count)
-		}
-	}
-	for r := 0; r < n.g.N(); r++ {
-		count := int32(0)
-		for s := range n.localVC[r] {
-			if n.localVC[r][s].pkt != nil {
-				count++
-			}
-		}
-		if n.occLocal[r] != count {
-			return fmt.Errorf("noc: router %d local port occupancy %d, recount %d", r, n.occLocal[r], count)
+	for r := range occ {
+		if n.occIn[r] != occ[r] {
+			return fmt.Errorf("noc: router %d occupancy count %d, recount %d", r, n.occIn[r], occ[r])
 		}
 	}
 	// Failed links must be draining-only: no reservations (their flights
@@ -119,12 +96,12 @@ func (n *Network) CheckInvariants() error {
 		if !n.linkDown[l] {
 			continue
 		}
-		for s := range n.linkVC[l] {
-			if n.linkVC[l][s].reserved {
-				return fmt.Errorf("noc: failed link %d slot %d is reserved", l, s)
-			}
-			if p := n.linkVC[l][s].pkt; p != nil && !p.sending {
-				return fmt.Errorf("noc: failed link %d slot %d holds stranded packet %d", l, s, p.ID)
+		if reserved[l] != 0 {
+			return fmt.Errorf("noc: failed link %d has reserved slots %b", l, reserved[l])
+		}
+		for s := 0; s < n.vcPerPort; s++ {
+			if slot := &n.vc[l*n.vcPerPort+s]; slot.pkt != nil && !slot.sending {
+				return fmt.Errorf("noc: failed link %d slot %d holds stranded packet %d", l, s, slot.pkt.ID)
 			}
 		}
 	}
@@ -175,4 +152,34 @@ func (n *Network) CheckInvariants() error {
 	}
 	// Engine-internal invariants (timing wheel, activity bitmaps).
 	return n.eng.check(n)
+}
+
+// eachSlot calls fn for every occupied input VC slot (port, s), link
+// ports first then local ports, with the router that buffers it; it
+// stops at the first error.
+func (n *Network) eachSlot(fn func(router, port, s int, slot *vcSlot) error) error {
+	for port := range n.ports {
+		router := port - n.g.NumLinks()
+		if router < 0 {
+			router = n.g.Link(port).To
+		}
+		for s := 0; s < n.vcPerPort; s++ {
+			if slot := &n.vc[port*n.vcPerPort+s]; slot.pkt != nil {
+				if err := fn(router, port, s, slot); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// hasQueued reports whether any injection queue of router r is non-empty.
+func (n *Network) hasQueued(r int) bool {
+	for c := range n.injQ[r] {
+		if n.injQ[r][c].Len() > 0 {
+			return true
+		}
+	}
+	return false
 }

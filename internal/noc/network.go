@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 
@@ -9,24 +10,42 @@ import (
 	"drain/internal/topology"
 )
 
-// vcSlot is one virtual-channel buffer (single packet, VCT).
+// vcSlot is one virtual-channel buffer (single packet, VCT). The head's
+// pipeline state lives here, beside the pointer, so request gathering
+// decides eligibility without touching the packet: readyAt is the cycle
+// the head may first move, sending marks a head whose transfer out is in
+// flight, and dst mirrors pkt.Dst (checked by CheckInvariants).
 //
 //drain:staged a slot belongs to one router's input port; parallel phases write only slots of routers their shard owns — arrivals and injections by destination router, upstream frees via per-shard staging drained for the owning shard (shardsafe)
 type vcSlot struct {
-	pkt      *Packet
-	reserved bool // claimed by an in-flight transfer
+	pkt     *Packet
+	readyAt int64
+	dst     int32
+	sending bool
 }
 
-func (s *vcSlot) free() bool { return s.pkt == nil && !s.reserved }
+// portMask is the slot state of one input port, one bit per VC slot:
+// occ is set while the slot holds a packet, free while it is neither
+// occupied nor reserved. A slot in neither set is reserved — claimed by
+// an in-flight transfer that has not landed yet.
+//
+//drain:staged a port belongs to one router: arrivals, injections and upstream frees touch only ports of routers the running shard owns; reservations are made by the serial commit (shardsafe)
+type portMask struct {
+	occ, free uint64
+}
+
+// MaxVCsPerPort is the most VCs (VNets x VCsPerVN) an input port can
+// have: the width of a portMask word.
+const MaxVCsPerPort = 64
 
 // flight is an in-progress transfer over a link or through an eject port.
 type flight struct {
 	pkt      *Packet
 	doneAt   int64
+	toLink   int32 // destination link (buffer at its head router); -1 for eject
+	toRouter int32
+	toSlot   int32
 	eject    bool
-	toLink   int // destination link (buffer at its head router); -1 for eject
-	toSlot   int
-	toRouter int
 	// effects applied on arrival
 	setEscape  bool
 	downPhase  bool
@@ -50,11 +69,17 @@ type Network struct {
 	// eligibility-changing point (placed, noteInject, addFlight).
 	eng engine
 
+	// VC state is flat: input ports are numbered link ports first (by
+	// link ID) then local injection ports (NumLinks + router), and slot s
+	// of port p is vc[p*vcPerPort+s]. vnMask has the low VCsPerVN bits
+	// set: shifted to a virtual network's base slot it selects that VN's
+	// slots in a portMask word.
 	vcPerPort int
-	linkVC    [][]vcSlot // [linkID][slot]
-	localVC   [][]vcSlot // [router][slot]
-	linkBusy  []int64    // per link: busy until this cycle (exclusive)
-	ejectBusy []int64    // per router
+	vnMask    uint64
+	vc        []vcSlot
+	ports     []portMask
+	linkBusy  []int64 // per link: busy until this cycle (exclusive)
+	ejectBusy []int64 // per router
 
 	injQ [][]pktQueue // [router][class]
 	ejQ  [][]pktQueue
@@ -74,8 +99,10 @@ type Network struct {
 	cyclesPending int64
 	ffPending     int64
 
-	inLinks  [][]int // link IDs ending at each router
-	outLinks [][]int // link IDs starting at each router
+	inLinks [][]int // link IDs ending at each router, ascending
+	// outPos[l] is link l's position in its source router's
+	// Graph.OutLinks list (the index of its per-output request set).
+	outPos []int32
 
 	// occIn[r] counts occupied input VC buffers (link + local) at router
 	// r. allocate() skips routers with zero occupancy — the "active
@@ -105,26 +132,6 @@ type Network struct {
 	gs      gatherScratch
 	scrOpts []grant
 	scrWin  []int
-
-	// wantOut[link] == cycle marks output links some request gathered
-	// this cycle could use, letting allocateRouter skip the arbitration
-	// of outputs that would yield zero options (and so draw nothing).
-	// Links belong to exactly one source router, so stamps from routers
-	// sharing a cycle never collide (see noteWantOut).
-	//
-	//drain:staged indexed by link; a link belongs to exactly one source router, so plan workers stamp only links out of their own shard's routers (shardsafe)
-	wantOut []int64
-
-	// occLink[l] counts occupied VC buffers at the input port fed by link
-	// l; occLocal[r] counts occupied local (injection-port) VC buffers at
-	// router r. They let request gathering skip empty ports without
-	// scanning their slots. Invariant: occIn[r] equals occLocal[r] plus
-	// the occLink of r's inbound links (checked by CheckInvariants).
-	//
-	//drain:staged indexed by link; a link's head (buffering) router belongs to one shard, and phases adjust only links into their own routers (shardsafe)
-	occLink []int32
-	//drain:staged indexed by router; phases adjust only entries of routers their shard owns (shardsafe)
-	occLocal []int32
 
 	// freePkts is the packet free-list (LIFO): NewPacket pops it,
 	// ReleasePacket pushes it. See pool.go for the ownership and
@@ -163,28 +170,27 @@ func New(cfg Config) (*Network, error) {
 		tab:       tab,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 		vcPerPort: cfg.VCsPerPort(),
+		vnMask:    1<<uint(cfg.VCsPerVN) - 1,
 		linkBusy:  make([]int64, g.NumLinks()),
 		ejectBusy: make([]int64, g.N()),
 		inLinks:   make([][]int, g.N()),
-		outLinks:  make([][]int, g.N()),
+		outPos:    make([]int32, g.NumLinks()),
 	}
-	n.linkVC = make([][]vcSlot, g.NumLinks())
-	for i := range n.linkVC {
-		n.linkVC[i] = make([]vcSlot, n.vcPerPort)
+	nPorts := g.NumLinks() + g.N()
+	n.vc = make([]vcSlot, nPorts*n.vcPerPort)
+	n.ports = make([]portMask, nPorts)
+	for i := range n.ports {
+		n.ports[i].free = 1<<uint(n.vcPerPort) - 1
 	}
-	n.localVC = make([][]vcSlot, g.N())
 	n.injQ = make([][]pktQueue, g.N())
 	n.ejQ = make([][]pktQueue, g.N())
 	n.occIn = make([]int32, g.N())
 	n.ejDirty = make([]bool, g.N())
-	n.wantOut = make([]int64, g.NumLinks())
-	n.occLink = make([]int32, g.NumLinks())
-	n.occLocal = make([]int32, g.N())
 	n.linkDown = make([]bool, g.NumLinks())
 	n.scrDown = make([]bool, g.NumLinks())
 	n.eng = newEngine(&n.cfg)
+	n.gs = newGatherScratch(&n.cfg)
 	for r := 0; r < g.N(); r++ {
-		n.localVC[r] = make([]vcSlot, n.vcPerPort)
 		n.injQ[r] = make([]pktQueue, cfg.Classes)
 		n.ejQ[r] = make([]pktQueue, cfg.Classes)
 		for c := 0; c < cfg.Classes; c++ {
@@ -196,7 +202,11 @@ func New(cfg Config) (*Network, error) {
 	}
 	for _, l := range g.Links() {
 		n.inLinks[l.To] = append(n.inLinks[l.To], l.ID)
-		n.outLinks[l.From] = append(n.outLinks[l.From], l.ID)
+	}
+	for r := 0; r < g.N(); r++ {
+		for pos, l := range g.OutLinks(r) {
+			n.outPos[l] = int32(pos)
+		}
 	}
 	n.Counters.VNFlits = make([]int64, cfg.VNets)
 	n.Counters.VNActiveRouterCycles = make([]int64, cfg.VNets)
@@ -367,16 +377,54 @@ func (n *Network) DiscardEjected() {
 	n.ejDirtyList = n.ejDirtyList[:0]
 }
 
+// localPort returns the port index of router r's local injection port.
+func (n *Network) localPort(r int) int { return n.g.NumLinks() + r }
+
+// portOf resolves a packet position's input port: the link's own index,
+// or the router's local port for LocalPort.
+func (n *Network) portOf(inLink, router int) int {
+	if inLink == LocalPort {
+		return n.localPort(router)
+	}
+	return inLink
+}
+
+// occupy makes p the head of slot s of the given input port, eligible to
+// move from readyAt. The slot must be free or reserved for p's transfer.
+func (n *Network) occupy(port, s int, p *Packet, readyAt int64) {
+	slot := &n.vc[port*n.vcPerPort+s]
+	*slot = vcSlot{pkt: p, readyAt: readyAt, dst: int32(p.Dst)}
+	pm := &n.ports[port]
+	pm.occ |= 1 << uint(s)
+	pm.free &^= 1 << uint(s)
+}
+
+// vacate empties slot s of the given input port and marks it free.
+func (n *Network) vacate(port, s int) {
+	slot := &n.vc[port*n.vcPerPort+s]
+	*slot = vcSlot{}
+	pm := &n.ports[port]
+	pm.occ &^= 1 << uint(s)
+	pm.free |= 1 << uint(s)
+}
+
+// slotOf returns the VC slot holding the buffered packet p.
+func (n *Network) slotOf(p *Packet) *vcSlot {
+	return &n.vc[n.portOf(p.inLink, p.atRouter)*n.vcPerPort+p.slot]
+}
+
+// freeInVN returns the free slots of virtual network vn at an input
+// port, shifted down so bit 0 is the VN's first (escape) slot.
+func (n *Network) freeInVN(port, vn int) uint64 {
+	return n.ports[port].free >> uint(vn*n.cfg.VCsPerVN) & n.vnMask
+}
+
 // OccupiedVCs returns the number of link VC buffers currently holding
 // packets (diagnostic).
 func (n *Network) OccupiedVCs() int {
 	c := 0
-	for _, port := range n.linkVC {
-		for i := range port {
-			if port[i].pkt != nil {
-				c++
-			}
-		}
+	for _, pm := range n.ports[:n.g.NumLinks()] {
+		c += bits.OnesCount64(pm.occ)
 	}
 	return c
 }
@@ -392,11 +440,7 @@ func (n *Network) InFlightPackets() int {
 		for c := 0; c < n.cfg.Classes; c++ {
 			total += n.injQ[r][c].Len() + n.ejQ[r][c].Len()
 		}
-		for i := range n.localVC[r] {
-			if n.localVC[r][i].pkt != nil {
-				total++
-			}
-		}
+		total += bits.OnesCount64(n.ports[n.localPort(r)].occ)
 	}
 	return total + n.OccupiedVCs()
 }
@@ -404,15 +448,15 @@ func (n *Network) InFlightPackets() int {
 // EscapeOccupant returns the packet in link's escape VC for virtual
 // network vn, or nil.
 func (n *Network) EscapeOccupant(linkID, vn int) *Packet {
-	return n.linkVC[linkID][n.cfg.EscapeSlot(vn)].pkt
+	return n.LinkOccupant(linkID, n.cfg.EscapeSlot(vn))
 }
 
 // LinkOccupant returns the packet in the given link VC slot, or nil.
 func (n *Network) LinkOccupant(linkID, slot int) *Packet {
-	return n.linkVC[linkID][slot].pkt
+	return n.vc[linkID*n.vcPerPort+slot].pkt
 }
 
 // LocalOccupant returns the packet in the given local VC slot, or nil.
 func (n *Network) LocalOccupant(router, slot int) *Packet {
-	return n.localVC[router][slot].pkt
+	return n.vc[n.localPort(router)*n.vcPerPort+slot].pkt
 }

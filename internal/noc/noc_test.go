@@ -184,10 +184,10 @@ func TestFreezeLetsInFlightComplete(t *testing.T) {
 	p := n.NewPacket(0, 1, 0, 5)
 	n.Inject(p)
 	// Step until the packet is on the link (sending).
-	for i := 0; i < 10 && !p.sending; i++ {
+	for i := 0; i < 10 && n.InflightCount() == 0; i++ {
 		n.Step()
 	}
-	if !p.sending {
+	if n.InflightCount() == 0 {
 		t.Fatal("packet never started sending")
 	}
 	n.SetFrozen(true)
@@ -197,7 +197,7 @@ func TestFreezeLetsInFlightComplete(t *testing.T) {
 	if n.InflightCount() != 0 {
 		t.Error("in-flight transfer did not complete during freeze")
 	}
-	if p.sending {
+	if n.slotOf(p).sending {
 		t.Error("packet still marked sending")
 	}
 }
@@ -286,6 +286,57 @@ func TestConfigValidation(t *testing.T) {
 	g := topology.MustMesh(2, 2).Graph
 	if _, err := New(Config{Graph: g, Routing: routing.XY}); err == nil {
 		t.Error("XY without mesh should fail")
+	}
+	// The per-port slot masks are one word wide.
+	if _, err := New(Config{Graph: g, VNets: 8, VCsPerVN: 8, Classes: 8}); err != nil {
+		t.Errorf("64 VCs per port should fit: %v", err)
+	}
+	if _, err := New(Config{Graph: g, VNets: 5, VCsPerVN: 13, Classes: 5}); err == nil {
+		t.Error("65 VCs per port should fail")
+	}
+}
+
+// TestCheckInvariantsCoversDerivedVCState corrupts, one at a time, each
+// piece of state derived from the VC slots — the occupied and free masks,
+// the reservation implied by a pending transfer, the destination mirror —
+// and requires CheckInvariants to notice.
+func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
+	n := meshNet(t, 3, 1, nil)
+	p, err := n.PlacePacket(0, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Step() // grants p the link 1->2: a pending transfer with a reserved target slot
+	if n.InflightCount() != 1 {
+		t.Fatalf("want one transfer in flight, have %d", n.InflightCount())
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	port := n.portOf(p.inLink, p.atRouter)
+	out := mustLinkID(t, n, 1, 2)
+	for _, c := range []struct {
+		name    string
+		corrupt func()
+	}{
+		{"occupied bit dropped", func() { n.ports[port].occ = 0 }},
+		{"occupied slot marked free", func() { n.ports[port].free |= 1 << uint(p.slot) }},
+		{"reserved slot marked free", func() { n.ports[out].free = 1<<uint(n.vcPerPort) - 1 }},
+		{"free slot marked taken", func() { n.ports[n.localPort(0)].free = 0 }},
+		{"destination mirror stale", func() { n.slotOf(p).dst++ }},
+		{"sending mark dropped", func() { n.slotOf(p).sending = false }},
+		{"head state left in an empty slot", func() { n.vc[n.localPort(2)*n.vcPerPort].readyAt = 7 }},
+	} {
+		ports, vc := append([]portMask(nil), n.ports...), append([]vcSlot(nil), n.vc...)
+		c.corrupt()
+		if n.CheckInvariants() == nil {
+			t.Errorf("%s: CheckInvariants passed", c.name)
+		}
+		copy(n.ports, ports)
+		copy(n.vc, vc)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("state not restored: %v", err)
 	}
 }
 

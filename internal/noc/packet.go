@@ -52,12 +52,12 @@ type Packet struct {
 	// Payload carries protocol-level context (e.g. a coherence message).
 	Payload any
 
-	// Position and pipeline state, maintained by the network.
+	// Position, maintained by the network. The pipeline state of a
+	// buffered packet (when it may move, whether it is departing) lives
+	// in its VC slot, not here.
 	atRouter int
 	inLink   int // LocalPort or the link whose buffer holds the packet
 	slot     int // VC slot index within the input port
-	readyAt  int64
-	sending  bool
 
 	// pooled marks a packet sitting in the free-list (see pool.go):
 	// set by ReleasePacket, cleared by NewPacket's full rewrite. It

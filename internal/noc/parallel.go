@@ -36,7 +36,7 @@ import (
 //     order-independent sums or owner-exclusive writes.
 //   - The one cross-router read during allocation, the single-VC bubble
 //     rule (routerFreeInVN of the *target* router), is planned as
-//     conditional options (grant.cond) and resolved at commit time, at
+//     conditional options (grant.bubble) and resolved at commit time, at
 //     exactly the point the serial order evaluates it.
 //
 // Ejections are pushed serially in flight order so ejection-queue
@@ -97,7 +97,6 @@ const defaultParallelInline = 96
 // packet's position fields. Addressed to the shard owning the upstream
 // router.
 type upFree struct {
-	pkt    *Packet
 	inLink int32 // LocalPort or link ID
 	router int32
 	slot   int32
@@ -196,6 +195,7 @@ func newParallelEngine(cfg *Config) *parallelEngine {
 		sh.inj = newBitset(nRouters)
 		sh.wakes = make([][]int32, size)
 		sh.upOut = make([][]upFree, k)
+		sh.gs = newGatherScratch(cfg)
 	}
 	e.start = make([]chan struct{}, k-1)
 	for i := range e.start {
@@ -344,7 +344,7 @@ func (e *parallelEngine) stepPhased(n *Network, fl []flight, slot int64) {
 		e.runPhase(n, phaseLandFree)
 		for i := range fl {
 			if fl[i].eject {
-				n.pushEject(fl[i].toRouter, fl[i].pkt)
+				n.pushEject(int(fl[i].toRouter), fl[i].pkt)
 			}
 		}
 		e.flights[slot] = fl[:0]
@@ -392,7 +392,7 @@ func (e *parallelEngine) landArrivals(n *Network, s int) {
 		p := f.pkt
 		dst := e.shardOf[p.atRouter]
 		sh.upOut[dst] = append(sh.upOut[dst], upFree{
-			pkt: p, inLink: int32(p.inLink), router: int32(p.atRouter),
+			inLink: int32(p.inLink), router: int32(p.atRouter),
 			slot: int32(p.slot), flits: int32(p.Flits),
 		})
 		if !f.eject {
@@ -413,7 +413,6 @@ func (e *parallelEngine) applyUpFrees(n *Network, s int) {
 		for j := range cell {
 			u := &cell[j]
 			n.freeUpstream(int(u.inLink), int(u.router), int(u.slot), int64(u.flits), &sh.ctr)
-			u.pkt.sending = false
 		}
 		src.upOut[s] = cell[:0]
 	}
@@ -424,8 +423,7 @@ func (e *parallelEngine) applyUpFrees(n *Network, s int) {
 // need — the eligible count, the eject winner list, and per-output
 // option lists (with the bubble rule deferred as conditional options).
 // Reads shared state that is stable for the whole allocation phase;
-// writes only shard-owned arenas, this shard's activity bits, and the
-// per-link wantOut stamps of this shard's own output links.
+// writes only shard-owned arenas and this shard's activity bits.
 func (e *parallelEngine) planShard(n *Network, s int) {
 	sh := &e.shards[s]
 	sh.plans = sh.plans[:0]
@@ -452,23 +450,18 @@ func (e *parallelEngine) planShard(n *Network, s int) {
 			pl.reqLo = int32(len(sh.reqs))
 			sh.reqs = append(sh.reqs, reqs...)
 			pl.reqHi = int32(len(sh.reqs))
-			areqs := sh.reqs[pl.reqLo:pl.reqHi]
 			pl.winLo = int32(len(sh.wins))
 			if n.ejectBusy[r] <= n.cycle {
-				sh.wins = n.buildEjectWinners(r, areqs, sh.wins)
+				sh.wins = n.buildEjectWinners(r, reqs, sh.wins)
 			}
 			pl.winHi = int32(len(sh.wins))
 			pl.outLo = int32(len(sh.outs))
-			outs := sh.gs.outs
-			if sh.gs.spill {
-				outs = n.outLinks[r]
-			}
-			for _, out := range outs {
-				if n.linkBusy[out] > n.cycle {
+			for pos, out := range n.g.OutLinks(r) {
+				if sh.gs.setLen[pos] == 0 {
 					continue
 				}
 				optLo := int32(len(sh.opts))
-				sh.opts = n.buildLinkOptions(out, areqs, sh.opts, true)
+				sh.opts = n.buildLinkOptions(out, sh.gs.set(pos), reqs, sh.opts, true)
 				if int32(len(sh.opts)) > optLo {
 					sh.outs = append(sh.outs, plannedOut{
 						link: int32(out), optLo: optLo, optHi: int32(len(sh.opts)),
@@ -503,20 +496,13 @@ func (e *parallelEngine) commit(n *Network) {
 				po := &sh.outs[oi]
 				seg := sh.opts[po.optLo:po.optHi]
 				kept := seg[:0]
-				for i := range seg {
-					g := seg[i]
-					if reqs[g.reqIdx].pkt.sending {
+				for _, g := range seg {
+					req := &reqs[g.reqIdx]
+					if n.vc[req.vc].sending {
 						continue
 					}
-					switch g.cond {
-					case condBubbleOK:
-						if n.routerFreeInVN(int(g.bubbleTo), int(g.bubbleVN)) < 2 {
-							continue
-						}
-					case condBubbleFail:
-						if n.routerFreeInVN(int(g.bubbleTo), int(g.bubbleVN)) >= 2 {
-							continue
-						}
+					if g.bubble && n.routerFreeInVN(n.g.Link(int(po.link)).To, int(req.vnet)) < 2 {
+						continue
 					}
 					kept = append(kept, g)
 				}
@@ -715,45 +701,15 @@ func (e *parallelEngine) check(n *Network) error {
 			return fmt.Errorf("noc: shard %d has unreduced injPending delta %d", s, sh.injDelta)
 		}
 	}
-	head := func(r int, p *Packet) error {
+	if err := n.eachSlot(func(r, _, _ int, s *vcSlot) error {
 		sh := &e.shards[e.shardOf[r]]
-		if p == nil || p.sending {
-			return nil
-		}
-		if p.readyAt <= n.cycle {
-			if !sh.alloc.get(r) {
-				return fmt.Errorf("noc: eligible head (packet %d) at router %d but activity bit clear", p.ID, r)
-			}
-			return nil
-		}
-		if p.readyAt > n.cycle+e.maxOff {
-			return fmt.Errorf("noc: packet %d matures at %d, beyond the wheel horizon %d", p.ID, p.readyAt, n.cycle+e.maxOff)
-		}
-		for _, wr := range sh.wakes[p.readyAt&e.mask] {
-			if int(wr) == r {
-				return nil
-			}
-		}
-		return fmt.Errorf("noc: immature head (packet %d) at router %d has no wake at cycle %d", p.ID, r, p.readyAt)
-	}
-	for l := 0; l < n.g.NumLinks(); l++ {
-		router := n.g.Link(l).To
-		for s := range n.linkVC[l] {
-			if err := head(router, n.linkVC[l][s].pkt); err != nil {
-				return err
-			}
-		}
+		return headArmed(n, r, s, &sh.alloc, sh.wakes, e.mask, e.maxOff)
+	}); err != nil {
+		return err
 	}
 	for r := 0; r < n.g.N(); r++ {
-		for s := range n.localVC[r] {
-			if err := head(r, n.localVC[r][s].pkt); err != nil {
-				return err
-			}
-		}
-		for c := range n.injQ[r] {
-			if n.injQ[r][c].Len() > 0 && !e.shards[e.shardOf[r]].inj.get(r) {
-				return fmt.Errorf("noc: router %d has queued injections but injection bit clear", r)
-			}
+		if n.hasQueued(r) && !e.shards[e.shardOf[r]].inj.get(r) {
+			return fmt.Errorf("noc: router %d has queued injections but injection bit clear", r)
 		}
 	}
 	return nil

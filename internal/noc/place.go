@@ -14,8 +14,7 @@ func (n *Network) PlacePacket(from, to, dst, slot int) (*Packet, error) {
 	if slot < 0 || slot >= n.vcPerPort {
 		return nil, fmt.Errorf("noc: slot %d out of range [0,%d)", slot, n.vcPerPort)
 	}
-	s := &n.linkVC[l][slot]
-	if s.pkt != nil || s.reserved {
+	if n.ports[l].free>>uint(slot)&1 == 0 {
 		return nil, fmt.Errorf("noc: slot %d of link %d->%d is occupied", slot, from, to)
 	}
 	p := n.NewPacket(from, dst, slot/n.cfg.VCsPerVN, 1)
@@ -25,9 +24,8 @@ func (n *Network) PlacePacket(from, to, dst, slot int) (*Packet, error) {
 	if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(slot) && !n.cfg.NonStickyEscape {
 		p.InEscape = true
 	}
-	s.pkt = p
+	n.occupy(l, slot, p, 0)
 	n.occIn[to]++
-	n.occLink[l]++
-	n.eng.placed(n, to, p.readyAt)
+	n.eng.placed(n, to, 0)
 	return p, nil
 }

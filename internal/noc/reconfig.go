@@ -2,6 +2,7 @@ package noc
 
 import (
 	"errors"
+	"math/bits"
 	"sync/atomic"
 
 	"drain/internal/routing"
@@ -112,9 +113,10 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 				continue
 			}
 			n.linkBusy[l] = 0 // any transfer on the wire was cut above
-			for s := range n.linkVC[l] {
-				p := n.linkVC[l][s].pkt
-				if p == nil || p.sending {
+			for s := 0; s < n.vcPerPort; s++ {
+				slot := n.vc[l*n.vcPerPort+s]
+				p := slot.pkt
+				if p == nil || slot.sending {
 					// A sending occupant departs over a surviving link;
 					// its slot frees at landing and is never refilled.
 					continue
@@ -122,9 +124,8 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 				if n.evacuate(p, l, s) {
 					rep.Rerouted++
 				} else {
-					n.linkVC[l][s].pkt = nil
+					n.vacate(l, s)
 					n.occIn[p.atRouter]--
-					n.occLink[l]--
 					n.Counters.FaultDrops++
 					n.ReleasePacket(p)
 					rep.Dropped++
@@ -139,18 +140,9 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 	// too (per-flight independent mutation — engine iteration order is
 	// unobservable).
 	n.eng.eachFlight(clearFlightDownPhase)
-	for l := range n.linkVC {
-		for s := range n.linkVC[l] {
-			if p := n.linkVC[l][s].pkt; p != nil {
-				p.DownPhase = false
-			}
-		}
-	}
-	for r := range n.localVC {
-		for s := range n.localVC[r] {
-			if p := n.localVC[r][s].pkt; p != nil {
-				p.DownPhase = false
-			}
+	for i := range n.vc {
+		if p := n.vc[i].pkt; p != nil {
+			p.DownPhase = false
 		}
 	}
 
@@ -178,8 +170,7 @@ func clearFlightDownPhase(f *flight) { f.downPhase = false }
 func (n *Network) dropFlight(f flight) {
 	p := f.pkt
 	n.freeUpstream(p.inLink, p.atRouter, p.slot, int64(p.Flits), &n.Counters)
-	p.sending = false
-	n.linkVC[f.toLink][f.toSlot].reserved = false
+	n.ports[f.toLink].free |= 1 << uint(f.toSlot)
 	n.Counters.FaultDrops++
 	n.ReleasePacket(p)
 }
@@ -200,10 +191,8 @@ func (n *Network) evacuate(p *Packet, fromLink, fromSlot int) bool {
 			if n.scrDown[l] {
 				continue
 			}
-			for s := lo; s < hi; s++ {
-				if n.linkVC[l][s].free() {
-					return l, s, true
-				}
+			if m := n.ports[l].free >> uint(lo) << uint(lo) & (1<<uint(hi) - 1); m != 0 {
+				return l, bits.TrailingZeros64(m), true
 			}
 		}
 		return 0, 0, false
@@ -224,18 +213,16 @@ func (n *Network) evacuate(p *Packet, fromLink, fromSlot int) bool {
 	if !ok {
 		return false
 	}
-	n.linkVC[fromLink][fromSlot].pkt = nil
-	n.occLink[fromLink]--
-	n.linkVC[toLink][toSlot].pkt = p
-	n.occLink[toLink]++
+	readyAt := n.cycle + int64(n.cfg.RouterLatency)
+	n.vacate(fromLink, fromSlot)
+	n.occupy(toLink, toSlot, p, readyAt)
 	p.inLink = toLink
 	p.slot = toSlot
-	p.readyAt = n.cycle + int64(n.cfg.RouterLatency)
 	if escape && !n.cfg.NonStickyEscape {
 		p.InEscape = true
 	}
 	n.Counters.FaultReroutes++
-	n.eng.placed(n, r, p.readyAt)
+	n.eng.placed(n, r, readyAt)
 	return true
 }
 

@@ -39,19 +39,20 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 	if len(next) != n.g.NumLinks() {
 		return rep, fmt.Errorf("noc: drain path covers %d links, topology has %d", len(next), n.g.NumLinks())
 	}
+	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	for vn := 0; vn < n.cfg.VNets; vn++ {
 		slot := n.cfg.EscapeSlot(vn)
 		moved := make([]*Packet, n.g.NumLinks()) // new occupant per link
 		for l := 0; l < n.g.NumLinks(); l++ {
-			p := n.linkVC[l][slot].pkt
+			p := n.vc[l*n.vcPerPort+slot].pkt
 			if p == nil {
 				continue
 			}
+			n.vacate(l, slot) // successors are installed after the sweep
 			d := next[l]
 			target := n.g.Link(d)
 			oldRouter := p.atRouter
 			n.occIn[oldRouter]--
-			n.occLink[l]--
 			p.Hops++
 			p.DrainHops++
 			n.Counters.Hops++
@@ -68,20 +69,20 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 				continue
 			}
 			n.occIn[target.To]++
-			n.occLink[d]++
 			p.atRouter = target.To
 			p.inLink = d
 			p.slot = slot
-			p.readyAt = n.cycle + int64(n.cfg.RouterLatency)
-			n.eng.placed(n, target.To, p.readyAt)
+			n.eng.placed(n, target.To, readyAt)
 			// A forced turn invalidates any up*/down* phase bookkeeping;
 			// DRAIN's escape VC is unrestricted so the phase restarts.
 			p.DownPhase = false
 			moved[d] = p
 			rep.Moved++
 		}
-		for l := 0; l < n.g.NumLinks(); l++ {
-			n.linkVC[l][slot].pkt = moved[l]
+		for l, p := range moved {
+			if p != nil {
+				n.occupy(l, slot, p, readyAt)
+			}
 		}
 	}
 	return rep, nil
@@ -117,11 +118,12 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 	}
 	pkts := make([]*Packet, len(refs))
 	for i, ref := range refs {
-		p := n.linkVC[ref.Link][ref.Slot].pkt
+		slot := &n.vc[ref.Link*n.vcPerPort+ref.Slot]
+		p := slot.pkt
 		if p == nil {
 			return fmt.Errorf("noc: cycle position %d (%v) is empty", i, ref)
 		}
-		if p.sending {
+		if slot.sending {
 			return fmt.Errorf("noc: cycle position %d (%v) holds a moving packet", i, ref)
 		}
 		nxt := refs[(i+1)%len(refs)]
@@ -130,6 +132,7 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 		}
 		pkts[i] = p
 	}
+	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	for i := range refs {
 		nxt := refs[(i+1)%len(refs)]
 		p := pkts[i]
@@ -143,8 +146,7 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 		p.atRouter = target.To
 		p.inLink = nxt.Link
 		p.slot = nxt.Slot
-		p.readyAt = n.cycle + int64(n.cfg.RouterLatency)
-		n.eng.placed(n, target.To, p.readyAt)
+		n.eng.placed(n, target.To, readyAt)
 		p.Hops++
 		p.SpinHops++
 		p.DownPhase = false
@@ -154,8 +156,7 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 		n.Counters.noteVNActivity(p.VNet, target.To, n.cycle, int64(p.Flits))
 	}
 	for i, ref := range refs {
-		prev := pkts[(i-1+len(pkts))%len(pkts)]
-		n.linkVC[ref.Link][ref.Slot].pkt = prev
+		n.occupy(ref.Link, ref.Slot, pkts[(i-1+len(pkts))%len(pkts)], readyAt)
 	}
 	return nil
 }

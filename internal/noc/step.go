@@ -2,6 +2,7 @@ package noc
 
 import (
 	"context"
+	"math/bits"
 
 	"drain/internal/routing"
 )
@@ -29,62 +30,107 @@ func (n *Network) StepContext(ctx context.Context) error {
 	return nil
 }
 
-// request is an input VC asking for outputs this cycle (scratch state).
+// request is an input VC head asking to move this cycle (scratch state).
+// The outputs it may take are recorded in the gatherScratch's per-output
+// request sets, not here.
 type request struct {
 	pkt    *Packet
-	inLink int // LocalPort or link ID
-	slot   int
+	vc     int32 // flat index of the input VC slot (into Network.vc)
+	vnet   int32
+	local  bool // the input port is the router's injection port
 	wantEj bool
-	// outputs the packet may take from a non-escape standpoint and from
-	// an escape standpoint, as candidate entries (LinkID + phase info).
-	// Both alias the routing table's shared read-only candidate sets and
-	// are never mutated or retained past the cycle.
-	mainOuts []routing.Candidate
-	escOuts  []routing.Candidate
 }
+
+// candBits records one routing candidate of a request on an output.
+type candBits uint8
+
+const (
+	candPresent candBits = 1 << iota
+	candDownPhase
+	candProductive
+	// candEscape is set only on a grant's copy of the bits: the grant
+	// enters the downstream escape VC and makes the packet sticky.
+	candEscape
+)
+
+// bitsOf encodes a routing candidate's presence and flags.
+func bitsOf(c routing.Candidate) candBits {
+	b := candPresent
+	if c.DownPhase {
+		b |= candDownPhase
+	}
+	if c.Productive {
+		b |= candProductive
+	}
+	return b
+}
+
+// outReq is one member of an output's request set: the index of a
+// request that named the output, with its candBits as a non-escape
+// candidate (main) and as an escape candidate (esc); either may be
+// absent. Packed into one word — req<<6 | esc<<3 | main — so a set member
+// is written and read with a single store and load.
+type outReq uint32
+
+func (e outReq) req() int32     { return int32(e >> 6) }
+func (e outReq) main() candBits { return candBits(e & 7) }
+func (e outReq) esc() candBits  { return candBits(e >> 3 & 7) }
 
 // grant is one feasible (input VC → output slot) assignment during link
 // arbitration (scratch state).
 type grant struct {
-	reqIdx     int
-	toSlot     int
-	setEscape  bool
-	downPhase  bool
-	productive bool
-	// cond/bubbleTo/bubbleVN support the parallel engine's deferred
-	// bubble-rule recheck (the one cross-router read during allocation;
-	// see parallel.go). Serial arbitration leaves them zero (condAlways).
-	cond     uint8
-	bubbleTo int32
-	bubbleVN int32
+	reqIdx int32
+	toSlot int32
+	// cand carries the winning candidate's arrival effects (down phase,
+	// productive hop, sticky escape entry).
+	cand candBits
+	// bubble marks an option the parallel engine planned before it could
+	// evaluate the single-VC bubble rule (the one cross-router read during
+	// allocation; see parallel.go): it is valid iff the output's target
+	// router still has >= 2 free slots in the request's VN at commit.
+	// Serial arbitration evaluates the rule inline and never sets it.
+	bubble bool
 }
-
-// grant.cond values: when the parallel engine plans options before the
-// serial commit, the single-VC bubble rule (routerFreeInVN) cannot be
-// evaluated yet — other routers' commits may still reserve slots at the
-// target router. The plan emits both outcomes, tagged, and the commit
-// keeps exactly the one the serial allocator would have built.
-const (
-	condAlways     uint8 = iota // valid unconditionally
-	condBubbleOK                // valid iff routerFreeInVN(bubbleTo, bubbleVN) >= 2 at commit
-	condBubbleFail              // valid iff routerFreeInVN(bubbleTo, bubbleVN) < 2 at commit
-)
 
 // gatherScratch is the per-allocator request-gathering scratch. The
 // serial engines use the Network's single instance; the parallel
 // engine's plan workers each own one so gathering can run concurrently.
 //
+// Besides the request list it holds the per-output request sets of the
+// router being gathered: the set of output position pos (an index into
+// Graph.OutLinks(r)) is sets[pos*stride : pos*stride+setLen[pos]], in
+// ascending request index. Arbitration walks each output's set instead
+// of asking every request about every output; the options it builds,
+// and so every RNG draw, are the ones the exhaustive scan would build
+// (a request absent from a set yields no option on that output).
+//
 //drain:staged one instance per plan worker (parShard.gs); the serial engines use the Network's own instance on the stepping goroutine (shardsafe)
 type gatherScratch struct {
-	reqs []request
-	// outs collects the output links stamped via noteWantOut for the
-	// router currently gathering, kept sorted ascending so iterating it
-	// visits outputs in exactly outLinks order (link IDs are dense and
-	// outLinks is built in ID order).
-	outs []int
-	// spill marks that the current router stopped tracking wanted
-	// outputs (too many requests); the allocator scans all its outputs.
-	spill bool
+	reqs   []request
+	sets   []outReq
+	setLen []int32
+	stride int
+}
+
+// newGatherScratch sizes the scratch for cfg's largest router: every
+// input VC may request, and every request may name every output.
+func newGatherScratch(cfg *Config) gatherScratch {
+	maxDeg := 0
+	for r := 0; r < cfg.Graph.N(); r++ {
+		maxDeg = max(maxDeg, cfg.Graph.Degree(r))
+	}
+	stride := (maxDeg + 1) * cfg.VCsPerPort()
+	return gatherScratch{
+		reqs:   make([]request, 0, stride),
+		sets:   make([]outReq, maxDeg*stride),
+		setLen: make([]int32, maxDeg),
+		stride: stride,
+	}
+}
+
+// set returns the request set gathered for output position pos.
+func (gs *gatherScratch) set(pos int) []outReq {
+	return gs.sets[pos*gs.stride : pos*gs.stride+int(gs.setLen[pos])]
 }
 
 // Step advances the network by one cycle: completes arrivals, performs
@@ -104,10 +150,8 @@ func (n *Network) Step() {
 func (n *Network) land(f flight) {
 	p := f.pkt
 	n.freeUpstream(p.inLink, p.atRouter, p.slot, int64(p.Flits), &n.Counters)
-	p.sending = false
-
 	if f.eject {
-		n.pushEject(f.toRouter, p)
+		n.pushEject(int(f.toRouter), p)
 		return
 	}
 	n.landArrive(f, &n.Counters)
@@ -118,13 +162,8 @@ func (n *Network) land(f flight) {
 // the parallel engine applies the release after the arrival side has
 // already overwritten the packet's position fields.
 func (n *Network) freeUpstream(inLink, router, slot int, flits int64, ctr *Counters) {
-	n.slotOf(inLink, router, slot).pkt = nil
+	n.vacate(n.portOf(inLink, router), slot)
 	n.occIn[router]--
-	if inLink == LocalPort {
-		n.occLocal[router]--
-	} else {
-		n.occLink[inLink]--
-	}
 	ctr.BufReads += flits
 }
 
@@ -133,15 +172,13 @@ func (n *Network) freeUpstream(inLink, router, slot int, flits int64, ctr *Count
 // parallel engine can stage them per shard.
 func (n *Network) landArrive(f flight, ctr *Counters) {
 	p := f.pkt
-	dst := &n.linkVC[f.toLink][f.toSlot]
-	dst.reserved = false
-	dst.pkt = p
-	n.occIn[f.toRouter]++
-	n.occLink[f.toLink]++
-	p.atRouter = f.toRouter
-	p.inLink = f.toLink
-	p.slot = f.toSlot
-	p.readyAt = n.cycle + int64(n.cfg.RouterLatency)
+	readyAt := n.cycle + int64(n.cfg.RouterLatency)
+	toRouter := int(f.toRouter)
+	n.occupy(int(f.toLink), int(f.toSlot), p, readyAt)
+	n.occIn[toRouter]++
+	p.atRouter = toRouter
+	p.inLink = int(f.toLink)
+	p.slot = int(f.toSlot)
 	p.Hops++
 	if f.setEscape {
 		p.InEscape = true
@@ -154,8 +191,8 @@ func (n *Network) landArrive(f flight, ctr *Counters) {
 	ctr.Hops++
 	ctr.LinkFlits += int64(p.Flits)
 	ctr.BufWrites += int64(p.Flits)
-	ctr.noteVNActivity(p.VNet, f.toRouter, n.cycle, int64(p.Flits))
-	n.eng.placed(n, f.toRouter, p.readyAt)
+	ctr.noteVNActivity(p.VNet, toRouter, n.cycle, int64(p.Flits))
+	n.eng.placed(n, toRouter, readyAt)
 }
 
 // pushEject delivers p to its destination's ejection queue.
@@ -170,14 +207,6 @@ func (n *Network) pushEject(router int, p *Packet) {
 	if n.OnEject != nil {
 		n.OnEject(p)
 	}
-}
-
-// slotOf resolves an input VC slot (link or local port).
-func (n *Network) slotOf(inLink, router, slot int) *vcSlot {
-	if inLink == LocalPort {
-		return &n.localVC[router][slot]
-	}
-	return &n.linkVC[inLink][slot]
 }
 
 // allocate performs one cycle of switch + VC allocation at every active
@@ -205,82 +234,78 @@ func (n *Network) allocateRouter(r int, gs *gatherScratch) (eligible, granted in
 		return eligible, 0
 	}
 	// Eject port first (it frees VCs fastest and models priority to
-	// sinking traffic), then each output link. Outputs no gathered
-	// request can use are skipped: their arbitration would build zero
-	// options and draw no randomness, so the skip is unobservable.
+	// sinking traffic), then each output link in Graph.OutLinks order.
 	if n.ejectBusy[r] <= n.cycle {
-		granted += n.arbitrateEject(r, reqs)
+		winners := n.buildEjectWinners(r, reqs, n.scrWin[:0])
+		n.scrWin = winners
+		granted += n.commitEject(r, reqs, winners)
 	}
-	outs := gs.outs
-	if gs.spill {
-		// Heavily loaded router: the wanted-output set is incomplete, so
-		// arbitrate every output. Unwanted outputs yield zero options and
-		// draw nothing, and both slices ascend by link ID, so the grant
-		// and draw sequence is identical either way.
-		outs = n.outLinks[r]
-	}
-	for _, out := range outs {
-		if n.linkBusy[out] > n.cycle {
+	for pos, out := range n.g.OutLinks(r) {
+		if gs.setLen[pos] == 0 {
 			continue
 		}
-		granted += n.arbitrateLink(r, out, reqs)
+		options := n.buildLinkOptions(out, gs.set(pos), reqs, n.scrOpts[:0], false)
+		n.scrOpts = options
+		granted += n.commitLinkGrant(r, out, reqs, options)
 	}
 	return eligible, granted
 }
 
 // gatherRequests lists input VCs of r with a head packet eligible to move
-// this cycle, along with the outputs each may use. The second result
-// counts every eligible head, including those dropped for having no
-// routing candidates right now (deroute/escape eligibility can appear
-// with the passage of time alone, so such heads must keep the router
-// active).
+// this cycle and files each under the outputs it may use (gs's request
+// sets). The second result counts every eligible head, including those
+// dropped for having no routing candidates right now (deroute/escape
+// eligibility can appear with the passage of time alone, so such heads
+// must keep the router active).
 func (n *Network) gatherRequests(r int, gs *gatherScratch) ([]request, int) {
 	eligible := 0
-	reqs := gs.reqs[:0]
-	gs.outs = gs.outs[:0]
-	gs.spill = false
+	gs.reqs = gs.reqs[:0]
+	clear(gs.setLen[:len(n.g.OutLinks(r))])
 	for _, l := range n.inLinks[r] {
-		if n.occLink[l] == 0 {
-			continue
+		if n.ports[l].occ != 0 {
+			eligible += n.considerVCs(r, l, false, gs)
 		}
-		reqs, eligible = n.considerVCs(r, l, n.linkVC[l], gs, reqs, eligible)
 	}
-	if n.occLocal[r] != 0 {
-		reqs, eligible = n.considerVCs(r, LocalPort, n.localVC[r], gs, reqs, eligible)
+	if local := n.localPort(r); n.ports[local].occ != 0 {
+		eligible += n.considerVCs(r, local, true, gs)
 	}
-	gs.reqs = reqs
-	return reqs, eligible
+	return gs.reqs, eligible
 }
 
 // considerVCs appends requests for the eligible heads among one input
-// port's VC slots and stamps n.wantOut for every output the appended
-// requests could use (see allocateRouter).
-func (n *Network) considerVCs(r, inLink int, slots []vcSlot, gs *gatherScratch, reqs []request, eligible int) ([]request, int) {
-	for s := range slots {
-		p := slots[s].pkt
-		if p == nil || p.sending || p.readyAt > n.cycle {
+// port's occupied VC slots, returning how many heads were eligible.
+func (n *Network) considerVCs(r, port int, local bool, gs *gatherScratch) int {
+	eligible := 0
+	base := port * n.vcPerPort
+	for m := n.ports[port].occ; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		slot := &n.vc[base+s]
+		if slot.sending || slot.readyAt > n.cycle {
 			continue
 		}
 		eligible++
-		req := request{pkt: p, inLink: inLink, slot: s}
-		if p.Dst == r {
+		p := slot.pkt
+		req := request{pkt: p, vc: int32(base + s), vnet: int32(s / n.cfg.VCsPerVN), local: local}
+		dst := int(slot.dst)
+		if dst == r {
 			req.wantEj = true
-			reqs = append(reqs, req)
+			gs.reqs = append(gs.reqs, req)
 			continue
 		}
 		// A long-stalled packet on an unrestricted (adaptive) routing
 		// function may deroute over any output, including U-turns.
-		stalled := n.cfg.DerouteAfter > 0 && n.cycle-p.readyAt >= int64(n.cfg.DerouteAfter)
+		stalled := n.cfg.DerouteAfter > 0 && n.cycle-slot.readyAt >= int64(n.cfg.DerouteAfter)
 		// Routing candidates. Escape discipline (paper §III-A):
 		// a packet in an escape VC may only continue on escape VCs
 		// under EscapeRouting; others may use either. The candidate
 		// slices are the routing table's shared read-only sets.
+		var mainOuts, escOuts []routing.Candidate
 		if n.cfg.PolicyEscape {
 			escapeReady := p.InEscape ||
 				n.cfg.EscapeAfter <= 0 ||
-				n.cycle-p.readyAt >= int64(n.cfg.EscapeAfter)
+				n.cycle-slot.readyAt >= int64(n.cfg.EscapeAfter)
 			if !p.InEscape {
-				req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
+				mainOuts = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
 			}
 			// Phase for escape routing: a packet entering the escape
 			// network starts its up*/down* walk fresh.
@@ -289,62 +314,46 @@ func (n *Network) considerVCs(r, inLink int, slots []vcSlot, gs *gatherScratch, 
 				escPhase = false
 			}
 			if escapeReady {
-				req.escOuts = n.routeCands(n.cfg.EscapeRouting, r, p.Dst, escPhase, stalled)
+				escOuts = n.routeCands(n.cfg.EscapeRouting, r, dst, escPhase, stalled)
 			}
 		} else {
-			req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
+			mainOuts = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
 		}
-		if len(req.mainOuts) > 0 || len(req.escOuts) > 0 {
-			// Track which outputs are wanted only while the router is
-			// lightly loaded: with this many requests essentially every
-			// output is wanted, so allocateRouter scans them all instead
-			// and the per-candidate stamping would be pure overhead.
-			if len(reqs) < wantOutMaxReqs {
-				for _, c := range req.mainOuts {
-					n.noteWantOut(gs, c.LinkID)
-				}
-				for _, c := range req.escOuts {
-					n.noteWantOut(gs, c.LinkID)
-				}
-			} else {
-				gs.spill = true
+		if len(mainOuts) == 0 && len(escOuts) == 0 {
+			continue
+		}
+		// File the request under every output it names that can be
+		// granted this cycle. An output whose link is busy or whose
+		// downstream port has no free slot yields no option for anyone,
+		// and only this router's own grant on it (after which it is not
+		// arbitrated again) can change either fact before arbitration, so
+		// leaving it out of the sets is unobservable. Both candidate lists
+		// ascend by link ID; merging them files each output once.
+		i := outReq(len(gs.reqs)) << 6
+		for len(mainOuts) > 0 || len(escOuts) > 0 {
+			var out int
+			e := i
+			switch {
+			case len(escOuts) == 0 || len(mainOuts) > 0 && mainOuts[0].LinkID < escOuts[0].LinkID:
+				out, e = mainOuts[0].LinkID, e|outReq(bitsOf(mainOuts[0]))
+				mainOuts = mainOuts[1:]
+			case len(mainOuts) == 0 || escOuts[0].LinkID < mainOuts[0].LinkID:
+				out, e = escOuts[0].LinkID, e|outReq(bitsOf(escOuts[0]))<<3
+				escOuts = escOuts[1:]
+			default: // named by both lists
+				out, e = mainOuts[0].LinkID, e|outReq(bitsOf(mainOuts[0]))|outReq(bitsOf(escOuts[0]))<<3
+				mainOuts, escOuts = mainOuts[1:], escOuts[1:]
 			}
-			reqs = append(reqs, req)
+			if n.linkBusy[out] > n.cycle || n.ports[out].free == 0 {
+				continue
+			}
+			pos := int(n.outPos[out])
+			gs.sets[pos*gs.stride+int(gs.setLen[pos])] = e
+			gs.setLen[pos]++
 		}
+		gs.reqs = append(gs.reqs, req)
 	}
-	return reqs, eligible
-}
-
-// wantOutMaxReqs bounds the request count up to which gathering tracks
-// the wanted-output set (see considerVCs).
-const wantOutMaxReqs = 4
-
-// noteWantOut records output link `out` as wanted by some request of the
-// router currently gathering, keeping gs.outs sorted ascending (= the
-// outLinks iteration order the dense allocator used, so arbitration and
-// its RNG draws happen in the identical output order). The wantOut
-// cycle stamps live on the Network: a link belongs to exactly one source
-// router, so stamps from routers sharing a cycle never collide — which
-// also makes the stamping safe for the parallel engine's concurrent
-// per-shard gathering.
-func (n *Network) noteWantOut(gs *gatherScratch, out int) {
-	if n.wantOut[out] == n.cycle {
-		return
-	}
-	n.wantOut[out] = n.cycle
-	outs := append(gs.outs, out)
-	for j := len(outs) - 1; j > 0 && outs[j-1] > out; j-- {
-		outs[j], outs[j-1] = outs[j-1], outs[j]
-	}
-	gs.outs = outs
-}
-
-// arbitrateEject grants the eject port to one destination packet,
-// returning the number of grants made (0 or 1).
-func (n *Network) arbitrateEject(r int, reqs []request) int {
-	winners := n.buildEjectWinners(r, reqs, n.scrWin[:0])
-	n.scrWin = winners
-	return n.commitEject(r, reqs, winners)
+	return eligible
 }
 
 // buildEjectWinners appends the indices (into reqs) of the packets that
@@ -355,7 +364,7 @@ func (n *Network) arbitrateEject(r int, reqs []request) int {
 func (n *Network) buildEjectWinners(r int, reqs []request, winners []int) []int {
 	for i := range reqs {
 		req := &reqs[i]
-		if req.wantEj && !req.pkt.sending && n.ejectSpace(r, req.pkt.Class) {
+		if req.wantEj && n.ejectSpace(r, req.pkt.Class) {
 			winners = append(winners, i)
 		}
 	}
@@ -368,11 +377,12 @@ func (n *Network) commitEject(r int, reqs []request, winners []int) int {
 	if len(winners) == 0 {
 		return 0
 	}
-	p := reqs[winners[n.rng.IntN(len(winners))]].pkt
-	p.sending = true
+	req := &reqs[winners[n.rng.IntN(len(winners))]]
+	p := req.pkt
+	n.vc[req.vc].sending = true
 	n.ejectBusy[r] = n.cycle + int64(p.Flits)
 	n.eng.addFlight(n, flight{
-		pkt: p, doneAt: n.cycle + int64(p.Flits), eject: true, toLink: -1, toRouter: r,
+		pkt: p, doneAt: n.cycle + int64(p.Flits), eject: true, toLink: -1, toRouter: int32(r),
 	})
 	n.Counters.SWAllocs++
 	n.Counters.XbarFlits += int64(p.Flits)
@@ -380,35 +390,27 @@ func (n *Network) commitEject(r int, reqs []request, winners []int) int {
 	return 1
 }
 
-// arbitrateLink grants output link `out` of router r to one input VC,
-// returning the number of grants made (0 or 1).
-func (n *Network) arbitrateLink(r, out int, reqs []request) int {
-	options := n.buildLinkOptions(out, reqs, n.scrOpts[:0], false)
-	n.scrOpts = options
-	return n.commitLinkGrant(r, out, reqs, options)
-}
-
 // buildLinkOptions appends every feasible (request → output slot)
-// assignment for link `out` to options. All feasibility inputs are
-// stable for the whole allocation phase — an output link is granted at
-// most once per cycle and belongs to exactly one source router — with
-// two exceptions:
+// assignment for link `out` to options, walking the output's request
+// set. All feasibility inputs are stable for the whole allocation phase
+// — an output link is granted at most once per cycle and belongs to
+// exactly one source router — with two exceptions:
 //
-//   - p.sending: a packet granted an earlier output of the same router
+//   - sending: a packet granted an earlier output of the same router
 //     is skipped. With deferBubble the caller re-filters at commit time.
 //   - the single-VC bubble rule (routerFreeInVN of the *target* router),
 //     which other routers' same-cycle grants can still change. With
 //     deferBubble=false it is evaluated inline (serial allocators); with
-//     deferBubble=true the plan emits both outcomes as conditional
-//     options (grant.cond) for the serial commit to resolve at exactly
-//     the point the serial order would have evaluated the rule.
-func (n *Network) buildLinkOptions(out int, reqs []request, options []grant, deferBubble bool) []grant {
-	for i := range reqs {
-		req := &reqs[i]
-		p := req.pkt
-		if p.sending {
+//     deferBubble=true the plan marks the options that depend on it
+//     (grant.bubble) for the serial commit to resolve at exactly the
+//     point the serial order would have evaluated the rule.
+func (n *Network) buildLinkOptions(out int, set []outReq, reqs []request, options []grant, deferBubble bool) []grant {
+	for _, e := range set {
+		req := &reqs[e.req()]
+		if n.vc[req.vc].sending {
 			continue
 		}
+		free := n.freeInVN(out, int(req.vnet))
 		// Conservative VC allocation at the injection port (paper §II-C:
 		// fully adaptive routing pairs with conservative allocation): a
 		// locally injected packet may not claim the last free VC of the
@@ -417,92 +419,67 @@ func (n *Network) buildLinkOptions(out int, reqs []request, options []grant, def
 		// With single-VC virtual networks the port rule degenerates, so a
 		// bubble-flow-control-style router rule applies instead: the
 		// target router must retain a second free buffer in the VN.
-		conservativeOK := true
-		if req.inLink == LocalPort {
-			if n.freeSlotsInVN(out, p.VNet) < min(2, n.cfg.VCsPerVN) {
-				conservativeOK = false
-			}
-			if conservativeOK && n.cfg.VCsPerVN == 1 {
-				to := n.g.Link(out).To
-				if !deferBubble {
-					if n.routerFreeInVN(to, p.VNet) < 2 {
-						conservativeOK = false
-					}
-				} else {
-					gOK, okOK := n.optionFor(out, i, req, true)
-					gFail, okFail := n.optionFor(out, i, req, false)
-					if okOK && okFail && gOK == gFail {
-						// Same grant either way: the bubble outcome is
-						// irrelevant, emit it unconditionally.
-						options = append(options, gOK)
-						continue
-					}
-					if okOK {
-						gOK.cond = condBubbleOK
-						gOK.bubbleTo = int32(to)
-						gOK.bubbleVN = int32(p.VNet)
-						options = append(options, gOK)
-					}
-					if okFail {
-						gFail.cond = condBubbleFail
-						gFail.bubbleTo = int32(to)
-						gFail.bubbleVN = int32(p.VNet)
-						options = append(options, gFail)
-					}
-					continue
+		conservativeOK := !req.local || bits.OnesCount64(free) >= min(2, n.cfg.VCsPerVN)
+		if req.local && conservativeOK && n.cfg.VCsPerVN == 1 {
+			if !deferBubble {
+				conservativeOK = n.routerFreeInVN(n.g.Link(out).To, int(req.vnet)) >= 2
+			} else {
+				// Plan the rule-satisfied outcome. If the rule's failure
+				// would grant too, it grants the same: with one VC per VN a
+				// failed rule leaves only the escape path, which exists
+				// only under PolicyEscape, where that single VC is the
+				// escape slot and the satisfied outcome takes the escape
+				// path as well. Otherwise the commit decides.
+				lo := len(options)
+				options = n.appendOption(options, e, req, free, true)
+				if len(options) > lo && len(n.appendOption(options, e, req, free, false)) == len(options) {
+					g := options[lo]
+					g.bubble = true
+					options[lo] = g
 				}
+				continue
 			}
 		}
-		if g, ok := n.optionFor(out, i, req, conservativeOK); ok {
-			options = append(options, g)
-		}
+		options = n.appendOption(options, e, req, free, conservativeOK)
 	}
 	return options
 }
 
-// optionFor computes the grant the serial allocator would build for req
-// on output `out`, given the conservative-rule outcome. The non-escape
-// path needs the output in mainOuts and a free non-escape VC downstream
-// in the packet's VNet; failing that, the escape path applies: output
-// legal under escape routing and the escape slot downstream free. A
-// long-stalled local packet may claim an escape slot even against the
+// appendOption appends the grant the allocator builds for set member e
+// given the conservative-rule outcome, if any; free is the output's
+// free-slot mask within the request's VN (freeInVN). The non-escape
+// path needs the output among the request's main candidates and a free
+// non-escape VC downstream; failing that, the escape path applies:
+// output legal under escape routing and the escape slot downstream free.
+// A long-stalled local packet may claim an escape slot even against the
 // conservative rule: drains guarantee escape buffers keep turning over,
 // so this bounded bypass restores the injection-progress guarantee
 // (§III-D2) without letting injection pack ordinary buffers to 100%.
-func (n *Network) optionFor(out, reqIdx int, req *request, conservativeOK bool) (grant, bool) {
-	p := req.pkt
-	if conservativeOK {
-		if c, ok := findCand(req.mainOuts, out); ok {
-			if slot, ok2 := n.freeDownstreamSlot(out, p.VNet, false); ok2 {
-				return grant{
-					reqIdx: reqIdx, toSlot: slot,
-					downPhase: c.DownPhase, productive: c.Productive,
-				}, true
-			}
+func (n *Network) appendOption(options []grant, e outReq, req *request, free uint64, conservativeOK bool) []grant {
+	base := req.vnet * int32(n.cfg.VCsPerVN)
+	main, esc := e.main(), e.esc()
+	if conservativeOK && main&candPresent != 0 {
+		plain := free
+		if n.cfg.PolicyEscape {
+			plain &^= 1 // slot 0 is the escape VC: reachable only via the escape path
+		}
+		if plain != 0 {
+			return append(options, grant{reqIdx: e.req(), toSlot: base + int32(bits.TrailingZeros64(plain)), cand: main})
 		}
 	}
-	escConservative := conservativeOK || n.injectBypass(p)
-	outsForEscape := req.escOuts
-	if !n.cfg.PolicyEscape {
-		outsForEscape = nil
-	}
-	if escConservative {
-		if c, ok := findCand(outsForEscape, out); ok {
-			if slot, ok2 := n.freeDownstreamSlot(out, p.VNet, true); ok2 {
-				return grant{
-					reqIdx: reqIdx, toSlot: slot, setEscape: !n.cfg.NonStickyEscape,
-					downPhase: c.DownPhase, productive: c.Productive,
-				}, true
-			}
+	if esc&candPresent != 0 && free&1 != 0 && (conservativeOK || n.injectBypass(req)) {
+		if !n.cfg.NonStickyEscape {
+			esc |= candEscape
 		}
+		return append(options, grant{reqIdx: e.req(), toSlot: base, cand: esc})
 	}
-	return grant{}, false
+	return options
 }
 
 // commitLinkGrant draws the winner among options and applies the grant.
 // Must run serially in ascending (router, output) order — it consumes
 // the shared RNG, and the option sets of later outputs depend on
-// earlier winners through p.sending.
+// earlier winners through the granted slot's sending mark.
 func (n *Network) commitLinkGrant(r, out int, reqs []request, options []grant) int {
 	if len(options) == 0 {
 		return 0
@@ -512,14 +489,14 @@ func (n *Network) commitLinkGrant(r, out int, reqs []request, options []grant) i
 	// in place (relative order preserved) to stay allocation-free.
 	prodCount := 0
 	for _, o := range options {
-		if o.productive {
+		if o.cand&candProductive != 0 {
 			prodCount++
 		}
 	}
 	if prodCount > 0 && prodCount < len(options) {
 		kept := options[:0]
 		for _, o := range options {
-			if o.productive {
+			if o.cand&candProductive != 0 {
 				kept = append(kept, o)
 			}
 		}
@@ -528,20 +505,18 @@ func (n *Network) commitLinkGrant(r, out int, reqs []request, options []grant) i
 	g := options[n.rng.IntN(len(options))]
 	req := &reqs[g.reqIdx]
 	p := req.pkt
-	link := n.g.Link(out)
-	p.sending = true
+	n.vc[req.vc].sending = true
 	n.linkBusy[out] = n.cycle + int64(p.Flits)
-	dst := &n.linkVC[out][g.toSlot]
-	dst.reserved = true
+	n.ports[out].free &^= 1 << uint(g.toSlot) // reserved until the transfer lands
 	n.eng.addFlight(n, flight{
 		pkt:        p,
 		doneAt:     n.cycle + int64(p.Flits),
-		toLink:     out,
+		toLink:     int32(out),
 		toSlot:     g.toSlot,
-		toRouter:   link.To,
-		setEscape:  g.setEscape,
-		downPhase:  g.downPhase,
-		productive: g.productive,
+		toRouter:   int32(n.g.Link(out).To),
+		setEscape:  g.cand&candEscape != 0,
+		downPhase:  g.cand&candDownPhase != 0,
+		productive: g.cand&candProductive != 0,
 	})
 	n.Counters.SWAllocs++
 	n.Counters.VCAllocs++
@@ -559,34 +534,11 @@ func (n *Network) routeCands(k routing.Kind, r, dst int, phase, stalled bool) []
 	return n.tab.Candidates(k, r, dst, phase)
 }
 
-// findCand returns the candidate targeting link out, if present.
-func findCand(cands []routing.Candidate, out int) (routing.Candidate, bool) {
-	for _, c := range cands {
-		if c.LinkID == out {
-			return c, true
-		}
-	}
-	return routing.Candidate{}, false
-}
-
-// freeSlotsInVN counts free VC slots of virtual network vn at the input
-// port fed by link out.
-func (n *Network) freeSlotsInVN(out, vn int) int {
-	base := vn * n.cfg.VCsPerVN
-	c := 0
-	for s := base; s < base+n.cfg.VCsPerVN; s++ {
-		if n.linkVC[out][s].free() {
-			c++
-		}
-	}
-	return c
-}
-
-// injectBypass reports whether a local packet has stalled long enough to
+// injectBypass reports whether a local head has stalled long enough to
 // skip the conservative injection admission (progress guarantee; see
 // Config.InjectPatience).
-func (n *Network) injectBypass(p *Packet) bool {
-	return n.cfg.InjectPatience > 0 && n.cycle-p.readyAt >= int64(n.cfg.InjectPatience)
+func (n *Network) injectBypass(req *request) bool {
+	return n.cfg.InjectPatience > 0 && n.cycle-n.vc[req.vc].readyAt >= int64(n.cfg.InjectPatience)
 }
 
 // routerFreeInVN counts free VC slots of virtual network vn across all
@@ -594,35 +546,9 @@ func (n *Network) injectBypass(p *Packet) bool {
 func (n *Network) routerFreeInVN(router, vn int) int {
 	c := 0
 	for _, l := range n.inLinks[router] {
-		c += n.freeSlotsInVN(l, vn)
+		c += bits.OnesCount64(n.freeInVN(l, vn))
 	}
 	return c
-}
-
-// freeDownstreamSlot picks a free VC slot at the input port fed by link
-// `out`, within virtual network vn. With escape=false it returns the
-// first free non-escape slot; with escape=true, the escape slot if free.
-// When PolicyEscape is disabled all slots (including slot 0) are plain
-// VCs handled by the escape=false path.
-func (n *Network) freeDownstreamSlot(out, vn int, escape bool) (int, bool) {
-	base := vn * n.cfg.VCsPerVN
-	slots := n.linkVC[out]
-	if escape {
-		if slots[base].free() {
-			return base, true
-		}
-		return 0, false
-	}
-	start := base
-	if n.cfg.PolicyEscape {
-		start = base + 1 // slot 0 is the escape VC: reachable only via the escape path
-	}
-	for s := start; s < base+n.cfg.VCsPerVN; s++ {
-		if slots[s].free() {
-			return s, true
-		}
-	}
-	return 0, false
 }
 
 // injectFromQueues moves injection-queue heads into free local VCs. The
@@ -670,45 +596,33 @@ func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, em
 		} else {
 			pending = true
 		}
-		lv := &n.localVC[r][slot]
-		lv.pkt = p
+		readyAt := n.cycle + int64(n.cfg.RouterLatency)
+		n.occupy(n.localPort(r), slot, p, readyAt)
 		n.occIn[r]++
-		n.occLocal[r]++
 		p.atRouter = r
 		p.inLink = LocalPort
 		p.slot = slot
 		p.InjectedAt = n.cycle
-		p.readyAt = n.cycle + int64(n.cfg.RouterLatency)
 		if escape && !n.cfg.NonStickyEscape {
 			p.InEscape = true
 		}
 		ctr.Injected++
 		ctr.BufWrites += int64(p.Flits)
 		ctr.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
-		n.eng.placed(n, r, p.readyAt)
+		n.eng.placed(n, r, readyAt)
 	}
 	return pending, emptied
 }
 
 // freeLocalSlot picks a free local VC in vn, preferring non-escape slots.
 func (n *Network) freeLocalSlot(r, vn int) (slot int, escape, ok bool) {
-	base := vn * n.cfg.VCsPerVN
-	slots := n.localVC[r]
-	if n.cfg.PolicyEscape {
-		for s := base + 1; s < base+n.cfg.VCsPerVN; s++ {
-			if slots[s].free() {
-				return s, false, true
-			}
-		}
-		if slots[base].free() {
-			return base, true, true
-		}
+	free := n.freeInVN(n.localPort(r), vn)
+	if free == 0 {
 		return 0, false, false
 	}
-	for s := base; s < base+n.cfg.VCsPerVN; s++ {
-		if slots[s].free() {
-			return s, false, true
-		}
+	if n.cfg.PolicyEscape && free != 1 {
+		free &^= 1 // slot 0 is the escape VC: the last resort
 	}
-	return 0, false, false
+	s := bits.TrailingZeros64(free)
+	return vn*n.cfg.VCsPerVN + s, n.cfg.PolicyEscape && s == 0, true
 }

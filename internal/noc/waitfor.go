@@ -80,9 +80,9 @@ func (n *Network) liveness(opts LivenessOpts) ([]bool, int) {
 		router := n.g.Link(l).To
 		for s := 0; s < n.vcPerPort; s++ {
 			i := l*n.vcPerPort + s
-			slot := &n.linkVC[l][s]
+			slot := &n.vc[i]
 			p := slot.pkt
-			if p == nil || p.sending {
+			if p == nil || slot.sending {
 				// Empty, reserved (an arriving packet is moving), or
 				// departing: all count as making progress.
 				markLive(i)
@@ -96,7 +96,7 @@ func (n *Network) liveness(opts LivenessOpts) ([]bool, int) {
 			}
 			targets[i] = n.moveTargets(p, router, nil)
 			for _, t := range targets[i] {
-				if n.linkVC[t/n.vcPerPort][t%n.vcPerPort].free() {
+				if n.ports[t/n.vcPerPort].free>>uint(t%n.vcPerPort)&1 != 0 {
 					markLive(i)
 					break
 				}
@@ -204,7 +204,7 @@ func (n *Network) FindBlockedCycle(opts LivenessOpts) []VCRef {
 		}
 		visited[cur] = len(walk)
 		walk = append(walk, cur)
-		p := n.linkVC[cur/n.vcPerPort][cur%n.vcPerPort].pkt
+		p := n.vc[cur].pkt
 		if p == nil {
 			return nil // raced with movement; caller retries later
 		}

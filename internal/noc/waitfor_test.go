@@ -39,7 +39,7 @@ func plantPacket(t *testing.T, n *Network, from, to, dst, slot int) *Packet {
 	if !ok {
 		t.Fatalf("no link %d->%d", from, to)
 	}
-	if n.linkVC[l][slot].pkt != nil {
+	if n.LinkOccupant(l, slot) != nil {
 		t.Fatalf("slot %d of link %d->%d already occupied", slot, from, to)
 	}
 	p := n.NewPacket(from, dst, 0, 1)
@@ -49,10 +49,9 @@ func plantPacket(t *testing.T, n *Network, from, to, dst, slot int) *Packet {
 	if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(slot) {
 		p.InEscape = true
 	}
-	n.linkVC[l][slot].pkt = p
+	n.occupy(l, slot, p, 0)
 	n.occIn[to]++
-	n.occLink[l]++
-	n.eng.placed(n, to, p.readyAt)
+	n.eng.placed(n, to, 0)
 	return p
 }
 
@@ -212,7 +211,7 @@ func TestDrainRotateRequiresFreezeAndQuiesce(t *testing.T) {
 	// In-flight packet blocks the drain.
 	p := n.NewPacket(0, 3, 0, 5)
 	n.Inject(p)
-	for i := 0; i < 10 && !p.sending; i++ {
+	for i := 0; i < 10 && n.InflightCount() == 0; i++ {
 		n.Step()
 	}
 	n.SetFrozen(true)

@@ -71,6 +71,11 @@ type Table struct {
 	g    *topology.Graph
 	mesh *topology.Mesh // nil unless XY requested
 
+	// out[at][i] is the candidate LinkID of the hop at -> Neighbors(at)[i]:
+	// the graph's own OutLinks, or for a remapped table their IDs in the
+	// full topology's link-ID space.
+	out [][]int
+
 	dist [][]int // dist[r][dst] BFS hop distance
 
 	// up*/down* state. level/order define link direction; distUD[dst]
@@ -100,13 +105,23 @@ func NewTable(g *topology.Graph, mesh *topology.Mesh) (*Table, error) {
 // badly traffic concentrates around the root (classic Autonet-style
 // numbering picks an arbitrary root; the paper's Fig. 5 gap follows).
 func NewTableWithRoot(g *topology.Graph, mesh *topology.Mesh, root int) (*Table, error) {
+	out := make([][]int, g.N())
+	for r := range out {
+		out[r] = g.OutLinks(r)
+	}
+	return buildTable(g, mesh, root, out)
+}
+
+// buildTable builds the table over g, naming hops by the link IDs in out
+// (see Table.out).
+func buildTable(g *topology.Graph, mesh *topology.Mesh, root int, out [][]int) (*Table, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("routing: topology is disconnected")
 	}
 	if root < 0 || root >= g.N() {
 		return nil, fmt.Errorf("routing: up*/down* root %d out of range", root)
 	}
-	t := &Table{g: g, mesh: mesh, dist: g.AllPairsDist(), udRoot: root}
+	t := &Table{g: g, mesh: mesh, out: out, dist: g.AllPairsDist(), udRoot: root}
 	if err := t.buildUpDown(); err != nil {
 		return nil, err
 	}
@@ -130,31 +145,21 @@ func NewTableRemapped(active, full *topology.Graph, root int) (*Table, error) {
 	if active.N() != full.N() {
 		return nil, fmt.Errorf("routing: active subgraph has %d routers, full graph %d", active.N(), full.N())
 	}
-	t, err := NewTableWithRoot(active, nil, root)
-	if err != nil {
-		return nil, err
-	}
-	remap := func(tab [][]Candidate) error {
-		// Cells partition their shared arena (no overlap), so this touches
-		// each materialized candidate exactly once.
-		for _, cell := range tab {
-			for i := range cell {
-				l := active.Link(cell[i].LinkID)
-				id, ok := full.LinkID(l.From, l.To)
-				if !ok {
-					return fmt.Errorf("routing: active link %v is not part of the full graph", l)
-				}
-				cell[i].LinkID = id
+	// One map lookup per active link, not per materialized candidate.
+	arena := make([]int, active.NumLinks())
+	out := make([][]int, active.N())
+	for r := range out {
+		ids := active.OutLinks(r)
+		out[r], arena = arena[:len(ids):len(ids)], arena[len(ids):]
+		for i, nb := range active.Neighbors(r) {
+			id, ok := full.LinkID(r, nb)
+			if !ok {
+				return nil, fmt.Errorf("routing: active link %v is not part of the full graph", active.Link(ids[i]))
 			}
-		}
-		return nil
-	}
-	for _, tab := range [][][]Candidate{t.adaptive, t.upDown[0], t.upDown[1], t.allOut, t.allOutProd} {
-		if err := remap(tab); err != nil {
-			return nil, err
+			out[r][i] = id
 		}
 	}
-	return t, nil
+	return buildTable(active, nil, root, out)
 }
 
 // Dist returns the BFS hop distance from r to dst.
@@ -300,31 +305,34 @@ func (t *Table) Candidates(k Kind, at, dst int, downPhase bool) []Candidate {
 }
 
 // buildCandidateTables materializes every candidate set once. Each table
-// is generated through the per-pair algorithm below and frozen into a
-// shared arena so later queries are allocation-free lookups.
+// is generated through the per-pair algorithm below, one source router
+// (row) at a time: the row's sets are generated once into a reused
+// scratch buffer and frozen into an arena of exactly their size, so
+// later queries are allocation-free lookups and no arena holds spare
+// capacity.
 func (t *Table) buildCandidateTables() {
 	n := t.g.N()
+	var scratch []Candidate
+	ends := make([]int, n)
 	build := func(gen func(buf []Candidate, at, dst int) []Candidate) [][]Candidate {
 		out := make([][]Candidate, n*n)
-		var arena []Candidate // one backing array for the whole table
-		var scratch []Candidate
-		total := 0
 		for at := 0; at < n; at++ {
+			scratch = scratch[:0]
 			for dst := 0; dst < n; dst++ {
-				scratch = gen(scratch[:0], at, dst)
-				total += len(scratch)
+				scratch = gen(scratch, at, dst)
+				ends[dst] = len(scratch)
 			}
-		}
-		arena = make([]Candidate, 0, total)
-		for at := 0; at < n; at++ {
-			for dst := 0; dst < n; dst++ {
-				scratch = gen(scratch[:0], at, dst)
-				if len(scratch) == 0 {
-					continue
+			if len(scratch) == 0 {
+				continue
+			}
+			row := make([]Candidate, len(scratch))
+			copy(row, scratch)
+			start := 0
+			for dst, end := range ends {
+				if end > start {
+					out[at*n+dst] = row[start:end:end]
 				}
-				start := len(arena)
-				arena = append(arena, scratch...)
-				out[at*n+dst] = arena[start:len(arena):len(arena)]
+				start = end
 			}
 		}
 		return out
@@ -362,9 +370,8 @@ func (t *Table) appendAllOutputs(buf []Candidate, at, dst int) []Candidate {
 		return buf
 	}
 	cur := t.dist[at][dst]
-	for _, nb := range t.g.Neighbors(at) {
-		id, _ := t.g.LinkID(at, nb)
-		buf = append(buf, Candidate{LinkID: id, Productive: t.dist[nb][dst] < cur})
+	for i, nb := range t.g.Neighbors(at) {
+		buf = append(buf, Candidate{LinkID: t.out[at][i], Productive: t.dist[nb][dst] < cur})
 	}
 	return buf
 }
@@ -375,10 +382,9 @@ func (t *Table) appendAdaptive(buf []Candidate, at, dst int) []Candidate {
 		return buf
 	}
 	cur := t.dist[at][dst]
-	for _, nb := range t.g.Neighbors(at) {
+	for i, nb := range t.g.Neighbors(at) {
 		if t.dist[nb][dst] < cur {
-			id, _ := t.g.LinkID(at, nb)
-			buf = append(buf, Candidate{LinkID: id, Productive: true})
+			buf = append(buf, Candidate{LinkID: t.out[at][i], Productive: true})
 		}
 	}
 	return buf
@@ -403,8 +409,10 @@ func (t *Table) appendXY(buf []Candidate, at, dst int) []Candidate {
 	default:
 		next = m.RouterAt(x, y-1)
 	}
-	if id, ok := t.g.LinkID(at, next); ok {
-		buf = append(buf, Candidate{LinkID: id, Productive: true})
+	for i, nb := range t.g.Neighbors(at) {
+		if nb == next {
+			buf = append(buf, Candidate{LinkID: t.out[at][i], Productive: true})
+		}
 	}
 	return buf
 }
@@ -418,16 +426,15 @@ func (t *Table) appendUpDown(buf []Candidate, at, dst int, downPhase bool) []Can
 	if cur < 0 {
 		return buf
 	}
-	for _, nb := range t.g.Neighbors(at) {
+	for i, nb := range t.g.Neighbors(at) {
 		up := t.IsUp(at, nb)
 		if downPhase && up {
 			continue // an up turn after going down is illegal
 		}
 		nextPhase := downPhase || !up
 		if t.UpDownDist(nb, nextPhase, dst) == cur-1 {
-			id, _ := t.g.LinkID(at, nb)
 			buf = append(buf, Candidate{
-				LinkID:     id,
+				LinkID:     t.out[at][i],
 				DownPhase:  nextPhase,
 				Productive: t.dist[nb][dst] < t.dist[at][dst],
 			})

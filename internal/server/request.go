@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"drain/internal/experiments"
+	"drain/internal/noc"
 	"drain/internal/sim"
 	"drain/internal/traffic"
 )
@@ -219,6 +220,9 @@ func (req Request) canonicalSweep() (canonical, error) {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
+	}
+	if p.VNets > noc.MaxVCsPerPort || p.VCsPerVN > noc.MaxVCsPerPort || p.VNets*p.VCsPerVN > noc.MaxVCsPerPort {
+		return canonical{}, fmt.Errorf("vnets %d x vcs_per_vn %d out of range (at most %d VCs per port)", p.VNets, p.VCsPerVN, noc.MaxVCsPerPort)
 	}
 	if len(p.FaultSchedule) > 0 {
 		// Validate the schedule against the concrete topology up front so

@@ -156,20 +156,22 @@ func TestKeySemanticChangesDiffer(t *testing.T) {
 func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 	bad := []string{
 		`{"kind":"mystery"}`,
-		`{"kind":"figure"}`,                    // no fig
-		`{"fig":"fig999"}`,                     // unknown figure
-		`{"fig":"fig6","scale":"huge"}`,        // unknown scale
-		`{"kind":"sweep","scheme":"teleport"}`, // unknown scheme
-		`{"kind":"sweep","width":1000}`,        // mesh too large
-		`{"kind":"sweep","faults":-1}`,         // negative faults
-		`{"kind":"sweep","pattern":"nope"}`,    // unknown pattern
-		`{"kind":"sweep","rates":[2.0]}`,       // rate out of range
-		`{"kind":"sweep","rates":[0.0]}`,       // rate out of range
-		`{"kind":"sweep","warmup":-1}`,         // negative warmup
-		`{"kind":"sweep","shards":-1}`,         // negative shards
-		`{"kind":"sweep","rng_mode":"fast"}`,   // unknown rng mode
-		`{"fig":"fig6","rng_mode":"counter"}`,  // figures are exact-only
-		`{"fig":"fig6","rng_mode":"fast"}`,     // unknown rng mode (figure)
+		`{"kind":"figure"}`,                                           // no fig
+		`{"fig":"fig999"}`,                                            // unknown figure
+		`{"fig":"fig6","scale":"huge"}`,                               // unknown scale
+		`{"kind":"sweep","scheme":"teleport"}`,                        // unknown scheme
+		`{"kind":"sweep","width":1000}`,                               // mesh too large
+		`{"kind":"sweep","faults":-1}`,                                // negative faults
+		`{"kind":"sweep","pattern":"nope"}`,                           // unknown pattern
+		`{"kind":"sweep","rates":[2.0]}`,                              // rate out of range
+		`{"kind":"sweep","rates":[0.0]}`,                              // rate out of range
+		`{"kind":"sweep","warmup":-1}`,                                // negative warmup
+		`{"kind":"sweep","shards":-1}`,                                // negative shards
+		`{"kind":"sweep","vnets":33}`,                                 // 33 x 2 VCs per port: over the 64 a port holds
+		`{"kind":"sweep","vnets":3037000500,"vcs_per_vn":3037000500}`, // product overflows
+		`{"kind":"sweep","rng_mode":"fast"}`,                          // unknown rng mode
+		`{"fig":"fig6","rng_mode":"counter"}`,                         // figures are exact-only
+		`{"fig":"fig6","rng_mode":"fast"}`,                            // unknown rng mode (figure)
 		`{"kind":"sweep","scheme":"dor","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true}]}`,                        // DoR needs a fault-free mesh
 		`{"kind":"sweep","fault_schedule":[{"cycle":-1,"a":1,"b":2,"fail":true}]}`,                                       // negative cycle
 		`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":3,"fail":true}]}`,                                       // no such mesh link

@@ -40,6 +40,7 @@ type Graph struct {
 	edges []Edge       // canonical bidirectional edges, A < B, sorted
 	links []Link       // unidirectional links, dense IDs
 	lidx  map[Edge]int // (from,to) -> link ID, using Edge as ordered pair
+	out   [][]int      // out[r][i] is the ID of link r -> adj[r][i]
 }
 
 // New builds a graph over n routers with the given bidirectional edges.
@@ -103,6 +104,19 @@ func (g *Graph) rebuild() {
 		g.addLink(e.A, e.B)
 		g.addLink(e.B, e.A)
 	}
+	// Out-link IDs per router, parallel to adj: one arena, sliced by
+	// degree. Edges are sorted by (A, B), so walking the links in ID order
+	// meets each router's neighbors in ascending order (the B->A links of
+	// edges with A < r first, then the A->B links of edges with A == r),
+	// which is adj[r]'s order — no search needed.
+	arena := make([]int, len(g.links))
+	g.out = make([][]int, g.n)
+	for r, nbs := range g.adj {
+		g.out[r], arena = arena[:0:len(nbs)], arena[len(nbs):]
+	}
+	for _, l := range g.links {
+		g.out[l.From] = append(g.out[l.From], l.ID)
+	}
 }
 
 func (g *Graph) addLink(from, to int) {
@@ -131,6 +145,11 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // Neighbors returns the sorted neighbor list of router r.
 // The returned slice must not be modified.
 func (g *Graph) Neighbors(r int) []int { return g.adj[r] }
+
+// OutLinks returns the IDs of the links leaving router r, parallel to
+// Neighbors(r): OutLinks(r)[i] is the link r -> Neighbors(r)[i]. The IDs
+// ascend. The returned slice must not be modified.
+func (g *Graph) OutLinks(r int) []int { return g.out[r] }
 
 // Degree returns the number of neighbors of router r.
 func (g *Graph) Degree(r int) int { return len(g.adj[r]) }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	mrand "math/rand"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,10 @@ import (
 	"drain/internal/routing"
 	"drain/internal/topology"
 )
+
+// fixedRand seeds quick.Check's input stream: its default is seeded from
+// the clock, which makes a property test's verdict depend on when it ran.
+func fixedRand() *mrand.Rand { return mrand.New(mrand.NewSource(1)) }
 
 func rng(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed+1)) }
 
@@ -190,7 +195,7 @@ func TestPatternsInRangeProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: fixedRand()}); err != nil {
 		t.Error(err)
 	}
 }
