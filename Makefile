@@ -17,8 +17,11 @@ check: build vet lint test-race test-allocs
 build:
 	$(GO) build ./...
 
+## vet: go vet, and gofmt over everything but the analyzers' fixtures
+## (two of which are misformatted on purpose).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l . | grep -v /testdata/ || true); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 ## lint: the repo's own static analyzers over the whole module — the
 ## syntactic four (maprange, nondet, hotalloc, ctxflow) plus the
@@ -61,8 +64,8 @@ bench-e2e:
 	$(GO) run ./cmd/drainbench -runs 10 -out BENCH_e2e.json
 
 ## bench-pair: the paired measurement a performance claim rests on.
-## BASE=<git ref> is built in a temporary `git worktree`; then, per
-## workload, PAIRS runs of BASE and of this tree alternate — same seed
+## BASE=<git ref> is unpacked with `git archive` under $$TMPDIR and built
+## there; then, per workload, PAIRS runs of BASE and of this tree alternate — same seed
 ## within a pair, a new seed per pair, the side that goes first
 ## alternating — each from its own checkout, untraced. The records go to
 ## BENCH_pair_base.json / BENCH_pair_head.json and `drainbench -compare`
@@ -74,9 +77,8 @@ WORKLOADS ?= synth_low synth_sat coh_pagerank serve_cold serve_warm reconfig_chu
 SEED ?= $(shell date +%s)
 bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<git ref> [PAIRS=10] [SEED=n] [WORKLOADS='synth_sat ...']"; exit 2; }
-	set -euo pipefail; tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null; \
+	set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/base.bin" ./cmd/drainbench); \
 	$(GO) build -o "$$tmp/head.bin" ./cmd/drainbench; \
 	run() { (cd "$$2" && "$$tmp/$$1.bin" -workload "$$3" -seed "$$4" -trace 0 -detail | tail -n 1) >> "$$tmp/$$1.recs"; }; \

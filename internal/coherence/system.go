@@ -113,6 +113,9 @@ type node struct {
 	lines dense.Table[LineState]
 	mshrs dense.Table[*mshr]
 	dir   dense.Table[*dirLine]
+	// unfinished counts the MSHRs that are completed but still waiting for
+	// injection capacity to fill and unblock (what retryCompletions retries).
+	unfinished int
 
 	opsIssued    int64
 	opsCompleted int64
@@ -388,7 +391,10 @@ func (s *System) maybeComplete(r int, ms *mshr) {
 	if !ms.gotData || ms.gotAcks < ms.needAcks {
 		return
 	}
-	ms.completed = true
+	if !ms.completed {
+		ms.completed = true
+		s.nodes[r].unfinished++
+	}
 	s.tryFinish(r, ms)
 }
 
@@ -420,6 +426,7 @@ func (s *System) tryFinish(r int, ms *mshr) bool {
 	}
 	s.send(r, s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r})
 	nd.mshrs.Delete(ms.addr)
+	nd.unfinished--
 	nd.opsCompleted++
 	s.stats.TxCompleted++
 	return true
@@ -464,6 +471,9 @@ func mix64(x uint64) uint64 {
 // the same seed must finish the same ones first.
 func (s *System) retryCompletions(r int) {
 	nd := s.nodes[r]
+	if nd.unfinished == 0 {
+		return // the usual cycle: skip the table walk
+	}
 	addrs := s.scrAddrs[:0]
 	nd.mshrs.Each(func(a int64, ms *mshr) bool {
 		if ms.completed {

@@ -327,3 +327,43 @@ func TestSharedContentionGeneratesForwards(t *testing.T) {
 		t.Error("no transactions completed")
 	}
 }
+
+// TestUnfinishedCountMatchesTable holds each node's unfinished counter —
+// what lets retryCompletions skip its MSHR walk — to a walk of the table,
+// every cycle of a run tight enough on injection capacity that fills do
+// get deferred.
+func TestUnfinishedCountMatchesTable(t *testing.T) {
+	m := topology.MustMesh(2, 2)
+	n, err := noc.New(noc.Config{
+		Graph: m.Graph, Mesh: m, VNets: 1, VCsPerVN: 2, Classes: NumClasses,
+		PolicyEscape: true, Routing: routing.AdaptiveMinimal, EscapeRouting: routing.AdaptiveMinimal,
+		InjectCap: 1, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(n, Config{
+		Gen:   testGen{issue: 1.0, sharedFrac: 0.5, writeFrac: 0.5, shared: 64, private: 1 << 20},
+		MSHRs: 4,
+		Seed:  7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred := 0
+	for i := 0; i < 3000; i++ {
+		n.Step()
+		sys.Tick()
+		unfinished := 0
+		for _, nd := range sys.nodes {
+			unfinished += nd.unfinished
+		}
+		if walked := sys.DebugSnapshot().CompletedWait; unfinished != walked {
+			t.Fatalf("cycle %d: unfinished counters say %d, the MSHR tables hold %d completed entries", i, unfinished, walked)
+		}
+		deferred += unfinished
+	}
+	if deferred == 0 {
+		t.Error("no fill was ever deferred: the run compared nothing")
+	}
+}

@@ -214,6 +214,11 @@ func DefaultConfig() *Config {
 			// overlay swap, flight drops and buffer evacuations must not
 			// allocate (the routing-table rebuild happens outside, in sim).
 			"internal/noc.Network.Reconfigure",
+			// Drain windows and SPIN recoveries also run between Steps, a
+			// full drain rotating up to path-length times: the rotations
+			// move packets through Network-owned scratch.
+			"internal/noc.Network.DrainRotate",
+			"internal/noc.Network.RotateBlockedCycle",
 			// The packet pool's acquire/release pair: every packet a run
 			// creates flows through these, so they must stay alloc-free
 			// except for the pool's own coldpath miss (allocPacket) and

@@ -9,32 +9,20 @@ import (
 	"drain/internal/topology"
 )
 
-// The reference allocator: the exhaustive scan the request-set allocator
-// replaced — gather every eligible head with its candidate lists, then
-// for every output ask every request (for out { for req { optionFor } }).
-// It reads the network through packets and pending flights only, never
-// the per-port masks or the request sets, so it checks that derived state
-// as well as the set-driven option lists. refEngine runs it beside the
-// production allocator at every router visit and records the first
-// disagreement.
+// The reference allocator: the exhaustive scan the mask allocator
+// replaced — gather every eligible head with its candidate lists as of
+// this cycle, then for every output ask every head (for out { for req {
+// optionFor } }). It reads the network through packets and pending
+// flights only, never the per-port masks, the head masks or a cached
+// route, so it checks that derived state as well as the option sets.
+// refEngine runs it beside the production allocator at every router visit
+// and records the first disagreement.
 
-// refGrant is a reference option: the grant, and how the parallel plan's
-// form conditions it on the deferred single-VC bubble rule. The
-// reference keeps both conditional outcomes of the scan it preserves;
-// the production allocator only has grant.bubble (= refBubbleOK),
-// because a grant valid only when the rule fails cannot occur (see
-// buildLinkOptions) — refEngine fails the run if the reference ever
-// builds one.
-type refGrant struct {
-	grant
-	cond int
+// refOption is one option of an output: the head, and the assignment.
+type refOption struct {
+	slot *vcSlot
+	option
 }
-
-const (
-	refAlways     = iota // valid unconditionally
-	refBubbleOK          // valid iff the target router keeps >= 2 free slots in the VN at commit
-	refBubbleFail        // valid iff it does not
-)
 
 // refRequest is what the exhaustive scan gathers per eligible head.
 type refRequest struct {
@@ -104,18 +92,18 @@ func (rs *refState) freeDownstreamSlot(out, vn int, escape bool) (int, bool) {
 	return 0, false
 }
 
-// gather lists r's eligible heads in port then slot order, exactly the
-// heads (and indices) the production gather files.
-func (rs *refState) gather(r int) (reqs []refRequest, eligible int) {
+// gather lists r's eligible heads in port then slot order — the order of
+// the production numbering — each with the candidates it has this cycle
+// (none for a head at its destination, or one routing offers nothing).
+func (rs *refState) gather(r int) (reqs []refRequest) {
 	n := rs.n
 	consider := func(port int, local bool) {
 		for s := 0; s < n.vcPerPort; s++ {
-			slot := &n.vc[port*n.vcPerPort+s]
+			slot := n.slot(port, s)
 			p := slot.pkt
 			if p == nil || slot.sending || slot.readyAt > n.cycle {
 				continue
 			}
-			eligible++
 			req := refRequest{pkt: p, slot: slot, local: local}
 			if p.Dst == r {
 				req.wantEj = true
@@ -134,16 +122,14 @@ func (rs *refState) gather(r int) (reqs []refRequest, eligible int) {
 			} else {
 				req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
 			}
-			if len(req.mainOuts) > 0 || len(req.escOuts) > 0 {
-				reqs = append(reqs, req)
-			}
+			reqs = append(reqs, req)
 		}
 	}
 	for _, l := range n.inLinks[r] {
 		consider(l, false)
 	}
 	consider(n.localPort(r), true)
-	return reqs, eligible
+	return reqs
 }
 
 func refFindCand(cands []routing.Candidate, out int) (routing.Candidate, bool) {
@@ -155,15 +141,15 @@ func refFindCand(cands []routing.Candidate, out int) (routing.Candidate, bool) {
 	return routing.Candidate{}, false
 }
 
-// optionFor is the grant the exhaustive scan builds for one request on
+// optionFor is the option the exhaustive scan builds for one request on
 // one output, given the conservative-rule outcome.
-func (rs *refState) optionFor(out, reqIdx int, req *refRequest, conservativeOK bool) (grant, bool) {
+func (rs *refState) optionFor(out int, req *refRequest, conservativeOK bool) (option, bool) {
 	n := rs.n
 	p := req.pkt
 	if conservativeOK {
 		if c, ok := refFindCand(req.mainOuts, out); ok {
 			if slot, ok2 := rs.freeDownstreamSlot(out, p.VNet, false); ok2 {
-				return grant{reqIdx: int32(reqIdx), toSlot: int32(slot), cand: bitsOf(c)}, true
+				return option{toSlot: int32(slot), downPhase: c.DownPhase, productive: c.Productive}, true
 			}
 		}
 	}
@@ -171,22 +157,18 @@ func (rs *refState) optionFor(out, reqIdx int, req *refRequest, conservativeOK b
 	if (conservativeOK || bypass) && n.cfg.PolicyEscape {
 		if c, ok := refFindCand(req.escOuts, out); ok {
 			if slot, ok2 := rs.freeDownstreamSlot(out, p.VNet, true); ok2 {
-				g := grant{reqIdx: int32(reqIdx), toSlot: int32(slot), cand: bitsOf(c)}
-				if !n.cfg.NonStickyEscape {
-					g.cand |= candEscape
-				}
-				return g, true
+				return option{toSlot: int32(slot), setEscape: !n.cfg.NonStickyEscape, downPhase: c.DownPhase, productive: c.Productive}, true
 			}
 		}
 	}
-	return grant{}, false
+	return option{}, false
 }
 
 // linkOptions is the exhaustive scan for one output: every request is
-// asked, in index order.
-func (rs *refState) linkOptions(out int, reqs []refRequest, deferBubble bool) []refGrant {
+// asked, in gather order.
+func (rs *refState) linkOptions(out int, reqs []refRequest) []refOption {
 	n := rs.n
-	var options []refGrant
+	var options []refOption
 	if n.linkBusy[out] > n.cycle {
 		return nil
 	}
@@ -202,27 +184,11 @@ func (rs *refState) linkOptions(out int, reqs []refRequest, deferBubble bool) []
 				conservativeOK = false
 			}
 			if conservativeOK && n.cfg.VCsPerVN == 1 {
-				if !deferBubble {
-					conservativeOK = rs.routerFreeInVN(n.g.Link(out).To, p.VNet) >= 2
-				} else {
-					gOK, okOK := rs.optionFor(out, i, req, true)
-					gFail, okFail := rs.optionFor(out, i, req, false)
-					if okOK && okFail && gOK == gFail {
-						options = append(options, refGrant{grant: gOK})
-						continue
-					}
-					if okOK {
-						options = append(options, refGrant{gOK, refBubbleOK})
-					}
-					if okFail {
-						options = append(options, refGrant{gFail, refBubbleFail})
-					}
-					continue
-				}
+				conservativeOK = rs.routerFreeInVN(n.g.Link(out).To, p.VNet) >= 2
 			}
 		}
-		if g, ok := rs.optionFor(out, i, req, conservativeOK); ok {
-			options = append(options, refGrant{grant: g})
+		if g, ok := rs.optionFor(out, req, conservativeOK); ok {
+			options = append(options, refOption{req.slot, g})
 		}
 	}
 	return options
@@ -242,9 +208,7 @@ func (e *refEngine) step(n *Network) {
 		return
 	}
 	for r := 0; r < n.g.N(); r++ {
-		if n.occIn[r] != 0 {
-			e.allocateRouter(n, r)
-		}
+		e.allocateRouter(n, r)
 	}
 	n.injectFromQueues()
 }
@@ -255,58 +219,90 @@ func (e *refEngine) fail(n *Network, r int, format string, args ...any) {
 	}
 }
 
+// expand lists, in ascending bit order, the heads of router r for which
+// in(word, mask of the bit) holds, each with what option says of it.
+func expand(n *Network, r int, in func(w int, bit uint64) bool, option func(b int, slot *vcSlot) option) []refOption {
+	var out []refOption
+	for b := 0; b < n.maskW*64; b++ {
+		if in(b>>6, 1<<uint(b&63)) {
+			out = append(out, refOption{n.head(r, b), option(b, n.head(r, b))})
+		}
+	}
+	return out
+}
+
+// sameOptions compares a production option set with the reference's,
+// element by element.
+func (e *refEngine) sameOptions(n *Network, r int, what string, got, ref []refOption) bool {
+	if len(got) != len(ref) {
+		e.fail(n, r, "%s: %d options %+v, reference %d %+v", what, len(got), got, len(ref), ref)
+		return false
+	}
+	for i := range got {
+		if got[i] != ref[i] {
+			e.fail(n, r, "%s: option %d is %+v (packet %d), reference %+v (packet %d)", what, i, got[i], got[i].slot.pkt.ID, ref[i], ref[i].slot.pkt.ID)
+			return false
+		}
+	}
+	return true
+}
+
 // allocateRouter is Network.allocateRouter with the reference run beside
-// it: same requests, and for every output — including those the
-// production path skips — the same option list, in both the serial form
-// and the parallel plan's deferred-bubble form. It commits through the
-// production commit functions, so the run continues as production would.
+// it: the same ready heads after promotion, the same eject options, and
+// for every output — including those production finds busy or full — the
+// same option list, the production masks expanded to bit-ascending
+// (head, slot, effects) lists. It commits through the production commit
+// functions, so the run continues as production would.
 func (e *refEngine) allocateRouter(n *Network, r int) {
-	gs := &n.gs
+	noOption := func(int, *vcSlot) option { return option{} }
 	rs := newRefState(n)
-	want, wantEligible := rs.gather(r)
-	reqs, eligible := n.gatherRequests(r, gs)
-	if eligible != wantEligible || len(reqs) != len(want) {
-		e.fail(n, r, "gathered %d requests of %d eligible heads, reference %d of %d", len(reqs), eligible, len(want), wantEligible)
+	want := rs.gather(r)
+	n.promote(r)
+	var wantReady, wantEj []refOption
+	for _, req := range want {
+		wantReady = append(wantReady, refOption{slot: req.slot})
+		if req.wantEj && n.ejectSpace(r, req.pkt.Class) {
+			wantEj = append(wantEj, refOption{slot: req.slot})
+		}
+	}
+	ready := func(w int, bit uint64) bool { return n.sub(r, w)[mReady]&bit != 0 }
+	inOpts := func(w int, bit uint64) bool { return (n.optMain[w]|n.optEsc[w])&bit != 0 }
+	if !e.sameOptions(n, r, "ready heads", expand(n, r, ready, noOption), wantReady) {
 		return
 	}
-	for i := range reqs {
-		if reqs[i].pkt != want[i].pkt || reqs[i].wantEj != want[i].wantEj || reqs[i].local != want[i].local || &n.vc[reqs[i].vc] != want[i].slot {
-			e.fail(n, r, "request %d is %+v, reference %+v", i, reqs[i], want[i])
+	if n.ejectBusy[r] <= n.cycle { // with or without a head to eject: the reference has none either
+		count := n.buildEjectOptions(r)
+		clear(n.optEsc)
+		if !e.sameOptions(n, r, "eject", expand(n, r, inOpts, noOption), wantEj) {
 			return
 		}
+		if count != 0 {
+			n.commitEject(r, count)
+		}
 	}
-	if len(reqs) == 0 {
-		return
-	}
-	if n.ejectBusy[r] <= n.cycle {
-		n.scrWin = n.buildEjectWinners(r, reqs, n.scrWin[:0])
-		n.commitEject(r, reqs, n.scrWin)
-	}
-	for pos, out := range n.g.OutLinks(r) {
+	for _, out := range n.g.OutLinks(r) {
 		rs = newRefState(n) // earlier commits at this router reserved slots
-		// The parallel plan's form first, so scrOpts ends up holding the
-		// serial form to commit.
-		for _, deferBubble := range []bool{true, false} {
-			got := n.scrOpts[:0]
-			if gs.setLen[pos] != 0 {
-				got = n.buildLinkOptions(out, gs.set(pos), reqs, got, deferBubble)
-			}
-			n.scrOpts = got
-			ref := rs.linkOptions(out, want, deferBubble)
-			if len(got) != len(ref) {
-				e.fail(n, r, "output %d (defer=%v): %d options %+v, reference %d %+v", out, deferBubble, len(got), got, len(ref), ref)
-				return
-			}
-			for i := range got {
-				want := ref[i].grant
-				want.bubble = ref[i].cond == refBubbleOK
-				if got[i] != want || ref[i].cond == refBubbleFail {
-					e.fail(n, r, "output %d (defer=%v) option %d is %+v, reference %+v", out, deferBubble, i, got[i], ref[i])
-					return
-				}
+		var got []refOption
+		count, productive := 0, 0
+		if n.linkBusy[out] <= n.cycle && n.named(r, out) { // as production visits it
+			count, productive = n.linkOptions(r, out)
+		}
+		if count != 0 {
+			got = expand(n, r, inOpts, func(b int, slot *vcSlot) option { return n.optionAt(n.sub(r, b>>6), out, b, slot.pkt) })
+		}
+		wantProd := 0
+		for _, o := range got {
+			if o.productive {
+				wantProd++
 			}
 		}
-		n.commitLinkGrant(r, out, reqs, n.scrOpts)
+		if len(got) != count || wantProd != productive || !e.sameOptions(n, r, fmt.Sprintf("output %d", out), got, rs.linkOptions(out, want)) {
+			e.fail(n, r, "output %d: %d options counted (%d productive), %d in the masks (%d productive)", out, count, productive, len(got), wantProd)
+			return
+		}
+		if count != 0 {
+			n.commitLinkGrant(r, out, count, productive)
+		}
 	}
 }
 
@@ -338,12 +334,12 @@ func hubGraph(t *testing.T, n int) *topology.Graph {
 
 // TestAllocatorMatchesReference drives seeded random traffic through
 // configurations that reach every branch of option building — single-VC
-// virtual networks (the bubble rule and its conditional options),
+// virtual networks (the bubble rule),
 // derouting (AllOutputs sets, U-turns) on and off, three virtual
 // networks, turn-restricted sticky escape routing (down-phase bits),
 // escape entry gated by EscapeAfter, and a hub router with more than 64
-// ports — and requires the set-driven allocator to build, at every
-// router visit, the option lists of the exhaustive scan.
+// ports (three mask words) — and requires the mask allocator to build, at
+// every router visit, the option lists of the exhaustive scan.
 func TestAllocatorMatchesReference(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	cases := []struct {

@@ -20,7 +20,9 @@ func (d *denseEngine) step(n *Network) {
 		n.Counters.FrozenCyc++
 		return
 	}
-	n.allocate()
+	for r := 0; r < n.g.N(); r++ {
+		n.allocateRouter(r) // a router with no heads returns at once, drawing nothing
+	}
 	n.injectFromQueues()
 }
 
@@ -44,8 +46,8 @@ func (d *denseEngine) addFlight(_ *Network, f flight) {
 	d.inflights = append(d.inflights, f)
 }
 
-// placed is a no-op: the dense allocate() rescan discovers new heads by
-// itself (via the occIn occupancy counts).
+// placed is a no-op: the dense step visits every router every cycle and
+// finds new heads in its pending mask.
 func (d *denseEngine) placed(_ *Network, _ int, _ int64) {}
 
 // noteInject is a no-op: injectFromQueues rescans every router.

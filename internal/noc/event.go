@@ -104,7 +104,7 @@ func (e *eventEngine) step(n *Network) {
 			bit := bits.TrailingZeros64(w)
 			w &^= 1 << uint(bit)
 			r := wi<<6 + bit
-			eligible, granted := n.allocateRouter(r, &n.gs)
+			eligible, granted := n.allocateRouter(r)
 			if eligible == granted {
 				// Every eligible head moved out; the next head to appear
 				// (or mature) will re-set the bit via placed().

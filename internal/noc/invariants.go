@@ -17,8 +17,7 @@ func (n *Network) CheckInvariants() error {
 		return nil
 	}
 	// Every occupied slot: mask, mirror and position agreement, and the
-	// VC discipline for link ports. occ counts occupancy per router.
-	occ := make([]int32, n.g.N())
+	// VC discipline for link ports.
 	if err := n.eachSlot(func(router, port, s int, slot *vcSlot) error {
 		p := slot.pkt
 		where := fmt.Sprintf("port %d slot %d", port, s)
@@ -38,7 +37,6 @@ func (n *Network) CheckInvariants() error {
 		if p.inLink != LocalPort && n.cfg.PolicyEscape && p.InEscape && !n.cfg.IsEscapeSlot(s) {
 			return fmt.Errorf("noc: escape packet %d occupies non-escape slot %d", p.ID, s)
 		}
-		occ[router]++
 		return nil
 	}); err != nil {
 		return err
@@ -70,7 +68,7 @@ func (n *Network) CheckInvariants() error {
 	for port, pm := range n.ports {
 		var held uint64
 		for s := 0; s < n.vcPerPort; s++ {
-			slot := &n.vc[port*n.vcPerPort+s]
+			slot := n.slot(port, s)
 			if slot.pkt != nil {
 				held |= 1 << uint(s)
 			} else if *slot != (vcSlot{}) {
@@ -81,12 +79,8 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: port %d masks occ=%b free=%b, recount occupied=%b reserved=%b", port, pm.occ, pm.free, held, reserved[port])
 		}
 	}
-	// The incremental active-router occupancy counts must agree with a
-	// full recount (allocate() relies on them to skip idle routers).
-	for r := range occ {
-		if n.occIn[r] != occ[r] {
-			return fmt.Errorf("noc: router %d occupancy count %d, recount %d", r, n.occIn[r], occ[r])
-		}
+	if err := n.checkHeadMasks(); err != nil {
+		return err
 	}
 	// Failed links must be draining-only: no reservations (their flights
 	// were dropped at reconfiguration) and no buffered non-sending
@@ -100,7 +94,7 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: failed link %d has reserved slots %b", l, reserved[l])
 		}
 		for s := 0; s < n.vcPerPort; s++ {
-			if slot := &n.vc[l*n.vcPerPort+s]; slot.pkt != nil && !slot.sending {
+			if slot := n.slot(l, s); slot.pkt != nil && !slot.sending {
 				return fmt.Errorf("noc: failed link %d slot %d holds stranded packet %d", l, s, slot.pkt.ID)
 			}
 		}
@@ -154,6 +148,55 @@ func (n *Network) CheckInvariants() error {
 	return n.eng.check(n)
 }
 
+// checkHeadMasks recomputes the head masks, one sub-block at a time, from
+// the slots and the routing table and compares. A sending head is in no
+// mask; any other is pending or ready, never both, and pending while
+// immature. A ready head's candidates are those of the last cycle before
+// its rerouteAt (or of now, if that is earlier): no threshold lies
+// between the cycle it was routed and that one, and route must name
+// rerouteAt as the next.
+func (n *Network) checkHeadMasks() error {
+	for r := 0; r < n.g.N(); r++ {
+		slots := (len(n.inLinks[r]) + 1) * n.vcPerPort
+		for w := 0; w < n.maskW; w++ {
+			got := n.sub(r, w)
+			want := make([]uint64, len(got))
+			for b := w << 6; b < min(w<<6+64, slots); b++ {
+				bit := uint64(1) << uint(b&63)
+				if b >= slots-n.vcPerPort {
+					want[mLocal] |= bit
+				}
+				slot := n.head(r, b)
+				if slot.pkt == nil || slot.sending {
+					continue
+				}
+				pending, ready := got[mPend]&bit != 0, got[mReady]&bit != 0
+				if pending == ready || ready && slot.readyAt > n.cycle {
+					return fmt.Errorf("noc: head of packet %d (router %d slot %d, ready at %d): pending=%v ready=%v at cycle %d",
+						slot.pkt.ID, r, b, slot.readyAt, pending, ready, n.cycle)
+				}
+				if pending {
+					if slot.rerouteAt != slot.readyAt {
+						return fmt.Errorf("noc: pending head of packet %d (router %d slot %d) is due for routing at %d, ready at %d", slot.pkt.ID, r, b, slot.rerouteAt, slot.readyAt)
+					}
+					want[mPend] |= bit
+					continue
+				}
+				want[mReady] |= bit
+				if next := n.route(want, r, slot, min(n.cycle, slot.rerouteAt-1), bit); next != slot.rerouteAt || next < n.rerouteDue[r] {
+					return fmt.Errorf("noc: head of packet %d (router %d slot %d) reroutes at %d, its route says %d and the router looks from %d", slot.pkt.ID, r, b, slot.rerouteAt, next, n.rerouteDue[r])
+				}
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					return fmt.Errorf("noc: router %d masks, word %d: mask %d (router masks, then %d per output) is %b, recomputed %b", r, w, i, linkMasks, got[i], want[i])
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // eachSlot calls fn for every occupied input VC slot (port, s), link
 // ports first then local ports, with the router that buffers it; it
 // stops at the first error.
@@ -164,7 +207,7 @@ func (n *Network) eachSlot(fn func(router, port, s int, slot *vcSlot) error) err
 			router = n.g.Link(port).To
 		}
 		for s := 0; s < n.vcPerPort; s++ {
-			if slot := &n.vc[port*n.vcPerPort+s]; slot.pkt != nil {
+			if slot := n.slot(port, s); slot.pkt != nil {
 				if err := fn(router, port, s, slot); err != nil {
 					return err
 				}

@@ -11,27 +11,35 @@ import (
 )
 
 // vcSlot is one virtual-channel buffer (single packet, VCT). The head's
-// pipeline state lives here, beside the pointer, so request gathering
-// decides eligibility without touching the packet: readyAt is the cycle
-// the head may first move, sending marks a head whose transfer out is in
-// flight, and dst mirrors pkt.Dst (checked by CheckInvariants).
+// pipeline state lives here, beside the pointer, so promotion decides
+// eligibility without touching the packet: readyAt is the cycle the head
+// may first move, sending marks a head whose transfer out is in flight,
+// dst mirrors pkt.Dst (checked by CheckInvariants), and rerouteAt is the
+// cycle the head next needs routing: readyAt while it is pending, then
+// the cycle its candidates next change with time alone (never when they
+// do not).
 //
 //drain:staged a slot belongs to one router's input port; parallel phases write only slots of routers their shard owns — arrivals and injections by destination router, upstream frees via per-shard staging drained for the owning shard (shardsafe)
 type vcSlot struct {
-	pkt     *Packet
-	readyAt int64
-	dst     int32
-	sending bool
+	pkt       *Packet
+	readyAt   int64
+	rerouteAt int64
+	dst       int32
+	sending   bool
 }
 
 // portMask is the slot state of one input port, one bit per VC slot:
 // occ is set while the slot holds a packet, free while it is neither
 // occupied nor reserved. A slot in neither set is reserved — claimed by
-// an in-flight transfer that has not landed yet.
+// an in-flight transfer that has not landed yet. first and bit0 locate
+// the port's slot 0: its index in Network.vc and its number at its
+// router (constants, kept here because every slot access has the port's
+// masks in hand).
 //
 //drain:staged a port belongs to one router: arrivals, injections and upstream frees touch only ports of routers the running shard owns; reservations are made by the serial commit (shardsafe)
 type portMask struct {
-	occ, free uint64
+	occ, free   uint64
+	first, bit0 int32
 }
 
 // MaxVCsPerPort is the most VCs (VNets x VCsPerVN) an input port can
@@ -70,10 +78,11 @@ type Network struct {
 	eng engine
 
 	// VC state is flat: input ports are numbered link ports first (by
-	// link ID) then local injection ports (NumLinks + router), and slot s
-	// of port p is vc[p*vcPerPort+s]. vnMask has the low VCsPerVN bits
-	// set: shifted to a virtual network's base slot it selects that VN's
-	// slots in a portMask word.
+	// link ID) then local injection ports (NumLinks + router). The slots
+	// are stored router by router in each router's own numbering (see
+	// buildLayout): slot s of port p is vc[ports[p].first+s]. vnMask has the
+	// low VCsPerVN bits set: shifted to a virtual network's base slot it
+	// selects that VN's slots in a portMask word.
 	vcPerPort int
 	vnMask    uint64
 	vc        []vcSlot
@@ -100,19 +109,28 @@ type Network struct {
 	ffPending     int64
 
 	inLinks [][]int // link IDs ending at each router, ascending
-	// outPos[l] is link l's position in its source router's
-	// Graph.OutLinks list (the index of its per-output request set).
-	outPos []int32
 
-	// occIn[r] counts occupied input VC buffers (link + local) at router
-	// r. allocate() skips routers with zero occupancy — the "active
-	// router" set — which is both a fast path for lightly loaded networks
-	// and behavior-preserving: a router with no occupied input VC can
-	// never produce a request, so no arbitration (and no RNG draw)
-	// happens there either way.
+	// Head masks (see step.go): subs[r*maskW+w] is sub-block w of router
+	// r — word w of each of its routerMasks masks and of the linkMasks
+	// masks of each of its outputs, link l's at lbase[l]. heads[r] is the
+	// index in vc of router r's slot 0. vnBits has, per virtual network,
+	// the mask of that VN's slots at any router. optMain/optEsc are the
+	// arbitration scratch (serial: the parallel engine arbitrates in its
+	// serial commit).
 	//
-	//drain:staged indexed by router; each parallel phase adjusts only entries of routers its shard owns (shardsafe)
-	occIn []int32
+	//drain:staged a sub-block belongs to one router: occupy, vacate and promote touch only those of routers the running shard owns (arrivals and injections by destination router, upstream frees drained by the owning shard, promotion over the shard's own activity bits); grants edit them in the serial commit (shardsafe)
+	subs    [][]uint64
+	maskW   int
+	heads   []int32
+	lbase   []int32
+	vnBits  []uint64
+	optMain []uint64
+	optEsc  []uint64
+	// rerouteDue[r] is a lower bound on the rerouteAt of router r's ready
+	// heads: before that cycle promote need not look at them.
+	//
+	//drain:staged indexed by router; written by promote, which parallel phases run only for routers their shard owns (shardsafe)
+	rerouteDue []int64
 
 	nextID int64
 
@@ -122,16 +140,6 @@ type Network struct {
 	OnEject func(*Packet)
 
 	Counters Counters
-
-	// scratch buffers reused across cycles (steady-state Step performs
-	// no heap allocation; see BenchmarkStepAllocs). gs is the serial
-	// request-gathering scratch; the parallel engine's plan workers own
-	// one gatherScratch each instead. scrOpts/scrWin serve the serial
-	// arbitration paths only (the parallel engine plans into per-shard
-	// arenas and commits from them).
-	gs      gatherScratch
-	scrOpts []grant
-	scrWin  []int
 
 	// freePkts is the packet free-list (LIFO): NewPacket pops it,
 	// ReleasePacket pushes it. See pool.go for the ownership and
@@ -145,9 +153,11 @@ type Network struct {
 	// path consults this overlay. Invariant: a down link's input VC slots
 	// hold no non-sending packets and no reservations.
 	linkDown []bool
-	// scrDown is Reconfigure's scratch for the incoming down set (the
-	// reconfig path is alloc-free; see the hotalloc root).
+	// scrDown is Reconfigure's scratch for the incoming down set, scrPkts
+	// (one entry per link VC) the rotations' for the packets they move:
+	// both paths are alloc-free (see the hotalloc roots).
 	scrDown []bool
+	scrPkts []*Packet
 }
 
 // New builds a network from cfg (cfg is validated and defaulted).
@@ -174,22 +184,18 @@ func New(cfg Config) (*Network, error) {
 		linkBusy:  make([]int64, g.NumLinks()),
 		ejectBusy: make([]int64, g.N()),
 		inLinks:   make([][]int, g.N()),
-		outPos:    make([]int32, g.NumLinks()),
 	}
-	nPorts := g.NumLinks() + g.N()
-	n.vc = make([]vcSlot, nPorts*n.vcPerPort)
-	n.ports = make([]portMask, nPorts)
+	n.ports = make([]portMask, g.NumLinks()+g.N())
 	for i := range n.ports {
 		n.ports[i].free = 1<<uint(n.vcPerPort) - 1
 	}
 	n.injQ = make([][]pktQueue, g.N())
 	n.ejQ = make([][]pktQueue, g.N())
-	n.occIn = make([]int32, g.N())
 	n.ejDirty = make([]bool, g.N())
 	n.linkDown = make([]bool, g.NumLinks())
 	n.scrDown = make([]bool, g.NumLinks())
+	n.scrPkts = make([]*Packet, g.NumLinks()*n.vcPerPort)
 	n.eng = newEngine(&n.cfg)
-	n.gs = newGatherScratch(&n.cfg)
 	for r := 0; r < g.N(); r++ {
 		n.injQ[r] = make([]pktQueue, cfg.Classes)
 		n.ejQ[r] = make([]pktQueue, cfg.Classes)
@@ -203,11 +209,7 @@ func New(cfg Config) (*Network, error) {
 	for _, l := range g.Links() {
 		n.inLinks[l.To] = append(n.inLinks[l.To], l.ID)
 	}
-	for r := 0; r < g.N(); r++ {
-		for pos, l := range g.OutLinks(r) {
-			n.outPos[l] = int32(pos)
-		}
-	}
+	n.buildLayout()
 	n.Counters.VNFlits = make([]int64, cfg.VNets)
 	n.Counters.VNActiveRouterCycles = make([]int64, cfg.VNets)
 	n.Counters.vnRouterLastActive = make([][]int64, cfg.VNets)
@@ -389,28 +391,101 @@ func (n *Network) portOf(inLink, router int) int {
 	return inLink
 }
 
-// occupy makes p the head of slot s of the given input port, eligible to
-// move from readyAt. The slot must be free or reserved for p's transfer.
-func (n *Network) occupy(port, s int, p *Packet, readyAt int64) {
-	slot := &n.vc[port*n.vcPerPort+s]
-	*slot = vcSlot{pkt: p, readyAt: readyAt, dst: int32(p.Dst)}
-	pm := &n.ports[port]
-	pm.occ |= 1 << uint(s)
-	pm.free &^= 1 << uint(s)
+// buildLayout numbers every router's slots — in-links ascending, slots
+// ascending within a port, the local port last; vc stores them router by
+// router in that order — and lays out the head masks (New only; the
+// masks start empty, like the slots).
+func (n *Network) buildLayout() {
+	g := n.g
+	n.heads = make([]int32, g.N())
+	n.rerouteDue = make([]int64, g.N())
+	n.lbase = make([]int32, g.NumLinks())
+	heads, slots, words := 0, 0, 0
+	for r := range n.heads {
+		n.heads[r] = int32(heads)
+		place := func(port int) {
+			n.ports[port].first, n.ports[port].bit0 = int32(heads), int32(heads)-n.heads[r]
+			heads += n.vcPerPort
+		}
+		for _, l := range n.inLinks[r] {
+			place(l)
+		}
+		place(n.localPort(r))
+		slots = max(slots, heads-int(n.heads[r]))
+		for pos, l := range g.OutLinks(r) {
+			n.lbase[l] = int32(routerMasks + linkMasks*pos)
+		}
+		words += routerMasks + linkMasks*g.Degree(r)
+	}
+	n.vc = make([]vcSlot, heads)
+	n.maskW = (slots + 63) / 64
+	masks := make([]uint64, words*n.maskW)
+	n.subs = make([][]uint64, 0, g.N()*n.maskW)
+	for r := range n.heads {
+		stride := routerMasks + linkMasks*g.Degree(r)
+		for w := 0; w < n.maskW; w++ {
+			n.subs = append(n.subs, masks[:stride:stride])
+			masks = masks[stride:]
+		}
+		for s := 0; s < n.vcPerPort; s++ {
+			b := int(n.ports[n.localPort(r)].bit0) + s
+			n.sub(r, b>>6)[mLocal] |= 1 << uint(b&63)
+		}
+	}
+	n.vnBits = make([]uint64, n.cfg.VNets*n.maskW)
+	for b := 0; b < n.maskW*64; b++ {
+		n.vnBits[b%n.vcPerPort/n.cfg.VCsPerVN*n.maskW+b>>6] |= 1 << uint(b&63)
+	}
+	n.optMain = make([]uint64, n.maskW)
+	n.optEsc = make([]uint64, n.maskW)
 }
 
-// vacate empties slot s of the given input port and marks it free.
-func (n *Network) vacate(port, s int) {
-	slot := &n.vc[port*n.vcPerPort+s]
-	*slot = vcSlot{}
+// slot returns VC slot s of the given input port.
+func (n *Network) slot(port, s int) *vcSlot { return &n.vc[int(n.ports[port].first)+s] }
+
+// sub returns sub-block w of router r's head masks: word w of each.
+func (n *Network) sub(r, w int) []uint64 { return n.subs[r*n.maskW+w] }
+
+// head returns the VC slot numbered b at router r.
+func (n *Network) head(r, b int) *vcSlot { return &n.vc[int(n.heads[r])+b] }
+
+// occupy makes p the head of slot s of the given input port of router,
+// eligible to move from readyAt; it waits in the pending mask for the
+// router's next visit to route it. The slot must be free or reserved for
+// p's transfer.
+func (n *Network) occupy(router, port, s int, p *Packet, readyAt int64) {
 	pm := &n.ports[port]
+	slot := &n.vc[int(pm.first)+s]
+	*slot = vcSlot{pkt: p, readyAt: readyAt, rerouteAt: readyAt, dst: int32(p.Dst)}
+	pm.occ |= 1 << uint(s)
+	pm.free &^= 1 << uint(s)
+	b := int(pm.bit0) + s
+	blk := n.sub(router, b>>6)
+	blk[mPend] |= 1 << uint(b&63)
+}
+
+// vacate empties slot s of the given input port and marks it free. The
+// head must be in no mask: a departing one left them when it was
+// granted, a waiting one is dropped first (dropWaiting).
+func (n *Network) vacate(port, s int) {
+	pm := &n.ports[port]
+	slot := &n.vc[int(pm.first)+s]
+	*slot = vcSlot{}
 	pm.occ &^= 1 << uint(s)
 	pm.free |= 1 << uint(s)
 }
 
+// dropWaiting vacates slot s of the given input port of router, which
+// holds a head that is not departing.
+func (n *Network) dropWaiting(router, port, s int) {
+	b := int(n.ports[port].bit0) + s
+	dropHead(n.sub(router, b>>6), 1<<uint(b&63))
+	n.vacate(port, s)
+}
+
 // slotOf returns the VC slot holding the buffered packet p.
 func (n *Network) slotOf(p *Packet) *vcSlot {
-	return &n.vc[n.portOf(p.inLink, p.atRouter)*n.vcPerPort+p.slot]
+	return n.slot(n.portOf(p.inLink, p.atRouter), p.slot)
 }
 
 // freeInVN returns the free slots of virtual network vn at an input
@@ -453,10 +528,10 @@ func (n *Network) EscapeOccupant(linkID, vn int) *Packet {
 
 // LinkOccupant returns the packet in the given link VC slot, or nil.
 func (n *Network) LinkOccupant(linkID, slot int) *Packet {
-	return n.vc[linkID*n.vcPerPort+slot].pkt
+	return n.slot(linkID, slot).pkt
 }
 
 // LocalOccupant returns the packet in the given local VC slot, or nil.
 func (n *Network) LocalOccupant(router, slot int) *Packet {
-	return n.vc[n.localPort(router)*n.vcPerPort+slot].pkt
+	return n.slot(n.localPort(router), slot).pkt
 }

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"drain/internal/routing"
@@ -298,10 +300,45 @@ func TestConfigValidation(t *testing.T) {
 
 // TestCheckInvariantsCoversDerivedVCState corrupts, one at a time, each
 // piece of state derived from the VC slots — the occupied and free masks,
-// the reservation implied by a pending transfer, the destination mirror —
-// and requires CheckInvariants to notice.
+// the reservation implied by a pending transfer, the destination mirror,
+// and every head mask with the reroute times beside them — and requires
+// CheckInvariants to notice.
 func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 	n := meshNet(t, 3, 1, nil)
+	type corruption struct {
+		name    string
+		corrupt func()
+	}
+	bitOf := func(x *Packet) uint64 {
+		return 1 << uint(int(n.ports[n.portOf(x.inLink, x.atRouter)].bit0)+x.slot)
+	}
+	expectCaught := func(cases []corruption) {
+		t.Helper()
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			ports, vc, due := slices.Clone(n.ports), slices.Clone(n.vc), slices.Clone(n.rerouteDue)
+			var masks [][]uint64
+			for _, blk := range n.subs {
+				masks = append(masks, slices.Clone(blk))
+			}
+			c.corrupt()
+			if n.CheckInvariants() == nil {
+				t.Errorf("%s: CheckInvariants passed", c.name)
+			}
+			copy(n.ports, ports)
+			copy(n.vc, vc)
+			copy(n.rerouteDue, due)
+			for i, blk := range masks {
+				copy(n.subs[i], blk)
+			}
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("state not restored: %v", err)
+		}
+	}
+
 	p, err := n.PlacePacket(0, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -310,34 +347,59 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 	if n.InflightCount() != 1 {
 		t.Fatalf("want one transfer in flight, have %d", n.InflightCount())
 	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	port := n.portOf(p.inLink, p.atRouter)
 	out := mustLinkID(t, n, 1, 2)
-	for _, c := range []struct {
-		name    string
-		corrupt func()
-	}{
+	expectCaught([]corruption{
 		{"occupied bit dropped", func() { n.ports[port].occ = 0 }},
 		{"occupied slot marked free", func() { n.ports[port].free |= 1 << uint(p.slot) }},
 		{"reserved slot marked free", func() { n.ports[out].free = 1<<uint(n.vcPerPort) - 1 }},
 		{"free slot marked taken", func() { n.ports[n.localPort(0)].free = 0 }},
 		{"destination mirror stale", func() { n.slotOf(p).dst++ }},
 		{"sending mark dropped", func() { n.slotOf(p).sending = false }},
-		{"head state left in an empty slot", func() { n.vc[n.localPort(2)*n.vcPerPort].readyAt = 7 }},
-	} {
-		ports, vc := append([]portMask(nil), n.ports...), append([]vcSlot(nil), n.vc...)
-		c.corrupt()
-		if n.CheckInvariants() == nil {
-			t.Errorf("%s: CheckInvariants passed", c.name)
-		}
-		copy(n.ports, ports)
-		copy(n.vc, vc)
+		{"head state left in an empty slot", func() { n.slot(n.localPort(2), 0).readyAt = 7 }},
+		{"departing head still ready", func() { n.sub(1, 0)[mReady] |= bitOf(p) }},
+		{"departing head still on its output", func() { n.sub(1, 0)[int(n.lbase[out])+mMain] |= bitOf(p) }},
+	})
+
+	// Then the head masks: p and a second head sit at their destination
+	// unable to eject, a routed head q waits behind them, and one more
+	// head has not been routed yet.
+	fillEjectQueue(n, 2, 0)
+	n.Step()
+	if _, err := n.PlacePacket(1, 2, 2, 1); err != nil {
+		t.Fatal(err)
 	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatalf("state not restored: %v", err)
+	q, err := n.PlacePacket(0, 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	n.Step()
+	pending, err := n.PlacePacket(0, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := n.sub(1, 0), n.sub(2, 0)
+	if r1[mReady]&bitOf(q) == 0 || r1[mTimed]&bitOf(q) == 0 || r1[mPend]&bitOf(pending) == 0 || r2[mEj]&bitOf(p) == 0 {
+		t.Fatalf("scenario not as intended: router 1 masks %b, router 2 masks %b", r1[:routerMasks], r2[:routerMasks])
+	}
+	cases := []corruption{
+		{"pending bit on an empty slot", func() { n.sub(0, 0)[mPend] |= 1 }},
+		{"pending head dropped", func() { r1[mPend] &^= bitOf(pending) }},
+		{"pending head marked ready", func() { r1[mReady] |= bitOf(pending) }},
+		{"pending head not due at its ready time", func() { n.slotOf(pending).rerouteAt = never }},
+		{"ready head dropped", func() { r1[mReady] &^= bitOf(q) }},
+		{"head away from its destination marked ejecting", func() { r1[mEj] |= bitOf(q) }},
+		{"ejecting head dropped", func() { r2[mEj] &^= bitOf(p) }},
+		{"timed bit dropped", func() { r1[mTimed] &^= bitOf(q) }},
+		{"unflagged head marked flagged", func() { r1[mFlagged] |= bitOf(q) }},
+		{"reroute time moved", func() { n.slotOf(q).rerouteAt++ }},
+		{"router looks for reroutes too late", func() { n.rerouteDue[1] = n.slotOf(q).rerouteAt + 1 }},
+		{"local-port mask changed", func() { r1[mLocal] ^= 1 }},
+	}
+	for kind := 0; kind < linkMasks; kind++ {
+		cases = append(cases, corruption{fmt.Sprintf("output mask %d flipped", kind), func() { r1[int(n.lbase[out])+kind] ^= bitOf(q) }})
+	}
+	expectCaught(cases)
 }
 
 func TestEscapePacketsStayInEscape(t *testing.T) {

@@ -22,35 +22,13 @@ const LocalPort = -1
 //
 //drain:staged a packet occupies exactly one VC slot or queue cell at a time; parallel phases mutate only packets landing at or injected into the phase shard's own routers, so every write is partitioned by destination-router owner (shardsafe)
 type Packet struct {
-	ID    int64
-	Src   int
+	// The fields a hop reads or writes come first, so a packet in transit
+	// costs the simulator one or two cache lines, not all of them.
 	Dst   int
 	Class int // message class; mapped to VNet = Class mod VNets
 	VNet  int
 	Flits int
-
-	// Timestamps (cycles). CreatedAt is when the packet entered the
-	// injection queue, InjectedAt when it left the queue into a VC,
-	// EjectedAt when it entered the ejection queue.
-	CreatedAt  int64
-	InjectedAt int64
-	EjectedAt  int64
-
-	// Statistics.
-	Hops      int
-	Misroutes int // hops that did not reduce BFS distance to Dst
-	DrainHops int // hops forced by drain windows
-	SpinHops  int // hops forced by SPIN recovery
-
-	// InEscape marks a packet that has entered an escape VC; it may
-	// never return to a non-escape VC (paper §III-A).
-	InEscape bool
-	// DownPhase is the up*/down* routing phase: true once the packet has
-	// taken a down link (it may then never go up again).
-	DownPhase bool
-
-	// Payload carries protocol-level context (e.g. a coherence message).
-	Payload any
+	Hops  int
 
 	// Position, maintained by the network. The pipeline state of a
 	// buffered packet (when it may move, whether it is departing) lives
@@ -59,10 +37,34 @@ type Packet struct {
 	inLink   int // LocalPort or the link whose buffer holds the packet
 	slot     int // VC slot index within the input port
 
+	// InEscape marks a packet that has entered an escape VC; it may
+	// never return to a non-escape VC (paper §III-A).
+	InEscape bool
+	// DownPhase is the up*/down* routing phase: true once the packet has
+	// taken a down link (it may then never go up again).
+	DownPhase bool
 	// pooled marks a packet sitting in the free-list (see pool.go):
 	// set by ReleasePacket, cleared by NewPacket's full rewrite. It
 	// exists to catch use-after-release and double-release bugs.
 	pooled bool
+
+	ID  int64
+	Src int
+
+	// Timestamps (cycles). CreatedAt is when the packet entered the
+	// injection queue, InjectedAt when it left the queue into a VC,
+	// EjectedAt when it entered the ejection queue.
+	CreatedAt  int64
+	InjectedAt int64
+	EjectedAt  int64
+
+	// Statistics (with Hops above).
+	Misroutes int // hops that did not reduce BFS distance to Dst
+	DrainHops int // hops forced by drain windows
+	SpinHops  int // hops forced by SPIN recovery
+
+	// Payload carries protocol-level context (e.g. a coherence message).
+	Payload any
 }
 
 // At returns the router currently buffering the packet.

@@ -34,10 +34,10 @@ import (
 //     flights, and counter deltas — go through per-shard staging drained
 //     in ascending shard order, and all merged quantities are
 //     order-independent sums or owner-exclusive writes.
-//   - The one cross-router read during allocation, the single-VC bubble
-//     rule (routerFreeInVN of the *target* router), is planned as
-//     conditional options (grant.bubble) and resolved at commit time, at
-//     exactly the point the serial order evaluates it.
+//   - Arbitration itself — option masks, draws, grants — is the serial
+//     allocator, unchanged, run in the serial commit; the parallel plan
+//     phase only does the routing it would otherwise do first (promote),
+//     which touches nothing outside the router.
 //
 // Ejections are pushed serially in flight order so ejection-queue
 // order, ejDirtyList order and OnEject callback order (float summation
@@ -49,8 +49,8 @@ type parallelEngine struct {
 	nShards int
 
 	// Timing wheel over future events, sized exactly like the event
-	// engine's. Flights are appended only from serial contexts (the
-	// commit phase), so the wheel is global; wakes are per shard.
+	// engine's. Flights are appended only from serial contexts
+	// (allocation), so the wheel is global; wakes are per shard.
 	size    int64
 	mask    int64
 	maxOff  int64
@@ -83,7 +83,7 @@ type parallelEngine struct {
 const (
 	phaseLandArrive = iota // apply arrival effects, stage upstream frees
 	phaseLandFree          // drain staged upstream frees in shard order
-	phasePlan              // gather requests, build option lists
+	phasePlan              // promote: route the heads that matured or crossed a threshold
 	phaseInject            // move injection-queue heads into local VCs
 )
 
@@ -103,29 +103,13 @@ type upFree struct {
 	flits  int32
 }
 
-// routerPlan is one router's planned allocation work: index ranges into
-// the owning shard's request/winner/output arenas.
-type routerPlan struct {
-	router       int32
-	eligible     int32
-	winLo, winHi int32 // eject winner indices in parShard.wins
-	reqLo, reqHi int32 // requests in parShard.reqs
-	outLo, outHi int32 // planned outputs in parShard.outs
-}
-
-// plannedOut is one output link with at least one planned option.
-type plannedOut struct {
-	link         int32
-	optLo, optHi int32 // options in parShard.opts
-}
-
 // parShard is the per-shard state: the shard's slice of the activity
-// bitmaps and wake wheel, its staging buffers, and its plan arenas. The
+// bitmaps and wake wheel and its staging buffers. The
 // bitsets span the full router domain (only bits in [lo,hi) are ever
 // set), so no two shards share a word and ascending iteration over
 // shards 0..K-1 visits routers in global ascending order.
 //
-//drain:staged per-shard by construction: each phase writes only its own instance's arenas and counters; the one cross-shard field, upOut, is written column-exclusively (shard s appends only to its own upOut[dst]) and drained at the next barrier in ascending source-shard order (shardsafe)
+//drain:staged per-shard by construction: each phase writes only its own instance's buffers and counters; the one cross-shard field, upOut, is written column-exclusively (shard s appends only to its own upOut[dst]) and drained at the next barrier in ascending source-shard order (shardsafe)
 type parShard struct {
 	lo, hi int
 	alloc  bitset
@@ -138,14 +122,6 @@ type parShard struct {
 
 	ctr      Counters // staged counter delta (vnRouterLastActive aliased)
 	injDelta int      // queues drained to empty this cycle
-
-	// plan arenas, reset each phased cycle
-	gs    gatherScratch
-	plans []routerPlan
-	reqs  []request
-	wins  []int
-	outs  []plannedOut
-	opts  []grant
 }
 
 // newParallelEngine builds the engine and spawns its K-1 workers
@@ -195,7 +171,6 @@ func newParallelEngine(cfg *Config) *parallelEngine {
 		sh.inj = newBitset(nRouters)
 		sh.wakes = make([][]int32, size)
 		sh.upOut = make([][]upFree, k)
-		sh.gs = newGatherScratch(cfg)
 	}
 	e.start = make([]chan struct{}, k-1)
 	for i := range e.start {
@@ -303,29 +278,12 @@ func (e *parallelEngine) stepInline(n *Network, fl []flight, slot int64) {
 		n.Counters.FrozenCyc++
 		return
 	}
-	for s := range e.shards {
-		sh := &e.shards[s]
-		for wi := sh.alloc.nextWord(-1); wi >= 0; wi = sh.alloc.nextWord(wi) {
-			w := sh.alloc.words[wi]
-			for w != 0 {
-				bit := bits.TrailingZeros64(w)
-				w &^= 1 << uint(bit)
-				r := wi<<6 + bit
-				eligible, granted := n.allocateRouter(r, &n.gs)
-				if eligible == granted {
-					sh.alloc.clearWordBit(wi, bit)
-				}
-			}
-		}
-	}
+	e.allocate(n)
 	for s := range e.shards {
 		sh := &e.shards[s]
 		for wi := sh.inj.nextWord(-1); wi >= 0; wi = sh.inj.nextWord(wi) {
-			w := sh.inj.words[wi]
-			for w != 0 {
-				bit := bits.TrailingZeros64(w)
-				w &^= 1 << uint(bit)
-				if !n.injectRouterQueues(wi<<6 + bit) {
+			for w := sh.inj.words[wi]; w != 0; w &= w - 1 {
+				if bit := bits.TrailingZeros64(w); !n.injectRouterQueues(wi<<6 + bit) {
 					sh.inj.clearWordBit(wi, bit)
 				}
 			}
@@ -335,8 +293,8 @@ func (e *parallelEngine) stepInline(n *Network, fl []flight, slot int64) {
 
 // stepPhased runs the cycle as the barrier pipeline: parallel arrivals
 // (staging upstream frees), parallel frees, serial ejection pushes,
-// wakes, parallel planning, serial commit, parallel injection, and a
-// serial reduce of the staged deltas in shard order.
+// wakes, parallel promotion, serial allocation, parallel injection, and
+// a serial reduce of the staged deltas in shard order.
 func (e *parallelEngine) stepPhased(n *Network, fl []flight, slot int64) {
 	if len(fl) > 0 {
 		e.count -= len(fl)
@@ -356,7 +314,7 @@ func (e *parallelEngine) stepPhased(n *Network, fl []flight, slot int64) {
 		return
 	}
 	e.runPhase(n, phasePlan)
-	e.commit(n)
+	e.allocate(n)
 	e.runPhase(n, phaseInject)
 	e.reduce(n)
 }
@@ -418,98 +376,31 @@ func (e *parallelEngine) applyUpFrees(n *Network, s int) {
 	}
 }
 
-// planShard (phasePlan, per shard): for every active router of the
-// shard, gather requests and precompute what the serial allocator will
-// need — the eligible count, the eject winner list, and per-output
-// option lists (with the bubble rule deferred as conditional options).
-// Reads shared state that is stable for the whole allocation phase;
-// writes only shard-owned arenas and this shard's activity bits.
+// planShard (phasePlan, per shard): promote every active router of the
+// shard, so the serial allocation that follows finds the routing — the
+// table lookups, the part of a visit that touches the most memory —
+// already done. Writes only the routers' own mask blocks and slots.
 func (e *parallelEngine) planShard(n *Network, s int) {
 	sh := &e.shards[s]
-	sh.plans = sh.plans[:0]
-	sh.reqs = sh.reqs[:0]
-	sh.wins = sh.wins[:0]
-	sh.outs = sh.outs[:0]
-	sh.opts = sh.opts[:0]
 	for wi := sh.alloc.nextWord(-1); wi >= 0; wi = sh.alloc.nextWord(wi) {
-		w := sh.alloc.words[wi]
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			w &^= 1 << uint(bit)
-			r := wi<<6 + bit
-			reqs, eligible := n.gatherRequests(r, &sh.gs)
-			if len(reqs) == 0 {
-				if eligible == 0 {
-					// Stale bit: the visit found nothing and would have
-					// drawn no randomness — clear, as the event engine does.
-					sh.alloc.clearWordBit(wi, bit)
-				}
-				continue
-			}
-			pl := routerPlan{router: int32(r), eligible: int32(eligible)}
-			pl.reqLo = int32(len(sh.reqs))
-			sh.reqs = append(sh.reqs, reqs...)
-			pl.reqHi = int32(len(sh.reqs))
-			pl.winLo = int32(len(sh.wins))
-			if n.ejectBusy[r] <= n.cycle {
-				sh.wins = n.buildEjectWinners(r, reqs, sh.wins)
-			}
-			pl.winHi = int32(len(sh.wins))
-			pl.outLo = int32(len(sh.outs))
-			for pos, out := range n.g.OutLinks(r) {
-				if sh.gs.setLen[pos] == 0 {
-					continue
-				}
-				optLo := int32(len(sh.opts))
-				sh.opts = n.buildLinkOptions(out, sh.gs.set(pos), reqs, sh.opts, true)
-				if int32(len(sh.opts)) > optLo {
-					sh.outs = append(sh.outs, plannedOut{
-						link: int32(out), optLo: optLo, optHi: int32(len(sh.opts)),
-					})
-				}
-			}
-			pl.outHi = int32(len(sh.outs))
-			sh.plans = append(sh.plans, pl)
+		for w := sh.alloc.words[wi]; w != 0; w &= w - 1 {
+			n.promote(wi<<6 + bits.TrailingZeros64(w))
 		}
 	}
 }
 
-// commit replays the plans serially in ascending shard (= router)
-// order, making every RNG draw in exactly the dense scan's sequence:
-// per router, the eject draw first, then each planned output ascending.
-// Options planned optimistically are filtered the way the serial
-// allocator would have: packets granted an earlier output this cycle
-// (sending) drop out, and conditional bubble options resolve against
-// the now-current target-router state.
-func (e *parallelEngine) commit(n *Network) {
+// allocate visits the active routers serially in ascending shard (=
+// router) order, making every RNG draw in exactly the dense scan's
+// sequence: per router, the eject draw first, then each output ascending.
+func (e *parallelEngine) allocate(n *Network) {
 	for s := range e.shards {
 		sh := &e.shards[s]
-		for pi := range sh.plans {
-			pl := &sh.plans[pi]
-			r := int(pl.router)
-			reqs := sh.reqs[pl.reqLo:pl.reqHi]
-			granted := 0
-			if pl.winHi > pl.winLo {
-				granted += n.commitEject(r, reqs, sh.wins[pl.winLo:pl.winHi])
-			}
-			for oi := pl.outLo; oi < pl.outHi; oi++ {
-				po := &sh.outs[oi]
-				seg := sh.opts[po.optLo:po.optHi]
-				kept := seg[:0]
-				for _, g := range seg {
-					req := &reqs[g.reqIdx]
-					if n.vc[req.vc].sending {
-						continue
-					}
-					if g.bubble && n.routerFreeInVN(n.g.Link(int(po.link)).To, int(req.vnet)) < 2 {
-						continue
-					}
-					kept = append(kept, g)
+		for wi := sh.alloc.nextWord(-1); wi >= 0; wi = sh.alloc.nextWord(wi) {
+			for w := sh.alloc.words[wi]; w != 0; w &= w - 1 {
+				bit := bits.TrailingZeros64(w)
+				if eligible, granted := n.allocateRouter(wi<<6 + bit); eligible == granted {
+					sh.alloc.clearWordBit(wi, bit)
 				}
-				granted += n.commitLinkGrant(r, int(po.link), reqs, kept)
-			}
-			if int(pl.eligible) == granted {
-				sh.alloc.clear(r)
 			}
 		}
 	}
@@ -548,7 +439,7 @@ func (e *parallelEngine) reduce(n *Network) {
 }
 
 // addFlight schedules a started transfer to land at f.doneAt. Called
-// from serial contexts only (the commit phase and the inline path).
+// from serial contexts only (allocation).
 //
 //drain:hotpath called from arbitration through the engine seam (dynamic calls are not followed)
 func (e *parallelEngine) addFlight(n *Network, f flight) {

@@ -24,8 +24,7 @@ func (n *Network) PlacePacket(from, to, dst, slot int) (*Packet, error) {
 	if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(slot) && !n.cfg.NonStickyEscape {
 		p.InEscape = true
 	}
-	n.occupy(l, slot, p, 0)
-	n.occIn[to]++
+	n.occupy(to, l, slot, p, 0)
 	n.eng.placed(n, to, 0)
 	return p, nil
 }

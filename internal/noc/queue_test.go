@@ -31,7 +31,7 @@ func TestPktQueueFIFO(t *testing.T) {
 		}
 	}
 	push(2)
-	pop(1) // head advances: ring is offset
+	pop(1)  // head advances: ring is offset
 	push(6) // forces a grow with wrapped contents
 	pop(7)
 	if q.Len() != 0 {

@@ -114,7 +114,7 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 			}
 			n.linkBusy[l] = 0 // any transfer on the wire was cut above
 			for s := 0; s < n.vcPerPort; s++ {
-				slot := n.vc[l*n.vcPerPort+s]
+				slot := n.slot(l, s)
 				p := slot.pkt
 				if p == nil || slot.sending {
 					// A sending occupant departs over a surviving link;
@@ -124,8 +124,7 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 				if n.evacuate(p, l, s) {
 					rep.Rerouted++
 				} else {
-					n.vacate(l, s)
-					n.occIn[p.atRouter]--
+					n.dropWaiting(p.atRouter, l, s)
 					n.Counters.FaultDrops++
 					n.ReleasePacket(p)
 					rep.Dropped++
@@ -140,9 +139,19 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 	// too (per-flight independent mutation — engine iteration order is
 	// unobservable).
 	n.eng.eachFlight(clearFlightDownPhase)
+	// Every cached route was computed from the old table and phases too:
+	// routed heads go back to pending, and the next visit routes them anew.
 	for i := range n.vc {
-		if p := n.vc[i].pkt; p != nil {
-			p.DownPhase = false
+		if slot := &n.vc[i]; slot.pkt != nil {
+			slot.pkt.DownPhase = false
+			slot.rerouteAt = slot.readyAt
+		}
+	}
+	for r := 0; r < n.g.N(); r++ {
+		for w := 0; w < n.maskW; w++ {
+			blk := n.sub(r, w)
+			blk[mPend] |= blk[mReady]
+			clear(blk[mReady:])
 		}
 	}
 
@@ -214,8 +223,8 @@ func (n *Network) evacuate(p *Packet, fromLink, fromSlot int) bool {
 		return false
 	}
 	readyAt := n.cycle + int64(n.cfg.RouterLatency)
-	n.vacate(fromLink, fromSlot)
-	n.occupy(toLink, toSlot, p, readyAt)
+	n.dropWaiting(r, fromLink, fromSlot)
+	n.occupy(r, toLink, toSlot, p, readyAt)
 	p.inLink = toLink
 	p.slot = toSlot
 	if escape && !n.cfg.NonStickyEscape {

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // VCRef identifies one link VC buffer (the escape or ordinary VC at the
 // input port fed by Link).
@@ -16,6 +13,16 @@ type VCRef struct {
 // transfers are still in flight (the pre-drain window must complete
 // first).
 var ErrNotQuiesced = errors.New("noc: network has in-flight transfers; pre-drain incomplete")
+
+// Rotation errors (package-level so the rotation paths, which run
+// mid-simulation and are hotalloc roots, never construct one).
+var (
+	errRotateNotFrozen = errors.New("noc: DrainRotate requires a frozen network")
+	errRotatePathLen   = errors.New("noc: drain path does not cover exactly the topology's links")
+	errCycleLen        = errors.New("noc: rotation cycle needs at least 2 and at most every link VC")
+	errCycleSlot       = errors.New("noc: a rotation cycle position is empty or holds a moving packet")
+	errCycleTurn       = errors.New("noc: consecutive rotation cycle positions are not joined by a turn")
+)
 
 // DrainReport summarizes one drain rotation.
 type DrainReport struct {
@@ -31,28 +38,28 @@ type DrainReport struct {
 func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 	var rep DrainReport
 	if !n.frozen {
-		return rep, errors.New("noc: DrainRotate requires a frozen network")
+		return rep, errRotateNotFrozen
 	}
 	if n.eng.inflightCount() > 0 {
 		return rep, ErrNotQuiesced
 	}
 	if len(next) != n.g.NumLinks() {
-		return rep, fmt.Errorf("noc: drain path covers %d links, topology has %d", len(next), n.g.NumLinks())
+		return rep, errRotatePathLen
 	}
 	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	for vn := 0; vn < n.cfg.VNets; vn++ {
 		slot := n.cfg.EscapeSlot(vn)
-		moved := make([]*Packet, n.g.NumLinks()) // new occupant per link
+		moved := n.scrPkts[:n.g.NumLinks()] // new occupant per link
+		clear(moved)
 		for l := 0; l < n.g.NumLinks(); l++ {
-			p := n.vc[l*n.vcPerPort+slot].pkt
+			p := n.slot(l, slot).pkt
 			if p == nil {
 				continue
 			}
-			n.vacate(l, slot) // successors are installed after the sweep
+			oldRouter := p.atRouter
+			n.dropWaiting(oldRouter, l, slot) // successors are installed after the sweep
 			d := next[l]
 			target := n.g.Link(d)
-			oldRouter := p.atRouter
-			n.occIn[oldRouter]--
 			p.Hops++
 			p.DrainHops++
 			n.Counters.Hops++
@@ -68,7 +75,6 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 				rep.Ejected++
 				continue
 			}
-			n.occIn[target.To]++
 			p.atRouter = target.To
 			p.inLink = d
 			p.slot = slot
@@ -81,7 +87,7 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 		}
 		for l, p := range moved {
 			if p != nil {
-				n.occupy(l, slot, p, readyAt)
+				n.occupy(p.atRouter, l, slot, p, readyAt)
 			}
 		}
 	}
@@ -113,22 +119,18 @@ func (n *Network) FullDrain(next []int) (DrainReport, error) {
 // the last moves into refs[0]. All refs must be occupied by non-moving
 // packets, and consecutive refs must be joined by a legal turn.
 func (n *Network) RotateBlockedCycle(refs []VCRef) error {
-	if len(refs) < 2 {
-		return errors.New("noc: rotation cycle needs at least 2 VCs")
+	if len(refs) < 2 || len(refs) > len(n.scrPkts) {
+		return errCycleLen
 	}
-	pkts := make([]*Packet, len(refs))
+	pkts := n.scrPkts[:len(refs)]
 	for i, ref := range refs {
-		slot := &n.vc[ref.Link*n.vcPerPort+ref.Slot]
+		slot := n.slot(ref.Link, ref.Slot)
 		p := slot.pkt
-		if p == nil {
-			return fmt.Errorf("noc: cycle position %d (%v) is empty", i, ref)
+		if p == nil || slot.sending {
+			return errCycleSlot
 		}
-		if slot.sending {
-			return fmt.Errorf("noc: cycle position %d (%v) holds a moving packet", i, ref)
-		}
-		nxt := refs[(i+1)%len(refs)]
-		if n.g.Link(nxt.Link).From != n.g.Link(ref.Link).To {
-			return fmt.Errorf("noc: cycle positions %d→%d are not joined by a turn", i, i+1)
+		if n.g.Link(refs[(i+1)%len(refs)].Link).From != n.g.Link(ref.Link).To {
+			return errCycleTurn
 		}
 		pkts[i] = p
 	}
@@ -141,8 +143,7 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 			p.Misroutes++
 			n.Counters.Misroutes++
 		}
-		n.occIn[p.atRouter]--
-		n.occIn[target.To]++
+		n.dropWaiting(p.atRouter, refs[i].Link, refs[i].Slot) // successors are installed after the sweep
 		p.atRouter = target.To
 		p.inLink = nxt.Link
 		p.slot = nxt.Slot
@@ -156,7 +157,8 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 		n.Counters.noteVNActivity(p.VNet, target.To, n.cycle, int64(p.Flits))
 	}
 	for i, ref := range refs {
-		n.occupy(ref.Link, ref.Slot, pkts[(i-1+len(pkts))%len(pkts)], readyAt)
+		p := pkts[(i-1+len(pkts))%len(pkts)]
+		n.occupy(p.atRouter, ref.Link, ref.Slot, p, readyAt)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"context"
+	"math"
 	"math/bits"
 
 	"drain/internal/routing"
@@ -30,107 +31,74 @@ func (n *Network) StepContext(ctx context.Context) error {
 	return nil
 }
 
-// request is an input VC head asking to move this cycle (scratch state).
-// The outputs it may take are recorded in the gatherScratch's per-output
-// request sets, not here.
-type request struct {
-	pkt    *Packet
-	vc     int32 // flat index of the input VC slot (into Network.vc)
-	vnet   int32
-	local  bool // the input port is the router's injection port
-	wantEj bool
-}
-
-// candBits records one routing candidate of a request on an output.
-type candBits uint8
-
+// Head masks. Each router numbers its input VC slots in gather order —
+// in-links ascending, slots ascending within a port, the local port last
+// — and keeps its heads' state as bit masks over that numbering, maskW
+// words each. Word w of every mask of a router sits together in the
+// router's sub-block w (Network.sub): the router masks below, then
+// linkMasks masks for each output in Graph.OutLinks order. The masks
+// change only when a head does (occupy, promote, a grant, dropWaiting,
+// Reconfigure); arbitration reads them with word arithmetic instead of
+// regathering every waiting head's request each cycle.
 const (
-	candPresent candBits = 1 << iota
-	candDownPhase
-	candProductive
-	// candEscape is set only on a grant's copy of the bits: the grant
-	// enters the downstream escape VC and makes the packet sticky.
-	candEscape
+	mLocal   = iota // constant: the slots of the local (injection) port
+	mPend           // occupied, head not routed yet (immature, or matured since the last visit)
+	mReady          // matured, routed, not sending: the heads arbitration sees
+	mEj             // ready heads at their destination router
+	mTimed          // ready heads whose candidates change at vcSlot.rerouteAt
+	mFlagged        // ready heads with a bit in some output's flag masks
+	routerMasks
 )
 
-// bitsOf encodes a routing candidate's presence and flags.
-func bitsOf(c routing.Candidate) candBits {
-	b := candPresent
-	if c.DownPhase {
-		b |= candDownPhase
-	}
-	if c.Productive {
-		b |= candProductive
-	}
-	return b
+// Per-output masks, at Network.lbase[link] in a sub-block: the ready heads
+// naming the link as a non-escape (main) or escape candidate, and — the
+// flag masks, rarely set: see mFlagged — which of those candidates are
+// detours (not productive) / leave the packet in its up*/down* down
+// phase. A flag mask sits flagDetour or flagDown after its candidate
+// mask.
+const (
+	mMain = iota
+	mEsc
+	mMainDetour
+	mEscDetour
+	mMainDown
+	mEscDown
+	linkMasks
+
+	flagDetour = mMainDetour - mMain
+	flagDown   = mMainDown - mMain
+)
+
+// never is the rerouteAt of a head whose candidates do not depend on time.
+const never = math.MaxInt64
+
+// option is one feasible (head → output slot) assignment on an output:
+// the downstream slot and the arrival effects of the candidate taken.
+type option struct {
+	toSlot     int32
+	setEscape  bool // enters the downstream escape VC and makes the packet sticky
+	downPhase  bool
+	productive bool
 }
 
-// outReq is one member of an output's request set: the index of a
-// request that named the output, with its candBits as a non-escape
-// candidate (main) and as an escape candidate (esc); either may be
-// absent. Packed into one word — req<<6 | esc<<3 | main — so a set member
-// is written and read with a single store and load.
-type outReq uint32
-
-func (e outReq) req() int32     { return int32(e >> 6) }
-func (e outReq) main() candBits { return candBits(e & 7) }
-func (e outReq) esc() candBits  { return candBits(e >> 3 & 7) }
-
-// grant is one feasible (input VC → output slot) assignment during link
-// arbitration (scratch state).
-type grant struct {
-	reqIdx int32
-	toSlot int32
-	// cand carries the winning candidate's arrival effects (down phase,
-	// productive hop, sticky escape entry).
-	cand candBits
-	// bubble marks an option the parallel engine planned before it could
-	// evaluate the single-VC bubble rule (the one cross-router read during
-	// allocation; see parallel.go): it is valid iff the output's target
-	// router still has >= 2 free slots in the request's VN at commit.
-	// Serial arbitration evaluates the rule inline and never sets it.
-	bubble bool
-}
-
-// gatherScratch is the per-allocator request-gathering scratch. The
-// serial engines use the Network's single instance; the parallel
-// engine's plan workers each own one so gathering can run concurrently.
-//
-// Besides the request list it holds the per-output request sets of the
-// router being gathered: the set of output position pos (an index into
-// Graph.OutLinks(r)) is sets[pos*stride : pos*stride+setLen[pos]], in
-// ascending request index. Arbitration walks each output's set instead
-// of asking every request about every output; the options it builds,
-// and so every RNG draw, are the ones the exhaustive scan would build
-// (a request absent from a set yields no option on that output).
-//
-//drain:staged one instance per plan worker (parShard.gs); the serial engines use the Network's own instance on the stepping goroutine (shardsafe)
-type gatherScratch struct {
-	reqs   []request
-	sets   []outReq
-	setLen []int32
-	stride int
-}
-
-// newGatherScratch sizes the scratch for cfg's largest router: every
-// input VC may request, and every request may name every output.
-func newGatherScratch(cfg *Config) gatherScratch {
-	maxDeg := 0
-	for r := 0; r < cfg.Graph.N(); r++ {
-		maxDeg = max(maxDeg, cfg.Graph.Degree(r))
+// dropHead clears a head (bit of its router's sub-block blk) from every
+// mask but the constant mLocal — from the outputs' flag masks only if it
+// is in any.
+func dropHead(blk []uint64, bit uint64) {
+	flagged := blk[mFlagged]&bit != 0
+	for i := mPend; i < routerMasks; i++ {
+		blk[i] &^= bit
 	}
-	stride := (maxDeg + 1) * cfg.VCsPerPort()
-	return gatherScratch{
-		reqs:   make([]request, 0, stride),
-		sets:   make([]outReq, maxDeg*stride),
-		setLen: make([]int32, maxDeg),
-		stride: stride,
+	for i := routerMasks; i < len(blk); i += linkMasks {
+		blk[i+mMain] &^= bit
+		blk[i+mEsc] &^= bit
+		if flagged {
+			blk[i+mMainDetour] &^= bit
+			blk[i+mEscDetour] &^= bit
+			blk[i+mMainDown] &^= bit
+			blk[i+mEscDown] &^= bit
+		}
 	}
-}
-
-// set returns the request set gathered for output position pos.
-func (gs *gatherScratch) set(pos int) []outReq {
-	return gs.sets[pos*gs.stride : pos*gs.stride+int(gs.setLen[pos])]
 }
 
 // Step advances the network by one cycle: completes arrivals, performs
@@ -163,7 +131,6 @@ func (n *Network) land(f flight) {
 // already overwritten the packet's position fields.
 func (n *Network) freeUpstream(inLink, router, slot int, flits int64, ctr *Counters) {
 	n.vacate(n.portOf(inLink, router), slot)
-	n.occIn[router]--
 	ctr.BufReads += flits
 }
 
@@ -174,8 +141,7 @@ func (n *Network) landArrive(f flight, ctr *Counters) {
 	p := f.pkt
 	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	toRouter := int(f.toRouter)
-	n.occupy(int(f.toLink), int(f.toSlot), p, readyAt)
-	n.occIn[toRouter]++
+	n.occupy(toRouter, int(f.toLink), int(f.toSlot), p, readyAt)
 	p.atRouter = toRouter
 	p.inLink = int(f.toLink)
 	p.slot = int(f.toSlot)
@@ -209,177 +175,172 @@ func (n *Network) pushEject(router int, p *Packet) {
 	}
 }
 
-// allocate performs one cycle of switch + VC allocation at every active
-// router. Routers with no occupied input VCs cannot produce requests (and
-// would consume no randomness), so they are skipped outright.
-func (n *Network) allocate() {
-	for r := 0; r < n.g.N(); r++ {
-		if n.occIn[r] == 0 {
-			continue
-		}
-		n.allocateRouter(r, &n.gs)
-	}
-}
-
 // allocateRouter arbitrates router r's output ports among its input VCs.
 // It returns how many input VC heads were eligible to move this cycle
-// (whether or not they produced a routable request) and how many were
-// granted an output; the event engine clears r's activity bit only when
-// the two are equal, so a head that is blocked, loses arbitration, or
-// is merely waiting to become stalled-enough to deroute keeps the
+// (whether or not any output they name could be granted) and how many
+// were granted an output; the event engine clears r's activity bit only
+// when the two are equal, so a head that is blocked, loses arbitration,
+// or is merely waiting to become stalled-enough to deroute keeps the
 // router in the active set.
-func (n *Network) allocateRouter(r int, gs *gatherScratch) (eligible, granted int) {
-	reqs, eligible := n.gatherRequests(r, gs)
-	if len(reqs) == 0 {
-		return eligible, 0
-	}
+func (n *Network) allocateRouter(r int) (eligible, granted int) {
+	eligible, ejecting := n.promote(r)
 	// Eject port first (it frees VCs fastest and models priority to
 	// sinking traffic), then each output link in Graph.OutLinks order.
-	if n.ejectBusy[r] <= n.cycle {
-		winners := n.buildEjectWinners(r, reqs, n.scrWin[:0])
-		n.scrWin = winners
-		granted += n.commitEject(r, reqs, winners)
+	if ejecting > 0 && n.ejectBusy[r] <= n.cycle {
+		if count := n.buildEjectOptions(r); count != 0 {
+			n.commitEject(r, count)
+			granted++
+		}
 	}
-	for pos, out := range n.g.OutLinks(r) {
-		if gs.setLen[pos] == 0 {
+	if eligible == ejecting {
+		return eligible, granted // no head bound elsewhere: no output has a taker
+	}
+	for _, out := range n.g.OutLinks(r) {
+		if n.linkBusy[out] > n.cycle || !n.named(r, out) {
 			continue
 		}
-		options := n.buildLinkOptions(out, gs.set(pos), reqs, n.scrOpts[:0], false)
-		n.scrOpts = options
-		granted += n.commitLinkGrant(r, out, reqs, options)
+		if count, productive := n.linkOptions(r, out); count != 0 {
+			n.commitLinkGrant(r, out, count, productive)
+			granted++
+		}
 	}
 	return eligible, granted
 }
 
-// gatherRequests lists input VCs of r with a head packet eligible to move
-// this cycle and files each under the outputs it may use (gs's request
-// sets). The second result counts every eligible head, including those
-// dropped for having no routing candidates right now (deroute/escape
-// eligibility can appear with the passage of time alone, so such heads
-// must keep the router active).
-func (n *Network) gatherRequests(r int, gs *gatherScratch) ([]request, int) {
-	eligible := 0
-	gs.reqs = gs.reqs[:0]
-	clear(gs.setLen[:len(n.g.OutLinks(r))])
-	for _, l := range n.inLinks[r] {
-		if n.ports[l].occ != 0 {
-			eligible += n.considerVCs(r, l, false, gs)
+// named reports whether any ready head of router r names its output link
+// out as a candidate.
+func (n *Network) named(r, out int) bool {
+	for w, lo := 0, int(n.lbase[out]); w < n.maskW; w++ {
+		if blk := n.sub(r, w); blk[mReady]&(blk[lo+mMain]|blk[lo+mEsc]) != 0 {
+			return true
 		}
 	}
-	if local := n.localPort(r); n.ports[local].occ != 0 {
-		eligible += n.considerVCs(r, local, true, gs)
-	}
-	return gs.reqs, eligible
+	return false
 }
 
-// considerVCs appends requests for the eligible heads among one input
-// port's occupied VC slots, returning how many heads were eligible.
-func (n *Network) considerVCs(r, port int, local bool, gs *gatherScratch) int {
-	eligible := 0
-	base := port * n.vcPerPort
-	for m := n.ports[port].occ; m != 0; m &= m - 1 {
-		s := bits.TrailingZeros64(m)
-		slot := &n.vc[base+s]
-		if slot.sending || slot.readyAt > n.cycle {
-			continue
+// promote brings router r's masks up to this cycle and returns how many
+// ready heads it then has, and how many of those are at their
+// destination: pending heads that have matured are routed — the one
+// candidate lookup of their stay — and become ready, and ready heads
+// crossing a DerouteAfter/EscapeAfter threshold are routed again. It
+// writes only r's sub-blocks and r's own slots, so the parallel engine
+// promotes routers concurrently.
+func (n *Network) promote(r int) (ready, ejecting int) {
+	due := n.rerouteDue[r] <= n.cycle // else no routed head has a threshold to cross yet
+	next := int64(never)
+	for w := 0; w < n.maskW; w++ {
+		blk := n.sub(r, w)
+		m := blk[mPend]
+		if due {
+			m |= blk[mTimed]
 		}
-		eligible++
-		p := slot.pkt
-		req := request{pkt: p, vc: int32(base + s), vnet: int32(s / n.cfg.VCsPerVN), local: local}
-		dst := int(slot.dst)
-		if dst == r {
-			req.wantEj = true
-			gs.reqs = append(gs.reqs, req)
-			continue
+		for ; m != 0; m &= m - 1 {
+			b, bit := w<<6+bits.TrailingZeros64(m), m&-m
+			slot := n.head(r, b)
+			if slot.rerouteAt <= n.cycle {
+				if blk[mPend]&bit == 0 {
+					dropHead(blk, bit)
+				}
+				blk[mPend] &^= bit
+				blk[mReady] |= bit
+				slot.rerouteAt = n.route(blk, r, slot, n.cycle, bit)
+			}
+			if blk[mPend]&bit == 0 {
+				next = min(next, slot.rerouteAt)
+			}
 		}
-		// A long-stalled packet on an unrestricted (adaptive) routing
-		// function may deroute over any output, including U-turns.
-		stalled := n.cfg.DerouteAfter > 0 && n.cycle-slot.readyAt >= int64(n.cfg.DerouteAfter)
-		// Routing candidates. Escape discipline (paper §III-A):
-		// a packet in an escape VC may only continue on escape VCs
-		// under EscapeRouting; others may use either. The candidate
-		// slices are the routing table's shared read-only sets.
-		var mainOuts, escOuts []routing.Candidate
-		if n.cfg.PolicyEscape {
-			escapeReady := p.InEscape ||
-				n.cfg.EscapeAfter <= 0 ||
-				n.cycle-slot.readyAt >= int64(n.cfg.EscapeAfter)
-			if !p.InEscape {
-				mainOuts = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
-			}
-			// Phase for escape routing: a packet entering the escape
-			// network starts its up*/down* walk fresh.
-			escPhase := p.DownPhase
-			if !p.InEscape {
-				escPhase = false
-			}
-			if escapeReady {
-				escOuts = n.routeCands(n.cfg.EscapeRouting, r, dst, escPhase, stalled)
-			}
-		} else {
-			mainOuts = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
-		}
-		if len(mainOuts) == 0 && len(escOuts) == 0 {
-			continue
-		}
-		// File the request under every output it names that can be
-		// granted this cycle. An output whose link is busy or whose
-		// downstream port has no free slot yields no option for anyone,
-		// and only this router's own grant on it (after which it is not
-		// arbitrated again) can change either fact before arbitration, so
-		// leaving it out of the sets is unobservable. Both candidate lists
-		// ascend by link ID; merging them files each output once.
-		i := outReq(len(gs.reqs)) << 6
-		for len(mainOuts) > 0 || len(escOuts) > 0 {
-			var out int
-			e := i
-			switch {
-			case len(escOuts) == 0 || len(mainOuts) > 0 && mainOuts[0].LinkID < escOuts[0].LinkID:
-				out, e = mainOuts[0].LinkID, e|outReq(bitsOf(mainOuts[0]))
-				mainOuts = mainOuts[1:]
-			case len(mainOuts) == 0 || escOuts[0].LinkID < mainOuts[0].LinkID:
-				out, e = escOuts[0].LinkID, e|outReq(bitsOf(escOuts[0]))<<3
-				escOuts = escOuts[1:]
-			default: // named by both lists
-				out, e = mainOuts[0].LinkID, e|outReq(bitsOf(mainOuts[0]))|outReq(bitsOf(escOuts[0]))<<3
-				mainOuts, escOuts = mainOuts[1:], escOuts[1:]
-			}
-			if n.linkBusy[out] > n.cycle || n.ports[out].free == 0 {
-				continue
-			}
-			pos := int(n.outPos[out])
-			gs.sets[pos*gs.stride+int(gs.setLen[pos])] = e
-			gs.setLen[pos]++
-		}
-		gs.reqs = append(gs.reqs, req)
+		ready += bits.OnesCount64(blk[mReady])
+		ejecting += bits.OnesCount64(blk[mEj])
 	}
-	return eligible
+	if !due {
+		next = min(next, n.rerouteDue[r])
+	}
+	n.rerouteDue[r] = next
+	return ready, ejecting
 }
 
-// buildEjectWinners appends the indices (into reqs) of the packets that
-// could take r's eject port this cycle. Feasibility depends only on
-// state owned by router r (its reqs' packets, its ejection queues), so
-// the parallel engine can build winner lists concurrently per shard and
-// commit them later unchanged.
-func (n *Network) buildEjectWinners(r int, reqs []request, winners []int) []int {
-	for i := range reqs {
-		req := &reqs[i]
-		if req.wantEj && n.ejectSpace(r, req.pkt.Class) {
-			winners = append(winners, i)
+// route files a ready head of router r (bit of sub-block blk, held in
+// slot) under the outputs it may take as of cycle `at`, and returns when
+// that answer next changes with the passage of time alone (never if it
+// does not). blk is the router's own sub-block, or CheckInvariants'
+// recomputation of it.
+func (n *Network) route(blk []uint64, r int, slot *vcSlot, at int64, bit uint64) (next int64) {
+	p, dst, waited, next := slot.pkt, int(slot.dst), at-slot.readyAt, int64(never)
+	if dst == r {
+		blk[mEj] |= bit
+		return never
+	}
+	// A long-stalled packet on an unrestricted (adaptive) routing
+	// function may deroute over any output, including U-turns.
+	stalled := false
+	if d := int64(n.cfg.DerouteAfter); d > 0 {
+		if stalled = waited >= d; !stalled {
+			next = slot.readyAt + d
 		}
 	}
-	return winners
+	// Escape discipline (paper §III-A): a packet in an escape VC may only
+	// continue on escape VCs under EscapeRouting; others may use either,
+	// the escape network only once they have stalled EscapeAfter cycles
+	// (and start their up*/down* walk fresh as they enter it). The
+	// candidate slices are the routing table's shared read-only sets.
+	escape := n.cfg.PolicyEscape
+	if !escape || !p.InEscape {
+		n.fileUnder(blk, n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled), mMain, bit)
+	}
+	if e := int64(n.cfg.EscapeAfter); escape && !p.InEscape && waited < e {
+		next = min(next, slot.readyAt+e)
+	} else if escape {
+		n.fileUnder(blk, n.routeCands(n.cfg.EscapeRouting, r, dst, p.DownPhase && p.InEscape, stalled), mEsc, bit)
+	}
+	if next != never {
+		blk[mTimed] |= bit
+	}
+	return next
 }
 
-// commitEject draws the eject-port winner and applies the grant. Must
-// run serially in ascending router order (it consumes the shared RNG).
-func (n *Network) commitEject(r int, reqs []request, winners []int) int {
-	if len(winners) == 0 {
-		return 0
+// fileUnder sets bit in the kind mask (mMain or mEsc), and in the flag
+// masks that apply, of every output among cands.
+func (n *Network) fileUnder(blk []uint64, cands []routing.Candidate, kind int, bit uint64) {
+	for _, c := range cands {
+		i := int(n.lbase[c.LinkID]) + kind
+		blk[i] |= bit
+		if !c.Productive {
+			blk[i+flagDetour] |= bit
+			blk[mFlagged] |= bit
+		}
+		if c.DownPhase {
+			blk[i+flagDown] |= bit
+			blk[mFlagged] |= bit
+		}
 	}
-	req := &reqs[winners[n.rng.IntN(len(winners))]]
-	p := req.pkt
-	n.vc[req.vc].sending = true
+}
+
+// buildEjectOptions leaves in n.optMain the ready heads that could take
+// r's eject port this cycle and returns how many there are.
+func (n *Network) buildEjectOptions(r int) (count int) {
+	for w := range n.optMain {
+		blk := n.sub(r, w)
+		opt := blk[mReady] & blk[mEj]
+		for m := opt; m != 0; m &= m - 1 {
+			if !n.ejectSpace(r, n.head(r, w<<6+bits.TrailingZeros64(m)).pkt.Class) {
+				opt &^= m & -m
+			}
+		}
+		n.optMain[w] = opt
+		count += bits.OnesCount64(opt)
+	}
+	return count
+}
+
+// commitEject draws the eject-port winner among the count (> 0) options
+// in n.optMain and applies the grant. Must run serially in ascending
+// router order (it consumes the shared RNG).
+func (n *Network) commitEject(r, count int) {
+	b := nthBit(n.optMain, n.rng.IntN(count))
+	slot := n.head(r, b)
+	p := slot.pkt
+	slot.sending = true
+	dropHead(n.sub(r, b>>6), 1<<uint(b&63))
 	n.ejectBusy[r] = n.cycle + int64(p.Flits)
 	n.eng.addFlight(n, flight{
 		pkt: p, doneAt: n.cycle + int64(p.Flits), eject: true, toLink: -1, toRouter: int32(r),
@@ -387,125 +348,141 @@ func (n *Network) commitEject(r int, reqs []request, winners []int) int {
 	n.Counters.SWAllocs++
 	n.Counters.XbarFlits += int64(p.Flits)
 	n.Counters.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
-	return 1
 }
 
-// buildLinkOptions appends every feasible (request → output slot)
-// assignment for link `out` to options, walking the output's request
-// set. All feasibility inputs are stable for the whole allocation phase
-// — an output link is granted at most once per cycle and belongs to
-// exactly one source router — with two exceptions:
-//
-//   - sending: a packet granted an earlier output of the same router
-//     is skipped. With deferBubble the caller re-filters at commit time.
-//   - the single-VC bubble rule (routerFreeInVN of the *target* router),
-//     which other routers' same-cycle grants can still change. With
-//     deferBubble=false it is evaluated inline (serial allocators); with
-//     deferBubble=true the plan marks the options that depend on it
-//     (grant.bubble) for the serial commit to resolve at exactly the
-//     point the serial order would have evaluated the rule.
-func (n *Network) buildLinkOptions(out int, set []outReq, reqs []request, options []grant, deferBubble bool) []grant {
-	for _, e := range set {
-		req := &reqs[e.req()]
-		if n.vc[req.vc].sending {
+// nthBit returns the index of the k-th (from 0) set bit of opt.
+func nthBit(opt []uint64, k int) int {
+	for w, m := range opt {
+		if c := bits.OnesCount64(m); k >= c {
+			k -= c
 			continue
 		}
-		free := n.freeInVN(out, int(req.vnet))
-		// Conservative VC allocation at the injection port (paper §II-C:
-		// fully adaptive routing pairs with conservative allocation): a
-		// locally injected packet may not claim the last free VC of the
-		// downstream port's VN, so through-traffic always has a hole to
-		// move into and the network cannot self-jam into 100% occupancy.
-		// With single-VC virtual networks the port rule degenerates, so a
-		// bubble-flow-control-style router rule applies instead: the
-		// target router must retain a second free buffer in the VN.
-		conservativeOK := !req.local || bits.OnesCount64(free) >= min(2, n.cfg.VCsPerVN)
-		if req.local && conservativeOK && n.cfg.VCsPerVN == 1 {
-			if !deferBubble {
-				conservativeOK = n.routerFreeInVN(n.g.Link(out).To, int(req.vnet)) >= 2
-			} else {
-				// Plan the rule-satisfied outcome. If the rule's failure
-				// would grant too, it grants the same: with one VC per VN a
-				// failed rule leaves only the escape path, which exists
-				// only under PolicyEscape, where that single VC is the
-				// escape slot and the satisfied outcome takes the escape
-				// path as well. Otherwise the commit decides.
-				lo := len(options)
-				options = n.appendOption(options, e, req, free, true)
-				if len(options) > lo && len(n.appendOption(options, e, req, free, false)) == len(options) {
-					g := options[lo]
-					g.bubble = true
-					options[lo] = g
+		for ; k > 0; k-- {
+			m &= m - 1
+		}
+		return w<<6 + bits.TrailingZeros64(m)
+	}
+	panic("noc: option draw beyond the option set")
+}
+
+// linkOptions returns how many heads of router r have a feasible
+// assignment on its idle output link `out`, and how many of those by a
+// productive hop; when any do, it leaves them in n.optMain and n.optEsc —
+// through a non-escape VC and through the escape VC downstream
+// respectively; no head is in both. Ascending bit order is gather order,
+// so the set and its order are those of asking every waiting head about
+// the output. Everything read here is stable for the whole allocation
+// phase — an output link is granted at most once per cycle and belongs
+// to one source router — except the ready mask, which loses the heads
+// granted an earlier output of this router, and the single-VC bubble
+// rule (routerFreeInVN of the *target* router), which other routers'
+// same-cycle grants change; that is why options are built at the
+// output's turn in the serial order and not before.
+func (n *Network) linkOptions(r, out int) (count, productive int) {
+	free := n.ports[out].free
+	if free == 0 {
+		return 0, 0
+	}
+	lo := int(n.lbase[out])
+	for w := range n.optMain {
+		blk := n.sub(r, w)
+		var ms, es uint64
+		for vn := 0; vn < n.cfg.VNets; vn++ {
+			fv := free >> uint(vn*n.cfg.VCsPerVN) & n.vnMask
+			elig := blk[mReady] & n.vnBits[vn*n.maskW+w]
+			var m, e uint64
+			if n.cfg.PolicyEscape {
+				if fv&1 != 0 {
+					e = elig & blk[lo+mEsc]
 				}
-				continue
+				fv &^= 1 // slot 0 is the escape VC: reachable only via the escape path
 			}
+			if fv != 0 {
+				m = elig & blk[lo+mMain]
+			}
+			if loc := (m | e) & blk[mLocal]; loc != 0 && !n.conservativeOK(out, vn) {
+				// No ordinary buffer for local heads. A long-stalled one
+				// may still claim the escape slot: drains guarantee escape
+				// buffers keep turning over, so this bounded bypass
+				// restores the injection-progress guarantee (§III-D2)
+				// without letting injection pack ordinary buffers to 100%.
+				m &^= loc
+				for lb := e & loc; lb != 0; lb &= lb - 1 {
+					if !n.injectBypass(n.head(r, w<<6+bits.TrailingZeros64(lb))) {
+						e &^= lb & -lb
+					}
+				}
+			}
+			ms |= m
+			es |= e &^ m // the escape path applies only when the non-escape path does not
 		}
-		options = n.appendOption(options, e, req, free, conservativeOK)
+		n.optMain[w], n.optEsc[w] = ms, es
+		count += bits.OnesCount64(ms | es)
+		productive += bits.OnesCount64(ms&^blk[lo+mMainDetour] | es&^blk[lo+mEscDetour])
 	}
-	return options
+	return count, productive
 }
 
-// appendOption appends the grant the allocator builds for set member e
-// given the conservative-rule outcome, if any; free is the output's
-// free-slot mask within the request's VN (freeInVN). The non-escape
-// path needs the output among the request's main candidates and a free
-// non-escape VC downstream; failing that, the escape path applies:
-// output legal under escape routing and the escape slot downstream free.
-// A long-stalled local packet may claim an escape slot even against the
-// conservative rule: drains guarantee escape buffers keep turning over,
-// so this bounded bypass restores the injection-progress guarantee
-// (§III-D2) without letting injection pack ordinary buffers to 100%.
-func (n *Network) appendOption(options []grant, e outReq, req *request, free uint64, conservativeOK bool) []grant {
-	base := req.vnet * int32(n.cfg.VCsPerVN)
-	main, esc := e.main(), e.esc()
-	if conservativeOK && main&candPresent != 0 {
-		plain := free
-		if n.cfg.PolicyEscape {
-			plain &^= 1 // slot 0 is the escape VC: reachable only via the escape path
-		}
-		if plain != 0 {
-			return append(options, grant{reqIdx: e.req(), toSlot: base + int32(bits.TrailingZeros64(plain)), cand: main})
-		}
+// conservativeOK is the conservative VC allocation rule at the injection
+// port (paper §II-C: fully adaptive routing pairs with conservative
+// allocation): a locally injected packet may not claim the last free VC
+// of the downstream port's VN, so through-traffic always has a hole to
+// move into and the network cannot self-jam into 100% occupancy. With
+// single-VC virtual networks the port rule degenerates, so a
+// bubble-flow-control-style router rule applies instead: the target
+// router must retain a second free buffer in the VN.
+func (n *Network) conservativeOK(out, vn int) bool {
+	if n.cfg.VCsPerVN == 1 {
+		return n.freeInVN(out, vn) != 0 && n.routerFreeInVN(n.g.Link(out).To, vn) >= 2
 	}
-	if esc&candPresent != 0 && free&1 != 0 && (conservativeOK || n.injectBypass(req)) {
-		if !n.cfg.NonStickyEscape {
-			esc |= candEscape
-		}
-		return append(options, grant{reqIdx: e.req(), toSlot: base, cand: esc})
-	}
-	return options
+	return bits.OnesCount64(n.freeInVN(out, vn)) >= 2
 }
 
-// commitLinkGrant draws the winner among options and applies the grant.
-// Must run serially in ascending (router, output) order — it consumes
-// the shared RNG, and the option sets of later outputs depend on
-// earlier winners through the granted slot's sending mark.
-func (n *Network) commitLinkGrant(r, out int, reqs []request, options []grant) int {
-	if len(options) == 0 {
-		return 0
+// optionAt expands option bit b of output out (a bit of n.optMain or
+// n.optEsc as linkOptions left them): the head holding packet p, in its
+// router's sub-block blk.
+func (n *Network) optionAt(blk []uint64, out, b int, p *Packet) option {
+	w, sh := b>>6, uint(b&63)
+	esc := n.optEsc[w]>>sh&1 != 0
+	i, free := int(n.lbase[out])+mMain, n.freeInVN(out, p.VNet)
+	if esc {
+		i, free = int(n.lbase[out])+mEsc, 1
+	} else if n.cfg.PolicyEscape {
+		free &^= 1
 	}
+	return option{
+		toSlot:     int32(p.VNet*n.cfg.VCsPerVN + bits.TrailingZeros64(free)),
+		setEscape:  esc && !n.cfg.NonStickyEscape,
+		downPhase:  blk[i+flagDown]>>sh&1 != 0,
+		productive: blk[i+flagDetour]>>sh&1 == 0,
+	}
+}
+
+// commitLinkGrant draws the winner among the count (> 0) options
+// linkOptions left for output out, productive of them productive,
+// and applies the grant. Must run serially in ascending (router, output)
+// order — it consumes the shared RNG, and the option sets of later
+// outputs depend on earlier winners through the ready mask.
+func (n *Network) commitLinkGrant(r, out, count, productive int) {
 	// Prefer productive grants: deroutes only win an output no minimal
-	// packet wants, keeping misrouting a last resort. The filter runs
-	// in place (relative order preserved) to stay allocation-free.
-	prodCount := 0
-	for _, o := range options {
-		if o.cand&candProductive != 0 {
-			prodCount++
+	// packet wants, keeping misrouting a last resort.
+	if lo := int(n.lbase[out]); productive > 0 && productive < count {
+		count = productive
+		for w := range n.optMain {
+			blk := n.sub(r, w)
+			n.optMain[w] &^= blk[lo+mMainDetour]
+			n.optEsc[w] &^= blk[lo+mEscDetour]
 		}
 	}
-	if prodCount > 0 && prodCount < len(options) {
-		kept := options[:0]
-		for _, o := range options {
-			if o.cand&candProductive != 0 {
-				kept = append(kept, o)
-			}
-		}
-		options = kept
+	for w, e := range n.optEsc {
+		n.optMain[w] |= e // optEsc still tells which path the winner takes
 	}
-	g := options[n.rng.IntN(len(options))]
-	req := &reqs[g.reqIdx]
-	p := req.pkt
-	n.vc[req.vc].sending = true
+	b := nthBit(n.optMain, n.rng.IntN(count))
+	slot, blk := n.head(r, b), n.sub(r, b>>6)
+	p := slot.pkt
+	g := n.optionAt(blk, out, b, p)
+	slot.sending = true
+	dropHead(blk, 1<<uint(b&63))
 	n.linkBusy[out] = n.cycle + int64(p.Flits)
 	n.ports[out].free &^= 1 << uint(g.toSlot) // reserved until the transfer lands
 	n.eng.addFlight(n, flight{
@@ -514,14 +491,13 @@ func (n *Network) commitLinkGrant(r, out int, reqs []request, options []grant) i
 		toLink:     int32(out),
 		toSlot:     g.toSlot,
 		toRouter:   int32(n.g.Link(out).To),
-		setEscape:  g.cand&candEscape != 0,
-		downPhase:  g.cand&candDownPhase != 0,
-		productive: g.cand&candProductive != 0,
+		setEscape:  g.setEscape,
+		downPhase:  g.downPhase,
+		productive: g.productive,
 	})
 	n.Counters.SWAllocs++
 	n.Counters.VCAllocs++
 	n.Counters.XbarFlits += int64(p.Flits)
-	return 1
 }
 
 // routeCands returns the shared read-only candidate set for a packet at
@@ -537,8 +513,8 @@ func (n *Network) routeCands(k routing.Kind, r, dst int, phase, stalled bool) []
 // injectBypass reports whether a local head has stalled long enough to
 // skip the conservative injection admission (progress guarantee; see
 // Config.InjectPatience).
-func (n *Network) injectBypass(req *request) bool {
-	return n.cfg.InjectPatience > 0 && n.cycle-n.vc[req.vc].readyAt >= int64(n.cfg.InjectPatience)
+func (n *Network) injectBypass(slot *vcSlot) bool {
+	return n.cfg.InjectPatience > 0 && n.cycle-slot.readyAt >= int64(n.cfg.InjectPatience)
 }
 
 // routerFreeInVN counts free VC slots of virtual network vn across all
@@ -597,8 +573,7 @@ func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, em
 			pending = true
 		}
 		readyAt := n.cycle + int64(n.cfg.RouterLatency)
-		n.occupy(n.localPort(r), slot, p, readyAt)
-		n.occIn[r]++
+		n.occupy(r, n.localPort(r), slot, p, readyAt)
 		p.atRouter = r
 		p.inLink = LocalPort
 		p.slot = slot

@@ -80,7 +80,7 @@ func (n *Network) liveness(opts LivenessOpts) ([]bool, int) {
 		router := n.g.Link(l).To
 		for s := 0; s < n.vcPerPort; s++ {
 			i := l*n.vcPerPort + s
-			slot := &n.vc[i]
+			slot := n.slot(l, s)
 			p := slot.pkt
 			if p == nil || slot.sending {
 				// Empty, reserved (an arriving packet is moving), or
@@ -204,7 +204,7 @@ func (n *Network) FindBlockedCycle(opts LivenessOpts) []VCRef {
 		}
 		visited[cur] = len(walk)
 		walk = append(walk, cur)
-		p := n.vc[cur].pkt
+		p := n.slot(cur/n.vcPerPort, cur%n.vcPerPort).pkt
 		if p == nil {
 			return nil // raced with movement; caller retries later
 		}

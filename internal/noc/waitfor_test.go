@@ -49,8 +49,7 @@ func plantPacket(t *testing.T, n *Network, from, to, dst, slot int) *Packet {
 	if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(slot) {
 		p.InEscape = true
 	}
-	n.occupy(l, slot, p, 0)
-	n.occIn[to]++
+	n.occupy(to, l, slot, p, 0)
 	n.eng.placed(n, to, 0)
 	return p
 }

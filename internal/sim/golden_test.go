@@ -15,15 +15,15 @@ import (
 // routing candidates — rather than just its speed.
 func TestGoldenCounters(t *testing.T) {
 	type golden struct {
-		scheme                 Scheme
-		epoch                  int64
-		created, injected      int64
-		ejected, hops          int64
-		bufWrites, bufReads    int64
-		xbarFlits, vcAllocs    int64
-		swAllocs, misroutes    int64
-		drainMoves, drains     int64
-		frozenCyc              int64
+		scheme              Scheme
+		epoch               int64
+		created, injected   int64
+		ejected, hops       int64
+		bufWrites, bufReads int64
+		xbarFlits, vcAllocs int64
+		swAllocs, misroutes int64
+		drainMoves, drains  int64
+		frozenCyc           int64
 	}
 	cases := map[string]golden{
 		"drain": {
@@ -34,13 +34,13 @@ func TestGoldenCounters(t *testing.T) {
 			drainMoves: 32, drains: 7, frozenCyc: 70,
 		},
 		"escape": {
-			scheme: SchemeEscapeVC,
+			scheme:  SchemeEscapeVC,
 			created: 6290, injected: 6283, ejected: 6240, hops: 18319,
 			bufWrites: 24602, bufReads: 24559, xbarFlits: 24574,
 			vcAllocs: 18329, swAllocs: 24574, misroutes: 260,
 		},
 		"spin": {
-			scheme: SchemeSPIN,
+			scheme:  SchemeSPIN,
 			created: 6304, injected: 6303, ejected: 6269, hops: 18518,
 			bufWrites: 24821, bufReads: 24787, xbarFlits: 24802,
 			vcAllocs: 18530, swAllocs: 24802, misroutes: 278,
