@@ -1,7 +1,5 @@
 GO ?= go
-# bench pipes `go test` through tee; bash + pipefail keeps a failing
-# bench run from silently producing stale artifacts (dash would report
-# tee's exit status instead).
+# bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
 .PHONY: check build vet lint test-race test-allocs bench bench-e2e bench-pair bench-all fuzz results clean
@@ -36,26 +34,13 @@ test-race:
 test-allocs:
 	$(GO) test -run 'TestStepAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
 
-## bench: run the hot-path benchmarks (BenchmarkStep's event/dense load
-## points, BenchmarkStepSharded's shards=N scaling on the 64x64 mesh,
-## plus BenchmarkStepRNG's and BenchmarkFig11RNG's rng=exact/rng=counter
-## pairs), keeping the raw benchstat-compatible text in BENCH_noc.txt
-## and appending a machine-readable entry (ns/cycle, cycles/sec, allocs,
-## event-vs-dense, shards-vs-serial and fast-vs-exact speedups) to the
-## history array in BENCH_noc.json, keyed by git SHA + date — prior runs
-## are kept, and re-benching the same commit replaces its entry. Feed
-## BENCH_noc.txt files from two builds to benchstat for A/B comparisons;
-## the event/dense and exact/counter sub-benchmarks give same-binary
-## comparisons immune to machine drift.
+## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
+## event/dense load points, BenchmarkStepSharded's shards=N scaling on
+## the 64x64 mesh, BenchmarkStepRNG's and BenchmarkFig11RNG's
+## rng=exact/rng=counter pairs): a look at the cycle core while working
+## on it. Nothing is recorded — the measurement of record is bench-pair.
 bench:
-	set -o pipefail; $(GO) test -bench='BenchmarkStep|BenchmarkFig11RNG' -benchmem -run=^$$ -count=1 . | tee BENCH_noc.txt
-	$(GO) run ./cmd/benchjson -out BENCH_noc.json \
-		-sha "$$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- . ':!BENCH_noc.json' ':!BENCH_noc.txt' || echo -dirty)" \
-		-date "$$(date -u +%F)" \
-		-note "event-vs-dense speedups are same-binary, same-run ratios of BenchmarkStep's engine sub-benchmarks (see DESIGN.md 'Event-driven core' for the measurement protocol)" \
-		-note "shards-vs-serial speedups compare BenchmarkStepSharded's parallel-engine shard counts against shards=1 on the same binary; they depend on available CPUs (see DESIGN.md 'Sharded parallel engine')" \
-		-note "fast-vs-exact speedups compare the counter-based RNG mode against exact mode on the same binary, interleaved runs; the win is concentrated at idle-dominated loads where fast-forward windows open (see DESIGN.md 'Counter-based RNG mode')" \
-		< BENCH_noc.txt
+	$(GO) test -bench='BenchmarkStep|BenchmarkFig11RNG' -benchmem -run=^$$ -count=1 .
 
 ## bench-e2e: the repo's benchmark (BENCHMARK.json, cmd/drainbench) on
 ## every workload, ten seeds each, untraced then traced: end-to-end and

@@ -84,8 +84,7 @@ func BenchmarkFig10SaturationParallel(b *testing.B) {
 // (0.02 packets/node/cycle), a mid-load point, and the fig10 saturation
 // point (0.45) — on the 8x8 DRAIN configuration, once per engine.
 // The event/dense pairs are byte-identical runs (FuzzDenseVsEvent
-// enforces it), so the ratio is pure engine speedup; `make bench`
-// records the numbers in BENCH_noc.json.
+// enforces it), so the ratio is pure engine speedup.
 func BenchmarkStep(b *testing.B) {
 	loads := []struct {
 		name string
@@ -141,8 +140,7 @@ func BenchmarkStep(b *testing.B) {
 // no window ever opens — and exact mode's one-integer-compare rate
 // draw is already a small fraction of the cycle, so the pair
 // converges; see DESIGN.md §"Counter-based RNG mode" for the dividing
-// line. cmd/benchjson derives the fast_vs_exact section from this
-// group.
+// line.
 func BenchmarkStepRNG(b *testing.B) {
 	loads := []struct {
 		name string
@@ -207,10 +205,9 @@ func BenchmarkFig11RNG(b *testing.B) {
 // on the one-big-network case it exists for: a 64x64 mesh (4096
 // routers) under mid load, at 1, 2, 4 and 8 shards. The shards=1 point
 // doubles as the zero-overhead check against the serial engines (the
-// inline fast path makes it the event algorithm verbatim), and
-// cmd/benchjson derives speedup-vs-shards=1 from the group. Results are
-// byte-identical at every shard count, so the ratio is pure engine
-// speedup; scaling beyond 1 requires a multi-core host.
+// inline fast path makes it the event algorithm verbatim). Results are
+// byte-identical at every shard count, so the ratio to shards=1 is pure
+// engine speedup; scaling beyond 1 requires a multi-core host.
 func BenchmarkStepSharded(b *testing.B) {
 	// One routing table serves all four networks: at 4096 routers its
 	// construction dwarfs everything else in Build, and tables are

@@ -97,8 +97,8 @@ func run(budget []byte, bench io.Reader, out io.Writer) error {
 }
 
 // parseAllocs extracts allocs/op from benchstat-compatible lines,
-// stripping the trailing -GOMAXPROCS decoration exactly as benchjson
-// does. Benchmarks without an allocs/op column are ignored.
+// stripping the trailing -GOMAXPROCS decoration. Benchmarks without an
+// allocs/op column are ignored.
 func parseAllocs(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}
 	sc := bufio.NewScanner(r)

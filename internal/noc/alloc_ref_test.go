@@ -199,6 +199,9 @@ func (rs *refState) linkOptions(out int, reqs []refRequest) []refOption {
 type refEngine struct {
 	denseEngine
 	err error // first disagreement
+	// noExit keeps every visit on the general path: the run that never
+	// took the uncontested exit, which lonePair compares the exit with.
+	noExit bool
 }
 
 func (e *refEngine) step(n *Network) {
@@ -247,16 +250,62 @@ func (e *refEngine) sameOptions(n *Network, r int, what string, got, ref []refOp
 	return true
 }
 
+// lone is the uncontested exit of Network.allocateRouter with the
+// reference beside it. The precondition, evaluated as production does,
+// must be the scan's: no head visited before and one eligible. The exit's
+// decision must then be the scan's single option on the eject port or on
+// the first output that has one — or none anywhere. The grant goes
+// through the exit; lone reports whether there was one.
+func (e *refEngine) lone(n *Network, r int, rs *refState, want []refRequest) bool {
+	visited := false
+	for w := 0; w < n.maskW; w++ {
+		visited = visited || n.sub(r, w)[mReady] != 0
+	}
+	b := n.loneHead(r)
+	if wantLone := !visited && len(want) == 1; (b >= 0) != wantLone || wantLone && n.head(r, b) != want[0].slot {
+		e.fail(n, r, "lone head %d, reference has %d eligible heads (some visited: %v)", b, len(want), visited)
+		return false
+	}
+	if b < 0 {
+		return false
+	}
+	wantOut, wantOpt, wantOK := ejectPort, option{}, false
+	if req := &want[0]; req.wantEj {
+		wantOK = n.ejectBusy[r] <= n.cycle && n.ejectSpace(r, req.pkt.Class)
+	} else {
+		for _, out := range n.g.OutLinks(r) {
+			if opts := rs.linkOptions(out, want); len(opts) != 0 {
+				wantOut, wantOpt, wantOK = out, opts[0].option, true
+				break
+			}
+		}
+	}
+	out, g, ok := n.loneOption(r, b)
+	if ok != wantOK || ok && (out != wantOut || g != wantOpt) {
+		e.fail(n, r, "lone head %d (packet %d): exit decides output %d %+v (grant: %v), reference output %d %+v (grant: %v)",
+			b, want[0].pkt.ID, out, g, ok, wantOut, wantOpt, wantOK)
+		return false
+	}
+	if n.grantLone(r, b) != ok {
+		e.fail(n, r, "lone head %d: the exit decided %v and did otherwise", b, ok)
+	}
+	return ok
+}
+
 // allocateRouter is Network.allocateRouter with the reference run beside
-// it: the same ready heads after promotion, the same eject options, and
-// for every output — including those production finds busy or full — the
-// same option list, the production masks expanded to bit-ascending
-// (head, slot, effects) lists. It commits through the production commit
-// functions, so the run continues as production would.
+// it: the uncontested exit first (lone), then the same ready heads after
+// promotion, the same eject options, and for every output — including
+// those production finds busy or full — the same option list, the
+// production masks expanded to bit-ascending (head, slot, effects) lists.
+// It commits through the production commit functions, so the run
+// continues as production would.
 func (e *refEngine) allocateRouter(n *Network, r int) {
 	noOption := func(int, *vcSlot) option { return option{} }
 	rs := newRefState(n)
 	want := rs.gather(r)
+	if !e.noExit && e.lone(n, r, rs, want) {
+		return
+	}
 	n.promote(r)
 	var wantReady, wantEj []refOption
 	for _, req := range want {
@@ -397,8 +446,9 @@ func TestAllocatorMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if n.Counters.VCAllocs == 0 {
-				t.Fatal("no link grants: the run compared nothing")
+			if n.Counters.VCAllocs == 0 || n.loneGrants == 0 || n.loneGrants == n.Counters.SWAllocs {
+				t.Fatalf("%d link grants, %d of %d grants by the uncontested exit: a path was compared with nothing",
+					n.Counters.VCAllocs, n.loneGrants, n.Counters.SWAllocs)
 			}
 		})
 	}

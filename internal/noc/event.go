@@ -30,40 +30,16 @@ import (
 // event, and skipIdle advances the clock over provably empty cycles in
 // one jump (the idle fast-forward used by sim.RunSyntheticContext).
 type eventEngine struct {
-	size   int64 // wheel slots (power of two)
-	mask   int64 // size - 1
-	maxOff int64 // largest schedulable offset: max(MaxFlits, RouterLatency)
-
-	flights [][]flight // [cycle&mask] -> transfers landing that cycle
-	wakes   [][]int32  // [cycle&mask] -> routers with a head maturing then
-	count   int        // pending transfers across all slots
+	flightWheel
+	wakes [][]int32 // [cycle&mask] -> routers with a head maturing then
 
 	alloc bitset // routers that may have an eligible head
 	inj   bitset // routers whose injection queues may be non-empty
 }
 
-// newEventEngine sizes the wheel for cfg: every schedulable event is at
-// most max(MaxFlits, RouterLatency) cycles ahead, so a power-of-two
-// wheel strictly larger than that offset gives each pending cycle a
-// private slot.
 func newEventEngine(cfg *Config) *eventEngine {
-	maxOff := int64(cfg.MaxFlits)
-	if int64(cfg.RouterLatency) > maxOff {
-		maxOff = int64(cfg.RouterLatency)
-	}
-	size := int64(1)
-	for size <= maxOff {
-		size <<= 1
-	}
-	return &eventEngine{
-		size:    size,
-		mask:    size - 1,
-		maxOff:  maxOff,
-		flights: make([][]flight, size),
-		wakes:   make([][]int32, size),
-		alloc:   newBitset(cfg.Graph.N()),
-		inj:     newBitset(cfg.Graph.N()),
-	}
+	w, routers := newFlightWheel(cfg), cfg.Graph.N()
+	return &eventEngine{flightWheel: w, wakes: make([][]int32, w.size), alloc: newBitset(routers), inj: newBitset(routers)}
 }
 
 // step advances one cycle: fire this cycle's wheel slot (arrivals land
@@ -156,39 +132,6 @@ func (e *eventEngine) noteInject(_ *Network, router int) {
 	e.inj.set(router)
 }
 
-// inflightCount returns the number of transfers currently on links.
-func (e *eventEngine) inflightCount() int { return e.count }
-
-// eachFlight visits every pending transfer.
-func (e *eventEngine) eachFlight(fn func(f *flight)) {
-	for s := range e.flights {
-		for i := range e.flights[s] {
-			fn(&e.flights[s][i])
-		}
-	}
-}
-
-// removeFailedFlights filters every wheel slot in place, dropping
-// transfers bound for a failed link and fixing the pending count.
-func (e *eventEngine) removeFailedFlights(n *Network, down []bool) int {
-	dropped := 0
-	for s := range e.flights {
-		fl := e.flights[s]
-		out := fl[:0]
-		for _, f := range fl {
-			if !f.eject && down[f.toLink] {
-				n.dropFlight(f)
-				dropped++
-				continue
-			}
-			out = append(out, f)
-		}
-		e.flights[s] = out
-	}
-	e.count -= dropped
-	return dropped
-}
-
 // nextWorkCycle returns the earliest cycle at which stepping could have
 // any effect: now+1 while any activity bit is set (an eligible or
 // blocked head retries every cycle, and a queued injection would
@@ -229,21 +172,8 @@ func (e *eventEngine) skipIdle(n *Network, k int64) {
 // stale-clear invariant), every immature head has a pending wake, and
 // every non-empty injection queue has its router's bit set.
 func (e *eventEngine) check(n *Network) error {
-	total := 0
-	for s := range e.flights {
-		for i := range e.flights[s] {
-			f := &e.flights[s][i]
-			if f.doneAt <= n.cycle || f.doneAt > n.cycle+e.maxOff {
-				return fmt.Errorf("noc: flight of packet %d lands at %d, outside (%d,%d]", f.pkt.ID, f.doneAt, n.cycle, n.cycle+e.maxOff)
-			}
-			if f.doneAt&e.mask != int64(s) {
-				return fmt.Errorf("noc: flight of packet %d (doneAt %d) filed in wheel slot %d", f.pkt.ID, f.doneAt, s)
-			}
-		}
-		total += len(e.flights[s])
-	}
-	if total != e.count {
-		return fmt.Errorf("noc: wheel holds %d flights, count says %d", total, e.count)
+	if err := e.checkFlights(n); err != nil {
+		return err
 	}
 	if !e.alloc.sumConsistent() || !e.inj.sumConsistent() {
 		return fmt.Errorf("noc: activity bitset summary level disagrees with its words")

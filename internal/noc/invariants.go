@@ -150,11 +150,11 @@ func (n *Network) CheckInvariants() error {
 
 // checkHeadMasks recomputes the head masks, one sub-block at a time, from
 // the slots and the routing table and compares. A sending head is in no
-// mask; any other is pending or ready, never both, and pending while
-// immature. A ready head's candidates are those of the last cycle before
-// its rerouteAt (or of now, if that is earlier): no threshold lies
-// between the cycle it was routed and that one, and route must name
-// rerouteAt as the next.
+// mask and has no reroute time; any other is pending or ready, never
+// both, and pending while immature. A ready head's candidates are those
+// of the last cycle before its rerouteAt (or of now, if that is earlier):
+// no threshold lies between the cycle it was routed and that one, and
+// route must name rerouteAt as the next.
 func (n *Network) checkHeadMasks() error {
 	for r := 0; r < n.g.N(); r++ {
 		slots := (len(n.inLinks[r]) + 1) * n.vcPerPort
@@ -167,7 +167,13 @@ func (n *Network) checkHeadMasks() error {
 					want[mLocal] |= bit
 				}
 				slot := n.head(r, b)
-				if slot.pkt == nil || slot.sending {
+				if slot.pkt == nil {
+					continue
+				}
+				if slot.sending {
+					if slot.rerouteAt != never {
+						return fmt.Errorf("noc: departing head of packet %d (router %d slot %d) is still due for routing at %d", slot.pkt.ID, r, b, slot.rerouteAt)
+					}
 					continue
 				}
 				pending, ready := got[mPend]&bit != 0, got[mReady]&bit != 0

@@ -222,7 +222,8 @@ func TestSlotReusedByEjectingHead(t *testing.T) {
 }
 
 // TestWideRouterUsesSeveralWords pins the hub of alloc_ref_test's 70-port
-// case at three mask words, with heads beyond the first.
+// case at three mask words, with heads beyond the first — a lone one
+// there included.
 func TestWideRouterUsesSeveralWords(t *testing.T) {
 	n, err := New(Config{Graph: hubGraph(t, 71), VNets: 1, VCsPerVN: 2, Engine: EngineDense})
 	if err != nil {
@@ -236,5 +237,9 @@ func TestWideRouterUsesSeveralWords(t *testing.T) {
 	}
 	if n.sub(0, 2)[mPend] == 0 {
 		t.Error("the last in-link's head is not in the third word")
+	}
+	stepChecked(t, n, withRefEngine(n))
+	if n.loneGrants != 1 {
+		t.Error("the lone head in the third word did not take the uncontested exit")
 	}
 }

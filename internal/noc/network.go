@@ -17,7 +17,7 @@ import (
 // dst mirrors pkt.Dst (checked by CheckInvariants), and rerouteAt is the
 // cycle the head next needs routing: readyAt while it is pending, then
 // the cycle its candidates next change with time alone (never when they
-// do not).
+// do not, and once it is sending).
 //
 //drain:staged a slot belongs to one router's input port; parallel phases write only slots of routers their shard owns — arrivals and injections by destination router, upstream frees via per-shard staging drained for the owning shard (shardsafe)
 type vcSlot struct {
@@ -131,6 +131,9 @@ type Network struct {
 	//
 	//drain:staged indexed by router; written by promote, which parallel phases run only for routers their shard owns (shardsafe)
 	rerouteDue []int64
+	// loneGrants counts the grants made by allocateRouter's uncontested
+	// exit (tests watch it; it is not a result, so not in Counters).
+	loneGrants int64
 
 	nextID int64
 

@@ -356,6 +356,7 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 		{"free slot marked taken", func() { n.ports[n.localPort(0)].free = 0 }},
 		{"destination mirror stale", func() { n.slotOf(p).dst++ }},
 		{"sending mark dropped", func() { n.slotOf(p).sending = false }},
+		{"departing head still due for routing", func() { n.slotOf(p).rerouteAt = n.slotOf(p).readyAt }},
 		{"head state left in an empty slot", func() { n.slot(n.localPort(2), 0).readyAt = 7 }},
 		{"departing head still ready", func() { n.sub(1, 0)[mReady] |= bitOf(p) }},
 		{"departing head still on its output", func() { n.sub(1, 0)[int(n.lbase[out])+mMain] |= bitOf(p) }},

@@ -48,14 +48,9 @@ import (
 type parallelEngine struct {
 	nShards int
 
-	// Timing wheel over future events, sized exactly like the event
-	// engine's. Flights are appended only from serial contexts
-	// (allocation), so the wheel is global; wakes are per shard.
-	size    int64
-	mask    int64
-	maxOff  int64
-	flights [][]flight
-	count   int
+	// Flights are appended only from serial contexts (allocation), so
+	// the wheel is global; wakes are per shard.
+	flightWheel
 
 	shardOf []int32 // router -> owning shard
 	shards  []parShard
@@ -136,23 +131,12 @@ func newParallelEngine(cfg *Config) *parallelEngine {
 	if k > nRouters {
 		k = nRouters
 	}
-	maxOff := int64(cfg.MaxFlits)
-	if int64(cfg.RouterLatency) > maxOff {
-		maxOff = int64(cfg.RouterLatency)
-	}
-	size := int64(1)
-	for size <= maxOff {
-		size <<= 1
-	}
 	e := &parallelEngine{
-		nShards: k,
-		size:    size,
-		mask:    size - 1,
-		maxOff:  maxOff,
-		flights: make([][]flight, size),
-		shardOf: make([]int32, nRouters),
-		shards:  make([]parShard, k),
-		quit:    make(chan struct{}),
+		nShards:     k,
+		flightWheel: newFlightWheel(cfg),
+		shardOf:     make([]int32, nRouters),
+		shards:      make([]parShard, k),
+		quit:        make(chan struct{}),
 	}
 	e.inlineBelow = cfg.ParallelInline
 	if e.inlineBelow == 0 {
@@ -169,7 +153,7 @@ func newParallelEngine(cfg *Config) *parallelEngine {
 		}
 		sh.alloc = newBitset(nRouters)
 		sh.inj = newBitset(nRouters)
-		sh.wakes = make([][]int32, size)
+		sh.wakes = make([][]int32, e.size)
 		sh.upOut = make([][]upFree, k)
 	}
 	e.start = make([]chan struct{}, k-1)
@@ -472,41 +456,6 @@ func (e *parallelEngine) noteInject(_ *Network, router int) {
 	e.shards[e.shardOf[router]].inj.set(router)
 }
 
-// inflightCount returns the number of transfers currently on links.
-func (e *parallelEngine) inflightCount() int { return e.count }
-
-// eachFlight visits every pending transfer.
-func (e *parallelEngine) eachFlight(fn func(f *flight)) {
-	for s := range e.flights {
-		for i := range e.flights[s] {
-			fn(&e.flights[s][i])
-		}
-	}
-}
-
-// removeFailedFlights filters every wheel slot in place, dropping
-// transfers bound for a failed link. Runs on the stepping goroutine
-// between Steps, when the workers are parked, so no synchronization is
-// needed — a reconfiguration is a serial phase, like commits.
-func (e *parallelEngine) removeFailedFlights(n *Network, down []bool) int {
-	dropped := 0
-	for s := range e.flights {
-		fl := e.flights[s]
-		out := fl[:0]
-		for _, f := range fl {
-			if !f.eject && down[f.toLink] {
-				n.dropFlight(f)
-				dropped++
-				continue
-			}
-			out = append(out, f)
-		}
-		e.flights[s] = out
-	}
-	e.count -= dropped
-	return dropped
-}
-
 // nextWorkCycle mirrors the event engine: now+1 while any activity bit
 // is set, otherwise the earliest pending wheel event, otherwise never.
 //
@@ -556,21 +505,8 @@ func (e *parallelEngine) stop() {
 // staging buffers against a full scan (tests only; see the event
 // engine's check for the invariant statements).
 func (e *parallelEngine) check(n *Network) error {
-	total := 0
-	for s := range e.flights {
-		for i := range e.flights[s] {
-			f := &e.flights[s][i]
-			if f.doneAt <= n.cycle || f.doneAt > n.cycle+e.maxOff {
-				return fmt.Errorf("noc: flight of packet %d lands at %d, outside (%d,%d]", f.pkt.ID, f.doneAt, n.cycle, n.cycle+e.maxOff)
-			}
-			if f.doneAt&e.mask != int64(s) {
-				return fmt.Errorf("noc: flight of packet %d (doneAt %d) filed in wheel slot %d", f.pkt.ID, f.doneAt, s)
-			}
-		}
-		total += len(e.flights[s])
-	}
-	if total != e.count {
-		return fmt.Errorf("noc: wheel holds %d flights, count says %d", total, e.count)
+	if err := e.checkFlights(n); err != nil {
+		return err
 	}
 	for s := range e.shards {
 		sh := &e.shards[s]

@@ -144,7 +144,9 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 	for i := range n.vc {
 		if slot := &n.vc[i]; slot.pkt != nil {
 			slot.pkt.DownPhase = false
-			slot.rerouteAt = slot.readyAt
+			if !slot.sending {
+				slot.rerouteAt = slot.readyAt
+			}
 		}
 	}
 	for r := 0; r < n.g.N(); r++ {

@@ -183,6 +183,11 @@ func (n *Network) pushEject(router int, p *Packet) {
 // or is merely waiting to become stalled-enough to deroute keeps the
 // router in the active set.
 func (n *Network) allocateRouter(r int) (eligible, granted int) {
+	// One matured head and nothing routed needs no arbitration; if it
+	// cannot move, nothing was written or drawn and the visit goes on.
+	if b := n.loneHead(r); b >= 0 && n.grantLone(r, b) {
+		return 1, 1
+	}
 	eligible, ejecting := n.promote(r)
 	// Eject port first (it frees VCs fastest and models priority to
 	// sinking traffic), then each output link in Graph.OutLinks order.
@@ -205,6 +210,98 @@ func (n *Network) allocateRouter(r int) (eligible, granted int) {
 		}
 	}
 	return eligible, granted
+}
+
+// loneHead returns the number of router r's one pending head that has
+// matured when the router has no ready head and no second matured one
+// (immature pending heads do not count), else -1.
+func (n *Network) loneHead(r int) int {
+	lone := -1
+	for w := 0; w < n.maskW; w++ {
+		blk := n.sub(r, w)
+		if blk[mReady] != 0 {
+			return -1
+		}
+		for m := blk[mPend]; m != 0; m &= m - 1 {
+			if b := w<<6 + bits.TrailingZeros64(m); n.head(r, b).rerouteAt <= n.cycle {
+				if lone >= 0 {
+					return -1
+				}
+				lone = b
+			}
+		}
+	}
+	return lone
+}
+
+// ejectPort is loneOption's output for the eject port.
+const ejectPort = -1
+
+// loneOption decides where router r's lone head b goes this cycle from
+// the routing table and the slot masks alone: the general visit would
+// route it, offer it alone on the eject port or on each idle output it
+// names in ascending link order, and grant the first non-empty option
+// set. ok is false when it cannot move.
+func (n *Network) loneOption(r, b int) (out int, g option, ok bool) {
+	slot := n.head(r, b)
+	p := slot.pkt
+	if int(slot.dst) == r {
+		return ejectPort, option{}, n.ejectBusy[r] <= n.cycle && n.ejectSpace(r, p.Class)
+	}
+	main, esc, _ := n.candidates(r, slot, n.cycle)
+	local, base := p.inLink == LocalPort, p.VNet*n.cfg.VCsPerVN
+	// Both lists ascend by link ID (Graph.OutLinks order): merge them.
+	for i, j := 0, 0; i < len(main) || j < len(esc); {
+		inMain := j == len(esc) || i < len(main) && main[i].LinkID <= esc[j].LinkID
+		inEsc := i == len(main) || j < len(esc) && esc[j].LinkID <= main[i].LinkID
+		var mc, ec routing.Candidate
+		if inEsc {
+			ec, out, j = esc[j], esc[j].LinkID, j+1
+		}
+		if inMain {
+			mc, out, i = main[i], main[i].LinkID, i+1
+		}
+		if n.linkBusy[out] > n.cycle {
+			continue
+		}
+		// As linkOptions: slot 0 is the escape VC, reachable only via the
+		// escape path, which applies only when the non-escape path does not.
+		free := n.freeInVN(out, p.VNet)
+		viaEsc := inEsc && free&1 != 0
+		if n.cfg.PolicyEscape {
+			free &^= 1
+		}
+		viaMain := inMain && free != 0
+		if local && (viaMain || viaEsc) && !n.conservativeOK(out, p.VNet) {
+			viaMain, viaEsc = false, viaEsc && n.injectBypass(slot)
+		}
+		if viaMain {
+			return out, option{toSlot: int32(base + bits.TrailingZeros64(free)), downPhase: mc.DownPhase, productive: mc.Productive}, true
+		}
+		if viaEsc {
+			return out, option{toSlot: int32(base), setEscape: !n.cfg.NonStickyEscape, downPhase: ec.DownPhase, productive: ec.Productive}, true
+		}
+	}
+	return 0, option{}, false
+}
+
+// grantLone grants the lone head b of router r the output loneOption
+// finds, if any, drawing what arbitration draws for a one-option set. The
+// head was never routed, so its pending bit is all there is to clear.
+func (n *Network) grantLone(r, b int) bool {
+	out, g, ok := n.loneOption(r, b)
+	if !ok {
+		return false
+	}
+	n.rng.IntN(1)
+	if slot := n.head(r, b); out == ejectPort {
+		n.startEject(r, slot)
+	} else {
+		n.startLink(slot, out, g)
+	}
+	n.sub(r, b>>6)[mPend] &^= 1 << uint(b&63)
+	n.loneGrants++
+	return true
 }
 
 // named reports whether any ready head of router r names its output link
@@ -265,11 +362,26 @@ func (n *Network) promote(r int) (ready, ejecting int) {
 // does not). blk is the router's own sub-block, or CheckInvariants'
 // recomputation of it.
 func (n *Network) route(blk []uint64, r int, slot *vcSlot, at int64, bit uint64) (next int64) {
-	p, dst, waited, next := slot.pkt, int(slot.dst), at-slot.readyAt, int64(never)
-	if dst == r {
+	if int(slot.dst) == r {
 		blk[mEj] |= bit
 		return never
 	}
+	main, esc, next := n.candidates(r, slot, at)
+	n.fileUnder(blk, main, mMain, bit)
+	n.fileUnder(blk, esc, mEsc, bit)
+	if next != never {
+		blk[mTimed] |= bit
+	}
+	return next
+}
+
+// candidates returns the outputs the head in slot, at router r and bound
+// elsewhere, may take as of cycle `at` — into a non-escape VC (main) and
+// into the escape VC (esc) downstream — and when that answer next changes
+// with the passage of time alone (never if it does not). The slices are
+// the routing table's shared read-only sets.
+func (n *Network) candidates(r int, slot *vcSlot, at int64) (main, esc []routing.Candidate, next int64) {
+	p, dst, waited, next := slot.pkt, int(slot.dst), at-slot.readyAt, int64(never)
 	// A long-stalled packet on an unrestricted (adaptive) routing
 	// function may deroute over any output, including U-turns.
 	stalled := false
@@ -281,21 +393,17 @@ func (n *Network) route(blk []uint64, r int, slot *vcSlot, at int64, bit uint64)
 	// Escape discipline (paper §III-A): a packet in an escape VC may only
 	// continue on escape VCs under EscapeRouting; others may use either,
 	// the escape network only once they have stalled EscapeAfter cycles
-	// (and start their up*/down* walk fresh as they enter it). The
-	// candidate slices are the routing table's shared read-only sets.
+	// (and start their up*/down* walk fresh as they enter it).
 	escape := n.cfg.PolicyEscape
 	if !escape || !p.InEscape {
-		n.fileUnder(blk, n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled), mMain, bit)
+		main = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
 	}
 	if e := int64(n.cfg.EscapeAfter); escape && !p.InEscape && waited < e {
 		next = min(next, slot.readyAt+e)
 	} else if escape {
-		n.fileUnder(blk, n.routeCands(n.cfg.EscapeRouting, r, dst, p.DownPhase && p.InEscape, stalled), mEsc, bit)
+		esc = n.routeCands(n.cfg.EscapeRouting, r, dst, p.DownPhase && p.InEscape, stalled)
 	}
-	if next != never {
-		blk[mTimed] |= bit
-	}
-	return next
+	return main, esc, next
 }
 
 // fileUnder sets bit in the kind mask (mMain or mEsc), and in the flag
@@ -337,10 +445,15 @@ func (n *Network) buildEjectOptions(r int) (count int) {
 // router order (it consumes the shared RNG).
 func (n *Network) commitEject(r, count int) {
 	b := nthBit(n.optMain, n.rng.IntN(count))
-	slot := n.head(r, b)
-	p := slot.pkt
-	slot.sending = true
 	dropHead(n.sub(r, b>>6), 1<<uint(b&63))
+	n.startEject(r, n.head(r, b))
+}
+
+// startEject starts the transfer of the head in slot, granted router r's
+// eject port; the caller takes it out of the head masks.
+func (n *Network) startEject(r int, slot *vcSlot) {
+	p := slot.pkt
+	slot.sending, slot.rerouteAt = true, never
 	n.ejectBusy[r] = n.cycle + int64(p.Flits)
 	n.eng.addFlight(n, flight{
 		pkt: p, doneAt: n.cycle + int64(p.Flits), eject: true, toLink: -1, toRouter: int32(r),
@@ -479,10 +592,16 @@ func (n *Network) commitLinkGrant(r, out, count, productive int) {
 	}
 	b := nthBit(n.optMain, n.rng.IntN(count))
 	slot, blk := n.head(r, b), n.sub(r, b>>6)
-	p := slot.pkt
-	g := n.optionAt(blk, out, b, p)
-	slot.sending = true
+	g := n.optionAt(blk, out, b, slot.pkt)
 	dropHead(blk, 1<<uint(b&63))
+	n.startLink(slot, out, g)
+}
+
+// startLink starts the transfer of the head in slot over output link out
+// as option g has it; the caller takes it out of the head masks.
+func (n *Network) startLink(slot *vcSlot, out int, g option) {
+	p := slot.pkt
+	slot.sending, slot.rerouteAt = true, never
 	n.linkBusy[out] = n.cycle + int64(p.Flits)
 	n.ports[out].free &^= 1 << uint(g.toSlot) // reserved until the transfer lands
 	n.eng.addFlight(n, flight{

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	mrand "math/rand"
 	"math/rand/v2"
 	"testing"
@@ -347,5 +348,78 @@ func TestRemappedTableIsActiveTableInFullIDs(t *testing.T) {
 	}
 	if _, err := NewTableRemapped(full, active, 0); err == nil {
 		t.Error("an active graph with links outside the full graph should fail")
+	}
+}
+
+// TestCandidateListsAscendByLinkID pins the order noc's uncontested exit
+// merges by: every list a table hands out for arbitration — Candidates of
+// each kind and phase, AllOutputs — ascends strictly by LinkID, which is
+// Graph.OutLinks order. It holds for a table over a graph's own IDs and
+// for one remapped into the full graph's IDs after any removable edge
+// has failed.
+func TestCandidateListsAscendByLinkID(t *testing.T) {
+	check := func(t *testing.T, what string, tab *Table, routers int) {
+		t.Helper()
+		lists := 0
+		for at := 0; at < routers; at++ {
+			for dst := 0; dst < routers; dst++ {
+				for i, cands := range [][]Candidate{
+					tab.Candidates(AdaptiveMinimal, at, dst, false),
+					tab.Candidates(XY, at, dst, false),
+					tab.Candidates(UpDown, at, dst, false),
+					tab.Candidates(UpDown, at, dst, true),
+					tab.AllOutputs(at, dst),
+				} {
+					for j := 1; j < len(cands); j++ {
+						if cands[j-1].LinkID >= cands[j].LinkID {
+							t.Fatalf("%s: list %d for (%d,%d) does not ascend by link ID: %+v", what, i, at, dst, cands)
+						}
+					}
+					if len(cands) > 1 {
+						lists++
+					}
+				}
+			}
+		}
+		if lists == 0 {
+			t.Fatalf("%s: no list with two candidates", what)
+		}
+	}
+	m := topology.MustMesh(4, 4)
+	irregular, err := topology.NewRandomConnected(12, 6, testRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, full := range map[string]*topology.Graph{"mesh": m.Graph, "irregular": irregular} {
+		mesh := m
+		if full != m.Graph {
+			mesh = nil
+		}
+		check(t, name, newTable(t, full, mesh), full.N())
+		without := func(from *topology.Graph, e topology.Edge) *topology.Graph {
+			active, err := from.WithoutEdge(e.A, e.B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := NewTableRemapped(active, full, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, fmt.Sprintf("%s, %d links left, without %d-%d", name, active.NumLinks(), e.A, e.B), tab, full.N())
+			return active
+		}
+		// Every single failure, then failures piling up until only a
+		// spanning tree is left.
+		for _, e := range topology.RemovableEdges(full) {
+			without(full, e)
+		}
+		rng := testRNG(7)
+		for cur := full; ; {
+			edges := topology.RemovableEdges(cur)
+			if len(edges) == 0 {
+				break
+			}
+			cur = without(cur, edges[rng.IntN(len(edges))])
+		}
 	}
 }

@@ -11,7 +11,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sample accumulates scalar observations (latencies, hop counts).
@@ -54,7 +54,7 @@ func (s *Sample) Percentile(q float64) int64 {
 		return 0
 	}
 	if !s.sorted {
-		sort.Slice(s.vals, func(i, j int) bool { return s.vals[i] < s.vals[j] })
+		slices.Sort(s.vals)
 		s.sorted = true
 	}
 	rank := int(math.Ceil(q*float64(len(s.vals)))) - 1
