@@ -5,11 +5,11 @@ SHELL := /bin/bash
 .PHONY: check build vet lint test-race test-allocs bench bench-e2e bench-pair bench-all fuzz results clean
 
 ## check: build + vet + drainvet + race tests + the hot-path allocation
-## guard.
+## guards.
 # The race run uses -short (race instrumentation makes the simulator ~10x
-# slower); the allocation guard needs a separate non-race run because the
-# detector's bookkeeping allocations would trip it (TestStepAllocs skips
-# itself under race).
+# slower); the allocation guards need a separate non-race run because the
+# detector's bookkeeping allocations would trip them (they skip
+# themselves under race).
 check: build vet lint test-race test-allocs
 
 build:
@@ -23,7 +23,7 @@ vet:
 
 ## lint: the repo's own static analyzers over the whole module — the
 ## syntactic four (maprange, nondet, hotalloc, ctxflow) plus the
-## dataflow four (shardsafe, serialrng, keycomplete, escapecheck); see
+## dataflow two (keycomplete, escapecheck), six in all; see
 ## internal/lint and DESIGN.md §10/§13.
 lint:
 	$(GO) run ./cmd/drainvet ./...
@@ -32,11 +32,10 @@ test-race:
 	$(GO) test -race -short ./...
 
 test-allocs:
-	$(GO) test -run 'TestStepAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
+	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
-## event/dense load points, BenchmarkStepSharded's shards=N scaling on
-## the 64x64 mesh, BenchmarkStepRNG's and BenchmarkFig11RNG's
+## event/dense load points, BenchmarkStepRNG's and BenchmarkFig11RNG's
 ## rng=exact/rng=counter pairs): a look at the cycle core while working
 ## on it. Nothing is recorded — the measurement of record is bench-pair.
 bench:

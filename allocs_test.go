@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"drain/internal/noc"
 	"drain/internal/sim"
 	"drain/internal/traffic"
 )
@@ -64,6 +65,31 @@ func TestStepAllocs(t *testing.T) {
 	}
 	if allocs := stepAllocsPerCycle(t); allocs > 2 {
 		t.Errorf("Network.Step allocates %.2f times per steady-state cycle, budget is 2", allocs)
+	}
+}
+
+// TestStepWindowAllocs holds a whole measured window of the run loop —
+// BenchmarkStep's six (load, engine) runners, primed the same way, one
+// RunSynthetic window each — to the stepLoads ceilings: about 3x what the
+// pooled simulator allocates there (26-40 per window: the window's own
+// statistics), two to three orders of magnitude under what a per-packet
+// or per-cycle allocation would cost.
+func TestStepWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	for _, load := range stepLoads {
+		for _, eng := range []noc.EngineKind{noc.EngineEvent, noc.EngineDense} {
+			r, pat := primedStepRunner(t, load.rate, eng)
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, err := r.RunSynthetic(pat, load.rate, 0, stepWindow); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > load.maxAllocs {
+				t.Errorf("%s/%s: %.0f allocations in a %d-cycle window, ceiling is %.0f", load.name, eng, allocs, stepWindow, load.maxAllocs)
+			}
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"drain/internal/drainpath"
 	"drain/internal/experiments"
 	"drain/internal/noc"
-	"drain/internal/routing"
 	"drain/internal/sim"
 	"drain/internal/topology"
 	"drain/internal/traffic"
@@ -79,45 +78,59 @@ func BenchmarkFig10SaturationParallel(b *testing.B) {
 	runExperiment(b, "fig10")
 }
 
-// BenchmarkStep measures the steady-state cycle loop at three load
-// points of the paper's evaluation regime — the fig11 low-load point
-// (0.02 packets/node/cycle), a mid-load point, and the fig10 saturation
-// point (0.45) — on the 8x8 DRAIN configuration, once per engine.
-// The event/dense pairs are byte-identical runs (FuzzDenseVsEvent
-// enforces it), so the ratio is pure engine speedup.
-func BenchmarkStep(b *testing.B) {
-	loads := []struct {
-		name string
-		rate float64
-	}{
-		{"LowLoad", 0.02},
-		{"MidLoad", 0.10},
-		{"Saturation", 0.45},
+// stepLoads are the three load points of the paper's evaluation regime
+// BenchmarkStep times — the fig11 low-load point (0.02
+// packets/node/cycle), a mid-load point, and the fig10 saturation point
+// (0.45) — each with the ceiling TestStepWindowAllocs holds one window's
+// heap allocations to.
+var stepLoads = []struct {
+	name      string
+	rate      float64
+	maxAllocs float64
+}{
+	{"LowLoad", 0.02, 100},
+	{"MidLoad", 0.10, 120},
+	{"Saturation", 0.45, 150},
+}
+
+// stepWindow is the measured RunSynthetic window of BenchmarkStep, in cycles.
+const stepWindow = 5000
+
+// primedStepRunner builds the 8x8 DRAIN configuration on the given engine
+// and runs it to steady state, so the windows that follow measure the
+// loop, not the fill transient.
+func primedStepRunner(tb testing.TB, rate float64, eng noc.EngineKind) (*sim.Runner, traffic.Pattern) {
+	tb.Helper()
+	r, err := sim.Build(sim.Params{
+		Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1, Engine: eng,
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, load := range loads {
+	pat := traffic.UniformRandom{N: 64}
+	if _, err := r.RunSynthetic(pat, rate, 0, 2000); err != nil {
+		tb.Fatal(err)
+	}
+	return r, pat
+}
+
+// BenchmarkStep measures the steady-state cycle loop at the stepLoads
+// points on the 8x8 DRAIN configuration, once per engine. The event/dense
+// pairs are byte-identical runs (FuzzDenseVsEvent enforces it), so the
+// ratio is pure engine speedup.
+func BenchmarkStep(b *testing.B) {
+	for _, load := range stepLoads {
 		for _, eng := range []noc.EngineKind{noc.EngineEvent, noc.EngineDense} {
 			b.Run(load.name+"/"+eng.String(), func(b *testing.B) {
-				r, err := sim.Build(sim.Params{
-					Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1, Engine: eng,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pat := traffic.UniformRandom{N: 64}
-				// Prime to steady state so b.N windows measure the loop,
-				// not the fill transient.
-				if _, err := r.RunSynthetic(pat, load.rate, 0, 2000); err != nil {
-					b.Fatal(err)
-				}
-				const window = 5000
+				r, pat := primedStepRunner(b, load.rate, eng)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := r.RunSynthetic(pat, load.rate, 0, window); err != nil {
+					if _, err := r.RunSynthetic(pat, load.rate, 0, stepWindow); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / window
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / stepWindow
 				b.ReportMetric(ns, "ns/cycle")
 				if ns > 0 {
 					b.ReportMetric(1e9/ns, "cycles/sec")
@@ -197,54 +210,6 @@ func BenchmarkFig11RNG(b *testing.B) {
 			sim.SetDefaultRNGMode(mode)
 			defer sim.SetDefaultRNGMode(traffic.RNGExact)
 			runExperiment(b, "fig11")
-		})
-	}
-}
-
-// BenchmarkStepSharded measures the parallel engine's intra-run scaling
-// on the one-big-network case it exists for: a 64x64 mesh (4096
-// routers) under mid load, at 1, 2, 4 and 8 shards. The shards=1 point
-// doubles as the zero-overhead check against the serial engines (the
-// inline fast path makes it the event algorithm verbatim). Results are
-// byte-identical at every shard count, so the ratio to shards=1 is pure
-// engine speedup; scaling beyond 1 requires a multi-core host.
-func BenchmarkStepSharded(b *testing.B) {
-	// One routing table serves all four networks: at 4096 routers its
-	// construction dwarfs everything else in Build, and tables are
-	// immutable (sim.Params.RoutingTable).
-	mesh := topology.MustMesh(64, 64)
-	tab, err := routing.NewTable(mesh.Graph, mesh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("MidLoad/shards="+strconv.Itoa(shards), func(b *testing.B) {
-			r, err := sim.BuildOn(mesh.Graph, mesh, sim.Params{
-				Width: 64, Height: 64, Scheme: sim.SchemeDRAIN, Seed: 1,
-				InjectCap: 16, // bound queue growth; identical dynamics at every K
-				Shards:    shards, RoutingTable: tab,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			pat := traffic.UniformRandom{N: 64 * 64}
-			if _, err := r.RunSynthetic(pat, 0.10, 0, 500); err != nil {
-				b.Fatal(err)
-			}
-			const window = 400
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.RunSynthetic(pat, 0.10, 0, window); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / window
-			b.ReportMetric(ns, "ns/cycle")
-			if ns > 0 {
-				b.ReportMetric(1e9/ns, "cycles/sec")
-			}
 		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"drain/internal/experiments"
 	"drain/internal/server"
-	"drain/internal/sim"
 )
 
 func main() {
@@ -41,20 +40,17 @@ func run(args []string, stdout, stderr *os.File) int {
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job execution timeout")
 	cacheEntries := fs.Int("cache-entries", 1024, "content-addressed result cache capacity")
 	parallel := fs.Int("parallel", 1, "experiment-pool workers per job (experiments.SetParallelism)")
-	shards := fs.Int("shards", 0, "default intra-run shard count for the parallel engine (0 = serial; per-sweep \"shards\" overrides; results are identical for any value)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max time to finish jobs after SIGTERM before aborting them")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	experiments.SetParallelism(*parallel)
-	sim.SetDefaultShards(*shards)
 
 	s := server.New(server.Config{
 		QueueDepth:   *queue,
 		Workers:      *workers,
 		JobTimeout:   *jobTimeout,
 		CacheEntries: *cacheEntries,
-		Shards:       *shards,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

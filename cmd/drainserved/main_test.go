@@ -109,7 +109,9 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	if code := run([]string{"-no-such-flag"}, devnull, devnull); code != 2 {
-		t.Fatalf("run(bad flag) = %d, want 2", code)
+	for _, args := range [][]string{{"-no-such-flag"}, {"-shards", "4"}} { // -shards: removed with the engine it selected
+		if code := run(args, devnull, devnull); code != 2 {
+			t.Fatalf("run(%v) = %d, want 2", args, code)
+		}
 	}
 }

@@ -41,7 +41,6 @@ func run() int {
 	out := flag.String("out", "", "directory to write per-figure markdown files (optional)")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this JSON file")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (result tables are identical for any value)")
-	shards := flag.Int("shards", 0, "intra-run parallelism: shard every simulation's network across this many workers (0 = serial; result tables are identical for any value)")
 	rngMode := flag.String("rng-mode", "exact", "synthetic-traffic RNG discipline: exact (byte-reproducible) or counter (statistically equivalent, much faster at low load; changes result tables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -56,7 +55,6 @@ func run() int {
 	}
 
 	experiments.SetParallelism(*parallel)
-	sim.SetDefaultShards(*shards)
 	mode, err := traffic.ParseRNGMode(*rngMode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: bad -rng-mode: %v\n", err)

@@ -8,13 +8,12 @@ import (
 )
 
 // This file is the reachability substrate shared by the effect analyzers
-// (hotalloc, shardsafe, serialrng, escapecheck): a module-wide index from
-// function objects to their declarations, root matching against
-// "pkgsuffix.Type.Method" specs and //drain: directives, and a BFS over
-// static call edges. Dynamic calls (func values, interface methods) are
-// not followed anywhere — the repo's convention is that hot and
-// parallel-phase dispatch stays static, with the engine seam's dynamic
-// edges re-rooted explicitly via directives.
+// (hotalloc, escapecheck): a module-wide index from function objects to
+// their declarations, root matching against "pkgsuffix.Type.Method" specs
+// and //drain: directives, and a BFS over static call edges. Dynamic
+// calls (func values, interface methods) are not followed anywhere — the
+// repo's convention is that hot dispatch stays static, with the engine
+// seam's dynamic edges re-rooted explicitly via directives.
 
 // declInfo ties a function object to its declaration, package and the
 // declaring file's directives.

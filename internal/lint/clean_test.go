@@ -10,8 +10,8 @@ import (
 // asserts zero findings. This is the tier-1 guarantee that the
 // deterministic packages stay free of nondeterminism, hot-path
 // allocations, unordered map iteration and uncancellable entry points,
-// and that the parallel-engine and cache-key contracts (shardsafe,
-// serialrng, keycomplete, escapecheck) hold module-wide.
+// and that the cache-key and escape-analysis contracts (keycomplete,
+// escapecheck) hold module-wide.
 //
 // Each analyzer runs separately under a wall-clock budget
 // (DRAINVET_ANALYZER_BUDGET, a time.Duration, default 120s) so a

@@ -1,8 +1,8 @@
 // Package lint implements drainvet, the simulator's custom static
-// analysis. Eight analyzers enforce, at build time, the invariants the
+// analysis. Six analyzers enforce, at build time, the invariants the
 // evaluation depends on at run time.
 //
-// The syntactic four (PR 4):
+// The syntactic four:
 //
 //   - maprange: no order-dependent iteration over maps in the
 //     deterministic packages (Go randomizes map order per run; anything
@@ -18,15 +18,8 @@
 //     context is stored in a struct field, and simulation loops inside
 //     ctx-taking functions actually consult their ctx.
 //
-// The dataflow/effects four (this PR; DESIGN.md §13):
+// The dataflow/effects two (DESIGN.md §13):
 //
-//   - shardsafe: the write-set of every function reachable from the
-//     sharded engine's parallel phases stays inside the goroutine's
-//     frame or lands in //drain:staged state (the byte-identity
-//     partition argument, checked).
-//   - serialrng: no RNG draw is reachable from a parallel phase; draws
-//     stay on the serial commit path, keeping the draw sequence
-//     shard-count independent.
 //   - keycomplete: every field of the cache-key structs (sim.Params,
 //     server.canonical) is classified — serialized into the key or
 //     `json:"-"` plus //drain:cachekey-exempt — and every server
@@ -57,13 +50,6 @@
 //	                                the struct is a queue/message
 //	                                carrier moving a request-scoped ctx
 //	                                between goroutines
-//	//drain:parallelphase <reason>  on a function: extra parallel-phase
-//	                                root for shardsafe/serialrng
-//	//drain:staged <reason>         on a type or struct field: staging
-//	                                or partitioned state parallel phases
-//	                                may write (the reason must say why
-//	                                concurrent shard writes cannot race
-//	                                or reorder observably)
 //	//drain:cachekey-exempt <reason> on a struct field of a cache-key
 //	                                struct: excluded from the key
 //	                                because it changes only performance,
@@ -103,7 +89,7 @@ type Analyzer struct {
 	Run  func(c *Config, pkgs []*Package) []Finding
 }
 
-// Analyzers returns all eight analyzers in stable order.
+// Analyzers returns all six analyzers in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		{
@@ -127,16 +113,6 @@ func Analyzers() []*Analyzer {
 			Run:  runCtxFlow,
 		},
 		{
-			Name: "shardsafe",
-			Doc:  "parallel-phase write-sets confined to shard-local or //drain:staged state",
-			Run:  runShardSafe,
-		},
-		{
-			Name: "serialrng",
-			Doc:  "no RNG draw reachable from a parallel phase (draws stay on the serial commit path)",
-			Run:  runSerialRNG,
-		},
-		{
 			Name: "keycomplete",
 			Doc:  "cache-key structs fully classified; request fields all consumed by canonicalization",
 			Run:  runKeyComplete,
@@ -158,16 +134,6 @@ type Config struct {
 	// HotRoots names the hot-path roots as "pkgsuffix.Type.Method" or
 	// "pkgsuffix.Func"; //drain:hotpath directives add more.
 	HotRoots []string
-	// ParallelPhaseRoots names the functions that run concurrently on the
-	// sharded engine's worker pool (same spec syntax as HotRoots);
-	// //drain:parallelphase directives add more. shardsafe and serialrng
-	// analyze everything statically reachable from them.
-	ParallelPhaseRoots []string
-	// RNGDrawFuncs names the repo's own randomness-drawing primitives
-	// beyond the rand packages themselves (the counter-stream sampler,
-	// the emit-time reseed); serialrng treats a call to any of them as a
-	// draw.
-	RNGDrawFuncs []string
 	// KeyStructs names the structs ("pkgsuffix.Type") whose JSON encoding
 	// is a cache-key preimage; keycomplete requires every field to be
 	// serialized or //drain:cachekey-exempt.
@@ -226,24 +192,6 @@ func DefaultConfig() *Config {
 			"internal/noc.Network.NewPacket",
 			"internal/noc.Network.ReleasePacket",
 		},
-		// The four phase bodies the sharded engine fans across its worker
-		// pool (parallel.go runShardPhase); everything else the engine does
-		// — commits, wakes, reduces — runs on the stepping goroutine.
-		ParallelPhaseRoots: []string{
-			"internal/noc.parallelEngine.landArrivals",
-			"internal/noc.parallelEngine.applyUpFrees",
-			"internal/noc.parallelEngine.planShard",
-			"internal/noc.parallelEngine.injectShard",
-		},
-		// The traffic generator's draw primitives: the per-packet gap
-		// sampler, the counter-stream draw, and emit (which reseeds the
-		// derived stream in counter mode and draws destinations in both).
-		RNGDrawFuncs: []string{
-			"internal/traffic.Generator.gapAfter",
-			"internal/traffic.Generator.counterDraw",
-			"internal/traffic.Generator.emit",
-			"internal/traffic.Generator.reschedule",
-		},
 		// The two structs whose JSON encodings feed the server's SHA-256
 		// content address (request.go Key).
 		KeyStructs: []string{
@@ -274,7 +222,7 @@ func (c *Config) isDeterministic(importPath string) bool {
 	return false
 }
 
-// Analyze runs the given analyzers (all four when names is empty) and
+// Analyze runs the given analyzers (all of them when names is empty) and
 // returns the findings sorted by position.
 func Analyze(c *Config, pkgs []*Package, names ...string) []Finding {
 	enabled := map[string]bool{}

@@ -37,16 +37,13 @@ func TestFixtures(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			// Fixtures are not in the production deterministic set; put
-			// them in scope explicitly. Hot roots come from //drain:hotpath
-			// and parallel-phase roots from //drain:parallelphase, so those
-			// analyzers self-root; the struct- and primitive-matching
-			// configs must point at fixture declarations instead.
+			// them in scope explicitly. Hot roots come from //drain:hotpath,
+			// so hotalloc self-roots; the type- and struct-matching configs
+			// must point at fixture declarations instead.
 			cfg.DeterministicPkgs = []string{dir + "/a"}
 			switch a.Name {
 			case "hotalloc":
 				cfg.PooledTypes = []string{"a.token"}
-			case "serialrng":
-				cfg.RNGDrawFuncs = []string{"a.gen.draw"}
 			case "keycomplete":
 				cfg.KeyStructs = []string{"a.Params"}
 				cfg.RequestStructs = []string{"a.Request"}

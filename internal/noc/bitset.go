@@ -11,16 +11,13 @@ import "math/bits"
 // be consumed in a different sequence.
 //
 // Above one word the set is two-level: sum is a summary word whose bit
-// w is set iff words[w] != 0, so iteration (nextWord), emptiness (any)
-// and population (count) skip empty 64-router blocks instead of
-// scanning them. That is the per-router idle-skipping worklist: on a
-// 64x64 mesh a mostly-idle engine touches only the summary word plus
-// the few words that actually hold active routers. Small domains
-// (len(words) == 1, e.g. an 8x8 mesh or one shard's slice of it) keep
-// sum nil and fall back to the dense single-word scan — the structural
-// "density threshold": a one-word domain is its own summary.
-//
-//drain:staged every parallel-phase bitset is a per-shard instance (parShard.alloc/inj) in which only bits of the shard's own [lo,hi) router range are ever set or cleared (shardsafe)
+// w is set iff words[w] != 0, so iteration (nextWord) and emptiness
+// (any) skip empty 64-router blocks instead of scanning them. That is
+// the per-router idle-skipping worklist: on a 64x64 mesh a mostly-idle
+// engine touches only the summary word plus the few words that actually
+// hold active routers. Small domains (len(words) == 1, e.g. an 8x8
+// mesh) keep sum nil and fall back to the dense single-word scan — the
+// structural "density threshold": a one-word domain is its own summary.
 type bitset struct {
 	words []uint64
 	sum   []uint64 // summary: bit w set iff words[w] != 0; nil when len(words) < 2
@@ -114,15 +111,6 @@ func (b *bitset) any() bool {
 		}
 	}
 	return false
-}
-
-// count returns the number of elements in the set.
-func (b *bitset) count() int {
-	c := 0
-	for w := b.nextWord(-1); w >= 0; w = b.nextWord(w) {
-		c += bits.OnesCount64(b.words[w])
-	}
-	return c
 }
 
 // sumConsistent reports whether the summary level matches the words —

@@ -1,7 +1,5 @@
 package noc
 
-import "fmt"
-
 // EngineKind selects the cycle-core implementation behind Network.Step.
 type EngineKind int
 
@@ -16,23 +14,12 @@ const (
 	// injection queues. Kept behind the engine seam as the differential
 	// oracle for the event core (see FuzzDenseVsEvent).
 	EngineDense
-	// EngineParallel is the sharded cycle core: routers are partitioned
-	// into Config.Shards contiguous shards and each cycle's phases
-	// (arrival, allocation planning, injection) run on a fixed worker
-	// pool with per-phase barriers, while every randomized decision
-	// commits serially in ascending router order. Byte-identical to the
-	// other engines for every shard count — see DESIGN.md §"Sharded
-	// parallel engine".
-	EngineParallel
 )
 
 // String implements fmt.Stringer (benchmark sub-names use it).
 func (k EngineKind) String() string {
-	switch k {
-	case EngineDense:
+	if k == EngineDense {
 		return "dense"
-	case EngineParallel:
-		return "parallel"
 	}
 	return "event"
 }
@@ -86,96 +73,13 @@ type engine interface {
 	// check validates engine-internal invariants against a full scan of
 	// the network state (tests only).
 	check(n *Network) error
-	// stop releases engine-owned resources (the parallel engine's worker
-	// goroutines); idempotent, no-op for the other engines. A stopped
-	// parallel engine keeps working through its inline serial path.
-	stop()
 }
 
-// newEngine constructs the engine selected by cfg.Engine.
+// newEngine constructs the engine selected by cfg.Engine (which Validate
+// has held to the two values above).
 func newEngine(cfg *Config) engine {
-	switch cfg.Engine {
-	case EngineDense:
+	if cfg.Engine == EngineDense {
 		return &denseEngine{}
-	case EngineParallel:
-		return newParallelEngine(cfg)
 	}
 	return newEventEngine(cfg)
-}
-
-// flightWheel is the timing wheel of pending transfers the event and
-// parallel engines share: a power-of-two number of slots strictly larger
-// than maxOff = max(MaxFlits, RouterLatency), the furthest any event is
-// scheduled ahead, so each pending cycle has a private slot. A slot holds
-// the transfers landing that cycle in creation order — the order the
-// dense engine's inflights scan lands them.
-type flightWheel struct {
-	size, mask, maxOff int64
-	flights            [][]flight // [cycle&mask] -> transfers landing that cycle
-	count              int        // pending transfers across all slots
-}
-
-func newFlightWheel(cfg *Config) flightWheel {
-	w := flightWheel{maxOff: int64(max(cfg.MaxFlits, cfg.RouterLatency)), size: 1}
-	for w.size <= w.maxOff {
-		w.size <<= 1
-	}
-	w.mask, w.flights = w.size-1, make([][]flight, w.size)
-	return w
-}
-
-// inflightCount returns the number of transfers currently on links.
-func (w *flightWheel) inflightCount() int { return w.count }
-
-// eachFlight visits every pending transfer.
-func (w *flightWheel) eachFlight(fn func(f *flight)) {
-	for s := range w.flights {
-		for i := range w.flights[s] {
-			fn(&w.flights[s][i])
-		}
-	}
-}
-
-// removeFailedFlights filters every wheel slot in place, dropping
-// transfers bound for a failed link and fixing the pending count. It runs
-// on the stepping goroutine between Steps (the parallel engine's workers
-// are parked then: a reconfiguration is a serial phase, like commits).
-func (w *flightWheel) removeFailedFlights(n *Network, down []bool) int {
-	dropped := 0
-	for s, fl := range w.flights {
-		out := fl[:0]
-		for _, f := range fl {
-			if !f.eject && down[f.toLink] {
-				n.dropFlight(f)
-				dropped++
-				continue
-			}
-			out = append(out, f)
-		}
-		w.flights[s] = out
-	}
-	w.count -= dropped
-	return dropped
-}
-
-// checkFlights validates the wheel against a full scan: flights sit in
-// the right slot within the horizon, and the count agrees.
-func (w *flightWheel) checkFlights(n *Network) error {
-	total := 0
-	for s := range w.flights {
-		for i := range w.flights[s] {
-			f := &w.flights[s][i]
-			if f.doneAt <= n.cycle || f.doneAt > n.cycle+w.maxOff {
-				return fmt.Errorf("noc: flight of packet %d lands at %d, outside (%d,%d]", f.pkt.ID, f.doneAt, n.cycle, n.cycle+w.maxOff)
-			}
-			if f.doneAt&w.mask != int64(s) {
-				return fmt.Errorf("noc: flight of packet %d (doneAt %d) filed in wheel slot %d", f.pkt.ID, f.doneAt, s)
-			}
-		}
-		total += len(w.flights[s])
-	}
-	if total != w.count {
-		return fmt.Errorf("noc: wheel holds %d flights, count says %d", total, w.count)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // eventEngine is the event-driven cycle core. Three structures replace
@@ -30,16 +31,27 @@ import (
 // event, and skipIdle advances the clock over provably empty cycles in
 // one jump (the idle fast-forward used by sim.RunSyntheticContext).
 type eventEngine struct {
-	flightWheel
-	wakes [][]int32 // [cycle&mask] -> routers with a head maturing then
+	// The wheel has a power-of-two number of slots strictly larger than
+	// maxOff = max(MaxFlits, RouterLatency), the furthest any event is
+	// scheduled ahead, so each pending cycle has a private slot.
+	size, mask, maxOff int64
+	flights            [][]flight // [cycle&mask] -> transfers landing that cycle
+	wakes              [][]int32  // [cycle&mask] -> routers with a head maturing then
+	count              int        // pending transfers across all slots
 
 	alloc bitset // routers that may have an eligible head
 	inj   bitset // routers whose injection queues may be non-empty
 }
 
 func newEventEngine(cfg *Config) *eventEngine {
-	w, routers := newFlightWheel(cfg), cfg.Graph.N()
-	return &eventEngine{flightWheel: w, wakes: make([][]int32, w.size), alloc: newBitset(routers), inj: newBitset(routers)}
+	e := &eventEngine{maxOff: int64(max(cfg.MaxFlits, cfg.RouterLatency)), size: 1}
+	for e.size <= e.maxOff {
+		e.size <<= 1
+	}
+	e.mask = e.size - 1
+	e.flights, e.wakes = make([][]flight, e.size), make([][]int32, e.size)
+	e.alloc, e.inj = newBitset(cfg.Graph.N()), newBitset(cfg.Graph.N())
+	return e
 }
 
 // step advances one cycle: fire this cycle's wheel slot (arrivals land
@@ -132,6 +144,38 @@ func (e *eventEngine) noteInject(_ *Network, router int) {
 	e.inj.set(router)
 }
 
+// inflightCount returns the number of transfers currently on links.
+func (e *eventEngine) inflightCount() int { return e.count }
+
+// eachFlight visits every pending transfer.
+func (e *eventEngine) eachFlight(fn func(f *flight)) {
+	for s := range e.flights {
+		for i := range e.flights[s] {
+			fn(&e.flights[s][i])
+		}
+	}
+}
+
+// removeFailedFlights filters every wheel slot in place, dropping
+// transfers bound for a failed link and fixing the pending count.
+func (e *eventEngine) removeFailedFlights(n *Network, down []bool) int {
+	dropped := 0
+	for s, fl := range e.flights {
+		out := fl[:0]
+		for _, f := range fl {
+			if !f.eject && down[f.toLink] {
+				n.dropFlight(f)
+				dropped++
+				continue
+			}
+			out = append(out, f)
+		}
+		e.flights[s] = out
+	}
+	e.count -= dropped
+	return dropped
+}
+
 // nextWorkCycle returns the earliest cycle at which stepping could have
 // any effect: now+1 while any activity bit is set (an eligible or
 // blocked head retries every cycle, and a queued injection would
@@ -172,14 +216,41 @@ func (e *eventEngine) skipIdle(n *Network, k int64) {
 // stale-clear invariant), every immature head has a pending wake, and
 // every non-empty injection queue has its router's bit set.
 func (e *eventEngine) check(n *Network) error {
-	if err := e.checkFlights(n); err != nil {
-		return err
+	total := 0
+	for s := range e.flights {
+		for i := range e.flights[s] {
+			f := &e.flights[s][i]
+			if f.doneAt <= n.cycle || f.doneAt > n.cycle+e.maxOff {
+				return fmt.Errorf("noc: flight of packet %d lands at %d, outside (%d,%d]", f.pkt.ID, f.doneAt, n.cycle, n.cycle+e.maxOff)
+			}
+			if f.doneAt&e.mask != int64(s) {
+				return fmt.Errorf("noc: flight of packet %d (doneAt %d) filed in wheel slot %d", f.pkt.ID, f.doneAt, s)
+			}
+		}
+		total += len(e.flights[s])
+	}
+	if total != e.count {
+		return fmt.Errorf("noc: wheel holds %d flights, count says %d", total, e.count)
 	}
 	if !e.alloc.sumConsistent() || !e.inj.sumConsistent() {
 		return fmt.Errorf("noc: activity bitset summary level disagrees with its words")
 	}
 	if err := n.eachSlot(func(r, _, _ int, s *vcSlot) error {
-		return headArmed(n, r, s, &e.alloc, e.wakes, e.mask, e.maxOff)
+		switch {
+		case s.sending: // departing heads need neither bit nor wake
+			return nil
+		case s.readyAt <= n.cycle:
+			if !e.alloc.get(r) {
+				return fmt.Errorf("noc: eligible head (packet %d) at router %d but activity bit clear", s.pkt.ID, r)
+			}
+			return nil
+		case s.readyAt > n.cycle+e.maxOff:
+			return fmt.Errorf("noc: packet %d matures at %d, beyond the wheel horizon %d", s.pkt.ID, s.readyAt, n.cycle+e.maxOff)
+		}
+		if !slices.Contains(e.wakes[s.readyAt&e.mask], int32(r)) {
+			return fmt.Errorf("noc: immature head (packet %d) at router %d has no wake at cycle %d", s.pkt.ID, r, s.readyAt)
+		}
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -190,31 +261,3 @@ func (e *eventEngine) check(n *Network) error {
 	}
 	return nil
 }
-
-// headArmed checks the never-stale-clear invariant for one occupied slot
-// of router r against the activity bitmap and wake wheel that own r: an
-// eligible head has its router's bit set, an immature one a pending wake
-// within the wheel horizon. Departing heads need neither.
-func headArmed(n *Network, r int, s *vcSlot, alloc *bitset, wakes [][]int32, mask, maxOff int64) error {
-	if s.sending {
-		return nil
-	}
-	if s.readyAt <= n.cycle {
-		if !alloc.get(r) {
-			return fmt.Errorf("noc: eligible head (packet %d) at router %d but activity bit clear", s.pkt.ID, r)
-		}
-		return nil
-	}
-	if s.readyAt > n.cycle+maxOff {
-		return fmt.Errorf("noc: packet %d matures at %d, beyond the wheel horizon %d", s.pkt.ID, s.readyAt, n.cycle+maxOff)
-	}
-	for _, wr := range wakes[s.readyAt&mask] {
-		if int(wr) == r {
-			return nil
-		}
-	}
-	return fmt.Errorf("noc: immature head (packet %d) at router %d has no wake at cycle %d", s.pkt.ID, r, s.readyAt)
-}
-
-// stop is a no-op: the event engine owns no resources.
-func (e *eventEngine) stop() {}

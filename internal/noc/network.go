@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"runtime"
 
 	"drain/internal/routing"
 	"drain/internal/topology"
@@ -18,8 +17,6 @@ import (
 // cycle the head next needs routing: readyAt while it is pending, then
 // the cycle its candidates next change with time alone (never when they
 // do not, and once it is sending).
-//
-//drain:staged a slot belongs to one router's input port; parallel phases write only slots of routers their shard owns — arrivals and injections by destination router, upstream frees via per-shard staging drained for the owning shard (shardsafe)
 type vcSlot struct {
 	pkt       *Packet
 	readyAt   int64
@@ -35,8 +32,6 @@ type vcSlot struct {
 // the port's slot 0: its index in Network.vc and its number at its
 // router (constants, kept here because every slot access has the port's
 // masks in hand).
-//
-//drain:staged a port belongs to one router: arrivals, injections and upstream frees touch only ports of routers the running shard owns; reservations are made by the serial commit (shardsafe)
 type portMask struct {
 	occ, free   uint64
 	first, bit0 int32
@@ -115,10 +110,7 @@ type Network struct {
 	// masks of each of its outputs, link l's at lbase[l]. heads[r] is the
 	// index in vc of router r's slot 0. vnBits has, per virtual network,
 	// the mask of that VN's slots at any router. optMain/optEsc are the
-	// arbitration scratch (serial: the parallel engine arbitrates in its
-	// serial commit).
-	//
-	//drain:staged a sub-block belongs to one router: occupy, vacate and promote touch only those of routers the running shard owns (arrivals and injections by destination router, upstream frees drained by the owning shard, promotion over the shard's own activity bits); grants edit them in the serial commit (shardsafe)
+	// arbitration scratch.
 	subs    [][]uint64
 	maskW   int
 	heads   []int32
@@ -128,8 +120,6 @@ type Network struct {
 	optEsc  []uint64
 	// rerouteDue[r] is a lower bound on the rerouteAt of router r's ready
 	// heads: before that cycle promote need not look at them.
-	//
-	//drain:staged indexed by router; written by promote, which parallel phases run only for routers their shard owns (shardsafe)
 	rerouteDue []int64
 	// loneGrants counts the grants made by allocateRouter's uncontested
 	// exit (tests watch it; it is not a result, so not in Counters).
@@ -223,23 +213,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		n.Counters.vnRouterLastActive[vn] = row
 	}
-	if cfg.Engine == EngineParallel {
-		// Safety net for leaked networks (e.g. the per-rate runners of a
-		// load sweep): the worker goroutines do not retain the Network, so
-		// an unreachable Network is collectable, and the finalizer stops
-		// its pool. Explicit Close remains the deterministic path.
-		runtime.SetFinalizer(n, (*Network).Close)
-	}
 	return n, nil
-}
-
-// Close releases resources owned by the cycle engine — for the parallel
-// engine, its worker goroutines. Idempotent, and a no-op for the event
-// and dense engines. The network remains usable afterwards: a stopped
-// parallel engine steps through its inline serial path, still
-// byte-identical.
-func (n *Network) Close() {
-	n.eng.stop()
 }
 
 // Config returns the network's (validated) configuration.

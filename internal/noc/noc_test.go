@@ -296,6 +296,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Graph: g, VNets: 5, VCsPerVN: 13, Classes: 5}); err == nil {
 		t.Error("65 VCs per port should fail")
 	}
+	// Only the two engines exist; a stale value must not mean "event".
+	for _, k := range []EngineKind{EngineDense + 1, -1} {
+		if _, err := New(Config{Graph: g, Engine: k}); err == nil {
+			t.Errorf("Engine %d should fail", int(k))
+		}
+	}
 }
 
 // TestCheckInvariantsCoversDerivedVCState corrupts, one at a time, each

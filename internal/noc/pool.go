@@ -9,17 +9,13 @@ package noc
 // allocation) behavior scheduling-dependent, while this list is a plain
 // slice whose state is a pure function of the simulation history.
 //
-// Determinism across engines and shard counts: every pool operation
-// happens in a serial context — packet creation (traffic generators,
-// coherence controllers) and driver-side consumption (DiscardEjected,
-// PopEjected) run between Steps, and the fault-drop paths (Reconfigure,
-// dropFlight) are serial phases even under EngineParallel, whose worker
-// phases never create or retire packets. So a single free-list needs no
-// per-shard splitting and refills in exactly the serial engines' order
-// for every K; and since no observable output depends on *which* struct
-// backs a packet (all outputs are field values, never pointer
-// identities), reuse cannot perturb byte-identity. DESIGN.md §14 has
-// the full ownership argument.
+// Determinism across engines: packet creation (traffic generators,
+// coherence controllers), driver-side consumption (DiscardEjected,
+// PopEjected) and the fault-drop paths (Reconfigure, dropFlight) all run
+// between Steps, in an order the engine does not influence; and since no
+// observable output depends on *which* struct backs a packet (all
+// outputs are field values, never pointer identities), reuse cannot
+// perturb byte-identity. DESIGN.md §14 has the full ownership argument.
 
 // ReleasePacket returns p to the network's free-list for reuse by a
 // future NewPacket. The caller must own p outright — popped from an

@@ -66,11 +66,10 @@ var (
 //     up*/down* numbering changed wholesale, so the walk restarts (the
 //     same rule DrainRotate applies per forced hop).
 //
-// Reconfigure must run between Steps (for EngineParallel the workers are
-// parked then, making the reconfiguration a naturally serial phase). The
-// caller recomputes the drain path separately (core.Controller.
-// Reconfigure). The reconfig path performs no heap allocation — it runs
-// mid-simulation and is a hotalloc root (see internal/lint).
+// Reconfigure must run between Steps. The caller recomputes the drain
+// path separately (core.Controller.Reconfigure). The reconfig path
+// performs no heap allocation — it runs mid-simulation and is a hotalloc
+// root (see internal/lint).
 func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (ReconfigReport, error) {
 	var rep ReconfigReport
 	if tab == nil {
@@ -180,7 +179,7 @@ func clearFlightDownPhase(f *flight) { f.downPhase = false }
 // internal flight order.
 func (n *Network) dropFlight(f flight) {
 	p := f.pkt
-	n.freeUpstream(p.inLink, p.atRouter, p.slot, int64(p.Flits), &n.Counters)
+	n.freeUpstream(p)
 	n.ports[f.toLink].free |= 1 << uint(f.toSlot)
 	n.Counters.FaultDrops++
 	n.ReleasePacket(p)

@@ -104,41 +104,30 @@ func dropHead(blk []uint64, bit uint64) {
 // Step advances the network by one cycle: completes arrivals, performs
 // switch/VC allocation (unless frozen), and moves injection-queue heads
 // into free local VCs. The caller consumes ejection queues afterwards.
-// The cycle body is dispatched through the configured engine (event,
-// dense, or parallel); all drive the same mutation paths below and are
-// byte-identical — see DESIGN.md §"Event-driven core" and §"Sharded
-// parallel engine".
+// The cycle body is dispatched through the configured engine (event or
+// dense); both drive the same mutation paths below and are
+// byte-identical — see DESIGN.md §"Event-driven core".
 func (n *Network) Step() {
 	n.cycle++
 	n.noteCycles(1)
 	n.eng.step(n)
 }
 
+// freeUpstream releases the input VC slot the departed packet p still
+// names as its position.
+func (n *Network) freeUpstream(p *Packet) {
+	n.vacate(n.portOf(p.inLink, p.atRouter), p.slot)
+	n.Counters.BufReads += int64(p.Flits)
+}
+
 // land applies the effects of a completed transfer.
 func (n *Network) land(f flight) {
 	p := f.pkt
-	n.freeUpstream(p.inLink, p.atRouter, p.slot, int64(p.Flits), &n.Counters)
+	n.freeUpstream(p)
 	if f.eject {
 		n.pushEject(int(f.toRouter), p)
 		return
 	}
-	n.landArrive(f, &n.Counters)
-}
-
-// freeUpstream releases the input VC slot a departed packet occupied.
-// The position is passed explicitly (not read from the packet) because
-// the parallel engine applies the release after the arrival side has
-// already overwritten the packet's position fields.
-func (n *Network) freeUpstream(inLink, router, slot int, flits int64, ctr *Counters) {
-	n.vacate(n.portOf(inLink, router), slot)
-	ctr.BufReads += flits
-}
-
-// landArrive applies the downstream (destination-router) effects of a
-// completed non-eject transfer. Counter increments go to ctr so the
-// parallel engine can stage them per shard.
-func (n *Network) landArrive(f flight, ctr *Counters) {
-	p := f.pkt
 	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	toRouter := int(f.toRouter)
 	n.occupy(toRouter, int(f.toLink), int(f.toSlot), p, readyAt)
@@ -152,12 +141,12 @@ func (n *Network) landArrive(f flight, ctr *Counters) {
 	p.DownPhase = f.downPhase
 	if !f.productive {
 		p.Misroutes++
-		ctr.Misroutes++
+		n.Counters.Misroutes++
 	}
-	ctr.Hops++
-	ctr.LinkFlits += int64(p.Flits)
-	ctr.BufWrites += int64(p.Flits)
-	ctr.noteVNActivity(p.VNet, toRouter, n.cycle, int64(p.Flits))
+	n.Counters.Hops++
+	n.Counters.LinkFlits += int64(p.Flits)
+	n.Counters.BufWrites += int64(p.Flits)
+	n.Counters.noteVNActivity(p.VNet, toRouter, n.cycle, int64(p.Flits))
 	n.eng.placed(n, toRouter, readyAt)
 }
 
@@ -319,9 +308,7 @@ func (n *Network) named(r, out int) bool {
 // ready heads it then has, and how many of those are at their
 // destination: pending heads that have matured are routed — the one
 // candidate lookup of their stay — and become ready, and ready heads
-// crossing a DerouteAfter/EscapeAfter threshold are routed again. It
-// writes only r's sub-blocks and r's own slots, so the parallel engine
-// promotes routers concurrently.
+// crossing a DerouteAfter/EscapeAfter threshold are routed again.
 func (n *Network) promote(r int) (ready, ejecting int) {
 	due := n.rerouteDue[r] <= n.cycle // else no routed head has a threshold to cross yet
 	next := int64(never)
@@ -662,18 +649,7 @@ func (n *Network) injectFromQueues() {
 // heads into a free local VC, reporting whether any queue at r is still
 // non-empty afterwards. Injection draws no randomness, so the engines
 // can call it on any superset of the routers with queued packets.
-func (n *Network) injectRouterQueues(r int) bool {
-	pending, emptied := n.injectRouterQueuesInto(r, &n.Counters)
-	n.injPending -= emptied
-	return pending
-}
-
-// injectRouterQueuesInto is injectRouterQueues with the side effects the
-// parallel engine must stage per shard made explicit: counter
-// increments go to ctr, and the number of queues drained to empty is
-// returned instead of applied to n.injPending (the caller reduces the
-// deltas in deterministic shard order).
-func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, emptied int) {
+func (n *Network) injectRouterQueues(r int) (pending bool) {
 	for class := 0; class < n.cfg.Classes; class++ {
 		q := &n.injQ[r][class]
 		p := q.Peek()
@@ -687,7 +663,7 @@ func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, em
 		}
 		q.Pop()
 		if q.Len() == 0 {
-			emptied++
+			n.injPending--
 		} else {
 			pending = true
 		}
@@ -700,12 +676,12 @@ func (n *Network) injectRouterQueuesInto(r int, ctr *Counters) (pending bool, em
 		if escape && !n.cfg.NonStickyEscape {
 			p.InEscape = true
 		}
-		ctr.Injected++
-		ctr.BufWrites += int64(p.Flits)
-		ctr.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
+		n.Counters.Injected++
+		n.Counters.BufWrites += int64(p.Flits)
+		n.Counters.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
 		n.eng.placed(n, r, readyAt)
 	}
-	return pending, emptied
+	return pending
 }
 
 // freeLocalSlot picks a free local VC in vn, preferring non-escape slots.

@@ -52,15 +52,9 @@ func executeFigure(ctx context.Context, c canonical) ([]experiments.Table, strin
 }
 
 // executeSweep runs a load sweep (the service form of cmd/drainsim
-// -sweep) and renders it as one table. The shard count is applied here,
-// after the cache key was taken: it changes only how fast the sweep
-// computes, and the rendered bytes stay identical for every value.
+// -sweep) and renders it as one table.
 func executeSweep(ctx context.Context, c canonical) ([]experiments.Table, string, error) {
-	params := c.Params
-	if c.Shards > 0 {
-		params.Shards = c.Shards
-	}
-	curve, err := sim.LoadSweepContext(ctx, params, c.Pattern, c.Rates, c.Warmup, c.Measure)
+	curve, err := sim.LoadSweepContext(ctx, c.Params, c.Pattern, c.Rates, c.Warmup, c.Measure)
 	if err != nil {
 		return nil, "", err
 	}

@@ -55,27 +55,19 @@ type Request struct {
 
 	// FaultSchedule lists live topology changes (link failures and
 	// recoveries) applied mid-run at the scheduled cycles; see
-	// sim.FaultEvent. Unlike Shards, a schedule changes what the sweep
-	// computes, so it IS part of the cache key (it rides inside the
-	// canonical form's embedded sim.Params).
+	// sim.FaultEvent. A schedule changes what the sweep computes, so it
+	// IS part of the cache key (it rides inside the canonical form's
+	// embedded sim.Params).
 	FaultSchedule []sim.FaultEvent `json:"fault_schedule,omitempty"`
-
-	// Shards runs the sweep's simulations on the sharded parallel engine
-	// with that many shards (0 = the server's -shards process default).
-	// Results are byte-identical for every value, so shards are NOT part
-	// of the cache key: a sweep computed at shards=4 answers the same
-	// request at shards=1 from cache, and vice versa. Ignored by figure
-	// jobs (those follow the process default only).
-	Shards int `json:"shards,omitempty"`
 
 	// RNGMode selects the synthetic generator's draw discipline
 	// (traffic.ParseRNGMode vocabulary: "exact", the default, or
-	// "counter"). Unlike Shards the mode changes the computed results —
-	// counter mode is statistically equivalent but draws different
-	// packets — so it IS part of the cache key (it rides inside the
-	// canonical form's embedded sim.Params). Sweep-only: figure jobs are
-	// the paper's byte-reproducible tables and always run exact; a
-	// counter-mode figure request is rejected, not silently ignored.
+	// "counter"). The mode changes the computed results — counter mode
+	// is statistically equivalent but draws different packets — so it IS
+	// part of the cache key (it rides inside the canonical form's
+	// embedded sim.Params). Sweep-only: figure jobs are the paper's
+	// byte-reproducible tables and always run exact; a counter-mode
+	// figure request is rejected, not silently ignored.
 	RNGMode string `json:"rng_mode,omitempty"`
 }
 
@@ -111,14 +103,6 @@ type canonical struct {
 	Rates   []float64  `json:"rates"`
 	Warmup  int64      `json:"warmup"`
 	Measure int64      `json:"measure"`
-
-	// Shards rides along to execution but is excluded from the encoding
-	// (and so from the cache key): the shard count changes how fast a
-	// sweep computes, never what it computes. sim.Params.Shards carries
-	// the same tag, keeping the embedded Params encoding shard-free.
-	//
-	//drain:cachekey-exempt execution speed knob only; a sweep computed at any shard count answers the same request at every other from cache (TestKeyIgnoresShards)
-	Shards int `json:"-"`
 }
 
 // Canonicalize validates req and resolves every default, returning the
@@ -191,9 +175,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 	}
 	if req.Warmup < 0 || req.Measure < 0 {
 		return canonical{}, fmt.Errorf("warmup and measure must be >= 0")
-	}
-	if req.Shards < 0 || req.Shards > maxMesh*maxMesh {
-		return canonical{}, fmt.Errorf("shards %d out of range (0..%d)", req.Shards, maxMesh*maxMesh)
 	}
 	if len(req.FaultSchedule) > maxFaultEvents {
 		return canonical{}, fmt.Errorf("too many fault events (%d > %d)", len(req.FaultSchedule), maxFaultEvents)
@@ -271,7 +252,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 	return canonical{
 		Kind: KindSweep, Params: p, Pattern: pattern,
 		Rates: rates, Warmup: warmup, Measure: measure,
-		Shards: req.Shards,
 	}, nil
 }
 

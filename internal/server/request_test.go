@@ -47,32 +47,19 @@ func TestKeyDefaultsExplicitIdentical(t *testing.T) {
 	}
 }
 
-// The shard count steers execution speed, never results, so it must not
-// fragment the cache: requests differing only in shards share a key,
-// and the canonical form still carries the count to execution.
-func TestKeyIgnoresShards(t *testing.T) {
-	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"faults":4}`
-	sharded := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"faults":4,"shards":4}`
-	if a, b := keyOf(t, base), keyOf(t, sharded); a != b {
-		t.Fatalf("shards changed the cache key: %s vs %s", a, b)
-	}
-	var req Request
-	if err := json.Unmarshal([]byte(sharded), &req); err != nil {
-		t.Fatal(err)
-	}
-	c, err := req.Canonicalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shards != 4 {
-		t.Fatalf("canonical dropped the shard count: got %d, want 4", c.Shards)
+// The key of a fixed sweep request, as computed before the "shards"
+// request field was removed (it never entered the encoding): entries
+// cached by an older server still answer.
+func TestKeyLiteral(t *testing.T) {
+	const want = "05d87f06221b93a23763c43c5ffc2860ba5a088173d8b1028d16dd3c81631592"
+	if got := keyOf(t, `{"kind":"sweep","scheme":"drain","width":8,"height":8,"faults":4}`); got != want {
+		t.Fatalf("cache key moved: got %s, want %s", got, want)
 	}
 }
 
-// A fault schedule changes what the sweep computes, so — unlike shards
-// — it MUST be part of the cache key: adding one, moving an event, or
-// flipping its direction each produce a distinct key, while shards
-// still do not fragment entries that share a schedule.
+// A fault schedule changes what the sweep computes, so it MUST be part
+// of the cache key: adding one, moving an event, or flipping its
+// direction each produce a distinct key.
 func TestKeyIncludesFaultSchedule(t *testing.T) {
 	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8}`
 	oneFault := `{"kind":"sweep","scheme":"drain","width":8,"height":8,
@@ -89,18 +76,12 @@ func TestKeyIncludesFaultSchedule(t *testing.T) {
 		}
 		keys[k] = body
 	}
-	// Shards still ride outside the key for scheduled-fault sweeps.
-	shardedFault := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"shards":4,
-		"fault_schedule":[{"cycle":1000,"a":1,"b":2,"fail":true}]}`
-	if a, b := keyOf(t, oneFault), keyOf(t, shardedFault); a != b {
-		t.Fatalf("shards changed the key of a scheduled-fault sweep: %s vs %s", a, b)
-	}
 }
 
 // The RNG mode changes what a sweep computes (counter mode draws
-// different packets), so — unlike shards — it MUST be part of the
-// cache key; an explicit "exact" and an omitted mode are the same
-// simulation and must share one.
+// different packets), so it MUST be part of the cache key; an explicit
+// "exact" and an omitted mode are the same simulation and must share
+// one.
 func TestKeyIncludesRNGMode(t *testing.T) {
 	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8}`
 	exact := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"exact"}`
@@ -110,11 +91,6 @@ func TestKeyIncludesRNGMode(t *testing.T) {
 	}
 	if a, b := keyOf(t, base), keyOf(t, counter); a == b {
 		t.Fatalf("counter mode did not change the cache key: %s", a)
-	}
-	// Shards still ride outside the key for counter-mode sweeps.
-	shardedCounter := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"counter","shards":4}`
-	if a, b := keyOf(t, counter), keyOf(t, shardedCounter); a != b {
-		t.Fatalf("shards changed the key of a counter-mode sweep: %s vs %s", a, b)
 	}
 	// Figures accept only the default spelled out: an explicit "exact"
 	// is the same job as an omitted mode ("counter" is rejected —
@@ -166,7 +142,6 @@ func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 		`{"kind":"sweep","rates":[2.0]}`,                              // rate out of range
 		`{"kind":"sweep","rates":[0.0]}`,                              // rate out of range
 		`{"kind":"sweep","warmup":-1}`,                                // negative warmup
-		`{"kind":"sweep","shards":-1}`,                                // negative shards
 		`{"kind":"sweep","vnets":33}`,                                 // 33 x 2 VCs per port: over the 64 a port holds
 		`{"kind":"sweep","vnets":3037000500,"vcs_per_vn":3037000500}`, // product overflows
 		`{"kind":"sweep","rng_mode":"fast"}`,                          // unknown rng mode

@@ -24,10 +24,6 @@ type Config struct {
 	JobTimeout time.Duration
 	// CacheEntries bounds the content-addressed result cache. Default 1024.
 	CacheEntries int
-	// Shards is the process-default shard count for the parallel engine
-	// (informational here: sim.SetDefaultShards applies it; /metrics
-	// reports it as drainserved_sim_parallel_shards). 0 means serial.
-	Shards int
 }
 
 func (c *Config) setDefaults() {

@@ -240,7 +240,7 @@ func TestHealthzOK(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Shards: 4})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	postJob(t, ts.URL, `{"fig":"fig6"}`) // miss + execute
 	postJob(t, ts.URL, `{"fig":"fig6"}`) // hit
 
@@ -264,7 +264,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"drainserved_cache_misses 1",
 		"drainserved_cache_entries 1",
 		"drainserved_cache_hit_rate 0.5000",
-		"drainserved_sim_parallel_shards 4",
 		"drainserved_sim_cycles_total ",
 		"drainserved_sim_cycles_per_second ",
 		"drainserved_sim_fastforward_cycles_total ",
@@ -286,6 +285,7 @@ func TestBadRequestsRejected(t *testing.T) {
 	for _, body := range []string{
 		`{`,                             // malformed JSON
 		`{"figs":"fig6"}`,               // unknown field
+		`{"kind":"sweep","shards":4}`,   // a field that no longer exists
 		`{"fig":"fig999"}`,              // unknown figure
 		`{"kind":"sweep","width":1000}`, // out-of-range mesh
 	} {

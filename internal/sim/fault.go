@@ -13,10 +13,10 @@ import (
 // FaultEvent is one scheduled live topology change: at Cycle the
 // bidirectional link A-B fails (Fail true) or recovers (Fail false).
 // Events are applied at cycle boundaries — an event at cycle C takes
-// effect before the step from C to C+1 — identically in every engine
-// and for every shard count. Unlike Params.Shards, a fault schedule
-// changes what the simulation computes, so FaultEvent is JSON-visible
-// and part of the content address cached results are keyed by.
+// effect before the step from C to C+1 — identically in both engines.
+// A fault schedule changes what the simulation computes, so FaultEvent
+// is JSON-visible and part of the content address cached results are
+// keyed by.
 type FaultEvent struct {
 	Cycle int64 `json:"cycle"`
 	A     int   `json:"a"`
@@ -147,8 +147,7 @@ func (r *Runner) nextFaultCycle() int64 {
 // that share a cycle into a single reconfiguration). The run loops call
 // it at the top of each iteration — before injection and Step — so an
 // event at cycle C takes effect on the C→C+1 cycle boundary, between
-// Steps, where every engine (the parallel one included: its workers are
-// parked then) applies it as a serial phase.
+// Steps.
 func (r *Runner) applyDueFaults() error {
 	sched := r.Params.FaultSchedule
 	if r.faultIdx >= len(sched) || sched[r.faultIdx].Cycle > r.Net.Cycle() {

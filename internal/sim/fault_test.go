@@ -82,10 +82,10 @@ func TestBuildRejectsFaultScheduleWithDoR(t *testing.T) {
 }
 
 // TestFaultScheduleByteIdenticalAcrossEngines runs the same faulty
-// schedule under every engine and several shard counts; the full result
-// — counters (drops and reroutes included), latency statistics and the
-// per-event reconfiguration reports — must be byte-identical. Faults
-// are a model change, engines and shards are not.
+// schedule under both engines; the full result — counters (drops and
+// reroutes included), latency statistics and the per-event
+// reconfiguration reports — must be byte-identical. Faults are a model
+// change, the engine is not.
 func TestFaultScheduleByteIdenticalAcrossEngines(t *testing.T) {
 	sched := []FaultEvent{
 		{Cycle: 300, A: 1, B: 2, Fail: true},
@@ -100,7 +100,6 @@ func TestFaultScheduleByteIdenticalAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		pat, err := traffic.ByName("uniform", r.Graph.N(), p.Width)
 		if err != nil {
 			t.Fatal(err)
@@ -118,32 +117,21 @@ func TestFaultScheduleByteIdenticalAcrossEngines(t *testing.T) {
 	if len(refReps) != 3 {
 		t.Fatalf("FaultReports = %+v, want 3 entries", refReps)
 	}
-	variants := map[string]Params{}
-	for name, p := range map[string]func(Params) Params{
-		"dense":      func(p Params) Params { p.Engine = noc.EngineDense; return p },
-		"shards=1":   func(p Params) Params { p.Shards = 1; return p },
-		"shards=2":   func(p Params) Params { p.Shards = 2; return p },
-		"shards=3":   func(p Params) Params { p.Shards = 3; return p },
-		"shards=8":   func(p Params) Params { p.Shards = 8; return p },
-		"ph-barrier": func(p Params) Params { p.Shards = 2; p.ParallelInline = -1; return p },
-	} {
-		variants[name] = p(base)
+	dense := base
+	dense.Engine = noc.EngineDense
+	res, reps := run(dense)
+	// FastForwarded is telemetry the dense oracle never accrues
+	// (see TestEngineDifferential); exclude it from byte-identity.
+	res.FastForwarded = ref.FastForwarded
+	if !reflect.DeepEqual(res, ref) {
+		t.Errorf("dense: result diverges:\n got %+v\nwant %+v", res, ref)
 	}
-	for name, p := range variants {
-		res, reps := run(p)
-		// FastForwarded is telemetry the dense oracle never accrues
-		// (see TestEngineDifferential); exclude it from byte-identity.
-		res.FastForwarded = ref.FastForwarded
-		if !reflect.DeepEqual(res, ref) {
-			t.Errorf("%s: result diverges:\n got %+v\nwant %+v", name, res, ref)
-		}
-		if !reflect.DeepEqual(reps, refReps) {
-			t.Errorf("%s: reconfig reports diverge: got %+v want %+v", name, reps, refReps)
-		}
+	if !reflect.DeepEqual(reps, refReps) {
+		t.Errorf("dense: reconfig reports diverge: got %+v want %+v", reps, refReps)
 	}
 }
 
-// TestFaultScheduleChangesResults: unlike Shards, a fault schedule is a
+// TestFaultScheduleChangesResults: a fault schedule is a
 // model change — the same run with and without it must differ.
 func TestFaultScheduleChangesResults(t *testing.T) {
 	base := Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Epoch: 256, Seed: 7}
@@ -155,7 +143,6 @@ func TestFaultScheduleChangesResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		pat, err := traffic.ByName("uniform", r.Graph.N(), p.Width)
 		if err != nil {
 			t.Fatal(err)

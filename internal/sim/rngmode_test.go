@@ -20,7 +20,6 @@ func TestRNGModeDefaultsAndOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.05, 100, 400)
 		if err != nil {
 			t.Fatal(err)
@@ -56,9 +55,9 @@ func TestRNGModeDefaultsAndOverride(t *testing.T) {
 // TestCounterModeByteIdenticalAcrossEngines: counter mode trades draw
 // identity with exact mode for speed, but it is still a deterministic
 // model — for a fixed seed the marshalled result bytes must be
-// identical across the dense, event and parallel engines at every
-// shard count (FastForwarded excepted: the dense oracle never opens
-// fast-forward windows, so that telemetry field is normalized).
+// identical across the dense and event engines (FastForwarded
+// excepted: the dense oracle never opens fast-forward windows, so that
+// telemetry field is normalized).
 func TestCounterModeByteIdenticalAcrossEngines(t *testing.T) {
 	base := Params{
 		Width: 4, Height: 4,
@@ -72,7 +71,6 @@ func TestCounterModeByteIdenticalAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.10, 200, 2000)
 		if err != nil {
 			t.Fatal(err)
@@ -80,43 +78,20 @@ func TestCounterModeByteIdenticalAcrossEngines(t *testing.T) {
 		res.FastForwarded = 0
 		return res
 	}
-	variants := map[string]Params{"event": base}
-	d := base
-	d.Engine = noc.EngineDense
-	variants["dense"] = d
-	for _, k := range shardCounts() {
-		p := base
-		p.Shards = k
-		p.ParallelInline = -1
-		variants[shardName(k)] = p
+	dense := base
+	dense.Engine = noc.EngineDense
+	want, err := json.Marshal(run(base))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want []byte
-	for _, name := range []string{"event", "dense"} {
-		b, err := json.Marshal(run(variants[name]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = b
-		} else if string(b) != string(want) {
-			t.Errorf("%s: counter-mode bytes diverge:\nfirst: %s\n here: %s", name, want, b)
-		}
+	got, err := json.Marshal(run(dense))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, p := range variants {
-		if name == "event" || name == "dense" {
-			continue
-		}
-		b, err := json.Marshal(run(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != string(want) {
-			t.Errorf("%s: counter-mode bytes diverge:\nfirst: %s\n here: %s", name, want, b)
-		}
+	if string(got) != string(want) {
+		t.Errorf("counter-mode bytes diverge:\nevent: %s\ndense: %s", want, got)
 	}
 }
-
-func shardName(k int) string { return "shards=" + string(rune('0'+k)) }
 
 // TestRNGModeStatisticalEquivalence is the acceptance gate for counter
 // mode: at a low and a mid load point, exact and counter runs must
@@ -143,7 +118,6 @@ func TestRNGModeStatisticalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			var lats []float64
 			r.Net.OnEject = func(p *noc.Packet) { lats = append(lats, float64(p.NetworkLatency())) }
 			res, err := r.RunSynthetic(traffic.UniformRandom{N: nodes}, rate, warmup, measure)
@@ -244,7 +218,6 @@ func TestCounterModeFastForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.005, 200, 3000)
 	if err != nil {
 		t.Fatal(err)

@@ -210,11 +210,9 @@ func LoadSweepContext(ctx context.Context, p Params, patternName string, rates [
 		}
 		pat, err := traffic.ByName(patternName, r.Graph.N(), p.Width)
 		if err != nil {
-			r.Close()
 			return nil, err
 		}
 		res, err := r.RunSyntheticContext(ctx, pat, rate, warmup, measure)
-		r.Close()
 		if err != nil {
 			return nil, err
 		}
