@@ -71,9 +71,10 @@ bench-pair:
 		if (( i % 2 )); then run base "$$tmp/base" "$$w" "$$seed"; run head . "$$w" "$$seed"; \
 		else run head . "$$w" "$$seed"; run base "$$tmp/base" "$$w" "$$seed"; fi; \
 	done; done; \
-	stamp() { printf '{"env":{"git_sha":"%s"},"records":[' "$$1"; paste -sd, "$$2"; printf ']}\n'; }; \
-	stamp "$$(git rev-parse --short "$(BASE)")" "$$tmp/base.recs" > BENCH_pair_base.json; \
-	stamp "$$(git rev-parse --short HEAD)$$(git diff --quiet HEAD || echo -dirty)" "$$tmp/head.recs" > BENCH_pair_head.json; \
+	stamp() { printf '{"env":{"git_sha":"%s","dirty":%s},"records":[' "$$1" "$$2"; paste -sd, "$$3"; printf ']}\n'; }; \
+	stamp "$$(git rev-parse --short "$(BASE)")" false "$$tmp/base.recs" > BENCH_pair_base.json; \
+	if git diff --quiet HEAD; then stamp "$$(git rev-parse --short HEAD)" false "$$tmp/head.recs"; \
+	else stamp "$$(git rev-parse --short HEAD)-dirty" true "$$tmp/head.recs"; fi > BENCH_pair_head.json; \
 	$(GO) run ./cmd/drainbench -compare BENCH_pair_base.json BENCH_pair_head.json
 
 ## bench-all: every benchmark, including the full experiment

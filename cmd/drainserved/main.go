@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"drain/internal/experiments"
 	"drain/internal/server"
 )
 
@@ -36,15 +35,13 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	queue := fs.Int("queue", 64, "bounded job queue depth (beyond it, 429 + Retry-After)")
-	workers := fs.Int("workers", 2, "concurrent simulation jobs")
+	workers := fs.Int("workers", 2, "CPU budget: concurrent jobs, and concurrent simulations across all of them")
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job execution timeout")
 	cacheEntries := fs.Int("cache-entries", 1024, "content-addressed result cache capacity")
-	parallel := fs.Int("parallel", 1, "experiment-pool workers per job (experiments.SetParallelism)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max time to finish jobs after SIGTERM before aborting them")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	experiments.SetParallelism(*parallel)
 
 	s := server.New(server.Config{
 		QueueDepth:   *queue,

@@ -109,7 +109,11 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	for _, args := range [][]string{{"-no-such-flag"}, {"-shards", "4"}} { // -shards: removed with the engine it selected
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-shards", "4"},   // removed with the engine it selected
+		{"-parallel", "2"}, // removed: -workers is the one CPU budget
+	} {
 		if code := run(args, devnull, devnull); code != 2 {
 			t.Fatalf("run(%v) = %d, want 2", args, code)
 		}

@@ -40,7 +40,7 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "base random seed")
 	out := flag.String("out", "", "directory to write per-figure markdown files (optional)")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this JSON file")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (result tables are identical for any value)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "run slots for independent simulation runs: this goroutine plus up to N-1 helpers (result tables are identical for any value)")
 	rngMode := flag.String("rng-mode", "exact", "synthetic-traffic RNG discipline: exact (byte-reproducible) or counter (statistically equivalent, much faster at low load; changes result tables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -46,31 +46,38 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, patName string, rat
 	}
 	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeSPIN, sim.SchemeDRAIN}
 	t := Table{Columns: []string{"faults", "escape-vc", "spin", "drain"}}
-	// One job per (fault count, scheme, fault pattern); averaging happens
-	// serially afterwards in fixed index order.
+	// One unit of work per (fault count, fault pattern): the topology and
+	// its routing table are built once and live for the unit's three
+	// scheme runs only, so at most one table per run slot is live.
+	// Averaging happens serially afterwards in fixed index order.
 	perScheme := patterns
 	perFault := len(schemes) * perScheme
 	metrics := make([]float64, len(faults)*perFault)
-	err := ForEachConfigContext(ctx, len(metrics), func(i int) error {
-		pi := i % perScheme
-		si := i / perScheme % len(schemes)
-		fi := i / perFault
-		r, err := sim.Build(sim.Params{
-			Width: 8, Height: 8, Faults: faults[fi], FaultSeed: seed + uint64(pi)*6151,
-			Scheme: schemes[si], Seed: seed,
-		})
+	pat, err := traffic.ByName(patName, 64, 8)
+	if err != nil {
+		return t, err
+	}
+	err = ForEachConfigContext(ctx, len(faults)*patterns, func(u int) error {
+		pi := u % patterns
+		fi := u / patterns
+		p := sim.Params{Width: 8, Height: 8, Faults: faults[fi], FaultSeed: seed + uint64(pi)*6151, Seed: seed}
+		g, mesh, tab, err := p.BuildTopology()
 		if err != nil {
 			return err
 		}
-		pat, err := traffic.ByName(patName, 64, 8)
-		if err != nil {
-			return err
+		p.RoutingTable = tab
+		for si, scheme := range schemes {
+			p.Scheme = scheme
+			r, err := sim.BuildOn(g, mesh, p)
+			if err != nil {
+				return err
+			}
+			res, err := r.RunSyntheticContext(ctx, pat, rate, warm, meas)
+			if err != nil {
+				return err
+			}
+			metrics[fi*perFault+si*perScheme+pi] = metric(res)
 		}
-		res, err := r.RunSyntheticContext(ctx, pat, rate, warm, meas)
-		if err != nil {
-			return err
-		}
-		metrics[i] = metric(res)
 		return nil
 	})
 	if err != nil {
@@ -132,13 +139,21 @@ func fig14(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "DRAIN epoch sweep, uniform random, 8x8",
 		Columns: []string{"epoch (cycles)", "low-load latency", "saturation throughput"},
 	}
-	// One job per (epoch, load point).
+	// One job per (epoch, load point), all on one fault-free 8x8.
+	p := sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: seed}
+	g, mesh, tab, err := p.BuildTopology()
+	if err != nil {
+		return nil, err
+	}
+	p.RoutingTable = tab
 	rates := []float64{0.02, 0.45}
 	metrics := make([]float64, len(epochs)*len(rates))
-	err := ForEachConfigContext(ctx, len(metrics), func(i int) error {
+	err = ForEachConfigContext(ctx, len(metrics), func(i int) error {
 		ri := i % len(rates)
 		ei := i / len(rates)
-		r, err := sim.Build(sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Epoch: epochs[ei], Seed: seed})
+		run := p
+		run.Epoch = epochs[ei]
+		r, err := sim.BuildOn(g, mesh, run)
 		if err != nil {
 			return err
 		}

@@ -7,24 +7,25 @@ import (
 )
 
 // The experiment harness parallelizes at the granularity of independent
-// simulation runs: every (topology, fault pattern, scheme, seed) cell of
-// a figure is a pure function of its own parameters — each run builds its
+// units of work: every (topology, fault pattern, scheme, seed) cell of a
+// figure is a pure function of its own parameters — each run builds its
 // own Network with its own RNG — so the only coordination needed is
 // collecting results by index. All aggregation (averaging, normalizing,
 // rendering) stays serial and ordered, which makes the output byte-
-// identical for every worker count.
+// identical for every run-slot budget.
 
-// parallelism is the worker count ForEachConfig fans runs across.
-// Access through SetParallelism/Parallelism; the default 1 keeps the
-// harness strictly serial (tests and library users opt in explicitly,
-// cmd/experiments sets it from -parallel).
+// parallelism is the run-slot budget a ForEachConfig call gets when its
+// context carries none. Access through SetParallelism/Parallelism; the
+// default 1 keeps the harness strictly serial (tests and library users
+// opt in explicitly, cmd/experiments sets it from -parallel).
 var parallelism atomic.Int32
 
 func init() { parallelism.Store(1) }
 
-// SetParallelism sets the number of worker goroutines ForEachConfig uses.
-// Values below 1 are treated as 1. Safe to call between figure runs; the
-// result tables do not depend on the value.
+// SetParallelism sets the private run-slot budget of ForEachConfig calls
+// whose context carries no Slots. Values below 1 are treated as 1. Safe
+// to call between figure runs; the result tables do not depend on the
+// value.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1
@@ -32,69 +33,168 @@ func SetParallelism(n int) {
 	parallelism.Store(int32(n))
 }
 
-// Parallelism returns the current worker count.
+// Parallelism returns the current private run-slot budget.
 func Parallelism() int { return int(parallelism.Load()) }
 
-// ForEachConfig runs fn(i) for every i in [0, n) across the configured
-// number of workers. fn must be independent across indices (each call
-// builds its own simulation state) and should write its result into an
-// index-addressed slot; ForEachConfig provides no other result channel.
+// Slots is a budget of run slots: at most its size units of work run at
+// once across every ForEachConfigContext call whose context carries it.
+// A goroutine that calls ForEachConfigContext under a budget must hold
+// one of its slots (Acquire) for as long as the call runs; the call
+// lends the budget's spare slots to helper goroutines of its own.
+type Slots struct {
+	free chan struct{} // one token per free slot
+}
+
+// NewSlots returns a budget of n run slots (at least one), all free.
+func NewSlots(n int) *Slots {
+	if n < 1 {
+		n = 1
+	}
+	s := &Slots{free: make(chan struct{}, n)}
+	for i := 0; i < n; i++ {
+		s.free <- struct{}{}
+	}
+	return s
+}
+
+// Acquire takes a slot, waiting for one if none is free, unless ctx is
+// done. A waiter is served ahead of any helper: helpers only ever
+// TryAcquire, and a slot released while someone waits is handed to the
+// waiter directly.
+func (s *Slots) Acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-s.free:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TryAcquire takes a slot only if one is free right now.
+func (s *Slots) TryAcquire() bool {
+	select {
+	case <-s.free:
+		return true
+	default:
+		return false
+	}
+}
+
+// Release gives back a slot taken by Acquire or TryAcquire.
+func (s *Slots) Release() { s.free <- struct{}{} }
+
+type slotsKey struct{}
+
+// WithSlots returns a context under which ForEachConfigContext draws its
+// helpers from s instead of a private budget. The caller must hold one
+// of s's slots while it runs experiments under the returned context.
+func WithSlots(ctx context.Context, s *Slots) context.Context {
+	return context.WithValue(ctx, slotsKey{}, s)
+}
+
+// ForEachConfig runs fn(i) for every i in [0, n) on a private budget of
+// Parallelism() run slots. fn must be independent across indices (each
+// call builds its own simulation state) and should write its result into
+// an index-addressed slot; ForEachConfig provides no other result
+// channel.
 //
 // Error semantics are deterministic: the error with the lowest index is
-// returned regardless of worker count or completion order. With
-// parallelism 1 the calls run strictly serially, in order, stopping at
-// the first error — exactly the seed implementation's loop shape.
+// returned regardless of budget or completion order, and no index is
+// dispatched after one has failed. With a budget of 1 the calls run
+// strictly serially, in order, stopping at the first error — exactly the
+// seed implementation's loop shape.
 func ForEachConfig(n int, fn func(i int) error) error {
 	return ForEachConfigContext(context.Background(), n, fn)
 }
 
-// ForEachConfigContext is ForEachConfig with cancellation: once ctx is
-// done no new index is dispatched, and after all in-flight calls return
-// the context error is reported (unless an earlier real error takes
-// precedence under the lowest-index rule). fn should itself observe ctx
-// (e.g. via sim's *Context runners) so in-flight runs also stop
-// promptly; ForEachConfigContext never abandons a running fn, so when
-// it returns no worker goroutine is left behind.
+// ForEachConfigContext is ForEachConfig under ctx's run-slot budget
+// (WithSlots; a private budget of Parallelism() slots, one of them the
+// caller's, when ctx carries none) and with cancellation.
+//
+// The calling goroutine runs indices itself, in order, on the slot it
+// holds. Before each of its units it starts a helper goroutine for every
+// slot it can take without blocking; a helper gives its slot back after
+// every unit and continues only if it can take one again at once, so
+// another job waiting in Slots.Acquire starts within one unit and a slot
+// that job later frees is picked up again at the caller's next unit.
+//
+// Once ctx is done no new index is dispatched, and after all in-flight
+// calls return the context error is reported (unless an earlier real
+// error takes precedence under the lowest-index rule). fn should itself
+// observe ctx (e.g. via sim's *Context runners) so in-flight runs also
+// stop promptly; ForEachConfigContext never abandons a running fn, so
+// when it returns no helper goroutine is left behind.
 func ForEachConfigContext(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
+	slots, _ := ctx.Value(slotsKey{}).(*Slots)
+	if slots == nil {
+		slots = NewSlots(Parallelism())
+		slots.TryAcquire() // the caller's own
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex // guards firstIdx, firstErr
+		firstIdx = n
+		firstErr error
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
+	// take dispatches the next index, or -1 when there is none to give.
+	take := func() int {
+		if failed.Load() || ctx.Err() != nil {
+			return -1
 		}
-		return nil
+		if i := int(next.Add(1)) - 1; i < n {
+			return i
+		}
+		return -1
 	}
-	var next atomic.Int64
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
+	run := func(i int) {
+		if err := fn(i); err != nil {
+			mu.Lock()
+			if i < firstIdx {
+				firstIdx, firstErr = i, err
 			}
-		}()
+			mu.Unlock()
+			failed.Store(true)
+		}
+	}
+	// helper runs i and then further indices, on a slot it already holds.
+	helper := func(i int) {
+		defer wg.Done()
+		for i >= 0 {
+			run(i)
+			slots.Release()
+			if !slots.TryAcquire() {
+				return
+			}
+			i = take()
+		}
+		slots.Release()
+	}
+	for i := take(); i >= 0; i = take() {
+		for slots.TryAcquire() {
+			j := take()
+			if j < 0 {
+				slots.Release()
+				break
+			}
+			wg.Add(1)
+			go helper(j)
+		}
+		run(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if firstErr != nil {
+		return firstErr
 	}
-	return ctx.Err()
+	if int(next.Load()) < n {
+		return ctx.Err() // nothing failed, so only a done ctx stopped dispatch
+	}
+	return nil
 }

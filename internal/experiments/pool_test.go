@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// withParallelism runs fn with the given worker count and restores the
-// previous setting afterwards (the package-level value is shared).
+// withParallelism runs fn with the given private run-slot budget and
+// restores the previous setting afterwards (the package-level value is
+// shared).
 func withParallelism(t *testing.T, n int, fn func()) {
 	t.Helper()
 	prev := Parallelism()
@@ -167,34 +169,187 @@ func renderTables(tables []Table) string {
 	return b.String()
 }
 
-// TestParallelDeterminism runs a real figure with 1 worker and with 8
-// and requires byte-identical rendered markdown: every simulation owns
-// its RNG, results land in index-addressed slots, and aggregation is a
-// serial ordered pass, so worker count must be invisible in the output.
+// TestParallelDeterminism runs a real figure on budgets of 1, 2 and 4
+// run slots and requires byte-identical rendered markdown: every
+// simulation owns its RNG, results land in index-addressed slots, and
+// aggregation is a serial ordered pass, so the budget must be invisible
+// in the output.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig14 twice")
+		t.Skip("runs fig14 three times")
 	}
 	e, ok := ByID("fig14")
 	if !ok {
 		t.Fatal("fig14 not registered")
 	}
-	var serial, fanned string
-	withParallelism(t, 1, func() {
-		tables, err := e.Run(context.Background(), Quick, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial = renderTables(tables)
-	})
-	withParallelism(t, 8, func() {
-		tables, err := e.Run(context.Background(), Quick, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fanned = renderTables(tables)
-	})
-	if serial != fanned {
-		t.Errorf("fig14 output differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, fanned)
+	var serial string
+	for _, budget := range []int{1, 2, 4} {
+		withParallelism(t, budget, func() {
+			tables, err := e.Run(context.Background(), Quick, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := renderTables(tables)
+			if budget == 1 {
+				serial = got
+			} else if got != serial {
+				t.Errorf("fig14 output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s", budget, serial, got)
+			}
+		})
 	}
+}
+
+// underSlots runs ForEachConfigContext the way a server worker does: on
+// a slot of the shared budget, held for the whole call.
+func underSlots(t *testing.T, ctx context.Context, slots *Slots, n int, fn func(i int) error) error {
+	t.Helper()
+	if err := slots.Acquire(ctx); err != nil {
+		t.Errorf("Acquire: %v", err)
+		return err
+	}
+	defer slots.Release()
+	return ForEachConfigContext(WithSlots(ctx, slots), n, fn)
+}
+
+// TestSlotsBoundConcurrency: a lone job spreads over every slot of the
+// budget, and two simultaneous jobs together never exceed it.
+func TestSlotsBoundConcurrency(t *testing.T) {
+	const budget = 3
+	slots := NewSlots(budget)
+	var running, peak atomic.Int32
+	enter := func() int32 {
+		now := running.Add(1)
+		for {
+			p := peak.Load()
+			if now <= p || peak.CompareAndSwap(p, now) {
+				return now
+			}
+		}
+	}
+
+	// Lone job: every unit waits until budget units are in flight at once,
+	// so the call returns only if the loop lends every spare slot.
+	full := make(chan struct{})
+	var once sync.Once
+	err := underSlots(t, context.Background(), slots, budget, func(int) error {
+		defer running.Add(-1)
+		if enter() == budget {
+			once.Do(func() { close(full) })
+		}
+		select {
+		case <-full:
+			return nil
+		case <-time.After(30 * time.Second):
+			return errors.New("lone job never had a unit on every slot")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	peak.Store(0)
+	var calls atomic.Int32
+	var wg sync.WaitGroup
+	for job := 0; job < 2; job++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := underSlots(t, context.Background(), slots, 200, func(int) error {
+				enter()
+				calls.Add(1)
+				runtime.Gosched() // let the other job's units interleave
+				running.Add(-1)
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := peak.Load(); got > budget {
+		t.Errorf("%d units ran at once on a budget of %d", got, budget)
+	}
+	if got := calls.Load(); got != 400 {
+		t.Errorf("two jobs of 200 units made %d calls", got)
+	}
+	for i := 0; i < budget; i++ {
+		if !slots.TryAcquire() {
+			t.Fatalf("only %d of %d slots came back", i, budget)
+		}
+	}
+}
+
+// TestLentSlotGoesToWaitingJob: job A runs on both slots of a budget of
+// two (its own and a lent one) and cannot finish — its first unit waits
+// for job B to start, its helper has units without end. B can only start
+// if A's helper gives the lent slot back between units, which the
+// fixed-worker loop never did.
+func TestLentSlotGoesToWaitingJob(t *testing.T) {
+	slots := NewSlots(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lent := make(chan struct{})     // A's helper is running a unit
+	bStarted := make(chan struct{}) // B got a slot and ran a unit
+	var lentOnce sync.Once
+	aDone := make(chan error, 1)
+	go func() {
+		aDone <- underSlots(t, ctx, slots, 1<<30, func(i int) error {
+			if i == 0 {
+				select {
+				case <-bStarted:
+					cancel() // stop dispatching A's endless units
+					return nil
+				case <-time.After(30 * time.Second):
+					return errors.New("job B never got the lent slot")
+				}
+			}
+			lentOnce.Do(func() { close(lent) })
+			return nil
+		})
+	}()
+	<-lent
+	if err := underSlots(t, context.Background(), slots, 1, func(int) error {
+		select {
+		case err := <-aDone:
+			t.Errorf("job A finished (%v) before job B started", err)
+		default:
+		}
+		close(bStarted)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("job A: %v, want context.Canceled", err)
+	}
+}
+
+// TestBudgetOfOneStartsNoHelper: on one slot — drainserved -workers 1, or
+// the default private budget — every unit runs on the calling goroutine,
+// in order, and no goroutine is started.
+func TestBudgetOfOneStartsNoHelper(t *testing.T) {
+	check := func(name string, run func(n int, fn func(int) error) error) {
+		base := runtime.NumGoroutine()
+		next := 0
+		if err := run(50, func(i int) error {
+			if i != next {
+				t.Errorf("%s: unit %d ran when %d was due", name, i, next)
+			}
+			next++
+			if got := runtime.NumGoroutine(); got > base {
+				t.Errorf("%s: %d goroutines during unit %d, %d before the call", name, got, i, base)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if next != 50 {
+			t.Errorf("%s: %d of 50 units ran", name, next)
+		}
+	}
+	withParallelism(t, 1, func() { check("private", ForEachConfig) })
+	slots := NewSlots(1)
+	check("shared", func(n int, fn func(int) error) error {
+		return underSlots(t, context.Background(), slots, n, fn)
+	})
 }

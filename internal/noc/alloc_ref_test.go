@@ -134,11 +134,11 @@ func (rs *refState) gather(r int) (reqs []refRequest) {
 
 func refFindCand(cands []routing.Candidate, out int) (routing.Candidate, bool) {
 	for _, c := range cands {
-		if c.LinkID == out {
+		if c.LinkID() == out {
 			return c, true
 		}
 	}
-	return routing.Candidate{}, false
+	return 0, false
 }
 
 // optionFor is the option the exhaustive scan builds for one request on
@@ -149,7 +149,7 @@ func (rs *refState) optionFor(out int, req *refRequest, conservativeOK bool) (op
 	if conservativeOK {
 		if c, ok := refFindCand(req.mainOuts, out); ok {
 			if slot, ok2 := rs.freeDownstreamSlot(out, p.VNet, false); ok2 {
-				return option{toSlot: int32(slot), downPhase: c.DownPhase, productive: c.Productive}, true
+				return option{toSlot: int32(slot), downPhase: c.DownPhase(), productive: c.Productive()}, true
 			}
 		}
 	}
@@ -157,7 +157,7 @@ func (rs *refState) optionFor(out int, req *refRequest, conservativeOK bool) (op
 	if (conservativeOK || bypass) && n.cfg.PolicyEscape {
 		if c, ok := refFindCand(req.escOuts, out); ok {
 			if slot, ok2 := rs.freeDownstreamSlot(out, p.VNet, true); ok2 {
-				return option{toSlot: int32(slot), setEscape: !n.cfg.NonStickyEscape, downPhase: c.DownPhase, productive: c.Productive}, true
+				return option{toSlot: int32(slot), setEscape: !n.cfg.NonStickyEscape, downPhase: c.DownPhase(), productive: c.Productive()}, true
 			}
 		}
 	}

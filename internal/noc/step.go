@@ -241,14 +241,14 @@ func (n *Network) loneOption(r, b int) (out int, g option, ok bool) {
 	local, base := p.inLink == LocalPort, p.VNet*n.cfg.VCsPerVN
 	// Both lists ascend by link ID (Graph.OutLinks order): merge them.
 	for i, j := 0, 0; i < len(main) || j < len(esc); {
-		inMain := j == len(esc) || i < len(main) && main[i].LinkID <= esc[j].LinkID
-		inEsc := i == len(main) || j < len(esc) && esc[j].LinkID <= main[i].LinkID
+		inMain := j == len(esc) || i < len(main) && main[i].LinkID() <= esc[j].LinkID()
+		inEsc := i == len(main) || j < len(esc) && esc[j].LinkID() <= main[i].LinkID()
 		var mc, ec routing.Candidate
 		if inEsc {
-			ec, out, j = esc[j], esc[j].LinkID, j+1
+			ec, out, j = esc[j], esc[j].LinkID(), j+1
 		}
 		if inMain {
-			mc, out, i = main[i], main[i].LinkID, i+1
+			mc, out, i = main[i], main[i].LinkID(), i+1
 		}
 		if n.linkBusy[out] > n.cycle {
 			continue
@@ -265,10 +265,10 @@ func (n *Network) loneOption(r, b int) (out int, g option, ok bool) {
 			viaMain, viaEsc = false, viaEsc && n.injectBypass(slot)
 		}
 		if viaMain {
-			return out, option{toSlot: int32(base + bits.TrailingZeros64(free)), downPhase: mc.DownPhase, productive: mc.Productive}, true
+			return out, option{toSlot: int32(base + bits.TrailingZeros64(free)), downPhase: mc.DownPhase(), productive: mc.Productive()}, true
 		}
 		if viaEsc {
-			return out, option{toSlot: int32(base), setEscape: !n.cfg.NonStickyEscape, downPhase: ec.DownPhase, productive: ec.Productive}, true
+			return out, option{toSlot: int32(base), setEscape: !n.cfg.NonStickyEscape, downPhase: ec.DownPhase(), productive: ec.Productive()}, true
 		}
 	}
 	return 0, option{}, false
@@ -397,13 +397,13 @@ func (n *Network) candidates(r int, slot *vcSlot, at int64) (main, esc []routing
 // masks that apply, of every output among cands.
 func (n *Network) fileUnder(blk []uint64, cands []routing.Candidate, kind int, bit uint64) {
 	for _, c := range cands {
-		i := int(n.lbase[c.LinkID]) + kind
+		i := int(n.lbase[c.LinkID()]) + kind
 		blk[i] |= bit
-		if !c.Productive {
+		if !c.Productive() {
 			blk[i+flagDetour] |= bit
 			blk[mFlagged] |= bit
 		}
-		if c.DownPhase {
+		if c.DownPhase() {
 			blk[i+flagDown] |= bit
 			blk[mFlagged] |= bit
 		}

@@ -154,7 +154,7 @@ func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
 	if n.cfg.PolicyEscape {
 		if !p.InEscape {
 			for _, c := range cands(n.cfg.Routing, p.DownPhase) {
-				appendFor(c.LinkID, false)
+				appendFor(c.LinkID(), false)
 			}
 		}
 		escPhase := p.DownPhase
@@ -162,11 +162,11 @@ func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
 			escPhase = false
 		}
 		for _, c := range cands(n.cfg.EscapeRouting, escPhase) {
-			appendFor(c.LinkID, true)
+			appendFor(c.LinkID(), true)
 		}
 	} else {
 		for _, c := range cands(n.cfg.Routing, p.DownPhase) {
-			appendFor(c.LinkID, false)
+			appendFor(c.LinkID(), false)
 		}
 	}
 	return buf

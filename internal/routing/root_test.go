@@ -86,9 +86,9 @@ func TestAllOutputsIncludesUTurnNeighbors(t *testing.T) {
 	}
 	prod := 0
 	for _, c := range cands {
-		if c.Productive {
+		if c.Productive() {
 			prod++
-			if g.Link(c.LinkID).To != 2 {
+			if g.Link(c.LinkID()).To != 2 {
 				t.Error("productive candidate does not reduce distance")
 			}
 		}

@@ -11,6 +11,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"drain/internal/topology"
@@ -47,16 +48,42 @@ func (k Kind) String() string {
 	}
 }
 
-// Candidate is one legal output for a packet at a router.
-type Candidate struct {
-	LinkID int // outgoing unidirectional link to take
-	// DownPhase is the packet's up*/down* phase after taking this link
-	// (true once any down link has been taken). Meaningless for other
-	// algorithms; preserved as-is.
-	DownPhase bool
-	// Productive reports whether the hop strictly reduces the true BFS
-	// distance to the destination (used for misroute accounting).
-	Productive bool
+// Candidate is one legal output for a packet at a router, packed into 4
+// bytes because the candidate arenas are most of a table: the link ID in
+// the low 30 bits, Productive in bit 30, DownPhase in bit 31.
+type Candidate uint32
+
+const (
+	candProductive Candidate = 1 << 30
+	candDownPhase  Candidate = 1 << 31
+)
+
+func newCandidate(link int, downPhase, productive bool) Candidate {
+	c := Candidate(link)
+	if downPhase {
+		c |= candDownPhase
+	}
+	if productive {
+		c |= candProductive
+	}
+	return c
+}
+
+// LinkID is the outgoing unidirectional link to take.
+func (c Candidate) LinkID() int { return int(c &^ (candProductive | candDownPhase)) }
+
+// DownPhase is the packet's up*/down* phase after taking this link (true
+// once any down link has been taken). Meaningless for other algorithms,
+// which leave it false.
+func (c Candidate) DownPhase() bool { return c&candDownPhase != 0 }
+
+// Productive reports whether the hop strictly reduces the true BFS
+// distance to the destination (used for misroute accounting).
+func (c Candidate) Productive() bool { return c&candProductive != 0 }
+
+// String implements fmt.Stringer.
+func (c Candidate) String() string {
+	return fmt.Sprintf("{link %d down=%t productive=%t}", c.LinkID(), c.DownPhase(), c.Productive())
 }
 
 // Table holds precomputed routing state for one topology.
@@ -78,19 +105,39 @@ type Table struct {
 
 	dist [][]int // dist[r][dst] BFS hop distance
 
-	// up*/down* state. level/order define link direction; distUD[dst]
-	// is indexed [router*2 + phase] where phase 1 means "has gone down".
+	// up*/down* state. level/order define link direction; distUD is
+	// indexed [dst*2N + router*2 + phase] where phase 1 means "has gone
+	// down".
 	udRoot  int
 	udOrder []int
-	distUD  [][]int
+	distUD  []int32
 
-	// Immutable candidate tables, indexed [at*N+dst]. All are backed by
-	// shared arenas sliced per (at, dst) pair; empty sets are nil.
-	adaptive   [][]Candidate    // AdaptiveMinimal (phase-independent)
-	xy         [][]Candidate    // XY; nil unless mesh was provided
-	upDown     [2][][]Candidate // UpDown, by downPhase
-	allOut     [][]Candidate    // every output, neighbor order
-	allOutProd [][]Candidate    // every output, productive entries first
+	// Immutable candidate tables, one per kind.
+	adaptive   candSet    // AdaptiveMinimal (phase-independent)
+	xy         candSet    // XY; zero unless mesh was provided
+	upDown     [2]candSet // UpDown, by downPhase
+	allOut     candSet    // every output, neighbor order
+	allOutProd candSet    // every output, productive entries first
+}
+
+// candSet is every candidate set of one kind: pair i = at*N+dst owns
+// arena[off[i]:off[i+1]]. The arena holds exactly the candidates
+// generated, in pair order, so a table costs 4 bytes per pair plus 4 per
+// candidate instead of a 24-byte slice header per pair plus 16.
+type candSet struct {
+	off   []uint32 // N*N+1 offsets into arena
+	arena []Candidate
+}
+
+// at returns pair i's set with its capacity clipped, or nil when it is
+// empty (callers and tests compare against nil, and a zero-length slice
+// into the arena would pin nothing but read as non-nil).
+func (s *candSet) at(i int) []Candidate {
+	lo, hi := s.off[i], s.off[i+1]
+	if lo == hi {
+		return nil
+	}
+	return s.arena[lo:hi:hi]
 }
 
 // NewTable precomputes routing state for g. mesh may be nil; it is
@@ -120,6 +167,10 @@ func buildTable(g *topology.Graph, mesh *topology.Mesh, root int, out [][]int) (
 	}
 	if root < 0 || root >= g.N() {
 		return nil, fmt.Errorf("routing: up*/down* root %d out of range", root)
+	}
+	// Bounds every arena offset, and with it every link ID to 30 bits.
+	if int64(g.N())*int64(g.NumLinks()) > math.MaxUint32 {
+		return nil, fmt.Errorf("routing: %d routers x %d links overflow the candidate index", g.N(), g.NumLinks())
 	}
 	t := &Table{g: g, mesh: mesh, out: out, dist: g.AllPairsDist(), udRoot: root}
 	if err := t.buildUpDown(); err != nil {
@@ -191,41 +242,40 @@ func (t *Table) buildUpDown() error {
 		t.udOrder[r] = rank
 	}
 
-	// distUD[dst][router*2+phase]: minimum legal hops from (router,phase)
-	// to dst. Computed per destination by BFS over the reversed
-	// phase-product graph.
-	t.distUD = make([][]int, g.N())
-	// Reverse adjacency: for state (v, pv), which states (u, pu) step to it?
+	// distUD[dst*2N + router*2+phase]: minimum legal hops from
+	// (router,phase) to dst. Computed per destination by BFS over the
+	// reversed phase-product graph: state (v, pv) is stepped to by
 	// (u,0) --up--> (v,0); (u,0) --down--> (v,1); (u,1) --down--> (v,1).
+	n2 := g.N() * 2
+	t.distUD = make([]int32, g.N()*n2)
+	for i := range t.distUD {
+		t.distUD[i] = -1
+	}
+	queue := make([]int32, n2) // every state enters at most once
 	for dst := 0; dst < g.N(); dst++ {
-		d := make([]int, g.N()*2)
-		for i := range d {
-			d[i] = -1
-		}
-		queue := make([]int, 0, g.N()*2)
+		d := t.distUD[dst*n2 : (dst+1)*n2]
 		d[dst*2+0], d[dst*2+1] = 0, 0
-		queue = append(queue, dst*2+0, dst*2+1)
-		for len(queue) > 0 {
-			s := queue[0]
-			queue = queue[1:]
-			v, pv := s/2, s%2
+		queue[0], queue[1] = int32(dst*2+0), int32(dst*2+1)
+		head, tail := 0, 2
+		visit := func(p int, from int32) {
+			if d[p] < 0 {
+				d[p] = d[from] + 1
+				queue[tail] = int32(p)
+				tail++
+			}
+		}
+		for head < tail {
+			s := queue[head]
+			head++
+			v, pv := int(s/2), s%2
 			for _, u := range g.Neighbors(v) {
 				up := t.IsUp(u, v)
-				var preds []int
-				if pv == 0 {
-					if up {
-						preds = []int{u*2 + 0}
-					}
-				} else {
-					if !up { // u→v is a down link
-						preds = []int{u*2 + 0, u*2 + 1}
-					}
-				}
-				for _, p := range preds {
-					if d[p] < 0 {
-						d[p] = d[s] + 1
-						queue = append(queue, p)
-					}
+				switch {
+				case pv == 0 && up:
+					visit(u*2+0, s)
+				case pv == 1 && !up: // u→v is a down link
+					visit(u*2+0, s)
+					visit(u*2+1, s)
 				}
 			}
 		}
@@ -235,7 +285,6 @@ func (t *Table) buildUpDown() error {
 				return fmt.Errorf("routing: up*/down* cannot reach %d from %d", dst, r)
 			}
 		}
-		t.distUD[dst] = d
 	}
 	return nil
 }
@@ -251,7 +300,7 @@ func (t *Table) UpDownDist(r int, downPhase bool, dst int) int {
 	if downPhase {
 		ph = 1
 	}
-	return t.distUD[dst][r*2+ph]
+	return int(t.distUD[(dst*t.g.N()+r)*2+ph])
 }
 
 // AllOutputs returns every outgoing link of router `at` as a candidate
@@ -264,7 +313,7 @@ func (t *Table) UpDownDist(r int, downPhase bool, dst int) int {
 // The returned slice is shared and read-only: it aliases the table's
 // precomputed state and must not be modified or appended to.
 func (t *Table) AllOutputs(at, dst int) []Candidate {
-	return t.allOut[at*t.g.N()+dst]
+	return t.allOut.at(at*t.g.N() + dst)
 }
 
 // AllOutputsPreferProductive is AllOutputs with the productive candidates
@@ -272,7 +321,7 @@ func (t *Table) AllOutputs(at, dst int) []Candidate {
 // so forced rotations should track desired moves). Same read-only
 // contract as AllOutputs.
 func (t *Table) AllOutputsPreferProductive(at, dst int) []Candidate {
-	return t.allOutProd[at*t.g.N()+dst]
+	return t.allOutProd.at(at*t.g.N() + dst)
 }
 
 // Candidates returns the legal next-hop candidates for a packet at router
@@ -289,53 +338,42 @@ func (t *Table) Candidates(k Kind, at, dst int, downPhase bool) []Candidate {
 	i := at*t.g.N() + dst
 	switch k {
 	case AdaptiveMinimal:
-		return t.adaptive[i]
+		return t.adaptive.at(i)
 	case XY:
-		if t.xy == nil {
+		if t.xy.off == nil {
 			return nil
 		}
-		return t.xy[i]
+		return t.xy.at(i)
 	case UpDown:
 		if downPhase {
-			return t.upDown[1][i]
+			return t.upDown[1].at(i)
 		}
-		return t.upDown[0][i]
+		return t.upDown[0].at(i)
 	}
 	return nil
 }
 
-// buildCandidateTables materializes every candidate set once. Each table
-// is generated through the per-pair algorithm below, one source router
-// (row) at a time: the row's sets are generated once into a reused
-// scratch buffer and frozen into an arena of exactly their size, so
-// later queries are allocation-free lookups and no arena holds spare
-// capacity.
+// buildCandidateTables materializes every candidate set once. Each kind
+// is generated through the per-pair algorithm below into one scratch
+// buffer sized for the largest kind (AllOutputs: every out-link of every
+// router, for every other destination) and frozen into an arena of
+// exactly its size, so later queries are allocation-free lookups and no
+// arena holds spare capacity.
 func (t *Table) buildCandidateTables() {
 	n := t.g.N()
-	var scratch []Candidate
-	ends := make([]int, n)
-	build := func(gen func(buf []Candidate, at, dst int) []Candidate) [][]Candidate {
-		out := make([][]Candidate, n*n)
+	scratch := make([]Candidate, 0, (n-1)*t.g.NumLinks())
+	build := func(gen func(buf []Candidate, at, dst int) []Candidate) candSet {
+		off := make([]uint32, n*n+1)
+		buf := scratch
 		for at := 0; at < n; at++ {
-			scratch = scratch[:0]
 			for dst := 0; dst < n; dst++ {
-				scratch = gen(scratch, at, dst)
-				ends[dst] = len(scratch)
-			}
-			if len(scratch) == 0 {
-				continue
-			}
-			row := make([]Candidate, len(scratch))
-			copy(row, scratch)
-			start := 0
-			for dst, end := range ends {
-				if end > start {
-					out[at*n+dst] = row[start:end:end]
-				}
-				start = end
+				buf = gen(buf, at, dst)
+				off[at*n+dst+1] = uint32(len(buf))
 			}
 		}
-		return out
+		arena := make([]Candidate, len(buf))
+		copy(arena, buf)
+		return candSet{off: off, arena: arena}
 	}
 	t.adaptive = build(t.appendAdaptive)
 	if t.mesh != nil {
@@ -349,14 +387,14 @@ func (t *Table) buildCandidateTables() {
 	})
 	t.allOut = build(t.appendAllOutputs)
 	t.allOutProd = build(func(buf []Candidate, at, dst int) []Candidate {
-		all := t.allOut[at*t.g.N()+dst]
+		all := t.AllOutputs(at, dst)
 		for _, c := range all {
-			if c.Productive {
+			if c.Productive() {
 				buf = append(buf, c)
 			}
 		}
 		for _, c := range all {
-			if !c.Productive {
+			if !c.Productive() {
 				buf = append(buf, c)
 			}
 		}
@@ -371,7 +409,7 @@ func (t *Table) appendAllOutputs(buf []Candidate, at, dst int) []Candidate {
 	}
 	cur := t.dist[at][dst]
 	for i, nb := range t.g.Neighbors(at) {
-		buf = append(buf, Candidate{LinkID: t.out[at][i], Productive: t.dist[nb][dst] < cur})
+		buf = append(buf, newCandidate(t.out[at][i], false, t.dist[nb][dst] < cur))
 	}
 	return buf
 }
@@ -384,7 +422,7 @@ func (t *Table) appendAdaptive(buf []Candidate, at, dst int) []Candidate {
 	cur := t.dist[at][dst]
 	for i, nb := range t.g.Neighbors(at) {
 		if t.dist[nb][dst] < cur {
-			buf = append(buf, Candidate{LinkID: t.out[at][i], Productive: true})
+			buf = append(buf, newCandidate(t.out[at][i], false, true))
 		}
 	}
 	return buf
@@ -411,7 +449,7 @@ func (t *Table) appendXY(buf []Candidate, at, dst int) []Candidate {
 	}
 	for i, nb := range t.g.Neighbors(at) {
 		if nb == next {
-			buf = append(buf, Candidate{LinkID: t.out[at][i], Productive: true})
+			buf = append(buf, newCandidate(t.out[at][i], false, true))
 		}
 	}
 	return buf
@@ -433,11 +471,7 @@ func (t *Table) appendUpDown(buf []Candidate, at, dst int, downPhase bool) []Can
 		}
 		nextPhase := downPhase || !up
 		if t.UpDownDist(nb, nextPhase, dst) == cur-1 {
-			buf = append(buf, Candidate{
-				LinkID:     t.out[at][i],
-				DownPhase:  nextPhase,
-				Productive: t.dist[nb][dst] < t.dist[at][dst],
-			})
+			buf = append(buf, newCandidate(t.out[at][i], nextPhase, t.dist[nb][dst] < t.dist[at][dst]))
 		}
 	}
 	return buf

@@ -40,7 +40,7 @@ func TestXYRoutesExactlyOnePort(t *testing.T) {
 				if len(cands) != 1 {
 					t.Fatalf("XY at %d→%d: %d candidates, want 1", at, dst, len(cands))
 				}
-				at = m.Link(cands[0].LinkID).To
+				at = m.Link(cands[0].LinkID()).To
 				if hops++; hops > m.N() {
 					t.Fatalf("XY route %d→%d does not terminate", src, dst)
 				}
@@ -61,7 +61,7 @@ func TestXYIsXFirst(t *testing.T) {
 	if len(cands) != 1 {
 		t.Fatal("want one candidate")
 	}
-	if to := m.Link(cands[0].LinkID).To; to != m.RouterAt(1, 0) {
+	if to := m.Link(cands[0].LinkID()).To; to != m.RouterAt(1, 0) {
 		t.Errorf("first hop goes to %d, want +X neighbor %d", to, m.RouterAt(1, 0))
 	}
 }
@@ -91,11 +91,11 @@ func TestAdaptiveMinimalIsProductiveAndComplete(t *testing.T) {
 				t.Fatalf("%d→%d: %d candidates, want %d", src, dst, len(cands), wantCount)
 			}
 			for _, c := range cands {
-				nb := m.Link(c.LinkID).To
+				nb := m.Link(c.LinkID()).To
 				if tab.Dist(nb, dst) != tab.Dist(src, dst)-1 {
 					t.Fatalf("%d→%d: candidate via %d is not minimal", src, dst, nb)
 				}
-				if !c.Productive {
+				if !c.Productive() {
 					t.Fatalf("%d→%d: minimal candidate marked unproductive", src, dst)
 				}
 			}
@@ -124,11 +124,11 @@ func walkUpDown(t *testing.T, tab *Table, g *topology.Graph, src, dst int) int {
 			t.Fatalf("up*/down* stuck at %d (phase %v) heading to %d", at, phase, dst)
 		}
 		c := cands[0]
-		to := g.Link(c.LinkID).To
+		to := g.Link(c.LinkID()).To
 		if phase && tab.IsUp(at, to) {
 			t.Fatalf("up link %d→%d taken after down", at, to)
 		}
-		at, phase = to, c.DownPhase
+		at, phase = to, c.DownPhase()
 		if hops++; hops > 4*g.N() {
 			t.Fatalf("up*/down* route %d→%d does not terminate", src, dst)
 		}
@@ -244,7 +244,7 @@ func TestAdaptiveWalkProperty(t *testing.T) {
 				if len(cands) == 0 {
 					return false
 				}
-				at = g.Link(cands[rng.IntN(len(cands))].LinkID).To
+				at = g.Link(cands[rng.IntN(len(cands))].LinkID()).To
 				hops++
 			}
 			if hops != tab.Dist(src, dst) {
@@ -281,11 +281,11 @@ func TestUpDownWalkProperty(t *testing.T) {
 					return false
 				}
 				c := cands[rng.IntN(len(cands))]
-				to := g.Link(c.LinkID).To
+				to := g.Link(c.LinkID()).To
 				if phase && tab.IsUp(at, to) {
 					return false
 				}
-				at, phase = to, c.DownPhase
+				at, phase = to, c.DownPhase()
 				if hops++; hops > 4*n {
 					return false
 				}
@@ -330,8 +330,9 @@ func TestRemappedTableIsActiveTableInFullIDs(t *testing.T) {
 					t.Fatalf("(%d,%d): remapped set has %d candidates, active table %d", at, dst, len(got), len(want))
 				}
 				for i, c := range want {
-					l := active.Link(c.LinkID)
-					c.LinkID, _ = full.LinkID(l.From, l.To)
+					l := active.Link(c.LinkID())
+					id, _ := full.LinkID(l.From, l.To)
+					c = newCandidate(id, c.DownPhase(), c.Productive())
 					if got[i] != c {
 						t.Fatalf("(%d,%d) candidate %d = %+v, want %+v", at, dst, i, got[i], c)
 					}
@@ -371,7 +372,7 @@ func TestCandidateListsAscendByLinkID(t *testing.T) {
 					tab.AllOutputs(at, dst),
 				} {
 					for j := 1; j < len(cands); j++ {
-						if cands[j-1].LinkID >= cands[j].LinkID {
+						if cands[j-1].LinkID() >= cands[j].LinkID() {
 							t.Fatalf("%s: list %d for (%d,%d) does not ascend by link ID: %+v", what, i, at, dst, cands)
 						}
 					}

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"drain/internal/experiments"
 )
 
 // Config sizes the service.
@@ -15,8 +17,12 @@ type Config struct {
 	// QueueDepth bounds jobs waiting for a worker; submissions beyond it
 	// get 429 + Retry-After (explicit backpressure). Default 64.
 	QueueDepth int
-	// Workers is the number of concurrent jobs. Each job may itself fan
-	// out across experiments.SetParallelism workers. Default 2.
+	// Workers is the service's CPU budget, in run slots: at most this
+	// many jobs execute at once and at most this many simulations run at
+	// once across all of them. A job holds one slot for its whole life
+	// and a figure job borrows the slots no other job is using, giving
+	// each back within one simulation when another job needs it (see
+	// experiments.Slots). Default 2.
 	Workers int
 	// JobTimeout bounds one job's execution; an expired job fails with
 	// 504 and stops simulating within noc.CancelCheckEvery cycles.
@@ -71,6 +77,7 @@ type jobResult struct {
 type Server struct {
 	cfg   Config
 	cache *resultCache
+	slots *experiments.Slots // cfg.Workers run slots, shared by every job
 
 	mu       sync.RWMutex // guards queue close vs. submit
 	queue    chan *job
@@ -91,6 +98,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheEntries),
+		slots: experiments.NewSlots(cfg.Workers),
 		queue: make(chan *job, cfg.QueueDepth),
 		start: time.Now(),
 	}
@@ -110,21 +118,21 @@ func (s *Server) worker() {
 		s.metrics.inflight.Add(1)
 		started := time.Now()
 		var res jobResult
-		if err := j.ctx.Err(); err != nil {
-			// The submitter vanished while the job sat in the queue:
-			// don't burn a worker on a result nobody wants.
-			res.err = err
-		} else {
-			ctx, cancel := context.WithTimeout(j.ctx, s.cfg.JobTimeout)
+		// Acquire fails only if the submitter vanished while the job sat in
+		// the queue or waited for a lent slot to come back: don't burn a
+		// worker on a result nobody wants.
+		if res.err = s.slots.Acquire(j.ctx); res.err == nil {
+			ctx, cancel := context.WithTimeout(experiments.WithSlots(j.ctx, s.slots), s.cfg.JobTimeout)
 			res.body, res.err = s.execute(ctx, j.key, j.c)
 			cancel()
+			s.slots.Release()
 		}
 		if res.err == nil {
 			s.cache.Put(j.key, res.body)
 		}
 		s.metrics.observe(time.Since(started), res.err)
+		s.metrics.inflight.Add(-1) // before the reply: a client that has its answer must not still see the job in flight
 		j.done <- res
-		s.metrics.inflight.Add(-1)
 	}
 }
 

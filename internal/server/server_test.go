@@ -57,48 +57,54 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // A served figure must carry exactly the markdown cmd/experiments
-// renders for the same experiment, and resubmitting the same request
-// must be a cache hit with byte-identical body and no recomputation.
+// renders for the same experiment whatever the run-slot budget (fig11
+// fans its simulations out over the slots the server lends it), and
+// resubmitting the same request must be a cache hit with byte-identical
+// body and no recomputation.
 func TestFigureJobMatchesCLIAndCaches(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-
-	resp, body := postJob(t, ts.URL, `{"fig":"fig6"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("first request X-Cache = %q, want miss", got)
-	}
-	var r Response
-	if err := json.Unmarshal(body, &r); err != nil {
-		t.Fatalf("decode response: %v", err)
-	}
-
-	e, ok := experiments.ByID("fig6")
+	e, ok := experiments.ByID("fig11")
 	if !ok {
-		t.Fatal("fig6 not in registry")
+		t.Fatal("fig11 not in registry")
 	}
 	tables, err := e.Run(context.Background(), experiments.Quick, 1)
 	if err != nil {
-		t.Fatalf("direct fig6 run: %v", err)
+		t.Fatalf("direct fig11 run: %v", err)
 	}
 	want := experiments.RenderFigure(e, tables)
-	if r.Markdown != want {
-		t.Fatalf("served markdown differs from cmd/experiments rendering:\n--- served ---\n%s\n--- direct ---\n%s", r.Markdown, want)
-	}
 
-	resp2, body2 := postJob(t, ts.URL, `{"kind":"figure","fig":"fig6","scale":"quick","seed":1}`)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("resubmit status %d", resp2.StatusCode)
-	}
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("resubmit X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(body, body2) {
-		t.Fatal("cache hit body differs from original miss body")
-	}
-	if n := s.JobsExecuted(); n != 1 {
-		t.Fatalf("JobsExecuted = %d after identical resubmit, want 1 (no recompute)", n)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: workers})
+
+			resp, body := postJob(t, ts.URL, `{"fig":"fig11"}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Cache"); got != "miss" {
+				t.Fatalf("first request X-Cache = %q, want miss", got)
+			}
+			var r Response
+			if err := json.Unmarshal(body, &r); err != nil {
+				t.Fatalf("decode response: %v", err)
+			}
+			if r.Markdown != want {
+				t.Fatalf("served markdown differs from cmd/experiments rendering:\n--- served ---\n%s\n--- direct ---\n%s", r.Markdown, want)
+			}
+
+			resp2, body2 := postJob(t, ts.URL, `{"kind":"figure","fig":"fig11","scale":"quick","seed":1}`)
+			if resp2.StatusCode != http.StatusOK {
+				t.Fatalf("resubmit status %d", resp2.StatusCode)
+			}
+			if got := resp2.Header.Get("X-Cache"); got != "hit" {
+				t.Fatalf("resubmit X-Cache = %q, want hit", got)
+			}
+			if !bytes.Equal(body, body2) {
+				t.Fatal("cache hit body differs from original miss body")
+			}
+			if n := s.JobsExecuted(); n != 1 {
+				t.Fatalf("JobsExecuted = %d after identical resubmit, want 1 (no recompute)", n)
+			}
+		})
 	}
 }
 

@@ -190,7 +190,8 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 }
 
 // LoadSweep measures a latency/throughput curve: one fresh runner per
-// offered rate (networks are not reusable across rates).
+// offered rate (networks are not reusable across rates) over one
+// topology and routing table built up front.
 func LoadSweep(p Params, patternName string, rates []float64, warmup, measure int64) (stats.Curve, error) {
 	return LoadSweepContext(context.Background(), p, patternName, rates, warmup, measure)
 }
@@ -199,16 +200,21 @@ func LoadSweep(p Params, patternName string, rates []float64, warmup, measure in
 // every per-rate run (see RunSyntheticContext) and also checked between
 // rates.
 func LoadSweepContext(ctx context.Context, p Params, patternName string, rates []float64, warmup, measure int64) (stats.Curve, error) {
+	g, mesh, tab, err := p.BuildTopology()
+	if err != nil {
+		return nil, err
+	}
+	p.RoutingTable = tab
 	var curve stats.Curve
 	for _, rate := range rates {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: load sweep cancelled: %w", err)
 		}
-		r, err := Build(p)
+		r, err := BuildOn(g, mesh, p)
 		if err != nil {
 			return nil, err
 		}
-		pat, err := traffic.ByName(patternName, r.Graph.N(), p.Width)
+		pat, err := traffic.ByName(patternName, g.N(), p.Width)
 		if err != nil {
 			return nil, err
 		}

@@ -308,6 +308,24 @@ func (p Params) BuildGraph() (*topology.Graph, *topology.Mesh, error) {
 	return g, mesh, nil
 }
 
+// BuildTopology is BuildGraph plus the topology's routing table: what
+// every Build of p pays for before the network exists. A caller that
+// builds several runners over one topology (a sweep's rates, a figure's
+// schemes) pays it once, sets Params.RoutingTable and calls BuildOn per
+// run; the graph and the table are immutable and safe to share between
+// concurrent runs.
+func (p Params) BuildTopology() (*topology.Graph, *topology.Mesh, *routing.Table, error) {
+	g, mesh, err := p.BuildGraph()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tab, err := routing.NewTable(g, mesh)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return g, mesh, tab, nil
+}
+
 // BuildOn constructs a Runner over an explicit topology (irregular,
 // chiplet, random…). mesh may be nil unless the scheme needs XY routing
 // (fault-free escape VC).

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"drain/internal/stats"
 	"drain/internal/topology"
 	"drain/internal/traffic"
 	"drain/internal/workload"
@@ -150,6 +151,41 @@ func TestLoadSweepMonotoneThroughput(t *testing.T) {
 	}
 	if curve.Saturation() < curve[0].Accepted {
 		t.Error("saturation below low-load accepted rate")
+	}
+}
+
+// TestLoadSweepSharesOneTopology pins the sweep's hoisting: building the
+// graph and routing table once and BuildOn per rate gives exactly the
+// points a fresh Build per rate gives, also on a faulty mesh whose fault
+// schedule swaps each run's table mid-run.
+func TestLoadSweepSharesOneTopology(t *testing.T) {
+	rates := []float64{0.02, 0.10, 0.30}
+	faulty := Params{Width: 4, Height: 4, Faults: 3, FaultSeed: 2, Scheme: SchemeDRAIN, Seed: 6, Epoch: 2000}
+	g, _, err := faulty.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := topology.RemovableEdges(g)[0]
+	faulty.FaultSchedule = []FaultEvent{{Cycle: 900, A: e.A, B: e.B, Fail: true}}
+	for _, p := range []Params{{Width: 4, Height: 4, Scheme: SchemeEscapeVC, Seed: 6}, faulty} {
+		curve, err := LoadSweep(p, "uniform", rates, 500, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rate := range rates {
+			r, err := Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, rate, 500, 3000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stats.LoadPoint{Offered: rate, Accepted: res.Accepted, AvgLat: res.AvgLatency, P99Lat: res.P99Latency}
+			if curve[i] != want {
+				t.Errorf("%v rate %.2f: sweep point %+v, fresh Build gives %+v", p.Scheme, rate, curve[i], want)
+			}
+		}
 	}
 }
 

@@ -245,29 +245,39 @@ func (g *Graph) Connected() bool {
 // unreachable).
 func (g *Graph) BFSDist(src int) []int {
 	dist := make([]int, g.n)
+	g.bfsInto(dist, make([]int, g.n), src)
+	return dist
+}
+
+// bfsInto fills dist with BFSDist(src); dist and the scratch queue both
+// have length N.
+func (g *Graph) bfsInto(dist, queue []int, src int) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
+	queue[0] = src
+	for head, tail := 0, 1; head < tail; head++ {
+		r := queue[head]
 		for _, nb := range g.adj[r] {
 			if dist[nb] < 0 {
 				dist[nb] = dist[r] + 1
-				queue = append(queue, nb)
+				queue[tail] = nb
+				tail++
 			}
 		}
 	}
-	return dist
 }
 
-// AllPairsDist returns dist[src][dst] hop distances for all router pairs.
+// AllPairsDist returns dist[src][dst] hop distances for all router pairs
+// (rows of one arena).
 func (g *Graph) AllPairsDist() [][]int {
 	all := make([][]int, g.n)
+	arena := make([]int, g.n*g.n)
+	queue := make([]int, g.n)
 	for r := range all {
-		all[r] = g.BFSDist(r)
+		all[r] = arena[r*g.n : (r+1)*g.n : (r+1)*g.n]
+		g.bfsInto(all[r], queue, r)
 	}
 	return all
 }
