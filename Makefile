@@ -2,15 +2,15 @@ GO ?= go
 # bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs bench bench-e2e bench-pair bench-all fuzz results clean
+.PHONY: check build vet lint test-race test-allocs results-check bench bench-e2e bench-pair bench-all fuzz results clean
 
 ## check: build + vet + drainvet + race tests + the hot-path allocation
-## guards.
+## guards + the committed quick tables regenerated and compared.
 # The race run uses -short (race instrumentation makes the simulator ~10x
 # slower); the allocation guards need a separate non-race run because the
 # detector's bookkeeping allocations would trip them (they skip
 # themselves under race).
-check: build vet lint test-race test-allocs
+check: build vet lint test-race test-allocs results-check
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,18 @@ fuzz:
 ## results: regenerate the quick-scale markdown tables under results/.
 results:
 	$(GO) run ./cmd/experiments -fig all -scale quick -out results
+
+## results-check: the "same bytes" criterion, mechanised: regenerate every
+## quick figure into a temp dir and diff it against results/*.md, the
+## `_(scale=…, took …)_` trailer (the one wall-clock line) left out.
+results-check:
+	set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -fig all -scale quick -parallel 2 -out "$$tmp" > /dev/null; \
+	for f in results/*.md; do \
+		diff -u --label "$$f" --label "regenerated $$(basename "$$f")" <(grep -v '^_(scale=' "$$f") <(grep -v '^_(scale=' "$$tmp/$$(basename "$$f")"); \
+	done; \
+	test "$$(ls "$$tmp" | wc -l)" -eq "$$(ls results/*.md | wc -l)" || { echo "results-check: results/ and the registry list different figures"; exit 1; }; \
+	echo "results-check: $$(ls results/*.md | wc -l) tables byte-identical"
 
 clean:
 	$(GO) clean ./...

@@ -70,24 +70,35 @@ func TestStepAllocs(t *testing.T) {
 
 // TestStepWindowAllocs holds a whole measured window of the run loop —
 // BenchmarkStep's six (load, engine) runners, primed the same way, one
-// RunSynthetic window each — to the stepLoads ceilings: about 3x what the
-// pooled simulator allocates there (26-40 per window: the window's own
-// statistics), two to three orders of magnitude under what a per-packet
-// or per-cycle allocation would cost.
+// RunSynthetic window each — to the stepLoads ceilings, in allocations
+// and in bytes: about 3x what the pooled simulator allocates there (the
+// window's own statistics and closures), two to three orders of
+// magnitude under what a per-packet or per-cycle allocation would cost.
+// The byte ceiling is what a count cannot see: one slice that grows with
+// the packets delivered (73 k of them in a saturated window) is a dozen
+// allocations and a megabyte.
 func TestStepWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds bookkeeping allocations")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, load := range stepLoads {
 		for _, eng := range []noc.EngineKind{noc.EngineEvent, noc.EngineDense} {
 			r, pat := primedStepRunner(t, load.rate, eng)
-			allocs := testing.AllocsPerRun(1, func() {
-				if _, err := r.RunSynthetic(pat, load.rate, 0, stepWindow); err != nil {
-					t.Fatal(err)
-				}
-			})
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			if _, err := r.RunSynthetic(pat, load.rate, 0, stepWindow); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			allocs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+			t.Logf("%s/%s: %d allocations, %d bytes in a %d-cycle window", load.name, eng, allocs, bytes, stepWindow)
 			if allocs > load.maxAllocs {
-				t.Errorf("%s/%s: %.0f allocations in a %d-cycle window, ceiling is %.0f", load.name, eng, allocs, stepWindow, load.maxAllocs)
+				t.Errorf("%s/%s: %d allocations in a %d-cycle window, ceiling is %d", load.name, eng, allocs, stepWindow, load.maxAllocs)
+			}
+			if bytes > load.maxBytes {
+				t.Errorf("%s/%s: %d bytes allocated in a %d-cycle window, ceiling is %d", load.name, eng, bytes, stepWindow, load.maxBytes)
 			}
 		}
 	}

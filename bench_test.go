@@ -81,16 +81,17 @@ func BenchmarkFig10SaturationParallel(b *testing.B) {
 // stepLoads are the three load points of the paper's evaluation regime
 // BenchmarkStep times — the fig11 low-load point (0.02
 // packets/node/cycle), a mid-load point, and the fig10 saturation point
-// (0.45) — each with the ceiling TestStepWindowAllocs holds one window's
-// heap allocations to.
+// (0.45) — each with the ceilings TestStepWindowAllocs holds one window's
+// heap allocations to, in count and in bytes.
 var stepLoads = []struct {
 	name      string
 	rate      float64
-	maxAllocs float64
+	maxAllocs uint64
+	maxBytes  uint64
 }{
-	{"LowLoad", 0.02, 100},
-	{"MidLoad", 0.10, 120},
-	{"Saturation", 0.45, 150},
+	{"LowLoad", 0.02, 70, 24 << 10},
+	{"MidLoad", 0.10, 50, 12 << 10},
+	{"Saturation", 0.45, 45, 12 << 10},
 }
 
 // stepWindow is the measured RunSynthetic window of BenchmarkStep, in cycles.

@@ -1,0 +1,52 @@
+package experiments
+
+import (
+	"drain/internal/sim"
+	"drain/internal/topology"
+)
+
+// A fault sweep is a figure's (fault count × fault pattern) grid of 8x8
+// meshes, pattern pi of a count drawn from fault seed seed + pi·6151.
+// Its cells are not all distinct topologies: Params.BuildGraph reads
+// FaultSeed only when Faults > 0, so every pattern of a fault count of 0
+// is the same fault-free mesh, and a simulation on it is the same
+// simulation. The figures therefore make one unit of work per distinct
+// topology and copy a fault-free result into every pattern's cell; the
+// serial averaging over cells afterwards is what it always was.
+
+// faultTopo is one distinct topology of a fault sweep.
+type faultTopo struct {
+	fi     int // index of its fault count in the sweep
+	faults int // that fault count
+	pi, pn int // the pattern cells [pi, pi+pn) of row fi it fills
+}
+
+// distinctTopologies enumerates the distinct topologies of the sweep
+// faults × patterns in cell order. Every cell belongs to exactly one.
+func distinctTopologies(faults []int, patterns int) []faultTopo {
+	var topos []faultTopo
+	for fi, f := range faults {
+		if f == 0 {
+			topos = append(topos, faultTopo{fi: fi, faults: f, pi: 0, pn: patterns})
+			continue
+		}
+		for pi := 0; pi < patterns; pi++ {
+			topos = append(topos, faultTopo{fi: fi, faults: f, pi: pi, pn: 1})
+		}
+	}
+	return topos
+}
+
+// build constructs the topology and its routing table once, for all the
+// runs of one unit of work. The returned Params carry the table; the
+// caller sets Scheme per run and calls sim.BuildOn. The table lives for
+// the unit only, so at most one per run slot is live.
+func (ft faultTopo) build(seed uint64) (*topology.Graph, *topology.Mesh, sim.Params, error) {
+	p := sim.Params{Width: 8, Height: 8, Faults: ft.faults, FaultSeed: seed + uint64(ft.pi)*6151, Seed: seed}
+	g, mesh, tab, err := p.BuildTopology()
+	if err != nil {
+		return nil, nil, p, err
+	}
+	p.RoutingTable = tab
+	return g, mesh, p, nil
+}

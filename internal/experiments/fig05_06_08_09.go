@@ -60,10 +60,10 @@ func fig5(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "8x8 mesh, uniform random: up*/down* vs ideal",
 		Columns: []string{"faults", "up*/down* low-load lat", "ideal low-load lat", "lat gap", "up*/down* saturation", "ideal saturation"},
 	}
-	// One job per (fault count, pattern, scheme, load point): each is an
-	// independent (build, run, measure) triple. Aggregation below stays
-	// serial and index-ordered so the float sums — and thus the rendered
-	// table — are identical for every worker count.
+	// One unit of work per distinct topology: built once, then one run
+	// per (scheme, load point). Aggregation below stays serial and
+	// index-ordered so the float sums — and thus the rendered table — are
+	// identical for every worker count.
 	schemes := []sim.Scheme{sim.SchemeUpDown, sim.SchemeIdeal}
 	loads := []struct {
 		rate   float64
@@ -76,21 +76,30 @@ func fig5(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 	perPattern := len(schemes) * perScheme
 	perFault := patterns * perPattern
 	metrics := make([]float64, len(faults)*perFault)
-	err := ForEachConfigContext(ctx, len(metrics), func(i int) error {
-		li := i % perScheme
-		si := i / perScheme % len(schemes)
-		pi := i / perPattern % patterns
-		fi := i / perFault
-		fs := seed + uint64(pi)*6151
-		r, err := sim.Build(sim.Params{Width: 8, Height: 8, Faults: faults[fi], FaultSeed: fs, Scheme: schemes[si], Seed: seed})
+	topos := distinctTopologies(faults, patterns)
+	err := ForEachConfigContext(ctx, len(topos), func(u int) error {
+		ft := topos[u]
+		g, mesh, p, err := ft.build(seed)
 		if err != nil {
 			return err
 		}
-		res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, loads[li].rate, warm, meas)
-		if err != nil {
-			return err
+		for si, scheme := range schemes {
+			p.Scheme = scheme
+			for li, load := range loads {
+				r, err := sim.BuildOn(g, mesh, p)
+				if err != nil {
+					return err
+				}
+				res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, load.rate, warm, meas)
+				if err != nil {
+					return err
+				}
+				m := load.metric(res)
+				for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
+					metrics[ft.fi*perFault+pi*perPattern+si*perScheme+li] = m
+				}
+			}
 		}
-		metrics[i] = loads[li].metric(res)
 		return nil
 	})
 	if err != nil {

@@ -33,9 +33,11 @@ func init() {
 	})
 }
 
-// synthMatrix runs the three schemes across fault counts for one traffic
-// pattern and rate, averaging over fault patterns.
-func synthMatrix(ctx context.Context, sc Scale, seed uint64, patName string, rate float64, metric func(sim.SyntheticResult) float64) (Table, error) {
+// synthMatrix runs the three schemes across fault counts at one rate,
+// for uniform random and transpose traffic, averaging over fault
+// patterns: one table per traffic pattern, titled title + ", <pattern>,
+// 8x8".
+func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, rate float64, metric func(sim.SyntheticResult) float64) ([]Table, error) {
 	faults := []int{0, 4, 12}
 	warm, meas := int64(1000), int64(4000)
 	patterns := 2
@@ -45,86 +47,82 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, patName string, rat
 		patterns = 10
 	}
 	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeSPIN, sim.SchemeDRAIN}
-	t := Table{Columns: []string{"faults", "escape-vc", "spin", "drain"}}
-	// One unit of work per (fault count, fault pattern): the topology and
-	// its routing table are built once and live for the unit's three
-	// scheme runs only, so at most one table per run slot is live.
-	// Averaging happens serially afterwards in fixed index order.
+	patNames := []string{"uniform", "transpose"}
+	pats := make([]traffic.Pattern, len(patNames))
+	for ti, name := range patNames {
+		pat, err := traffic.ByName(name, 64, 8)
+		if err != nil {
+			return nil, err
+		}
+		pats[ti] = pat
+	}
+	// One unit of work per (traffic pattern, distinct topology): the
+	// topology and its routing table are built once and live for the
+	// unit's three scheme runs only, so at most one table per run slot is
+	// live. Averaging happens serially afterwards in fixed index order.
+	topos := distinctTopologies(faults, patterns)
 	perScheme := patterns
 	perFault := len(schemes) * perScheme
-	metrics := make([]float64, len(faults)*perFault)
-	pat, err := traffic.ByName(patName, 64, 8)
-	if err != nil {
-		return t, err
-	}
-	err = ForEachConfigContext(ctx, len(faults)*patterns, func(u int) error {
-		pi := u % patterns
-		fi := u / patterns
-		p := sim.Params{Width: 8, Height: 8, Faults: faults[fi], FaultSeed: seed + uint64(pi)*6151, Seed: seed}
-		g, mesh, tab, err := p.BuildTopology()
+	perTraffic := len(faults) * perFault
+	metrics := make([]float64, len(pats)*perTraffic)
+	err := ForEachConfigContext(ctx, len(pats)*len(topos), func(u int) error {
+		ti := u / len(topos)
+		ft := topos[u%len(topos)]
+		g, mesh, p, err := ft.build(seed)
 		if err != nil {
 			return err
 		}
-		p.RoutingTable = tab
 		for si, scheme := range schemes {
 			p.Scheme = scheme
 			r, err := sim.BuildOn(g, mesh, p)
 			if err != nil {
 				return err
 			}
-			res, err := r.RunSyntheticContext(ctx, pat, rate, warm, meas)
+			res, err := r.RunSyntheticContext(ctx, pats[ti], rate, warm, meas)
 			if err != nil {
 				return err
 			}
-			metrics[fi*perFault+si*perScheme+pi] = metric(res)
+			m := metric(res)
+			for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
+				metrics[ti*perTraffic+ft.fi*perFault+si*perScheme+pi] = m
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return t, err
+		return nil, err
 	}
-	for fi, f := range faults {
-		row := []string{fmt.Sprintf("%d", f)}
-		for si := range schemes {
-			sum := 0.0
-			for pi := 0; pi < patterns; pi++ {
-				sum += metrics[fi*perFault+si*perScheme+pi]
-			}
-			row = append(row, f3(sum/float64(patterns)))
+	tables := make([]Table, len(pats))
+	for ti := range pats {
+		t := Table{
+			ID:      id,
+			Title:   title + ", " + patNames[ti] + ", 8x8",
+			Columns: []string{"faults", "escape-vc", "spin", "drain"},
 		}
-		t.Rows = append(t.Rows, row)
+		for fi, f := range faults {
+			row := []string{fmt.Sprintf("%d", f)}
+			for si := range schemes {
+				sum := 0.0
+				for pi := 0; pi < patterns; pi++ {
+					sum += metrics[ti*perTraffic+fi*perFault+si*perScheme+pi]
+				}
+				row = append(row, f3(sum/float64(patterns)))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		tables[ti] = t
 	}
-	return t, nil
+	return tables, nil
 }
 
 func fig10(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	var tables []Table
-	for _, pat := range []string{"uniform", "transpose"} {
-		t, err := synthMatrix(ctx, sc, seed, pat, 0.45,
-			func(r sim.SyntheticResult) float64 { return r.Accepted })
-		if err != nil {
-			return nil, err
-		}
-		t.ID = "fig10"
-		t.Title = "Saturation throughput (packets/node/cycle), " + pat + ", 8x8"
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return synthMatrix(ctx, sc, seed, "fig10", "Saturation throughput (packets/node/cycle)", 0.45,
+		func(r sim.SyntheticResult) float64 { return r.Accepted })
 }
 
 func fig11(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	var tables []Table
-	for _, pat := range []string{"uniform", "transpose"} {
-		t, err := synthMatrix(ctx, sc, seed, pat, 0.02,
-			func(r sim.SyntheticResult) float64 { return r.AvgLatency })
-		if err != nil {
-			return nil, err
-		}
-		t.ID = "fig11"
-		t.Title = "Low-load average packet latency (cycles), " + pat + ", 8x8"
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return synthMatrix(ctx, sc, seed, "fig11", "Low-load average packet latency (cycles)", 0.02,
+		func(r sim.SyntheticResult) float64 { return r.AvgLatency })
 }
 
 func fig14(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {

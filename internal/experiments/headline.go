@@ -30,29 +30,36 @@ func headline(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		patterns = 10
 		warm, meas = 10_000, 50_000
 	}
-	// One job per (fault count, pattern, scheme); the averages are summed
-	// serially afterwards in fixed index order so the result is identical
-	// for every worker count.
+	// One unit of work per (fault count, pattern) topology, built once for
+	// its two scheme runs; the averages are summed serially afterwards in
+	// fixed index order so the result is identical for every worker count.
 	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeDRAIN}
 	perPattern := len(schemes)
 	perFault := patterns * perPattern
 	lats := make([]float64, len(faults)*perFault)
-	err := ForEachConfigContext(ctx, len(lats), func(i int) error {
-		si := i % perPattern
-		pi := i / perPattern % patterns
-		fi := i / perFault
-		fs := seed + uint64(pi)*6151
-		r, err := sim.Build(sim.Params{Width: 8, Height: 8, Faults: faults[fi], FaultSeed: fs, Scheme: schemes[si], Seed: seed})
+	topos := distinctTopologies(faults, patterns)
+	err := ForEachConfigContext(ctx, len(topos), func(u int) error {
+		ft := topos[u]
+		g, mesh, p, err := ft.build(seed)
 		if err != nil {
 			return err
 		}
-		// Moderate load: restrictions hurt most when the network
-		// is loaded but escape VCs are not yet saturated.
-		res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, 0.10, warm, meas)
-		if err != nil {
-			return err
+		for si, scheme := range schemes {
+			p.Scheme = scheme
+			r, err := sim.BuildOn(g, mesh, p)
+			if err != nil {
+				return err
+			}
+			// Moderate load: restrictions hurt most when the network
+			// is loaded but escape VCs are not yet saturated.
+			res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, 0.10, warm, meas)
+			if err != nil {
+				return err
+			}
+			for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
+				lats[ft.fi*perFault+pi*perPattern+si] = res.AvgLatency
+			}
 		}
-		lats[i] = res.AvgLatency
 		return nil
 	})
 	if err != nil {

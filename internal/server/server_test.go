@@ -285,6 +285,40 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestLatencyWindow pins the job-latency summary over stats.Sample:
+// nearest-rank p50/p99 in whole milliseconds over the current window,
+// and a window that starts over once latencyWindow jobs are in it.
+func TestLatencyWindow(t *testing.T) {
+	var m serverMetrics
+	summary := func() (int, int64, int64, time.Duration) {
+		return m.latency.Count(), m.latency.Percentile(0.50), m.latency.Percentile(0.99), m.latencyP50()
+	}
+	// Jobs of 1..200 ms, slowest first: rank, not arrival, decides.
+	for ms := 200; ms >= 1; ms-- {
+		m.observe(time.Duration(ms)*time.Millisecond+300*time.Microsecond, nil)
+	}
+	if n, p50, p99, d := summary(); n != 200 || p50 != 100 || p99 != 198 || d != 100*time.Millisecond {
+		t.Errorf("200 jobs of 1..200 ms: count %d p50 %d p99 %d latencyP50 %v, want 200 100 198 100ms", n, p50, p99, d)
+	}
+	// Fill the window to the brim with 7 ms jobs: nothing is dropped yet.
+	for m.latency.Count() < latencyWindow {
+		m.observe(7*time.Millisecond, nil)
+	}
+	if n, p50, p99, _ := summary(); n != latencyWindow || p50 != 7 || p99 != 7 || m.latency.Max() != 200 {
+		t.Errorf("full window: count %d p50 %d p99 %d max %d, want %d 7 7 200", n, p50, p99, m.latency.Max(), latencyWindow)
+	}
+	// The next job opens a new window that remembers none of the old one
+	// (a two-minute job is past what the sample counts by value).
+	m.observe(2*time.Minute, nil)
+	m.observe(3*time.Millisecond, nil)
+	if n, p50, p99, _ := summary(); n != 2 || p50 != 3 || p99 != 120_000 {
+		t.Errorf("new window: count %d p50 %d p99 %d, want 2 3 120000", n, p50, p99)
+	}
+	if got := m.jobsTotal.Load(); got != latencyWindow+2 {
+		t.Errorf("jobsTotal = %d, want %d", got, latencyWindow+2)
+	}
+}
+
 func TestBadRequestsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 

@@ -14,33 +14,63 @@ import (
 	"slices"
 )
 
-// Sample accumulates scalar observations (latencies, hop counts).
+// countedBelow bounds the values a Sample counts rather than stores:
+// every latency, hop count and job-millisecond the repo records is in
+// [0, countedBelow) unless a coherence round stalled for a million cycles.
+const countedBelow = 1 << 16
+
+// Sample accumulates scalar observations (latencies, hop counts) as
+// exact per-value counts, so it costs memory per distinct value, not per
+// observation, and a percentile is a walk over the counts with nothing
+// to sort. The zero value is an empty sample ready to use.
 type Sample struct {
-	vals   []int64
-	sorted bool
+	counts []int64 // counts[v] observations of v; len a power of two ≤ countedBelow
+	rest   []int64 // the observations outside [0, countedBelow), one element each
+	n      int
 	sum    int64
 	max    int64
 }
 
 // Add records one observation.
 func (s *Sample) Add(v int64) {
-	s.vals = append(s.vals, v)
-	s.sorted = false
+	s.n++
 	s.sum += v
 	if v > s.max {
 		s.max = v
 	}
+	if uint64(v) < uint64(len(s.counts)) {
+		s.counts[v]++
+		return
+	}
+	s.addUncounted(v)
+}
+
+// addUncounted records an observation counts has no cell for yet: it
+// doubles counts until v fits, or keeps v itself when it is out of range.
+func (s *Sample) addUncounted(v int64) {
+	if v < 0 || v >= countedBelow {
+		s.rest = append(s.rest, v)
+		return
+	}
+	n := max(64, len(s.counts))
+	for int64(n) <= v {
+		n *= 2
+	}
+	grown := make([]int64, n)
+	copy(grown, s.counts)
+	s.counts = grown
+	s.counts[v]++
 }
 
 // Count returns the number of observations.
-func (s *Sample) Count() int { return len(s.vals) }
+func (s *Sample) Count() int { return s.n }
 
 // Mean returns the arithmetic mean (0 with no observations).
 func (s *Sample) Mean() float64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return float64(s.sum) / float64(len(s.vals))
+	return float64(s.sum) / float64(s.n)
 }
 
 // Max returns the largest observation (0 with no observations).
@@ -50,28 +80,45 @@ func (s *Sample) Max() int64 { return s.max }
 // nearest-rank method; 0 with no observations. A q outside (0, 1]
 // clamps to the nearest observation rather than panicking.
 func (s *Sample) Percentile(q float64) int64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	if !s.sorted {
-		slices.Sort(s.vals)
-		s.sorted = true
-	}
-	rank := int(math.Ceil(q*float64(len(s.vals)))) - 1
+	rank := int(math.Ceil(q*float64(s.n))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(s.vals) {
-		rank = len(s.vals) - 1
+	if rank >= s.n {
+		rank = s.n - 1
 	}
-	return s.vals[rank]
+	// Ascending order is: the negatives of rest, every counted value,
+	// the rest from countedBelow up.
+	slices.Sort(s.rest)
+	negatives, _ := slices.BinarySearch(s.rest, 0)
+	if rank < negatives {
+		return s.rest[rank]
+	}
+	rank -= negatives
+	if counted := s.n - len(s.rest); rank >= counted {
+		return s.rest[negatives+rank-counted]
+	}
+	for v, c := range s.counts {
+		if rank < int(c) {
+			return int64(v)
+		}
+		rank -= int(c)
+	}
+	panic("stats: Sample counts do not add up to its observation count")
 }
 
 // P99 is shorthand for the 99th percentile (paper Fig. 15).
 func (s *Sample) P99() int64 { return s.Percentile(0.99) }
 
-// Reset discards all observations.
-func (s *Sample) Reset() { s.vals = s.vals[:0]; s.sorted = false; s.sum = 0; s.max = 0 }
+// Reset discards all observations; the storage stays for the next ones.
+func (s *Sample) Reset() {
+	clear(s.counts)
+	s.rest = s.rest[:0]
+	s.n, s.sum, s.max = 0, 0, 0
+}
 
 // LoadPoint is one measurement on a latency/throughput curve.
 type LoadPoint struct {

@@ -11,8 +11,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 )
 
@@ -67,12 +69,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 		seen[e] = true
 		g.edges = append(g.edges, e)
 	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].A != g.edges[j].A {
-			return g.edges[i].A < g.edges[j].A
-		}
-		return g.edges[i].B < g.edges[j].B
-	})
+	slices.SortFunc(g.edges, compareEdges)
 	g.rebuild()
 	return g, nil
 }
@@ -326,42 +323,64 @@ func (g *Graph) SpanningTree(root int) ([]int, error) {
 // removed, guaranteeing the result stays connected (the paper's fault
 // model: "links are randomly removed ... all nodes remain connected").
 // It fails if no connectivity-preserving choice exists for some step.
+//
+// Each step draws one of the edges that are not bridges of what is left,
+// in canonical edge order — the same draws k WithoutEdge calls on the
+// shrinking graph would take — but only the edge list and the adjacency
+// lists (all the bridge search reads) are kept current between steps;
+// the links and their indexes are derived once, from the survivors.
 func RemoveRandomLinks(g *Graph, k int, rng *rand.Rand) (*Graph, error) {
-	cur := g.Clone()
+	cur := &Graph{n: g.n, edges: slices.Clone(g.edges), adj: make([][]int, g.n)}
+	for r, nbs := range g.adj {
+		cur.adj[r] = slices.Clone(nbs)
+	}
+	candidates := make([]Edge, 0, len(cur.edges))
 	for i := 0; i < k; i++ {
-		candidates := removableEdges(cur)
+		candidates = cur.appendRemovable(candidates[:0])
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("topology: cannot remove link %d of %d without disconnecting the network", i+1, k)
 		}
 		e := candidates[rng.IntN(len(candidates))]
-		next, err := cur.WithoutEdge(e.A, e.B)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
+		cur.edges = deleteOne(cur.edges, e)
+		cur.adj[e.A] = deleteOne(cur.adj[e.A], e.B)
+		cur.adj[e.B] = deleteOne(cur.adj[e.B], e.A)
 	}
-	return cur, nil
+	return New(g.n, cur.edges)
+}
+
+// deleteOne removes the one element of s equal to v, keeping the order.
+func deleteOne[T comparable](s []T, v T) []T {
+	i := slices.Index(s, v)
+	return slices.Delete(s, i, i+1)
 }
 
 // RemovableEdges lists edges whose removal keeps the graph connected, in
 // canonical edge order. Runtime fault schedules use it to pick failure
 // candidates that never partition the network.
-func RemovableEdges(g *Graph) []Edge { return removableEdges(g) }
+func RemovableEdges(g *Graph) []Edge { return g.appendRemovable(nil) }
 
-// removableEdges lists edges whose removal keeps the graph connected.
-func removableEdges(g *Graph) []Edge {
+// appendRemovable appends to out the edges that are not bridges, in
+// canonical edge order. It reads only g.n, g.adj and g.edges.
+func (g *Graph) appendRemovable(out []Edge) []Edge {
 	bridges := g.bridges()
-	isBridge := make(map[Edge]bool, len(bridges))
-	for _, b := range bridges {
-		isBridge[b] = true
-	}
-	var out []Edge
+	slices.SortFunc(bridges, compareEdges)
 	for _, e := range g.edges {
-		if !isBridge[e] {
-			out = append(out, e)
+		// Both lists ascend, so the next bridge is the only one e can be.
+		if len(bridges) > 0 && bridges[0] == e {
+			bridges = bridges[1:]
+			continue
 		}
+		out = append(out, e)
 	}
 	return out
+}
+
+// compareEdges orders edges by (A, B): the canonical edge order.
+func compareEdges(x, y Edge) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // bridges returns all bridge edges (edges whose removal disconnects the

@@ -201,12 +201,12 @@ func TestRemoveRandomLinksRefusesDisconnection(t *testing.T) {
 func TestBridgesOnKnownGraphs(t *testing.T) {
 	// Path graph: every edge is a bridge → nothing is removable.
 	path := MustNew(4, []Edge{{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 3}})
-	if got := removableEdges(path); len(got) != 0 {
+	if got := RemovableEdges(path); len(got) != 0 {
 		t.Errorf("path graph removable edges = %v, want none", got)
 	}
 	// Ring: no bridges → all removable.
 	ring, _ := NewRing(5)
-	if got := removableEdges(ring); len(got) != 5 {
+	if got := RemovableEdges(ring); len(got) != 5 {
 		t.Errorf("ring removable edges = %d, want 5", len(got))
 	}
 	// Two triangles joined by one bridge.
@@ -215,7 +215,7 @@ func TestBridgesOnKnownGraphs(t *testing.T) {
 		{A: 3, B: 4}, {A: 4, B: 5}, {A: 3, B: 5},
 		{A: 2, B: 3},
 	})
-	if got := removableEdges(barbell); len(got) != 6 {
+	if got := RemovableEdges(barbell); len(got) != 6 {
 		t.Errorf("barbell removable edges = %d, want 6", len(got))
 	}
 }
