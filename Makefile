@@ -2,7 +2,7 @@ GO ?= go
 # bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs results-check bench bench-e2e bench-pair bench-all fuzz results clean
+.PHONY: check build vet lint test-race test-allocs results-check bench bench-e2e bench-pair bench-all fuzz results loc clean
 
 ## check: build + vet + drainvet + race tests + the hot-path allocation
 ## guards + the committed quick tables regenerated and compared.
@@ -35,11 +35,11 @@ test-allocs:
 	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
-## event/dense load points, BenchmarkStepRNG's and BenchmarkFig11RNG's
-## rng=exact/rng=counter pairs): a look at the cycle core while working
-## on it. Nothing is recorded — the measurement of record is bench-pair.
+## event/dense load points, BenchmarkStepAllocs): a look at the cycle
+## core while working on it. Nothing is recorded — the measurement of
+## record is bench-pair.
 bench:
-	$(GO) test -bench='BenchmarkStep|BenchmarkFig11RNG' -benchmem -run=^$$ -count=1 .
+	$(GO) test -bench='^BenchmarkStep' -benchmem -run=^$$ -count=1 .
 
 ## bench-e2e: the repo's benchmark (BENCHMARK.json, cmd/drainbench) on
 ## every workload, ten seeds each, untraced then traced: end-to-end and
@@ -77,8 +77,8 @@ bench-pair:
 	else stamp "$$(git rev-parse --short HEAD)-dirty" true "$$tmp/head.recs"; fi > BENCH_pair_head.json; \
 	$(GO) run ./cmd/drainbench -compare BENCH_pair_base.json BENCH_pair_head.json
 
-## bench-all: every benchmark, including the full experiment
-## reproductions (slow; minutes to hours depending on scale).
+## bench-all: every Go benchmark — bench plus the ablations
+## EXPERIMENTS.md cites and the coherence workload (a few minutes).
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -105,6 +105,13 @@ results-check:
 	done; \
 	test "$$(ls "$$tmp" | wc -l)" -eq "$$(ls results/*.md | wc -l)" || { echo "results-check: results/ and the registry list different figures"; exit 1; }; \
 	echo "results-check: $$(ls results/*.md | wc -l) tables byte-identical"
+
+## loc: the three sizes ROADMAP tracks ("lines removed at constant
+## behaviour"), counted one way: non-test Go outside testdata/, _test.go
+## lines (testdata/ excluded too), DESIGN.md lines.
+loc:
+	@count() { find . -name '*.go' -not -path '*/testdata/*' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	printf 'non-test Go  %6d\n_test.go     %6d\nDESIGN.md    %6d\n' "$$(count -not -name '*_test.go')" "$$(count -name '*_test.go')" "$$(wc -l < DESIGN.md)"
 
 clean:
 	$(GO) clean ./...

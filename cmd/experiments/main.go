@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -24,43 +25,62 @@ import (
 	"time"
 
 	"drain/internal/experiments"
-	"drain/internal/sim"
-	"drain/internal/traffic"
 )
 
 // main defers to run so the profile-flushing defers fire before the
 // process exits (os.Exit would skip them).
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	fig := flag.String("fig", "all", "comma-separated experiment IDs (fig3..fig15, headline) or 'all'")
-	scale := flag.String("scale", "quick", "experiment scale: quick or full")
-	seed := flag.Uint64("seed", 1, "base random seed")
-	out := flag.String("out", "", "directory to write per-figure markdown files (optional)")
-	jsonOut := flag.String("json", "", "also write machine-readable results to this JSON file")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "run slots for independent simulation runs: this goroutine plus up to N-1 helpers (result tables are identical for any value)")
-	rngMode := flag.String("rng-mode", "exact", "synthetic-traffic RNG discipline: exact (byte-reproducible) or counter (statistically equivalent, much faster at low load; changes result tables)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "comma-separated experiment IDs (fig3..fig15, headline) or 'all'")
+	scale := fs.String("scale", "quick", "experiment scale: quick or full")
+	seed := fs.Uint64("seed", 1, "base random seed")
+	out := fs.String("out", "", "directory to write per-figure markdown files (optional)")
+	jsonOut := fs.String("json", "", "also write machine-readable results to this JSON file")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "run slots for independent simulation runs: this goroutine plus up to N-1 helpers (result tables are identical for any value)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	list := fs.Bool("list", false, "list available experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 
-	experiments.SetParallelism(*parallel)
-	mode, err := traffic.ParseRNGMode(*rngMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: bad -rng-mode: %v\n", err)
+	var sc experiments.Scale
+	switch *scale {
+	case "quick":
+		sc = experiments.Quick
+	case "full":
+		sc = experiments.Full
+	default:
+		fmt.Fprintf(stderr, "experiments: unknown scale %q\n", *scale)
 		return 2
 	}
-	sim.SetDefaultRNGMode(mode)
+
+	exps := experiments.All()
+	if *fig != "all" {
+		exps = nil
+		for _, id := range strings.Split(*fig, ",") {
+			e, ok := experiments.ByID(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(stderr, "experiments: unknown experiment %q (use -list)\n", id)
+				return 2
+			}
+			exps = append(exps, e)
+		}
+	}
+
+	experiments.SetParallelism(*parallel)
 
 	// Ctrl-C / SIGTERM cancels the in-flight sweep: the context reaches
 	// every simulation step loop, so long full-scale runs stop within
@@ -71,11 +91,11 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -84,35 +104,15 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
 			}
 		}()
-	}
-
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.Quick
-	case "full":
-		sc = experiments.Full
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scale)
-		return 2
-	}
-
-	var ids []string
-	if *fig == "all" {
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	} else {
-		ids = strings.Split(*fig, ",")
 	}
 
 	type jsonEntry struct {
@@ -127,18 +127,11 @@ func run() int {
 	var jsonEntries []jsonEntry
 
 	failed := 0
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		e, ok := experiments.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (use -list)\n", id)
-			failed++
-			continue
-		}
+	for _, e := range exps {
 		start := time.Now()
 		tables, err := e.Run(ctx, sc, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", id, err)
+			fmt.Fprintf(stderr, "experiments: %s failed: %v\n", e.ID, err)
 			failed++
 			if ctx.Err() != nil {
 				return 1 // interrupted: later figures would fail the same way
@@ -154,15 +147,15 @@ func run() int {
 		var b strings.Builder
 		b.WriteString(experiments.RenderFigure(e, tables))
 		fmt.Fprintf(&b, "_(scale=%v, seed=%d, took %v)_\n", sc, *seed, time.Since(start).Round(time.Millisecond))
-		fmt.Println(b.String())
+		fmt.Fprintln(stdout, b.String())
 		if *out != "" {
 			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
 				return 1
 			}
-			path := filepath.Join(*out, id+".md")
+			path := filepath.Join(*out, e.ID+".md")
 			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
 				return 1
 			}
 		}
@@ -170,11 +163,11 @@ func run() int {
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(jsonEntries, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 1
 		}
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 1
 		}
 	}

@@ -171,11 +171,6 @@ func DefaultConfig() *Config {
 			"internal/noc.Network.SkipIdle",
 			"internal/noc.Network.DiscardEjected",
 			"internal/traffic.Generator.SkipQuiet",
-			// Counter-mode schedule maintenance: one reschedule per
-			// injection (gap sampling + heap sift) must stay alloc-free.
-			// Generator.Tick itself cannot be a root — emit creates
-			// packets by design — so the fast path is rooted here.
-			"internal/traffic.Generator.reschedule",
 			// Live reconfiguration runs mid-simulation between Steps; the
 			// overlay swap, flight drops and buffer evacuations must not
 			// allocate (the routing-table rebuild happens outside, in sim).

@@ -239,9 +239,6 @@ func (n *Network) SetFrozen(v bool) { n.frozen = v }
 // InflightCount returns the number of transfers currently on links.
 func (n *Network) InflightCount() int { return n.eng.inflightCount() }
 
-// Engine returns which cycle-core implementation the network runs on.
-func (n *Network) Engine() EngineKind { return n.cfg.Engine }
-
 // NextWorkCycle returns a lower bound on the next cycle at which
 // stepping the network could have any observable effect. The event
 // engine reports the earliest pending event (math.MaxInt64 when the

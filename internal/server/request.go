@@ -60,14 +60,11 @@ type Request struct {
 	// embedded sim.Params).
 	FaultSchedule []sim.FaultEvent `json:"fault_schedule,omitempty"`
 
-	// RNGMode selects the synthetic generator's draw discipline
-	// (traffic.ParseRNGMode vocabulary: "exact", the default, or
-	// "counter"). The mode changes the computed results — counter mode
-	// is statistically equivalent but draws different packets — so it IS
-	// part of the cache key (it rides inside the canonical form's
-	// embedded sim.Params). Sweep-only: figure jobs are the paper's
-	// byte-reproducible tables and always run exact; a counter-mode
-	// figure request is rejected, not silently ignored.
+	// RNGMode is validated input, not a setting: there is one draw
+	// discipline, so "" and "exact" are accepted and change nothing (not
+	// the cache key either), and anything else is a 400. It stays because
+	// requests are decoded with DisallowUnknownFields and cmd/drainbench's
+	// serve_warm re-sends "rng_mode":"exact" as an explicit default.
 	RNGMode string `json:"rng_mode,omitempty"`
 }
 
@@ -108,6 +105,9 @@ type canonical struct {
 // Canonicalize validates req and resolves every default, returning the
 // canonical form. The error text is safe to return to clients.
 func (req Request) Canonicalize() (canonical, error) {
+	if req.RNGMode != "" && req.RNGMode != "exact" {
+		return canonical{}, fmt.Errorf("unknown rng_mode %q (the only accepted value is \"exact\", which is also the default)", req.RNGMode)
+	}
 	kind := req.Kind
 	if kind == "" {
 		if req.Fig != "" {
@@ -145,16 +145,6 @@ func (req Request) canonicalFigure() (canonical, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	// Figures are the paper's committed tables and always run in the
-	// byte-reproducible exact mode; accepting rng_mode here would hand
-	// back exact-mode (possibly cached) results mislabeled as counter
-	// runs. Reject instead of ignoring. An explicit "exact" is the
-	// default spelled out, so it stays valid.
-	if mode, err := traffic.ParseRNGMode(req.RNGMode); err != nil {
-		return canonical{}, err
-	} else if mode != traffic.RNGExact {
-		return canonical{}, fmt.Errorf("figure jobs always run in exact mode (rng_mode %q applies to sweep jobs only)", req.RNGMode)
-	}
 	return canonical{Kind: KindFigure, Fig: req.Fig, Scale: scale, Seed: seed}, nil
 }
 
@@ -179,13 +169,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 	if len(req.FaultSchedule) > maxFaultEvents {
 		return canonical{}, fmt.Errorf("too many fault events (%d > %d)", len(req.FaultSchedule), maxFaultEvents)
 	}
-	// Resolved here, never via sim.SetDefaultRNGMode: a process default
-	// would change results behind the cache key's back, so the server
-	// leaves it untouched and bakes the explicit mode into Params.
-	rngMode, err := traffic.ParseRNGMode(req.RNGMode)
-	if err != nil {
-		return canonical{}, err
-	}
 	p := sim.Params{
 		Width: req.Width, Height: req.Height,
 		Faults: req.Faults, FaultSeed: req.FaultSeed,
@@ -194,7 +177,6 @@ func (req Request) canonicalSweep() (canonical, error) {
 		Epoch:         req.Epoch,
 		Seed:          req.Seed,
 		FaultSchedule: req.FaultSchedule,
-		RNGMode:       rngMode,
 	}.Normalized()
 	if p.FaultSeed == 0 {
 		p.FaultSeed = 1

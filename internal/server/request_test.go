@@ -78,25 +78,17 @@ func TestKeyIncludesFaultSchedule(t *testing.T) {
 	}
 }
 
-// The RNG mode changes what a sweep computes (counter mode draws
-// different packets), so it MUST be part of the cache key; an explicit
-// "exact" and an omitted mode are the same simulation and must share
-// one.
-func TestKeyIncludesRNGMode(t *testing.T) {
-	base := `{"kind":"sweep","scheme":"drain","width":8,"height":8}`
-	exact := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"exact"}`
-	counter := `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"counter"}`
-	if a, b := keyOf(t, base), keyOf(t, exact); a != b {
-		t.Fatalf("explicit exact mode changed the cache key: %s vs %s", a, b)
-	}
-	if a, b := keyOf(t, base), keyOf(t, counter); a == b {
-		t.Fatalf("counter mode did not change the cache key: %s", a)
-	}
-	// Figures accept only the default spelled out: an explicit "exact"
-	// is the same job as an omitted mode ("counter" is rejected —
-	// TestCanonicalizeRejectsBadRequests).
-	if a, b := keyOf(t, `{"fig":"fig6"}`), keyOf(t, `{"fig":"fig6","rng_mode":"exact"}`); a != b {
-		t.Fatalf("explicit exact mode changed a figure's cache key: %s vs %s", a, b)
+// An explicit "rng_mode":"exact" is the default spelled out: same key
+// as omitting it, for a sweep and a figure alike (cmd/drainbench's
+// serve_warm re-encodings send it and must stay cache hits).
+func TestKeyIgnoresExplicitExactRNGMode(t *testing.T) {
+	for _, pair := range [][2]string{
+		{`{"kind":"sweep","scheme":"drain","width":8,"height":8}`, `{"kind":"sweep","scheme":"drain","width":8,"height":8,"rng_mode":"exact"}`},
+		{`{"fig":"fig6"}`, `{"fig":"fig6","rng_mode":"exact"}`},
+	} {
+		if a, b := keyOf(t, pair[0]), keyOf(t, pair[1]); a != b {
+			t.Errorf("explicit exact mode changed the cache key: %s -> %s, %s -> %s", pair[0], a, pair[1], b)
+		}
 	}
 }
 
@@ -145,8 +137,8 @@ func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 		`{"kind":"sweep","vnets":33}`,                                 // 33 x 2 VCs per port: over the 64 a port holds
 		`{"kind":"sweep","vnets":3037000500,"vcs_per_vn":3037000500}`, // product overflows
 		`{"kind":"sweep","rng_mode":"fast"}`,                          // unknown rng mode
-		`{"fig":"fig6","rng_mode":"counter"}`,                         // figures are exact-only
-		`{"fig":"fig6","rng_mode":"fast"}`,                            // unknown rng mode (figure)
+		`{"kind":"sweep","rng_mode":"counter"}`,                       // removed rng mode: rejected, never a silent exact run
+		`{"fig":"fig6","rng_mode":"counter"}`,                         // removed rng mode (figure)
 		`{"kind":"sweep","scheme":"dor","fault_schedule":[{"cycle":10,"a":1,"b":2,"fail":true}]}`,                        // DoR needs a fault-free mesh
 		`{"kind":"sweep","fault_schedule":[{"cycle":-1,"a":1,"b":2,"fail":true}]}`,                                       // negative cycle
 		`{"kind":"sweep","fault_schedule":[{"cycle":10,"a":1,"b":3,"fail":true}]}`,                                       // no such mesh link

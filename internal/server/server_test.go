@@ -328,6 +328,10 @@ func TestBadRequestsRejected(t *testing.T) {
 		`{"kind":"sweep","shards":4}`,   // a field that no longer exists
 		`{"fig":"fig999"}`,              // unknown figure
 		`{"kind":"sweep","width":1000}`, // out-of-range mesh
+		// The removed RNG mode: a 400 naming the one accepted value,
+		// never a 500 and never a silent exact run.
+		`{"kind":"sweep","rng_mode":"counter"}`,
+		`{"fig":"fig6","rng_mode":"counter"}`,
 	} {
 		resp, data := postJob(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -337,6 +341,9 @@ func TestBadRequestsRejected(t *testing.T) {
 		var e errorBody
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("POST %s: error body %q not the JSON envelope", body, data)
+		}
+		if strings.Contains(body, "rng_mode") && !strings.Contains(e.Error, `"exact"`) {
+			t.Errorf("POST %s: error %q does not name the accepted value", body, e.Error)
 		}
 	}
 

@@ -38,10 +38,8 @@ type SyntheticResult struct {
 	DeadlockCycle int64
 	Counters      noc.Counters
 	Cycles        int64
-	// RNGMode is the generator discipline the run actually used (after
-	// resolving the process default); FastForwarded counts the cycles
-	// the idle fast-forward jumped over instead of stepping.
-	RNGMode       traffic.RNGMode
+	// FastForwarded counts the cycles the idle fast-forward jumped over
+	// instead of stepping.
 	FastForwarded int64
 }
 
@@ -58,9 +56,8 @@ func (r *Runner) RunSynthetic(pattern traffic.Pattern, rate float64, warmup, mea
 // cancellation error (wrapping ctx.Err()) within that cycle bound. With
 // context.Background() the results are byte-identical to RunSynthetic.
 func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Pattern, rate float64, warmup, measure int64) (SyntheticResult, error) {
-	mode := r.Params.effectiveRNGMode()
-	res := SyntheticResult{Offered: rate, RNGMode: mode}
-	gen := traffic.NewGeneratorMode(pattern, rate, r.Params.Seed^0x1234, mode, r.Graph.N())
+	res := SyntheticResult{Offered: rate}
+	gen := traffic.NewGenerator(pattern, rate, r.Params.Seed^0x1234)
 	gen.CtrlFraction = max(0, r.Params.CtrlFraction)
 	gen.DataFlits = r.Params.MaxFlits
 	var lat stats.Sample
@@ -70,13 +67,7 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 	if r.Trace != nil {
 		trace = tracer(r.Trace)
 	}
-	// Chain rather than replace any caller-installed ejection hook (the
-	// statistical-equivalence tests tap per-packet latencies this way).
-	prev := r.Net.OnEject
 	r.Net.OnEject = func(p *noc.Packet) {
-		if prev != nil {
-			prev(p)
-		}
 		if trace != nil {
 			trace(p)
 		}
@@ -88,7 +79,7 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 		misroutes += int64(p.Misroutes)
 		delivered++
 	}
-	defer func() { r.Net.OnEject = prev }()
+	defer func() { r.Net.OnEject = nil }()
 
 	total := warmup + measure
 	watch := r.Params.Scheme == SchemeNone

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"drain/internal/noc"
 	"drain/internal/stats"
 	"drain/internal/traffic"
 	"drain/internal/workload"
@@ -249,5 +251,34 @@ func TestRunAppRequiresThreeClasses(t *testing.T) {
 	}
 	if _, err := r.RunApp(workload.MustGet("lu"), 10, 1000); err == nil {
 		t.Error("coherence run on 1-class network should fail")
+	}
+}
+
+// TestIdleFastForwardFires: every differential test zeroes
+// FastForwarded before comparing, so this is the one assertion that
+// the idle fast-forward actually opens windows at low load — and that
+// skipping changes nothing else: the dense engine never skips.
+func TestIdleFastForwardFires(t *testing.T) {
+	run := func(eng noc.EngineKind) SyntheticResult {
+		r, err := Build(Params{Width: 4, Height: 4, Scheme: SchemeEscapeVC, Seed: 7, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.005, 200, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	event, dense := run(noc.EngineEvent), run(noc.EngineDense)
+	if event.FastForwarded <= 0 {
+		t.Fatalf("low-load run fast-forwarded %d of %d cycles, want > 0", event.FastForwarded, event.Cycles)
+	}
+	if dense.FastForwarded != 0 {
+		t.Fatalf("dense engine fast-forwarded %d cycles; it is the never-skipping reference", dense.FastForwarded)
+	}
+	event.FastForwarded = 0
+	if !reflect.DeepEqual(event, dense) {
+		t.Errorf("fast-forwarded run diverges from the stepped one:\nevent: %+v\ndense: %+v", event, dense)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
-	"sync/atomic"
 
 	"drain/internal/coherence"
 	"drain/internal/core"
@@ -17,7 +16,6 @@ import (
 	"drain/internal/routing"
 	"drain/internal/spinrec"
 	"drain/internal/topology"
-	"drain/internal/traffic"
 )
 
 // Scheme selects the deadlock-freedom mechanism under test.
@@ -172,37 +170,7 @@ type Params struct {
 	//drain:cachekey-exempt a prebuilt table is a memoization of the pure routing function of the (already-keyed) topology parameters; reusing one cannot change results
 	RoutingTable *routing.Table `json:"-"`
 
-	// RNGMode selects the synthetic generator's draw discipline (see
-	// traffic.RNGMode): exact (default, byte-reproducible) or counter
-	// (statistically equivalent, O(1) quiet cycles). Zero defers to the
-	// process default (SetDefaultRNGMode). The mode changes concrete
-	// results — different draws, different packets — so it stays IN the
-	// JSON form cache keys are derived from.
-	RNGMode traffic.RNGMode `json:",omitempty"`
-
 	Seed uint64
-}
-
-// defaultRNGMode is the process-wide RNG mode applied when a Params
-// leaves RNGMode at zero (set from the -rng-mode flag of
-// cmd/experiments, whose figures build Params internally). This
-// default changes results, so anything that cache-keys Params (the
-// server) must resolve RNGMode explicitly rather than lean on the
-// process default — and drainserved never calls SetDefaultRNGMode.
-var defaultRNGMode atomic.Int64
-
-// SetDefaultRNGMode sets the process-wide default RNG mode used when
-// Params.RNGMode is zero (RNGExact). Passing traffic.RNGExact restores
-// the built-in default.
-func SetDefaultRNGMode(m traffic.RNGMode) { defaultRNGMode.Store(int64(m)) }
-
-// effectiveRNGMode resolves a Params' RNG mode against the process
-// default.
-func (p *Params) effectiveRNGMode() traffic.RNGMode {
-	if p.RNGMode != 0 {
-		return p.RNGMode
-	}
-	return traffic.RNGMode(defaultRNGMode.Load())
 }
 
 func (p *Params) setDefaults() {

@@ -187,26 +187,13 @@ type Generator struct {
 	pendingSrc int
 	hasPending bool
 
-	// Counter-mode state (see counter.go). mode selects the draw
-	// discipline; seed keys the stateless counter streams; ctrCycle is
-	// the generator's own clock (cycles it has Ticked or skipped);
-	// fireAt[n] is node n's next scheduled injection cycle and fheap a
-	// min-heap of node ids ordered by (fireAt, node); invLog1mRate
-	// caches 1/ln(1-Rate) for the geometric gap sampling.
-	mode         RNGMode
-	seed         uint64
-	ctrCycle     int64
-	fireAt       []int64
-	fheap        []int32
-	invLog1mRate float64
-
 	// Created counts generation attempts that were actually injected.
 	Created int64
 	// Skipped counts injections suppressed by a full queue.
 	Skipped int64
 }
 
-// NewGenerator returns an exact-mode generator seeded deterministically.
+// NewGenerator returns a generator seeded deterministically.
 func NewGenerator(p Pattern, rate float64, seed uint64) *Generator {
 	src := rand.NewPCG(seed, seed^0xa5a5a5a55a5a5a5a)
 	return &Generator{
@@ -217,30 +204,20 @@ func NewGenerator(p Pattern, rate float64, seed uint64) *Generator {
 		InjQueueCap:  8,
 		rng:          rand.New(src),
 		src:          src,
-		seed:         seed,
 	}
 }
 
-// NewGeneratorMode returns a generator in the given RNG mode. Counter
-// mode needs the node count up front to build its injection schedule;
-// exact mode ignores nodes (it learns the count from the network each
-// Tick) and the result is identical to NewGenerator.
-func NewGeneratorMode(p Pattern, rate float64, seed uint64, mode RNGMode, nodes int) *Generator {
-	g := NewGenerator(p, rate, seed)
-	g.mode = mode
-	if mode == RNGCounter {
-		g.fireAt = make([]int64, nodes)
-		g.fheap = make([]int32, nodes)
-		for i := range g.fheap {
-			g.fheap[i] = int32(i)
-		}
-		g.refreshCounter()
-	}
-	return g
-}
+// RNGMode, RNGExact and NewGeneratorMode are a shim: the one draw
+// discipline needs no selector, but the frozen cmd/drainbench/cycle.go:265
+// names all three. The next `benchmark` PR drops them there and deletes
+// this block.
+type RNGMode int
 
-// Mode reports the generator's RNG mode.
-func (g *Generator) Mode() RNGMode { return g.mode }
+const RNGExact RNGMode = 0
+
+func NewGeneratorMode(p Pattern, rate float64, seed uint64, _ RNGMode, _ int) *Generator {
+	return NewGenerator(p, rate, seed)
+}
 
 // mask53 extracts the 53 bits rand/v2's Float64 keeps of each Uint64
 // draw: Float64() == float64(u<<11>>11) / (1<<53).
@@ -274,10 +251,6 @@ func (g *Generator) refreshThresh() {
 // cycle's pending injection and continues from the following node, so
 // the draw sequence is exactly that of a generator ticked every cycle.
 func (g *Generator) Tick(n *noc.Network) {
-	if g.mode == RNGCounter {
-		g.tickCounter(n)
-		return
-	}
 	if g.Rate != g.rateCached {
 		g.refreshThresh()
 	}
@@ -336,9 +309,6 @@ func (g *Generator) emit(n *noc.Network, src int) {
 //
 //drain:hotpath idle fast-forward companion to Network.SkipIdle
 func (g *Generator) SkipQuiet(nodes int, max int64) int64 {
-	if g.mode == RNGCounter {
-		return g.skipQuietCounter(max)
-	}
 	if g.hasPending || max <= 0 {
 		return 0
 	}

@@ -304,3 +304,15 @@ func TestSkipQuietMatchesTicked(t *testing.T) {
 		}
 	}
 }
+
+// TestNewGeneratorModeExactIsNewGenerator: the shim cmd/drainbench
+// builds its generator through is the plain constructor — same draws.
+func TestNewGeneratorModeExactIsNewGenerator(t *testing.T) {
+	a := NewGenerator(UniformRandom{N: 16}, 0.1, 5)
+	b := NewGeneratorMode(UniformRandom{N: 16}, 0.1, 5, RNGExact, 16)
+	for i := 0; i < 100; i++ {
+		if x, y := a.rng.Uint64(), b.rng.Uint64(); x != y {
+			t.Fatalf("draw %d diverges", i)
+		}
+	}
+}
