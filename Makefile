@@ -4,8 +4,9 @@ SHELL := /bin/bash
 
 .PHONY: check build vet lint test-race test-allocs results-check bench bench-e2e bench-pair bench-all fuzz results loc clean
 
-## check: build + vet + drainvet + race tests + the hot-path allocation
-## guards + the committed quick tables regenerated and compared.
+## check: build + vet + drainvet (four analyzers) + race tests + the
+## hot-path allocation guards + the committed quick tables regenerated
+## and compared.
 # The race run uses -short (race instrumentation makes the simulator ~10x
 # slower); the allocation guards need a separate non-race run because the
 # detector's bookkeeping allocations would trip them (they skip
@@ -16,15 +17,14 @@ build:
 	$(GO) build ./...
 
 ## vet: go vet, and gofmt over everything but the analyzers' fixtures
-## (two of which are misformatted on purpose).
+## (one of which is misformatted on purpose).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l . | grep -v /testdata/ || true); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
-## lint: the repo's own static analyzers over the whole module — the
-## syntactic four (maprange, nondet, hotalloc, ctxflow) plus the
-## dataflow two (keycomplete, escapecheck), six in all; see
-## internal/lint and DESIGN.md §10/§13.
+## lint: the repo's own four static analyzers (maprange, nondet,
+## hotalloc, ctxflow) over the whole module; see internal/lint and
+## DESIGN.md §10.
 lint:
 	$(GO) run ./cmd/drainvet ./...
 
@@ -32,7 +32,7 @@ test-race:
 	$(GO) test -race -short ./...
 
 test-allocs:
-	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters' -count=1 . ./internal/sim
+	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs' -count=1 . ./internal/sim ./internal/noc
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
 ## event/dense load points, BenchmarkStepAllocs): a look at the cycle
@@ -82,13 +82,15 @@ bench-pair:
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-## fuzz: short native-fuzz smoke over the noc invariant properties and
-## the dense-vs-event engine byte-identity differential.
+## fuzz: short native-fuzz smoke over the noc invariant properties, the
+## dense-vs-event engine byte-identity differential and the server's
+## request canonicalization.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDrainRotation -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) ./internal/server
 
 ## results: regenerate the quick-scale markdown tables under results/.
 results:

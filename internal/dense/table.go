@@ -11,8 +11,7 @@
 //   - Determinism: iteration (Each) walks slots in ascending index
 //     order, a pure function of the operation history — unlike map
 //     range order, which Go randomizes per run. Callers that fold over
-//     a Table need no collect-and-sort pass and no //drain:orderfree
-//     commutativity argument.
+//     a Table need no collect-and-sort pass.
 //
 // Deletion uses backward-shift compaction rather than tombstones, so a
 // table's layout (and therefore Each's order) depends only on the

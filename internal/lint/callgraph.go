@@ -7,13 +7,13 @@ import (
 	"strings"
 )
 
-// This file is the reachability substrate shared by the effect analyzers
-// (hotalloc, escapecheck): a module-wide index from function objects to
-// their declarations, root matching against "pkgsuffix.Type.Method" specs
-// and //drain: directives, and a BFS over static call edges. Dynamic
-// calls (func values, interface methods) are not followed anywhere — the
-// repo's convention is that hot dispatch stays static, with the engine
-// seam's dynamic edges re-rooted explicitly via directives.
+// This file is hotalloc's reachability substrate: a module-wide index
+// from function objects to their declarations, root matching against
+// "pkgsuffix.Type.Method" specs and //drain: directives, and a BFS over
+// static call edges. Dynamic calls (func values, interface methods) are
+// not followed anywhere — the repo's convention is that hot dispatch
+// stays static, with the engine seam's dynamic edges re-rooted
+// explicitly via directives.
 
 // declInfo ties a function object to its declaration, package and the
 // declaring file's directives.
@@ -72,9 +72,8 @@ func matchesRoot(fn *types.Func, spec string) bool {
 }
 
 // rootsOf collects the functions matching any of the specs, plus every
-// function carrying the given directive kind (skipped when dirKind is
-// empty).
-func (idx funcIndex) rootsOf(specs []string, dirKind string) []*types.Func {
+// function marked //drain:hotpath.
+func (idx funcIndex) rootsOf(specs []string) []*types.Func {
 	var roots []*types.Func
 	for fn, d := range idx {
 		matched := false
@@ -84,7 +83,7 @@ func (idx funcIndex) rootsOf(specs []string, dirKind string) []*types.Func {
 				break
 			}
 		}
-		if !matched && dirKind != "" && d.pkg.funcHas(d.dirs, d.decl, dirKind) {
+		if !matched && d.pkg.funcHas(d.dirs, d.decl, dirHotpath) {
 			matched = true
 		}
 		if matched {
@@ -97,9 +96,9 @@ func (idx funcIndex) rootsOf(specs []string, dirKind string) []*types.Func {
 // reachable runs a BFS from the seed functions over static call edges
 // and returns every visited function with a known body, ordered by
 // declaration position (deterministic regardless of map iteration).
-// Functions for which prune returns true are excluded entirely: their
-// bodies are not scanned and their callees not followed.
-func (idx funcIndex) reachable(seeds []*types.Func, prune func(declInfo) bool) []*types.Func {
+// Functions marked //drain:coldpath are excluded entirely: their bodies
+// are not scanned and their callees not followed.
+func (idx funcIndex) reachable(seeds []*types.Func) []*types.Func {
 	seen := map[*types.Func]bool{}
 	var work []*types.Func
 	add := func(fn *types.Func) {
@@ -119,7 +118,7 @@ func (idx funcIndex) reachable(seeds []*types.Func, prune func(declInfo) bool) [
 		if !ok || d.decl.Body == nil {
 			continue
 		}
-		if prune != nil && prune(d) {
+		if d.pkg.funcHas(d.dirs, d.decl, dirColdpath) {
 			continue
 		}
 		visited = append(visited, fn)
@@ -138,42 +137,4 @@ func (idx funcIndex) reachable(seeds []*types.Func, prune func(declInfo) bool) [
 		return idx[visited[i]].decl.Pos() < idx[visited[j]].decl.Pos()
 	})
 	return visited
-}
-
-// callSite is one statically resolved call inside a function body.
-type callSite struct {
-	node   *ast.CallExpr
-	callee *types.Func
-}
-
-// callSites lists a declaration's statically resolvable calls in source
-// order.
-func callSites(d declInfo) []callSite {
-	var out []callSite
-	if d.decl.Body == nil {
-		return nil
-	}
-	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if callee := d.pkg.calleeOf(call); callee != nil {
-				out = append(out, callSite{node: call, callee: callee})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// matchesTypeSpec reports whether a type's import path and name match a
-// "pkgsuffix.TypeName" spec.
-func matchesTypeSpec(importPath, typeName, spec string) bool {
-	i := strings.LastIndex(spec, ".")
-	if i < 0 {
-		return false
-	}
-	pkg, name := spec[:i], spec[i+1:]
-	if name != typeName {
-		return false
-	}
-	return importPath == pkg || strings.HasSuffix(importPath, "/"+pkg)
 }

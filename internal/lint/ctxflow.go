@@ -121,7 +121,9 @@ func (p *Package) checkCtxFields(decl *ast.GenDecl, dirs fileDirectives) []Findi
 			if t == nil || !isContextType(t) {
 				continue
 			}
-			if dirs.at(dirCtxcarrier, p.Fset.Position(field.Pos()).Line) {
+			// The directive sits on the field's own line or in the doc
+			// comment directly above it (up to three lines).
+			if line := p.Fset.Position(field.Pos()).Line; dirs.hasInRange(dirCtxcarrier, line-3, line) {
 				continue
 			}
 			out = append(out, p.finding("ctxflow", field,

@@ -7,20 +7,16 @@ import (
 
 // Directive kinds.
 const (
-	dirHotpath        = "hotpath"
-	dirColdpath       = "coldpath"
-	dirOrderfree      = "orderfree"
-	dirCtxcarrier     = "ctxcarrier"
-	dirCachekeyExempt = "cachekey-exempt"
+	dirHotpath    = "hotpath"
+	dirColdpath   = "coldpath"
+	dirCtxcarrier = "ctxcarrier"
 )
 
 // DirectiveKinds lists every directive the analyzers accept, in the
 // order they are documented. The parse switch, the DESIGN.md directive
 // census (TestDirectiveCensus) and the docs all derive from this one
 // list, so a new directive cannot be added without showing up in each.
-var DirectiveKinds = []string{
-	dirHotpath, dirColdpath, dirOrderfree, dirCtxcarrier, dirCachekeyExempt,
-}
+var DirectiveKinds = []string{dirHotpath, dirColdpath, dirCtxcarrier}
 
 const dirPrefix = "//drain:"
 
@@ -69,20 +65,6 @@ func (p *Package) parseDirectives(f *ast.File) (fileDirectives, []Finding) {
 	return d, bad
 }
 
-// at reports whether a directive of the given kind is attached to a node
-// starting on the given line: on the same line (trailing comment) or on
-// any of the three lines directly above it (inside a doc comment block).
-func (d fileDirectives) at(kind string, line int) bool {
-	for l := line; l >= line-3 && l >= 1; l-- {
-		for _, dir := range d.byLine[l] {
-			if dir.kind == kind {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // knownDirective reports whether kind is in the directive vocabulary.
 func knownDirective(kind string) bool {
 	for _, k := range DirectiveKinds {
@@ -114,18 +96,4 @@ func (p *Package) funcHas(d fileDirectives, fn *ast.FuncDecl, kind string) bool 
 		start = p.Fset.Position(fn.Doc.Pos()).Line
 	}
 	return d.hasInRange(kind, start, p.Fset.Position(fn.Name.Pos()).Line)
-}
-
-// fieldHas reports whether a struct field carries the directive in its
-// doc comment block, on its own line, or in its trailing comment.
-func (p *Package) fieldHas(d fileDirectives, f *ast.Field, kind string) bool {
-	start := p.Fset.Position(f.Pos()).Line
-	if f.Doc != nil {
-		start = p.Fset.Position(f.Doc.Pos()).Line
-	}
-	end := p.Fset.Position(f.End()).Line
-	if f.Comment != nil {
-		end = p.Fset.Position(f.Comment.End()).Line
-	}
-	return d.hasInRange(kind, start, end)
 }

@@ -32,7 +32,7 @@ import (
 // are not followed — keep hot-path dispatch static.
 func runHotAlloc(c *Config, pkgs []*Package) []Finding {
 	idx := buildFuncIndex(pkgs)
-	hot := idx.reachable(idx.rootsOf(c.HotRoots, dirHotpath), pruneColdpath)
+	hot := idx.reachable(idx.rootsOf(c.HotRoots))
 	var out []Finding
 	for _, fn := range hot {
 		d := idx[fn]
@@ -42,12 +42,6 @@ func runHotAlloc(c *Config, pkgs []*Package) []Finding {
 		out = append(out, checkHotFunc(c, d.pkg, fn, d.decl)...)
 	}
 	return out
-}
-
-// pruneColdpath excludes //drain:coldpath functions from a reachability
-// walk.
-func pruneColdpath(d declInfo) bool {
-	return d.pkg.funcHas(d.dirs, d.decl, dirColdpath)
 }
 
 // checkHotFunc scans one hot function body for allocation sources.

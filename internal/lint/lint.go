@@ -1,8 +1,6 @@
 // Package lint implements drainvet, the simulator's custom static
-// analysis. Six analyzers enforce, at build time, the invariants the
-// evaluation depends on at run time.
-//
-// The syntactic four:
+// analysis. Four analyzers enforce, at build time, the invariants the
+// evaluation depends on at run time:
 //
 //   - maprange: no order-dependent iteration over maps in the
 //     deterministic packages (Go randomizes map order per run; anything
@@ -18,20 +16,9 @@
 //     context is stored in a struct field, and simulation loops inside
 //     ctx-taking functions actually consult their ctx.
 //
-// The dataflow/effects two (DESIGN.md §13):
-//
-//   - keycomplete: every field of the cache-key structs (sim.Params,
-//     server.canonical) is classified — serialized into the key or
-//     `json:"-"` plus //drain:cachekey-exempt — and every server
-//     Request field is consumed by canonicalization.
-//   - escapecheck: go build -gcflags=-m=2 output cross-checked against
-//     hotalloc (compiler-found hot-path escapes hotalloc missed, and
-//     stale //drain:coldpath directives).
-//
 // The package is deliberately built on the standard library only
-// (go/ast, go/parser, go/types, `go list` for discovery, the go
-// toolchain itself for escapecheck): the module has no external
-// dependencies and must stay that way.
+// (go/ast, go/parser, go/types, `go list` for discovery): the module
+// has no external dependencies and must stay that way.
 //
 // # Directives
 //
@@ -44,22 +31,15 @@
 //	                                hot-path walk (amortized or failure
 //	                                paths that cannot run in steady
 //	                                state)
-//	//drain:orderfree <reason>      on a map-range statement: iteration
-//	                                is provably order-insensitive
 //	//drain:ctxcarrier <reason>     on a context.Context struct field:
 //	                                the struct is a queue/message
 //	                                carrier moving a request-scoped ctx
 //	                                between goroutines
-//	//drain:cachekey-exempt <reason> on a struct field of a cache-key
-//	                                struct: excluded from the key
-//	                                because it changes only performance,
-//	                                never results
 package lint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -67,12 +47,11 @@ import (
 
 // Finding is one diagnostic.
 type Finding struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the canonical "file:line: [analyzer] message" form.
@@ -89,7 +68,7 @@ type Analyzer struct {
 	Run  func(c *Config, pkgs []*Package) []Finding
 }
 
-// Analyzers returns all six analyzers in stable order.
+// Analyzers returns all four analyzers in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		{
@@ -112,16 +91,6 @@ func Analyzers() []*Analyzer {
 			Doc:  "cancellation hygiene: ctx-first entry points, no stored ctx, loops consult ctx",
 			Run:  runCtxFlow,
 		},
-		{
-			Name: "keycomplete",
-			Doc:  "cache-key structs fully classified; request fields all consumed by canonicalization",
-			Run:  runKeyComplete,
-		},
-		{
-			Name: "escapecheck",
-			Doc:  "compiler escape analysis cross-checked against hotalloc, and stale coldpath directives",
-			Run:  runEscapeCheck,
-		},
 	}
 }
 
@@ -134,13 +103,6 @@ type Config struct {
 	// HotRoots names the hot-path roots as "pkgsuffix.Type.Method" or
 	// "pkgsuffix.Func"; //drain:hotpath directives add more.
 	HotRoots []string
-	// KeyStructs names the structs ("pkgsuffix.Type") whose JSON encoding
-	// is a cache-key preimage; keycomplete requires every field to be
-	// serialized or //drain:cachekey-exempt.
-	KeyStructs []string
-	// RequestStructs names the wire-request structs whose every exported
-	// field must be consumed in the declaring package.
-	RequestStructs []string
 	// PooledTypes names struct types ("pkgsuffix.Type") owned by a
 	// deterministic free-list pool. hotalloc flags any direct heap
 	// construction of one (&T{...} or new(T)) in hot-reachable code with
@@ -187,15 +149,6 @@ func DefaultConfig() *Config {
 			"internal/noc.Network.NewPacket",
 			"internal/noc.Network.ReleasePacket",
 		},
-		// The two structs whose JSON encodings feed the server's SHA-256
-		// content address (request.go Key).
-		KeyStructs: []string{
-			"internal/sim.Params",
-			"internal/server.canonical",
-		},
-		RequestStructs: []string{
-			"internal/server.Request",
-		},
 		// Packets are pool-owned (internal/noc/pool.go): acquisition goes
 		// through Network.NewPacket, and the only heap allocation is the
 		// pool's coldpath miss. A bare &Packet{...} or new(Packet) in hot
@@ -217,18 +170,11 @@ func (c *Config) isDeterministic(importPath string) bool {
 	return false
 }
 
-// Analyze runs the given analyzers (all of them when names is empty) and
-// returns the findings sorted by position.
-func Analyze(c *Config, pkgs []*Package, names ...string) []Finding {
-	enabled := map[string]bool{}
-	for _, n := range names {
-		enabled[n] = true
-	}
+// Analyze runs every analyzer and returns the findings sorted by
+// position.
+func Analyze(c *Config, pkgs []*Package) []Finding {
 	var out []Finding
 	for _, a := range Analyzers() {
-		if len(enabled) > 0 && !enabled[a.Name] {
-			continue
-		}
 		out = append(out, a.Run(c, pkgs)...)
 	}
 	SortFindings(out)
@@ -267,7 +213,6 @@ func SortFindings(fs []Finding) {
 func (p *Package) finding(analyzer string, node ast.Node, format string, args ...any) Finding {
 	pos := p.Fset.Position(node.Pos())
 	return Finding{
-		Pos:      pos,
 		File:     pos.Filename,
 		Line:     pos.Line,
 		Col:      pos.Column,

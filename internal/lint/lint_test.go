@@ -38,15 +38,11 @@ func TestFixtures(t *testing.T) {
 			cfg := DefaultConfig()
 			// Fixtures are not in the production deterministic set; put
 			// them in scope explicitly. Hot roots come from //drain:hotpath,
-			// so hotalloc self-roots; the type- and struct-matching configs
-			// must point at fixture declarations instead.
+			// so hotalloc self-roots; the pooled-type config must point at
+			// the fixture's declaration instead.
 			cfg.DeterministicPkgs = []string{dir + "/a"}
-			switch a.Name {
-			case "hotalloc":
+			if a.Name == "hotalloc" {
 				cfg.PooledTypes = []string{"a.token"}
-			case "keycomplete":
-				cfg.KeyStructs = []string{"a.Params"}
-				cfg.RequestStructs = []string{"a.Request"}
 			}
 			findings := a.Run(cfg, pkgs)
 			SortFindings(findings)
@@ -129,15 +125,10 @@ func TestDirectiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	findings := Analyze(cfg, pkgs, "ctxflow")
-	sawBare := false
-	for _, f := range findings {
+	for _, f := range Analyze(DefaultConfig(), pkgs) {
 		if f.Analyzer == "directive" && strings.Contains(f.Message, "requires a reason") {
-			sawBare = true
+			return
 		}
 	}
-	if !sawBare {
-		t.Error("bare //drain:orderfree directive was not reported")
-	}
+	t.Error("bare //drain:coldpath directive was not reported")
 }

@@ -10,16 +10,13 @@ import (
 // feeds output, state mutation, or RNG consumption diverges between runs
 // with the same seed.
 //
-// Two shapes are allowed without a directive:
-//
-//   - collect-then-sort: the loop body's only effect is appending the
-//     key and/or value to a local slice (optionally behind a call-free
-//     guard), and that slice is later passed to a sort function in the
-//     same function body before any other use. Sorting erases the
-//     iteration order, so the result is deterministic.
-//   - //drain:orderfree <reason> on or directly above the loop, for
-//     iterations that are provably order-insensitive (e.g. a pure
-//     min/max reduction with a total tie-break).
+// One shape is allowed, collect-then-sort: the loop body's only effect
+// is appending the key and/or value to a local slice (optionally behind
+// a call-free guard), and that slice is later passed to a sort function
+// in the same function body before any other use. Sorting erases the
+// iteration order, so the result is deterministic. There is no
+// suppression directive: an order-insensitive reduction is rewritten
+// over sorted keys like everything else.
 func runMapRange(c *Config, pkgs []*Package) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
@@ -27,7 +24,7 @@ func runMapRange(c *Config, pkgs []*Package) []Finding {
 			continue
 		}
 		for _, f := range p.Files {
-			dirs, bad := p.parseDirectives(f)
+			_, bad := p.parseDirectives(f)
 			out = append(out, bad...)
 			ast.Inspect(f, func(n ast.Node) bool {
 				rng, ok := n.(*ast.RangeStmt)
@@ -41,15 +38,11 @@ func runMapRange(c *Config, pkgs []*Package) []Finding {
 				if _, isMap := t.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				line := p.Fset.Position(rng.Pos()).Line
-				if dirs.at(dirOrderfree, line) {
-					return true
-				}
 				if p.isCollectThenSort(f, rng) {
 					return true
 				}
 				out = append(out, p.finding("maprange", rng,
-					"iteration over map %s has randomized order; collect+sort the keys, or annotate with //drain:orderfree <reason> if provably order-insensitive", p.typeStr(t)))
+					"iteration over map %s has randomized order; collect and sort the keys first", p.typeStr(t)))
 				return true
 			})
 		}

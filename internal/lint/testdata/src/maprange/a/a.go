@@ -41,11 +41,13 @@ func sortedVals(m map[string]int) []int {
 	return out
 }
 
-// An annotated order-insensitive reduction is allowed.
+// There is no suppression: even an order-insensitive reduction is a
+// finding, and a directive outside the vocabulary is one too.
 func sum(m map[string]int) int {
 	total := 0
-	//drain:orderfree integer addition is commutative over any visit order
-	for _, v := range m {
+	//drain:anyorder integer addition is commutative over any visit order
+	// want:-1 `\[directive\] unknown directive "//drain:anyorder" \(known: hotpath, coldpath, ctxcarrier\)`
+	for _, v := range m { // want `\[maprange\] iteration over map map\[string\]int has randomized order; collect and sort the keys first`
 		total += v
 	}
 	return total

@@ -55,8 +55,8 @@ func (n *Network) takePacket() *Packet {
 // allocPacket is the pool's miss path: the one place a Packet is heap-
 // allocated. It fires once per new high-water mark of simultaneously
 // live packets; steady state recycles and never reaches it. go:noinline
-// keeps the compiler from folding the allocation into NewPacket's line,
-// where escapecheck would misread the coldpath escape as a hot one.
+// keeps the compiler from folding the allocation into NewPacket, so the
+// hot path is the pop alone and an allocation profile names this function.
 //
 //drain:coldpath pool miss fires only on a new high-water mark of live packets; steady-state NewPacket pops the free-list
 //go:noinline

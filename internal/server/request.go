@@ -187,14 +187,25 @@ func (req Request) canonicalSweep() (canonical, error) {
 	if p.VNets > noc.MaxVCsPerPort || p.VCsPerVN > noc.MaxVCsPerPort || p.VNets*p.VCsPerVN > noc.MaxVCsPerPort {
 		return canonical{}, fmt.Errorf("vnets %d x vcs_per_vn %d out of range (at most %d VCs per port)", p.VNets, p.VCsPerVN, noc.MaxVCsPerPort)
 	}
+	// A topology nothing can run on is the client's error, found here in
+	// O(1) instead of as a 500 at execution time. A network needs two
+	// routers; a connected WxH mesh keeps WH-1 of its W(H-1)+H(W-1)
+	// links, and RemoveRandomLinks only removes non-bridge links, so
+	// exactly that many removals succeed; DoR tolerates none.
+	routers := p.Width * p.Height
+	if routers < 2 {
+		return canonical{}, fmt.Errorf("mesh %dx%d has no links (a network needs at least 2 routers)", p.Width, p.Height)
+	}
+	if links := p.Width*(p.Height-1) + p.Height*(p.Width-1); p.Faults > links-(routers-1) {
+		return canonical{}, fmt.Errorf("faults %d: a %dx%d mesh can lose at most %d of its %d links and stay connected", p.Faults, p.Width, p.Height, links-(routers-1), links)
+	}
+	if p.Scheme == sim.SchemeDoR && (p.Faults > 0 || len(p.FaultSchedule) > 0) {
+		return canonical{}, fmt.Errorf("scheme dor needs a fault-free mesh (no faults, no fault schedule)")
+	}
 	if len(p.FaultSchedule) > 0 {
-		// Validate the schedule against the concrete topology up front so
-		// a bad request fails with 400 now instead of 500 at execution
-		// time: sorted unique events, legal link states, connectivity
-		// preserved throughout — and no schedule at all under DoR.
-		if p.Scheme == sim.SchemeDoR {
-			return canonical{}, fmt.Errorf("scheme dor cannot run a fault schedule (needs a fault-free mesh)")
-		}
+		// Validate the schedule against the concrete topology up front,
+		// for the same reason: sorted unique events, legal link states,
+		// connectivity preserved throughout.
 		g, _, err := p.BuildGraph()
 		if err != nil {
 			return canonical{}, err
@@ -209,7 +220,7 @@ func (req Request) canonicalSweep() (canonical, error) {
 	}
 	// Validate the pattern name up front so a bad request fails with 400
 	// now instead of 500 at execution time.
-	if _, err := traffic.ByName(pattern, p.Width*p.Height, p.Width); err != nil {
+	if _, err := traffic.ByName(pattern, routers, p.Width); err != nil {
 		return canonical{}, err
 	}
 	rates := req.Rates

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -200,10 +201,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -257,6 +256,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// worker, which stops within noc.CancelCheckEvery cycles. The
 		// buffered done channel lets it publish the result regardless.
 	}
+}
+
+// decodeRequest reads a request body: exactly one JSON object with known
+// fields. A second value or trailing text is an error, not silently
+// dropped.
+func decodeRequest(body io.Reader) (Request, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Request{}, errors.New("data after the JSON object")
+	}
+	return req, nil
 }
 
 // retryAfterSeconds estimates how long a 429'd client should wait: the

@@ -319,20 +319,22 @@ func TestLatencyWindow(t *testing.T) {
 	}
 }
 
-func TestBadRequestsRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+// badDecode are bodies the decoder refuses: malformed, an unknown field,
+// or more than one JSON value. With badCanonical they are everything the
+// service must answer 400, with the reason, and never cache.
+var badDecode = []string{
+	`{`,
+	`{"figs":"fig6"}`,
+	`{"kind":"sweep","shards":4}`, // a field that no longer exists
+	`{"fig":"fig6"}{"fig":"fig9"}`,
+	`{"fig":"fig6"} trailing`,
+	`{"fig":"fig6"}}`,
+}
 
-	for _, body := range []string{
-		`{`,                             // malformed JSON
-		`{"figs":"fig6"}`,               // unknown field
-		`{"kind":"sweep","shards":4}`,   // a field that no longer exists
-		`{"fig":"fig999"}`,              // unknown figure
-		`{"kind":"sweep","width":1000}`, // out-of-range mesh
-		// The removed RNG mode: a 400 naming the one accepted value,
-		// never a 500 and never a silent exact run.
-		`{"kind":"sweep","rng_mode":"counter"}`,
-		`{"fig":"fig6","rng_mode":"counter"}`,
-	} {
+func TestBadRequestsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+
+	for _, body := range append(badDecode, badCanonical...) {
 		resp, data := postJob(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s = %d (%s), want 400", body, resp.StatusCode, data)
@@ -345,6 +347,9 @@ func TestBadRequestsRejected(t *testing.T) {
 		if strings.Contains(body, "rng_mode") && !strings.Contains(e.Error, `"exact"`) {
 			t.Errorf("POST %s: error %q does not name the accepted value", body, e.Error)
 		}
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("rejected requests left %d cache entries", n)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs")

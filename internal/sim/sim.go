@@ -164,10 +164,9 @@ type Params struct {
 	// noc.Config.Table). It must have been built over the *same graph
 	// value* the runner gets, so it pairs with BuildOn (Build constructs
 	// a fresh graph, which can never match). Routing is a pure function
-	// of the topology, so reuse cannot change results; excluded from
-	// cache keys.
-	//
-	//drain:cachekey-exempt a prebuilt table is a memoization of the pure routing function of the (already-keyed) topology parameters; reusing one cannot change results
+	// of the (already-keyed) topology parameters, so reuse cannot change
+	// results; excluded from cache keys (the server's
+	// TestKeyStructsFullyClassified holds the list of such fields).
 	RoutingTable *routing.Table `json:"-"`
 
 	Seed uint64
