@@ -83,13 +83,15 @@ bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 ## fuzz: short native-fuzz smoke over the noc invariant properties, the
-## dense-vs-event engine byte-identity differential and the server's
-## request canonicalization.
+## dense-vs-event engine byte-identity differential, the fault-schedule
+## syntax and validation, and the server's request canonicalization.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDrainRotation -fuzztime=$(FUZZTIME) ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzValidateFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) ./internal/server
 
 ## results: regenerate the quick-scale markdown tables under results/.

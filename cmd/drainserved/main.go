@@ -7,7 +7,7 @@
 //
 //	drainserved -addr :8080 -workers 2 -queue 64
 //
-// SIGINT/SIGTERM triggers a graceful drain: in-flight and queued jobs
+// SIGINT/SIGTERM triggers a graceful drain: in-flight and waiting jobs
 // finish, new submissions get 503, and the process exits 0.
 package main
 
@@ -34,8 +34,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("drainserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	queue := fs.Int("queue", 64, "bounded job queue depth (beyond it, 429 + Retry-After)")
-	workers := fs.Int("workers", 2, "CPU budget: concurrent jobs, and concurrent simulations across all of them")
+	queue := fs.Int("queue", 64, "jobs that may wait for a run slot (beyond it, 429 + Retry-After)")
+	workers := fs.Int("workers", 2, "CPU budget, in run slots: concurrent jobs, and concurrent simulations across all of them")
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job execution timeout")
 	cacheEntries := fs.Int("cache-entries", 1024, "content-addressed result cache capacity")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max time to finish jobs after SIGTERM before aborting them")
@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	fmt.Fprintln(stdout, "drainserved: draining")
-	// Stop accepting connections, then finish queued + in-flight jobs.
+	// Stop accepting connections, then finish waiting + in-flight jobs.
 	// If they exceed the drain budget, abort them via ForceStop so the
 	// process still exits cleanly.
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

@@ -10,77 +10,99 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 
 	"drain/internal/sim"
 	"drain/internal/traffic"
 	"drain/internal/workload"
 )
 
+// main defers to run so the profile-flushing defers fire before the
+// process exits (os.Exit would skip them).
 func main() {
-	scheme := flag.String("scheme", "drain", "deadlock-freedom scheme: none, ideal, escape, spin, drain, updown, dor")
-	mesh := flag.String("mesh", "8x8", "mesh dimensions WxH")
-	faults := flag.Int("faults", 0, "random bidirectional link failures (connectivity preserved)")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault pattern seed")
-	faultSchedule := flag.String("fault-schedule", "", "scheduled live link failures/recoveries, e.g. \"1000:fail:2-3,3000:recover:2-3\" (cycle:action:a-b, comma-separated)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	pattern := flag.String("pattern", "uniform", "synthetic traffic pattern")
-	rate := flag.Float64("rate", 0.05, "offered load, packets/node/cycle")
-	warmup := flag.Int64("warmup", 10_000, "warmup cycles")
-	measure := flag.Int64("measure", 50_000, "measurement cycles")
-	epoch := flag.Int64("epoch", 64*1024, "DRAIN drain epoch (cycles)")
-	wl := flag.String("workload", "", "run a coherence workload instead of synthetic traffic")
-	ops := flag.Int64("ops", 500, "memory operations per core for -workload runs")
-	maxCycles := flag.Int64("max-cycles", 5_000_000, "cycle budget for -workload runs")
-	tracePath := flag.String("trace", "", "write a per-packet CSV trace to this file")
-	sweep := flag.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drainsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scheme := fs.String("scheme", "drain", "deadlock-freedom scheme: none, ideal, escape, spin, drain, updown, dor")
+	mesh := fs.String("mesh", "8x8", "mesh dimensions WxH")
+	faults := fs.Int("faults", 0, "random bidirectional link failures (connectivity preserved)")
+	faultSeed := fs.Uint64("fault-seed", 1, "fault pattern seed")
+	faultSchedule := fs.String("fault-schedule", "", "scheduled live link failures/recoveries, e.g. \"1000:fail:2-3,3000:recover:2-3\" (cycle:action:a-b, comma-separated)")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	pattern := fs.String("pattern", "uniform", "synthetic traffic pattern")
+	rate := fs.Float64("rate", 0.05, "offered load, packets/node/cycle")
+	warmup := fs.Int64("warmup", 10_000, "warmup cycles")
+	measure := fs.Int64("measure", 50_000, "measurement cycles")
+	epoch := fs.Int64("epoch", 64*1024, "DRAIN drain epoch (cycles)")
+	wl := fs.String("workload", "", "run a coherence workload instead of synthetic traffic")
+	ops := fs.Int64("ops", 500, "memory operations per core for -workload runs")
+	maxCycles := fs.Int64("max-cycles", 5_000_000, "cycle budget for -workload runs")
+	tracePath := fs.String("trace", "", "write a per-packet CSV trace to this file")
+	sweep := fs.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "drainsim:", err)
+		return 1
+	}
+
+	// Ctrl-C / SIGTERM cancels the run: the step loop stops within
+	// noc.CancelCheckEvery cycles and the deferred profile writers below
+	// still run.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		atExit = append(atExit, pprof.StopCPUProfile)
+		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		path := *memProfile
-		atExit = append(atExit, func() {
-			f, err := os.Create(path)
+		defer func() {
+			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "drainsim:", err)
+				fail(err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "drainsim:", err)
+				fail(err)
 			}
-		})
+		}()
 	}
-	defer runAtExit()
 
 	sch, err := sim.ParseScheme(*scheme)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var w, h int
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil {
-		fatal(fmt.Errorf("bad -mesh %q: %v", *mesh, err))
+		return fail(fmt.Errorf("bad -mesh %q: %v", *mesh, err))
 	}
 	sched, err := sim.ParseFaultSchedule(*faultSchedule)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	p := sim.Params{
 		Width: w, Height: h,
@@ -94,45 +116,45 @@ func main() {
 	}
 	r, err := sim.Build(p)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r.Trace = f
 	}
-	fmt.Printf("topology: %dx%d mesh, %d faults, %d routers, %d links, diameter %d\n",
+	fmt.Fprintf(stdout, "topology: %dx%d mesh, %d faults, %d routers, %d links, diameter %d\n",
 		w, h, *faults, r.Graph.N(), r.Graph.NumLinks(), r.Graph.Diameter())
-	fmt.Printf("scheme: %v (VNets=%d, VCs/VNet=%d)\n",
+	fmt.Fprintf(stdout, "scheme: %v (VNets=%d, VCs/VNet=%d)\n",
 		sch, r.Net.Config().VNets, r.Net.Config().VCsPerVN)
 
 	if *wl != "" {
 		prof, err := workload.Get(*wl)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		res, err := r.RunApp(prof, *ops, *maxCycles)
+		res, err := r.RunAppContext(ctx, prof, *ops, *maxCycles)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("workload %s: completed=%v runtime=%d cycles\n", prof, res.Completed, res.Runtime)
-		fmt.Printf("packet latency: avg=%.1f p99=%d\n", res.AvgLatency, res.P99Latency)
-		fmt.Printf("protocol: issued=%d completed=%d hits=%d misses=%d messages=%d\n",
+		fmt.Fprintf(stdout, "workload %s: completed=%v runtime=%d cycles\n", prof, res.Completed, res.Runtime)
+		fmt.Fprintf(stdout, "packet latency: avg=%.1f p99=%d\n", res.AvgLatency, res.P99Latency)
+		fmt.Fprintf(stdout, "protocol: issued=%d completed=%d hits=%d misses=%d messages=%d\n",
 			res.Protocol.OpsIssued, res.Protocol.OpsCompleted,
 			res.Protocol.Hits, res.Protocol.Misses, res.Protocol.MsgsSent)
 		if res.Drains > 0 {
-			fmt.Printf("drains: %d\n", res.Drains)
+			fmt.Fprintf(stdout, "drains: %d\n", res.Drains)
 		}
 		if res.Spins > 0 {
-			fmt.Printf("spins: %d\n", res.Spins)
+			fmt.Fprintf(stdout, "spins: %d\n", res.Spins)
 		}
 		if res.Deadlocked {
-			fmt.Printf("DEADLOCKED at cycle %d\n", res.DeadlockCycle)
+			fmt.Fprintf(stdout, "DEADLOCKED at cycle %d\n", res.DeadlockCycle)
 		}
-		return
+		return 0
 	}
 
 	if *sweep != "" {
@@ -140,72 +162,50 @@ func main() {
 		for _, s := range strings.Split(*sweep, ",") {
 			var v float64
 			if _, err := fmt.Sscan(strings.TrimSpace(s), &v); err != nil {
-				fatal(fmt.Errorf("bad -sweep entry %q: %v", s, err))
+				return fail(fmt.Errorf("bad -sweep entry %q: %v", s, err))
 			}
 			rates = append(rates, v)
 		}
-		curve, err := sim.LoadSweep(p, *pattern, rates, *warmup, *measure)
+		curve, err := sim.LoadSweepContext(ctx, p, *pattern, rates, *warmup, *measure)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%10s %10s %12s %8s\n", "offered", "accepted", "avg latency", "p99")
+		fmt.Fprintf(stdout, "%10s %10s %12s %8s\n", "offered", "accepted", "avg latency", "p99")
 		for _, pt := range curve {
-			fmt.Printf("%10.3f %10.4f %12.1f %8d\n", pt.Offered, pt.Accepted, pt.AvgLat, pt.P99Lat)
+			fmt.Fprintf(stdout, "%10.3f %10.4f %12.1f %8d\n", pt.Offered, pt.Accepted, pt.AvgLat, pt.P99Lat)
 		}
-		fmt.Printf("saturation throughput: %.4f packets/node/cycle\n", curve.Saturation())
-		return
+		fmt.Fprintf(stdout, "saturation throughput: %.4f packets/node/cycle\n", curve.Saturation())
+		return 0
 	}
 
 	pat, err := traffic.ByName(*pattern, r.Graph.N(), w)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	res, err := r.RunSynthetic(pat, *rate, *warmup, *measure)
+	res, err := r.RunSyntheticContext(ctx, pat, *rate, *warmup, *measure)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("traffic: %s at %.3f packets/node/cycle\n", pat.Name(), *rate)
-	fmt.Printf("fast-forwarded: %d cycles\n", res.FastForwarded)
-	fmt.Printf("accepted: %.4f packets/node/cycle\n", res.Accepted)
-	fmt.Printf("latency: avg=%.1f p99=%d cycles\n", res.AvgLatency, res.P99Latency)
-	fmt.Printf("hops: avg=%.2f, misroutes/1k packets: %.1f\n", res.AvgHops, res.MisroutesPerK)
+	fmt.Fprintf(stdout, "traffic: %s at %.3f packets/node/cycle\n", pat.Name(), *rate)
+	fmt.Fprintf(stdout, "fast-forwarded: %d cycles\n", res.FastForwarded)
+	fmt.Fprintf(stdout, "accepted: %.4f packets/node/cycle\n", res.Accepted)
+	fmt.Fprintf(stdout, "latency: avg=%.1f p99=%d cycles\n", res.AvgLatency, res.P99Latency)
+	fmt.Fprintf(stdout, "hops: avg=%.2f, misroutes/1k packets: %.1f\n", res.AvgHops, res.MisroutesPerK)
 	if res.Deadlocked {
-		fmt.Printf("DEADLOCKED at cycle %d\n", res.DeadlockCycle)
+		fmt.Fprintf(stdout, "DEADLOCKED at cycle %d\n", res.DeadlockCycle)
 	}
 	if r.Drain != nil {
 		st := r.Drain.Stats()
-		fmt.Printf("drains: %d (%d full), %d packet-hops forced, %d drain-ejections\n",
+		fmt.Fprintf(stdout, "drains: %d (%d full), %d packet-hops forced, %d drain-ejections\n",
 			st.Drains, st.FullDrains, st.PacketsMoved, st.Ejections)
 	}
 	if r.Spin != nil {
 		st := r.Spin.Stats()
-		fmt.Printf("spins: %d detections, %d spins, %d probes\n", st.Detections, st.Spins, st.Probes)
+		fmt.Fprintf(stdout, "spins: %d detections, %d spins, %d probes\n", st.Detections, st.Spins, st.Probes)
 	}
-	if len(r.FaultReports) > 0 {
-		var rerouted, dropped int
-		for _, rep := range r.FaultReports {
-			rerouted += rep.Rerouted
-			dropped += rep.Dropped
-		}
-		fmt.Printf("reconfigurations: %d (%d packets rerouted, %d dropped)\n",
-			len(r.FaultReports), rerouted, dropped)
+	if c := res.Counters; c.Reconfigs > 0 {
+		fmt.Fprintf(stdout, "reconfigurations: %d (%d packets rerouted, %d dropped)\n",
+			c.Reconfigs, c.FaultReroutes, c.FaultDrops)
 	}
-}
-
-// atExit holds profile-flushing hooks; fatal runs them before exiting
-// (os.Exit skips deferred calls) and main defers runAtExit for the
-// normal-return path.
-var atExit []func()
-
-func runAtExit() {
-	for i := len(atExit) - 1; i >= 0; i-- {
-		atExit[i]()
-	}
-	atExit = nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "drainsim:", err)
-	runAtExit()
-	os.Exit(1)
+	return 0
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"drain/internal/sim"
@@ -38,5 +40,51 @@ func TestParseScheme(t *testing.T) {
 		if err != nil || got != sch {
 			t.Errorf("round-trip %v: got %v, err %v", sch, got, err)
 		}
+	}
+}
+
+// Every flag a stranger can get wrong is answered with one line on
+// stderr and a non-zero exit, never a panic.
+func TestBadFlagsExitWithAReason(t *testing.T) {
+	small := []string{"-mesh", "3x3", "-warmup", "10", "-measure", "10", "-ops", "5"}
+	for _, bad := range [][]string{
+		{"-mesh", "8"},
+		{"-mesh", "1x1"},
+		{"-sweep", "0.1,fast"},
+		{"-fault-schedule", "10:explode:0-1"},
+		{"-fault-schedule", "10:fail:0-8"}, // parses, names no link of the mesh
+		{"-scheme", "turnmodel"},
+		{"-pattern", "zigzag"},
+		{"-workload", "doom"},
+		{"-no-such-flag"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(small, bad...), &stdout, &stderr)
+		reason := strings.TrimSuffix(stderr.String(), "\n")
+		if bad[0] == "-no-such-flag" { // the flag package adds its usage text
+			reason, _, _ = strings.Cut(reason, "\n")
+		}
+		if code == 0 || reason == "" || strings.Contains(reason, "\n") {
+			t.Errorf("drainsim %v: exit %d, stderr %q; want non-zero and one line", bad, code, stderr.String())
+		}
+	}
+}
+
+// One tiny run, pinned line for line: the output of an undisturbed run
+// is part of the CLI's contract.
+func TestTinyRunPinned(t *testing.T) {
+	const want = `topology: 3x3 mesh, 0 faults, 9 routers, 24 links, diameter 4
+scheme: drain (VNets=1, VCs/VNet=2)
+traffic: uniform_random at 0.100 packets/node/cycle
+fast-forwarded: 1 cycles
+accepted: 0.0989 packets/node/cycle
+latency: avg=6.5 p99=19 cycles
+hops: avg=2.02, misroutes/1k packets: 9.0
+drains: 2 (0 full), 0 packet-hops forced, 0 drain-ejections
+`
+	var stdout, stderr bytes.Buffer
+	code := run(strings.Fields("-mesh 3x3 -rate 0.1 -warmup 100 -measure 500 -epoch 256"), &stdout, &stderr)
+	if code != 0 || stderr.Len() != 0 || stdout.String() != want {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, stderr.String(), stdout.String(), want)
 	}
 }

@@ -112,6 +112,55 @@ func TestFullDrainScheduling(t *testing.T) {
 	}
 }
 
+// TestFullDrainEjectsEverything: a full drain empties the network (paper
+// §III-C2 "Full Drain"), checked on the loop production runs. A planted
+// ring deadlock — every clockwise buffer full, each packet waiting for
+// the next — sits still until the first drain window; with
+// FullDrainEvery 1 that window rotates the whole path, every packet
+// passes its destination and is ejected, and the forced hops are
+// accounted as VN activity.
+func TestFullDrainEjectsEverything(t *testing.T) {
+	const ring = 6
+	g, err := topology.NewRing(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := drainNet(t, g, 1, 3)
+	for r := 0; r < ring; r++ {
+		// Two hops beyond the buffer's router.
+		if _, err := n.PlacePacket(r, (r+1)%ring, (r+3)%ring, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(n, Config{Epoch: 50, FullDrainEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c.Stats().Drains == 0 {
+		if n.Cycle() > 100 {
+			t.Fatal("no drain window within two epochs")
+		}
+		n.Step()
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Stats().Drains == 0 && n.OccupiedVCs() != ring {
+			t.Fatalf("cycle %d: %d VCs occupied before the drain, want the %d deadlocked ones", n.Cycle(), n.OccupiedVCs(), ring)
+		}
+	}
+	if st := c.Stats(); st.FullDrains != 1 || st.Ejections != ring {
+		t.Errorf("first window: %d full drains ejecting %d packets, want 1 and %d", st.FullDrains, st.Ejections, ring)
+	}
+	if n.OccupiedVCs() != 0 {
+		t.Errorf("%d VCs still occupied after the full drain", n.OccupiedVCs())
+	}
+	for vn, flits := range n.Counters.VNFlits {
+		if flits == 0 {
+			t.Errorf("drain moves not accounted in VN %d activity", vn)
+		}
+	}
+}
+
 // TestDrainResolvesSaturationDeadlock is the core end-to-end property:
 // an unprotected adaptive network that deadlocks under saturation makes
 // continuous forward progress once the DRAIN controller runs.

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"drain/internal/noc"
+	"drain/internal/sim"
 	"drain/internal/topology"
 )
 
@@ -78,24 +78,23 @@ func TestFaultFreePatternsAreOneTopology(t *testing.T) {
 }
 
 // TestQuickFig11SimulatesThirtyNetworks counts the work of one quick
-// fig11 job: 2 traffic patterns × 5 distinct topologies × 3 schemes = 30
-// networks of 5 000 cycles, each of which credits the process-wide cycle
-// counter four times 1 024 (noc flushes in chunks of 1 024; the last 904
-// cycles stay pending). A repeat of the fault-free runs per fault pattern
-// — 36 networks — fails here, not only in a benchmark. Not parallel:
-// nothing else may simulate while the delta is taken.
+// fig11 job on the job's own sim.Totals: 2 traffic patterns × 5 distinct
+// topologies × 3 schemes = 30 runs of 5 000 cycles, whatever the run-slot
+// budget. A repeat of the fault-free runs per fault pattern — 36 runs —
+// fails here, not only in a benchmark. The totals and the budget travel
+// in the context, so other tests may simulate beside it.
 func TestQuickFig11SimulatesThirtyNetworks(t *testing.T) {
+	t.Parallel()
 	e, _ := ByID("fig11")
 	for _, budget := range []int{1, 2} {
-		withParallelism(t, budget, func() {
-			before := noc.SimulatedCycles()
-			if _, err := e.Run(context.Background(), Quick, 1); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := noc.SimulatedCycles()-before, int64(30*4096); got != want {
-				t.Errorf("budget %d: quick fig11 credited %d simulated cycles = %.2f networks, want %d = 30 networks",
-					budget, got, float64(got)/4096, want)
-			}
-		})
+		slots := NewSlots(budget)
+		slots.TryAcquire() // the caller's own
+		var tot sim.Totals
+		if _, err := e.Run(WithSlots(sim.WithTotals(context.Background(), &tot), slots), Quick, 1); err != nil {
+			t.Fatal(err)
+		}
+		if runs, cycles := tot.Runs.Load(), tot.Cycles.Load(); runs != 30 || cycles != 150_000 {
+			t.Errorf("budget %d: quick fig11 made %d runs of %d cycles in all, want 30 and 150000", budget, runs, cycles)
+		}
 	}
 }

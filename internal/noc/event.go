@@ -204,7 +204,6 @@ func (e *eventEngine) nextWorkCycle(n *Network) int64 {
 //drain:hotpath fast-forward entry, dispatched from Network.SkipIdle through the engine seam (dynamic calls are not followed)
 func (e *eventEngine) skipIdle(n *Network, k int64) {
 	n.cycle += k
-	n.noteCycles(k)
 	if n.frozen {
 		n.Counters.FrozenCyc += k
 	}

@@ -98,11 +98,6 @@ type Network struct {
 	ejDirty     []bool
 	ejDirtyList []int32
 
-	// cyclesPending/ffPending batch ticks bound for the process-wide
-	// simulated-cycle and fast-forwarded-cycle counters (see cycles.go).
-	cyclesPending int64
-	ffPending     int64
-
 	inLinks [][]int // link IDs ending at each router, ascending
 
 	// Head masks (see step.go): subs[r*maskW+w] is sub-block w of router
@@ -256,7 +251,6 @@ func (n *Network) SkipIdle(k int64) {
 		return
 	}
 	n.eng.skipIdle(n, k)
-	n.noteFFCycles(k)
 }
 
 // NewPacket returns a packet with position/IDs initialized; the caller

@@ -3,7 +3,6 @@ package noc
 import (
 	"errors"
 	"math/bits"
-	"sync/atomic"
 
 	"drain/internal/routing"
 	"drain/internal/topology"
@@ -16,23 +15,6 @@ type ReconfigReport struct {
 	Rerouted      int // buffered packets evacuated off failed links
 	Dropped       int // packets dropped (in flight over, or stranded in, failed links)
 }
-
-// simReconfigs / simRerouted count reconfiguration activity across every
-// Network in the process, for the drainserved /metrics counters.
-// Reconfigurations are rare events (fault-schedule granularity, not
-// per-cycle), so direct atomic adds need no batching.
-var (
-	simReconfigs atomic.Int64
-	simRerouted  atomic.Int64
-)
-
-// SimReconfigs returns the total number of live reconfigurations applied
-// by all Networks process-wide.
-func SimReconfigs() int64 { return simReconfigs.Load() }
-
-// SimPacketsRerouted returns the total number of buffered packets
-// evacuated off failed links by all Networks process-wide.
-func SimPacketsRerouted() int64 { return simRerouted.Load() }
 
 // Reconfigure errors (package-level so the alloc-free reconfig path
 // never constructs one dynamically).
@@ -160,10 +142,6 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 	n.cfg.Table = tab
 	copy(n.linkDown, n.scrDown)
 	n.Counters.Reconfigs++
-	simReconfigs.Add(1)
-	if rep.Rerouted > 0 {
-		simRerouted.Add(int64(rep.Rerouted))
-	}
 	return rep, nil
 }
 

@@ -94,25 +94,6 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 	return rep, nil
 }
 
-// FullDrain rotates the complete drain path length, giving every escape-VC
-// packet the chance to visit all routers and eject at its destination
-// (paper §III-C2 "Full Drain"). Returns the aggregate report.
-func (n *Network) FullDrain(next []int) (DrainReport, error) {
-	var total DrainReport
-	for i := 0; i < len(next); i++ {
-		rep, err := n.DrainRotate(next)
-		if err != nil {
-			return total, err
-		}
-		total.Moved += rep.Moved
-		total.Ejected += rep.Ejected
-		if rep.Moved == 0 {
-			break // nothing left in escape VCs
-		}
-	}
-	return total, nil
-}
-
 // RotateBlockedCycle forces the packets occupying the given cyclic chain
 // of VC buffers to each move one hop into the next buffer (SPIN's
 // coordinated forced movement). refs[i]'s packet moves into refs[i+1];

@@ -109,7 +109,6 @@ func dropHead(blk []uint64, bit uint64) {
 // byte-identical — see DESIGN.md §"Event-driven core".
 func (n *Network) Step() {
 	n.cycle++
-	n.noteCycles(1)
 	n.eng.step(n)
 }
 

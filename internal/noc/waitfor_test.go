@@ -279,32 +279,6 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 	}
 }
 
-func TestFullDrainEjectsEverything(t *testing.T) {
-	const ring = 6
-	n := ringNet(t, ring)
-	plantRingDeadlock(t, n, ring)
-	path, err := drainpath.FindEulerian(n.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetFrozen(true)
-	rep, err := n.FullDrain(nextTable(path, n.g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ejected != ring {
-		t.Errorf("full drain ejected %d, want %d", rep.Ejected, ring)
-	}
-	if n.OccupiedVCs() != 0 {
-		t.Errorf("%d VCs still occupied after full drain", n.OccupiedVCs())
-	}
-	for _, c := range n.Counters.VNFlits {
-		if c == 0 {
-			t.Error("drain moves not accounted in VN activity")
-		}
-	}
-}
-
 func TestDrainRotateOnMeshWithEscapePolicy(t *testing.T) {
 	// DRAIN's real configuration: escape policy with unrestricted escape
 	// routing on a mesh; drains must only touch escape VCs.

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"drain/internal/noc"
 	"drain/internal/stats"
 )
 
@@ -22,7 +21,6 @@ const latencyWindow = 1 << 16
 // latency percentiles reuse the repo's measurement primitive
 // (stats.Sample) rather than a second quantile implementation.
 type serverMetrics struct {
-	queueCap      int
 	inflight      atomic.Int64
 	jobsTotal     atomic.Int64
 	jobsFailed    atomic.Int64
@@ -78,7 +76,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "drainserved_uptime_seconds %.0f\n", s.uptime().Seconds())
 	fmt.Fprintf(w, "drainserved_queue_depth %d\n", s.QueueDepth())
-	fmt.Fprintf(w, "drainserved_queue_capacity %d\n", m.queueCap)
+	fmt.Fprintf(w, "drainserved_queue_capacity %d\n", cap(s.wait))
 	fmt.Fprintf(w, "drainserved_jobs_inflight %d\n", m.inflight.Load())
 	fmt.Fprintf(w, "drainserved_jobs_total %d\n", m.jobsTotal.Load())
 	fmt.Fprintf(w, "drainserved_jobs_failed %d\n", m.jobsFailed.Load())
@@ -92,7 +90,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	fmt.Fprintf(w, "drainserved_cache_hit_rate %.4f\n", hitRate)
-	cycles := noc.SimulatedCycles()
+	cycles := s.totals.Cycles.Load()
 	m.mu.Lock()
 	now := time.Now()
 	rate := 0.0
@@ -104,21 +102,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	m.lastScrape, m.lastCycles = now, cycles
 	m.mu.Unlock()
+	fmt.Fprintf(w, "drainserved_sim_runs_total %d\n", s.totals.Runs.Load())
 	fmt.Fprintf(w, "drainserved_sim_cycles_total %d\n", cycles)
 	fmt.Fprintf(w, "drainserved_sim_cycles_per_second %.0f\n", rate)
 	// Idle fast-forward observability: how many of the simulated cycles
 	// were jumped over rather than stepped (and the fraction), so a
 	// deployment can tell whether its traffic ever exercises the
 	// fast-forward machinery at all.
-	ff := noc.SimFastForwardCycles()
+	ff := s.totals.FastForwarded.Load()
 	ffFrac := 0.0
 	if cycles > 0 {
 		ffFrac = float64(ff) / float64(cycles)
 	}
 	fmt.Fprintf(w, "drainserved_sim_fastforward_cycles_total %d\n", ff)
 	fmt.Fprintf(w, "drainserved_sim_fastforward_fraction %.4f\n", ffFrac)
-	fmt.Fprintf(w, "drainserved_sim_reconfigs_total %d\n", noc.SimReconfigs())
-	fmt.Fprintf(w, "drainserved_sim_packets_rerouted_total %d\n", noc.SimPacketsRerouted())
+	fmt.Fprintf(w, "drainserved_sim_reconfigs_total %d\n", s.totals.Reconfigs.Load())
+	fmt.Fprintf(w, "drainserved_sim_packets_rerouted_total %d\n", s.totals.Rerouted.Load())
 	fmt.Fprintf(w, "drainserved_job_latency_ms_count %d\n", count)
 	fmt.Fprintf(w, "drainserved_job_latency_ms_p50 %d\n", p50)
 	fmt.Fprintf(w, "drainserved_job_latency_ms_p99 %d\n", p99)

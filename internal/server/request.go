@@ -1,7 +1,7 @@
 // Package server turns the batch experiment harness into a long-lived
 // simulation service: an HTTP JSON API that accepts figure and sweep
-// requests, executes them on the experiments worker pool, and caches
-// results by a content address of the fully defaulted run
+// requests, executes each on the server's budget of run slots, and
+// caches results by a content address of the fully defaulted run
 // configuration. Everything the simulator computes is a pure function
 // of that configuration, so identical requests are answered with
 // byte-identical cached bytes and never recomputed.

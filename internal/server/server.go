@@ -11,12 +11,13 @@ import (
 	"time"
 
 	"drain/internal/experiments"
+	"drain/internal/sim"
 )
 
 // Config sizes the service.
 type Config struct {
-	// QueueDepth bounds jobs waiting for a worker; submissions beyond it
-	// get 429 + Retry-After (explicit backpressure). Default 64.
+	// QueueDepth bounds jobs waiting for a run slot; submissions beyond
+	// it get 429 + Retry-After (explicit backpressure). Default 64.
 	QueueDepth int
 	// Workers is the service's CPU budget, in run slots: at most this
 	// many jobs execute at once and at most this many simulations run at
@@ -48,43 +49,20 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Errors submit can return.
-var (
-	// ErrQueueFull is backpressure: the bounded queue is at capacity.
-	ErrQueueFull = errors.New("server: job queue full")
-	// ErrDraining means the server is shutting down.
-	ErrDraining = errors.New("server: draining")
-)
-
-// job is one queued request.
-type job struct {
-	// ctx is the submitter's context (plus the server's force-stop):
-	// cancelling it makes the worker abandon the run within
-	// noc.CancelCheckEvery simulated cycles.
-	//drain:ctxcarrier queue element carries the submitter's ctx across the worker channel
-	ctx  context.Context
-	c    canonical
-	key  string
-	done chan jobResult // buffered: the worker never blocks on delivery
-}
-
-type jobResult struct {
-	body []byte
-	err  error
-}
-
-// Server executes simulation jobs from a bounded queue over a fixed
-// worker pool, with a content-addressed result cache in front.
+// Server executes simulation jobs on a fixed budget of run slots, with
+// a bounded wait for a slot and a content-addressed result cache in
+// front. A job lives on its request's goroutine from admission to reply.
 type Server struct {
-	cfg   Config
-	cache *resultCache
-	slots *experiments.Slots // cfg.Workers run slots, shared by every job
+	cfg    Config
+	cache  *resultCache
+	slots  *experiments.Slots // cfg.Workers run slots, shared by every job
+	wait   chan struct{}      // one token per admitted job still waiting for a slot
+	totals sim.Totals         // every run made for this server's jobs, exact; /metrics reads it
 
-	mu       sync.RWMutex // guards queue close vs. submit
-	queue    chan *job
+	mu       sync.RWMutex // orders admission (jobs.Add) against Close (jobs.Wait)
 	draining bool
+	jobs     sync.WaitGroup // admitted jobs not yet answered
 
-	wg sync.WaitGroup
 	//drain:ctxcarrier process-lifetime kill switch, not a call-scoped ctx; ForceStop cancels it to abort all in-flight jobs
 	forceCtx  context.Context // cancelled by ForceStop: aborts in-flight jobs
 	forceStop context.CancelFunc
@@ -93,63 +71,36 @@ type Server struct {
 	start   time.Time
 }
 
-// New builds and starts a Server (its worker pool runs immediately).
+// New builds a Server, ready to serve.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheEntries),
 		slots: experiments.NewSlots(cfg.Workers),
-		queue: make(chan *job, cfg.QueueDepth),
+		wait:  make(chan struct{}, cfg.QueueDepth),
 		start: time.Now(),
 	}
 	s.forceCtx, s.forceStop = context.WithCancel(context.Background())
-	s.metrics.queueCap = cfg.QueueDepth
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
-// worker executes queued jobs until the queue is closed and drained.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.metrics.inflight.Add(1)
-		started := time.Now()
-		var res jobResult
-		// Acquire fails only if the submitter vanished while the job sat in
-		// the queue or waited for a lent slot to come back: don't burn a
-		// worker on a result nobody wants.
-		if res.err = s.slots.Acquire(j.ctx); res.err == nil {
-			ctx, cancel := context.WithTimeout(experiments.WithSlots(j.ctx, s.slots), s.cfg.JobTimeout)
-			res.body, res.err = s.execute(ctx, j.key, j.c)
-			cancel()
-			s.slots.Release()
-		}
-		if res.err == nil {
-			s.cache.Put(j.key, res.body)
-		}
-		s.metrics.observe(time.Since(started), res.err)
-		s.metrics.inflight.Add(-1) // before the reply: a client that has its answer must not still see the job in flight
-		j.done <- res
-	}
-}
-
-// submit enqueues a job without blocking. ErrQueueFull is the
-// backpressure signal; ErrDraining means shutdown has begun.
-func (s *Server) submit(j *job) error {
+// admit counts a job in without blocking, or returns the status and
+// reason that turn it away: 503 once draining, 429 when QueueDepth jobs
+// already wait for a slot. An admitted job owes one <-s.wait, once it has
+// (or has given up on) a slot, and one jobs.Done.
+func (s *Server) admit() (status int, reason string) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.draining {
-		return ErrDraining
+		return http.StatusServiceUnavailable, "server is draining"
 	}
 	select {
-	case s.queue <- j:
-		return nil
+	case s.wait <- struct{}{}:
+		s.jobs.Add(1)
+		return 0, ""
 	default:
-		return ErrQueueFull
+		return http.StatusTooManyRequests, "job queue full; retry later"
 	}
 }
 
@@ -160,22 +111,19 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Close drains and stops the worker pool: no new submissions are
-// accepted, every queued and in-flight job runs to completion, and
-// Close returns when the pool is idle. Call ForceStop first (or
-// concurrently) to abort in-flight jobs instead of finishing them.
+// Close drains the server: no new job is admitted, every waiting and
+// in-flight job runs to completion, and Close returns when the last has
+// been answered. Call ForceStop first (or concurrently) to abort
+// in-flight jobs instead of finishing them.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.jobs.Wait()
 }
 
-// ForceStop cancels the context of every in-flight and queued job.
-// Submitters receive cancellation errors; workers stop within
+// ForceStop cancels the context of every waiting and in-flight job.
+// Submitters receive cancellation errors; runs stop within
 // noc.CancelCheckEvery simulated cycles.
 func (s *Server) ForceStop() { s.forceStop() }
 
@@ -220,41 +168,51 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// Two identical requests racing past the cache miss both compute;
 	// determinism makes either result correct and both Puts identical,
 	// so no single-flight coordination is needed for correctness.
-	jctx, jcancel := context.WithCancel(r.Context())
-	defer jcancel()
-	stop := context.AfterFunc(s.forceCtx, jcancel)
-	defer stop()
-	j := &job{ctx: jctx, c: c, key: key, done: make(chan jobResult, 1)}
-	if err := s.submit(j); err != nil {
-		switch {
-		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-		default:
+	if status, reason := s.admit(); status != 0 {
+		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-			writeError(w, http.StatusTooManyRequests, "job queue full; retry later")
 		}
+		writeError(w, status, reason)
 		return
 	}
-	select {
-	case res := <-j.done:
-		if res.err != nil {
-			switch {
-			case errors.Is(res.err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "job timed out: "+res.err.Error())
-			case errors.Is(res.err, context.Canceled):
-				// Client is gone or the server was force-stopped; the
-				// status is best-effort.
-				writeError(w, http.StatusServiceUnavailable, "job cancelled: "+res.err.Error())
-			default:
-				writeError(w, http.StatusInternalServerError, res.err.Error())
-			}
-			return
-		}
-		writeBody(w, "miss", res.body)
-	case <-r.Context().Done():
-		// The client hung up: jcancel (deferred) propagates into the
-		// worker, which stops within noc.CancelCheckEvery cycles. The
-		// buffered done channel lets it publish the result regardless.
+	defer s.jobs.Done()
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.forceCtx, cancel)()
+
+	// The job lives on this goroutine: wait for a run slot, execute under
+	// the server's slots, totals and JobTimeout, give the slot back.
+	// Acquire fails only if the client hung up or the server was
+	// force-stopped while the job waited: nobody wants the result.
+	admitted := time.Now()
+	err = s.slots.Acquire(ctx)
+	<-s.wait
+	slotted := time.Now()
+	var body []byte
+	if err == nil {
+		s.metrics.inflight.Add(1)
+		jctx, jcancel := context.WithTimeout(sim.WithTotals(experiments.WithSlots(ctx, s.slots), &s.totals), s.cfg.JobTimeout)
+		body, err = s.execute(jctx, key, c)
+		jcancel()
+		s.slots.Release()
+		s.metrics.inflight.Add(-1) // before the reply: a client that has its answer must not still see the job in flight
+	}
+	done := time.Now()
+	s.metrics.observe(done.Sub(admitted), err)
+	switch {
+	case err == nil:
+		s.cache.Put(key, body)
+		w.Header().Set("Server-Timing", fmt.Sprintf("wait;dur=%.3f, run;dur=%.3f",
+			slotted.Sub(admitted).Seconds()*1e3, done.Sub(slotted).Seconds()*1e3))
+		writeBody(w, "miss", body)
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, "job timed out: "+err.Error())
+	case errors.Is(err, context.Canceled):
+		// Client is gone or the server was force-stopped; the status is
+		// best-effort.
+		writeError(w, http.StatusServiceUnavailable, "job cancelled: "+err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -309,8 +267,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(errorBody{Error: msg})
 }
 
-// QueueDepth returns the number of queued (not yet running) jobs.
-func (s *Server) QueueDepth() int { return len(s.queue) }
+// QueueDepth returns the number of admitted jobs waiting for a run slot.
+func (s *Server) QueueDepth() int { return len(s.wait) }
 
 // InFlight returns the number of jobs currently executing.
 func (s *Server) InFlight() int { return int(s.metrics.inflight.Load()) }
@@ -320,8 +278,8 @@ func (s *Server) CacheStats() (hits, misses int64, entries int) {
 	return s.cache.Hits(), s.cache.Misses(), s.cache.Len()
 }
 
-// JobsExecuted returns how many jobs workers have run (cache hits
-// excluded — a hit never reaches the pool).
+// JobsExecuted returns how many admitted jobs have finished (cache hits
+// excluded — a hit is never admitted).
 func (s *Server) JobsExecuted() int64 { return s.metrics.jobsTotal.Load() }
 
 // uptime is split out for the metrics page.

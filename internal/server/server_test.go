@@ -108,7 +108,7 @@ func TestFigureJobMatchesCLIAndCaches(t *testing.T) {
 	}
 }
 
-// A served sweep must report the same curve sim.LoadSweep computes.
+// A served sweep must report the same curve sim.LoadSweepContext computes.
 func TestSweepJobMatchesLoadSweep(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
@@ -126,7 +126,7 @@ func TestSweepJobMatchesLoadSweep(t *testing.T) {
 	}
 
 	p := sim.Params{Width: 4, Height: 4, Faults: 2, FaultSeed: 1, Scheme: sim.SchemeDRAIN, Seed: 1}
-	curve, err := sim.LoadSweep(p, "uniform", []float64{0.02, 0.05}, 200, 500)
+	curve, err := sim.LoadSweepContext(context.Background(), p, "uniform", []float64{0.02, 0.05}, 200, 500)
 	if err != nil {
 		t.Fatalf("direct sweep: %v", err)
 	}
@@ -250,16 +250,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	postJob(t, ts.URL, `{"fig":"fig6"}`) // miss + execute
 	postJob(t, ts.URL, `{"fig":"fig6"}`) // hit
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status %d", resp.StatusCode)
-	}
-	text := string(body)
+	text := getMetrics(t, ts.URL)
 	for _, want := range []string{
 		"drainserved_queue_depth 0",
 		"drainserved_queue_capacity 64",
@@ -360,5 +351,92 @@ func TestBadRequestsRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/jobs = %d, want 405", resp.StatusCode)
+	}
+}
+
+func getMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, read error %v", resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// The simulator totals on /metrics are each server's own and exact: a
+// default sweep is 2 rates × 5 000 cycles on the server that ran it and
+// nothing on a server that sat idle in the same process.
+func TestSimTotalsArePerServerAndExact(t *testing.T) {
+	t.Parallel()
+	_, a := newTestServer(t, Config{})
+	_, b := newTestServer(t, Config{})
+	if resp, body := postJob(t, a.URL, `{"kind":"sweep","width":4,"height":4}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	for _, tc := range []struct {
+		name, url    string
+		runs, cycles int
+	}{{"A", a.URL, 2, 10000}, {"B", b.URL, 0, 0}} {
+		text := getMetrics(t, tc.url)
+		for _, want := range []string{
+			fmt.Sprintf("drainserved_sim_runs_total %d\n", tc.runs),
+			fmt.Sprintf("drainserved_sim_cycles_total %d\n", tc.cycles),
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("server %s: /metrics lacks %q:\n%s", tc.name, want, text)
+			}
+		}
+	}
+}
+
+// A job that outlives JobTimeout is answered 504 and gives back every
+// run slot it held or lent to a helper, so the next job runs.
+func TestJobTimeoutFreesEverySlot(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Config{Workers: 2, JobTimeout: 150 * time.Millisecond})
+	if resp, body := postJob(t, ts.URL, `{"fig":"fig10"}`); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("quick fig10 under a 150ms timeout: status %d (%s), want 504", resp.StatusCode, body)
+	}
+	// The reply is written after the job released: no waiting needed.
+	for i := 0; i < 2; i++ {
+		if !s.slots.TryAcquire() {
+			t.Fatalf("after the 504 only %d of 2 run slots are free", i)
+		}
+	}
+	s.slots.Release()
+	s.slots.Release()
+	if n := s.InFlight() + s.QueueDepth(); n != 0 {
+		t.Errorf("after the 504: %d jobs in flight or waiting", n)
+	}
+	if resp, body := postJob(t, ts.URL, `{"fig":"fig6"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("job after the timeout: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
+// A miss says where its time went in a Server-Timing header; the cached
+// body and the hit path know nothing of it.
+func TestServerTimingOnMissOnly(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	miss, missBody := postJob(t, ts.URL, `{"fig":"fig14"}`)
+	hit, hitBody := postJob(t, ts.URL, `{"fig":"fig14"}`)
+	if miss.Header.Get("X-Cache") != "miss" || hit.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("X-Cache = %q then %q, want miss then hit", miss.Header.Get("X-Cache"), hit.Header.Get("X-Cache"))
+	}
+	var wait, run float64
+	got := miss.Header.Get("Server-Timing")
+	if n, err := fmt.Sscanf(got, "wait;dur=%f, run;dur=%f", &wait, &run); n != 2 || err != nil || wait < 0 || run <= 0 {
+		t.Errorf("miss Server-Timing = %q, want wait;dur=<ms>, run;dur=<ms> with run > 0", got)
+	}
+	if got, ok := hit.Header["Server-Timing"]; ok {
+		t.Errorf("hit carries Server-Timing %q", got)
+	}
+	if !bytes.Equal(missBody, hitBody) {
+		t.Error("hit body differs from the miss body")
 	}
 }

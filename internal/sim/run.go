@@ -57,6 +57,11 @@ func (r *Runner) RunSynthetic(pattern traffic.Pattern, rate float64, warmup, mea
 // context.Background() the results are byte-identical to RunSynthetic.
 func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Pattern, rate float64, warmup, measure int64) (SyntheticResult, error) {
 	res := SyntheticResult{Offered: rate}
+	// base converts between the network's absolute clock and this run's
+	// iteration counter: iteration cyc steps the clock from base+cyc to
+	// base+cyc+1. It is nonzero when the runner is reused for a second run.
+	base, counters := r.Net.Cycle(), r.Net.Counters
+	defer func() { r.credit(ctx, base, counters, res.FastForwarded) }()
 	gen := traffic.NewGenerator(pattern, rate, r.Params.Seed^0x1234)
 	gen.CtrlFraction = max(0, r.Params.CtrlFraction)
 	gen.DataFlits = r.Params.MaxFlits
@@ -85,10 +90,6 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 	watch := r.Params.Scheme == SchemeNone
 	lastEject := int64(0)
 	suspect := false
-	// base converts between the network's absolute clock and this run's
-	// iteration counter: iteration cyc steps the clock from base+cyc to
-	// base+cyc+1. It is nonzero when the runner is reused for a second run.
-	base := r.Net.Cycle()
 	for cyc := int64(0); cyc < total; cyc++ {
 		// Scheduled faults fire first, before injection and Step, so an
 		// event at cycle C reconfigures on the C→C+1 boundary.
@@ -180,16 +181,10 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 	return res, nil
 }
 
-// LoadSweep measures a latency/throughput curve: one fresh runner per
-// offered rate (networks are not reusable across rates) over one
-// topology and routing table built up front.
-func LoadSweep(p Params, patternName string, rates []float64, warmup, measure int64) (stats.Curve, error) {
-	return LoadSweepContext(context.Background(), p, patternName, rates, warmup, measure)
-}
-
-// LoadSweepContext is LoadSweep with cancellation: ctx is threaded into
-// every per-rate run (see RunSyntheticContext) and also checked between
-// rates.
+// LoadSweepContext measures a latency/throughput curve: one fresh runner
+// per offered rate (networks are not reusable across rates) over one
+// topology and routing table built up front. ctx is threaded into every
+// per-rate run (see RunSyntheticContext) and also checked between rates.
 func LoadSweepContext(ctx context.Context, p Params, patternName string, rates []float64, warmup, measure int64) (stats.Curve, error) {
 	g, mesh, tab, err := p.BuildTopology()
 	if err != nil {
@@ -264,6 +259,7 @@ func (r *Runner) RunAppContext(ctx context.Context, prof workload.Profile, opsTa
 	if err != nil {
 		return res, err
 	}
+	defer r.credit(ctx, r.Net.Cycle(), r.Net.Counters, 0)
 	var lat stats.Sample
 	var trace func(*noc.Packet)
 	if r.Trace != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"drain/internal/noc"
-	"drain/internal/stats"
 	"drain/internal/traffic"
 	"drain/internal/workload"
 )
@@ -192,38 +191,6 @@ func TestDoRScheme(t *testing.T) {
 	// DoR on a faulty mesh must be rejected.
 	if _, err := Build(Params{Width: 4, Height: 4, Faults: 2, Scheme: SchemeDoR, Seed: 7}); err == nil {
 		t.Error("DoR on a faulty mesh should fail")
-	}
-}
-
-func TestSaturationSearchOnRealNetwork(t *testing.T) {
-	// Binary-search the DRAIN saturation point; it must land near the
-	// plateau that the over-saturation probe reports.
-	measure := func(rate float64) (float64, error) {
-		r, err := Build(Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Seed: 8})
-		if err != nil {
-			return 0, err
-		}
-		res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, rate, 500, 2500)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accepted, nil
-	}
-	point, err := stats.SearchSaturation(0.02, 0.6, 0.9, 0.02, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Build(Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.6, 500, 2500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plateau := res.Accepted
-	if point < plateau*0.6 || point > plateau*1.6 {
-		t.Errorf("searched saturation %.3f far from plateau %.3f", point, plateau)
 	}
 }
 

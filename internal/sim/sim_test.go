@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drain/internal/stats"
@@ -138,7 +139,7 @@ func TestSchemeNoneDetectsDeadlock(t *testing.T) {
 }
 
 func TestLoadSweepMonotoneThroughput(t *testing.T) {
-	curve, err := LoadSweep(Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Seed: 6, Epoch: 2000},
+	curve, err := LoadSweepContext(context.Background(), Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Seed: 6, Epoch: 2000},
 		"uniform", []float64{0.02, 0.10, 0.30}, 500, 3000)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestLoadSweepSharesOneTopology(t *testing.T) {
 	e := topology.RemovableEdges(g)[0]
 	faulty.FaultSchedule = []FaultEvent{{Cycle: 900, A: e.A, B: e.B, Fail: true}}
 	for _, p := range []Params{{Width: 4, Height: 4, Scheme: SchemeEscapeVC, Seed: 6}, faulty} {
-		curve, err := LoadSweep(p, "uniform", rates, 500, 3000)
+		curve, err := LoadSweepContext(context.Background(), p, "uniform", rates, 500, 3000)
 		if err != nil {
 			t.Fatal(err)
 		}

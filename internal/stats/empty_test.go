@@ -56,31 +56,18 @@ func TestPercentileClampsQ(t *testing.T) {
 	}
 }
 
-// TestEmptyCurvePinned pins the empty-curve contract: all summaries 0.
+// TestEmptyCurvePinned pins the empty-curve contract: saturation 0.
 func TestEmptyCurvePinned(t *testing.T) {
 	var c Curve
 	if got := c.Saturation(); got != 0 {
 		t.Errorf("Saturation = %v, want 0", got)
 	}
-	if got := c.LowLoadLatency(); got != 0 {
-		t.Errorf("LowLoadLatency = %v, want 0", got)
-	}
-	if got := c.SaturationOffered(6); got != 0 {
-		t.Errorf("SaturationOffered = %v, want 0", got)
-	}
 }
 
-// A single-point curve is its own low-load point, saturation plateau,
-// and (trivially) saturation offered load.
+// A single-point curve is its own saturation plateau.
 func TestSinglePointCurve(t *testing.T) {
 	c := Curve{{Offered: 0.05, Accepted: 0.048, AvgLat: 21, P99Lat: 40}}
 	if got := c.Saturation(); got != 0.048 {
 		t.Errorf("Saturation = %v, want 0.048", got)
-	}
-	if got := c.LowLoadLatency(); got != 21 {
-		t.Errorf("LowLoadLatency = %v, want 21", got)
-	}
-	if got := c.SaturationOffered(6); got != 0.05 {
-		t.Errorf("SaturationOffered = %v, want 0.05", got)
 	}
 }

@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -128,11 +127,6 @@ type LoadPoint struct {
 	P99Lat   int64   // tail latency, cycles
 }
 
-// String formats a point for experiment tables.
-func (p LoadPoint) String() string {
-	return fmt.Sprintf("offered=%.3f accepted=%.3f lat=%.1f p99=%d", p.Offered, p.Accepted, p.AvgLat, p.P99Lat)
-}
-
 // Curve is a sweep of load points at increasing offered load.
 type Curve []LoadPoint
 
@@ -147,57 +141,4 @@ func (c Curve) Saturation() float64 {
 		}
 	}
 	return best
-}
-
-// LowLoadLatency returns the average latency of the lowest offered load
-// point (the paper's "low-load latency"); 0 for an empty curve.
-func (c Curve) LowLoadLatency() float64 {
-	if len(c) == 0 {
-		return 0
-	}
-	return c[0].AvgLat
-}
-
-// SearchSaturation binary-searches for the saturation offered load: the
-// highest rate at which measure(rate) still accepts ≥ accept×rate. The
-// callback runs a fresh simulation per probe; tol bounds the search
-// interval. This is the textbook saturation-point method for
-// latency/throughput studies (an alternative to the over-saturation
-// plateau that Curve.Saturation reports).
-func SearchSaturation(lo, hi, accept, tol float64, measure func(rate float64) (accepted float64, err error)) (float64, error) {
-	if lo <= 0 || hi <= lo || accept <= 0 || accept > 1 || tol <= 0 {
-		return 0, errInvalidSearch
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		acc, err := measure(mid)
-		if err != nil {
-			return 0, err
-		}
-		if acc >= accept*mid {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-var errInvalidSearch = fmt.Errorf("stats: invalid saturation search parameters")
-
-// SaturationOffered estimates the offered load at which latency exceeds
-// latFactor × the low-load latency (a conventional saturation-point
-// definition); returns the highest swept load if never exceeded, and 0
-// for an empty curve.
-func (c Curve) SaturationOffered(latFactor float64) float64 {
-	if len(c) == 0 {
-		return 0
-	}
-	base := c[0].AvgLat
-	for _, p := range c {
-		if p.AvgLat > latFactor*base {
-			return p.Offered
-		}
-	}
-	return c[len(c)-1].Offered
 }

@@ -94,19 +94,7 @@ func TestCurveSummaries(t *testing.T) {
 	if got := c.Saturation(); got != 0.215 {
 		t.Errorf("saturation = %v", got)
 	}
-	if got := c.LowLoadLatency(); got != 20 {
-		t.Errorf("low-load latency = %v", got)
-	}
-	if got := c.SaturationOffered(6); got != 0.30 {
-		t.Errorf("saturation offered = %v, want 0.30", got)
-	}
 	if got := (Curve{}).Saturation(); got != 0 {
 		t.Errorf("empty curve saturation = %v", got)
-	}
-	if got := (Curve{}).LowLoadLatency(); got != 0 {
-		t.Errorf("empty curve low-load = %v", got)
-	}
-	if got := c.SaturationOffered(1000); got != 0.40 {
-		t.Errorf("never-saturating sweep should return max offered, got %v", got)
 	}
 }
