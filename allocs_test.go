@@ -8,11 +8,13 @@ package drain
 // workload's allocation and happens outside Step.
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
 	"drain/internal/noc"
 	"drain/internal/sim"
+	"drain/internal/topology"
 	"drain/internal/traffic"
 )
 
@@ -177,5 +179,102 @@ func TestRunAllocsPerDeliveredPacket(t *testing.T) {
 func BenchmarkRunAllocs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(runAllocsPerDelivered(b), "allocs/pkt")
+	}
+}
+
+// TestValidateFaultScheduleAllocs pins the edge-set replay's cost model:
+// scratch allocated once per call, whatever the schedule's length, and a
+// per-call total the server can afford at its largest admitted mesh.
+func TestValidateFaultScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	mesh := topology.MustMesh(8, 8)
+	allocs := func(g *topology.Graph, sched []sim.FaultEvent) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := sim.ValidateFaultSchedule(g, sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short := allocs(mesh.Graph, alternatingSchedule(mesh.Graph, 10))
+	long := allocs(mesh.Graph, alternatingSchedule(mesh.Graph, 1700))
+	if short != long || long > 4 {
+		t.Errorf("10 events: %.0f allocations, 1700 events: %.0f; want the same count, at most 4", short, long)
+	}
+	// The server's bounds: maxMesh 64, 256 events.
+	big := topology.MustMesh(64, 64).Graph
+	sched := alternatingSchedule(big, 256)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := sim.ValidateFaultSchedule(big, sched); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	// Four slices of scratch; the slack is the runtime's own, around the
+	// two ReadMemStats calls. One graph of this mesh is 4.8 MB.
+	if n, b := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; n > 16 || b > 160<<10 {
+		t.Errorf("256 events on 64x64: %d allocations, %d bytes; ceiling is 16 and 160 KiB (no graph per event)", n, b)
+	}
+}
+
+// alternatingSchedule fails a removable link of g and recovers it, over
+// and over, one event per cycle: n events, at most one link down.
+func alternatingSchedule(g *topology.Graph, n int) []sim.FaultEvent {
+	removable := topology.RemovableEdges(g)
+	rng := rand.New(rand.NewPCG(7, 7))
+	sched := make([]sim.FaultEvent, n)
+	var e topology.Edge
+	for i := range sched {
+		if i%2 == 0 {
+			e = removable[rng.IntN(len(removable))]
+		}
+		sched[i] = sim.FaultEvent{Cycle: int64(i + 1), A: e.A, B: e.B, Fail: i%2 == 0}
+	}
+	return sched
+}
+
+// TestRestoreBuildsNoTable measures what the two halves of a fail/recover
+// pair allocate on the 8x8 DRAIN runner: the failure pays for a graph, a
+// table and a drain path; the recovery reinstalls what the runner was
+// built on, so its window must cost a small fraction of the failure's.
+func TestRestoreBuildsNoTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r, err := sim.Build(sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1, FaultSchedule: []sim.FaultEvent{
+		{Cycle: 1000, A: 27, B: 28, Fail: true},
+		{Cycle: 2000, A: 27, B: 28, Fail: false},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := traffic.UniformRandom{N: 64}
+	window := func() uint64 {
+		t.Helper()
+		reconfigs := r.Net.Counters.Reconfigs
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if _, err := r.RunSynthetic(pat, 0.1, 0, 1000); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if r.Net.Counters.Reconfigs != reconfigs+1 {
+			t.Fatalf("window to cycle %d applied %d reconfigurations, want 1", r.Net.Cycle(), r.Net.Counters.Reconfigs-reconfigs)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	if _, err := r.RunSynthetic(pat, 0.1, 0, 1000); err != nil { // prime: the failure is due on the next cycle
+		t.Fatal(err)
+	}
+	fail, restore := window(), window()
+	t.Logf("failure window: %d bytes, restore window: %d bytes", fail, restore)
+	if fail < 100<<10 {
+		t.Errorf("the failure window allocated %d bytes: less than one 8x8 table, the test measures nothing", fail)
+	}
+	if restore > fail/4 {
+		t.Errorf("the restore window allocated %d bytes, the failure's %d: a restore must not build a table", restore, fail)
 	}
 }

@@ -85,6 +85,47 @@ func BenchmarkStep(b *testing.B) {
 
 // --- Ablations (DESIGN.md §7) ---
 
+// BenchmarkFaultEvent times the online-fault path alone: an idle 8x8
+// DRAIN runner whose schedule fails a link one cycle and recovers it the
+// next, so one iteration is one failure (a graph, a table, the kinds in
+// use and a drain path over the survivors) plus one restore (the
+// construction-time graph, table and path reinstalled).
+func BenchmarkFaultEvent(b *testing.B) {
+	sched := make([]sim.FaultEvent, 2*b.N)
+	for i := range sched {
+		sched[i] = sim.FaultEvent{Cycle: int64(i + 1), A: 27, B: 28, Fail: i%2 == 0}
+	}
+	r, err := sim.Build(sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: 1, FaultSchedule: sched})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := r.RunSynthetic(traffic.UniformRandom{N: 64}, 0, 0, int64(len(sched))+1); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if got := r.Net.Counters.Reconfigs; got != int64(len(sched)) {
+		b.Fatalf("%d reconfigurations for %d events", got, len(sched))
+	}
+}
+
+// BenchmarkValidateFaultSchedule times the admission check a schedule
+// pays at canonicalization and again at BuildOn: 1 700 alternating events
+// on the 8x8 mesh (reconfig_churn's full-size schedule is 419).
+func BenchmarkValidateFaultSchedule(b *testing.B) {
+	g := topology.MustMesh(8, 8).Graph
+	sched := alternatingSchedule(g, 1700)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sim.ValidateFaultSchedule(g, sched); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sched)), "ns/event")
+}
+
 // BenchmarkAblationDrainHops: the paper's footnote 3 claims one forced
 // hop per drain window always beats multiple hops.
 func BenchmarkAblationDrainHops(b *testing.B) {

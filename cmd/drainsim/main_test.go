@@ -52,7 +52,8 @@ func TestBadFlagsExitWithAReason(t *testing.T) {
 		{"-mesh", "1x1"},
 		{"-sweep", "0.1,fast"},
 		{"-fault-schedule", "10:explode:0-1"},
-		{"-fault-schedule", "10:fail:0-8"}, // parses, names no link of the mesh
+		{"-fault-schedule", "10:fail:0-8"},    // parses, names no link of the mesh
+		{"-fault-schedule", "10:recover:0-8"}, // restores a link the mesh never had
 		{"-scheme", "turnmodel"},
 		{"-pattern", "zigzag"},
 		{"-workload", "doom"},
@@ -66,6 +67,9 @@ func TestBadFlagsExitWithAReason(t *testing.T) {
 		}
 		if code == 0 || reason == "" || strings.Contains(reason, "\n") {
 			t.Errorf("drainsim %v: exit %d, stderr %q; want non-zero and one line", bad, code, stderr.String())
+		}
+		if bad[0] == "-fault-schedule" && stdout.Len() != 0 {
+			t.Errorf("drainsim %v printed %q: a bad schedule is refused before the run starts", bad, stdout.String())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"drain/internal/topology"
@@ -159,5 +160,42 @@ func TestNextWorkCycleTracksDrainSchedule(t *testing.T) {
 	}
 	if !sawFreeze {
 		t.Fatal("drain window never opened")
+	}
+}
+
+// TestReconfigureOntoFullGraphReinstallsConstructionPath pins the restore
+// shortcut to the search it skips: after a failure, reconfiguring onto
+// the network's own graph must leave the path and the turn-table a search
+// over a rebuilt copy of that graph leaves, for both algorithms.
+func TestReconfigureOntoFullGraphReinstallsConstructionPath(t *testing.T) {
+	full := topology.MustMesh(4, 4).Graph
+	faulted, err := full.WithoutEdge(5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := faulted.WithEdge(5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []PathAlgorithm{PathEulerian, PathSearch} {
+		var ctl [2]*Controller
+		for i, restored := range []*topology.Graph{full, rebuilt} {
+			c, err := New(drainNet(t, full, 2, 13), Config{Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []*topology.Graph{faulted, restored} {
+				if err := c.Reconfigure(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctl[i] = c
+		}
+		if !reflect.DeepEqual(ctl[0].next, ctl[1].next) || !reflect.DeepEqual(ctl[0].Path(), ctl[1].Path()) {
+			t.Errorf("algorithm %d: reinstalled path differs from the one searched over a rebuilt graph", alg)
+		}
+		if ctl[0].Path() != ctl[0].full || ctl[1].Path() == ctl[1].full {
+			t.Errorf("algorithm %d: only the network's own graph may take the shortcut", alg)
+		}
 	}
 }

@@ -94,7 +94,8 @@ type Controller struct {
 	cfg  Config
 	net  *noc.Network
 	path *drainpath.Path
-	next []int // turn-table: next[linkID] = successor link
+	full *drainpath.Path // the construction-time path, over net.Graph()
+	next []int           // turn-table: next[linkID] = successor link
 
 	phase       phase
 	nextDrainAt int64
@@ -132,6 +133,7 @@ func New(net *noc.Network, cfg Config) (*Controller, error) {
 		cfg:         cfg,
 		net:         net,
 		path:        p,
+		full:        p,
 		next:        next,
 		nextDrainAt: net.Cycle() + cfg.Epoch,
 	}, nil
@@ -143,16 +145,24 @@ func (c *Controller) Path() *drainpath.Path { return c.path }
 // Reconfigure recomputes the drain path online after a live topology
 // change: active is the currently fault-free subgraph of the network's
 // full topology (the same subgraph passed to noc.Network.Reconfigure).
-// The new path is computed over active — a full rebuild, the correctness
-// fallback; the path construction itself is already incremental-cheap
-// (Hierholzer is linear in links) — and the turn-table is remapped into
-// the full graph's link-ID space, with -1 for failed links. That is safe
-// because failed links are empty at drain time: DrainRotate requires a
-// quiesced network, evacuation cleared their buffers at the failure, and
-// no grant ever targets them — so the rotation's nil-occupant skip never
-// dereferences a -1 entry. The epoch schedule is unchanged: the next
-// drain fires when it would have.
+// The new path is computed over active (Hierholzer is linear in links)
+// and the turn-table is remapped into the full graph's link-ID space,
+// with -1 for failed links. That is safe because failed links are empty
+// at drain time: DrainRotate requires a quiesced network, evacuation
+// cleared their buffers at the failure, and no grant ever targets them —
+// so the rotation's nil-occupant skip never dereferences a -1 entry. When
+// active is the network's own graph — every link restored — the
+// construction-time path goes back in: the search is deterministic, so
+// that is the path it would find again. The epoch schedule is unchanged:
+// the next drain fires when it would have.
 func (c *Controller) Reconfigure(active *topology.Graph) error {
+	if active == c.net.Graph() {
+		c.path = c.full
+		for id := range c.next {
+			c.next[id] = c.full.NextID(id)
+		}
+		return nil
+	}
 	var (
 		p   *drainpath.Path
 		err error

@@ -1,7 +1,7 @@
 // Package dense provides an open-addressed, int64-keyed hash table for
 // the simulator's steady-state hot structures (coherence lines, MSHRs,
-// directory entries, wormhole reassembly). It replaces built-in maps on
-// those paths for two reasons:
+// directory entries). It replaces built-in maps on those paths for two
+// reasons:
 //
 //   - Cost: lookups are a multiply-shift hash plus a linear probe over
 //     parallel slices — no mapaccess/aeshash calls, no per-bucket

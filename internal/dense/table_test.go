@@ -89,7 +89,7 @@ func TestTableAgainstMap(t *testing.T) {
 
 // TestTableEachDeterministic pins that two tables built by the same
 // operation sequence iterate in the same order (the property coherence
-// and wormhole rely on for byte-identical folds).
+// relies on for byte-identical folds).
 func TestTableEachDeterministic(t *testing.T) {
 	build := func() *Table[int] {
 		var tb Table[int]

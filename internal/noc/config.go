@@ -149,6 +149,20 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// materialize has tab build the candidate kinds a network with this
+// configuration routes with — Routing, EscapeRouting under PolicyEscape,
+// and the AllOutputs deroute sets when a stalled AdaptiveMinimal packet
+// may take them — so that the network's lookups are plain reads of sets
+// that exist (see routing.Table). A table pays for nothing else.
+func (c *Config) materialize(tab *routing.Table) {
+	esc := c.Routing
+	if c.PolicyEscape {
+		esc = c.EscapeRouting
+	}
+	adaptive := c.Routing == routing.AdaptiveMinimal || esc == routing.AdaptiveMinimal
+	tab.Materialize(c.DerouteAfter > 0 && adaptive, c.Routing, esc)
+}
+
 // VCsPerPort returns the total number of VCs at each input port.
 func (c *Config) VCsPerPort() int { return c.VNets * c.VCsPerVN }
 

@@ -50,8 +50,10 @@ var (
 //
 // Reconfigure must run between Steps. The caller recomputes the drain
 // path separately (core.Controller.Reconfigure). The reconfig path
-// performs no heap allocation — it runs mid-simulation and is a hotalloc
-// root (see internal/lint).
+// performs no heap allocation of its own — it runs mid-simulation and is
+// a hotalloc root (see internal/lint); the one exception is a table seen
+// for the first time, which materializes the candidate kinds this
+// network routes with (routing.Table.Materialize) as part of the swap.
 func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (ReconfigReport, error) {
 	var rep ReconfigReport
 	if tab == nil {
@@ -138,6 +140,7 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 		}
 	}
 
+	n.cfg.materialize(tab)
 	n.tab = tab
 	n.cfg.Table = tab
 	copy(n.linkDown, n.scrDown)

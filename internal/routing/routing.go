@@ -12,7 +12,9 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"drain/internal/topology"
 )
@@ -88,12 +90,22 @@ func (c Candidate) String() string {
 
 // Table holds precomputed routing state for one topology.
 //
-// Routing is static per topology, so every candidate set a simulation can
-// ask for is materialized once at construction time. Candidates and
-// AllOutputs return those shared slices directly: callers MUST treat them
-// as read-only and MUST NOT append to, re-sort, or otherwise mutate them
-// (doing so would corrupt the answer for every later query). Copy first
-// if a mutable view is needed.
+// Routing is static per topology. Construction computes the distances;
+// each kind of candidate set (and the up*/down* numbering behind the
+// up*/down* kinds) is materialized once, on first need, so a table costs
+// what its networks route with: a network declares the kinds it reads
+// with Materialize when it is built on or reconfigured onto the table.
+// Candidates and AllOutputs return those shared slices directly: callers
+// MUST treat them as read-only and MUST NOT append to, re-sort, or
+// otherwise mutate them (doing so would corrupt the answer for every
+// later query). Copy first if a mutable view is needed.
+//
+// A table is shared between concurrent simulations. Materialization is
+// serialized by the table's lock; lookups take none, because a goroutine
+// only reads sets it has itself been through the lock for (Materialize,
+// or the cold path of a lookup that found its kind missing). Goroutines
+// sharing a table must therefore Materialize what they read before they
+// read it concurrently — noc.New and Network.Reconfigure do.
 type Table struct {
 	g    *topology.Graph
 	mesh *topology.Mesh // nil unless XY requested
@@ -105,25 +117,32 @@ type Table struct {
 
 	dist [][]int // dist[r][dst] BFS hop distance
 
-	// up*/down* state. level/order define link direction; distUD is
-	// indexed [dst*2N + router*2 + phase] where phase 1 means "has gone
-	// down".
+	mu sync.Mutex // serializes materialization of everything below
+
+	// up*/down* state, nil until an up*/down* kind (or IsUp, UpDownDist)
+	// needs it. level/order define link direction; distUD is indexed
+	// [dst*2N + router*2 + phase] where phase 1 means "has gone down".
 	udRoot  int
 	udOrder []int
 	distUD  []int32
 
-	// Immutable candidate tables, one per kind.
+	// Candidate tables, one per kind; immutable once materialized.
 	adaptive   candSet    // AdaptiveMinimal (phase-independent)
-	xy         candSet    // XY; zero unless mesh was provided
+	xy         candSet    // XY; never materialized without a mesh
 	upDown     [2]candSet // UpDown, by downPhase
 	allOut     candSet    // every output, neighbor order
 	allOutProd candSet    // every output, productive entries first
+	// prodOnce guards allOutProd alone: the liveness analyses that read it
+	// ask per call, from any goroutine, with no construction step to
+	// declare it in.
+	prodOnce sync.Once
 }
 
 // candSet is every candidate set of one kind: pair i = at*N+dst owns
 // arena[off[i]:off[i+1]]. The arena holds exactly the candidates
 // generated, in pair order, so a table costs 4 bytes per pair plus 4 per
-// candidate instead of a 24-byte slice header per pair plus 16.
+// candidate instead of a 24-byte slice header per pair plus 16. A nil off
+// is a kind not materialized yet.
 type candSet struct {
 	off   []uint32 // N*N+1 offsets into arena
 	arena []Candidate
@@ -138,6 +157,26 @@ func (s *candSet) at(i int) []Candidate {
 		return nil
 	}
 	return s.arena[lo:hi:hi]
+}
+
+// materialized reports whether pair i can be read from s. It is the
+// bounds check at() would make anyway, written out so that a kind not
+// built yet (nil off) fails it too: a lookup tests it and takes
+// lookupCold on failure, and a materialized set pays nothing for the cold
+// path behind it.
+func (s *candSet) materialized(i int) bool { return uint(i+1) < uint(len(s.off)) }
+
+// lookupCold materializes s and answers from it (or panics on an index
+// that was out of range all along). Only a caller that did not
+// Materialize gets here, once per kind; a network's lookups never do.
+func (t *Table) lookupCold(s *candSet, i int) []Candidate {
+	if s == &t.xy && t.mesh == nil {
+		return nil // XY needs a mesh; a table without one has no XY sets
+	}
+	t.mu.Lock()
+	t.materialize(s)
+	t.mu.Unlock()
+	return s.at(i)
 }
 
 // NewTable precomputes routing state for g. mesh may be nil; it is
@@ -172,12 +211,7 @@ func buildTable(g *topology.Graph, mesh *topology.Mesh, root int, out [][]int) (
 	if int64(g.N())*int64(g.NumLinks()) > math.MaxUint32 {
 		return nil, fmt.Errorf("routing: %d routers x %d links overflow the candidate index", g.N(), g.NumLinks())
 	}
-	t := &Table{g: g, mesh: mesh, out: out, dist: g.AllPairsDist(), udRoot: root}
-	if err := t.buildUpDown(); err != nil {
-		return nil, err
-	}
-	t.buildCandidateTables()
-	return t, nil
+	return &Table{g: g, mesh: mesh, out: out, dist: g.AllPairsDist(), udRoot: root}, nil
 }
 
 // NewTableRemapped builds routing state over the active subgraph (the
@@ -220,13 +254,13 @@ func (t *Table) Dist(r, dst int) int { return t.dist[r][dst] }
 func (t *Table) Graph() *topology.Graph { return t.g }
 
 // buildUpDown assigns the up*/down* ordering and distance tables.
-func (t *Table) buildUpDown() error {
+func (t *Table) buildUpDown() {
 	g := t.g
 	// BFS levels from the root; "up" goes toward the root: a link u→v is
 	// up iff (level[v], v) < (level[u], u) lexicographically, so every
 	// link has exactly one direction.
 	level := g.BFSDist(t.udRoot)
-	t.udOrder = make([]int, g.N())
+	order := make([]int, g.N())
 	// Dense rank: routers sorted by (level, id).
 	byRank := make([]int, g.N())
 	for i := range byRank {
@@ -239,7 +273,7 @@ func (t *Table) buildUpDown() error {
 		return byRank[a] < byRank[b]
 	})
 	for rank, r := range byRank {
-		t.udOrder[r] = rank
+		order[r] = rank
 	}
 
 	// distUD[dst*2N + router*2+phase]: minimum legal hops from
@@ -247,13 +281,13 @@ func (t *Table) buildUpDown() error {
 	// reversed phase-product graph: state (v, pv) is stepped to by
 	// (u,0) --up--> (v,0); (u,0) --down--> (v,1); (u,1) --down--> (v,1).
 	n2 := g.N() * 2
-	t.distUD = make([]int32, g.N()*n2)
-	for i := range t.distUD {
-		t.distUD[i] = -1
+	distUD := make([]int32, g.N()*n2)
+	for i := range distUD {
+		distUD[i] = -1
 	}
 	queue := make([]int32, n2) // every state enters at most once
 	for dst := 0; dst < g.N(); dst++ {
-		d := t.distUD[dst*n2 : (dst+1)*n2]
+		d := distUD[dst*n2 : (dst+1)*n2]
 		d[dst*2+0], d[dst*2+1] = 0, 0
 		queue[0], queue[1] = int32(dst*2+0), int32(dst*2+1)
 		head, tail := 0, 2
@@ -269,7 +303,7 @@ func (t *Table) buildUpDown() error {
 			head++
 			v, pv := int(s/2), s%2
 			for _, u := range g.Neighbors(v) {
-				up := t.IsUp(u, v)
+				up := order[v] < order[u]
 				switch {
 				case pv == 0 && up:
 					visit(u*2+0, s)
@@ -279,28 +313,126 @@ func (t *Table) buildUpDown() error {
 				}
 			}
 		}
-		// Reachability check: phase-0 state of every router must reach dst.
+		// Up to the root and down its spanning tree is always legal on the
+		// connected graph buildTable insists on.
 		for r := 0; r < g.N(); r++ {
-			if d[r*2+0] < 0 && r != dst {
-				return fmt.Errorf("routing: up*/down* cannot reach %d from %d", dst, r)
+			if d[r*2+0] < 0 {
+				panic(fmt.Sprintf("routing: up*/down* cannot reach %d from %d on a connected graph", dst, r))
 			}
 		}
 	}
-	return nil
+	t.udOrder, t.distUD = order, distUD
+}
+
+// needUpDown materializes the up*/down* numbering for the accessors
+// below; the up*/down* candidate kinds build it under the lock they
+// already hold.
+func (t *Table) needUpDown() {
+	t.mu.Lock()
+	if t.udOrder == nil {
+		t.buildUpDown()
+	}
+	t.mu.Unlock()
 }
 
 // IsUp reports whether the link from→to travels "up" (toward the
 // spanning-tree root) under the table's up*/down* ordering.
-func (t *Table) IsUp(from, to int) bool { return t.udOrder[to] < t.udOrder[from] }
+func (t *Table) IsUp(from, to int) bool {
+	t.needUpDown()
+	return t.isUp(from, to)
+}
+
+func (t *Table) isUp(from, to int) bool { return t.udOrder[to] < t.udOrder[from] }
 
 // UpDownDist returns the minimum number of legal up*/down* hops from r
 // (in the given phase) to dst, or -1 if unreachable in that phase.
 func (t *Table) UpDownDist(r int, downPhase bool, dst int) int {
+	t.needUpDown()
+	return t.upDownDist(r, downPhase, dst)
+}
+
+func (t *Table) upDownDist(r int, downPhase bool, dst int) int {
 	ph := 0
 	if downPhase {
 		ph = 1
 	}
 	return int(t.distUD[(dst*t.g.N()+r)*2+ph])
+}
+
+// Materialize builds, once each, the candidate sets a network routing
+// with the given kinds reads through Candidates, plus the AllOutputs sets
+// when allOutputs is true (stalled AdaptiveMinimal packets deroute over
+// them). It is the step that makes the table's unsynchronized lookups
+// safe to share: see Table. On a table whose kinds exist it is a lock and
+// a few nil checks.
+func (t *Table) Materialize(allOutputs bool, kinds ...Kind) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, k := range kinds {
+		switch k {
+		case AdaptiveMinimal:
+			t.materialize(&t.adaptive)
+		case XY:
+			t.materialize(&t.xy)
+		case UpDown:
+			t.materialize(&t.upDown[0])
+			t.materialize(&t.upDown[1])
+		}
+	}
+	if allOutputs {
+		t.materialize(&t.allOut)
+	}
+}
+
+// materialize builds the set s of t if it is not built yet. The caller
+// holds t.mu. Each kind is generated through its per-pair algorithm into
+// a scratch buffer sized for the largest kind (AllOutputs: every out-link
+// of every router, for every other destination) and frozen into an arena
+// of exactly its size, so later queries are allocation-free lookups and
+// no arena holds spare capacity.
+//
+//drain:coldpath allocates once per table and kind: Step's lookups find their kinds built by noc.New, Reconfigure builds them on a table's first installation
+func (t *Table) materialize(s *candSet) {
+	if s.off != nil {
+		return
+	}
+	var gen func(buf []Candidate, at, dst int) []Candidate
+	switch s {
+	case &t.adaptive:
+		gen = t.appendAdaptive
+	case &t.xy:
+		if t.mesh == nil {
+			return
+		}
+		gen = t.appendXY
+	case &t.upDown[0], &t.upDown[1]:
+		if t.udOrder == nil {
+			t.buildUpDown()
+		}
+		downPhase := s == &t.upDown[1]
+		gen = func(buf []Candidate, at, dst int) []Candidate {
+			return t.appendUpDown(buf, at, dst, downPhase)
+		}
+	case &t.allOut:
+		gen = t.appendAllOutputs
+	case &t.allOutProd:
+		t.materialize(&t.allOut)
+		gen = t.appendAllOutputsPreferProductive
+	}
+	n := t.g.N()
+	off := make([]uint32, n*n+1)
+	buf := make([]Candidate, 0, (n-1)*t.g.NumLinks())
+	for at := 0; at < n; at++ {
+		for dst := 0; dst < n; dst++ {
+			buf = gen(buf, at, dst)
+			off[at*n+dst+1] = uint32(len(buf))
+		}
+	}
+	arena := buf
+	if len(buf) < cap(buf) { // only the AllOutputs kinds fill it exactly
+		arena = slices.Clone(buf)
+	}
+	*s = candSet{off: off, arena: arena}
 }
 
 // AllOutputs returns every outgoing link of router `at` as a candidate
@@ -313,15 +445,28 @@ func (t *Table) UpDownDist(r int, downPhase bool, dst int) int {
 // The returned slice is shared and read-only: it aliases the table's
 // precomputed state and must not be modified or appended to.
 func (t *Table) AllOutputs(at, dst int) []Candidate {
-	return t.allOut.at(at*t.g.N() + dst)
+	i := at*t.g.N() + dst
+	if !t.allOut.materialized(i) {
+		return t.lookupCold(&t.allOut, i)
+	}
+	return t.allOut.at(i)
 }
 
 // AllOutputsPreferProductive is AllOutputs with the productive candidates
 // ordered first (the liveness analysis follows the first blocked target,
 // so forced rotations should track desired moves). Same read-only
-// contract as AllOutputs.
+// contract as AllOutputs. Only the liveness analyses read it, at any
+// time and from any goroutine sharing the table, so it synchronizes its
+// own first use.
 func (t *Table) AllOutputsPreferProductive(at, dst int) []Candidate {
+	t.prodOnce.Do(t.materializeAllOutProd)
 	return t.allOutProd.at(at*t.g.N() + dst)
+}
+
+func (t *Table) materializeAllOutProd() {
+	t.mu.Lock()
+	t.materialize(&t.allOutProd)
+	t.mu.Unlock()
 }
 
 // Candidates returns the legal next-hop candidates for a packet at router
@@ -335,71 +480,42 @@ func (t *Table) AllOutputsPreferProductive(at, dst int) []Candidate {
 // The returned slice is shared and read-only: it aliases the table's
 // precomputed state and must not be modified or appended to.
 func (t *Table) Candidates(k Kind, at, dst int, downPhase bool) []Candidate {
-	i := at*t.g.N() + dst
+	var s *candSet
 	switch k {
 	case AdaptiveMinimal:
-		return t.adaptive.at(i)
+		s = &t.adaptive
 	case XY:
-		if t.xy.off == nil {
-			return nil
-		}
-		return t.xy.at(i)
+		s = &t.xy
 	case UpDown:
+		s = &t.upDown[0]
 		if downPhase {
-			return t.upDown[1].at(i)
+			s = &t.upDown[1]
 		}
-		return t.upDown[0].at(i)
+	default:
+		return nil
 	}
-	return nil
+	i := at*t.g.N() + dst
+	if !s.materialized(i) {
+		return t.lookupCold(s, i)
+	}
+	return s.at(i)
 }
 
-// buildCandidateTables materializes every candidate set once. Each kind
-// is generated through the per-pair algorithm below into one scratch
-// buffer sized for the largest kind (AllOutputs: every out-link of every
-// router, for every other destination) and frozen into an arena of
-// exactly its size, so later queries are allocation-free lookups and no
-// arena holds spare capacity.
-func (t *Table) buildCandidateTables() {
-	n := t.g.N()
-	scratch := make([]Candidate, 0, (n-1)*t.g.NumLinks())
-	build := func(gen func(buf []Candidate, at, dst int) []Candidate) candSet {
-		off := make([]uint32, n*n+1)
-		buf := scratch
-		for at := 0; at < n; at++ {
-			for dst := 0; dst < n; dst++ {
-				buf = gen(buf, at, dst)
-				off[at*n+dst+1] = uint32(len(buf))
-			}
+// appendAllOutputsPreferProductive generates the productive-first
+// reordering of one pair's (materialized) AllOutputs set.
+func (t *Table) appendAllOutputsPreferProductive(buf []Candidate, at, dst int) []Candidate {
+	all := t.allOut.at(at*t.g.N() + dst)
+	for _, c := range all {
+		if c.Productive() {
+			buf = append(buf, c)
 		}
-		arena := make([]Candidate, len(buf))
-		copy(arena, buf)
-		return candSet{off: off, arena: arena}
 	}
-	t.adaptive = build(t.appendAdaptive)
-	if t.mesh != nil {
-		t.xy = build(t.appendXY)
+	for _, c := range all {
+		if !c.Productive() {
+			buf = append(buf, c)
+		}
 	}
-	t.upDown[0] = build(func(buf []Candidate, at, dst int) []Candidate {
-		return t.appendUpDown(buf, at, dst, false)
-	})
-	t.upDown[1] = build(func(buf []Candidate, at, dst int) []Candidate {
-		return t.appendUpDown(buf, at, dst, true)
-	})
-	t.allOut = build(t.appendAllOutputs)
-	t.allOutProd = build(func(buf []Candidate, at, dst int) []Candidate {
-		all := t.AllOutputs(at, dst)
-		for _, c := range all {
-			if c.Productive() {
-				buf = append(buf, c)
-			}
-		}
-		for _, c := range all {
-			if !c.Productive() {
-				buf = append(buf, c)
-			}
-		}
-		return buf
-	})
+	return buf
 }
 
 // appendAllOutputs generates the AllOutputs set for one (at, dst) pair.
@@ -460,17 +576,17 @@ func (t *Table) appendUpDown(buf []Candidate, at, dst int, downPhase bool) []Can
 	if at == dst {
 		return buf
 	}
-	cur := t.UpDownDist(at, downPhase, dst)
+	cur := t.upDownDist(at, downPhase, dst)
 	if cur < 0 {
 		return buf
 	}
 	for i, nb := range t.g.Neighbors(at) {
-		up := t.IsUp(at, nb)
+		up := t.isUp(at, nb)
 		if downPhase && up {
 			continue // an up turn after going down is illegal
 		}
 		nextPhase := downPhase || !up
-		if t.UpDownDist(nb, nextPhase, dst) == cur-1 {
+		if t.upDownDist(nb, nextPhase, dst) == cur-1 {
 			buf = append(buf, newCandidate(t.out[at][i], nextPhase, t.dist[nb][dst] < t.dist[at][dst]))
 		}
 	}

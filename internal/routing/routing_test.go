@@ -359,33 +359,7 @@ func TestRemappedTableIsActiveTableInFullIDs(t *testing.T) {
 // for one remapped into the full graph's IDs after any removable edge
 // has failed.
 func TestCandidateListsAscendByLinkID(t *testing.T) {
-	check := func(t *testing.T, what string, tab *Table, routers int) {
-		t.Helper()
-		lists := 0
-		for at := 0; at < routers; at++ {
-			for dst := 0; dst < routers; dst++ {
-				for i, cands := range [][]Candidate{
-					tab.Candidates(AdaptiveMinimal, at, dst, false),
-					tab.Candidates(XY, at, dst, false),
-					tab.Candidates(UpDown, at, dst, false),
-					tab.Candidates(UpDown, at, dst, true),
-					tab.AllOutputs(at, dst),
-				} {
-					for j := 1; j < len(cands); j++ {
-						if cands[j-1].LinkID() >= cands[j].LinkID() {
-							t.Fatalf("%s: list %d for (%d,%d) does not ascend by link ID: %+v", what, i, at, dst, cands)
-						}
-					}
-					if len(cands) > 1 {
-						lists++
-					}
-				}
-			}
-		}
-		if lists == 0 {
-			t.Fatalf("%s: no list with two candidates", what)
-		}
-	}
+	check := requireListsAscend
 	m := topology.MustMesh(4, 4)
 	irregular, err := topology.NewRandomConnected(12, 6, testRNG(5))
 	if err != nil {
@@ -422,5 +396,35 @@ func TestCandidateListsAscendByLinkID(t *testing.T) {
 			}
 			cur = without(cur, edges[rng.IntN(len(edges))])
 		}
+	}
+}
+
+// requireListsAscend is TestCandidateListsAscendByLinkID's check of one
+// table.
+func requireListsAscend(t *testing.T, what string, tab *Table, routers int) {
+	t.Helper()
+	lists := 0
+	for at := 0; at < routers; at++ {
+		for dst := 0; dst < routers; dst++ {
+			for i, cands := range [][]Candidate{
+				tab.Candidates(AdaptiveMinimal, at, dst, false),
+				tab.Candidates(XY, at, dst, false),
+				tab.Candidates(UpDown, at, dst, false),
+				tab.Candidates(UpDown, at, dst, true),
+				tab.AllOutputs(at, dst),
+			} {
+				for j := 1; j < len(cands); j++ {
+					if cands[j-1].LinkID() >= cands[j].LinkID() {
+						t.Fatalf("%s: list %d for (%d,%d) does not ascend by link ID: %+v", what, i, at, dst, cands)
+					}
+				}
+				if len(cands) > 1 {
+					lists++
+				}
+			}
+		}
+	}
+	if lists == 0 {
+		t.Fatalf("%s: no list with two candidates", what)
 	}
 }

@@ -338,6 +338,9 @@ func TestBadRequestsRejected(t *testing.T) {
 		if strings.Contains(body, "rng_mode") && !strings.Contains(e.Error, `"exact"`) {
 			t.Errorf("POST %s: error %q does not name the accepted value", body, e.Error)
 		}
+		if strings.Contains(body, `"a":0,"b":5`) && !strings.Contains(e.Error, "fault event 0 (cycle 100): no failed link 0-5 to restore") {
+			t.Errorf("POST %s: error %q does not name the event", body, e.Error)
+		}
 	}
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("rejected requests left %d cache entries", n)

@@ -84,18 +84,29 @@ func ParseFaultSchedule(s string) ([]FaultEvent, error) {
 // ValidateFaultSchedule checks a schedule against the topology it will
 // run on: cycles must be non-decreasing and non-negative, the same link
 // may not appear twice at the same cycle, every failure must target a
-// currently-up link and every recovery a currently-down one, and the
-// topology must stay connected after every event (the simulator has no
-// notion of an unreachable router, and the drain path needs a connected
-// graph). The check replays the whole sequence, so it catches exactly
-// the states a run would reach. The error text is safe for clients.
+// currently-up link and every recovery a currently-down link of g, and
+// the topology must stay connected after every event (the simulator has
+// no notion of an unreachable router, and the drain path needs a
+// connected graph). The check replays the whole sequence, so it catches
+// exactly the states a run would reach. The error text is safe for
+// clients.
+//
+// The replay runs over g's own edge set — a down mark per edge and, after
+// each failure, one connectivity walk that skips down links (a recovery
+// cannot disconnect anything) — so it builds no graph and its allocations
+// do not grow with the schedule.
 func ValidateFaultSchedule(g *topology.Graph, sched []FaultEvent) error {
-	cur := g
-	type linkCycle struct {
-		a, b  int
-		cycle int64
+	// Per bidirectional edge (Edges() index = link ID / 2, see
+	// topology.Graph.Reverse): whether it is down, and the cycle of the
+	// last event that named it. Only an edge of g can have passed an
+	// earlier event, so that cycle is the whole duplicate check.
+	down := make([]bool, len(g.Edges()))
+	lastCycle := make([]int64, len(g.Edges()))
+	for i := range lastCycle {
+		lastCycle[i] = -1
 	}
-	seen := make(map[linkCycle]bool, len(sched))
+	seen := make([]bool, g.N())
+	stack := make([]int, 0, g.N())
 	prev := int64(0)
 	for i, ev := range sched {
 		if ev.Cycle < 0 {
@@ -109,25 +120,59 @@ func ValidateFaultSchedule(g *topology.Graph, sched []FaultEvent) error {
 		if a > b {
 			a, b = b, a
 		}
-		k := linkCycle{a: a, b: b, cycle: ev.Cycle}
-		if seen[k] {
-			return fmt.Errorf("duplicate fault events for link %d-%d at cycle %d", a, b, ev.Cycle)
+		id, isEdge := g.LinkID(a, b)
+		e := id / 2
+		if isEdge {
+			if lastCycle[e] == ev.Cycle {
+				return fmt.Errorf("duplicate fault events for link %d-%d at cycle %d", a, b, ev.Cycle)
+			}
+			lastCycle[e] = ev.Cycle
 		}
-		seen[k] = true
-		var err error
-		if ev.Fail {
-			cur, err = cur.WithoutEdge(a, b)
-		} else {
-			cur, err = cur.WithEdge(a, b)
+		switch {
+		case ev.Fail && (!isEdge || down[e]):
+			return fmt.Errorf("fault event %d (cycle %d): topology: no edge %d-%d to remove", i, ev.Cycle, a, b)
+		case !ev.Fail && isEdge && !down[e]:
+			return fmt.Errorf("fault event %d (cycle %d): topology: edge %d-%d already present", i, ev.Cycle, a, b)
+		case !ev.Fail && !isEdge:
+			// Restoring a link the topology never had would grow it past
+			// the network's link-ID space.
+			switch {
+			case a == b:
+				return fmt.Errorf("fault event %d (cycle %d): topology: self-loop at router %d", i, ev.Cycle, a)
+			case a < 0 || b >= g.N():
+				return fmt.Errorf("fault event %d (cycle %d): topology: edge %d-%d out of range [0,%d)", i, ev.Cycle, a, b, g.N())
+			}
+			return fmt.Errorf("fault event %d (cycle %d): no failed link %d-%d to restore", i, ev.Cycle, a, b)
 		}
-		if err != nil {
-			return fmt.Errorf("fault event %d (cycle %d): %v", i, ev.Cycle, err)
-		}
-		if !cur.Connected() {
+		down[e] = ev.Fail
+		if ev.Fail && !connectedWithout(g, down, seen, stack) {
 			return fmt.Errorf("fault event %d disconnects the topology (link %d-%d down at cycle %d)", i, a, b, ev.Cycle)
 		}
 	}
 	return nil
+}
+
+// connectedWithout reports whether every router of g reaches router 0
+// over links whose edge is not marked down. seen (length N) and stack
+// (capacity N) are the caller's scratch.
+func connectedWithout(g *topology.Graph, down, seen []bool, stack []int) bool {
+	clear(seen)
+	seen[0] = true
+	stack = append(stack[:0], 0)
+	count := 1
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out := g.OutLinks(r)
+		for i, nb := range g.Neighbors(r) {
+			if !seen[nb] && !down[out[i]/2] {
+				seen[nb] = true
+				count++
+				stack = append(stack, nb)
+			}
+		}
+	}
+	return count == g.N()
 }
 
 // nextFaultCycle returns the cycle of the next unapplied scheduled
@@ -153,39 +198,55 @@ func (r *Runner) applyDueFaults() error {
 	if r.faultIdx >= len(sched) || sched[r.faultIdx].Cycle > r.Net.Cycle() {
 		return nil
 	}
+	if r.down == nil {
+		r.down = make([]bool, len(r.Graph.Edges()))
+	}
 	now := r.Net.Cycle()
 	for r.faultIdx < len(sched) && sched[r.faultIdx].Cycle <= now {
 		ev := sched[r.faultIdx]
-		a, b := ev.A, ev.B
-		if a > b {
-			a, b = b, a
-		}
-		var err error
-		if ev.Fail {
-			r.active, err = r.active.WithoutEdge(a, b)
-		} else {
-			r.active, err = r.active.WithEdge(a, b)
-		}
-		if err != nil {
+		id, ok := r.Graph.LinkID(ev.A, ev.B)
+		if !ok || r.down[id/2] == ev.Fail {
 			// Unreachable after BuildOn's ValidateFaultSchedule.
-			return fmt.Errorf("sim: fault event at cycle %d: %v", ev.Cycle, err)
+			return fmt.Errorf("sim: fault event %v does not apply to the topology at cycle %d", ev, now)
+		}
+		r.down[id/2] = ev.Fail
+		if ev.Fail {
+			r.numDown++
+		} else {
+			r.numDown--
 		}
 		r.faultIdx++
 	}
 	return r.reconfigure()
 }
 
-// reconfigure rebuilds the routing table over the current active
-// subgraph (candidates remapped into the full graph's link-ID space),
-// swaps it into the network, and recomputes the drain path when the
-// DRAIN controller is wired. A full rebuild is the correctness
-// fallback; the constructions are cheap (linear to near-linear in the
-// topology), and reconfigurations happen at fault-schedule granularity,
-// not per cycle.
+// reconfigure swaps the topology the scheduled events have left into the
+// network and the DRAIN controller. With every link back up that is the
+// construction-time graph, table and drain path themselves — what a
+// rebuild over the restored edge set would reproduce cell for cell
+// (topology.Graph.WithEdge's round trip; NewTableRemapped over the full
+// graph is NewTable's table). Otherwise the surviving edges become one
+// new graph, however many events the cycle batched, and the routing table
+// is rebuilt over it with candidates remapped into the full graph's
+// link-ID space; the network materializes from it only the kinds it
+// routes with.
 func (r *Runner) reconfigure() error {
-	tab, err := routing.NewTableRemapped(r.active, r.Graph, 0)
-	if err != nil {
-		return fmt.Errorf("sim: reconfiguration routing rebuild: %v", err)
+	r.active = r.Graph
+	tab := r.fullTab
+	if r.numDown > 0 {
+		edges := make([]topology.Edge, 0, len(r.down)-r.numDown)
+		for i, e := range r.Graph.Edges() {
+			if !r.down[i] {
+				edges = append(edges, e)
+			}
+		}
+		var err error
+		if r.active, err = topology.New(r.Graph.N(), edges); err != nil {
+			return fmt.Errorf("sim: reconfiguration: %v", err)
+		}
+		if tab, err = routing.NewTableRemapped(r.active, r.Graph, 0); err != nil {
+			return fmt.Errorf("sim: reconfiguration routing rebuild: %v", err)
+		}
 	}
 	rep, err := r.Net.Reconfigure(r.active, tab)
 	if err != nil {
@@ -193,13 +254,12 @@ func (r *Runner) reconfigure() error {
 	}
 	r.FaultReports = append(r.FaultReports, rep)
 	if r.Drain != nil {
-		if err := r.Drain.Reconfigure(r.active); err != nil {
-			return err
-		}
+		return r.Drain.Reconfigure(r.active)
 	}
 	return nil
 }
 
 // Active returns the currently fault-free subgraph of the runner's
-// topology (Graph itself until the first scheduled fault fires).
+// topology (Graph itself until the first scheduled fault fires, and again
+// whenever every link is back up).
 func (r *Runner) Active() *topology.Graph { return r.active }

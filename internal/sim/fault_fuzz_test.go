@@ -32,41 +32,72 @@ func FuzzParseFaultSchedule(f *testing.F) {
 	})
 }
 
-// FuzzValidateFaultSchedule decodes a schedule over a 3×3 or 4×4 mesh —
-// byte 0 picks the mesh and the scheme, then three bytes per event: cycle
-// advance, mesh link, fail or recover — with cycles up to 2 000. Whatever
-// ValidateFaultSchedule accepts must be runnable: BuildOn takes it, a run
-// to one cycle past the last event returns no error, has applied one
-// reconfiguration per distinct event cycle (so no state a replay reaches
-// is disconnected or names a missing link) and leaves the network's
-// invariants intact.
+// fuzzSchedule decodes a fuzz input into a mesh, a scheme and a schedule:
+// byte 0 picks a 3×3 or 4×4 mesh and the scheme, then four bytes per
+// event — cycle advance, x, y, flags — with cycles up to 2 000. Flag bit
+// 0 is fail (else recover). With bit 1 clear the event names mesh link x
+// (bit 2 swaps its endpoints); with it set it names the router pair
+// (x, y), each reduced to [-1, routers], so non-edges, self-loops and
+// out-of-range routers all occur. distinct counts the event cycles.
+func fuzzSchedule(data []byte) (mesh *topology.Mesh, p Params, distinct int64) {
+	side := 3 + int(data[0]&1)
+	p = Params{Width: side, Height: side, Scheme: SchemeDRAIN, Epoch: 128, Seed: 1}
+	if data[0]&2 != 0 {
+		p.Scheme = SchemeEscapeVC
+	}
+	mesh = topology.MustMesh(side, side)
+	edges := mesh.Graph.Edges()
+	var cycle int64
+	for d := data[1:]; len(d) >= 4 && cycle+int64(d[0]) <= 2000; d = d[4:] {
+		if d[0] > 0 || len(p.FaultSchedule) == 0 {
+			distinct++
+		}
+		cycle += int64(d[0])
+		ev := FaultEvent{Cycle: cycle, Fail: d[3]&1 == 1}
+		if d[3]&2 != 0 {
+			ev.A, ev.B = int(d[1])%(side*side+2)-1, int(d[2])%(side*side+2)-1
+		} else {
+			e := edges[int(d[1])%len(edges)]
+			ev.A, ev.B = e.A, e.B
+			if d[3]&4 != 0 {
+				ev.A, ev.B = e.B, e.A
+			}
+		}
+		p.FaultSchedule = append(p.FaultSchedule, ev)
+	}
+	return mesh, p, distinct
+}
+
+// fuzzScheduleSeeds are FuzzValidateFaultSchedule's seed inputs (also
+// the corpus the reference-validator comparison replays).
+var fuzzScheduleSeeds = [][]byte{
+	{0, 10, 3, 0, 1, 50, 3, 0, 4},                       // fail, then recover (endpoints swapped), one link
+	{1, 100, 0, 0, 1, 0, 7, 0, 1, 0, 9, 0, 1},           // three failures in one cycle
+	{2, 5, 0, 0, 1, 5, 1, 0, 1},                         // 3×3 corner cut off: must be refused
+	{3, 255, 4, 0, 1, 255, 4, 0, 1},                     // fail a link that is down
+	{0, 0, 1, 0, 1, 0, 1, 0, 0, 200, 11, 0, 1},          // one link twice in one cycle
+	{1, 100, 1, 6, 2},                                   // 4×4, recover 0-5: a link the mesh never had
+	{1, 100, 1, 6, 3},                                   // fail it instead
+	{0, 7, 4, 4, 2, 7, 0, 3, 2, 7, 3, 10, 3},            // self-loop, router -1, router 9 of 9
+	{1, 10, 2, 0, 1, 10, 2, 3, 3, 10, 2, 0, 0},          // one link failed by index, then again by router pair
+	{1, 1, 5, 0, 1, 1, 9, 0, 1, 1, 5, 0, 0, 1, 5, 0, 1}, // two down at once, one back, down again
+}
+
+// FuzzValidateFaultSchedule decodes a schedule over a 3×3 or 4×4 mesh
+// (fuzzSchedule). Whatever ValidateFaultSchedule accepts must be
+// runnable: BuildOn takes it, a run to one cycle past the last event
+// returns no error, has applied one reconfiguration per distinct event
+// cycle (so no state a replay reaches is disconnected or names a missing
+// link) and leaves the network's invariants intact.
 func FuzzValidateFaultSchedule(f *testing.F) {
-	f.Add([]byte{0, 10, 3, 1, 50, 3, 0})           // fail, then recover, one link
-	f.Add([]byte{1, 100, 0, 1, 0, 7, 1, 0, 9, 1})  // three failures in one cycle
-	f.Add([]byte{2, 5, 0, 1, 5, 1, 1})             // 3×3 corner cut off: must be refused
-	f.Add([]byte{3, 255, 4, 1, 255, 4, 1})         // fail a link that is down
-	f.Add([]byte{0, 0, 1, 1, 0, 1, 0, 200, 11, 1}) // one link twice in one cycle
+	for _, seed := range fuzzScheduleSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		side := 3 + int(data[0]&1)
-		p := Params{Width: side, Height: side, Scheme: SchemeDRAIN, Epoch: 128, Seed: 1}
-		if data[0]&2 != 0 {
-			p.Scheme = SchemeEscapeVC
-		}
-		mesh := topology.MustMesh(side, side)
-		edges := mesh.Graph.Edges()
-		var cycle int64
-		distinct := int64(0)
-		for d := data[1:]; len(d) >= 3 && cycle+int64(d[0]) <= 2000; d = d[3:] {
-			if d[0] > 0 || len(p.FaultSchedule) == 0 {
-				distinct++
-			}
-			cycle += int64(d[0])
-			e := edges[int(d[1])%len(edges)]
-			p.FaultSchedule = append(p.FaultSchedule, FaultEvent{Cycle: cycle, A: e.A, B: e.B, Fail: d[2]&1 == 1})
-		}
+		mesh, p, distinct := fuzzSchedule(data)
 		if len(p.FaultSchedule) == 0 || ValidateFaultSchedule(mesh.Graph, p.FaultSchedule) != nil {
 			return
 		}
@@ -74,7 +105,8 @@ func FuzzValidateFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("validated schedule %v does not build: %v", p.FaultSchedule, err)
 		}
-		if _, err := r.RunSynthetic(traffic.UniformRandom{N: side * side}, 0.05, 0, cycle+1); err != nil {
+		last := p.FaultSchedule[len(p.FaultSchedule)-1].Cycle
+		if _, err := r.RunSynthetic(traffic.UniformRandom{N: mesh.N()}, 0.05, 0, last+1); err != nil {
 			t.Fatalf("validated schedule %v fails its run: %v", p.FaultSchedule, err)
 		}
 		if got := r.Net.Counters.Reconfigs; got != distinct {

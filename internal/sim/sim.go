@@ -239,9 +239,16 @@ type Runner struct {
 	FaultReports []noc.ReconfigReport
 
 	// active is the currently fault-free subgraph (Graph until the first
-	// scheduled fault fires); faultIdx is the next unapplied event.
+	// scheduled fault fires, and again whenever every link is back up);
+	// faultIdx is the next unapplied event. down marks, per edge of Graph
+	// (Edges() index), the numDown links currently failed. fullTab is the
+	// table the network was built on, over Graph and rooted at router 0
+	// like every table reconfigure builds: a full restore reinstalls it.
 	active   *topology.Graph
 	faultIdx int
+	down     []bool
+	numDown  int
+	fullTab  *routing.Table
 }
 
 // Build constructs a Runner from params.
@@ -354,7 +361,7 @@ func BuildOn(g *topology.Graph, mesh *topology.Mesh, p Params) (*Runner, error) 
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{Params: p, Mesh: mesh, Graph: g, Net: net, active: g}
+	r := &Runner{Params: p, Mesh: mesh, Graph: g, Net: net, active: g, fullTab: net.Table()}
 	switch p.Scheme {
 	case SchemeDRAIN:
 		ctl, err := core.New(net, core.Config{
