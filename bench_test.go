@@ -87,8 +87,9 @@ func BenchmarkStep(b *testing.B) {
 
 // BenchmarkFaultEvent times the online-fault path alone: an idle 8x8
 // DRAIN runner whose schedule fails a link one cycle and recovers it the
-// next, so one iteration is one failure (a graph, a table, the kinds in
-// use and a drain path over the survivors) plus one restore (the
+// next, so one iteration is one failure (a graph, a table's distances and
+// a drain path over the survivors; with no traffic nothing reads a
+// candidate kind, so none is built) plus one restore (the
 // construction-time graph, table and path reinstalled).
 func BenchmarkFaultEvent(b *testing.B) {
 	sched := make([]sim.FaultEvent, 2*b.N)

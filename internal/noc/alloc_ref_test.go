@@ -112,13 +112,10 @@ func (rs *refState) gather(r int) (reqs []refRequest) {
 			}
 			stalled := n.cfg.DerouteAfter > 0 && n.cycle-slot.readyAt >= int64(n.cfg.DerouteAfter)
 			if n.cfg.PolicyEscape {
-				escapeReady := p.InEscape || n.cfg.EscapeAfter <= 0 || n.cycle-slot.readyAt >= int64(n.cfg.EscapeAfter)
 				if !p.InEscape {
 					req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
 				}
-				if escapeReady {
-					req.escOuts = n.routeCands(n.cfg.EscapeRouting, r, p.Dst, p.DownPhase && p.InEscape, stalled)
-				}
+				req.escOuts = n.routeCands(n.cfg.EscapeRouting, r, p.Dst, p.DownPhase && p.InEscape, stalled)
 			} else {
 				req.mainOuts = n.routeCands(n.cfg.Routing, r, p.Dst, p.DownPhase, stalled)
 			}
@@ -385,8 +382,8 @@ func hubGraph(t *testing.T, n int) *topology.Graph {
 // configurations that reach every branch of option building — single-VC
 // virtual networks (the bubble rule),
 // derouting (AllOutputs sets, U-turns) on and off, three virtual
-// networks, turn-restricted sticky escape routing (down-phase bits),
-// escape entry gated by EscapeAfter, and a hub router with more than 64
+// networks, turn-restricted sticky escape routing (down-phase bits)
+// beside a later deroute threshold, and a hub router with more than 64
 // ports (three mask words) — and requires the mask allocator to build, at
 // every router visit, the option lists of the exhaustive scan.
 func TestAllocatorMatchesReference(t *testing.T) {
@@ -401,7 +398,7 @@ func TestAllocatorMatchesReference(t *testing.T) {
 		{"spin-vc1-noescape", Config{Graph: mesh.Graph, VNets: 2, VCsPerVN: 1, Classes: 2}, 0.5},
 		{"minimal-only", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, DerouteAfter: -1, InjectPatience: 30}, 0.6},
 		{"coherence-vn3", Config{Graph: mesh.Graph, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, NonStickyEscape: true}, 0.6},
-		{"escape-xy-sticky", Config{Graph: mesh.Graph, Mesh: mesh, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, EscapeRouting: routing.XY, EscapeAfter: 6}, 0.6},
+		{"escape-xy-sticky", Config{Graph: mesh.Graph, Mesh: mesh, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, EscapeRouting: routing.XY, DerouteAfter: 6}, 0.6},
 		{"escape-updown-sticky", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 3, PolicyEscape: true, EscapeRouting: routing.UpDown}, 0.6},
 		{"updown-main", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, Routing: routing.UpDown}, 0.5},
 		{"hub-70-ports", Config{Graph: hubGraph(t, 71), VNets: 1, VCsPerVN: 2, PolicyEscape: true, NonStickyEscape: true}, 0.3},

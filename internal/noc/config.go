@@ -55,11 +55,6 @@ type Config struct {
 	// regimes".
 	DerouteAfter int
 
-	// EscapeAfter gates entry into escape VCs: a packet in a non-escape
-	// VC requests an escape VC only after stalling this many cycles
-	// (0 or negative admits escape candidates immediately, the default).
-	EscapeAfter int
-
 	// InjectPatience bounds how long the conservative injection rule may
 	// defer a local packet: after stalling this many cycles at the head
 	// of its local VC, the packet may claim any legal free slot. Without
@@ -147,20 +142,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: Config.Table was built for a different topology")
 	}
 	return nil
-}
-
-// materialize has tab build the candidate kinds a network with this
-// configuration routes with — Routing, EscapeRouting under PolicyEscape,
-// and the AllOutputs deroute sets when a stalled AdaptiveMinimal packet
-// may take them — so that the network's lookups are plain reads of sets
-// that exist (see routing.Table). A table pays for nothing else.
-func (c *Config) materialize(tab *routing.Table) {
-	esc := c.Routing
-	if c.PolicyEscape {
-		esc = c.EscapeRouting
-	}
-	adaptive := c.Routing == routing.AdaptiveMinimal || esc == routing.AdaptiveMinimal
-	tab.Materialize(c.DerouteAfter > 0 && adaptive, c.Routing, esc)
 }
 
 // VCsPerPort returns the total number of VCs at each input port.

@@ -16,8 +16,9 @@ import (
 // agree at every router visit afterwards.
 
 // maskNet is a 4x4 mesh on the dense engine with the reference allocator
-// beside it: sticky turn-restricted escape VCs entered after 6 stalled
-// cycles, derouting after 3, so a waiting head's candidates change twice.
+// beside it: sticky turn-restricted escape VCs beside adaptive routing
+// that deroutes after 3 stalled cycles, so a waiting head's candidates
+// change with time.
 func maskNet(t *testing.T, escape routing.Kind) (*Network, *refEngine) {
 	t.Helper()
 	n := meshNet(t, 4, 4, func(c *Config) {
@@ -26,7 +27,6 @@ func maskNet(t *testing.T, escape routing.Kind) (*Network, *refEngine) {
 		c.Routing = routing.AdaptiveMinimal
 		c.EscapeRouting = escape
 		c.DerouteAfter = 3
-		c.EscapeAfter = 6
 	})
 	return n, withRefEngine(n)
 }
@@ -81,7 +81,7 @@ func TestThresholdsCrossedWhileFrozen(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	load(t, n, ref, rng, 0.5, 200)
 	n.SetFrozen(true)
-	for i := 0; i < 12; i++ { // no router is visited: both thresholds pass unseen
+	for i := 0; i < 12; i++ { // no router is visited: deroute thresholds pass unseen
 		stepChecked(t, n, ref)
 	}
 	timed, overdue := countHeads(n, mTimed, func(s *vcSlot) bool { return s.rerouteAt <= n.cycle })

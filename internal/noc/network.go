@@ -161,7 +161,6 @@ func New(cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
-	cfg.materialize(tab)
 	g := cfg.Graph
 	n := &Network{
 		cfg:       cfg,

@@ -68,10 +68,6 @@ type Packet struct {
 // At returns the router currently buffering the packet.
 func (p *Packet) At() int { return p.atRouter }
 
-// InputLink returns the link whose input-port VC holds the packet, or
-// LocalPort for the injection port.
-func (p *Packet) InputLink() int { return p.inLink }
-
 // Slot returns the VC slot index holding the packet.
 func (p *Packet) Slot() int { return p.slot }
 
@@ -82,6 +78,3 @@ func (p *Packet) String() string {
 
 // NetworkLatency is the in-network latency (injection to ejection).
 func (p *Packet) NetworkLatency() int64 { return p.EjectedAt - p.InjectedAt }
-
-// TotalLatency includes source queuing delay.
-func (p *Packet) TotalLatency() int64 { return p.EjectedAt - p.CreatedAt }

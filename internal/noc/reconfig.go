@@ -50,10 +50,9 @@ var (
 //
 // Reconfigure must run between Steps. The caller recomputes the drain
 // path separately (core.Controller.Reconfigure). The reconfig path
-// performs no heap allocation of its own — it runs mid-simulation and is
-// a hotalloc root (see internal/lint); the one exception is a table seen
-// for the first time, which materializes the candidate kinds this
-// network routes with (routing.Table.Materialize) as part of the swap.
+// performs no heap allocation — it runs mid-simulation and is a hotalloc
+// root (see internal/lint); a new table builds each candidate kind at
+// its first read, not here.
 func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (ReconfigReport, error) {
 	var rep ReconfigReport
 	if tab == nil {
@@ -140,7 +139,6 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 		}
 	}
 
-	n.cfg.materialize(tab)
 	n.tab = tab
 	n.cfg.Table = tab
 	copy(n.linkDown, n.scrDown)
@@ -216,6 +214,3 @@ func (n *Network) evacuate(p *Packet, fromLink, fromSlot int) bool {
 	n.eng.placed(n, r, readyAt)
 	return true
 }
-
-// LinkDown reports whether unidirectional link l is currently failed.
-func (n *Network) LinkDown(l int) bool { return n.linkDown[l] }

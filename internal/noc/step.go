@@ -307,7 +307,7 @@ func (n *Network) named(r, out int) bool {
 // ready heads it then has, and how many of those are at their
 // destination: pending heads that have matured are routed — the one
 // candidate lookup of their stay — and become ready, and ready heads
-// crossing a DerouteAfter/EscapeAfter threshold are routed again.
+// crossing the DerouteAfter threshold are routed again.
 func (n *Network) promote(r int) (ready, ejecting int) {
 	due := n.rerouteDue[r] <= n.cycle // else no routed head has a threshold to cross yet
 	next := int64(never)
@@ -377,16 +377,14 @@ func (n *Network) candidates(r int, slot *vcSlot, at int64) (main, esc []routing
 		}
 	}
 	// Escape discipline (paper §III-A): a packet in an escape VC may only
-	// continue on escape VCs under EscapeRouting; others may use either,
-	// the escape network only once they have stalled EscapeAfter cycles
-	// (and start their up*/down* walk fresh as they enter it).
+	// continue on escape VCs under EscapeRouting; others may use either
+	// (and start their up*/down* walk fresh as they enter the escape
+	// network).
 	escape := n.cfg.PolicyEscape
 	if !escape || !p.InEscape {
 		main = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
 	}
-	if e := int64(n.cfg.EscapeAfter); escape && !p.InEscape && waited < e {
-		next = min(next, slot.readyAt+e)
-	} else if escape {
+	if escape {
 		esc = n.routeCands(n.cfg.EscapeRouting, r, dst, p.DownPhase && p.InEscape, stalled)
 	}
 	return main, esc, next

@@ -54,8 +54,8 @@ func TestTableMatchesGenerators(t *testing.T) {
 }
 
 // requireMatchesGenerators is TestTableMatchesGenerators' check of one
-// table. Kinds not materialized yet are materialized by its lookups, in
-// the order it makes them.
+// table. Kinds not built yet are built by its lookups, in the order it
+// makes them.
 func requireMatchesGenerators(t *testing.T, name string, tab *Table) {
 	t.Helper()
 	check := func(what string, at, dst int, got, want []Candidate) {
@@ -74,14 +74,10 @@ func requireMatchesGenerators(t *testing.T, name string, tab *Table) {
 	for at := 0; at < n; at++ {
 		for dst := 0; dst < n; dst++ {
 			check("adaptive", at, dst, tab.Candidates(AdaptiveMinimal, at, dst, false), tab.appendAdaptive(nil, at, dst))
-			var xy []Candidate
-			if tab.mesh != nil {
-				xy = tab.appendXY(nil, at, dst)
-			}
-			check("xy", at, dst, tab.Candidates(XY, at, dst, false), xy)
+			check("xy", at, dst, tab.Candidates(XY, at, dst, false), tab.appendXY(nil, at, dst))
 			for _, phase := range []bool{false, true} {
 				// The lookup comes first: the generator reads the up*/down*
-				// numbering the lookup materializes.
+				// numbering the lookup builds.
 				got := tab.Candidates(UpDown, at, dst, phase)
 				check("updown", at, dst, got, tab.appendUpDown(nil, at, dst, phase))
 			}
@@ -101,11 +97,11 @@ func requireMatchesGenerators(t *testing.T, name string, tab *Table) {
 	}
 }
 
-// materializers touch one candidate kind each, the way a caller that
-// declared nothing would: through the cold path of its first lookup.
-var materializers = []struct {
-	name  string
-	touch func(*Table)
+// firstReads read one candidate kind each, the way any caller does: a
+// kind nobody has read yet is built by its first read.
+var firstReads = []struct {
+	name string
+	read func(*Table)
 }{
 	{"adaptive", func(t *Table) { t.Candidates(AdaptiveMinimal, 0, 1, false) }},
 	{"xy", func(t *Table) { t.Candidates(XY, 0, 1, false) }},
@@ -115,19 +111,19 @@ var materializers = []struct {
 	{"AllOutputsPreferProductive", func(t *Table) { t.AllOutputsPreferProductive(0, 1) }},
 }
 
-// TestMaterializedInEveryOrder builds a table per permutation of the six
-// kinds, materializes them in that order, and holds the result to the two
+// TestFirstReadsInEveryOrder builds a table per permutation of the six
+// kinds, reads them first in that order, and holds the result to the two
 // layout contracts: it matches the generators cell by cell, and its lists
 // ascend by link ID. What a kind holds may not depend on which kinds
 // existed when it was built (AllOutputsPreferProductive reads AllOutputs;
 // both up*/down* phases share one numbering).
-func TestMaterializedInEveryOrder(t *testing.T) {
+func TestFirstReadsInEveryOrder(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	g, err := topology.RemoveRandomLinks(mesh.Graph, 3, testRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := make([]int, len(materializers))
+	order := make([]int, len(firstReads))
 	for i := range order {
 		order[i] = i
 	}
@@ -139,8 +135,8 @@ func TestMaterializedInEveryOrder(t *testing.T) {
 			name := ""
 			tab := newTable(t, g, mesh)
 			for _, i := range order {
-				name += materializers[i].name + " "
-				materializers[i].touch(tab)
+				name += firstReads[i].name + " "
+				firstReads[i].read(tab)
 			}
 			requireMatchesGenerators(t, name, tab)
 			requireListsAscend(t, name, tab, g.N())
@@ -158,19 +154,18 @@ func TestMaterializedInEveryOrder(t *testing.T) {
 	}
 }
 
-// TestMaterializeConcurrently shares one table between eight goroutines
-// the way concurrent simulations share one: each declares the kinds it
-// routes with, in its own order, and reads every list of a kind as soon
-// as it has declared it — while the others are still materializing
-// theirs. Under -race this is the table's synchronization contract
-// (Materialize and the productive-first once are the only write paths a
-// reader can meet); afterwards the shared table must pass both layout
-// checks.
-func TestMaterializeConcurrently(t *testing.T) {
+// TestFirstReadsConcurrently shares one fresh table between eight
+// goroutines, as concurrent simulations and analyses share one: each
+// reads every list of every kind, and the up*/down* numbering, in its own
+// order and with nothing declared, so the first reads of every kind race
+// with each other and with reads of kinds another goroutine has just
+// built. Under -race this is the table's synchronization contract;
+// afterwards the shared table must pass both layout checks.
+func TestFirstReadsConcurrently(t *testing.T) {
 	mesh := topology.MustMesh(6, 6)
+	n := mesh.Graph.N()
 	for round := 0; round < 4; round++ {
 		tab := newTable(t, mesh.Graph, mesh)
-		n := mesh.Graph.N()
 		readAll := func(get func(at, dst int) []Candidate) {
 			links := 0
 			for at := 0; at < n; at++ {
@@ -181,18 +176,24 @@ func TestMaterializeConcurrently(t *testing.T) {
 				}
 			}
 			if links == 0 {
-				t.Error("a materialized kind holds no candidates")
+				t.Error("a kind holds no candidates")
 			}
 		}
-		kind := func(k Kind, down bool) func(at, dst int) []Candidate {
-			return func(at, dst int) []Candidate { return tab.Candidates(k, at, dst, down) }
+		kind := func(k Kind, down bool) func() {
+			return func() { readAll(func(at, dst int) []Candidate { return tab.Candidates(k, at, dst, down) }) }
 		}
 		steps := []func(){
-			func() { tab.Materialize(false, AdaptiveMinimal); readAll(kind(AdaptiveMinimal, false)) },
-			func() { tab.Materialize(false, XY); readAll(kind(XY, false)) },
-			func() { tab.Materialize(false, UpDown); readAll(kind(UpDown, false)); readAll(kind(UpDown, true)) },
-			func() { tab.Materialize(true); readAll(tab.AllOutputs) },
+			kind(AdaptiveMinimal, false),
+			kind(XY, false),
+			kind(UpDown, false),
+			kind(UpDown, true),
+			func() { readAll(tab.AllOutputs) },
 			func() { readAll(tab.AllOutputsPreferProductive) },
+			func() {
+				if !tab.IsUp(1, 0) || tab.UpDownDist(n-1, false, 0) != tab.Dist(n-1, 0) {
+					t.Error("up*/down* numbering disagrees with the BFS tree rooted at 0")
+				}
+			},
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
@@ -211,25 +212,31 @@ func TestMaterializeConcurrently(t *testing.T) {
 }
 
 // TestNewTableAllocs bounds what one table costs: construction is the
-// distance tables and their scratch (measured 11 allocations), a kind is
-// its offsets, its arena and the generation buffer, the up*/down* kinds
-// share one numbering — so a table a DRAIN network routes with measures
-// 16 and one with every kind 35, not one allocation per row or per
-// destination (the [][]Candidate layout with per-destination BFS queues
-// took 1470). Declaring or looking up what exists allocates nothing.
+// distance tables and their scratch (measured 11 allocations), a kind's
+// first read builds its offsets, its arena and the generation buffer, the
+// up*/down* kinds share one numbering — so a table a DRAIN network reads
+// measures 16 and one with every kind 35, not one allocation per row or
+// per destination (the [][]Candidate layout with per-destination BFS
+// queues took 1470). A second read of what exists allocates nothing.
 func TestNewTableAllocs(t *testing.T) {
 	mesh := topology.MustMesh(8, 8)
 	var tab *Table
 	for _, tc := range []struct {
-		name        string
-		materialize func()
-		ceiling     float64
+		name    string
+		read    func()
+		ceiling float64
 	}{
 		{"no kind", func() {}, 16},
-		{"a DRAIN network's kinds", func() { tab.Materialize(true, AdaptiveMinimal, AdaptiveMinimal) }, 24},
+		{"a DRAIN network's kinds", func() {
+			tab.Candidates(AdaptiveMinimal, 0, 1, false)
+			tab.AllOutputs(0, 1)
+		}, 24},
 		{"every kind", func() {
-			tab.Materialize(true, AdaptiveMinimal, XY, UpDown)
-			tab.AllOutputsPreferProductive(0, 1)
+			for _, r := range firstReads {
+				r.read(tab)
+			}
+			tab.IsUp(0, 1)
+			tab.UpDownDist(0, false, 1)
 		}, 48},
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
@@ -237,13 +244,14 @@ func TestNewTableAllocs(t *testing.T) {
 			if tab, err = NewTable(mesh.Graph, mesh); err != nil {
 				t.Fatal(err)
 			}
-			tc.materialize()
+			tc.read()
 		})
+		t.Logf("NewTable(8x8) with %s: %.0f allocations", tc.name, allocs)
 		if allocs > tc.ceiling {
 			t.Errorf("NewTable(8x8) with %s makes %.0f allocations, want <= %.0f", tc.name, allocs, tc.ceiling)
 		}
-		if warm := testing.AllocsPerRun(10, tc.materialize); warm != 0 {
-			t.Errorf("%s, materialized again: %.0f allocations, want 0", tc.name, warm)
+		if again := testing.AllocsPerRun(10, tc.read); again != 0 {
+			t.Errorf("%s, read again: %.0f allocations, want 0", tc.name, again)
 		}
 	}
 }

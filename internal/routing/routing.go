@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"drain/internal/topology"
 )
@@ -91,21 +92,16 @@ func (c Candidate) String() string {
 // Table holds precomputed routing state for one topology.
 //
 // Routing is static per topology. Construction computes the distances;
-// each kind of candidate set (and the up*/down* numbering behind the
-// up*/down* kinds) is materialized once, on first need, so a table costs
-// what its networks route with: a network declares the kinds it reads
-// with Materialize when it is built on or reconfigured onto the table.
-// Candidates and AllOutputs return those shared slices directly: callers
-// MUST treat them as read-only and MUST NOT append to, re-sort, or
-// otherwise mutate them (doing so would corrupt the answer for every
-// later query). Copy first if a mutable view is needed.
+// every candidate kind, and the up*/down* numbering behind the up*/down*
+// kinds, is built the first time it is read, so a table costs what its
+// readers route with. Candidates and AllOutputs return those shared
+// slices directly: callers MUST treat them as read-only and MUST NOT
+// append to, re-sort, or otherwise mutate them (doing so would corrupt the
+// answer for every later query). Copy first if a mutable view is needed.
 //
-// A table is shared between concurrent simulations. Materialization is
-// serialized by the table's lock; lookups take none, because a goroutine
-// only reads sets it has itself been through the lock for (Materialize,
-// or the cold path of a lookup that found its kind missing). Goroutines
-// sharing a table must therefore Materialize what they read before they
-// read it concurrently — noc.New and Network.Reconfigure do.
+// Any goroutine may read a table; there is nothing to declare. A part is
+// built once, under the table's lock, and published by its ready flag:
+// a reader that finds the flag set reads state nothing writes again.
 type Table struct {
 	g    *topology.Graph
 	mesh *topology.Mesh // nil unless XY requested
@@ -115,34 +111,41 @@ type Table struct {
 	// full topology's link-ID space.
 	out [][]int
 
-	dist [][]int // dist[r][dst] BFS hop distance
+	dist   [][]int // dist[r][dst] BFS hop distance
+	udRoot int
 
-	mu sync.Mutex // serializes materialization of everything below
+	// ready[p] is set once part p is built. Everything below it is
+	// written only under mu, before its part's flag.
+	ready [numParts]atomic.Bool
+	mu    sync.Mutex
 
-	// up*/down* state, nil until an up*/down* kind (or IsUp, UpDownDist)
-	// needs it. level/order define link direction; distUD is indexed
-	// [dst*2N + router*2 + phase] where phase 1 means "has gone down".
-	udRoot  int
+	// The up*/down* numbering (partNumbering): order defines link
+	// direction; distUD is indexed [dst*2N + router*2 + phase] where phase
+	// 1 means "has gone down".
 	udOrder []int
 	distUD  []int32
 
-	// Candidate tables, one per kind; immutable once materialized.
-	adaptive   candSet    // AdaptiveMinimal (phase-independent)
-	xy         candSet    // XY; never materialized without a mesh
-	upDown     [2]candSet // UpDown, by downPhase
-	allOut     candSet    // every output, neighbor order
-	allOutProd candSet    // every output, productive entries first
-	// prodOnce guards allOutProd alone: the liveness analyses that read it
-	// ask per call, from any goroutine, with no construction step to
-	// declare it in.
-	prodOnce sync.Once
+	sets [partNumbering]candSet // the candidate parts, by part
 }
+
+// part is one piece of a table that is built on first read.
+type part uint8
+
+const (
+	partAdaptive   part = iota // AdaptiveMinimal (phase-independent)
+	partXY                     // XY; every set empty without a mesh
+	partUp                     // UpDown before any down link
+	partDown                   // UpDown once a down link has been taken
+	partAllOut                 // every output, neighbor order
+	partAllOutProd             // every output, productive entries first
+	partNumbering              // the up*/down* numbering; holds no candidates
+	numParts
+)
 
 // candSet is every candidate set of one kind: pair i = at*N+dst owns
 // arena[off[i]:off[i+1]]. The arena holds exactly the candidates
 // generated, in pair order, so a table costs 4 bytes per pair plus 4 per
-// candidate instead of a 24-byte slice header per pair plus 16. A nil off
-// is a kind not materialized yet.
+// candidate instead of a 24-byte slice header per pair plus 16.
 type candSet struct {
 	off   []uint32 // N*N+1 offsets into arena
 	arena []Candidate
@@ -159,24 +162,13 @@ func (s *candSet) at(i int) []Candidate {
 	return s.arena[lo:hi:hi]
 }
 
-// materialized reports whether pair i can be read from s. It is the
-// bounds check at() would make anyway, written out so that a kind not
-// built yet (nil off) fails it too: a lookup tests it and takes
-// lookupCold on failure, and a materialized set pays nothing for the cold
-// path behind it.
-func (s *candSet) materialized(i int) bool { return uint(i+1) < uint(len(s.off)) }
-
-// lookupCold materializes s and answers from it (or panics on an index
-// that was out of range all along). Only a caller that did not
-// Materialize gets here, once per kind; a network's lookups never do.
-func (t *Table) lookupCold(s *candSet, i int) []Candidate {
-	if s == &t.xy && t.mesh == nil {
-		return nil // XY needs a mesh; a table without one has no XY sets
+// need returns once part p of t is built. Every read of built state goes
+// through it: after the first build it is one load of p's ready flag,
+// inlined into the accessor.
+func (t *Table) need(p part) {
+	if !t.ready[p].Load() {
+		t.build(p)
 	}
-	t.mu.Lock()
-	t.materialize(s)
-	t.mu.Unlock()
-	return s.at(i)
 }
 
 // NewTable precomputes routing state for g. mesh may be nil; it is
@@ -230,7 +222,7 @@ func NewTableRemapped(active, full *topology.Graph, root int) (*Table, error) {
 	if active.N() != full.N() {
 		return nil, fmt.Errorf("routing: active subgraph has %d routers, full graph %d", active.N(), full.N())
 	}
-	// One map lookup per active link, not per materialized candidate.
+	// One map lookup per active link, not per candidate built.
 	arena := make([]int, active.NumLinks())
 	out := make([][]int, active.N())
 	for r := range out {
@@ -324,21 +316,10 @@ func (t *Table) buildUpDown() {
 	t.udOrder, t.distUD = order, distUD
 }
 
-// needUpDown materializes the up*/down* numbering for the accessors
-// below; the up*/down* candidate kinds build it under the lock they
-// already hold.
-func (t *Table) needUpDown() {
-	t.mu.Lock()
-	if t.udOrder == nil {
-		t.buildUpDown()
-	}
-	t.mu.Unlock()
-}
-
 // IsUp reports whether the link from→to travels "up" (toward the
 // spanning-tree root) under the table's up*/down* ordering.
 func (t *Table) IsUp(from, to int) bool {
-	t.needUpDown()
+	t.need(partNumbering)
 	return t.isUp(from, to)
 }
 
@@ -347,7 +328,7 @@ func (t *Table) isUp(from, to int) bool { return t.udOrder[to] < t.udOrder[from]
 // UpDownDist returns the minimum number of legal up*/down* hops from r
 // (in the given phase) to dst, or -1 if unreachable in that phase.
 func (t *Table) UpDownDist(r int, downPhase bool, dst int) int {
-	t.needUpDown()
+	t.need(partNumbering)
 	return t.upDownDist(r, downPhase, dst)
 }
 
@@ -359,80 +340,64 @@ func (t *Table) upDownDist(r int, downPhase bool, dst int) int {
 	return int(t.distUD[(dst*t.g.N()+r)*2+ph])
 }
 
-// Materialize builds, once each, the candidate sets a network routing
-// with the given kinds reads through Candidates, plus the AllOutputs sets
-// when allOutputs is true (stalled AdaptiveMinimal packets deroute over
-// them). It is the step that makes the table's unsynchronized lookups
-// safe to share: see Table. On a table whose kinds exist it is a lock and
-// a few nil checks.
-func (t *Table) Materialize(allOutputs bool, kinds ...Kind) {
+// build builds part p of t, and the parts it reads, under the table's
+// lock, then publishes it. It re-checks p's flag first: another reader
+// may have built it while this one waited for the lock.
+//
+//drain:coldpath allocates once per table and part, at the part's first read: a run's first Step after New or Reconfigure, or the first stall that needs the deroute sets
+func (t *Table) build(p part) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, k := range kinds {
-		switch k {
-		case AdaptiveMinimal:
-			t.materialize(&t.adaptive)
-		case XY:
-			t.materialize(&t.xy)
-		case UpDown:
-			t.materialize(&t.upDown[0])
-			t.materialize(&t.upDown[1])
-		}
-	}
-	if allOutputs {
-		t.materialize(&t.allOut)
-	}
+	t.buildLocked(p)
 }
 
-// materialize builds the set s of t if it is not built yet. The caller
-// holds t.mu. Each kind is generated through its per-pair algorithm into
-// a scratch buffer sized for the largest kind (AllOutputs: every out-link
-// of every router, for every other destination) and frozen into an arena
-// of exactly its size, so later queries are allocation-free lookups and
-// no arena holds spare capacity.
-//
-//drain:coldpath allocates once per table and kind: Step's lookups find their kinds built by noc.New, Reconfigure builds them on a table's first installation
-func (t *Table) materialize(s *candSet) {
-	if s.off != nil {
+// buildLocked is build with t.mu held. A candidate part is generated
+// through its per-pair algorithm into a scratch buffer sized for the
+// largest kind (AllOutputs: every out-link of every router, for every
+// other destination) and frozen into an arena of exactly its size, so
+// later queries are allocation-free lookups and no arena holds spare
+// capacity.
+func (t *Table) buildLocked(p part) {
+	if t.ready[p].Load() {
 		return
 	}
 	var gen func(buf []Candidate, at, dst int) []Candidate
-	switch s {
-	case &t.adaptive:
+	switch p {
+	case partNumbering:
+		t.buildUpDown()
+	case partAdaptive:
 		gen = t.appendAdaptive
-	case &t.xy:
-		if t.mesh == nil {
-			return
-		}
+	case partXY:
 		gen = t.appendXY
-	case &t.upDown[0], &t.upDown[1]:
-		if t.udOrder == nil {
-			t.buildUpDown()
-		}
-		downPhase := s == &t.upDown[1]
+	case partUp, partDown:
+		t.buildLocked(partNumbering)
+		downPhase := p == partDown
 		gen = func(buf []Candidate, at, dst int) []Candidate {
 			return t.appendUpDown(buf, at, dst, downPhase)
 		}
-	case &t.allOut:
+	case partAllOut:
 		gen = t.appendAllOutputs
-	case &t.allOutProd:
-		t.materialize(&t.allOut)
+	case partAllOutProd:
+		t.buildLocked(partAllOut)
 		gen = t.appendAllOutputsPreferProductive
 	}
-	n := t.g.N()
-	off := make([]uint32, n*n+1)
-	buf := make([]Candidate, 0, (n-1)*t.g.NumLinks())
-	for at := 0; at < n; at++ {
-		for dst := 0; dst < n; dst++ {
-			buf = gen(buf, at, dst)
-			off[at*n+dst+1] = uint32(len(buf))
+	if gen != nil {
+		n := t.g.N()
+		off := make([]uint32, n*n+1)
+		buf := make([]Candidate, 0, (n-1)*t.g.NumLinks())
+		for at := 0; at < n; at++ {
+			for dst := 0; dst < n; dst++ {
+				buf = gen(buf, at, dst)
+				off[at*n+dst+1] = uint32(len(buf))
+			}
 		}
+		arena := buf
+		if len(buf) < cap(buf) { // only the AllOutputs kinds fill it exactly
+			arena = slices.Clone(buf)
+		}
+		t.sets[p] = candSet{off: off, arena: arena}
 	}
-	arena := buf
-	if len(buf) < cap(buf) { // only the AllOutputs kinds fill it exactly
-		arena = slices.Clone(buf)
-	}
-	*s = candSet{off: off, arena: arena}
+	t.ready[p].Store(true)
 }
 
 // AllOutputs returns every outgoing link of router `at` as a candidate
@@ -445,28 +410,17 @@ func (t *Table) materialize(s *candSet) {
 // The returned slice is shared and read-only: it aliases the table's
 // precomputed state and must not be modified or appended to.
 func (t *Table) AllOutputs(at, dst int) []Candidate {
-	i := at*t.g.N() + dst
-	if !t.allOut.materialized(i) {
-		return t.lookupCold(&t.allOut, i)
-	}
-	return t.allOut.at(i)
+	t.need(partAllOut)
+	return t.sets[partAllOut].at(at*t.g.N() + dst)
 }
 
 // AllOutputsPreferProductive is AllOutputs with the productive candidates
 // ordered first (the liveness analysis follows the first blocked target,
 // so forced rotations should track desired moves). Same read-only
-// contract as AllOutputs. Only the liveness analyses read it, at any
-// time and from any goroutine sharing the table, so it synchronizes its
-// own first use.
+// contract as AllOutputs.
 func (t *Table) AllOutputsPreferProductive(at, dst int) []Candidate {
-	t.prodOnce.Do(t.materializeAllOutProd)
-	return t.allOutProd.at(at*t.g.N() + dst)
-}
-
-func (t *Table) materializeAllOutProd() {
-	t.mu.Lock()
-	t.materialize(&t.allOutProd)
-	t.mu.Unlock()
+	t.need(partAllOutProd)
+	return t.sets[partAllOutProd].at(at*t.g.N() + dst)
 }
 
 // Candidates returns the legal next-hop candidates for a packet at router
@@ -480,31 +434,28 @@ func (t *Table) materializeAllOutProd() {
 // The returned slice is shared and read-only: it aliases the table's
 // precomputed state and must not be modified or appended to.
 func (t *Table) Candidates(k Kind, at, dst int, downPhase bool) []Candidate {
-	var s *candSet
+	var p part
 	switch k {
 	case AdaptiveMinimal:
-		s = &t.adaptive
+		p = partAdaptive
 	case XY:
-		s = &t.xy
+		p = partXY
 	case UpDown:
-		s = &t.upDown[0]
+		p = partUp
 		if downPhase {
-			s = &t.upDown[1]
+			p = partDown
 		}
 	default:
 		return nil
 	}
-	i := at*t.g.N() + dst
-	if !s.materialized(i) {
-		return t.lookupCold(s, i)
-	}
-	return s.at(i)
+	t.need(p)
+	return t.sets[p].at(at*t.g.N() + dst)
 }
 
 // appendAllOutputsPreferProductive generates the productive-first
-// reordering of one pair's (materialized) AllOutputs set.
+// reordering of one pair's (built) AllOutputs set.
 func (t *Table) appendAllOutputsPreferProductive(buf []Candidate, at, dst int) []Candidate {
-	all := t.allOut.at(at*t.g.N() + dst)
+	all := t.sets[partAllOut].at(at*t.g.N() + dst)
 	for _, c := range all {
 		if c.Productive() {
 			buf = append(buf, c)
@@ -546,7 +497,7 @@ func (t *Table) appendAdaptive(buf []Candidate, at, dst int) []Candidate {
 
 // appendXY generates the dimension-order hop for one pair.
 func (t *Table) appendXY(buf []Candidate, at, dst int) []Candidate {
-	if at == dst {
+	if at == dst || t.mesh == nil {
 		return buf
 	}
 	m := t.mesh

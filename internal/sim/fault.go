@@ -228,8 +228,7 @@ func (r *Runner) applyDueFaults() error {
 // graph is NewTable's table). Otherwise the surviving edges become one
 // new graph, however many events the cycle batched, and the routing table
 // is rebuilt over it with candidates remapped into the full graph's
-// link-ID space; the network materializes from it only the kinds it
-// routes with.
+// link-ID space; each candidate kind is built at its first read.
 func (r *Runner) reconfigure() error {
 	r.active = r.Graph
 	tab := r.fullTab
