@@ -32,15 +32,17 @@ test-race:
 	$(GO) test -race -short ./...
 
 test-allocs:
-	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing
+	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs|TestNewAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
-## event/dense load points, BenchmarkStepAllocs) and the fault path's
-## (BenchmarkFaultEvent: one failure + one restore; BenchmarkValidateFaultSchedule):
-## a look at the cycle core and the reconfiguration path while working on
-## them. Nothing is recorded — the measurement of record is bench-pair.
+## event/dense load points, BenchmarkStepAllocs), the fault path's
+## (BenchmarkFaultEvent: one failure + one restore; BenchmarkValidateFaultSchedule)
+## and the coherence set-up's (BenchmarkCoherenceNew: the 8x8 pagerank
+## prewarm): a look at the cycle core, the reconfiguration path and the
+## protocol construction while working on them. Nothing is recorded —
+## the measurement of record is bench-pair.
 bench:
-	$(GO) test -bench='^BenchmarkStep|^BenchmarkFaultEvent$$|^BenchmarkValidateFaultSchedule$$' -benchmem -run=^$$ -count=1 .
+	$(GO) test -bench='^BenchmarkStep|^BenchmarkFaultEvent$$|^BenchmarkValidateFaultSchedule$$|^BenchmarkCoherenceNew$$' -benchmem -run=^$$ -count=1 .
 
 ## bench-e2e: the repo's benchmark (BENCHMARK.json, cmd/drainbench) on
 ## every workload, ten seeds each, untraced then traced: end-to-end and

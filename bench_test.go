@@ -2,7 +2,8 @@ package drain
 
 // Go benchmarks: BenchmarkStep (the cycle loop at three load points,
 // CI's smoke), the ablations EXPERIMENTS.md cites for the design
-// choices DESIGN.md §7 calls out, and one coherence workload. Custom
+// choices DESIGN.md §7 calls out, and the coherence layer's construction
+// and one of its workloads. Custom
 // metrics are reported through b.ReportMetric. The figures themselves
 // are not benchmarked here: `make results-check` regenerates and
 // byte-diffs every table, and the measurement of record is
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"testing"
 
+	"drain/internal/coherence"
 	"drain/internal/drainpath"
 	"drain/internal/noc"
 	"drain/internal/sim"
@@ -252,6 +254,28 @@ func BenchmarkAblationFullDrain(b *testing.B) {
 			}
 			b.ReportMetric(lat, "avg-latency")
 		})
+	}
+}
+
+// BenchmarkCoherenceNew times what every coherence run pays before its
+// first cycle beyond sim.Build: coherence.New on the 8x8 pagerank system
+// (coh_pagerank's DRAIN leg), which prewarms 8 192 private lines into the
+// L1s and their homes' directories.
+func BenchmarkCoherenceNew(b *testing.B) {
+	r, err := sim.Build(sim.Params{
+		Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Classes: coherence.NumClasses,
+		VCsPerVN: 6, Epoch: 8192, InjectCap: 16, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := workload.MustGet("pagerank")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coherence.New(r.Net, coherence.Config{Gen: prof, OpsTarget: 1000, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package coherence
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"drain/internal/noc"
 	"drain/internal/topology"
 )
 
@@ -38,7 +42,7 @@ func TestPrewarmInstallsLines(t *testing.T) {
 			if st != Exclusive {
 				t.Fatalf("prewarmed line %d in state %d, want Exclusive", addr, st)
 			}
-			dl, ok := sys.nodes[sys.home(addr)].dir.Get(addr)
+			dl, ok := dirAt(sys, sys.home(addr), addr)
 			if !ok || dl.owner != c || dl.state != Modified {
 				t.Fatalf("directory does not track core %d as owner of %d", c, addr)
 			}
@@ -178,7 +182,7 @@ func TestStalePutMAfterForward(t *testing.T) {
 	addr := int64(3)
 	// Owner at node 0 (simulate established state).
 	sys.nodes[0].lines.Put(addr, Modified)
-	sys.nodes[sys.home(addr)].dir.Put(addr, &dirLine{state: Modified, owner: 0, sharers: newSharerSet(len(sys.nodes))})
+	*sys.nodes[sys.home(addr)].dirLine(addr) = dirLine{state: Modified, owner: 0}
 	// Owner writes back at the same time a reader requests.
 	sys.nodes[0].lines.Delete(addr)
 	sys.send(0, sys.home(addr), Msg{Type: PutM, Addr: addr, Requester: 0})
@@ -235,5 +239,81 @@ func TestHomeDistribution(t *testing.T) {
 		if c < 600 || c > 1400 {
 			t.Errorf("home %d receives %d of 16000 addresses; interleaving skewed", r, c)
 		}
+	}
+}
+
+// TestInvalidationsReachTheSecondSharerWord runs the Shared→Modified
+// upgrade on a 9x8 mesh, where cores 64–71 live in the sharer set's
+// second word (every figure runs ≤ 64 cores and never reaches it). Cores
+// 3, 63, 64 and 71 read a line in turn; a GetM from core 5 must then send
+// the invalidations in ascending core order across the word boundary,
+// followed by the Data that tells core 5 to collect four acks.
+func TestInvalidationsReachTheSecondSharerWord(t *testing.T) {
+	m := topology.MustMesh(9, 8)
+	n := protoNet(t, m.Graph, m, 3, 9)
+	sys, err := New(n, Config{Gen: testGen{issue: 0, private: 4, shared: 4}, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.nodes) != 72 {
+		t.Fatalf("9x8 mesh has %d nodes, want 72", len(sys.nodes))
+	}
+	addr := int64(17) // homed at node 17, which takes no part
+	type sent struct {
+		id  int64
+		to  int
+		msg Msg
+	}
+	var log []sent
+	n.OnEject = func(p *noc.Packet) {
+		if m := p.Payload.(Msg); m.Addr == addr && (m.Type == Inv || m.Type == Data) {
+			log = append(log, sent{p.ID, p.Dst, m})
+		}
+	}
+	transact := func(c int, write bool) {
+		t.Helper()
+		nd := sys.nodes[c]
+		nd.mshrs.Put(addr, &mshr{addr: addr, write: write})
+		nd.opsIssued++
+		mt := GetS
+		if write {
+			mt = GetM
+		}
+		sys.send(c, sys.home(addr), Msg{Type: mt, Addr: addr, Requester: c})
+		for i := 0; i < 2000 && nd.opsCompleted == 0; i++ {
+			n.Step()
+			sys.Tick()
+		}
+		if nd.opsCompleted != 1 {
+			t.Fatalf("core %d's %v never completed", c, mt)
+		}
+		settle(t, n, sys)
+	}
+	readers := []int{3, 63, 64, 71}
+	for _, c := range readers {
+		transact(c, false)
+	}
+	dl, ok := dirAt(sys, sys.home(addr), addr)
+	if !ok || dl.state != Shared || len(dl.sharers) != 2 {
+		t.Fatalf("directory line after four reads: %+v, want Shared over two sharer words", dl)
+	}
+	log = log[:0]
+	transact(5, true)
+	slices.SortFunc(log, func(a, b sent) int { return cmp.Compare(a.id, b.id) })
+	var got []string
+	for _, s := range log {
+		got = append(got, fmt.Sprintf("%v→%d acks=%d", s.msg.Type, s.to, s.msg.Acks))
+	}
+	want := []string{"Inv→3 acks=0", "Inv→63 acks=0", "Inv→64 acks=0", "Inv→71 acks=0", "Data→5 acks=4"}
+	if !slices.Equal(got, want) {
+		t.Errorf("GetM from core 5 sent, in order:\n  %v\nwant\n  %v", got, want)
+	}
+	for _, c := range readers {
+		if _, has := sys.nodes[c].lines.Get(addr); has {
+			t.Errorf("sharer %d still holds the line", c)
+		}
+	}
+	if st, _ := sys.nodes[5].lines.Get(addr); st != Modified {
+		t.Errorf("writer holds the line in state %d, want Modified", st)
 	}
 }

@@ -94,9 +94,11 @@ func (ss sharerSet) reset() {
 
 // dirLine is the directory's view of one cache line.
 type dirLine struct {
-	state   LineState // Invalid, Shared or Modified (dir-level)
-	owner   int
+	// sharers stays nil until the line's first Shared transition: most
+	// lines (every prewarmed private one) only ever have an owner.
 	sharers sharerSet
+	owner   int
+	state   LineState // Invalid, Shared or Modified (dir-level)
 	// busy: a transaction is in flight; new requests for the line stall.
 	busy       bool
 	needDirAck bool
@@ -109,10 +111,14 @@ type dirLine struct {
 // the L1 lookup, MSHR check and directory fetch run on every consumed
 // message and every issued access, and the dense tables keep that path
 // free of mapaccess/aeshash work and of per-run iteration nondeterminism.
+// The directory table maps an address to its line's index in dirLines,
+// which holds the lines by value: a home never forgets a line, so the
+// array only grows and an index stays valid for the run.
 type node struct {
-	lines dense.Table[LineState]
-	mshrs dense.Table[*mshr]
-	dir   dense.Table[*dirLine]
+	lines    dense.Table[LineState]
+	mshrs    dense.Table[*mshr]
+	dir      dense.Table[int32]
+	dirLines []dirLine
 	// unfinished counts the MSHRs that are completed but still waiting for
 	// injection capacity to fill and unblock (what retryCompletions retries).
 	unfinished int
@@ -177,18 +183,43 @@ func New(net *noc.Network, cfg Config) (*System, error) {
 
 // prewarm installs lines directly into caches and directories (zero
 // network traffic), leaving a quarter of the L1 free for shared lines.
+// It lists every core's lines first and counts them per home, so each
+// L1 table, directory table and line array is allocated once at its
+// final size before the first insert.
 func (s *System) prewarm(pw Prewarmer) {
 	limit := s.cfg.L1Lines * 3 / 4
-	for c, nd := range s.nodes {
-		for i, addr := range pw.PrewarmLines(c) {
-			if i >= limit {
-				break
-			}
-			nd.lines.Put(addr, Exclusive)
-			home := s.nodes[s.home(addr)]
-			home.dir.Put(addr, &dirLine{state: Modified, owner: c, sharers: newSharerSet(len(s.nodes))})
+	lists := make([][]int64, len(s.nodes))
+	perHome := make([]int, len(s.nodes))
+	for c := range s.nodes {
+		l := pw.PrewarmLines(c)
+		lists[c] = l[:min(len(l), limit)]
+		for _, addr := range lists[c] {
+			perHome[s.home(addr)]++
 		}
 	}
+	for r, nd := range s.nodes {
+		nd.lines.Reserve(len(lists[r]))
+		nd.dir.Reserve(perHome[r])
+		nd.dirLines = make([]dirLine, 0, perHome[r])
+	}
+	for c, nd := range s.nodes {
+		for _, addr := range lists[c] {
+			nd.lines.Put(addr, Exclusive)
+			*s.nodes[s.home(addr)].dirLine(addr) = dirLine{state: Modified, owner: c}
+		}
+	}
+}
+
+// dirLine returns this home's line for addr, installing an Invalid one
+// on the first reference. The pointer is valid until the next install.
+func (nd *node) dirLine(addr int64) *dirLine {
+	i, ok := nd.dir.Get(addr)
+	if !ok {
+		i = int32(len(nd.dirLines))
+		nd.dir.Put(addr, i)
+		nd.dirLines = append(nd.dirLines, dirLine{state: Invalid})
+	}
+	return &nd.dirLines[i]
 }
 
 // Stats returns a snapshot of system statistics.
@@ -245,8 +276,8 @@ func (s *System) DebugSnapshot() Snapshot {
 			snap.SampleMSHRAddr = max(snap.SampleMSHRAddr, ms.addr)
 			return true
 		})
-		nd.dir.Each(func(addr int64, dl *dirLine) bool {
-			if dl.busy {
+		nd.dir.Each(func(addr int64, i int32) bool {
+			if nd.dirLines[i].busy {
 				snap.BusyDirLines++
 				snap.SampleBusyAddr = max(snap.SampleBusyAddr, addr)
 			}
@@ -362,14 +393,18 @@ func (s *System) onInvAck(r int, m Msg) {
 }
 
 func (s *System) onDirAck(r int, m Msg) {
-	if dl, ok := s.nodes[r].dir.Get(m.Addr); ok {
+	nd := s.nodes[r]
+	if i, ok := nd.dir.Get(m.Addr); ok {
+		dl := &nd.dirLines[i]
 		dl.gotDirAck = true
 		maybeUnblockDir(dl)
 	}
 }
 
 func (s *System) onUnblock(r int, m Msg) {
-	if dl, ok := s.nodes[r].dir.Get(m.Addr); ok {
+	nd := s.nodes[r]
+	if i, ok := nd.dir.Get(m.Addr); ok {
+		dl := &nd.dirLines[i]
 		dl.gotUnblock = true
 		maybeUnblockDir(dl)
 	}
@@ -540,11 +575,7 @@ func (s *System) consumeRequests(r int) {
 			return
 		}
 		m := p.Payload.(Msg)
-		dl, ok := nd.dir.Get(m.Addr)
-		if !ok {
-			dl = &dirLine{state: Invalid, sharers: newSharerSet(len(s.nodes))}
-			nd.dir.Put(m.Addr, dl)
-		}
+		dl := nd.dirLine(m.Addr)
 		if m.Type != PutM && dl.busy {
 			return // head-of-line stall until Unblock arrives
 		}
@@ -591,6 +622,9 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 			}
 			s.send(r, dl.owner, Msg{Type: FwdGetS, Addr: m.Addr, Requester: c})
 			dl.state = Shared
+			if dl.sharers == nil {
+				dl.sharers = newSharerSet(len(s.nodes))
+			}
 			dl.sharers.add(dl.owner)
 			dl.sharers.add(c)
 			dl.owner = -1

@@ -2,12 +2,15 @@ package coherence
 
 import (
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
 
 	"drain/internal/core"
 	"drain/internal/noc"
 	"drain/internal/routing"
 	"drain/internal/topology"
+	"drain/internal/workload"
 )
 
 // testGen is a deterministic-ish access generator with tunable sharing.
@@ -69,6 +72,16 @@ func runSystem(t *testing.T, n *noc.Network, s *System, ctrl *core.Controller, m
 	return false
 }
 
+// dirAt returns home r's directory line for addr, if it has one.
+func dirAt(s *System, r int, addr int64) (dirLine, bool) {
+	nd := s.nodes[r]
+	i, ok := nd.dir.Get(addr)
+	if !ok {
+		return dirLine{}, false
+	}
+	return nd.dirLines[i], true
+}
+
 // settle runs the network until it holds no packets (all in-flight
 // protocol messages delivered and consumed).
 func settle(t *testing.T, n *noc.Network, sys *System) {
@@ -113,7 +126,7 @@ func TestSingleTransactionFlows(t *testing.T) {
 		t.Errorf("line state after exclusive read = %d, want Exclusive", st)
 	}
 	// Directory must be unblocked and track node 3 as owner.
-	dl, ok := sys.nodes[7].dir.Get(addr)
+	dl, ok := dirAt(sys, 7, addr)
 	if !ok || dl.busy {
 		t.Fatalf("directory line busy after unblock: %+v", dl)
 	}
@@ -365,5 +378,81 @@ func TestUnfinishedCountMatchesTable(t *testing.T) {
 	}
 	if deferred == 0 {
 		t.Error("no fill was ever deferred: the run compared nothing")
+	}
+}
+
+// TestVictimIgnoresCapacity holds the property that lets prewarm size an
+// L1 table once: capacity moves a table's slot order, and the victim may
+// not depend on it. Two L1s see the same line history — one grown Put by
+// Put, one reserved for twice L1Lines first, so the two capacities
+// differ — and must pick the same victim for every salt while a stream
+// of fills evicts through both.
+func TestVictimIgnoresCapacity(t *testing.T) {
+	const l1 = 256
+	newSys := func(reserve bool) *System {
+		s := &System{cfg: Config{L1Lines: l1}, rng: rand.New(rand.NewPCG(1, 2)), nodes: []*node{{}}}
+		if reserve {
+			s.nodes[0].lines.Reserve(2 * l1)
+		}
+		return s
+	}
+	grown, sized := newSys(false), newSys(true)
+	addr := func(i int) int64 {
+		if i%3 == 0 {
+			return 1<<40 + int64(i) // the shared region
+		}
+		return 5<<20 + int64(i)
+	}
+	for i := 0; i < l1; i++ {
+		grown.nodes[0].lines.Put(addr(i), Exclusive)
+		sized.nodes[0].lines.Put(addr(i), Exclusive)
+	}
+	order := func(s *System) (keys []int64) {
+		s.nodes[0].lines.Each(func(a int64, _ LineState) bool { keys = append(keys, a); return true })
+		return keys
+	}
+	if slices.Equal(order(grown), order(sized)) {
+		t.Fatal("both tables walk in the same order: the test compares nothing")
+	}
+	for i := 0; i < 1000; i++ {
+		vg, wbg := grown.pickVictim(0)
+		vs, wbs := sized.pickVictim(0)
+		if vg != vs || wbg != wbs {
+			t.Fatalf("fill %d: the grown L1 evicts %d (writeback %v), the reserved one %d (%v)", i, vg, wbg, vs, wbs)
+		}
+		for _, s := range []*System{grown, sized} {
+			s.nodes[0].lines.Delete(vg)
+			s.nodes[0].lines.Put(addr(l1+i), Modified)
+		}
+	}
+}
+
+// TestNewAllocs bounds what New costs on the 8x8 pagerank system every
+// coherence run builds: one allocation per table and line array, not two
+// per prewarmed line plus every rehash of a growing table (18 443
+// allocations and 1.43 MB before the tables were sized once; measured
+// 589 and 0.81 MB after).
+func TestNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	m := topology.MustMesh(8, 8)
+	n := protoNet(t, m.Graph, m, 1, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	sys, err := New(n, Config{Gen: workload.MustGet("pagerank"), OpsTarget: 1000, Seed: 1})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.nodes[0].lines.Len(); got != 128 {
+		t.Fatalf("core 0 holds %d prewarmed lines, want pagerank's 128", got)
+	}
+	allocs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+	t.Logf("New: %d allocations, %d bytes", allocs, bytes)
+	if allocs > 1000 || bytes > 1<<20 {
+		t.Errorf("New on 8x8 pagerank: %d allocations, %d bytes; ceiling is 1000 and 1 MiB", allocs, bytes)
 	}
 }

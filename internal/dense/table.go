@@ -7,7 +7,8 @@
 //     parallel slices — no mapaccess/aeshash calls, no per-bucket
 //     pointer chasing, and Put reuses tombstone-free slots so steady
 //     state allocates only on growth (amortized, and absent entirely
-//     once the table reaches its working-set size).
+//     once the table reaches its working-set size, or from the start
+//     when Reserve sized it).
 //   - Determinism: iteration (Each) walks slots in ascending index
 //     order, a pure function of the operation history — unlike map
 //     range order, which Go randomizes per run. Callers that fold over
@@ -134,15 +135,28 @@ func (t *Table[V]) Each(f func(k int64, v V) bool) {
 	}
 }
 
-// grow doubles the capacity (or allocates the first minCap slots) and
-// reinserts live entries in ascending old-slot order, keeping the new
-// layout deterministic. Growth is amortized: it fires only while the
-// table is below its working-set size, then never again.
-func (t *Table[V]) grow() {
-	cap := 2 * len(t.keys)
-	if cap < minCap {
-		cap = minCap
+// Reserve sizes the table to hold n entries without growing: the
+// capacity n Puts would grow an empty table to, allocated in one step. Capacity decides slot order, so a Reserve call is part
+// of the operation history that fixes Each's order.
+func (t *Table[V]) Reserve(n int) {
+	if 4*n <= 3*len(t.keys) {
+		return
 	}
+	cap := max(len(t.keys), minCap)
+	for 4*n > 3*cap {
+		cap *= 2
+	}
+	t.resize(cap)
+}
+
+// grow doubles the capacity (or allocates the first minCap slots).
+// Growth is amortized: it fires only while the table is below its
+// working-set size, then never again.
+func (t *Table[V]) grow() { t.resize(max(2*len(t.keys), minCap)) }
+
+// resize moves the live entries to a table of cap slots, reinserting
+// them in ascending old-slot order to keep the new layout deterministic.
+func (t *Table[V]) resize(cap int) {
 	keys, vals, live := t.keys, t.vals, t.live
 	t.keys = make([]int64, cap)
 	t.vals = make([]V, cap)

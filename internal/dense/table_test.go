@@ -121,6 +121,49 @@ func TestTableEachDeterministic(t *testing.T) {
 	}
 }
 
+// TestReserveSizesOnce pins Reserve's contract: a table sized for n
+// entries keeps its slots through n Puts, and holds exactly what an
+// unsized table with the same history holds (in its own slot order,
+// which is all the capacity may change).
+func TestReserveSizesOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 13, 96, 128, 1000} {
+		var sized, grown Table[int]
+		sized.Reserve(n)
+		slots := len(sized.keys)
+		for i := 0; i < n; i++ {
+			k := int64(i) * 7919
+			sized.Put(k, i)
+			grown.Put(k, i)
+		}
+		if len(sized.keys) != slots {
+			t.Errorf("n=%d: Reserve gave %d slots, %d Puts grew them to %d", n, slots, n, len(sized.keys))
+		}
+		if len(sized.keys) != len(grown.keys) {
+			t.Errorf("n=%d: %d slots reserved, growth reached %d", n, len(sized.keys), len(grown.keys))
+		}
+		seen := map[int64]int{}
+		sized.Each(func(k int64, v int) bool { seen[k] = v; return true })
+		grown.Each(func(k int64, v int) bool {
+			if got, ok := seen[k]; !ok || got != v {
+				t.Fatalf("n=%d: key %d holds %d unsized, %d,%v sized", n, k, v, got, ok)
+			}
+			delete(seen, k)
+			return true
+		})
+		if len(seen) != 0 {
+			t.Errorf("n=%d: the sized table holds %d keys the unsized one does not", n, len(seen))
+		}
+	}
+	// Reserving less than the table already holds changes nothing.
+	var tb Table[int]
+	tb.Reserve(100)
+	slots := len(tb.keys)
+	tb.Reserve(10)
+	if len(tb.keys) != slots {
+		t.Errorf("Reserve(10) after Reserve(100) resized %d slots to %d", slots, len(tb.keys))
+	}
+}
+
 // TestTableEachOrderIsHistoryNotAge pins the backward-shift property:
 // a table that grew and shrank back iterates identically to one that
 // only ever held the surviving entries via the same probe layout — no

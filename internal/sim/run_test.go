@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"drain/internal/coherence"
 	"drain/internal/noc"
 	"drain/internal/traffic"
 	"drain/internal/workload"
@@ -247,5 +248,28 @@ func TestIdleFastForwardFires(t *testing.T) {
 	event.FastForwarded = 0
 	if !reflect.DeepEqual(event, dense) {
 		t.Errorf("fast-forwarded run diverges from the stepped one:\nevent: %+v\ndense: %+v", event, dense)
+	}
+}
+
+// TestRunAppPastSixtyFourCores runs a coherence workload on a 9x8 mesh:
+// 72 cores, so the directory's sharer sets span two words, a size no
+// figure reaches. The run must complete with the network consistent.
+func TestRunAppPastSixtyFourCores(t *testing.T) {
+	r, err := Build(Params{Width: 9, Height: 8, Scheme: SchemeDRAIN, Classes: 3, InjectCap: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunApp(workload.MustGet("canneal"), 100, 400_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("9x8 canneal did not complete in %d cycles: %+v", res.Runtime, res.Protocol)
+	}
+	if err := r.Net.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Protocol.MsgsByType[coherence.Inv] == 0 {
+		t.Error("no line was ever shared and then written: the run invalidated nothing")
 	}
 }
