@@ -49,11 +49,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wl := fs.String("workload", "", "run a coherence workload instead of synthetic traffic")
 	ops := fs.Int64("ops", 500, "memory operations per core for -workload runs")
 	maxCycles := fs.Int64("max-cycles", 5_000_000, "cycle budget for -workload runs")
-	tracePath := fs.String("trace", "", "write a per-packet CSV trace to this file")
-	sweep := fs.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate)")
+	tracePath := fs.String("trace", "", "write a per-packet CSV trace of the run to this file (not with -sweep)")
+	sweep := fs.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate; not with -trace or -workload)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *sweep != "" && (*tracePath != "" || *wl != "") {
+		// A sweep's runners never see r.Trace, and a workload is not swept.
+		fmt.Fprintln(stderr, "drainsim: -sweep cannot be combined with -trace or -workload")
 		return 2
 	}
 	fail := func(err error) int {

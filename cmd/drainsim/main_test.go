@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,9 +46,22 @@ func TestParseScheme(t *testing.T) {
 }
 
 // Every flag a stranger can get wrong is answered with one line on
-// stderr and a non-zero exit, never a panic.
+// stderr and a non-zero exit, never a panic. Flags that cannot be
+// combined exit 2, as an unknown flag does, before anything runs.
 func TestBadFlagsExitWithAReason(t *testing.T) {
 	small := []string{"-mesh", "3x3", "-warmup", "10", "-measure", "10", "-ops", "5"}
+	try := func(bad []string) (code int, stdout string) {
+		var out, stderr bytes.Buffer
+		code = run(append(small, bad...), &out, &stderr)
+		reason := strings.TrimSuffix(stderr.String(), "\n")
+		if bad[0] == "-no-such-flag" { // the flag package adds its usage text
+			reason, _, _ = strings.Cut(reason, "\n")
+		}
+		if code == 0 || reason == "" || strings.Contains(reason, "\n") {
+			t.Errorf("drainsim %v: exit %d, stderr %q; want non-zero and one line", bad, code, stderr.String())
+		}
+		return code, out.String()
+	}
 	for _, bad := range [][]string{
 		{"-mesh", "8"},
 		{"-mesh", "1x1"},
@@ -59,18 +74,21 @@ func TestBadFlagsExitWithAReason(t *testing.T) {
 		{"-workload", "doom"},
 		{"-no-such-flag"},
 	} {
-		var stdout, stderr bytes.Buffer
-		code := run(append(small, bad...), &stdout, &stderr)
-		reason := strings.TrimSuffix(stderr.String(), "\n")
-		if bad[0] == "-no-such-flag" { // the flag package adds its usage text
-			reason, _, _ = strings.Cut(reason, "\n")
+		if _, stdout := try(bad); bad[0] == "-fault-schedule" && stdout != "" {
+			t.Errorf("drainsim %v printed %q: a bad schedule is refused before the run starts", bad, stdout)
 		}
-		if code == 0 || reason == "" || strings.Contains(reason, "\n") {
-			t.Errorf("drainsim %v: exit %d, stderr %q; want non-zero and one line", bad, code, stderr.String())
+	}
+	trace := filepath.Join(t.TempDir(), "t.csv")
+	for _, bad := range [][]string{
+		{"-sweep", "0.02,0.05", "-trace", trace},   // the sweep's runs would leave the trace empty
+		{"-workload", "canneal", "-sweep", "0.02"}, // the workload would run and the sweep not
+	} {
+		if code, stdout := try(bad); code != 2 || stdout != "" {
+			t.Errorf("drainsim %v: exit %d, printed %q; want exit 2 and nothing run", bad, code, stdout)
 		}
-		if bad[0] == "-fault-schedule" && stdout.Len() != 0 {
-			t.Errorf("drainsim %v printed %q: a bad schedule is refused before the run starts", bad, stdout.String())
-		}
+	}
+	if _, err := os.Stat(trace); err == nil {
+		t.Error("-sweep -trace created the trace file")
 	}
 }
 

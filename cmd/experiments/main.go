@@ -80,13 +80,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	experiments.SetParallelism(*parallel)
-
 	// Ctrl-C / SIGTERM cancels the in-flight sweep: the context reaches
 	// every simulation step loop, so long full-scale runs stop within
-	// noc.CancelCheckEvery cycles instead of burning cores.
+	// noc.CancelCheckEvery cycles instead of burning cores. The run-slot
+	// budget travels in the same context; this goroutine holds one slot.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	slots := experiments.NewSlots(*parallel)
+	slots.TryAcquire()
+	ctx = experiments.WithSlots(ctx, slots)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -294,13 +294,3 @@ func (c *Controller) drainNow() error {
 	}
 	return nil
 }
-
-// MinSafeEpoch returns a lower bound for the epoch so misrouted packets
-// can reach their destinations between drains (paper §III-D3: no less
-// than the expected worst-case packet latency, proportional to the
-// network diameter).
-func MinSafeEpoch(net *noc.Network) int64 {
-	d := int64(net.Graph().Diameter())
-	perHop := int64(net.Config().MaxFlits + net.Config().RouterLatency)
-	return 2 * d * perHop
-}

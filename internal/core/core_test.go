@@ -257,15 +257,6 @@ func TestDrainResolvesDeadlockOnFaultyTopology(t *testing.T) {
 	}
 }
 
-func TestMinSafeEpoch(t *testing.T) {
-	n := drainNet(t, topology.MustMesh(8, 8).Graph, 2, 7)
-	e := MinSafeEpoch(n)
-	// Diameter 14, per-hop 6 → 168; twice that = 336.
-	if e != 2*14*6 {
-		t.Errorf("MinSafeEpoch = %d, want %d", e, 2*14*6)
-	}
-}
-
 // TestDrainPreservesPackets: no packet is ever lost or duplicated across
 // many drain windows under load.
 func TestDrainPreservesPackets(t *testing.T) {

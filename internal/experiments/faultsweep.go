@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+
 	"drain/internal/sim"
 	"drain/internal/topology"
+	"drain/internal/traffic"
 )
 
 // A fault sweep is a figure's (fault count × fault pattern) grid of 8x8
@@ -10,8 +13,8 @@ import (
 // Its cells are not all distinct topologies: Params.BuildGraph reads
 // FaultSeed only when Faults > 0, so every pattern of a fault count of 0
 // is the same fault-free mesh, and a simulation on it is the same
-// simulation. The figures therefore make one unit of work per distinct
-// topology and copy a fault-free result into every pattern's cell; the
+// simulation. The sweep therefore makes one unit of work per distinct
+// topology and copies a fault-free result into every pattern's cell; the
 // serial averaging over cells afterwards is what it always was.
 
 // faultTopo is one distinct topology of a fault sweep.
@@ -49,4 +52,53 @@ func (ft faultTopo) build(seed uint64) (*topology.Graph, *topology.Mesh, sim.Par
 	}
 	p.RoutingTable = tab
 	return g, mesh, p, nil
+}
+
+// sweepRun is one simulation a fault sweep makes on every cell: a scheme
+// under synthetic traffic at one injection rate, reduced to one metric.
+type sweepRun struct {
+	scheme sim.Scheme
+	rate   float64
+	metric func(sim.SyntheticResult) float64
+}
+
+func avgLatency(r sim.SyntheticResult) float64 { return r.AvgLatency }
+func accepted(r sim.SyntheticResult) float64   { return r.Accepted }
+
+// faultSweep simulates every run, warm then meas cycles, on every cell of
+// faults × patterns under each traffic pattern: one unit of work per
+// (traffic pattern, distinct topology), each run on its own runner. The
+// result reads run ri's metric on traffic ti, fault row fi, pattern pi.
+func faultSweep(ctx context.Context, seed uint64, faults []int, patterns int, warm, meas int64,
+	pats []traffic.Pattern, runs []sweepRun) (func(ti, fi, pi, ri int) float64, error) {
+	at := func(ti, fi, pi, ri int) int { return ((ti*len(faults)+fi)*patterns+pi)*len(runs) + ri }
+	metrics := make([]float64, len(pats)*len(faults)*patterns*len(runs))
+	topos := distinctTopologies(faults, patterns)
+	err := ForEachConfigContext(ctx, len(pats)*len(topos), func(u int) error {
+		ti, ft := u/len(topos), topos[u%len(topos)]
+		g, mesh, p, err := ft.build(seed)
+		if err != nil {
+			return err
+		}
+		for ri, run := range runs {
+			p.Scheme = run.scheme
+			r, err := sim.BuildOn(g, mesh, p)
+			if err != nil {
+				return err
+			}
+			res, err := r.RunSyntheticContext(ctx, pats[ti], run.rate, warm, meas)
+			if err != nil {
+				return err
+			}
+			m := run.metric(res)
+			for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
+				metrics[at(ti, ft.fi, pi, ri)] = m
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func(ti, fi, pi, ri int) float64 { return metrics[at(ti, fi, pi, ri)] }, nil
 }

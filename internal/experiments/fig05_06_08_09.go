@@ -60,47 +60,9 @@ func fig5(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "8x8 mesh, uniform random: up*/down* vs ideal",
 		Columns: []string{"faults", "up*/down* low-load lat", "ideal low-load lat", "lat gap", "up*/down* saturation", "ideal saturation"},
 	}
-	// One unit of work per distinct topology: built once, then one run
-	// per (scheme, load point). Aggregation below stays serial and
-	// index-ordered so the float sums — and thus the rendered table — are
-	// identical for every worker count.
-	schemes := []sim.Scheme{sim.SchemeUpDown, sim.SchemeIdeal}
-	loads := []struct {
-		rate   float64
-		metric func(sim.SyntheticResult) float64
-	}{
-		{0.02, func(r sim.SyntheticResult) float64 { return r.AvgLatency }},
-		{0.45, func(r sim.SyntheticResult) float64 { return r.Accepted }},
-	}
-	perScheme := len(loads)
-	perPattern := len(schemes) * perScheme
-	perFault := patterns * perPattern
-	metrics := make([]float64, len(faults)*perFault)
-	topos := distinctTopologies(faults, patterns)
-	err := ForEachConfigContext(ctx, len(topos), func(u int) error {
-		ft := topos[u]
-		g, mesh, p, err := ft.build(seed)
-		if err != nil {
-			return err
-		}
-		for si, scheme := range schemes {
-			p.Scheme = scheme
-			for li, load := range loads {
-				r, err := sim.BuildOn(g, mesh, p)
-				if err != nil {
-					return err
-				}
-				res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, load.rate, warm, meas)
-				if err != nil {
-					return err
-				}
-				m := load.metric(res)
-				for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
-					metrics[ft.fi*perFault+pi*perPattern+si*perScheme+li] = m
-				}
-			}
-		}
-		return nil
+	m, err := faultSweep(ctx, seed, faults, patterns, warm, meas, []traffic.Pattern{traffic.UniformRandom{N: 64}}, []sweepRun{
+		{sim.SchemeUpDown, 0.02, avgLatency}, {sim.SchemeUpDown, 0.45, accepted},
+		{sim.SchemeIdeal, 0.02, avgLatency}, {sim.SchemeIdeal, 0.45, accepted},
 	})
 	if err != nil {
 		return nil, err
@@ -108,11 +70,10 @@ func fig5(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 	for fi, f := range faults {
 		var udLat, idLat, udSat, idSat float64
 		for pi := 0; pi < patterns; pi++ {
-			base := fi*perFault + pi*perPattern
-			udLat += metrics[base]
-			udSat += metrics[base+1]
-			idLat += metrics[base+perScheme]
-			idSat += metrics[base+perScheme+1]
+			udLat += m(0, fi, pi, 0)
+			udSat += m(0, fi, pi, 1)
+			idLat += m(0, fi, pi, 2)
+			idSat += m(0, fi, pi, 3)
 		}
 		n := float64(patterns)
 		udLat, idLat, udSat, idSat = udLat/n, idLat/n, udSat/n, idSat/n

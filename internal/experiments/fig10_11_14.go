@@ -46,7 +46,10 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, r
 		warm, meas = 10_000, 50_000
 		patterns = 10
 	}
-	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeSPIN, sim.SchemeDRAIN}
+	var runs []sweepRun
+	for _, scheme := range []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeSPIN, sim.SchemeDRAIN} {
+		runs = append(runs, sweepRun{scheme, rate, metric})
+	}
 	patNames := []string{"uniform", "transpose"}
 	pats := make([]traffic.Pattern, len(patNames))
 	for ti, name := range patNames {
@@ -56,39 +59,7 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, r
 		}
 		pats[ti] = pat
 	}
-	// One unit of work per (traffic pattern, distinct topology): the
-	// topology and its routing table are built once and live for the
-	// unit's three scheme runs only, so at most one table per run slot is
-	// live. Averaging happens serially afterwards in fixed index order.
-	topos := distinctTopologies(faults, patterns)
-	perScheme := patterns
-	perFault := len(schemes) * perScheme
-	perTraffic := len(faults) * perFault
-	metrics := make([]float64, len(pats)*perTraffic)
-	err := ForEachConfigContext(ctx, len(pats)*len(topos), func(u int) error {
-		ti := u / len(topos)
-		ft := topos[u%len(topos)]
-		g, mesh, p, err := ft.build(seed)
-		if err != nil {
-			return err
-		}
-		for si, scheme := range schemes {
-			p.Scheme = scheme
-			r, err := sim.BuildOn(g, mesh, p)
-			if err != nil {
-				return err
-			}
-			res, err := r.RunSyntheticContext(ctx, pats[ti], rate, warm, meas)
-			if err != nil {
-				return err
-			}
-			m := metric(res)
-			for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
-				metrics[ti*perTraffic+ft.fi*perFault+si*perScheme+pi] = m
-			}
-		}
-		return nil
-	})
+	m, err := faultSweep(ctx, seed, faults, patterns, warm, meas, pats, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -101,10 +72,10 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, r
 		}
 		for fi, f := range faults {
 			row := []string{fmt.Sprintf("%d", f)}
-			for si := range schemes {
+			for si := range runs {
 				sum := 0.0
 				for pi := 0; pi < patterns; pi++ {
-					sum += metrics[ti*perTraffic+fi*perFault+si*perScheme+pi]
+					sum += m(ti, fi, pi, si)
 				}
 				row = append(row, f3(sum/float64(patterns)))
 			}
@@ -116,13 +87,11 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, r
 }
 
 func fig10(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	return synthMatrix(ctx, sc, seed, "fig10", "Saturation throughput (packets/node/cycle)", 0.45,
-		func(r sim.SyntheticResult) float64 { return r.Accepted })
+	return synthMatrix(ctx, sc, seed, "fig10", "Saturation throughput (packets/node/cycle)", 0.45, accepted)
 }
 
 func fig11(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	return synthMatrix(ctx, sc, seed, "fig11", "Low-load average packet latency (cycles)", 0.02,
-		func(r sim.SyntheticResult) float64 { return r.AvgLatency })
+	return synthMatrix(ctx, sc, seed, "fig11", "Low-load average packet latency (cycles)", 0.02, avgLatency)
 }
 
 func fig14(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {

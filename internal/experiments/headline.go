@@ -30,38 +30,10 @@ func headline(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		patterns = 10
 		warm, meas = 10_000, 50_000
 	}
-	// One unit of work per (fault count, pattern) topology, built once for
-	// its two scheme runs; the averages are summed serially afterwards in
-	// fixed index order so the result is identical for every worker count.
-	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeDRAIN}
-	perPattern := len(schemes)
-	perFault := patterns * perPattern
-	lats := make([]float64, len(faults)*perFault)
-	topos := distinctTopologies(faults, patterns)
-	err := ForEachConfigContext(ctx, len(topos), func(u int) error {
-		ft := topos[u]
-		g, mesh, p, err := ft.build(seed)
-		if err != nil {
-			return err
-		}
-		for si, scheme := range schemes {
-			p.Scheme = scheme
-			r, err := sim.BuildOn(g, mesh, p)
-			if err != nil {
-				return err
-			}
-			// Moderate load: restrictions hurt most when the network
-			// is loaded but escape VCs are not yet saturated.
-			res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, 0.10, warm, meas)
-			if err != nil {
-				return err
-			}
-			for pi := ft.pi; pi < ft.pi+ft.pn; pi++ {
-				lats[ft.fi*perFault+pi*perPattern+si] = res.AvgLatency
-			}
-		}
-		return nil
-	})
+	// Moderate load: restrictions hurt most when the network is loaded
+	// but escape VCs are not yet saturated.
+	lat, err := faultSweep(ctx, seed, faults, patterns, warm, meas, []traffic.Pattern{traffic.UniformRandom{N: 64}},
+		[]sweepRun{{sim.SchemeEscapeVC, 0.10, avgLatency}, {sim.SchemeDRAIN, 0.10, avgLatency}})
 	if err != nil {
 		return nil, err
 	}
@@ -69,8 +41,8 @@ func headline(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 	n := 0
 	for fi := range faults {
 		for pi := 0; pi < patterns; pi++ {
-			escLat += lats[fi*perFault+pi*perPattern]
-			drainLat += lats[fi*perFault+pi*perPattern+1]
+			escLat += lat(0, fi, pi, 0)
+			drainLat += lat(0, fi, pi, 1)
 			n++
 		}
 	}

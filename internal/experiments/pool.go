@@ -14,27 +14,10 @@ import (
 // rendering) stays serial and ordered, which makes the output byte-
 // identical for every run-slot budget.
 
-// parallelism is the run-slot budget a ForEachConfig call gets when its
-// context carries none. Access through SetParallelism/Parallelism; the
-// default 1 keeps the harness strictly serial (tests and library users
-// opt in explicitly, cmd/experiments sets it from -parallel).
-var parallelism atomic.Int32
-
-func init() { parallelism.Store(1) }
-
-// SetParallelism sets the private run-slot budget of ForEachConfig calls
-// whose context carries no Slots. Values below 1 are treated as 1. Safe
-// to call between figure runs; the result tables do not depend on the
-// value.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the current private run-slot budget.
-func Parallelism() int { return int(parallelism.Load()) }
+// SetParallelism is a shim and does nothing: the run-slot budget travels
+// only in the context (WithSlots). It stays while the frozen
+// cmd/drainbench/serve.go:38 calls it, and goes with that call.
+func SetParallelism(int) {}
 
 // Slots is a budget of run slots: at most its size units of work run at
 // once across every ForEachConfigContext call whose context carries it.
@@ -89,30 +72,23 @@ func (s *Slots) Release() { s.free <- struct{}{} }
 type slotsKey struct{}
 
 // WithSlots returns a context under which ForEachConfigContext draws its
-// helpers from s instead of a private budget. The caller must hold one
-// of s's slots while it runs experiments under the returned context.
+// helpers from s. The caller must hold one of s's slots while it runs
+// experiments under the returned context.
 func WithSlots(ctx context.Context, s *Slots) context.Context {
 	return context.WithValue(ctx, slotsKey{}, s)
 }
 
-// ForEachConfig runs fn(i) for every i in [0, n) on a private budget of
-// Parallelism() run slots. fn must be independent across indices (each
-// call builds its own simulation state) and should write its result into
-// an index-addressed slot; ForEachConfig provides no other result
-// channel.
+// ForEachConfigContext runs fn(i) for every i in [0, n) under ctx's
+// run-slot budget (WithSlots), with cancellation. A context that carries
+// no budget runs the calls serially on the calling goroutine. fn must be
+// independent across indices (each call builds its own simulation state)
+// and should write its result into an index-addressed slot;
+// ForEachConfigContext provides no other result channel.
 //
 // Error semantics are deterministic: the error with the lowest index is
 // returned regardless of budget or completion order, and no index is
 // dispatched after one has failed. With a budget of 1 the calls run
-// strictly serially, in order, stopping at the first error — exactly the
-// seed implementation's loop shape.
-func ForEachConfig(n int, fn func(i int) error) error {
-	return ForEachConfigContext(context.Background(), n, fn)
-}
-
-// ForEachConfigContext is ForEachConfig under ctx's run-slot budget
-// (WithSlots; a private budget of Parallelism() slots, one of them the
-// caller's, when ctx carries none) and with cancellation.
+// strictly serially, in order, stopping at the first error.
 //
 // The calling goroutine runs indices itself, in order, on the slot it
 // holds. Before each of its units it starts a helper goroutine for every
@@ -133,8 +109,8 @@ func ForEachConfigContext(ctx context.Context, n int, fn func(i int) error) erro
 	}
 	slots, _ := ctx.Value(slotsKey{}).(*Slots)
 	if slots == nil {
-		slots = NewSlots(Parallelism())
-		slots.TryAcquire() // the caller's own
+		slots = NewSlots(1)
+		slots.TryAcquire() // the caller's own: no slot is left to lend
 	}
 	var (
 		next     atomic.Int64

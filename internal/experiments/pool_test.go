@@ -12,29 +12,16 @@ import (
 	"time"
 )
 
-// withParallelism runs fn with the given private run-slot budget and
-// restores the previous setting afterwards (the package-level value is
-// shared).
-func withParallelism(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := Parallelism()
-	SetParallelism(n)
-	defer SetParallelism(prev)
-	fn()
-}
-
 func TestForEachConfigCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 37
 		hits := make([]atomic.Int32, n)
-		withParallelism(t, workers, func() {
-			if err := ForEachConfig(n, func(i int) error {
-				hits[i].Add(1)
-				return nil
-			}); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-		})
+		if err := underSlots(t, context.Background(), NewSlots(workers), n, func(i int) error {
+			hits[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Errorf("workers=%d: index %d called %d times, want 1", workers, i, got)
@@ -46,7 +33,7 @@ func TestForEachConfigCoversAllIndices(t *testing.T) {
 func TestForEachConfigZeroAndNegative(t *testing.T) {
 	called := false
 	for _, n := range []int{0, -3} {
-		if err := ForEachConfig(n, func(int) error { called = true; return nil }); err != nil {
+		if err := ForEachConfigContext(context.Background(), n, func(int) error { called = true; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,50 +47,33 @@ func TestForEachConfigZeroAndNegative(t *testing.T) {
 // with the lowest index — the same error the serial loop stops at.
 func TestForEachConfigLowestError(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		withParallelism(t, workers, func() {
-			err := ForEachConfig(50, func(i int) error {
-				if i == 13 || i == 31 {
-					return fmt.Errorf("job %d failed", i)
-				}
-				return nil
-			})
-			if err == nil || err.Error() != "job 13 failed" {
-				t.Errorf("workers=%d: got %v, want lowest-index error from job 13", workers, err)
-			}
-		})
-	}
-}
-
-func TestSetParallelismClamps(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
-	SetParallelism(0)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("Parallelism() = %d after SetParallelism(0), want 1", got)
-	}
-	SetParallelism(-5)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("Parallelism() = %d after SetParallelism(-5), want 1", got)
-	}
-}
-
-// TestForEachConfigSerialStopsEarly checks the parallelism-1 fast path
-// keeps the seed loop shape: later jobs never run once one fails.
-func TestForEachConfigSerialStopsEarly(t *testing.T) {
-	var calls int
-	boom := errors.New("boom")
-	withParallelism(t, 1, func() {
-		err := ForEachConfig(10, func(i int) error {
-			calls++
-			if i == 3 {
-				return boom
+		err := underSlots(t, context.Background(), NewSlots(workers), 50, func(i int) error {
+			if i == 13 || i == 31 {
+				return fmt.Errorf("job %d failed", i)
 			}
 			return nil
 		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("err = %v", err)
+		if err == nil || err.Error() != "job 13 failed" {
+			t.Errorf("workers=%d: got %v, want lowest-index error from job 13", workers, err)
 		}
+	}
+}
+
+// TestForEachConfigSerialStopsEarly checks that a call without a budget
+// keeps the serial loop shape: later jobs never run once one fails.
+func TestForEachConfigSerialStopsEarly(t *testing.T) {
+	var calls int
+	boom := errors.New("boom")
+	err := ForEachConfigContext(context.Background(), 10, func(i int) error {
+		calls++
+		if i == 3 {
+			return boom
+		}
+		return nil
 	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
 	if calls != 4 {
 		t.Errorf("serial run made %d calls after failure at index 3, want 4", calls)
 	}
@@ -114,47 +84,45 @@ func TestForEachConfigSerialStopsEarly(t *testing.T) {
 // goroutine behind.
 func TestForEachConfigContextCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		withParallelism(t, workers, func() {
-			base := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			var calls atomic.Int32
-			const n = 10_000
-			done := make(chan error, 1)
-			go func() {
-				done <- ForEachConfigContext(ctx, n, func(i int) error {
-					calls.Add(1)
-					if calls.Load() == 5 {
-						cancel()
-					}
-					// Simulate work that itself observes ctx, as sim runs do.
-					select {
-					case <-ctx.Done():
-						return ctx.Err()
-					case <-time.After(time.Millisecond):
-						return nil
-					}
-				})
-			}()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int32
+		const n = 10_000
+		done := make(chan error, 1)
+		go func() {
+			done <- underSlots(t, ctx, NewSlots(workers), n, func(i int) error {
+				calls.Add(1)
+				if calls.Load() == 5 {
+					cancel()
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("workers=%d: cancelled fan-out did not return", workers)
+				// Simulate work that itself observes ctx, as sim runs do.
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(time.Millisecond):
+					return nil
+				}
+			})
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 			}
-			if got := calls.Load(); got >= n {
-				t.Errorf("workers=%d: all %d indices ran despite cancellation", workers, got)
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for time.Now().Before(deadline) && runtime.NumGoroutine() > base {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got := runtime.NumGoroutine(); got > base {
-				t.Errorf("workers=%d: %d goroutines after cancel, baseline %d", workers, got, base)
-			}
-			cancel()
-		})
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: cancelled fan-out did not return", workers)
+		}
+		if got := calls.Load(); got >= n {
+			t.Errorf("workers=%d: all %d indices ran despite cancellation", workers, got)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for time.Now().Before(deadline) && runtime.NumGoroutine() > base {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Errorf("workers=%d: %d goroutines after cancel, baseline %d", workers, got, base)
+		}
+		cancel()
 	}
 }
 
@@ -184,18 +152,18 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	var serial string
 	for _, budget := range []int{1, 2, 4} {
-		withParallelism(t, budget, func() {
-			tables, err := e.Run(context.Background(), Quick, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := renderTables(tables)
-			if budget == 1 {
-				serial = got
-			} else if got != serial {
-				t.Errorf("fig14 output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s", budget, serial, got)
-			}
-		})
+		slots := NewSlots(budget)
+		slots.TryAcquire()
+		tables, err := e.Run(WithSlots(context.Background(), slots), Quick, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := renderTables(tables)
+		if budget == 1 {
+			serial = got
+		} else if got != serial {
+			t.Errorf("fig14 output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s", budget, serial, got)
+		}
 	}
 }
 
@@ -324,9 +292,9 @@ func TestLentSlotGoesToWaitingJob(t *testing.T) {
 	}
 }
 
-// TestBudgetOfOneStartsNoHelper: on one slot — drainserved -workers 1, or
-// the default private budget — every unit runs on the calling goroutine,
-// in order, and no goroutine is started.
+// TestBudgetOfOneStartsNoHelper: on one slot — drainserved -workers 1 —
+// or with no budget in the context, every unit runs on the calling
+// goroutine, in order, and no goroutine is started.
 func TestBudgetOfOneStartsNoHelper(t *testing.T) {
 	check := func(name string, run func(n int, fn func(int) error) error) {
 		base := runtime.NumGoroutine()
@@ -347,7 +315,9 @@ func TestBudgetOfOneStartsNoHelper(t *testing.T) {
 			t.Errorf("%s: %d of 50 units ran", name, next)
 		}
 	}
-	withParallelism(t, 1, func() { check("private", ForEachConfig) })
+	check("no budget", func(n int, fn func(int) error) error {
+		return ForEachConfigContext(context.Background(), n, fn)
+	})
 	slots := NewSlots(1)
 	check("shared", func(n int, fn func(int) error) error {
 		return underSlots(t, context.Background(), slots, n, fn)

@@ -15,7 +15,7 @@ package noc
 // between Steps, in an order the engine does not influence; and since no
 // observable output depends on *which* struct backs a packet (all
 // outputs are field values, never pointer identities), reuse cannot
-// perturb byte-identity. DESIGN.md §14 has the full ownership argument.
+// perturb byte-identity. DESIGN.md §12 has the full ownership argument.
 
 // ReleasePacket returns p to the network's free-list for reuse by a
 // future NewPacket. The caller must own p outright — popped from an

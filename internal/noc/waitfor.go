@@ -35,21 +35,6 @@ func (o LivenessOpts) ejectLive(n *Network, router, class int) bool {
 	return n.ejectSpace(router, class)
 }
 
-// AnalyzeLiveness returns the non-live link VC buffers (empty slice when
-// the network is deadlock-free at this instant).
-func (n *Network) AnalyzeLiveness(opts LivenessOpts) []VCRef {
-	live, _ := n.liveness(opts)
-	var out []VCRef
-	for l := 0; l < n.g.NumLinks(); l++ {
-		for s := 0; s < n.vcPerPort; s++ {
-			if !live[l*n.vcPerPort+s] {
-				out = append(out, VCRef{Link: l, Slot: s})
-			}
-		}
-	}
-	return out
-}
-
 // HasDeadlock reports whether any link VC is non-live.
 func (n *Network) HasDeadlock(opts LivenessOpts) bool {
 	live, all := n.liveness(opts)
@@ -140,34 +125,35 @@ func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
 	}
 	// Eventual-move semantics: adaptive packets can deroute over any
 	// output once stalled, so liveness must consider every output.
-	// Productive outputs are listed first: FindBlockedCycle follows the
-	// first blocked target, so extracted cycles track the packets'
-	// *desired* moves (as SPIN's probes do) and forced rotations make
-	// real forward progress. The returned sets are the routing table's
-	// shared read-only slices and are only iterated here.
-	cands := func(k routing.Kind, phase bool) []routing.Candidate {
+	// Productive outputs are listed first (two passes over AllOutputs):
+	// FindBlockedCycle follows the first blocked target, so extracted
+	// cycles track the packets' *desired* moves (as SPIN's probes do) and
+	// forced rotations make real forward progress. The sets are the
+	// routing table's shared read-only slices and are only iterated here.
+	add := func(k routing.Kind, phase, escape bool) {
 		if n.cfg.DerouteAfter > 0 && k == routing.AdaptiveMinimal {
-			return n.tab.AllOutputsPreferProductive(router, p.Dst)
-		}
-		return n.tab.Candidates(k, router, p.Dst, phase)
-	}
-	if n.cfg.PolicyEscape {
-		if !p.InEscape {
-			for _, c := range cands(n.cfg.Routing, p.DownPhase) {
-				appendFor(c.LinkID(), false)
+			all := n.tab.AllOutputs(router, p.Dst)
+			for _, productive := range [2]bool{true, false} {
+				for _, c := range all {
+					if c.Productive() == productive {
+						appendFor(c.LinkID(), escape)
+					}
+				}
 			}
+			return
 		}
-		escPhase := p.DownPhase
-		if !p.InEscape {
-			escPhase = false
+		for _, c := range n.tab.Candidates(k, router, p.Dst, phase) {
+			appendFor(c.LinkID(), escape)
 		}
-		for _, c := range cands(n.cfg.EscapeRouting, escPhase) {
-			appendFor(c.LinkID(), true)
-		}
-	} else {
-		for _, c := range cands(n.cfg.Routing, p.DownPhase) {
-			appendFor(c.LinkID(), false)
-		}
+	}
+	switch {
+	case !n.cfg.PolicyEscape:
+		add(n.cfg.Routing, p.DownPhase, false)
+	case p.InEscape:
+		add(n.cfg.EscapeRouting, p.DownPhase, true)
+	default:
+		add(n.cfg.Routing, p.DownPhase, false)
+		add(n.cfg.EscapeRouting, false, true)
 	}
 	return buf
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
 	"drain/internal/drainpath"
@@ -74,8 +75,8 @@ func TestEmptyNetworkHasNoDeadlock(t *testing.T) {
 	if n.HasDeadlock(LivenessOpts{}) {
 		t.Error("empty network reported deadlocked")
 	}
-	if got := n.AnalyzeLiveness(LivenessOpts{}); len(got) != 0 {
-		t.Errorf("non-live refs in empty network: %v", got)
+	if live, _ := n.liveness(LivenessOpts{}); slices.Contains(live, false) {
+		t.Errorf("non-live VCs in empty network: %v", live)
 	}
 	if c := n.FindBlockedCycle(LivenessOpts{}); c != nil {
 		t.Errorf("cycle in empty network: %v", c)
@@ -92,9 +93,15 @@ func TestPlantedRingDeadlockDetected(t *testing.T) {
 	if !n.HasDeadlock(LivenessOpts{}) {
 		t.Fatal("planted deadlock not detected")
 	}
-	nonLive := n.AnalyzeLiveness(LivenessOpts{})
-	if len(nonLive) != ring {
-		t.Errorf("non-live VCs = %d, want %d", len(nonLive), ring)
+	nonLive := 0
+	live, _ := n.liveness(LivenessOpts{})
+	for _, l := range live {
+		if !l {
+			nonLive++
+		}
+	}
+	if nonLive != ring {
+		t.Errorf("non-live VCs = %d, want %d", nonLive, ring)
 	}
 	// Left alone, the network cannot make progress.
 	n.Step()
@@ -174,6 +181,76 @@ func TestFindBlockedCycleIsRotatable(t *testing.T) {
 	}
 	if delivered != ring {
 		t.Errorf("delivered %d of %d deadlocked packets", delivered, ring)
+	}
+}
+
+// TestMoveTargetsPreferProductive holds the liveness order of a derouting
+// head to its definition: AllOutputs sorted productive-first (stably, so
+// each half keeps the table's order), expanded into the VCs the packet may
+// take — a non-escape packet's non-escape VCs, then the escape VC.
+func TestMoveTargetsPreferProductive(t *testing.T) {
+	g, err := topology.MustMesh(4, 4).WithoutEdge(5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	productiveFirst := func(a, b routing.Candidate) int {
+		switch {
+		case a.Productive() == b.Productive():
+			return 0
+		case a.Productive():
+			return -1
+		}
+		return 1
+	}
+	for _, escape := range []bool{false, true} {
+		n, err := New(Config{
+			Graph: g, VNets: 1, VCsPerVN: 3, Classes: 1,
+			PolicyEscape:  escape,
+			Routing:       routing.AdaptiveMinimal,
+			EscapeRouting: routing.AdaptiveMinimal,
+			Seed:          1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.cfg.DerouteAfter <= 0 {
+			t.Fatalf("DerouteAfter = %d: the default network does not deroute", n.cfg.DerouteAfter)
+		}
+		for _, inEscape := range []bool{false, true} {
+			if inEscape && !escape {
+				continue
+			}
+			for at := 0; at < g.N(); at++ {
+				for dst := 0; dst < g.N(); dst++ {
+					if at == dst {
+						continue
+					}
+					sorted := slices.Clone(n.Table().AllOutputs(at, dst))
+					slices.SortStableFunc(sorted, productiveFirst)
+					var want []int
+					expand := func(lo, hi int) {
+						for _, c := range sorted {
+							for s := lo; s < hi; s++ {
+								want = append(want, c.LinkID()*n.vcPerPort+s)
+							}
+						}
+					}
+					switch {
+					case !escape:
+						expand(0, 3)
+					case inEscape:
+						expand(0, 1)
+					default:
+						expand(1, 3)
+						expand(0, 1)
+					}
+					got := n.moveTargets(&Packet{Dst: dst, InEscape: inEscape}, at, nil)
+					if !slices.Equal(got, want) {
+						t.Fatalf("escape=%v inEscape=%v at %d dst %d: moveTargets = %v, want %v", escape, inEscape, at, dst, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -20,8 +20,6 @@ type Params struct {
 	BufReadPJ  float64
 	XbarPJ     float64
 	LinkPJ     float64
-	// Dynamic energy per allocation event.
-	AllocPJ float64
 	// Leakage + clock power per VC buffer (mW); scales with depth×width.
 	VCLeakMW float64
 	// Crossbar leakage per port² unit (mW).
@@ -42,7 +40,6 @@ func DefaultParams() Params {
 		BufReadPJ:     0.45,
 		XbarPJ:        0.55,
 		LinkPJ:        1.20,
-		AllocPJ:       0.25,
 		VCLeakMW:      0.75,
 		XbarLeakMW:    0.080,
 		AllocLeakMW:   0.016,
@@ -141,15 +138,6 @@ func StaticPower(c RouterConfig, p Params) Breakdown {
 	}
 	b.Control = controlFactor(c.Scheme, p) * (b.Crossbar + b.Allocators + b.Buffers*0.15)
 	return b
-}
-
-// DynamicEnergy converts counters into total dynamic energy (pJ).
-func DynamicEnergy(cnt noc.Counters, p Params) float64 {
-	return float64(cnt.BufWrites)*p.BufWritePJ +
-		float64(cnt.BufReads)*p.BufReadPJ +
-		float64(cnt.XbarFlits)*p.XbarPJ +
-		float64(cnt.LinkFlits)*p.LinkPJ +
-		float64(cnt.SWAllocs+cnt.VCAllocs)*p.AllocPJ
 }
 
 // VNPower is the Fig. 4 split for one virtual network.

@@ -62,19 +62,6 @@ func TestBuffersDominate(t *testing.T) {
 	}
 }
 
-func TestDynamicEnergyMonotone(t *testing.T) {
-	p := DefaultParams()
-	var small, big noc.Counters
-	small.LinkFlits, small.BufWrites, small.BufReads = 10, 10, 10
-	big.LinkFlits, big.BufWrites, big.BufReads = 100, 100, 100
-	if DynamicEnergy(small, p) >= DynamicEnergy(big, p) {
-		t.Error("dynamic energy not monotone in activity")
-	}
-	if DynamicEnergy(noc.Counters{}, p) != 0 {
-		t.Error("no events should mean no dynamic energy")
-	}
-}
-
 func TestPerVNPowerSplit(t *testing.T) {
 	p := DefaultParams()
 	rc := RouterConfig{Ports: 5, VNets: 3, VCsPerVN: 2, FlitBits: 128, BufDepth: 5}

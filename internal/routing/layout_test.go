@@ -81,18 +81,7 @@ func requireMatchesGenerators(t *testing.T, name string, tab *Table) {
 				got := tab.Candidates(UpDown, at, dst, phase)
 				check("updown", at, dst, got, tab.appendUpDown(nil, at, dst, phase))
 			}
-			all := tab.appendAllOutputs(nil, at, dst)
-			check("AllOutputs", at, dst, tab.AllOutputs(at, dst), all)
-			slices.SortStableFunc(all, func(a, b Candidate) int {
-				switch {
-				case a.Productive() == b.Productive():
-					return 0
-				case a.Productive():
-					return -1
-				}
-				return 1
-			})
-			check("AllOutputsPreferProductive", at, dst, tab.AllOutputsPreferProductive(at, dst), all)
+			check("AllOutputs", at, dst, tab.AllOutputs(at, dst), tab.appendAllOutputs(nil, at, dst))
 		}
 	}
 }
@@ -108,15 +97,13 @@ var firstReads = []struct {
 	{"updown", func(t *Table) { t.Candidates(UpDown, 0, 1, false) }},
 	{"updown/down", func(t *Table) { t.Candidates(UpDown, 0, 1, true) }},
 	{"AllOutputs", func(t *Table) { t.AllOutputs(0, 1) }},
-	{"AllOutputsPreferProductive", func(t *Table) { t.AllOutputsPreferProductive(0, 1) }},
 }
 
-// TestFirstReadsInEveryOrder builds a table per permutation of the six
+// TestFirstReadsInEveryOrder builds a table per permutation of the five
 // kinds, reads them first in that order, and holds the result to the two
 // layout contracts: it matches the generators cell by cell, and its lists
 // ascend by link ID. What a kind holds may not depend on which kinds
-// existed when it was built (AllOutputsPreferProductive reads AllOutputs;
-// both up*/down* phases share one numbering).
+// existed when it was built (both up*/down* phases share one numbering).
 func TestFirstReadsInEveryOrder(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	g, err := topology.RemoveRandomLinks(mesh.Graph, 3, testRNG(8))
@@ -149,8 +136,8 @@ func TestFirstReadsInEveryOrder(t *testing.T) {
 		}
 	}
 	permute(0)
-	if orders != 720 {
-		t.Fatalf("checked %d orders, want 6! = 720", orders)
+	if orders != 120 {
+		t.Fatalf("checked %d orders, want 5! = 120", orders)
 	}
 }
 
@@ -188,7 +175,6 @@ func TestFirstReadsConcurrently(t *testing.T) {
 			kind(UpDown, false),
 			kind(UpDown, true),
 			func() { readAll(tab.AllOutputs) },
-			func() { readAll(tab.AllOutputsPreferProductive) },
 			func() {
 				if !tab.IsUp(1, 0) || tab.UpDownDist(n-1, false, 0) != tab.Dist(n-1, 0) {
 					t.Error("up*/down* numbering disagrees with the BFS tree rooted at 0")
@@ -215,7 +201,7 @@ func TestFirstReadsConcurrently(t *testing.T) {
 // distance tables and their scratch (measured 11 allocations), a kind's
 // first read builds its offsets, its arena and the generation buffer, the
 // up*/down* kinds share one numbering — so a table a DRAIN network reads
-// measures 16 and one with every kind 35, not one allocation per row or
+// measures 16 and one with every kind 33, not one allocation per row or
 // per destination (the [][]Candidate layout with per-destination BFS
 // queues took 1470). A second read of what exists allocates nothing.
 func TestNewTableAllocs(t *testing.T) {

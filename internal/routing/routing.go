@@ -132,13 +132,12 @@ type Table struct {
 type part uint8
 
 const (
-	partAdaptive   part = iota // AdaptiveMinimal (phase-independent)
-	partXY                     // XY; every set empty without a mesh
-	partUp                     // UpDown before any down link
-	partDown                   // UpDown once a down link has been taken
-	partAllOut                 // every output, neighbor order
-	partAllOutProd             // every output, productive entries first
-	partNumbering              // the up*/down* numbering; holds no candidates
+	partAdaptive  part = iota // AdaptiveMinimal (phase-independent)
+	partXY                    // XY; every set empty without a mesh
+	partUp                    // UpDown before any down link
+	partDown                  // UpDown once a down link has been taken
+	partAllOut                // every output, neighbor order
+	partNumbering             // the up*/down* numbering; holds no candidates
 	numParts
 )
 
@@ -377,9 +376,6 @@ func (t *Table) buildLocked(p part) {
 		}
 	case partAllOut:
 		gen = t.appendAllOutputs
-	case partAllOutProd:
-		t.buildLocked(partAllOut)
-		gen = t.appendAllOutputsPreferProductive
 	}
 	if gen != nil {
 		n := t.g.N()
@@ -392,7 +388,7 @@ func (t *Table) buildLocked(p part) {
 			}
 		}
 		arena := buf
-		if len(buf) < cap(buf) { // only the AllOutputs kinds fill it exactly
+		if len(buf) < cap(buf) { // only AllOutputs fills it exactly
 			arena = slices.Clone(buf)
 		}
 		t.sets[p] = candSet{off: off, arena: arena}
@@ -412,15 +408,6 @@ func (t *Table) buildLocked(p part) {
 func (t *Table) AllOutputs(at, dst int) []Candidate {
 	t.need(partAllOut)
 	return t.sets[partAllOut].at(at*t.g.N() + dst)
-}
-
-// AllOutputsPreferProductive is AllOutputs with the productive candidates
-// ordered first (the liveness analysis follows the first blocked target,
-// so forced rotations should track desired moves). Same read-only
-// contract as AllOutputs.
-func (t *Table) AllOutputsPreferProductive(at, dst int) []Candidate {
-	t.need(partAllOutProd)
-	return t.sets[partAllOutProd].at(at*t.g.N() + dst)
 }
 
 // Candidates returns the legal next-hop candidates for a packet at router
@@ -450,23 +437,6 @@ func (t *Table) Candidates(k Kind, at, dst int, downPhase bool) []Candidate {
 	}
 	t.need(p)
 	return t.sets[p].at(at*t.g.N() + dst)
-}
-
-// appendAllOutputsPreferProductive generates the productive-first
-// reordering of one pair's (built) AllOutputs set.
-func (t *Table) appendAllOutputsPreferProductive(buf []Candidate, at, dst int) []Candidate {
-	all := t.sets[partAllOut].at(at*t.g.N() + dst)
-	for _, c := range all {
-		if c.Productive() {
-			buf = append(buf, c)
-		}
-	}
-	for _, c := range all {
-		if !c.Productive() {
-			buf = append(buf, c)
-		}
-	}
-	return buf
 }
 
 // appendAllOutputs generates the AllOutputs set for one (at, dst) pair.

@@ -323,7 +323,6 @@ func TestRemappedTableIsActiveTableInFullIDs(t *testing.T) {
 				{plain.Candidates(UpDown, at, dst, false), remapped.Candidates(UpDown, at, dst, false)},
 				{plain.Candidates(UpDown, at, dst, true), remapped.Candidates(UpDown, at, dst, true)},
 				{plain.AllOutputs(at, dst), remapped.AllOutputs(at, dst)},
-				{plain.AllOutputsPreferProductive(at, dst), remapped.AllOutputsPreferProductive(at, dst)},
 			} {
 				want, got := pair[0], pair[1]
 				if len(got) != len(want) {

@@ -275,7 +275,6 @@ func requireSameTable(t *testing.T, what string, got, want *routing.Table, route
 				{got.Candidates(routing.UpDown, at, dst, false), want.Candidates(routing.UpDown, at, dst, false)},
 				{got.Candidates(routing.UpDown, at, dst, true), want.Candidates(routing.UpDown, at, dst, true)},
 				{got.AllOutputs(at, dst), want.AllOutputs(at, dst)},
-				{got.AllOutputsPreferProductive(at, dst), want.AllOutputsPreferProductive(at, dst)},
 			} {
 				if !slices.Equal(pair[0], pair[1]) || (pair[0] == nil) != (pair[1] == nil) {
 					t.Fatalf("%s: list %d for (%d,%d) = %v, from scratch %v", what, i, at, dst, pair[0], pair[1])

@@ -292,33 +292,6 @@ func (g *Graph) Diameter() int {
 	return d
 }
 
-// SpanningTree returns a BFS spanning tree rooted at root as a parent
-// array (parent[root] == -1). The graph must be connected.
-func (g *Graph) SpanningTree(root int) ([]int, error) {
-	parent := make([]int, g.n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[root] = -1
-	queue := []int{root}
-	count := 1
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.adj[r] {
-			if parent[nb] == -2 {
-				parent[nb] = r
-				count++
-				queue = append(queue, nb)
-			}
-		}
-	}
-	if count != g.n {
-		return nil, fmt.Errorf("topology: graph is disconnected; spanning tree covers %d of %d routers", count, g.n)
-	}
-	return parent, nil
-}
-
 // RemoveRandomLinks returns a copy of g with k random bidirectional edges
 // removed, guaranteeing the result stays connected (the paper's fault
 // model: "links are randomly removed ... all nodes remain connected").

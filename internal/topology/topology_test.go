@@ -105,43 +105,6 @@ func abs(v int) int {
 	return v
 }
 
-func TestSpanningTree(t *testing.T) {
-	g := MustMesh(4, 4).Graph
-	parent, err := g.SpanningTree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parent[0] != -1 {
-		t.Errorf("root parent = %d, want -1", parent[0])
-	}
-	for r := 1; r < g.N(); r++ {
-		p := parent[r]
-		if p < 0 || !g.HasEdge(r, p) {
-			t.Errorf("parent[%d] = %d is not a neighbor", r, p)
-		}
-	}
-	// Tree property: walking parents from any node reaches the root.
-	for r := 0; r < g.N(); r++ {
-		cur, steps := r, 0
-		for cur != 0 {
-			cur = parent[cur]
-			if steps++; steps > g.N() {
-				t.Fatalf("parent chain from %d does not terminate", r)
-			}
-		}
-	}
-}
-
-func TestSpanningTreeDisconnected(t *testing.T) {
-	g := MustNew(4, []Edge{{A: 0, B: 1}, {A: 2, B: 3}})
-	if _, err := g.SpanningTree(0); err == nil {
-		t.Error("spanning tree of disconnected graph should fail")
-	}
-	if g.Connected() {
-		t.Error("graph should report disconnected")
-	}
-}
-
 func TestWithoutEdge(t *testing.T) {
 	g := MustMesh(3, 3).Graph
 	before := len(g.Edges())
