@@ -32,13 +32,13 @@ test-race:
 	$(GO) test -race -short ./...
 
 test-allocs:
-	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs|TestNewAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
+	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestAppRunAllocsPerMessage|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs|TestNewAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
 ## event/dense load points, BenchmarkStepAllocs), the fault path's
 ## (BenchmarkFaultEvent: one failure + one restore; BenchmarkValidateFaultSchedule)
 ## and the coherence set-up's (BenchmarkCoherenceNew: the 8x8 pagerank
-## prewarm): a look at the cycle core, the reconfiguration path and the
+## L1 prewarm): a look at the cycle core, the reconfiguration path and the
 ## protocol construction while working on them. Nothing is recorded —
 ## the measurement of record is bench-pair.
 bench:

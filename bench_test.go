@@ -259,8 +259,9 @@ func BenchmarkAblationFullDrain(b *testing.B) {
 
 // BenchmarkCoherenceNew times what every coherence run pays before its
 // first cycle beyond sim.Build: coherence.New on the 8x8 pagerank system
-// (coh_pagerank's DRAIN leg), which prewarms 8 192 private lines into the
-// L1s and their homes' directories.
+// (coh_pagerank's DRAIN leg), which fills each L1 from its core's
+// 128-line private range (8 192 lines) and installs no directory record:
+// a home derives a prewarmed line's record at its first reference.
 func BenchmarkCoherenceNew(b *testing.B) {
 	r, err := sim.Build(sim.Params{
 		Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Classes: coherence.NumClasses,

@@ -95,7 +95,8 @@ func (t MsgType) Flits() int {
 	return 1
 }
 
-// Msg is a coherence message (carried as noc.Packet payload).
+// Msg is a coherence message, carried as a *Msg in noc.Packet.Payload
+// and recycled by the System once its packet is popped.
 type Msg struct {
 	Type      MsgType
 	Addr      int64

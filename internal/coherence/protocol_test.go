@@ -4,11 +4,14 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"drain/internal/noc"
 	"drain/internal/topology"
+	"drain/internal/workload"
 )
 
 // warmGen exercises prewarming: private-region accesses should hit after
@@ -18,13 +21,7 @@ type warmGen struct {
 	lines int64
 }
 
-func (g warmGen) PrewarmLines(core int) []int64 {
-	out := make([]int64, 0, g.lines)
-	for i := int64(0); i < g.lines; i++ {
-		out = append(out, int64(core)<<20+i)
-	}
-	return out
-}
+func (g warmGen) PrewarmRange(core int) (first, n int64) { return int64(core) << 20, g.lines }
 
 func TestPrewarmInstallsLines(t *testing.T) {
 	m := topology.MustMesh(2, 2)
@@ -42,14 +39,73 @@ func TestPrewarmInstallsLines(t *testing.T) {
 			if st != Exclusive {
 				t.Fatalf("prewarmed line %d in state %d, want Exclusive", addr, st)
 			}
-			dl, ok := dirAt(sys, sys.home(addr), addr)
-			if !ok || dl.owner != c || dl.state != Modified {
+			if dl := dirAt(sys, sys.home(addr), addr); dl.owner != c || dl.state != Modified {
 				t.Fatalf("directory does not track core %d as owner of %d", c, addr)
 			}
 			return true
 		})
 	}
 }
+
+// TestPrewarmDerivesRecords holds the derived home records to the eager
+// install they replace, for every profile on an 8x8 net: New installs
+// no record, and the first reference to each line of each core's range
+// (truncated to 3/4 of the L1) reads {Modified, owner}, the record an
+// eager install would have written. The lines just outside each range
+// read Invalid.
+func TestPrewarmDerivesRecords(t *testing.T) {
+	m := topology.MustMesh(8, 8)
+	n := protoNet(t, m.Graph, m, 1, 1)
+	const l1 = 256
+	for _, name := range workload.Names() {
+		prof := workload.MustGet(name)
+		sys, err := New(n, Config{Gen: prof, L1Lines: l1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, nd := range sys.nodes {
+			if nd.dir.Len() != 0 {
+				t.Fatalf("%s: New installed %d records at home %d", name, nd.dir.Len(), r)
+			}
+		}
+		// The eager install: every line of core c's range → {Modified, c}.
+		lines := min(prof.PrivateLines, l1*3/4)
+		eager := map[int64]dirLine{}
+		for c := range sys.nodes {
+			for addr := int64(c) << 20; addr < int64(c)<<20+lines; addr++ {
+				eager[addr] = dirLine{state: Modified, owner: c}
+			}
+		}
+		for c := range sys.nodes {
+			for addr := int64(c)<<20 - 1; addr <= int64(c)<<20+lines; addr++ {
+				want, in := eager[addr]
+				if !in {
+					want = dirLine{state: Invalid}
+				}
+				if got := dirAt(sys, sys.home(addr), addr); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: core %d's line %d reads %+v, the eager install %+v", name, c, addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPrewarmOverlapRejected: two cores whose ranges overlap would both
+// hold a line Exclusive, so New refuses the prewarm and names the line.
+func TestPrewarmOverlapRejected(t *testing.T) {
+	m := topology.MustMesh(2, 2)
+	n := protoNet(t, m.Graph, m, 3, 1)
+	_, err := New(n, Config{Gen: overlapGen{}, L1Lines: 64, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "line 16") {
+		t.Fatalf("New with overlapping prewarm ranges returned %v, want an error naming line 16", err)
+	}
+}
+
+// overlapGen prewarms [16c, 16c+32) on core c: each range overlaps the
+// next core's by 16 lines, the first shared one being 16.
+type overlapGen struct{ testGen }
+
+func (overlapGen) PrewarmRange(core int) (first, n int64) { return 16 * int64(core), 32 }
 
 func TestPrewarmRespectsCapacity(t *testing.T) {
 	m := topology.MustMesh(2, 2)
@@ -182,7 +238,7 @@ func TestStalePutMAfterForward(t *testing.T) {
 	addr := int64(3)
 	// Owner at node 0 (simulate established state).
 	sys.nodes[0].lines.Put(addr, Modified)
-	*sys.nodes[sys.home(addr)].dirLine(addr) = dirLine{state: Modified, owner: 0}
+	*sys.dirLine(sys.home(addr), addr) = dirLine{state: Modified, owner: 0}
 	// Owner writes back at the same time a reader requests.
 	sys.nodes[0].lines.Delete(addr)
 	sys.send(0, sys.home(addr), Msg{Type: PutM, Addr: addr, Requester: 0})
@@ -198,6 +254,55 @@ func TestStalePutMAfterForward(t *testing.T) {
 		t.Fatal("read racing a writeback never completed")
 	}
 	settle(t, n, sys)
+}
+
+// TestFwdGetSReinstallsEvictedLine characterizes a protocol defect (see
+// ROADMAP item 2): an owner that silently evicted a clean Exclusive line
+// still answers the FwdGetS its home sends, and consumeForwards installs
+// the line Shared in its L1 — a line it never fetched, with no victim
+// taken, so the L1 outgrows L1Lines. It pins today's wrong behaviour;
+// the fix moves coherence bytes, waits for item 1's declared moves, and
+// must invert this test: the owner holds no copy and its L1 stays within
+// capacity.
+func TestFwdGetSReinstallsEvictedLine(t *testing.T) {
+	m := topology.MustMesh(2, 2)
+	n := protoNet(t, m.Graph, m, 3, 5)
+	sys, err := New(n, Config{Gen: testGen{issue: 0, private: 4, shared: 4}, L1Lines: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(c int, addr int64) {
+		t.Helper()
+		nd := sys.nodes[c]
+		done := nd.opsCompleted
+		nd.mshrs.Put(addr, &mshr{addr: addr})
+		nd.opsIssued++
+		sys.send(c, sys.home(addr), Msg{Type: GetS, Addr: addr, Requester: c})
+		for i := 0; i < 1000 && nd.opsCompleted == done; i++ {
+			n.Step()
+			sys.Tick()
+		}
+		if nd.opsCompleted == done {
+			t.Fatalf("core %d's read of %d never completed", c, addr)
+		}
+		settle(t, n, sys)
+	}
+	const a, b = 2, 3 // homed at nodes 2 and 3, neither a reader
+	read(0, a)        // core 0 owns a (E)
+	read(0, b)        // the fill of b evicts a silently: the home still says core 0 owns it
+	if _, has := sys.nodes[0].lines.Get(a); has {
+		t.Fatal("core 0 kept line a through a fill into its one-line L1: the test sets up nothing")
+	}
+	read(1, a) // FwdGetS to core 0, which no longer holds a
+	if sys.stats.MsgsByType[FwdGetS] != 1 {
+		t.Fatalf("%d FwdGetS sent, want 1", sys.stats.MsgsByType[FwdGetS])
+	}
+	if st, has := sys.nodes[0].lines.Get(a); !has || st != Shared {
+		t.Errorf("core 0 holds line a in state %d (present %v): want Shared, the defect pinned here (fixed? invert this test)", st, has)
+	}
+	if got := sys.nodes[0].lines.Len(); got != 2 {
+		t.Errorf("core 0's one-line L1 holds %d lines, want 2 (the defect's overflow)", got)
+	}
 }
 
 func TestMsgClassAndSize(t *testing.T) {
@@ -266,8 +371,8 @@ func TestInvalidationsReachTheSecondSharerWord(t *testing.T) {
 	}
 	var log []sent
 	n.OnEject = func(p *noc.Packet) {
-		if m := p.Payload.(Msg); m.Addr == addr && (m.Type == Inv || m.Type == Data) {
-			log = append(log, sent{p.ID, p.Dst, m})
+		if m := p.Payload.(*Msg); m.Addr == addr && (m.Type == Inv || m.Type == Data) {
+			log = append(log, sent{p.ID, p.Dst, *m})
 		}
 	}
 	transact := func(c int, write bool) {
@@ -293,8 +398,7 @@ func TestInvalidationsReachTheSecondSharerWord(t *testing.T) {
 	for _, c := range readers {
 		transact(c, false)
 	}
-	dl, ok := dirAt(sys, sys.home(addr), addr)
-	if !ok || dl.state != Shared || len(dl.sharers) != 2 {
+	if dl := dirAt(sys, sys.home(addr), addr); dl.state != Shared || len(dl.sharers) != 2 {
 		t.Fatalf("directory line after four reads: %+v, want Shared over two sharer words", dl)
 	}
 	log = log[:0]

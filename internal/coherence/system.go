@@ -1,10 +1,12 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sort"
 
 	"drain/internal/dense"
 	"drain/internal/noc"
@@ -30,12 +32,13 @@ type AccessGen interface {
 	IssueProb() float64
 }
 
-// Prewarmer is an optional AccessGen extension: PrewarmLines lists line
-// addresses to install in a core's cache before simulation starts,
-// suppressing the cold-start miss burst that full-system simulators
-// avoid with checkpoint warm-up.
+// Prewarmer is an optional AccessGen extension: PrewarmRange names the
+// line addresses [first, first+n) to install in a core's cache before
+// simulation starts, suppressing the cold-start miss burst that
+// full-system simulators avoid with checkpoint warm-up. No two cores'
+// ranges may overlap: a line is Exclusive in one L1 at most.
 type Prewarmer interface {
-	PrewarmLines(core int) []int64
+	PrewarmRange(core int) (first, n int64)
 }
 
 // Config parameterizes the coherence system.
@@ -71,7 +74,6 @@ type mshr struct {
 	gotAcks   int
 	gotData   bool
 	dataExcl  bool
-	issuedAt  int64
 	completed bool // waiting only to send Unblock / perform fill
 }
 
@@ -104,6 +106,13 @@ type dirLine struct {
 	needDirAck bool
 	gotDirAck  bool
 	gotUnblock bool
+}
+
+// warmRange is one core's prewarmed lines [first, end): their home
+// records read {Modified, owner} until the home first references them.
+type warmRange struct {
+	first, end int64
+	owner      int
 }
 
 // node is one core+L1+directory-slice tile. The three per-address
@@ -150,6 +159,14 @@ type System struct {
 	rng   *rand.Rand
 	stats Stats
 
+	// warm holds the prewarmed ranges, sorted and disjoint (prewarm).
+	warm []warmRange
+	// Free lists (LIFO, so reuse is a pure function of the run): a
+	// message goes back when its carrier packet is popped, an MSHR when
+	// its fill completes.
+	freeMsgs  []*Msg
+	freeMSHRs []*mshr
+
 	// Scratch buffers for order-sensitive collection passes: completed
 	// MSHR addresses (sorted — retry priority is address order) and the
 	// sharer list walked off a dirLine's bitset (already ascending).
@@ -176,48 +193,60 @@ func New(net *noc.Network, cfg Config) (*System, error) {
 		s.nodes = append(s.nodes, &node{})
 	}
 	if pw, ok := cfg.Gen.(Prewarmer); ok {
-		s.prewarm(pw)
+		if err := s.prewarm(pw); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// prewarm installs lines directly into caches and directories (zero
-// network traffic), leaving a quarter of the L1 free for shared lines.
-// It lists every core's lines first and counts them per home, so each
-// L1 table, directory table and line array is allocated once at its
-// final size before the first insert.
-func (s *System) prewarm(pw Prewarmer) {
-	limit := s.cfg.L1Lines * 3 / 4
-	lists := make([][]int64, len(s.nodes))
-	perHome := make([]int, len(s.nodes))
+// prewarm installs each core's range into its L1 (zero network
+// traffic), truncated to leave a quarter of the L1 free for shared
+// lines, and keeps the ranges sorted in s.warm. The homes install
+// nothing: dirLine derives a prewarmed line's record at its first
+// reference.
+func (s *System) prewarm(pw Prewarmer) error {
+	limit := int64(s.cfg.L1Lines * 3 / 4)
 	for c := range s.nodes {
-		l := pw.PrewarmLines(c)
-		lists[c] = l[:min(len(l), limit)]
-		for _, addr := range lists[c] {
-			perHome[s.home(addr)]++
+		first, n := pw.PrewarmRange(c)
+		if n = min(n, limit); n > 0 {
+			s.warm = append(s.warm, warmRange{first: first, end: first + n, owner: c})
 		}
 	}
-	for r, nd := range s.nodes {
-		nd.lines.Reserve(len(lists[r]))
-		nd.dir.Reserve(perHome[r])
-		nd.dirLines = make([]dirLine, 0, perHome[r])
+	slices.SortFunc(s.warm, func(a, b warmRange) int { return cmp.Compare(a.first, b.first) })
+	for i := 1; i < len(s.warm); i++ {
+		if prev, w := s.warm[i-1], s.warm[i]; w.first < prev.end {
+			return fmt.Errorf("coherence: cores %d and %d both prewarm line %d", prev.owner, w.owner, w.first)
+		}
 	}
-	for c, nd := range s.nodes {
-		for _, addr := range lists[c] {
+	for _, w := range s.warm {
+		nd := s.nodes[w.owner]
+		nd.lines.Reserve(int(w.end - w.first))
+		for addr := w.first; addr < w.end; addr++ {
 			nd.lines.Put(addr, Exclusive)
-			*s.nodes[s.home(addr)].dirLine(addr) = dirLine{state: Modified, owner: c}
 		}
 	}
+	return nil
 }
 
-// dirLine returns this home's line for addr, installing an Invalid one
-// on the first reference. The pointer is valid until the next install.
-func (nd *node) dirLine(addr int64) *dirLine {
+// dirLine returns home r's line for addr, installing it on the first
+// reference: {Modified, owner} for a line in a prewarmed range, else
+// Invalid. Until then the record is exactly what an eager install would
+// hold, because every mutation of a record goes through here (DirAck
+// and Unblock arrive only for lines with a transaction in flight). The
+// pointer is valid until the next install.
+func (s *System) dirLine(r int, addr int64) *dirLine {
+	nd := s.nodes[r]
 	i, ok := nd.dir.Get(addr)
 	if !ok {
+		dl := dirLine{state: Invalid}
+		// Disjoint ranges sorted by first are sorted by end as well.
+		if j := sort.Search(len(s.warm), func(j int) bool { return s.warm[j].end > addr }); j < len(s.warm) && s.warm[j].first <= addr {
+			dl = dirLine{state: Modified, owner: s.warm[j].owner}
+		}
 		i = int32(len(nd.dirLines))
 		nd.dir.Put(addr, i)
-		nd.dirLines = append(nd.dirLines, dirLine{state: Invalid})
+		nd.dirLines = append(nd.dirLines, dl)
 	}
 	return &nd.dirLines[i]
 }
@@ -302,15 +331,37 @@ func (s *System) home(addr int64) int {
 }
 
 // send injects a coherence message; the caller must have verified
-// capacity with canSend.
+// capacity with canSend. The payload is a *Msg off the free list, so
+// storing it in the interface allocates nothing.
 func (s *System) send(from int, to int, m Msg) {
 	p := s.net.NewPacket(from, to, m.Type.Class(), m.Type.Flits())
-	p.Payload = m
+	pm := take(&s.freeMsgs)
+	*pm = m
+	p.Payload = pm
 	if !s.net.Inject(p) {
 		panic(fmt.Sprintf("coherence: injection failed after capacity check (%v)", m))
 	}
 	s.stats.MsgsSent++
 	s.stats.MsgsByType[m.Type]++
+}
+
+// take pops the most recently freed entry of a free list, or allocates
+// one when the list is empty.
+func take[T any](free *[]*T) *T {
+	if k := len(*free); k > 0 {
+		x := (*free)[k-1]
+		*free = (*free)[:k-1]
+		return x
+	}
+	return new(T)
+}
+
+// release recycles a popped packet and its message, which the caller
+// has copied out. A consumer that stalls only peeks, so it releases
+// nothing.
+func (s *System) release(p *noc.Packet) {
+	s.freeMsgs = append(s.freeMsgs, p.Payload.(*Msg))
+	s.net.ReleasePacket(p)
 }
 
 // canSend reports whether n more messages of the class fit in node r's
@@ -349,10 +400,10 @@ func (s *System) consumeResponses(r int) {
 		if p == nil {
 			return
 		}
-		m := p.Payload.(Msg)
+		m := *p.Payload.(*Msg)
 		// The message is fully copied out; the carrier packet's life ends
-		// here, so hand it back to the network's free-list.
-		s.net.ReleasePacket(p)
+		// here, so hand both back to their free lists.
+		s.release(p)
 		switch m.Type {
 		case Data:
 			s.onData(r, m)
@@ -461,6 +512,7 @@ func (s *System) tryFinish(r int, ms *mshr) bool {
 	}
 	s.send(r, s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r})
 	nd.mshrs.Delete(ms.addr)
+	s.freeMSHRs = append(s.freeMSHRs, ms)
 	nd.unfinished--
 	nd.opsCompleted++
 	s.stats.TxCompleted++
@@ -536,13 +588,13 @@ func (s *System) consumeForwards(r int) {
 		if p == nil {
 			return
 		}
-		m := p.Payload.(Msg)
+		m := *p.Payload.(*Msg)
 		switch m.Type {
 		case Inv:
 			if !s.canSend(r, ClassResp, 1) {
 				return // stall: ack does not fit
 			}
-			s.net.ReleasePacket(s.net.PopEjected(r, ClassFwd))
+			s.release(s.net.PopEjected(r, ClassFwd))
 			nd.lines.Delete(m.Addr)
 			s.send(r, m.Requester, Msg{Type: InvAck, Addr: m.Addr, Requester: m.Requester})
 		case FwdGetS, FwdGetM:
@@ -551,7 +603,7 @@ func (s *System) consumeForwards(r int) {
 			if !s.canSend(r, ClassResp, 2) {
 				return
 			}
-			s.net.ReleasePacket(s.net.PopEjected(r, ClassFwd))
+			s.release(s.net.PopEjected(r, ClassFwd))
 			if m.Type == FwdGetS {
 				nd.lines.Put(m.Addr, Shared)
 			} else {
@@ -568,21 +620,20 @@ func (s *System) consumeForwards(r int) {
 // ---- request handling at the directory ----
 
 func (s *System) consumeRequests(r int) {
-	nd := s.nodes[r]
 	for {
 		p := s.net.PeekEjected(r, ClassReq)
 		if p == nil {
 			return
 		}
-		m := p.Payload.(Msg)
-		dl := nd.dirLine(m.Addr)
+		m := *p.Payload.(*Msg)
+		dl := s.dirLine(r, m.Addr)
 		if m.Type != PutM && dl.busy {
 			return // head-of-line stall until Unblock arrives
 		}
 		if !s.processRequest(r, m, dl) {
 			return // injection capacity stall
 		}
-		s.net.ReleasePacket(s.net.PopEjected(r, ClassReq))
+		s.release(s.net.PopEjected(r, ClassReq))
 	}
 }
 
@@ -731,7 +782,8 @@ func (s *System) coreIssue(r int) {
 		nd.blockedCyc++
 		return
 	}
-	ms := &mshr{addr: addr, write: write, issuedAt: s.net.Cycle()}
+	ms := take(&s.freeMSHRs)
+	*ms = mshr{addr: addr, write: write}
 	nd.mshrs.Put(addr, ms)
 	nd.opsIssued++
 	nd.misses++

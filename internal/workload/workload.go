@@ -49,15 +49,11 @@ func (p Profile) Next(core int, rng *rand.Rand) (int64, bool) {
 // IssueProb implements coherence.AccessGen.
 func (p Profile) IssueProb() float64 { return p.Issue }
 
-// PrewarmLines implements coherence.Prewarmer: each core starts with its
+// PrewarmRange implements coherence.Prewarmer: each core starts with its
 // private region resident (full-system simulators reach the same state
 // via checkpoint warm-up before measurement).
-func (p Profile) PrewarmLines(core int) []int64 {
-	out := make([]int64, 0, p.PrivateLines)
-	for i := int64(0); i < p.PrivateLines; i++ {
-		out = append(out, int64(core)<<20+i)
-	}
-	return out
+func (p Profile) PrewarmRange(core int) (first, n int64) {
+	return int64(core) << 20, p.PrivateLines
 }
 
 // String implements fmt.Stringer.
