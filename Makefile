@@ -2,7 +2,7 @@ GO ?= go
 # bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs results-check bench bench-e2e bench-pair bench-all fuzz results loc clean
+.PHONY: check build vet lint test-race test-allocs results-check results-check-full bench bench-e2e bench-pair bench-all fuzz results loc clean
 
 ## check: build + vet + drainvet (four analyzers) + race tests + the
 ## hot-path allocation guards + the committed quick tables regenerated
@@ -105,13 +105,26 @@ results:
 ## quick figure into a temp dir and diff it against results/*.md, the
 ## `_(scale=…, took …)_` trailer (the one wall-clock line) left out.
 results-check:
-	set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/experiments -fig all -scale quick -parallel 2 -out "$$tmp" > /dev/null; \
-	for f in results/*.md; do \
+	$(call check_tables,results,all -scale quick)
+
+## results-check-full: the same for results/full/: regenerate exactly the
+## figures committed there at full scale (a few minutes) and diff them.
+results-check-full:
+	$(call check_tables,results/full,$(FULL_FIGS) -scale full)
+
+comma := ,
+FULL_FIGS = $(subst $() ,$(comma),$(basename $(notdir $(wildcard results/full/*.md))))
+
+# check_tables(dir, -fig value and flags): regenerate into a temp dir and
+# diff every dir/*.md against its regenerated twin; the figure sets must
+# match too.
+check_tables = set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -fig $(2) -parallel 2 -out "$$tmp" > /dev/null; \
+	for f in $(1)/*.md; do \
 		diff -u --label "$$f" --label "regenerated $$(basename "$$f")" <(grep -v '^_(scale=' "$$f") <(grep -v '^_(scale=' "$$tmp/$$(basename "$$f")"); \
 	done; \
-	test "$$(ls "$$tmp" | wc -l)" -eq "$$(ls results/*.md | wc -l)" || { echo "results-check: results/ and the registry list different figures"; exit 1; }; \
-	echo "results-check: $$(ls results/*.md | wc -l) tables byte-identical"
+	test "$$(ls "$$tmp" | wc -l)" -eq "$$(ls $(1)/*.md | wc -l)" || { echo "$@: $(1)/ and the regenerated figures differ"; exit 1; }; \
+	echo "$@: $$(ls $(1)/*.md | wc -l) tables byte-identical"
 
 ## loc: the three sizes ROADMAP tracks ("lines removed at constant
 ## behaviour"), counted one way: non-test Go outside testdata/, _test.go

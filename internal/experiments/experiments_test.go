@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"drain/internal/sim"
+	"drain/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -139,11 +142,17 @@ func TestFig9Ratios(t *testing.T) {
 	}
 }
 
+// TestFig8Walkthrough also counts fig8's runs: the steps up to the first
+// drain are hand-stepped, and the delivery window is one credited run.
 func TestFig8Walkthrough(t *testing.T) {
 	e, _ := ByID("fig8")
-	tables, err := e.Run(context.Background(), Quick, 1)
+	var tot sim.Totals
+	tables, err := e.Run(sim.WithTotals(context.Background(), &tot), Quick, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runs, cycles := tot.Runs.Load(), tot.Cycles.Load(); runs != 1 || cycles != 2000 {
+		t.Errorf("fig8 credited %d runs of %d cycles in all, want 1 and 2000", runs, cycles)
 	}
 	tb := tables[0]
 	if len(tb.Rows) != 8 {
@@ -158,5 +167,16 @@ func TestFig8Walkthrough(t *testing.T) {
 	}
 	if !foundDelivery {
 		t.Errorf("walkthrough did not deliver all packets: %v", tb.Notes)
+	}
+}
+
+// TestRunAppFailsIncompleteRun: a run cut off by maxCycles is an error
+// naming the configuration, not a result a table could print (fig4's
+// own runs, which complete, are TestFig4WasteDominates').
+func TestRunAppFailsIncompleteRun(t *testing.T) {
+	p := sim.Params{Width: 4, Height: 4, Scheme: sim.SchemeEscapeVC, Classes: 3, InjectCap: 16, Seed: 1}
+	_, _, err := runApp(context.Background(), p, workload.MustGet("canneal"), 300, 1000)
+	if err == nil || !strings.Contains(err.Error(), "escape-vc (VN3,VC2)/canneal with 0 faults did not complete in 1000 cycles") {
+		t.Fatalf("err = %v, want a did-not-complete error", err)
 	}
 }

@@ -125,14 +125,10 @@ func fig4(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 	}
 	params := power.DefaultParams()
 	for _, prof := range workload.Parsec5() {
-		r, err := sim.Build(sim.Params{
+		r, res, err := runApp(ctx, sim.Params{
 			Width: w, Height: h, Scheme: sim.SchemeEscapeVC,
 			Classes: 3, InjectCap: 16, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.RunAppContext(ctx, prof, ops, maxCycles)
+		}, prof, ops, maxCycles)
 		if err != nil {
 			return nil, err
 		}

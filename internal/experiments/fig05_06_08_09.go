@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"drain/internal/core"
 	"drain/internal/drainpath"
 	"drain/internal/noc"
 	"drain/internal/power"
-	"drain/internal/routing"
 	"drain/internal/sim"
 	"drain/internal/topology"
 	"drain/internal/traffic"
@@ -143,13 +141,11 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := noc.New(noc.Config{
-		Graph: g, VNets: 1, VCsPerVN: 1, Classes: 1,
-		PolicyEscape:  true,
-		Routing:       routing.AdaptiveMinimal,
-		EscapeRouting: routing.AdaptiveMinimal,
-		DerouteAfter:  -1, // strict minimal: keep the planted cycles blocked
-		Seed:          1,
+	// Strict minimal routing (DerouteAfter -1) keeps the planted cycles
+	// blocked; single-flit packets make pre-drain and drain one cycle each.
+	r, err := sim.BuildOn(g, nil, sim.Params{
+		Scheme: sim.SchemeDRAIN, VNets: 1, VCsPerVN: 1, Classes: 1,
+		StickyEscape: true, DerouteAfter: -1, MaxFlits: 1, Epoch: 8, Seed: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -167,18 +163,14 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 	}
 	pkts := make([]*noc.Packet, 0, len(plants))
 	for _, pl := range plants {
-		p, err := net.PlacePacket(pl.from, pl.to, pl.dst, 0)
+		p, err := r.Net.PlacePacket(pl.from, pl.to, pl.dst, 0)
 		if err != nil {
 			return nil, err
 		}
 		pkts = append(pkts, p)
 	}
-	if !net.HasDeadlock(noc.LivenessOpts{}) {
+	if !r.Net.HasDeadlock(noc.LivenessOpts{}) {
 		return nil, fmt.Errorf("fig8: planted scenario is not deadlocked")
-	}
-	ctl, err := core.New(net, core.Config{Epoch: 8, PreDrain: 1, DrainWindow: 1})
-	if err != nil {
-		return nil, err
 	}
 	before := make([]int, len(pkts))
 	for i, p := range pkts {
@@ -187,11 +179,11 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 	// Run until the first drain fires, then observe. This loop has no
 	// cycle bound (the drain epoch decides when it ends), so the ctx is
 	// the only way out if configuration ever breaks the drain trigger.
-	for ctl.Stats().Drains == 0 {
-		if err := net.StepContext(ctx); err != nil {
+	for r.Drain.Stats().Drains == 0 {
+		if err := r.Net.StepContext(ctx); err != nil {
 			return nil, err
 		}
-		if err := ctl.Tick(); err != nil {
+		if err := r.TickScheme(); err != nil {
 			return nil, err
 		}
 	}
@@ -200,7 +192,7 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 		Title:   "Packet positions across the first drain window (3x3 mesh, link 2-5 faulty)",
 		Columns: []string{"packet", "dst", "before drain", "after drain", "moved closer?"},
 	}
-	tab := net.Table()
+	tab := r.Net.Table()
 	for i, p := range pkts {
 		closer := "misrouted"
 		if p.EjectedAt > 0 {
@@ -217,26 +209,16 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 			fmt.Sprintf("%d", before[i]), after, closer,
 		})
 	}
-	deadAfter := net.HasDeadlock(noc.LivenessOpts{})
+	deadAfter := r.Net.HasDeadlock(noc.LivenessOpts{})
 	// Let the network finish delivering everything (more drains allowed).
-	delivered := 0
-	for cyc := 0; cyc < 2000 && delivered < len(pkts); cyc++ {
-		if err := net.StepContext(ctx); err != nil {
-			return nil, err
-		}
-		if err := ctl.Tick(); err != nil {
-			return nil, err
-		}
-		for r := 0; r < g.N(); r++ {
-			for p := net.PopEjected(r, 0); p != nil; p = net.PopEjected(r, 0) {
-				delivered++
-			}
-		}
+	res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: g.N()}, 0, 0, 2000)
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("Deadlock present after one drain hop: %v (paper: one hop broke both cycles; "+
 			"some scenarios need more).", deadAfter),
-		fmt.Sprintf("All %d of %d deadlocked packets were eventually delivered.", delivered, len(pkts)))
+		fmt.Sprintf("All %d of %d deadlocked packets were eventually delivered.", res.Counters.Ejected, len(pkts)))
 	return []Table{t}, nil
 }
 

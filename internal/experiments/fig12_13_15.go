@@ -49,6 +49,21 @@ func appConfigs() []appConfig {
 	}
 }
 
+// runApp builds p and runs prof to ops memory operations per core; a run
+// still short of them after maxCycles is an error, never a table cell.
+func runApp(ctx context.Context, p sim.Params, prof workload.Profile, ops, maxCycles int64) (*sim.Runner, sim.AppResult, error) {
+	r, err := sim.Build(p)
+	if err != nil {
+		return nil, sim.AppResult{}, err
+	}
+	res, err := r.RunAppContext(ctx, prof, ops, maxCycles)
+	if err == nil && !res.Completed {
+		err = fmt.Errorf("%v (VN%d,VC%d)/%s with %d faults did not complete in %d cycles",
+			r.Params.Scheme, r.Params.VNets, r.Params.VCsPerVN, prof.Name, p.Faults, maxCycles)
+	}
+	return r, res, err
+}
+
 // appMatrix runs the Fig. 12/13 configuration grid for one suite.
 func appMatrix(ctx context.Context, sc Scale, seed uint64, suite string, w, h int) ([]Table, error) {
 	profiles := workload.Suite(suite)
@@ -71,9 +86,9 @@ func appMatrix(ctx context.Context, sc Scale, seed uint64, suite string, w, h in
 	}
 	// One job per (fault count, workload, config). The normalization to the
 	// escape-vc baseline (config 0) is a serial pass over the collected
-	// results, so it is independent of worker count. The "did not complete"
-	// check stays inside the job: ForEachConfig returns the lowest-index
-	// error, which matches the error the serial loop would have hit first.
+	// results, so it is independent of worker count. runApp's "did not
+	// complete" check fails the job; ForEachConfig returns the lowest-index
+	// error, the one the serial loop would have hit first.
 	cfgs := appConfigs()
 	type appCell struct {
 		lat     float64
@@ -87,24 +102,16 @@ func appMatrix(ctx context.Context, sc Scale, seed uint64, suite string, w, h in
 		wi := i / perProf % len(profiles)
 		fi := i / perFault
 		c, prof, faults := cfgs[ci], profiles[wi], faultsList[fi]
-		r, err := sim.Build(sim.Params{
+		_, res, err := runApp(ctx, sim.Params{
 			Width: w, Height: h,
 			Faults: faults, FaultSeed: seed + 31,
 			Scheme: c.scheme, Classes: 3,
 			VNets: c.vnets, VCsPerVN: c.vcs,
 			Epoch: epoch, InjectCap: 16,
 			Seed: seed,
-		})
+		}, prof, ops, maxCycles)
 		if err != nil {
 			return err
-		}
-		res, err := r.RunAppContext(ctx, prof, ops, maxCycles)
-		if err != nil {
-			return err
-		}
-		if !res.Completed {
-			return fmt.Errorf("%s/%s with %d faults did not complete in %d cycles",
-				c.name, prof.Name, faults, maxCycles)
 		}
 		cells[i] = appCell{lat: res.AvgLatency, runtime: float64(res.Runtime)}
 		return nil
@@ -199,15 +206,11 @@ func fig15(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		ci := i % len(cfgs)
 		wi := i / len(cfgs)
 		c := cfgs[ci]
-		r, err := sim.Build(sim.Params{
+		_, res, err := runApp(ctx, sim.Params{
 			Width: w, Height: h, Scheme: c.scheme, Classes: 3,
 			VNets: c.vnets, VCsPerVN: c.vcs,
 			Epoch: epoch, InjectCap: 16, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := r.RunAppContext(ctx, workload.MustGet(profiles[wi]), ops, maxCycles)
+		}, workload.MustGet(profiles[wi]), ops, maxCycles)
 		if err != nil {
 			return err
 		}

@@ -56,18 +56,68 @@ func (r *Runner) RunSynthetic(pattern traffic.Pattern, rate float64, warmup, mea
 // cancellation error (wrapping ctx.Err()) within that cycle bound. With
 // context.Background() the results are byte-identical to RunSynthetic.
 func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Pattern, rate float64, warmup, measure int64) (SyntheticResult, error) {
-	res := SyntheticResult{Offered: rate}
-	// base converts between the network's absolute clock and this run's
-	// iteration counter: iteration cyc steps the clock from base+cyc to
-	// base+cyc+1. It is nonzero when the runner is reused for a second run.
-	base, counters := r.Net.Cycle(), r.Net.Counters
-	defer func() { r.credit(ctx, base, counters, res.FastForwarded) }()
 	gen := traffic.NewGenerator(pattern, rate, r.Params.Seed^0x1234)
 	gen.CtrlFraction = max(0, r.Params.CtrlFraction)
 	gen.DataFlits = r.Params.MaxFlits
 	var lat stats.Sample
 	var hops, misroutes, delivered int64
-	measuring := false
+	l := runLoop{gen: gen, warmup: warmup, total: warmup + measure, measure: func(p *noc.Packet) {
+		lat.Add(p.NetworkLatency())
+		hops += int64(p.Hops)
+		misroutes += int64(p.Misroutes)
+		delivered++
+	}}
+	if err := r.loop(ctx, &l); err != nil {
+		return SyntheticResult{Offered: rate}, err
+	}
+	res := SyntheticResult{
+		Offered:       rate,
+		AvgLatency:    lat.Mean(),
+		P99Latency:    lat.P99(),
+		Deadlocked:    l.deadlocked,
+		DeadlockCycle: l.deadlockCycle,
+		Counters:      r.Net.Counters,
+		Cycles:        r.Net.Cycle(),
+		FastForwarded: l.fastForwarded,
+	}
+	if delivered > 0 {
+		res.AvgHops = float64(hops) / float64(delivered)
+		res.MisroutesPerK = 1000 * float64(misroutes) / float64(delivered)
+	}
+	if measure > 0 {
+		res.Accepted = float64(delivered) / float64(r.Graph.N()) / float64(measure)
+	}
+	return res, nil
+}
+
+// runLoop is one run through (*Runner).loop: its traffic source — a
+// generator (synthetic) or a coherence system (app) — and settings, then
+// what the loop saw. measure sees every ejection after iteration warmup
+// (-1: from the first); opts are the SchemeNone deadlock watch's.
+type runLoop struct {
+	gen           *traffic.Generator
+	sys           *coherence.System
+	warmup, total int64
+	measure       func(*noc.Packet)
+	opts          noc.LivenessOpts
+
+	completed, deadlocked        bool
+	deadlockCycle, fastForwarded int64
+}
+
+// loop is the one cycle loop every run steps through, at most l.total
+// iterations. Iteration cyc steps the clock from base+cyc to base+cyc+1,
+// base being the clock at entry (nonzero for a reused runner). An
+// iteration applies the faults that are due, ticks the generator unless
+// the network is frozen, steps the network and the scheme, then ticks the
+// coherence system (the run completes when it is Done) or sinks every
+// ejection. Ejections are traced (Runner.Trace) and measured; SchemeNone
+// runs stop on a confirmed deadlock, generator-driven runs jump over
+// provably idle windows, and the run is credited to ctx's Totals once.
+func (r *Runner) loop(ctx context.Context, l *runLoop) error {
+	base, counters := r.Net.Cycle(), r.Net.Counters
+	defer func() { r.credit(ctx, base, counters, l.fastForwarded) }()
+	measuring := l.warmup < 0
 	var trace func(*noc.Packet)
 	if r.Trace != nil {
 		trace = tracer(r.Trace)
@@ -76,46 +126,49 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 		if trace != nil {
 			trace(p)
 		}
-		if !measuring {
-			return
+		if measuring {
+			l.measure(p)
 		}
-		lat.Add(p.NetworkLatency())
-		hops += int64(p.Hops)
-		misroutes += int64(p.Misroutes)
-		delivered++
 	}
 	defer func() { r.Net.OnEject = nil }()
 
-	total := warmup + measure
 	watch := r.Params.Scheme == SchemeNone
-	lastEject := int64(0)
-	suspect := false
-	for cyc := int64(0); cyc < total; cyc++ {
+	lastEject, suspect := int64(0), false
+	for cyc := int64(0); cyc < l.total; cyc++ {
 		// Scheduled faults fire first, before injection and Step, so an
 		// event at cycle C reconfigures on the C→C+1 boundary.
 		if err := r.applyDueFaults(); err != nil {
-			return res, err
+			return err
 		}
-		if !r.Net.Frozen() {
-			gen.Tick(r.Net)
+		if l.gen != nil && !r.Net.Frozen() {
+			l.gen.Tick(r.Net)
 		}
 		if err := r.Net.StepContext(ctx); err != nil {
-			return res, fmt.Errorf("sim: synthetic run cancelled at cycle %d: %w", r.Net.Cycle(), err)
+			return fmt.Errorf("sim: run cancelled at cycle %d: %w", r.Net.Cycle(), err)
 		}
 		if err := r.TickScheme(); err != nil {
-			return res, err
+			return err
 		}
-		if cyc == warmup {
+		if cyc == l.warmup {
 			measuring = true
 		}
-		// Sink: consume every ejection queue (stats were already taken by
-		// OnEject as the packets landed).
-		r.Net.DiscardEjected()
+		if l.sys != nil {
+			l.sys.Tick()
+			if l.sys.Done() {
+				l.completed = true
+				break
+			}
+		} else {
+			// Sink: consume every ejection queue (stats were already
+			// taken by OnEject as the packets landed).
+			r.Net.DiscardEjected()
+		}
 		if watch && cyc%512 == 511 {
-			if r.Net.Counters.Ejected == lastEject && r.Net.HasDeadlock(noc.LivenessOpts{}) {
+			// A deadlock is confirmed when two consecutive sweeps find
+			// non-live buffers with zero ejections in between.
+			if r.Net.Counters.Ejected == lastEject && r.Net.HasDeadlock(l.opts) {
 				if suspect {
-					res.Deadlocked = true
-					res.DeadlockCycle = r.Net.Cycle()
+					l.deadlocked, l.deadlockCycle = true, r.Net.Cycle()
 					break
 				}
 				suspect = true
@@ -132,53 +185,33 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 		// further capped so that the warmup flip, every StepContext
 		// cancellation poll (the bounded-cancel contract), and every
 		// deadlock-watch sweep still execute on their exact cycles.
-		if !r.Net.Frozen() {
+		if l.gen != nil && !r.Net.Frozen() {
 			// NextWorkCycle hints are absolute network cycles; -base maps
 			// them onto the iteration counter.
 			u := min(r.Net.NextWorkCycle(), r.nextSchemeWorkCycle()) - base - 1
 			// A fault at absolute cycle C is applied at the top of
 			// iteration C-base, so that iteration must execute.
-			if fb := r.nextFaultCycle() - base; fb < u {
-				u = fb
-			}
-			if u > total {
-				u = total
-			}
-			if cyc < warmup && warmup < u {
-				u = warmup
+			u = min(u, r.nextFaultCycle()-base, l.total)
+			if cyc < l.warmup {
+				u = min(u, l.warmup)
 			}
 			// StepContext polls ctx when the absolute clock is a multiple of
 			// CancelCheckEvery, so the boundary is computed absolutely too.
-			if pb := (base+cyc+noc.CancelCheckEvery)&^(noc.CancelCheckEvery-1) - base; pb < u {
-				u = pb
-			}
+			u = min(u, (base+cyc+noc.CancelCheckEvery)&^(noc.CancelCheckEvery-1)-base)
 			if watch {
-				if wb := (cyc + 1) | 511; wb < u {
-					u = wb
-				}
+				u = min(u, (cyc+1)|511)
 			}
 			if w := u - (cyc + 1); w > 0 {
 				// The generator may stop short at the first cycle in which
 				// some node's rate draw fires; stepping resumes there.
-				skipped := gen.SkipQuiet(r.Graph.N(), w)
+				skipped := l.gen.SkipQuiet(r.Graph.N(), w)
 				r.Net.SkipIdle(skipped)
 				cyc += skipped
-				res.FastForwarded += skipped
+				l.fastForwarded += skipped
 			}
 		}
 	}
-	res.Cycles = r.Net.Cycle()
-	res.Counters = r.Net.Counters
-	res.AvgLatency = lat.Mean()
-	res.P99Latency = lat.P99()
-	if delivered > 0 {
-		res.AvgHops = float64(hops) / float64(delivered)
-		res.MisroutesPerK = 1000 * float64(misroutes) / float64(delivered)
-	}
-	if measure > 0 {
-		res.Accepted = float64(delivered) / float64(r.Graph.N()) / float64(measure)
-	}
-	return res, nil
+	return nil
 }
 
 // LoadSweepContext measures a latency/throughput curve: one fresh runner
@@ -259,55 +292,13 @@ func (r *Runner) RunAppContext(ctx context.Context, prof workload.Profile, opsTa
 	if err != nil {
 		return res, err
 	}
-	defer r.credit(ctx, r.Net.Cycle(), r.Net.Counters, 0)
 	var lat stats.Sample
-	var trace func(*noc.Packet)
-	if r.Trace != nil {
-		trace = tracer(r.Trace)
+	l := runLoop{sys: sys, warmup: -1, total: maxCycles, measure: func(p *noc.Packet) { lat.Add(p.NetworkLatency()) },
+		opts: noc.LivenessOpts{EjectLiveByClass: sinkClasses(r.Params.Classes)}}
+	if err := r.loop(ctx, &l); err != nil {
+		return res, err
 	}
-	r.Net.OnEject = func(p *noc.Packet) {
-		if trace != nil {
-			trace(p)
-		}
-		lat.Add(p.NetworkLatency())
-	}
-	defer func() { r.Net.OnEject = nil }()
-
-	lastEject := int64(0)
-	suspect := false
-	watch := r.Params.Scheme == SchemeNone
-	opts := noc.LivenessOpts{EjectLiveByClass: sinkClasses(r.Params.Classes)}
-	for cyc := int64(0); cyc < maxCycles; cyc++ {
-		if err := r.applyDueFaults(); err != nil {
-			return res, err
-		}
-		if err := r.Net.StepContext(ctx); err != nil {
-			return res, fmt.Errorf("sim: app run cancelled at cycle %d: %w", r.Net.Cycle(), err)
-		}
-		if err := r.TickScheme(); err != nil {
-			return res, err
-		}
-		sys.Tick()
-		if sys.Done() {
-			res.Completed = true
-			break
-		}
-		if watch && cyc%512 == 511 {
-			// A deadlock is confirmed when two consecutive sweeps find
-			// non-live buffers with zero ejections in between.
-			if r.Net.Counters.Ejected == lastEject && r.Net.HasDeadlock(opts) {
-				if suspect {
-					res.Deadlocked = true
-					res.DeadlockCycle = r.Net.Cycle()
-					break
-				}
-				suspect = true
-			} else {
-				suspect = false
-			}
-			lastEject = r.Net.Counters.Ejected
-		}
-	}
+	res.Completed, res.Deadlocked, res.DeadlockCycle = l.completed, l.deadlocked, l.deadlockCycle
 	res.Runtime = r.Net.Cycle()
 	res.AvgLatency = lat.Mean()
 	res.P99Latency = lat.P99()

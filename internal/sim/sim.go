@@ -413,7 +413,7 @@ func (r *Runner) TickScheme() error {
 // nextSchemeWorkCycle returns the next cycle at which the scheme's
 // controller could do anything observable (math.MaxInt64 when no
 // controller is wired). Together with noc.Network.NextWorkCycle it
-// bounds the idle fast-forward windows in RunSyntheticContext.
+// bounds the run loop's idle fast-forward windows.
 func (r *Runner) nextSchemeWorkCycle() int64 {
 	switch {
 	case r.Drain != nil:

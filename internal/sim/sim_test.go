@@ -136,6 +136,26 @@ func TestSchemeNoneDetectsDeadlock(t *testing.T) {
 	if res.DeadlockCycle <= 0 {
 		t.Error("deadlock cycle not recorded")
 	}
+
+	// The app path of the same watch, on fig3's quick canneal cell with no
+	// links removed (deadlocked in 3 of 3 runs): the run stops on the sweep
+	// that confirms the deadlock, at a multiple of the 512-cycle period.
+	app, err := Build(Params{
+		Width: 4, Height: 4, Scheme: SchemeNone, Seed: 1,
+		Classes: 3, VNets: 3, VCsPerVN: 1, InjectCap: 16, MSHRs: 8,
+		DerouteAfter: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := app.RunApp(workload.MustGet("canneal"), 0, 25_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ares.Deadlocked || ares.Completed || ares.DeadlockCycle != ares.Runtime || ares.Runtime%512 != 0 {
+		t.Errorf("canneal on VN3 x 1 VC: deadlocked %v, completed %v, deadlock at %d, runtime %d; want a deadlock confirmed at the end of the run, on a 512-cycle sweep",
+			ares.Deadlocked, ares.Completed, ares.DeadlockCycle, ares.Runtime)
+	}
 }
 
 func TestLoadSweepMonotoneThroughput(t *testing.T) {
