@@ -58,27 +58,41 @@ bench-e2e:
 ## BENCH_pair_base.json / BENCH_pair_head.json and `drainbench -compare`
 ## judges them (ratios are head over base; it also fails on any digest
 ## or count that differs for the same workload and seed). SEED defaults
-## to the clock so every invocation measures seeds nobody tuned on.
+## to the clock so every invocation measures seeds nobody tuned on. Every
+## run appends one record to the tracked BENCH_trajectory.json (a JSON
+## array, one record a line): date, parent and head SHA, first seed,
+## pairs, machine (nproc, CPU model, Go version) and the -compare rows.
 PAIRS ?= 10
 WORKLOADS ?= synth_low synth_sat coh_pagerank serve_cold serve_warm reconfig_churn
 SEED ?= $(shell date +%s)
 bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<git ref> [PAIRS=10] [SEED=n] [WORKLOADS='synth_sat ...']"; exit 2; }
-	set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	set -euo pipefail; seed0=$(SEED); tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/base.bin" ./cmd/drainbench); \
 	$(GO) build -o "$$tmp/head.bin" ./cmd/drainbench; \
 	run() { (cd "$$2" && "$$tmp/$$1.bin" -workload "$$3" -seed "$$4" -trace 0 -detail | tail -n 1) >> "$$tmp/$$1.recs"; }; \
 	for w in $(WORKLOADS); do for i in $$(seq 1 $(PAIRS)); do \
-		seed=$$(( $(SEED) % 100000 + i )); echo "$$w pair $$i/$(PAIRS) seed $$seed" >&2; \
+		seed=$$(( seed0 % 100000 + i )); echo "$$w pair $$i/$(PAIRS) seed $$seed" >&2; \
 		if (( i % 2 )); then run base "$$tmp/base" "$$w" "$$seed"; run head . "$$w" "$$seed"; \
 		else run head . "$$w" "$$seed"; run base "$$tmp/base" "$$w" "$$seed"; fi; \
 	done; done; \
 	stamp() { printf '{"env":{"git_sha":"%s","dirty":%s},"records":[' "$$1" "$$2"; paste -sd, "$$3"; printf ']}\n'; }; \
-	stamp "$$(git rev-parse --short "$(BASE)")" false "$$tmp/base.recs" > BENCH_pair_base.json; \
-	if git diff --quiet HEAD; then stamp "$$(git rev-parse --short HEAD)" false "$$tmp/head.recs"; \
-	else stamp "$$(git rev-parse --short HEAD)-dirty" true "$$tmp/head.recs"; fi > BENCH_pair_head.json; \
-	$(GO) run ./cmd/drainbench -compare BENCH_pair_base.json BENCH_pair_head.json
+	parent=$$(git rev-parse --short "$(BASE)"); head=$$(git rev-parse --short HEAD); dirty=false; \
+	git diff --quiet HEAD || { head=$$head-dirty; dirty=true; }; \
+	stamp "$$parent" false "$$tmp/base.recs" > BENCH_pair_base.json; \
+	stamp "$$head" $$dirty "$$tmp/head.recs" > BENCH_pair_head.json; \
+	rc=0; rows=$$($(GO) run ./cmd/drainbench -compare BENCH_pair_base.json BENCH_pair_head.json) || rc=$$?; \
+	printf '%s\n' "$$rows"; \
+	cpu=$$(sed -n '/^model name/{s/^[^:]*: //p;q;}' /proc/cpuinfo 2>/dev/null || true); \
+	json() { sed 's/\\/\\\\/g; s/"/\\"/g; s/.*/"&"/' | paste -sd, -; }; \
+	rec=$$(printf '{"date":"%s","parent":"%s","head":"%s","seed":%d,"pairs":%d,"machine":{"nproc":%d,"cpu":%s,"go":"%s"},"rows":[%s]}' \
+		"$$(date -u +%FT%TZ)" "$$parent" "$$head" $$(( seed0 % 100000 + 1 )) $(PAIRS) "$$(nproc)" \
+		"$$(printf '%s\n' "$${cpu:-unknown}" | json)" "$$($(GO) env GOVERSION)" \
+		"$$(printf '%s\n' "$$rows" | { grep -v '^[ab] = ' || true; } | tr -s ' ' | json)"); \
+	if test -s BENCH_trajectory.json; then sed -i '$$d' BENCH_trajectory.json; sed -i '$$s/$$/,/' BENCH_trajectory.json; else echo '[' > BENCH_trajectory.json; fi; \
+	printf '%s\n]\n' "$$rec" >> BENCH_trajectory.json; \
+	exit $$rc
 
 ## bench-all: every Go benchmark — bench plus the ablations
 ## EXPERIMENTS.md cites and the coherence workload (a few minutes).

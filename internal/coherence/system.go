@@ -159,6 +159,10 @@ type System struct {
 	rng   *rand.Rand
 	stats Stats
 
+	// injectCap is the network's InjectCap, read once: canSend runs
+	// several times per message and Config() copies the whole config.
+	injectCap int
+
 	// warm holds the prewarmed ranges, sorted and disjoint (prewarm).
 	warm []warmRange
 	// Free lists (LIFO, so reuse is a pure function of the run): a
@@ -185,9 +189,10 @@ func New(net *noc.Network, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("coherence: Config.Gen is required")
 	}
 	s := &System{
-		cfg: cfg,
-		net: net,
-		rng: rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5bd1e995)),
+		cfg:       cfg,
+		net:       net,
+		injectCap: net.Config().InjectCap,
+		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5bd1e995)),
 	}
 	for i := 0; i < net.Graph().N(); i++ {
 		s.nodes = append(s.nodes, &node{})
@@ -367,11 +372,10 @@ func (s *System) release(p *noc.Packet) {
 // canSend reports whether n more messages of the class fit in node r's
 // injection queue.
 func (s *System) canSend(r, class, n int) bool {
-	cap := s.net.Config().InjectCap
-	if cap == 0 {
+	if s.injectCap == 0 {
 		return true
 	}
-	return s.net.InjQueueLen(r, class)+n <= cap
+	return s.net.InjQueueLen(r, class)+n <= s.injectCap
 }
 
 // Tick advances the protocol by one cycle: consume deliverable messages,

@@ -330,7 +330,7 @@ func (e *refEngine) allocateRouter(n *Network, r int) {
 		rs = newRefState(n) // earlier commits at this router reserved slots
 		var got []refOption
 		count, productive := 0, 0
-		if n.linkBusy[out] <= n.cycle && n.named(r, out) { // as production visits it
+		if n.linkBusy[out] <= n.cycle && n.ports[out].free != 0 && n.named(r, out) { // as production visits it
 			count, productive = n.linkOptions(r, out)
 		}
 		if count != 0 {
@@ -383,7 +383,10 @@ func hubGraph(t *testing.T, n int) *topology.Graph {
 // virtual networks (the bubble rule),
 // derouting (AllOutputs sets, U-turns) on and off, three virtual
 // networks, turn-restricted sticky escape routing (down-phase bits)
-// beside a later deroute threshold, and a hub router with more than 64
+// beside a later deroute threshold, escape lists unlike the main ones
+// without stickiness, sticky unrestricted escape (escape lists equal to
+// the main ones that still need masks of their own: a packet in the
+// escape VC has no main list), and a hub router with more than 64
 // ports (three mask words) — and requires the mask allocator to build, at
 // every router visit, the option lists of the exhaustive scan.
 func TestAllocatorMatchesReference(t *testing.T) {
@@ -394,11 +397,13 @@ func TestAllocatorMatchesReference(t *testing.T) {
 		rate float64
 	}{
 		{"drain-vc2", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, PolicyEscape: true, NonStickyEscape: true}, 0.5},
+		{"drain-sticky", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, PolicyEscape: true}, 0.5},
 		{"drain-vc1-bubble", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 1, PolicyEscape: true, NonStickyEscape: true, InjectPatience: 40}, 0.5},
 		{"spin-vc1-noescape", Config{Graph: mesh.Graph, VNets: 2, VCsPerVN: 1, Classes: 2}, 0.5},
 		{"minimal-only", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, DerouteAfter: -1, InjectPatience: 30}, 0.6},
 		{"coherence-vn3", Config{Graph: mesh.Graph, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, NonStickyEscape: true}, 0.6},
 		{"escape-xy-sticky", Config{Graph: mesh.Graph, Mesh: mesh, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, EscapeRouting: routing.XY, DerouteAfter: 6}, 0.6},
+		{"escape-xy-nonsticky", Config{Graph: mesh.Graph, Mesh: mesh, VNets: 1, VCsPerVN: 2, PolicyEscape: true, NonStickyEscape: true, EscapeRouting: routing.XY}, 0.6},
 		{"escape-updown-sticky", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 3, PolicyEscape: true, EscapeRouting: routing.UpDown}, 0.6},
 		{"updown-main", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, Routing: routing.UpDown}, 0.5},
 		{"hub-70-ports", Config{Graph: hubGraph(t, 71), VNets: 1, VCsPerVN: 2, PolicyEscape: true, NonStickyEscape: true}, 0.3},

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"drain/internal/drainpath"
-	"drain/internal/routing"
 	"drain/internal/topology"
 )
 
@@ -27,23 +26,11 @@ import (
 // checkConservation: nil, errSkip, or a descriptive property violation.
 func checkDenseVsEvent(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0xd1ff))
-	nNodes := int(nRaw%12) + 4
-	g, err := topology.NewRandomConnected(nNodes, int(seed%7), rng)
+	cfg, err := fuzzConfig(seed, rng, nRaw, vnRaw, vcRaw, escRaw)
 	if err != nil {
 		return errSkip
 	}
-	vnets := int(vnRaw%2) + 1
-	vcs := int(vcRaw%3) + 1
-	cfg := Config{
-		Graph: g, VNets: vnets, VCsPerVN: vcs, Classes: vnets,
-		Routing: routing.AdaptiveMinimal,
-		Seed:    seed,
-	}
-	if escRaw%2 == 0 {
-		cfg.PolicyEscape = true
-		cfg.EscapeRouting = routing.AdaptiveMinimal
-		cfg.NonStickyEscape = escRaw%4 == 0
-	}
+	g, nNodes, vnets := cfg.Graph, cfg.Graph.N(), cfg.VNets
 	cfgDense, cfgEvent := cfg, cfg
 	cfgDense.Engine = EngineDense
 	cfgEvent.Engine = EngineEvent

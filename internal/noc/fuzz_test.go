@@ -54,6 +54,35 @@ func buildReconfig(active, full *topology.Graph) (*routing.Table, []int, error) 
 	return tab, next, nil
 }
 
+// fuzzConfig is the configuration both fuzz properties draw: a random
+// connected graph of 4–15 routers, 1–2 virtual networks of 1–3 VCs each,
+// adaptive routing, and for even escRaw an escape VC, sticky or not,
+// routed by AdaptiveMinimal, UpDown or XY (XY on a mesh of 2–4 x 2–4
+// routers instead of the random graph). So both head-mask layouts run:
+// escape masks shared with the main ones (sharedEscape) and escape lists
+// of their own.
+func fuzzConfig(seed uint64, rng *rand.Rand, nRaw, vnRaw, vcRaw, escRaw uint8) (Config, error) {
+	vnets := int(vnRaw%2) + 1
+	cfg := Config{
+		VNets: vnets, VCsPerVN: int(vcRaw%3) + 1, Classes: vnets,
+		Routing: routing.AdaptiveMinimal,
+		Seed:    seed,
+	}
+	if escRaw%2 == 0 {
+		cfg.PolicyEscape = true
+		cfg.EscapeRouting = []routing.Kind{routing.AdaptiveMinimal, routing.UpDown, routing.XY}[escRaw/4%3]
+		cfg.NonStickyEscape = escRaw%4 == 0
+	}
+	if cfg.EscapeRouting == routing.XY {
+		m := topology.MustMesh(int(nRaw%3)+2, int(nRaw/3%3)+2)
+		cfg.Graph, cfg.Mesh = m.Graph, m
+		return cfg, nil
+	}
+	g, err := topology.NewRandomConnected(int(nRaw%12)+4, int(seed%7), rng)
+	cfg.Graph = g
+	return cfg, err
+}
+
 // checkConservation is the simulator's strongest net: random topologies,
 // random VC structure, random traffic, periodic drains and live link
 // failures/recoveries — no packet may ever be lost, duplicated or
@@ -64,23 +93,11 @@ func buildReconfig(active, full *topology.Graph) (*routing.Table, []int, error) 
 // property test and the native fuzz target.
 func checkConservation(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0xfeed))
-	nNodes := int(nRaw%12) + 4
-	g, err := topology.NewRandomConnected(nNodes, int(seed%7), rng)
+	cfg, err := fuzzConfig(seed, rng, nRaw, vnRaw, vcRaw, escRaw)
 	if err != nil {
 		return errSkip
 	}
-	vnets := int(vnRaw%2) + 1
-	vcs := int(vcRaw%3) + 1
-	cfg := Config{
-		Graph: g, VNets: vnets, VCsPerVN: vcs, Classes: vnets,
-		Routing: routing.AdaptiveMinimal,
-		Seed:    seed,
-	}
-	if escRaw%2 == 0 {
-		cfg.PolicyEscape = true
-		cfg.EscapeRouting = routing.AdaptiveMinimal
-		cfg.NonStickyEscape = escRaw%4 == 0
-	}
+	g, nNodes, vnets := cfg.Graph, cfg.Graph.N(), cfg.VNets
 	net, err := New(cfg)
 	if err != nil {
 		return errSkip

@@ -37,6 +37,9 @@ func (n *Network) CheckInvariants() error {
 		if p.inLink != LocalPort && n.cfg.PolicyEscape && p.InEscape && !n.cfg.IsEscapeSlot(s) {
 			return fmt.Errorf("noc: escape packet %d occupies non-escape slot %d", p.ID, s)
 		}
+		if p.InEscape && n.cfg.NonStickyEscape { // the shared escape mask relies on it
+			return fmt.Errorf("noc: packet %d at %s is marked InEscape under non-sticky escape", p.ID, where)
+		}
 		return nil
 	}); err != nil {
 		return err
@@ -71,8 +74,8 @@ func (n *Network) CheckInvariants() error {
 			slot := n.slot(port, s)
 			if slot.pkt != nil {
 				held |= 1 << uint(s)
-			} else if *slot != (vcSlot{}) {
-				return fmt.Errorf("noc: port %d slot %d is empty but keeps head state %+v", port, s, *slot)
+			} else if at := n.rerouteAt[int(pm.first)+s]; *slot != (vcSlot{}) || at != 0 {
+				return fmt.Errorf("noc: port %d slot %d is empty but keeps head state %+v, reroute at %d", port, s, *slot, at)
 			}
 		}
 		if pm.occ != held || pm.free&pm.occ != 0 || pm.free|pm.occ|reserved[port] != all || pm.free&reserved[port] != 0 {
@@ -166,13 +169,13 @@ func (n *Network) checkHeadMasks() error {
 				if b >= slots-n.vcPerPort {
 					want[mLocal] |= bit
 				}
-				slot := n.head(r, b)
+				slot, at := n.head(r, b), n.rerouteAt[int(n.heads[r])+b]
 				if slot.pkt == nil {
 					continue
 				}
 				if slot.sending {
-					if slot.rerouteAt != never {
-						return fmt.Errorf("noc: departing head of packet %d (router %d slot %d) is still due for routing at %d", slot.pkt.ID, r, b, slot.rerouteAt)
+					if at != never {
+						return fmt.Errorf("noc: departing head of packet %d (router %d slot %d) is still due for routing at %d", slot.pkt.ID, r, b, at)
 					}
 					continue
 				}
@@ -182,15 +185,15 @@ func (n *Network) checkHeadMasks() error {
 						slot.pkt.ID, r, b, slot.readyAt, pending, ready, n.cycle)
 				}
 				if pending {
-					if slot.rerouteAt != slot.readyAt {
-						return fmt.Errorf("noc: pending head of packet %d (router %d slot %d) is due for routing at %d, ready at %d", slot.pkt.ID, r, b, slot.rerouteAt, slot.readyAt)
+					if at != slot.readyAt {
+						return fmt.Errorf("noc: pending head of packet %d (router %d slot %d) is due for routing at %d, ready at %d", slot.pkt.ID, r, b, at, slot.readyAt)
 					}
 					want[mPend] |= bit
 					continue
 				}
 				want[mReady] |= bit
-				if next := n.route(want, r, slot, min(n.cycle, slot.rerouteAt-1), bit); next != slot.rerouteAt || next < n.rerouteDue[r] {
-					return fmt.Errorf("noc: head of packet %d (router %d slot %d) reroutes at %d, its route says %d and the router looks from %d", slot.pkt.ID, r, b, slot.rerouteAt, next, n.rerouteDue[r])
+				if next := n.route(want, r, slot, min(n.cycle, at-1), bit); next != at {
+					return fmt.Errorf("noc: head of packet %d (router %d slot %d) reroutes at %d, its route says %d", slot.pkt.ID, r, b, at, next)
 				}
 			}
 			for i := range want {

@@ -3,10 +3,12 @@ package noc
 import (
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"drain/internal/drainpath"
 	"drain/internal/routing"
+	"drain/internal/topology"
 )
 
 // Directed tests of the head masks' invalidation paths: each drives a
@@ -61,13 +63,14 @@ func stepChecked(t *testing.T, n *Network, ref *refEngine) {
 }
 
 // countHeads returns how many heads are in the given router mask across
-// the network, and how many of those satisfy keep.
-func countHeads(n *Network, kind int, keep func(*vcSlot) bool) (total, kept int) {
+// the network, and how many of those satisfy keep (given each head's slot
+// and reroute time).
+func countHeads(n *Network, kind int, keep func(*vcSlot, int64) bool) (total, kept int) {
 	for r := 0; r < n.g.N(); r++ {
 		for w := 0; w < n.maskW; w++ {
 			for m := n.sub(r, w)[kind]; m != 0; m &= m - 1 {
 				total++
-				if keep(n.head(r, w<<6+bits.TrailingZeros64(m))) {
+				if b := w<<6 + bits.TrailingZeros64(m); keep(n.head(r, b), n.rerouteAt[int(n.heads[r])+b]) {
 					kept++
 				}
 			}
@@ -84,13 +87,13 @@ func TestThresholdsCrossedWhileFrozen(t *testing.T) {
 	for i := 0; i < 12; i++ { // no router is visited: deroute thresholds pass unseen
 		stepChecked(t, n, ref)
 	}
-	timed, overdue := countHeads(n, mTimed, func(s *vcSlot) bool { return s.rerouteAt <= n.cycle })
+	timed, overdue := countHeads(n, mTimed, func(_ *vcSlot, at int64) bool { return at <= n.cycle })
 	if overdue == 0 {
 		t.Fatalf("%d timed heads, none crossed a threshold during the freeze: the test shows nothing", timed)
 	}
 	n.SetFrozen(false)
 	load(t, n, ref, rng, 0.3, 100)
-	if _, overdue = countHeads(n, mTimed, func(s *vcSlot) bool { return s.rerouteAt <= n.cycle }); overdue != 0 {
+	if _, overdue = countHeads(n, mTimed, func(_ *vcSlot, at int64) bool { return at <= n.cycle }); overdue != 0 {
 		t.Errorf("%d heads still overdue for rerouting after visits", overdue)
 	}
 }
@@ -99,7 +102,7 @@ func TestReconfigureUnroutesHeads(t *testing.T) {
 	n, ref := maskNet(t, routing.UpDown) // XY is not rebuilt on a faulted mesh
 	rng := rand.New(rand.NewPCG(7, 11))
 	load(t, n, ref, rng, 0.5, 150)
-	if ready, _ := countHeads(n, mReady, func(*vcSlot) bool { return true }); ready == 0 {
+	if ready, _ := countHeads(n, mReady, func(*vcSlot, int64) bool { return true }); ready == 0 {
 		t.Fatal("no routed heads to un-route")
 	}
 	// Fail the link whose input port holds the most waiting heads, so
@@ -132,7 +135,7 @@ func TestReconfigureUnroutesHeads(t *testing.T) {
 	if rep.Rerouted == 0 {
 		t.Errorf("no buffered packet was evacuated (report %+v)", rep)
 	}
-	if ready, _ := countHeads(n, mReady, func(*vcSlot) bool { return true }); ready != 0 {
+	if ready, _ := countHeads(n, mReady, func(*vcSlot, int64) bool { return true }); ready != 0 {
 		t.Errorf("%d heads still routed by the old table", ready)
 	}
 	if err := n.CheckInvariants(); err != nil {
@@ -153,7 +156,7 @@ func TestRotationsMoveRoutedHeads(t *testing.T) {
 	for n.InflightCount() > 0 {
 		stepChecked(t, n, ref)
 	}
-	escape := func(s *vcSlot) bool { return s.pkt.inLink != LocalPort && n.cfg.IsEscapeSlot(s.pkt.slot) }
+	escape := func(s *vcSlot, _ int64) bool { return s.pkt.inLink != LocalPort && n.cfg.IsEscapeSlot(s.pkt.slot) }
 	if _, routed := countHeads(n, mReady, escape); routed == 0 {
 		t.Fatal("no routed head in an escape VC: the drain rotation would move only pending ones")
 	}
@@ -177,7 +180,7 @@ func TestRotationsMoveRoutedHeads(t *testing.T) {
 	plantRingDeadlock(t, ring, 6)
 	stepChecked(t, ring, rref)
 	cyc := ring.FindBlockedCycle(LivenessOpts{})
-	if ready, _ := countHeads(ring, mReady, func(*vcSlot) bool { return true }); len(cyc) == 0 || ready < len(cyc) {
+	if ready, _ := countHeads(ring, mReady, func(*vcSlot, int64) bool { return true }); len(cyc) == 0 || ready < len(cyc) {
 		t.Fatalf("blocked cycle of %d, %d routed heads", len(cyc), ready)
 	}
 	if err := ring.RotateBlockedCycle(cyc); err != nil {
@@ -242,4 +245,111 @@ func TestWideRouterUsesSeveralWords(t *testing.T) {
 	if n.loneGrants != 1 {
 		t.Error("the lone head in the third word did not take the uncontested exit")
 	}
+}
+
+// TestEscapeMaskLayout pins which configurations share one candidate mask
+// per output between the main and the escape path. DRAIN's unrestricted,
+// non-sticky escape VC does: through a saturated run its escape masks
+// stay empty at every cycle. Escape VCs with lists of their own — sticky,
+// or turn-restricted by XY or up*/down* — do not, and fill them.
+func TestEscapeMaskLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		escape routing.Kind
+		sticky bool
+		shared bool
+	}{
+		{"drain", routing.AdaptiveMinimal, false, true},
+		{"drain-sticky", routing.AdaptiveMinimal, true, false},
+		{"escape-xy", routing.XY, true, false},
+		{"escape-updown", routing.UpDown, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := meshNet(t, 4, 4, func(c *Config) {
+				c.Engine = EngineDense
+				c.PolicyEscape, c.NonStickyEscape = true, !tc.sticky
+				c.Routing, c.EscapeRouting = routing.AdaptiveMinimal, tc.escape
+			})
+			if shared := n.escMask == mMain; shared != tc.shared {
+				t.Fatalf("shared escape masks: %v, want %v", shared, tc.shared)
+			}
+			ref, rng := withRefEngine(n), rand.New(rand.NewPCG(19, 23))
+			used := 0
+			for c := 0; c < 400; c++ {
+				load(t, n, ref, rng, 0.5, 1)
+				for r := 0; r < n.g.N(); r++ {
+					for w := 0; w < n.maskW; w++ {
+						blk := n.sub(r, w)
+						for _, l := range n.g.OutLinks(r) {
+							for _, k := range []int{mEsc, mEscDetour, mEscDown} {
+								used += bits.OnesCount64(blk[int(n.lbase[l])+k])
+							}
+						}
+					}
+				}
+			}
+			if tc.shared && used != 0 {
+				t.Errorf("%d escape-mask bits set in the shared layout", used)
+			}
+			if !tc.shared && used == 0 {
+				t.Error("the escape masks stayed empty: the run routed nothing by the escape path")
+			}
+			if n.Counters.Misroutes == 0 {
+				t.Error("no head derouted: the run never reached saturation")
+			}
+		})
+	}
+}
+
+// TestUpDownEscapeKeepsItsOwnMasks: up*/down* reads the packet's phase,
+// so a non-sticky escape VC routed by up*/down* like the main VCs still
+// files its own lists. A head in its down phase may take only down links
+// into a main VC, while entering the escape VC starts a fresh walk. The
+// two lists rarely differ (never on a mesh or a ring), so the test
+// searches random graphs for a router where they do.
+func TestUpDownEscapeKeepsItsOwnMasks(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		g, err := topology.NewRandomConnected(10, 3, rand.New(rand.NewPCG(seed, seed)))
+		if err != nil {
+			continue
+		}
+		n, err := New(Config{Graph: g, Routing: routing.UpDown, EscapeRouting: routing.UpDown, PolicyEscape: true, NonStickyEscape: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.escMask == mMain {
+			t.Fatal("up*/down* escape shares the main masks")
+		}
+		for _, l := range g.Links() {
+			for dst := 0; dst < g.N(); dst++ {
+				down := n.tab.Candidates(routing.UpDown, l.To, dst, true)
+				up := n.tab.Candidates(routing.UpDown, l.To, dst, false)
+				if len(down) == 0 || slices.Equal(down, up) {
+					continue
+				}
+				p, err := n.PlacePacket(l.From, l.To, dst, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.DownPhase = true
+				b := int(n.ports[l.ID].bit0) + 1
+				blk := make([]uint64, len(n.sub(l.To, b>>6)))
+				n.route(blk, l.To, n.head(l.To, b), n.cycle, 1<<uint(b&63))
+				for _, set := range []struct {
+					kind  int
+					cands []routing.Candidate
+				}{{mMain, down}, {mEsc, up}} {
+					for _, out := range g.OutLinks(l.To) {
+						named := blk[int(n.lbase[out])+set.kind]>>uint(b&63)&1 != 0
+						want := slices.ContainsFunc(set.cands, func(c routing.Candidate) bool { return c.LinkID() == out })
+						if named != want {
+							t.Errorf("graph %d: mask %d names output %d: %v, its list: %v", seed, set.kind, out, named, want)
+						}
+					}
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no router where the phases' lists differ")
 }

@@ -13,16 +13,13 @@ import (
 // pipeline state lives here, beside the pointer, so promotion decides
 // eligibility without touching the packet: readyAt is the cycle the head
 // may first move, sending marks a head whose transfer out is in flight,
-// dst mirrors pkt.Dst (checked by CheckInvariants), and rerouteAt is the
-// cycle the head next needs routing: readyAt while it is pending, then
-// the cycle its candidates next change with time alone (never when they
-// do not, and once it is sending).
+// and dst mirrors pkt.Dst (checked by CheckInvariants). When the head
+// next needs routing sits apart, in Network.rerouteAt.
 type vcSlot struct {
-	pkt       *Packet
-	readyAt   int64
-	rerouteAt int64
-	dst       int32
-	sending   bool
+	pkt     *Packet
+	readyAt int64
+	dst     int32
+	sending bool
 }
 
 // portMask is the slot state of one input port, one bit per VC slot:
@@ -81,6 +78,12 @@ type Network struct {
 	vcPerPort int
 	vnMask    uint64
 	vc        []vcSlot
+	// rerouteAt[i] is the cycle the head in vc[i] next needs routing:
+	// readyAt while it is pending, then the cycle its candidates next
+	// change with time alone (never when they do not, and once it is
+	// sending); 0 for an empty slot. Apart from vc, promote tests every
+	// timed head without loading the slots of those not due.
+	rerouteAt []int64
 	ports     []portMask
 	linkBusy  []int64 // per link: busy until this cycle (exclusive)
 	ejectBusy []int64 // per router
@@ -105,7 +108,9 @@ type Network struct {
 	// masks of each of its outputs, link l's at lbase[l]. heads[r] is the
 	// index in vc of router r's slot 0. vnBits has, per virtual network,
 	// the mask of that VN's slots at any router. optMain/optEsc are the
-	// arbitration scratch.
+	// arbitration scratch. escMask is where an output's escape candidate
+	// mask sits after lbase: mEsc, or mMain when the escape lookup always
+	// returns the main one (sharedEscape) and both paths read one mask.
 	subs    [][]uint64
 	maskW   int
 	heads   []int32
@@ -113,9 +118,7 @@ type Network struct {
 	vnBits  []uint64
 	optMain []uint64
 	optEsc  []uint64
-	// rerouteDue[r] is a lower bound on the rerouteAt of router r's ready
-	// heads: before that cycle promote need not look at them.
-	rerouteDue []int64
+	escMask int
 	// loneGrants counts the grants made by allocateRouter's uncontested
 	// exit (tests watch it; it is not a result, so not in Counters).
 	loneGrants int64
@@ -366,7 +369,6 @@ func (n *Network) portOf(inLink, router int) int {
 func (n *Network) buildLayout() {
 	g := n.g
 	n.heads = make([]int32, g.N())
-	n.rerouteDue = make([]int64, g.N())
 	n.lbase = make([]int32, g.NumLinks())
 	heads, slots, words := 0, 0, 0
 	for r := range n.heads {
@@ -386,6 +388,7 @@ func (n *Network) buildLayout() {
 		words += routerMasks + linkMasks*g.Degree(r)
 	}
 	n.vc = make([]vcSlot, heads)
+	n.rerouteAt = make([]int64, heads)
 	n.maskW = (slots + 63) / 64
 	masks := make([]uint64, words*n.maskW)
 	n.subs = make([][]uint64, 0, g.N()*n.maskW)
@@ -406,6 +409,18 @@ func (n *Network) buildLayout() {
 	}
 	n.optMain = make([]uint64, n.maskW)
 	n.optEsc = make([]uint64, n.maskW)
+	n.escMask = mEsc
+	if sharedEscape(&n.cfg) {
+		n.escMask = mMain
+	}
+}
+
+// sharedEscape reports whether the escape lookup provably returns the
+// main one: DRAIN's unrestricted escape VC routes like every other VC,
+// under a kind that ignores the up*/down* phase, and non-sticky escape
+// never sets InEscape (CheckInvariants asserts it).
+func sharedEscape(c *Config) bool {
+	return c.PolicyEscape && c.NonStickyEscape && c.EscapeRouting == c.Routing && c.Routing != routing.UpDown
 }
 
 // slot returns VC slot s of the given input port.
@@ -423,8 +438,8 @@ func (n *Network) head(r, b int) *vcSlot { return &n.vc[int(n.heads[r])+b] }
 // p's transfer.
 func (n *Network) occupy(router, port, s int, p *Packet, readyAt int64) {
 	pm := &n.ports[port]
-	slot := &n.vc[int(pm.first)+s]
-	*slot = vcSlot{pkt: p, readyAt: readyAt, rerouteAt: readyAt, dst: int32(p.Dst)}
+	n.vc[int(pm.first)+s] = vcSlot{pkt: p, readyAt: readyAt, dst: int32(p.Dst)}
+	n.rerouteAt[int(pm.first)+s] = readyAt
 	pm.occ |= 1 << uint(s)
 	pm.free &^= 1 << uint(s)
 	b := int(pm.bit0) + s
@@ -437,8 +452,8 @@ func (n *Network) occupy(router, port, s int, p *Packet, readyAt int64) {
 // granted, a waiting one is dropped first (dropWaiting).
 func (n *Network) vacate(port, s int) {
 	pm := &n.ports[port]
-	slot := &n.vc[int(pm.first)+s]
-	*slot = vcSlot{}
+	n.vc[int(pm.first)+s] = vcSlot{}
+	n.rerouteAt[int(pm.first)+s] = 0
 	pm.occ &^= 1 << uint(s)
 	pm.free |= 1 << uint(s)
 }
@@ -447,7 +462,7 @@ func (n *Network) vacate(port, s int) {
 // holds a head that is not departing.
 func (n *Network) dropWaiting(router, port, s int) {
 	b := int(n.ports[port].bit0) + s
-	dropHead(n.sub(router, b>>6), 1<<uint(b&63))
+	n.dropHead(n.sub(router, b>>6), 1<<uint(b&63))
 	n.vacate(port, s)
 }
 

@@ -308,9 +308,34 @@ func TestConfigValidation(t *testing.T) {
 // piece of state derived from the VC slots — the occupied and free masks,
 // the reservation implied by a pending transfer, the destination mirror,
 // and every head mask with the reroute times beside them — and requires
-// CheckInvariants to notice.
+// CheckInvariants to notice. It does so in both head-mask layouts: escape
+// masks of their own (no escape VC; sticky XY escape) and escape masks
+// shared with the main ones, where it also marks a packet InEscape, the
+// one thing the shared layout assumes never happens.
 func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
-	n := meshNet(t, 3, 1, nil)
+	escapeVC := func(sticky bool) func(*Config) {
+		return func(c *Config) { c.PolicyEscape, c.EscapeRouting, c.NonStickyEscape = true, routing.XY, !sticky }
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		shared bool
+	}{
+		{"no-escape", nil, false},
+		{"escape-xy-sticky", escapeVC(true), false},
+		{"shared-escape", escapeVC(false), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := meshNet(t, 3, 1, tc.mutate)
+			if shared := n.escMask == mMain; shared != tc.shared {
+				t.Fatalf("shared escape masks: %v, want %v", shared, tc.shared)
+			}
+			checkDerivedVCState(t, n)
+		})
+	}
+}
+
+func checkDerivedVCState(t *testing.T, n *Network) {
 	type corruption struct {
 		name    string
 		corrupt func()
@@ -318,13 +343,14 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 	bitOf := func(x *Packet) uint64 {
 		return 1 << uint(int(n.ports[n.portOf(x.inLink, x.atRouter)].bit0)+x.slot)
 	}
+	atOf := func(x *Packet) *int64 { return &n.rerouteAt[int(n.ports[n.portOf(x.inLink, x.atRouter)].first)+x.slot] }
 	expectCaught := func(cases []corruption) {
 		t.Helper()
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range cases {
-			ports, vc, due := slices.Clone(n.ports), slices.Clone(n.vc), slices.Clone(n.rerouteDue)
+			ports, vc, at := slices.Clone(n.ports), slices.Clone(n.vc), slices.Clone(n.rerouteAt)
 			var masks [][]uint64
 			for _, blk := range n.subs {
 				masks = append(masks, slices.Clone(blk))
@@ -335,7 +361,7 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 			}
 			copy(n.ports, ports)
 			copy(n.vc, vc)
-			copy(n.rerouteDue, due)
+			copy(n.rerouteAt, at)
 			for i, blk := range masks {
 				copy(n.subs[i], blk)
 			}
@@ -362,8 +388,9 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 		{"free slot marked taken", func() { n.ports[n.localPort(0)].free = 0 }},
 		{"destination mirror stale", func() { n.slotOf(p).dst++ }},
 		{"sending mark dropped", func() { n.slotOf(p).sending = false }},
-		{"departing head still due for routing", func() { n.slotOf(p).rerouteAt = n.slotOf(p).readyAt }},
+		{"departing head still due for routing", func() { *atOf(p) = n.slotOf(p).readyAt }},
 		{"head state left in an empty slot", func() { n.slot(n.localPort(2), 0).readyAt = 7 }},
+		{"reroute time left in an empty slot", func() { n.rerouteAt[n.ports[n.localPort(2)].first] = 7 }},
 		{"departing head still ready", func() { n.sub(1, 0)[mReady] |= bitOf(p) }},
 		{"departing head still on its output", func() { n.sub(1, 0)[int(n.lbase[out])+mMain] |= bitOf(p) }},
 	})
@@ -373,7 +400,7 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 	// head has not been routed yet.
 	fillEjectQueue(n, 2, 0)
 	n.Step()
-	if _, err := n.PlacePacket(1, 2, 2, 1); err != nil {
+	if _, err := n.PlacePacket(1, 2, 2, 1-p.slot); err != nil {
 		t.Fatal(err)
 	}
 	q, err := n.PlacePacket(0, 1, 2, 0)
@@ -393,20 +420,26 @@ func TestCheckInvariantsCoversDerivedVCState(t *testing.T) {
 		{"pending bit on an empty slot", func() { n.sub(0, 0)[mPend] |= 1 }},
 		{"pending head dropped", func() { r1[mPend] &^= bitOf(pending) }},
 		{"pending head marked ready", func() { r1[mReady] |= bitOf(pending) }},
-		{"pending head not due at its ready time", func() { n.slotOf(pending).rerouteAt = never }},
+		{"pending head not due at its ready time", func() { *atOf(pending) = never }},
 		{"ready head dropped", func() { r1[mReady] &^= bitOf(q) }},
 		{"head away from its destination marked ejecting", func() { r1[mEj] |= bitOf(q) }},
 		{"ejecting head dropped", func() { r2[mEj] &^= bitOf(p) }},
 		{"timed bit dropped", func() { r1[mTimed] &^= bitOf(q) }},
 		{"unflagged head marked flagged", func() { r1[mFlagged] |= bitOf(q) }},
-		{"reroute time moved", func() { n.slotOf(q).rerouteAt++ }},
-		{"router looks for reroutes too late", func() { n.rerouteDue[1] = n.slotOf(q).rerouteAt + 1 }},
+		{"reroute time moved", func() { *atOf(q)++ }},
 		{"local-port mask changed", func() { r1[mLocal] ^= 1 }},
 	}
 	for kind := 0; kind < linkMasks; kind++ {
 		cases = append(cases, corruption{fmt.Sprintf("output mask %d flipped", kind), func() { r1[int(n.lbase[out])+kind] ^= bitOf(q) }})
 	}
 	expectCaught(cases)
+	if n.cfg.NonStickyEscape {
+		q.InEscape = true
+		if n.CheckInvariants() == nil {
+			t.Error("packet marked InEscape under non-sticky escape: CheckInvariants passed")
+		}
+		q.InEscape = false
+	}
 }
 
 func TestEscapePacketsStayInEscape(t *testing.T) {

@@ -127,7 +127,7 @@ func (n *Network) Reconfigure(active *topology.Graph, tab *routing.Table) (Recon
 		if slot := &n.vc[i]; slot.pkt != nil {
 			slot.pkt.DownPhase = false
 			if !slot.sending {
-				slot.rerouteAt = slot.readyAt
+				n.rerouteAt[i] = slot.readyAt
 			}
 		}
 	}

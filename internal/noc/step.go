@@ -55,7 +55,9 @@ const (
 // flag masks, rarely set: see mFlagged — which of those candidates are
 // detours (not productive) / leave the packet in its up*/down* down
 // phase. A flag mask sits flagDetour or flagDown after its candidate
-// mask.
+// mask. Where the escape lookup always returns the main one
+// (sharedEscape), the escape path reads the main masks and the mEsc ones
+// stay empty (Network.escMask).
 const (
 	mMain = iota
 	mEsc
@@ -84,19 +86,19 @@ type option struct {
 // dropHead clears a head (bit of its router's sub-block blk) from every
 // mask but the constant mLocal — from the outputs' flag masks only if it
 // is in any.
-func dropHead(blk []uint64, bit uint64) {
+func (n *Network) dropHead(blk []uint64, bit uint64) {
 	flagged := blk[mFlagged]&bit != 0
 	for i := mPend; i < routerMasks; i++ {
 		blk[i] &^= bit
 	}
-	for i := routerMasks; i < len(blk); i += linkMasks {
+	for i, e := routerMasks, routerMasks+n.escMask; i < len(blk); i, e = i+linkMasks, e+linkMasks {
 		blk[i+mMain] &^= bit
-		blk[i+mEsc] &^= bit
+		blk[e] &^= bit
 		if flagged {
 			blk[i+mMainDetour] &^= bit
-			blk[i+mEscDetour] &^= bit
+			blk[e+flagDetour] &^= bit
 			blk[i+mMainDown] &^= bit
-			blk[i+mEscDown] &^= bit
+			blk[e+flagDown] &^= bit
 		}
 	}
 }
@@ -189,7 +191,7 @@ func (n *Network) allocateRouter(r int) (eligible, granted int) {
 		return eligible, granted // no head bound elsewhere: no output has a taker
 	}
 	for _, out := range n.g.OutLinks(r) {
-		if n.linkBusy[out] > n.cycle || !n.named(r, out) {
+		if n.linkBusy[out] > n.cycle || n.ports[out].free == 0 || !n.named(r, out) {
 			continue
 		}
 		if count, productive := n.linkOptions(r, out); count != 0 {
@@ -211,7 +213,7 @@ func (n *Network) loneHead(r int) int {
 			return -1
 		}
 		for m := blk[mPend]; m != 0; m &= m - 1 {
-			if b := w<<6 + bits.TrailingZeros64(m); n.head(r, b).rerouteAt <= n.cycle {
+			if b := w<<6 + bits.TrailingZeros64(m); n.rerouteAt[int(n.heads[r])+b] <= n.cycle {
 				if lone >= 0 {
 					return -1
 				}
@@ -282,10 +284,10 @@ func (n *Network) grantLone(r, b int) bool {
 		return false
 	}
 	n.rng.IntN(1)
-	if slot := n.head(r, b); out == ejectPort {
-		n.startEject(r, slot)
+	if out == ejectPort {
+		n.startEject(r, b)
 	} else {
-		n.startLink(slot, out, g)
+		n.startLink(r, b, out, g)
 	}
 	n.sub(r, b>>6)[mPend] &^= 1 << uint(b&63)
 	n.loneGrants++
@@ -296,7 +298,7 @@ func (n *Network) grantLone(r, b int) bool {
 // out as a candidate.
 func (n *Network) named(r, out int) bool {
 	for w, lo := 0, int(n.lbase[out]); w < n.maskW; w++ {
-		if blk := n.sub(r, w); blk[mReady]&(blk[lo+mMain]|blk[lo+mEsc]) != 0 {
+		if blk := n.sub(r, w); blk[mReady]&(blk[lo+mMain]|blk[lo+n.escMask]) != 0 {
 			return true
 		}
 	}
@@ -307,38 +309,29 @@ func (n *Network) named(r, out int) bool {
 // ready heads it then has, and how many of those are at their
 // destination: pending heads that have matured are routed — the one
 // candidate lookup of their stay — and become ready, and ready heads
-// crossing the DerouteAfter threshold are routed again.
+// crossing the DerouteAfter threshold are routed again. The due test
+// reads Network.rerouteAt alone: only a head that is due loads its slot.
 func (n *Network) promote(r int) (ready, ejecting int) {
-	due := n.rerouteDue[r] <= n.cycle // else no routed head has a threshold to cross yet
-	next := int64(never)
+	at := n.rerouteAt[n.heads[r]:]
 	for w := 0; w < n.maskW; w++ {
 		blk := n.sub(r, w)
-		m := blk[mPend]
-		if due {
-			m |= blk[mTimed]
+		var due uint64
+		for m := blk[mPend] | blk[mTimed]; m != 0; m &= m - 1 {
+			// Branch-free: the sign of at-cycle-1 is set when the head is due.
+			due |= m & -m & uint64((at[w<<6+bits.TrailingZeros64(m)]-n.cycle-1)>>63)
 		}
-		for ; m != 0; m &= m - 1 {
-			b, bit := w<<6+bits.TrailingZeros64(m), m&-m
-			slot := n.head(r, b)
-			if slot.rerouteAt <= n.cycle {
-				if blk[mPend]&bit == 0 {
-					dropHead(blk, bit)
-				}
-				blk[mPend] &^= bit
-				blk[mReady] |= bit
-				slot.rerouteAt = n.route(blk, r, slot, n.cycle, bit)
-			}
+		for ; due != 0; due &= due - 1 {
+			b, bit := w<<6+bits.TrailingZeros64(due), due&-due
 			if blk[mPend]&bit == 0 {
-				next = min(next, slot.rerouteAt)
+				n.dropHead(blk, bit)
 			}
+			blk[mPend] &^= bit
+			blk[mReady] |= bit
+			at[b] = n.route(blk, r, n.head(r, b), n.cycle, bit)
 		}
 		ready += bits.OnesCount64(blk[mReady])
 		ejecting += bits.OnesCount64(blk[mEj])
 	}
-	if !due {
-		next = min(next, n.rerouteDue[r])
-	}
-	n.rerouteDue[r] = next
 	return ready, ejecting
 }
 
@@ -354,7 +347,9 @@ func (n *Network) route(blk []uint64, r int, slot *vcSlot, at int64, bit uint64)
 	}
 	main, esc, next := n.candidates(r, slot, at)
 	n.fileUnder(blk, main, mMain, bit)
-	n.fileUnder(blk, esc, mEsc, bit)
+	if n.escMask != mMain {
+		n.fileUnder(blk, esc, mEsc, bit)
+	}
 	if next != never {
 		blk[mTimed] |= bit
 	}
@@ -367,7 +362,7 @@ func (n *Network) route(blk []uint64, r int, slot *vcSlot, at int64, bit uint64)
 // with the passage of time alone (never if it does not). The slices are
 // the routing table's shared read-only sets.
 func (n *Network) candidates(r int, slot *vcSlot, at int64) (main, esc []routing.Candidate, next int64) {
-	p, dst, waited, next := slot.pkt, int(slot.dst), at-slot.readyAt, int64(never)
+	dst, waited, next := int(slot.dst), at-slot.readyAt, int64(never)
 	// A long-stalled packet on an unrestricted (adaptive) routing
 	// function may deroute over any output, including U-turns.
 	stalled := false
@@ -376,11 +371,15 @@ func (n *Network) candidates(r int, slot *vcSlot, at int64) (main, esc []routing
 			next = slot.readyAt + d
 		}
 	}
+	if n.escMask == mMain { // one lookup answers both, and reads no packet state
+		main = n.routeCands(n.cfg.Routing, r, dst, false, stalled)
+		return main, main, next
+	}
 	// Escape discipline (paper §III-A): a packet in an escape VC may only
 	// continue on escape VCs under EscapeRouting; others may use either
 	// (and start their up*/down* walk fresh as they enter the escape
 	// network).
-	escape := n.cfg.PolicyEscape
+	p, escape := slot.pkt, n.cfg.PolicyEscape
 	if !escape || !p.InEscape {
 		main = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
 	}
@@ -429,15 +428,16 @@ func (n *Network) buildEjectOptions(r int) (count int) {
 // router order (it consumes the shared RNG).
 func (n *Network) commitEject(r, count int) {
 	b := nthBit(n.optMain, n.rng.IntN(count))
-	dropHead(n.sub(r, b>>6), 1<<uint(b&63))
-	n.startEject(r, n.head(r, b))
+	n.dropHead(n.sub(r, b>>6), 1<<uint(b&63))
+	n.startEject(r, b)
 }
 
-// startEject starts the transfer of the head in slot, granted router r's
-// eject port; the caller takes it out of the head masks.
-func (n *Network) startEject(r int, slot *vcSlot) {
+// startEject starts the transfer of router r's head b, granted the
+// router's eject port; the caller takes it out of the head masks.
+func (n *Network) startEject(r, b int) {
+	slot := n.head(r, b)
 	p := slot.pkt
-	slot.sending, slot.rerouteAt = true, never
+	slot.sending, n.rerouteAt[int(n.heads[r])+b] = true, never
 	n.ejectBusy[r] = n.cycle + int64(p.Flits)
 	n.eng.addFlight(n, flight{
 		pkt: p, doneAt: n.cycle + int64(p.Flits), eject: true, toLink: -1, toRouter: int32(r),
@@ -463,10 +463,10 @@ func nthBit(opt []uint64, k int) int {
 }
 
 // linkOptions returns how many heads of router r have a feasible
-// assignment on its idle output link `out`, and how many of those by a
-// productive hop; when any do, it leaves them in n.optMain and n.optEsc —
-// through a non-escape VC and through the escape VC downstream
-// respectively; no head is in both. Ascending bit order is gather order,
+// assignment on its idle output link `out` (whose downstream port has a
+// free slot), and how many of those by a productive hop; when any do, it
+// leaves them in n.optMain and n.optEsc — through a non-escape VC and
+// through the escape VC downstream respectively; no head is in both. Ascending bit order is gather order,
 // so the set and its order are those of asking every waiting head about
 // the output. Everything read here is stable for the whole allocation
 // phase — an output link is granted at most once per cycle and belongs
@@ -476,11 +476,8 @@ func nthBit(opt []uint64, k int) int {
 // same-cycle grants change; that is why options are built at the
 // output's turn in the serial order and not before.
 func (n *Network) linkOptions(r, out int) (count, productive int) {
-	free := n.ports[out].free
-	if free == 0 {
-		return 0, 0
-	}
-	lo := int(n.lbase[out])
+	free, lo := n.ports[out].free, int(n.lbase[out])
+	esc := lo + n.escMask
 	for w := range n.optMain {
 		blk := n.sub(r, w)
 		var ms, es uint64
@@ -490,7 +487,7 @@ func (n *Network) linkOptions(r, out int) (count, productive int) {
 			var m, e uint64
 			if n.cfg.PolicyEscape {
 				if fv&1 != 0 {
-					e = elig & blk[lo+mEsc]
+					e = elig & blk[esc]
 				}
 				fv &^= 1 // slot 0 is the escape VC: reachable only via the escape path
 			}
@@ -515,7 +512,7 @@ func (n *Network) linkOptions(r, out int) (count, productive int) {
 		}
 		n.optMain[w], n.optEsc[w] = ms, es
 		count += bits.OnesCount64(ms | es)
-		productive += bits.OnesCount64(ms&^blk[lo+mMainDetour] | es&^blk[lo+mEscDetour])
+		productive += bits.OnesCount64(ms&^blk[lo+mMainDetour] | es&^blk[esc+flagDetour])
 	}
 	return count, productive
 }
@@ -543,7 +540,7 @@ func (n *Network) optionAt(blk []uint64, out, b int, p *Packet) option {
 	esc := n.optEsc[w]>>sh&1 != 0
 	i, free := int(n.lbase[out])+mMain, n.freeInVN(out, p.VNet)
 	if esc {
-		i, free = int(n.lbase[out])+mEsc, 1
+		i, free = int(n.lbase[out])+n.escMask, 1
 	} else if n.cfg.PolicyEscape {
 		free &^= 1
 	}
@@ -568,7 +565,7 @@ func (n *Network) commitLinkGrant(r, out, count, productive int) {
 		for w := range n.optMain {
 			blk := n.sub(r, w)
 			n.optMain[w] &^= blk[lo+mMainDetour]
-			n.optEsc[w] &^= blk[lo+mEscDetour]
+			n.optEsc[w] &^= blk[lo+n.escMask+flagDetour]
 		}
 	}
 	for w, e := range n.optEsc {
@@ -577,15 +574,16 @@ func (n *Network) commitLinkGrant(r, out, count, productive int) {
 	b := nthBit(n.optMain, n.rng.IntN(count))
 	slot, blk := n.head(r, b), n.sub(r, b>>6)
 	g := n.optionAt(blk, out, b, slot.pkt)
-	dropHead(blk, 1<<uint(b&63))
-	n.startLink(slot, out, g)
+	n.dropHead(blk, 1<<uint(b&63))
+	n.startLink(r, b, out, g)
 }
 
-// startLink starts the transfer of the head in slot over output link out
+// startLink starts the transfer of router r's head b over output link out
 // as option g has it; the caller takes it out of the head masks.
-func (n *Network) startLink(slot *vcSlot, out int, g option) {
+func (n *Network) startLink(r, b, out int, g option) {
+	slot := n.head(r, b)
 	p := slot.pkt
-	slot.sending, slot.rerouteAt = true, never
+	slot.sending, n.rerouteAt[int(n.heads[r])+b] = true, never
 	n.linkBusy[out] = n.cycle + int64(p.Flits)
 	n.ports[out].free &^= 1 << uint(g.toSlot) // reserved until the transfer lands
 	n.eng.addFlight(n, flight{
