@@ -2,7 +2,7 @@ GO ?= go
 # bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs results-check results-check-full bench bench-e2e bench-pair bench-all fuzz results loc clean
+.PHONY: check build vet lint test-race test-allocs results-check results-check-full golden-check bench bench-e2e bench-pair bench-all fuzz results loc clean
 
 ## check: build + vet + drainvet (four analyzers) + race tests + the
 ## hot-path allocation guards + the committed quick tables regenerated
@@ -125,6 +125,13 @@ results-check:
 ## figures committed there at full scale (a few minutes) and diff them.
 results-check-full:
 	$(call check_tables,results/full,$(FULL_FIGS) -scale full)
+
+## golden-check: the benchmark's digests at the sizes golden.json was
+## recorded at — every workload, seed 1, untraced then traced, default
+## sizes (a couple of minutes). drainbench exits non-zero when a digest
+## differs from cmd/drainbench/golden.json or any other check fails.
+golden-check:
+	$(GO) run ./cmd/drainbench -seed 1
 
 comma := ,
 FULL_FIGS = $(subst $() ,$(comma),$(basename $(notdir $(wildcard results/full/*.md))))

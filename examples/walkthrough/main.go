@@ -18,8 +18,8 @@ func main() {
 	fmt.Print(`
     6 - 7 - 8
     |   |   |
-    3 - 4   5
-    |   |   |
+    3 - 4 - 5
+    |   |
     0 - 1 - 2   (edge 4-5 present; edge 2-5 removed)
 `)
 	e, ok := experiments.ByID("fig8")

@@ -13,8 +13,10 @@ import (
 // replaced — gather every eligible head with its candidate lists as of
 // this cycle, then for every output ask every head (for out { for req {
 // optionFor } }). It reads the network through packets and pending
-// flights only, never the per-port masks, the head masks or a cached
-// route, so it checks that derived state as well as the option sets.
+// flights only, never the per-port masks, the head masks, a cached route,
+// the VC partition or moves — it splits escape from main itself — so it
+// checks that derived state and the one edge relation as well as the
+// option sets.
 // refEngine runs it beside the production allocator at every router visit
 // and records the first disagreement.
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,17 +57,21 @@ func buildReconfig(active, full *topology.Graph) (*routing.Table, []int, error) 
 
 // fuzzConfig is the configuration both fuzz properties draw: a random
 // connected graph of 4–15 routers, 1–2 virtual networks of 1–3 VCs each,
-// adaptive routing, and for even escRaw an escape VC, sticky or not,
-// routed by AdaptiveMinimal, UpDown or XY (XY on a mesh of 2–4 x 2–4
-// routers instead of the random graph). So both head-mask layouts run:
-// escape masks shared with the main ones (sharedEscape) and escape lists
-// of their own.
+// adaptive routing — strictly minimal (DerouteAfter -1, fig3's and
+// fig8's substrate) when bit 1 of vnRaw is set — and for even escRaw an
+// escape VC, sticky or not, routed by AdaptiveMinimal, UpDown or XY (XY
+// on a mesh of 2–4 x 2–4 routers instead of the random graph). So both
+// head-mask layouts run: escape masks shared with the main ones
+// (sharedEscape) and escape lists of their own.
 func fuzzConfig(seed uint64, rng *rand.Rand, nRaw, vnRaw, vcRaw, escRaw uint8) (Config, error) {
 	vnets := int(vnRaw%2) + 1
 	cfg := Config{
 		VNets: vnets, VCsPerVN: int(vcRaw%3) + 1, Classes: vnets,
 		Routing: routing.AdaptiveMinimal,
 		Seed:    seed,
+	}
+	if vnRaw&2 != 0 {
+		cfg.DerouteAfter = -1
 	}
 	if escRaw%2 == 0 {
 		cfg.PolicyEscape = true
@@ -87,7 +92,9 @@ func fuzzConfig(seed uint64, rng *rand.Rand, nRaw, vnRaw, vcRaw, escRaw uint8) (
 // random VC structure, random traffic, periodic drains and live link
 // failures/recoveries — no packet may ever be lost, duplicated or
 // misdelivered (packets cut by a failure are accounted in FaultDrops),
-// and the internal invariants must hold throughout. It returns nil on
+// the internal invariants must hold throughout, and every link transfer
+// the allocator starts stays inside the wait-for edges (grantsInEdges:
+// the deadlock oracle agrees with arbitration). It returns nil on
 // success, errSkip for inputs that produce no simulable config, and a
 // descriptive error on a property violation. Shared by the quick.Check
 // property test and the native fuzz target.
@@ -185,7 +192,11 @@ func checkConservation(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		if cfg.PolicyEscape && cyc%150 == 100 {
 			net.SetFrozen(true)
 		}
+		edges := waitForEdges(net)
 		net.Step()
+		if err := grantsInEdges(net, edges); err != nil {
+			return fmt.Errorf("cycle %d: %w", cyc, err)
+		}
 		if cfg.PolicyEscape && cyc%150 == 110 && net.InflightCount() == 0 {
 			if _, err := net.DrainRotate(next); err != nil {
 				return fmt.Errorf("cycle %d: drain rotate: %w", cyc, err)
@@ -242,6 +253,36 @@ func checkConservation(seed uint64, nRaw, vnRaw, vcRaw, escRaw uint8) error {
 		return fmt.Errorf("pool: %d packets free but only %d ever recycled", free, net.Counters.Recycled)
 	}
 	return nil
+}
+
+// waitForEdges records the wait-for edges (moveTargets) out of every
+// occupied, non-sending link VC, by its packet.
+func waitForEdges(n *Network) map[*Packet][]int {
+	edges := map[*Packet][]int{}
+	for l := 0; l < n.g.NumLinks(); l++ {
+		for s := 0; s < n.vcPerPort; s++ {
+			if slot := n.slot(l, s); slot.pkt != nil && !slot.sending {
+				edges[slot.pkt] = n.moveTargets(slot.pkt, n.g.Link(l).To, nil)
+			}
+		}
+	}
+	return edges
+}
+
+// grantsInEdges checks, after a Step, that every link transfer started
+// from a VC waitForEdges recorded before it targets one of the slots
+// recorded for it: the allocator grants no move the liveness oracle does
+// not know. Ejections are not link transfers; drain rotations, spins and
+// evacuations happen outside Step.
+func grantsInEdges(n *Network, edges map[*Packet][]int) error {
+	var err error
+	n.eng.eachFlight(func(f *flight) {
+		ts, ok := edges[f.pkt]
+		if to := int(f.toLink)*n.vcPerPort + int(f.toSlot); err == nil && ok && !f.eject && !slices.Contains(ts, to) {
+			err = fmt.Errorf("packet %d granted link %d slot %d, outside its wait-for edges %v", f.pkt.ID, f.toLink, f.toSlot, ts)
+		}
+	})
+	return err
 }
 
 // checkRotation verifies that rotating a fully loaded escape layer

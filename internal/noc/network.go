@@ -78,6 +78,14 @@ type Network struct {
 	vcPerPort int
 	vnMask    uint64
 	vc        []vcSlot
+	// The VC partition, the one place the escape discipline (paper
+	// §III-A) lives: escVC and mainVC are a VN's escape and non-escape
+	// slots as freeInVN numbers them — VC 0 is the escape VC under
+	// PolicyEscape, which only the escape path (moves' esc list) reaches;
+	// without it every slot is a main one. sticky: entering the escape VC
+	// sets InEscape (PolicyEscape without NonStickyEscape).
+	escVC, mainVC uint64
+	sticky        bool
 	// rerouteAt[i] is the cycle the head in vc[i] next needs routing:
 	// readyAt while it is pending, then the cycle its candidates next
 	// change with time alone (never when they do not, and once it is
@@ -172,9 +180,14 @@ func New(cfg Config) (*Network, error) {
 		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 		vcPerPort: cfg.VCsPerPort(),
 		vnMask:    1<<uint(cfg.VCsPerVN) - 1,
+		sticky:    cfg.PolicyEscape && !cfg.NonStickyEscape,
 		linkBusy:  make([]int64, g.NumLinks()),
 		ejectBusy: make([]int64, g.N()),
 		inLinks:   make([][]int, g.N()),
+	}
+	n.mainVC = n.vnMask
+	if cfg.PolicyEscape {
+		n.escVC, n.mainVC = 1, n.vnMask&^1
 	}
 	n.ports = make([]portMask, g.NumLinks()+g.N())
 	for i := range n.ports {
@@ -475,6 +488,12 @@ func (n *Network) slotOf(p *Packet) *vcSlot {
 // port, shifted down so bit 0 is the VN's first (escape) slot.
 func (n *Network) freeInVN(port, vn int) uint64 {
 	return n.ports[port].free >> uint(vn*n.cfg.VCsPerVN) & n.vnMask
+}
+
+// stickyAt reports whether a packet entering port slot s becomes sticky
+// in the escape VC.
+func (n *Network) stickyAt(s int) bool {
+	return n.sticky && n.escVC>>uint(s%n.cfg.VCsPerVN)&1 != 0
 }
 
 // OccupiedVCs returns the number of link VC buffers currently holding

@@ -21,9 +21,7 @@ func (n *Network) PlacePacket(from, to, dst, slot int) (*Packet, error) {
 	p.atRouter = to
 	p.inLink = l
 	p.slot = slot
-	if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(slot) && !n.cfg.NonStickyEscape {
-		p.InEscape = true
-	}
+	p.InEscape = n.stickyAt(slot)
 	n.occupy(to, l, slot, p, 0)
 	n.eng.placed(n, to, 0)
 	return p, nil

@@ -166,48 +166,38 @@ func (n *Network) dropFlight(f flight) {
 
 // evacuate moves the non-sending packet p out of failed-link slot
 // (fromLink, fromSlot) into a free VC of the same router's surviving
-// input ports, mirroring freeDownstreamSlot's discipline: an escape
-// packet may only take escape (base) slots; others try non-escape slots
-// across all ports first, then fall back to escape slots (entering the
-// escape network, sticky unless NonStickyEscape). Ports ascend by link
-// ID and slots ascend within each port, so the choice is deterministic.
+// input ports, under allocation's discipline: a packet sticky in the
+// escape VC may only take escape slots; others try mainVC slots across
+// all ports first, then fall back to the escVC (entering the escape
+// network, sticky when the discipline is). Ports ascend by link ID and
+// slots ascend within each port, so the choice is deterministic.
 // Reports false when no slot is free (the caller drops the packet).
 func (n *Network) evacuate(p *Packet, fromLink, fromSlot int) bool {
 	r := p.atRouter
-	base := p.VNet * n.cfg.VCsPerVN
-	find := func(lo, hi int) (int, int, bool) {
+	find := func(vcs uint64) (int, int, bool) {
 		for _, l := range n.inLinks[r] {
-			if n.scrDown[l] {
-				continue
-			}
-			if m := n.ports[l].free >> uint(lo) << uint(lo) & (1<<uint(hi) - 1); m != 0 {
-				return l, bits.TrailingZeros64(m), true
+			if m := n.freeInVN(l, p.VNet) & vcs; m != 0 && !n.scrDown[l] {
+				return l, p.VNet*n.cfg.VCsPerVN + bits.TrailingZeros64(m), true
 			}
 		}
 		return 0, 0, false
 	}
-	var toLink, toSlot int
-	var ok, escape bool
-	switch {
-	case n.cfg.PolicyEscape && p.InEscape:
-		toLink, toSlot, ok = find(base, base+1)
-	case n.cfg.PolicyEscape:
-		if toLink, toSlot, ok = find(base+1, base+n.cfg.VCsPerVN); !ok {
-			toLink, toSlot, ok = find(base, base+1)
-			escape = ok
-		}
-	default:
-		toLink, toSlot, ok = find(base, base+n.cfg.VCsPerVN)
+	vcs := n.mainVC
+	if p.InEscape {
+		vcs = 0
 	}
+	toLink, toSlot, ok := find(vcs)
 	if !ok {
-		return false
+		if toLink, toSlot, ok = find(n.escVC); !ok {
+			return false
+		}
 	}
 	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	n.dropWaiting(r, fromLink, fromSlot)
 	n.occupy(r, toLink, toSlot, p, readyAt)
 	p.inLink = toLink
 	p.slot = toSlot
-	if escape && !n.cfg.NonStickyEscape {
+	if n.stickyAt(toSlot) {
 		p.InEscape = true
 	}
 	n.Counters.FaultReroutes++

@@ -254,13 +254,11 @@ func (n *Network) loneOption(r, b int) (out int, g option, ok bool) {
 		if n.linkBusy[out] > n.cycle {
 			continue
 		}
-		// As linkOptions: slot 0 is the escape VC, reachable only via the
-		// escape path, which applies only when the non-escape path does not.
+		// As linkOptions: the escape path applies only when the non-escape
+		// path does not.
 		free := n.freeInVN(out, p.VNet)
-		viaEsc := inEsc && free&1 != 0
-		if n.cfg.PolicyEscape {
-			free &^= 1
-		}
+		viaEsc := inEsc && free&n.escVC != 0
+		free &= n.mainVC
 		viaMain := inMain && free != 0
 		if local && (viaMain || viaEsc) && !n.conservativeOK(out, p.VNet) {
 			viaMain, viaEsc = false, viaEsc && n.injectBypass(slot)
@@ -269,7 +267,7 @@ func (n *Network) loneOption(r, b int) (out int, g option, ok bool) {
 			return out, option{toSlot: int32(base + bits.TrailingZeros64(free)), downPhase: mc.DownPhase(), productive: mc.Productive()}, true
 		}
 		if viaEsc {
-			return out, option{toSlot: int32(base), setEscape: !n.cfg.NonStickyEscape, downPhase: ec.DownPhase(), productive: ec.Productive()}, true
+			return out, option{toSlot: int32(base), setEscape: n.sticky, downPhase: ec.DownPhase(), productive: ec.Productive()}, true
 		}
 	}
 	return 0, option{}, false
@@ -356,37 +354,46 @@ func (n *Network) route(blk []uint64, r int, slot *vcSlot, at int64, bit uint64)
 	return next
 }
 
-// candidates returns the outputs the head in slot, at router r and bound
-// elsewhere, may take as of cycle `at` — into a non-escape VC (main) and
-// into the escape VC (esc) downstream — and when that answer next changes
-// with the passage of time alone (never if it does not). The slices are
-// the routing table's shared read-only sets.
+// candidates returns moves' answer for the head in slot, at router r and
+// bound elsewhere, as of cycle `at`, and when that answer next changes
+// with the passage of time alone (never if it does not).
 func (n *Network) candidates(r int, slot *vcSlot, at int64) (main, esc []routing.Candidate, next int64) {
-	dst, waited, next := int(slot.dst), at-slot.readyAt, int64(never)
 	// A long-stalled packet on an unrestricted (adaptive) routing
 	// function may deroute over any output, including U-turns.
-	stalled := false
+	stalled, next := false, int64(never)
 	if d := int64(n.cfg.DerouteAfter); d > 0 {
-		if stalled = waited >= d; !stalled {
+		if stalled = at-slot.readyAt >= d; !stalled {
 			next = slot.readyAt + d
 		}
 	}
+	main, esc = n.moves(r, int(slot.dst), slot.pkt, stalled)
+	return main, esc, next
+}
+
+// moves is the one edge relation of the network: the outputs packet p,
+// at router r and bound for dst, may take into one of its VN's mainVC
+// slots (main) and into its escVC (esc) downstream — none at dst, where
+// the eject port is its move; stalled lets an adaptive packet deroute.
+// The allocator reads it as of now (candidates), the wait-for graph with
+// every stall assumed (moveTargets). It reads the routing table, Config
+// and the packet's escape bit and phase, no slot timing. The slices are
+// the routing table's shared read-only sets.
+func (n *Network) moves(r, dst int, p *Packet, stalled bool) (main, esc []routing.Candidate) {
 	if n.escMask == mMain { // one lookup answers both, and reads no packet state
 		main = n.routeCands(n.cfg.Routing, r, dst, false, stalled)
-		return main, main, next
+		return main, main
 	}
-	// Escape discipline (paper §III-A): a packet in an escape VC may only
-	// continue on escape VCs under EscapeRouting; others may use either
-	// (and start their up*/down* walk fresh as they enter the escape
-	// network).
-	p, escape := slot.pkt, n.cfg.PolicyEscape
-	if !escape || !p.InEscape {
+	// Escape discipline (paper §III-A): a packet sticky in the escape VC
+	// may only continue there, under EscapeRouting; others may take
+	// either (and start their up*/down* walk fresh as they enter the
+	// escape network).
+	if !p.InEscape {
 		main = n.routeCands(n.cfg.Routing, r, dst, p.DownPhase, stalled)
 	}
-	if escape {
+	if n.cfg.PolicyEscape {
 		esc = n.routeCands(n.cfg.EscapeRouting, r, dst, p.DownPhase && p.InEscape, stalled)
 	}
-	return main, esc, next
+	return main, esc
 }
 
 // fileUnder sets bit in the kind mask (mMain or mEsc), and in the flag
@@ -482,16 +489,13 @@ func (n *Network) linkOptions(r, out int) (count, productive int) {
 		blk := n.sub(r, w)
 		var ms, es uint64
 		for vn := 0; vn < n.cfg.VNets; vn++ {
-			fv := free >> uint(vn*n.cfg.VCsPerVN) & n.vnMask
+			fv := free >> uint(vn*n.cfg.VCsPerVN)
 			elig := blk[mReady] & n.vnBits[vn*n.maskW+w]
 			var m, e uint64
-			if n.cfg.PolicyEscape {
-				if fv&1 != 0 {
-					e = elig & blk[esc]
-				}
-				fv &^= 1 // slot 0 is the escape VC: reachable only via the escape path
+			if fv&n.escVC != 0 {
+				e = elig & blk[esc]
 			}
-			if fv != 0 {
+			if fv&n.mainVC != 0 {
 				m = elig & blk[lo+mMain]
 			}
 			if loc := (m | e) & blk[mLocal]; loc != 0 && !n.conservativeOK(out, vn) {
@@ -538,15 +542,13 @@ func (n *Network) conservativeOK(out, vn int) bool {
 func (n *Network) optionAt(blk []uint64, out, b int, p *Packet) option {
 	w, sh := b>>6, uint(b&63)
 	esc := n.optEsc[w]>>sh&1 != 0
-	i, free := int(n.lbase[out])+mMain, n.freeInVN(out, p.VNet)
+	i, free := int(n.lbase[out])+mMain, n.freeInVN(out, p.VNet)&n.mainVC
 	if esc {
-		i, free = int(n.lbase[out])+n.escMask, 1
-	} else if n.cfg.PolicyEscape {
-		free &^= 1
+		i, free = int(n.lbase[out])+n.escMask, n.escVC
 	}
 	return option{
 		toSlot:     int32(p.VNet*n.cfg.VCsPerVN + bits.TrailingZeros64(free)),
-		setEscape:  esc && !n.cfg.NonStickyEscape,
+		setEscape:  esc && n.sticky,
 		downPhase:  blk[i+flagDown]>>sh&1 != 0,
 		productive: blk[i+flagDetour]>>sh&1 == 0,
 	}
@@ -651,7 +653,7 @@ func (n *Network) injectRouterQueues(r int) (pending bool) {
 		if p == nil {
 			continue
 		}
-		slot, escape, ok := n.freeLocalSlot(r, p.VNet)
+		slot, ok := n.freeLocalSlot(r, p.VNet)
 		if !ok {
 			pending = true
 			continue
@@ -668,7 +670,7 @@ func (n *Network) injectRouterQueues(r int) (pending bool) {
 		p.inLink = LocalPort
 		p.slot = slot
 		p.InjectedAt = n.cycle
-		if escape && !n.cfg.NonStickyEscape {
+		if n.stickyAt(slot) {
 			p.InEscape = true
 		}
 		n.Counters.Injected++
@@ -679,15 +681,11 @@ func (n *Network) injectRouterQueues(r int) (pending bool) {
 	return pending
 }
 
-// freeLocalSlot picks a free local VC in vn, preferring non-escape slots.
-func (n *Network) freeLocalSlot(r, vn int) (slot int, escape, ok bool) {
+// freeLocalSlot picks a free local VC in vn, the escape VC last.
+func (n *Network) freeLocalSlot(r, vn int) (slot int, ok bool) {
 	free := n.freeInVN(n.localPort(r), vn)
-	if free == 0 {
-		return 0, false, false
+	if m := free & n.mainVC; m != 0 {
+		free = m
 	}
-	if n.cfg.PolicyEscape && free != 1 {
-		free &^= 1 // slot 0 is the escape VC: the last resort
-	}
-	s := bits.TrailingZeros64(free)
-	return vn*n.cfg.VCsPerVN + s, n.cfg.PolicyEscape && s == 0, true
+	return vn*n.cfg.VCsPerVN + bits.TrailingZeros64(free), free != 0
 }

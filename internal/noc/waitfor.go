@@ -1,6 +1,11 @@
 package noc
 
-import "drain/internal/routing"
+import (
+	"math/bits"
+	"slices"
+
+	"drain/internal/routing"
+)
 
 // Wait-for / liveness analysis over link VC buffers.
 //
@@ -37,22 +42,18 @@ func (o LivenessOpts) ejectLive(n *Network, router, class int) bool {
 
 // HasDeadlock reports whether any link VC is non-live.
 func (n *Network) HasDeadlock(opts LivenessOpts) bool {
-	live, all := n.liveness(opts)
-	for i := 0; i < all; i++ {
-		if !live[i] {
-			return true
-		}
-	}
-	return false
+	live, _ := n.liveness(opts)
+	return slices.Contains(live, false)
 }
 
 // liveness computes the live bit for every link VC slot (flat index
-// link*vcPerPort+slot) and returns the slice plus its length.
-func (n *Network) liveness(opts LivenessOpts) ([]bool, int) {
+// link*vcPerPort+slot) and returns it with the edges it was decided over:
+// targets[i] lists the slots the waiting packet in slot i may move into
+// (moveTargets; none for an empty, departing or ejecting one).
+func (n *Network) liveness(opts LivenessOpts) (live []bool, targets [][]int) {
 	total := n.g.NumLinks() * n.vcPerPort
-	live := make([]bool, total)
-	// Forward move targets per slot; built once, reversed for propagation.
-	targets := make([][]int, total)
+	live = make([]bool, total)
+	targets = make([][]int, total)
 	queue := make([]int, 0, total)
 	markLive := func(i int) {
 		if !live[i] {
@@ -103,57 +104,31 @@ func (n *Network) liveness(opts LivenessOpts) ([]bool, int) {
 			markLive(int(i))
 		}
 	}
-	return live, total
+	return live, targets
 }
 
-// moveTargets lists the flat slot indices packet p (at router, in a link
-// VC) is allowed to move into, ignoring transient busy state.
+// moveTargets appends to buf the flat slot indices packet p, waiting in a
+// link VC at router, may eventually move into: moves with every stall
+// assumed (adaptive packets can deroute over any output once stalled),
+// each list's productive outputs first, main expanded into the VN's
+// mainVC slots, then esc into its escVC. FindBlockedCycle follows the
+// first blocked target, so extracted cycles track the packets' *desired*
+// moves (as SPIN's probes do) and forced rotations make real forward
+// progress.
 func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
+	main, esc := n.moves(router, p.Dst, p, n.cfg.DerouteAfter > 0)
 	base := p.VNet * n.cfg.VCsPerVN
-	appendFor := func(out int, escape bool) {
-		if escape {
-			buf = append(buf, out*n.vcPerPort+base)
-			return
-		}
-		start := base
-		if n.cfg.PolicyEscape {
-			start = base + 1
-		}
-		for s := start; s < base+n.cfg.VCsPerVN; s++ {
-			buf = append(buf, out*n.vcPerPort+s)
-		}
-	}
-	// Eventual-move semantics: adaptive packets can deroute over any
-	// output once stalled, so liveness must consider every output.
-	// Productive outputs are listed first (two passes over AllOutputs):
-	// FindBlockedCycle follows the first blocked target, so extracted
-	// cycles track the packets' *desired* moves (as SPIN's probes do) and
-	// forced rotations make real forward progress. The sets are the
-	// routing table's shared read-only slices and are only iterated here.
-	add := func(k routing.Kind, phase, escape bool) {
-		if n.cfg.DerouteAfter > 0 && k == routing.AdaptiveMinimal {
-			all := n.tab.AllOutputs(router, p.Dst)
-			for _, productive := range [2]bool{true, false} {
-				for _, c := range all {
-					if c.Productive() == productive {
-						appendFor(c.LinkID(), escape)
-					}
+	for _, path := range [2]struct {
+		cands []routing.Candidate
+		vcs   uint64
+	}{{main, n.mainVC}, {esc, n.escVC}} {
+		for _, productive := range [2]bool{true, false} {
+			for _, c := range path.cands {
+				for vcs := path.vcs; vcs != 0 && c.Productive() == productive; vcs &= vcs - 1 {
+					buf = append(buf, c.LinkID()*n.vcPerPort+base+bits.TrailingZeros64(vcs))
 				}
 			}
-			return
 		}
-		for _, c := range n.tab.Candidates(k, router, p.Dst, phase) {
-			appendFor(c.LinkID(), escape)
-		}
-	}
-	switch {
-	case !n.cfg.PolicyEscape:
-		add(n.cfg.Routing, p.DownPhase, false)
-	case p.InEscape:
-		add(n.cfg.EscapeRouting, p.DownPhase, true)
-	default:
-		add(n.cfg.Routing, p.DownPhase, false)
-		add(n.cfg.EscapeRouting, false, true)
 	}
 	return buf
 }
@@ -164,48 +139,30 @@ func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
 // refs share a router, every ref is occupied, and each packet is allowed
 // to move into its successor buffer.
 func (n *Network) FindBlockedCycle(opts LivenessOpts) []VCRef {
-	live, total := n.liveness(opts)
-	start := -1
-	for i := 0; i < total; i++ {
-		if !live[i] {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
+	live, targets := n.liveness(opts)
+	cur := slices.Index(live, false)
+	if cur < 0 {
 		return nil
 	}
-	// Walk non-live successors until a slot repeats.
-	visited := make(map[int]int) // flat index -> position in walk
+	// Walk non-live successors along liveness' edges until a slot
+	// repeats; pos[i] is slot i's position in the walk, plus one.
+	pos := make([]int32, len(live))
 	var walk []int
-	cur := start
-	for {
-		if pos, seen := visited[cur]; seen {
-			cycle := walk[pos:]
-			refs := make([]VCRef, len(cycle))
-			for i, idx := range cycle {
-				refs[i] = VCRef{Link: idx / n.vcPerPort, Slot: idx % n.vcPerPort}
-			}
-			return refs
-		}
-		visited[cur] = len(walk)
+	for pos[cur] == 0 {
 		walk = append(walk, cur)
-		p := n.slot(cur/n.vcPerPort, cur%n.vcPerPort).pkt
-		if p == nil {
-			return nil // raced with movement; caller retries later
-		}
-		next := -1
-		for _, t := range n.moveTargets(p, n.g.Link(cur/n.vcPerPort).To, nil) {
-			if !live[t] {
-				next = t
-				break
-			}
-		}
+		pos[cur] = int32(len(walk))
+		next := slices.IndexFunc(targets[cur], func(t int) bool { return !live[t] })
 		if next < 0 {
 			// Dead end: the packet's only blocked option is ejection
 			// (possible when eject queues are not treated as live).
 			return nil
 		}
-		cur = next
+		cur = targets[cur][next]
 	}
+	cycle := walk[pos[cur]-1:]
+	refs := make([]VCRef, len(cycle))
+	for i, idx := range cycle {
+		refs[i] = VCRef{Link: idx / n.vcPerPort, Slot: idx % n.vcPerPort}
+	}
+	return refs
 }

@@ -184,15 +184,22 @@ func TestFindBlockedCycleIsRotatable(t *testing.T) {
 	}
 }
 
-// TestMoveTargetsPreferProductive holds the liveness order of a derouting
-// head to its definition: AllOutputs sorted productive-first (stably, so
-// each half keeps the table's order), expanded into the VCs the packet may
-// take — a non-escape packet's non-escape VCs, then the escape VC.
+// TestMoveTargetsPreferProductive holds the wait-for edges of a head to
+// their definition, built from the routing table directly: the main and
+// escape lookups — AllOutputs for a head that may deroute, the routing
+// function's Candidates otherwise — each sorted productive-first (stably,
+// so each half keeps the table's order) and expanded into the VCs the
+// packet may take: the non-escape VCs of its VN (all of them without an
+// escape VC), then the escape VC; a packet sticky in the escape VC only
+// there, under the escape function. The cases cover both head-mask
+// layouts (escape lookups shared with the main ones, or their own under
+// up*/down* and XY), an escape-only VN and strict minimal routing.
 func TestMoveTargetsPreferProductive(t *testing.T) {
-	g, err := topology.MustMesh(4, 4).WithoutEdge(5, 6)
+	faulty, err := topology.MustMesh(4, 4).WithoutEdge(5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mesh := topology.MustMesh(4, 4)
 	productiveFirst := func(a, b routing.Candidate) int {
 		switch {
 		case a.Productive() == b.Productive():
@@ -202,51 +209,68 @@ func TestMoveTargetsPreferProductive(t *testing.T) {
 		}
 		return 1
 	}
-	for _, escape := range []bool{false, true} {
-		n, err := New(Config{
-			Graph: g, VNets: 1, VCsPerVN: 3, Classes: 1,
-			PolicyEscape:  escape,
-			Routing:       routing.AdaptiveMinimal,
-			EscapeRouting: routing.AdaptiveMinimal,
-			Seed:          1,
-		})
+	am := routing.AdaptiveMinimal
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no escape", Config{Graph: faulty, VCsPerVN: 3}},
+		{"sticky escape", Config{Graph: faulty, VCsPerVN: 3, PolicyEscape: true, EscapeRouting: am}},
+		{"shared escape", Config{Graph: faulty, VCsPerVN: 3, PolicyEscape: true, EscapeRouting: am, NonStickyEscape: true}},
+		{"escape VC only", Config{Graph: faulty, VCsPerVN: 1, PolicyEscape: true, EscapeRouting: am}},
+		{"up*/down* escape", Config{Graph: faulty, VNets: 2, VCsPerVN: 2, PolicyEscape: true, EscapeRouting: routing.UpDown}},
+		{"XY escape", Config{Graph: mesh.Graph, Mesh: mesh, VCsPerVN: 2, PolicyEscape: true, EscapeRouting: routing.XY, NonStickyEscape: true}},
+		{"strictly minimal", Config{Graph: faulty, VCsPerVN: 3, PolicyEscape: true, EscapeRouting: am, DerouteAfter: -1}},
+	} {
+		cfg := tc.cfg
+		cfg.Routing, cfg.Classes, cfg.Seed = am, max(cfg.VNets, 1), 1
+		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.cfg.DerouteAfter <= 0 {
-			t.Fatalf("DerouteAfter = %d: the default network does not deroute", n.cfg.DerouteAfter)
-		}
-		for _, inEscape := range []bool{false, true} {
-			if inEscape && !escape {
-				continue
+		cfg, tab := n.Config(), n.Table()
+		lookup := func(k routing.Kind, at, dst int, down bool) []routing.Candidate {
+			if cfg.DerouteAfter > 0 && k == am {
+				return tab.AllOutputs(at, dst)
 			}
-			for at := 0; at < g.N(); at++ {
-				for dst := 0; dst < g.N(); dst++ {
-					if at == dst {
-						continue
-					}
-					sorted := slices.Clone(n.Table().AllOutputs(at, dst))
-					slices.SortStableFunc(sorted, productiveFirst)
-					var want []int
-					expand := func(lo, hi int) {
-						for _, c := range sorted {
-							for s := lo; s < hi; s++ {
-								want = append(want, c.LinkID()*n.vcPerPort+s)
+			return tab.Candidates(k, at, dst, down)
+		}
+		for vn := 0; vn < cfg.VNets; vn++ {
+			for _, inEscape := range []bool{false, true} {
+				if inEscape && (!cfg.PolicyEscape || cfg.NonStickyEscape) {
+					continue
+				}
+				for _, down := range []bool{false, true} {
+					for at := 0; at < n.g.N(); at++ {
+						for dst := 0; dst < n.g.N(); dst++ {
+							if at == dst {
+								continue
+							}
+							var want []int
+							expand := func(cands []routing.Candidate, lo, hi int) {
+								sorted := slices.Clone(cands)
+								slices.SortStableFunc(sorted, productiveFirst)
+								for _, c := range sorted {
+									for s := lo; s < hi; s++ {
+										want = append(want, c.LinkID()*n.vcPerPort+vn*cfg.VCsPerVN+s)
+									}
+								}
+							}
+							switch {
+							case !cfg.PolicyEscape:
+								expand(lookup(cfg.Routing, at, dst, down), 0, cfg.VCsPerVN)
+							case inEscape:
+								expand(lookup(cfg.EscapeRouting, at, dst, down), 0, 1)
+							default:
+								expand(lookup(cfg.Routing, at, dst, down), 1, cfg.VCsPerVN)
+								expand(lookup(cfg.EscapeRouting, at, dst, false), 0, 1)
+							}
+							p := &Packet{Dst: dst, VNet: vn, InEscape: inEscape, DownPhase: down}
+							if got := n.moveTargets(p, at, nil); !slices.Equal(got, want) {
+								t.Fatalf("%s: VN %d inEscape=%v down=%v at %d dst %d: moveTargets = %v, want %v",
+									tc.name, vn, inEscape, down, at, dst, got, want)
 							}
 						}
-					}
-					switch {
-					case !escape:
-						expand(0, 3)
-					case inEscape:
-						expand(0, 1)
-					default:
-						expand(1, 3)
-						expand(0, 1)
-					}
-					got := n.moveTargets(&Packet{Dst: dst, InEscape: inEscape}, at, nil)
-					if !slices.Equal(got, want) {
-						t.Fatalf("escape=%v inEscape=%v at %d dst %d: moveTargets = %v, want %v", escape, inEscape, at, dst, got, want)
 					}
 				}
 			}
