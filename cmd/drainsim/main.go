@@ -150,6 +150,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "protocol: issued=%d completed=%d hits=%d misses=%d messages=%d\n",
 			res.Protocol.OpsIssued, res.Protocol.OpsCompleted,
 			res.Protocol.Hits, res.Protocol.Misses, res.Protocol.MsgsSent)
+		for node, ws := range res.Waits {
+			if len(ws) > 0 {
+				why := make([]string, len(ws))
+				for i, w := range ws {
+					why[i] = w.String()
+				}
+				fmt.Fprintf(stdout, "node %d waits: %s\n", node, strings.Join(why, "; "))
+			}
+		}
 		if res.Drains > 0 {
 			fmt.Fprintf(stdout, "drains: %d\n", res.Drains)
 		}

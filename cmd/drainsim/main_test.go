@@ -110,3 +110,16 @@ drains: 2 (0 full), 0 packet-hops forced, 0 drain-ejections
 		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, stderr.String(), stdout.String(), want)
 	}
 }
+
+// An incomplete workload run prints, node by node, what each stopped
+// consumer waits for: here the 4x4 endpoint stall sim.TestVN1EndpointStall
+// pins, whose node 0 Request head waits on Response injection capacity.
+func TestIncompleteWorkloadPrintsWaits(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(strings.Fields("-mesh 4x4 -workload canneal -ops 2000 -seed 10 -epoch 8192 -max-cycles 300000"), &stdout, &stderr)
+	out := stdout.String()
+	if code != 0 || !strings.Contains(out, "completed=false") ||
+		!strings.Contains(out, "\nnode 0 waits: request head: injection capacity of class 2;") {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant an incomplete run naming node 0's Request head wait", code, stderr.String(), out)
+	}
+}

@@ -44,34 +44,17 @@ const (
 	Unblock // transaction completion (requester → home)
 )
 
+var msgNames = [...]string{
+	GetS: "GetS", GetM: "GetM", PutM: "PutM", Inv: "Inv", FwdGetS: "FwdGetS", FwdGetM: "FwdGetM",
+	Data: "Data", InvAck: "InvAck", DirAck: "DirAck", WBAck: "WBAck", Unblock: "Unblock",
+}
+
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
-	switch t {
-	case GetS:
-		return "GetS"
-	case GetM:
-		return "GetM"
-	case PutM:
-		return "PutM"
-	case Inv:
-		return "Inv"
-	case FwdGetS:
-		return "FwdGetS"
-	case FwdGetM:
-		return "FwdGetM"
-	case Data:
-		return "Data"
-	case InvAck:
-		return "InvAck"
-	case DirAck:
-		return "DirAck"
-	case WBAck:
-		return "WBAck"
-	case Unblock:
-		return "Unblock"
-	default:
-		return fmt.Sprintf("MsgType(%d)", int(t))
+	if t >= 0 && int(t) < len(msgNames) {
+		return msgNames[t]
 	}
+	return fmt.Sprintf("MsgType(%d)", int(t))
 }
 
 // Class returns the message class of a type.

@@ -148,30 +148,6 @@ func TestPrewarmedAccessesHit(t *testing.T) {
 	}
 }
 
-func TestDebugSnapshot(t *testing.T) {
-	m := topology.MustMesh(2, 2)
-	n := protoNet(t, m.Graph, m, 3, 4)
-	sys, err := New(n, Config{
-		Gen:  testGen{issue: 0.5, sharedFrac: 0.5, writeFrac: 0.5, shared: 8, private: 64},
-		Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := sys.DebugSnapshot()
-	if empty.PendingMSHRs != 0 || empty.NetPackets != 0 {
-		t.Errorf("fresh system not empty: %+v", empty)
-	}
-	for i := 0; i < 50; i++ {
-		n.Step()
-		sys.Tick()
-	}
-	busy := sys.DebugSnapshot()
-	if busy.PendingMSHRs == 0 && busy.NetPackets == 0 {
-		t.Error("active system shows no in-flight state")
-	}
-}
-
 func TestWriteUpgradeFromShared(t *testing.T) {
 	// Two readers share a line, then one writes: the upgrade must
 	// invalidate the other sharer and end with Modified at the writer.

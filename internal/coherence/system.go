@@ -77,22 +77,11 @@ type mshr struct {
 	completed bool // waiting only to send Unblock / perform fill
 }
 
-// sharerSet is a core-index bitset: the directory's sharer list.
-// Iteration ascends by core index, which is exactly the order the old
-// map representation produced after its collect-and-sort pass — so the
-// invalidation send order (and every RNG-visible effect downstream) is
-// unchanged.
+// sharerSet is a core-index bitset: the directory's sharer list. It is
+// walked in ascending core order, the order invalidations go out in.
 type sharerSet []uint64
 
-func newSharerSet(cores int) sharerSet { return make(sharerSet, (cores+63)/64) }
-
 func (ss sharerSet) add(c int) { ss[c>>6] |= 1 << (c & 63) }
-
-func (ss sharerSet) reset() {
-	for i := range ss {
-		ss[i] = 0
-	}
-}
 
 // dirLine is the directory's view of one cache line.
 type dirLine struct {
@@ -101,11 +90,18 @@ type dirLine struct {
 	sharers sharerSet
 	owner   int
 	state   LineState // Invalid, Shared or Modified (dir-level)
-	// busy: a transaction is in flight; new requests for the line stall.
-	busy       bool
-	needDirAck bool
-	gotDirAck  bool
-	gotUnblock bool
+	// busy: a transaction is in flight; new requests for the line stall
+	// until Unblock arrives from requester and, when ackFrom ≥ 0, DirAck
+	// from the old owner ackFrom.
+	busy, gotUnblock, gotDirAck bool
+	requester, ackFrom          int32
+}
+
+// lock opens a transaction for requester; ackFrom ≥ 0 names the old owner
+// whose DirAck must also arrive.
+func (dl *dirLine) lock(requester, ackFrom int) {
+	dl.busy, dl.gotUnblock, dl.gotDirAck = true, false, false
+	dl.requester, dl.ackFrom = int32(requester), int32(ackFrom)
 }
 
 // warmRange is one core's prewarmed lines [first, end): their home
@@ -131,6 +127,9 @@ type node struct {
 	// unfinished counts the MSHRs that are completed but still waiting for
 	// injection capacity to fill and unblock (what retryCompletions retries).
 	unfinished int
+	// waits holds where each consumer stopped during the last Tick (Kind
+	// 0: it did not stop); Waits expands a busy line's entry.
+	waits [numConsumers]Wait
 
 	opsIssued    int64
 	opsCompleted int64
@@ -159,8 +158,8 @@ type System struct {
 	rng   *rand.Rand
 	stats Stats
 
-	// injectCap is the network's InjectCap, read once: canSend runs
-	// several times per message and Config() copies the whole config.
+	// injectCap is the network's InjectCap, read once: emit runs for
+	// every consumed message and Config() copies the whole config.
 	injectCap int
 
 	// warm holds the prewarmed ranges, sorted and disjoint (prewarm).
@@ -171,11 +170,10 @@ type System struct {
 	freeMsgs  []*Msg
 	freeMSHRs []*mshr
 
-	// Scratch buffers for order-sensitive collection passes: completed
-	// MSHR addresses (sorted — retry priority is address order) and the
-	// sharer list walked off a dirLine's bitset (already ascending).
-	scrAddrs   []int64
-	scrSharers []int
+	// Scratch buffers: completed MSHR addresses (sorted — retry priority
+	// is address order) and the batch a consumer hands emit.
+	scrAddrs []int64
+	batch    []out
 }
 
 // New builds a coherence system over net; the network must be configured
@@ -282,50 +280,6 @@ func (s *System) Done() bool {
 	return true
 }
 
-// Snapshot is a diagnostic view of protocol state, for debugging stalls.
-type Snapshot struct {
-	PendingMSHRs   int   // outstanding misses across all cores
-	CompletedWait  int   // MSHRs finished but waiting for injection capacity
-	BusyDirLines   int   // directory lines blocked on Unblock/DirAck
-	InjQueued      int   // messages waiting in injection queues
-	EjQueued       int   // messages waiting in ejection queues
-	NetPackets     int   // everything the network still holds
-	SampleBusyAddr int64 // highest blocked directory address, -1 if none
-	SampleMSHRAddr int64 // highest outstanding miss address, -1 if none
-}
-
-// DebugSnapshot summarizes where in-flight protocol state is stuck.
-func (s *System) DebugSnapshot() Snapshot {
-	var snap Snapshot
-	snap.SampleBusyAddr, snap.SampleMSHRAddr = -1, -1
-	for r, nd := range s.nodes {
-		snap.PendingMSHRs += nd.mshrs.Len()
-		// The sample fields take the maximum address rather than the last
-		// one visited; combined with dense.Table's deterministic walk the
-		// snapshot is identical across runs by construction.
-		nd.mshrs.Each(func(_ int64, ms *mshr) bool {
-			if ms.completed {
-				snap.CompletedWait++
-			}
-			snap.SampleMSHRAddr = max(snap.SampleMSHRAddr, ms.addr)
-			return true
-		})
-		nd.dir.Each(func(addr int64, i int32) bool {
-			if nd.dirLines[i].busy {
-				snap.BusyDirLines++
-				snap.SampleBusyAddr = max(snap.SampleBusyAddr, addr)
-			}
-			return true
-		})
-		for c := 0; c < NumClasses; c++ {
-			snap.InjQueued += s.net.InjQueueLen(r, c)
-			snap.EjQueued += s.net.EjectedLen(r, c)
-		}
-	}
-	snap.NetPackets = s.net.InFlightPackets()
-	return snap
-}
-
 // home returns the directory slice for an address.
 func (s *System) home(addr int64) int {
 	h := int(addr % int64(len(s.nodes)))
@@ -335,9 +289,9 @@ func (s *System) home(addr int64) int {
 	return h
 }
 
-// send injects a coherence message; the caller must have verified
-// capacity with canSend. The payload is a *Msg off the free list, so
-// storing it in the interface allocates nothing.
+// send injects a coherence message; only emit calls it, after counting
+// capacity. The payload is a *Msg off the free list, so storing it in the
+// interface allocates nothing.
 func (s *System) send(from int, to int, m Msg) {
 	p := s.net.NewPacket(from, to, m.Type.Class(), m.Type.Flits())
 	pm := take(&s.freeMsgs)
@@ -369,13 +323,42 @@ func (s *System) release(p *noc.Packet) {
 	s.net.ReleasePacket(p)
 }
 
-// canSend reports whether n more messages of the class fit in node r's
-// injection queue.
-func (s *System) canSend(r, class, n int) bool {
-	if s.injectCap == 0 {
-		return true
+// out is one message of a batch, with its destination.
+type out struct {
+	to int
+	m  Msg
+}
+
+// emit is the protocol's one injection gate. If node r's batch fits
+// InjectCap in every class, it injects the batch in order and pops a head
+// consumer's head; else it changes nothing, records by's wait on the
+// first class that lacks room and returns false. A Forward head is
+// released before its replies take packets and a Request head after,
+// which the pool's reuse order (and so PoolFree) depends on.
+func (s *System) emit(r int, by Consumer, batch []out) bool {
+	s.batch = batch[:0] // keep a grown backing array for the next batch
+	if s.injectCap > 0 {
+		var need [NumClasses]int
+		for _, o := range batch {
+			need[o.m.Type.Class()]++
+		}
+		for c, n := range need {
+			if n > 0 && s.net.InjQueueLen(r, c)+n > s.injectCap {
+				s.nodes[r].waits[by] = Wait{By: by, Kind: WaitCapacity, Class: c}
+				return false
+			}
+		}
 	}
-	return s.net.InjQueueLen(r, class)+n <= s.injectCap
+	if by == ForwardHead {
+		s.release(s.net.PopEjected(r, ClassFwd))
+	}
+	for _, o := range batch {
+		s.send(r, o.to, o.m)
+	}
+	if by == RequestHead {
+		s.release(s.net.PopEjected(r, ClassReq))
+	}
+	return true
 }
 
 // Tick advances the protocol by one cycle: consume deliverable messages,
@@ -409,14 +392,10 @@ func (s *System) consumeResponses(r int) {
 		// here, so hand both back to their free lists.
 		s.release(p)
 		switch m.Type {
-		case Data:
-			s.onData(r, m)
-		case InvAck:
-			s.onInvAck(r, m)
-		case DirAck:
-			s.onDirAck(r, m)
-		case Unblock:
-			s.onUnblock(r, m)
+		case Data, InvAck:
+			s.onMissResponse(r, m)
+		case DirAck, Unblock:
+			s.onLineAck(r, m)
 		case WBAck:
 			// Writeback complete; nothing held.
 		default:
@@ -425,59 +404,20 @@ func (s *System) consumeResponses(r int) {
 	}
 }
 
-func (s *System) onData(r int, m Msg) {
-	nd := s.nodes[r]
-	ms, ok := nd.mshrs.Get(m.Addr)
+// onMissResponse records a miss's Data or InvAck and, once data and every
+// ack have arrived, completes the MSHR. Completion needs injection
+// capacity for the Unblock and possibly a writeback; if unavailable it
+// retries next cycle (retryCompletions).
+func (s *System) onMissResponse(r int, m Msg) {
+	ms, ok := s.nodes[r].mshrs.Get(m.Addr)
 	if !ok {
 		return // stale (transaction raced with writeback); drop
 	}
-	ms.gotData = true
-	ms.dataExcl = m.Excl
-	ms.needAcks = m.Acks
-	s.maybeComplete(r, ms)
-}
-
-func (s *System) onInvAck(r int, m Msg) {
-	nd := s.nodes[r]
-	ms, ok := nd.mshrs.Get(m.Addr)
-	if !ok {
-		return
+	if m.Type == InvAck {
+		ms.gotAcks++
+	} else {
+		ms.gotData, ms.dataExcl, ms.needAcks = true, m.Excl, m.Acks
 	}
-	ms.gotAcks++
-	s.maybeComplete(r, ms)
-}
-
-func (s *System) onDirAck(r int, m Msg) {
-	nd := s.nodes[r]
-	if i, ok := nd.dir.Get(m.Addr); ok {
-		dl := &nd.dirLines[i]
-		dl.gotDirAck = true
-		maybeUnblockDir(dl)
-	}
-}
-
-func (s *System) onUnblock(r int, m Msg) {
-	nd := s.nodes[r]
-	if i, ok := nd.dir.Get(m.Addr); ok {
-		dl := &nd.dirLines[i]
-		dl.gotUnblock = true
-		maybeUnblockDir(dl)
-	}
-}
-
-func maybeUnblockDir(dl *dirLine) {
-	if dl.busy && dl.gotUnblock && (!dl.needDirAck || dl.gotDirAck) {
-		dl.busy = false
-		dl.needDirAck = false
-		dl.gotDirAck = false
-		dl.gotUnblock = false
-	}
-}
-
-// maybeComplete retires an MSHR whose data and acks have all arrived.
-// Completion needs injection capacity for the Unblock and possibly a
-// writeback; if unavailable it retries next cycle (retryCompletions).
-func (s *System) maybeComplete(r int, ms *mshr) {
 	if !ms.gotData || ms.gotAcks < ms.needAcks {
 		return
 	}
@@ -488,24 +428,37 @@ func (s *System) maybeComplete(r int, ms *mshr) {
 	s.tryFinish(r, ms)
 }
 
-// tryFinish performs the fill + Unblock once capacity allows.
-func (s *System) tryFinish(r int, ms *mshr) bool {
+// onLineAck records a busy line's DirAck or Unblock, and frees the line
+// once every response it awaits has arrived.
+func (s *System) onLineAck(r int, m Msg) {
 	nd := s.nodes[r]
-	// Count needed injections: Unblock (resp) always; PutM (req) if the
-	// fill must evict a Modified line.
+	if i, ok := nd.dir.Get(m.Addr); ok {
+		dl := &nd.dirLines[i]
+		if m.Type == DirAck {
+			dl.gotDirAck = true
+		} else {
+			dl.gotUnblock = true
+		}
+		if dl.busy && dl.gotUnblock && (dl.ackFrom < 0 || dl.gotDirAck) {
+			dl.busy, dl.gotUnblock, dl.gotDirAck = false, false, false
+		}
+	}
+}
+
+// tryFinish performs the fill + Unblock once capacity allows: the fill
+// sends a PutM first when it must evict a Modified line.
+func (s *System) tryFinish(r int, ms *mshr) {
+	nd := s.nodes[r]
 	victim, needWB := s.pickVictim(r)
-	respNeeded, reqNeeded := 1, 0
+	b := s.batch[:0]
 	if needWB {
-		reqNeeded = 1
+		b = append(b, out{s.home(victim), Msg{Type: PutM, Addr: victim, Requester: r}})
 	}
-	if !s.canSend(r, ClassResp, respNeeded) || (reqNeeded > 0 && !s.canSend(r, ClassReq, reqNeeded)) {
-		return false
+	if !s.emit(r, Fills, append(b, out{s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r}})) {
+		return
 	}
-	if needWB {
-		nd.lines.Delete(victim)
-		s.send(r, s.home(victim), Msg{Type: PutM, Addr: victim, Requester: r})
-	} else if victim >= 0 {
-		nd.lines.Delete(victim) // silent S/E eviction
+	if victim >= 0 {
+		nd.lines.Delete(victim) // written back above, or a silent S/E eviction
 	}
 	if ms.write {
 		nd.lines.Put(ms.addr, Modified)
@@ -514,13 +467,11 @@ func (s *System) tryFinish(r int, ms *mshr) bool {
 	} else {
 		nd.lines.Put(ms.addr, Shared)
 	}
-	s.send(r, s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r})
 	nd.mshrs.Delete(ms.addr)
 	s.freeMSHRs = append(s.freeMSHRs, ms)
 	nd.unfinished--
 	nd.opsCompleted++
 	s.stats.TxCompleted++
-	return true
 }
 
 // pickVictim chooses an eviction victim if the L1 is full; returns
@@ -562,6 +513,7 @@ func mix64(x uint64) uint64 {
 // the same seed must finish the same ones first.
 func (s *System) retryCompletions(r int) {
 	nd := s.nodes[r]
+	nd.waits[Fills] = Wait{}
 	if nd.unfinished == 0 {
 		return // the usual cycle: skip the table walk
 	}
@@ -587,36 +539,32 @@ func (s *System) retryCompletions(r int) {
 
 func (s *System) consumeForwards(r int) {
 	nd := s.nodes[r]
+	nd.waits[ForwardHead] = Wait{}
 	for {
 		p := s.net.PeekEjected(r, ClassFwd)
 		if p == nil {
 			return
 		}
 		m := *p.Payload.(*Msg)
+		b := s.batch[:0]
 		switch m.Type {
 		case Inv:
-			if !s.canSend(r, ClassResp, 1) {
-				return // stall: ack does not fit
-			}
-			s.release(s.net.PopEjected(r, ClassFwd))
-			nd.lines.Delete(m.Addr)
-			s.send(r, m.Requester, Msg{Type: InvAck, Addr: m.Addr, Requester: m.Requester})
+			b = append(b, out{m.Requester, Msg{Type: InvAck, Addr: m.Addr, Requester: m.Requester}})
 		case FwdGetS, FwdGetM:
 			// Owner supplies Data to the requester and acknowledges the
 			// directory: two responses.
-			if !s.canSend(r, ClassResp, 2) {
-				return
-			}
-			s.release(s.net.PopEjected(r, ClassFwd))
-			if m.Type == FwdGetS {
-				nd.lines.Put(m.Addr, Shared)
-			} else {
-				nd.lines.Delete(m.Addr)
-			}
-			s.send(r, m.Requester, Msg{Type: Data, Addr: m.Addr, Requester: m.Requester})
-			s.send(r, s.home(m.Addr), Msg{Type: DirAck, Addr: m.Addr, Requester: m.Requester})
+			b = append(b, out{m.Requester, Msg{Type: Data, Addr: m.Addr, Requester: m.Requester}},
+				out{s.home(m.Addr), Msg{Type: DirAck, Addr: m.Addr, Requester: m.Requester}})
 		default:
 			panic("coherence: unexpected forward " + m.Type.String())
+		}
+		if !s.emit(r, ForwardHead, b) {
+			return
+		}
+		if m.Type == FwdGetS {
+			nd.lines.Put(m.Addr, Shared)
+		} else {
+			nd.lines.Delete(m.Addr)
 		}
 	}
 }
@@ -624,6 +572,8 @@ func (s *System) consumeForwards(r int) {
 // ---- request handling at the directory ----
 
 func (s *System) consumeRequests(r int) {
+	nd := s.nodes[r]
+	nd.waits[RequestHead] = Wait{}
 	for {
 		p := s.net.PeekEjected(r, ClassReq)
 		if p == nil {
@@ -632,122 +582,76 @@ func (s *System) consumeRequests(r int) {
 		m := *p.Payload.(*Msg)
 		dl := s.dirLine(r, m.Addr)
 		if m.Type != PutM && dl.busy {
-			return // head-of-line stall until Unblock arrives
+			// Head-of-line stall: the whole queue waits for this line.
+			nd.waits[RequestHead] = Wait{By: RequestHead, Kind: WaitBusyLine, Addr: m.Addr}
+			return
 		}
 		if !s.processRequest(r, m, dl) {
-			return // injection capacity stall
+			return
 		}
-		s.release(s.net.PopEjected(r, ClassReq))
 	}
 }
 
-// processRequest applies one directory request; returns false when
-// injection capacity is insufficient (leave the message queued).
+// processRequest applies one directory request through emit; it returns
+// false, leaving the line as it was, when emit refuses the replies.
 func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 	c := m.Requester
-	switch m.Type {
-	case GetS:
-		switch dl.state {
-		case Invalid, Shared:
-			if !s.canSend(r, ClassResp, 1) {
-				return false
-			}
-			excl := dl.state == Invalid
-			s.send(r, c, Msg{Type: Data, Addr: m.Addr, Requester: c, Excl: excl})
-			if excl {
-				dl.state = Modified // E at the core: dir tracks as owned
-				dl.owner = c
-			} else {
-				dl.sharers.add(c)
-			}
-			dl.busy, dl.gotUnblock = true, false
-		case Modified:
-			if dl.owner == c {
-				// Requester already owns it (stale request after silent
-				// upgrade); just complete it.
-				if !s.canSend(r, ClassResp, 1) {
-					return false
-				}
-				s.send(r, c, Msg{Type: Data, Addr: m.Addr, Requester: c, Excl: true})
-				dl.busy, dl.gotUnblock = true, false
-				return true
-			}
-			if !s.canSend(r, ClassFwd, 1) {
-				return false
-			}
-			s.send(r, dl.owner, Msg{Type: FwdGetS, Addr: m.Addr, Requester: c})
-			dl.state = Shared
-			if dl.sharers == nil {
-				dl.sharers = newSharerSet(len(s.nodes))
-			}
-			dl.sharers.add(dl.owner)
-			dl.sharers.add(c)
-			dl.owner = -1
-			dl.busy, dl.needDirAck, dl.gotDirAck, dl.gotUnblock = true, true, false, false
-		}
-	case GetM:
-		switch dl.state {
-		case Invalid:
-			if !s.canSend(r, ClassResp, 1) {
-				return false
-			}
-			s.send(r, c, Msg{Type: Data, Addr: m.Addr, Requester: c, Excl: true})
-			dl.state, dl.owner = Modified, c
-			dl.busy, dl.gotUnblock = true, false
-		case Shared:
-			// Walk the sharer bitset in ascending core order — the same
-			// order the old collect-and-sort pass produced, so the
-			// invalidation injection sequence is unchanged.
-			sharers := s.scrSharers[:0]
-			for w, word := range dl.sharers {
-				for word != 0 {
-					sh := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					if sh != c {
-						sharers = append(sharers, sh)
-					}
+	fwd := dl.state == Modified && dl.owner != c // the owner supplies the data
+	data := Msg{Type: Data, Addr: m.Addr, Requester: c, Excl: m.Type == GetM || dl.state != Shared}
+	b := s.batch[:0]
+	switch {
+	case m.Type == PutM:
+		b = append(b, out{c, Msg{Type: WBAck, Addr: m.Addr, Requester: c}})
+	case fwd && m.Type == GetS:
+		b = append(b, out{dl.owner, Msg{Type: FwdGetS, Addr: m.Addr, Requester: c}})
+	case fwd:
+		b = append(b, out{dl.owner, Msg{Type: FwdGetM, Addr: m.Addr, Requester: c}})
+	case m.Type == GetM && dl.state == Shared:
+		// Invalidate the other sharers in ascending core order.
+		for w, word := range dl.sharers {
+			for ; word != 0; word &= word - 1 {
+				if sh := w<<6 + bits.TrailingZeros64(word); sh != c {
+					b = append(b, out{sh, Msg{Type: Inv, Addr: m.Addr, Requester: c}})
 				}
 			}
-			invs := len(sharers)
-			if !s.canSend(r, ClassResp, 1) || !s.canSend(r, ClassFwd, invs) {
-				s.scrSharers = sharers[:0]
-				return false
-			}
-			for _, sh := range sharers {
-				s.send(r, sh, Msg{Type: Inv, Addr: m.Addr, Requester: c})
-			}
-			s.scrSharers = sharers[:0]
-			s.send(r, c, Msg{Type: Data, Addr: m.Addr, Requester: c, Acks: invs, Excl: true})
-			dl.sharers.reset()
-			dl.state, dl.owner = Modified, c
-			dl.busy, dl.gotUnblock = true, false
-		case Modified:
-			if dl.owner == c {
-				if !s.canSend(r, ClassResp, 1) {
-					return false
-				}
-				s.send(r, c, Msg{Type: Data, Addr: m.Addr, Requester: c, Excl: true})
-				dl.busy, dl.gotUnblock = true, false
-				return true
-			}
-			if !s.canSend(r, ClassFwd, 1) {
-				return false
-			}
-			s.send(r, dl.owner, Msg{Type: FwdGetM, Addr: m.Addr, Requester: c})
-			dl.owner = c
-			dl.busy, dl.needDirAck, dl.gotDirAck, dl.gotUnblock = true, true, false, false
 		}
-	case PutM:
-		if !s.canSend(r, ClassResp, 1) {
-			return false
-		}
-		if dl.state == Modified && dl.owner == c && !dl.busy {
-			dl.state = Invalid
-			dl.owner = -1
-		}
-		s.send(r, c, Msg{Type: WBAck, Addr: m.Addr, Requester: c})
+		data.Acks = len(b)
+		fallthrough
 	default:
-		panic("coherence: unexpected request " + m.Type.String())
+		b = append(b, out{c, data})
+	}
+	if !s.emit(r, RequestHead, b) {
+		return false
+	}
+	switch {
+	case m.Type == PutM:
+		if dl.state == Modified && dl.owner == c && !dl.busy {
+			dl.state, dl.owner = Invalid, -1
+		}
+	case fwd && m.Type == GetS:
+		if dl.sharers == nil {
+			dl.sharers = make(sharerSet, (len(s.nodes)+63)/64)
+		}
+		dl.sharers.add(dl.owner)
+		dl.sharers.add(c)
+		dl.lock(c, dl.owner)
+		dl.state, dl.owner = Shared, -1
+	case m.Type == GetS && dl.state == Shared:
+		dl.sharers.add(c)
+		dl.lock(c, -1)
+	default:
+		// Every other request leaves c the owner: GetS on an Invalid line
+		// (E at the core, tracked as owned), GetM, and a stale request
+		// from the owner itself after a silent upgrade.
+		ackFrom := -1
+		if fwd {
+			ackFrom = dl.owner
+		}
+		if dl.state == Shared {
+			clear(dl.sharers)
+		}
+		dl.lock(c, ackFrom)
+		dl.state, dl.owner = Modified, c
 	}
 	return true
 }
@@ -756,6 +660,7 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 
 func (s *System) coreIssue(r int) {
 	nd := s.nodes[r]
+	nd.waits[Issue] = Wait{}
 	if s.cfg.OpsTarget > 0 && nd.opsIssued >= s.cfg.OpsTarget {
 		return
 	}
@@ -777,12 +682,18 @@ func (s *System) coreIssue(r int) {
 	if write && st == Shared {
 		nd.lines.Delete(addr) // upgrade handled as a fresh GetM below
 	}
-	// Miss: need an MSHR and request injection capacity.
-	if _, pending := nd.mshrs.Get(addr); pending {
-		nd.blockedCyc++
-		return
+	// Miss: it needs no miss pending on addr, a free MSHR and room for
+	// the request.
+	t := GetS
+	if write {
+		t = GetM
 	}
-	if nd.mshrs.Len() >= s.cfg.MSHRs || !s.canSend(r, ClassReq, 1) {
+	if _, pending := nd.mshrs.Get(addr); pending {
+		nd.waits[Issue] = Wait{By: Issue, Kind: WaitPending, Addr: addr}
+	} else if nd.mshrs.Len() >= s.cfg.MSHRs {
+		nd.waits[Issue] = Wait{By: Issue, Kind: WaitMSHRs}
+	}
+	if nd.waits[Issue].Kind != 0 || !s.emit(r, Issue, append(s.batch[:0], out{s.home(addr), Msg{Type: t, Addr: addr, Requester: r}})) {
 		nd.blockedCyc++
 		return
 	}
@@ -791,9 +702,4 @@ func (s *System) coreIssue(r int) {
 	nd.mshrs.Put(addr, ms)
 	nd.opsIssued++
 	nd.misses++
-	t := GetS
-	if write {
-		t = GetM
-	}
-	s.send(r, s.home(addr), Msg{Type: t, Addr: addr, Requester: r})
 }

@@ -1,0 +1,81 @@
+package coherence
+
+import "fmt"
+
+// Consumer names one of the four places a node's protocol engine stops.
+type Consumer uint8
+
+// Consumers, in the order Waits reports them.
+const (
+	RequestHead Consumer = iota // the directory's Request ejection head
+	ForwardHead                 // the L1's Forward ejection head
+	Fills                       // completed misses waiting to fill and Unblock
+	Issue                       // the core issuing its next access
+	numConsumers
+)
+
+var consumerNames = [numConsumers]string{"request head", "forward head", "fills", "issue"}
+
+// WaitKind says what a stopped consumer waits for.
+type WaitKind uint8
+
+// Wait kinds. The zero kind means no wait.
+const (
+	WaitCapacity WaitKind = iota + 1 // room in the node's injection queue of Class
+	WaitBusyLine                     // line Addr's transaction: Awaits from node From
+	WaitMSHRs                        // a free MSHR
+	WaitPending                      // the miss already pending on line Addr
+)
+
+// Wait is one reason a consumer at a node cannot proceed.
+type Wait struct {
+	By     Consumer
+	Kind   WaitKind
+	Class  int     // WaitCapacity: the class that lacks room
+	Addr   int64   // WaitBusyLine, WaitPending: the line
+	Awaits MsgType // WaitBusyLine: Unblock from the requester or DirAck from the old owner
+	From   int     // WaitBusyLine: the node Awaits must come from
+}
+
+// String renders the wait as "consumer: reason".
+func (w Wait) String() string {
+	by := consumerNames[w.By]
+	switch w.Kind {
+	case WaitCapacity:
+		return fmt.Sprintf("%s: injection capacity of class %d", by, w.Class)
+	case WaitBusyLine:
+		return fmt.Sprintf("%s: line %d busy, awaiting %v from node %d", by, w.Addr, w.Awaits, w.From)
+	case WaitMSHRs:
+		return by + ": MSHRs full"
+	default:
+		return fmt.Sprintf("%s: miss on line %d pending", by, w.Addr)
+	}
+}
+
+// Waits returns why node r's consumers stopped during the last Tick, in
+// consumer order, or nil when none did. A busy line yields one Wait per
+// response it still awaits. Waits changes no state.
+func (s *System) Waits(r int) []Wait {
+	nd := s.nodes[r]
+	var ws []Wait
+	for _, w := range nd.waits {
+		switch w.Kind {
+		case 0:
+		case WaitBusyLine:
+			i, _ := nd.dir.Get(w.Addr)
+			if dl := &nd.dirLines[i]; dl.busy {
+				if !dl.gotUnblock {
+					w.Awaits, w.From = Unblock, int(dl.requester)
+					ws = append(ws, w)
+				}
+				if dl.ackFrom >= 0 && !dl.gotDirAck {
+					w.Awaits, w.From = DirAck, int(dl.ackFrom)
+					ws = append(ws, w)
+				}
+			}
+		default:
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}

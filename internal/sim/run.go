@@ -266,6 +266,9 @@ type AppResult struct {
 	// protected schemes resolve deadlocks instead).
 	Deadlocked    bool
 	DeadlockCycle int64
+	// Waits holds, by node, the protocol waits (coherence.System.Waits)
+	// when the run ended incomplete; nil when it completed.
+	Waits [][]coherence.Wait
 }
 
 // RunApp executes a coherence workload to completion (every core
@@ -303,6 +306,12 @@ func (r *Runner) RunAppContext(ctx context.Context, prof workload.Profile, opsTa
 	res.AvgLatency = lat.Mean()
 	res.P99Latency = lat.P99()
 	res.Protocol = sys.Stats()
+	if !res.Completed {
+		res.Waits = make([][]coherence.Wait, r.Graph.N())
+		for n := range res.Waits {
+			res.Waits[n] = sys.Waits(n)
+		}
+	}
 	res.Counters = r.Net.Counters
 	if r.Drain != nil {
 		res.Drains = r.Drain.Stats().Drains

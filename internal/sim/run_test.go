@@ -116,6 +116,9 @@ func TestDrainStatsSurfaceInAppResult(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("did not complete")
 	}
+	if res.Waits != nil {
+		t.Errorf("a completed run reports waits %v", res.Waits)
+	}
 	if res.Drains == 0 {
 		t.Error("500-cycle epochs over a long run must record drains")
 	}

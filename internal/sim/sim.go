@@ -135,9 +135,8 @@ type Params struct {
 	// (the rest are MaxFlits-sized). Defaults to 1.0: standard synthetic
 	// evaluation uses single-flit packets. Negative means 0.
 	CtrlFraction float64
-	// DerouteAfter enables stall-triggered adaptive derouting when
-	// positive (see noc.Config.DerouteAfter); the default (strictly
-	// minimal adaptive routing) matches the paper's substrate.
+	// DerouteAfter: see noc.Config.DerouteAfter. Zero takes noc's default
+	// of 8; negative keeps routing strictly minimal (only fig3 and fig8).
 	DerouteAfter int
 	// StickyEscape forces DRAIN to use the classic sticky escape-VC
 	// discipline (ablation; see noc.Config.NonStickyEscape).
