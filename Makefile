@@ -32,7 +32,7 @@ test-race:
 	$(GO) test -race -short ./...
 
 test-allocs:
-	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestRunAllocsPerDeliveredPacket|TestAppRunAllocsPerMessage|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs|TestNewAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
+	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestProbeWindowAllocs|TestRunAllocsPerDeliveredPacket|TestAppRunAllocsPerMessage|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs|TestNewAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
 ## event/dense load points, BenchmarkStepAllocs), the fault path's

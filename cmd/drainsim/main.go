@@ -10,7 +10,10 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,6 +24,7 @@ import (
 	"strings"
 	"syscall"
 
+	"drain/internal/experiments"
 	"drain/internal/sim"
 	"drain/internal/traffic"
 	"drain/internal/workload"
@@ -32,7 +36,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("drainsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scheme := fs.String("scheme", "drain", "deadlock-freedom scheme: none, ideal, escape, spin, drain, updown, dor")
@@ -49,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wl := fs.String("workload", "", "run a coherence workload instead of synthetic traffic")
 	ops := fs.Int64("ops", 500, "memory operations per core for -workload runs")
 	maxCycles := fs.Int64("max-cycles", 5_000_000, "cycle budget for -workload runs")
-	tracePath := fs.String("trace", "", "write a per-packet CSV trace of the run to this file (not with -sweep)")
+	tracePath := fs.String("trace", "", "write the run's events (ejections, drain windows, spins, faults, fast-forwards) to this file as JSON lines (not with -sweep)")
 	sweep := fs.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate; not with -trace or -workload)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -57,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *sweep != "" && (*tracePath != "" || *wl != "") {
-		// A sweep's runners never see r.Trace, and a workload is not swept.
+		// A sweep's runners never see r.Probe, and a workload is not swept.
 		fmt.Fprintln(stderr, "drainsim: -sweep cannot be combined with -trace or -workload")
 		return 2
 	}
@@ -128,8 +132,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		defer f.Close()
-		r.Trace = f
+		w := bufio.NewWriter(f)
+		defer func() {
+			if err := errors.Join(w.Flush(), f.Close()); err != nil && code == 0 {
+				code = fail(err)
+			}
+		}()
+		// A write error sticks in w and surfaces at Flush.
+		enc := json.NewEncoder(w)
+		r.Probe = &sim.Probe{OnEvent: func(e sim.Event) bool {
+			_ = enc.Encode(e)
+			return false
+		}}
 	}
 	fmt.Fprintf(stdout, "topology: %dx%d mesh, %d faults, %d routers, %d links, diameter %d\n",
 		w, h, *faults, r.Graph.N(), r.Graph.NumLinks(), r.Graph.Diameter())
@@ -180,7 +194,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			rates = append(rates, v)
 		}
-		curve, err := sim.LoadSweepContext(ctx, p, *pattern, rates, *warmup, *measure)
+		// The rates share this process's CPUs, one run slot each, as
+		// cmd/experiments' figures do by default.
+		slots := experiments.NewSlots(runtime.GOMAXPROCS(0))
+		slots.TryAcquire()
+		curve, err := experiments.LoadSweep(experiments.WithSlots(ctx, slots), p, *pattern, rates, *warmup, *measure)
 		if err != nil {
 			return fail(err)
 		}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,7 +80,7 @@ func TestBadFlagsExitWithAReason(t *testing.T) {
 			t.Errorf("drainsim %v printed %q: a bad schedule is refused before the run starts", bad, stdout)
 		}
 	}
-	trace := filepath.Join(t.TempDir(), "t.csv")
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
 	for _, bad := range [][]string{
 		{"-sweep", "0.02,0.05", "-trace", trace},   // the sweep's runs would leave the trace empty
 		{"-workload", "canneal", "-sweep", "0.02"}, // the workload would run and the sweep not
@@ -108,6 +110,44 @@ drains: 2 (0 full), 0 packet-hops forced, 0 drain-ejections
 	code := run(strings.Fields("-mesh 3x3 -rate 0.1 -warmup 100 -measure 500 -epoch 256"), &stdout, &stderr)
 	if code != 0 || stderr.Len() != 0 || stdout.String() != want {
 		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, stderr.String(), stdout.String(), want)
+	}
+}
+
+// -trace writes the run's events as JSON lines, every line one object
+// with a kind, drain windows among them, and watching changes nothing
+// the run prints.
+func TestTraceWritesJSONLines(t *testing.T) {
+	args := strings.Fields("-mesh 3x3 -rate 0.1 -warmup 100 -measure 500 -epoch 256")
+	var plain, traced, stderr bytes.Buffer
+	if code := run(args, &plain, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if code := run(append(args, "-trace", path), &traced, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if traced.String() != plain.String() {
+		t.Errorf("traced run printed\n%s\nuntraced\n%s", traced.String(), plain.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	kinds := map[string]int{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var e struct{ Kind string }
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Kind == "" {
+			t.Fatalf("line %q: kind %q, %v", sc.Text(), e.Kind, err)
+		}
+		kinds[e.Kind]++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds["drain_start"] == 0 || kinds["drain_end"] == 0 || kinds["eject"] == 0 || kinds["run_end"] != 1 {
+		t.Errorf("event counts %v: want ejections, drain windows and one run end", kinds)
 	}
 }
 

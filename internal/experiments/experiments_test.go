@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"drain/internal/sim"
+	"drain/internal/traffic"
 	"drain/internal/workload"
 )
 
@@ -142,8 +143,9 @@ func TestFig9Ratios(t *testing.T) {
 	}
 }
 
-// TestFig8Walkthrough also counts fig8's runs: the steps up to the first
-// drain are hand-stepped, and the delivery window is one credited run.
+// TestFig8Walkthrough also counts fig8's runs: one up to the end of the
+// first drain window (10 cycles: the 8-cycle epoch, then one cycle each
+// of pre-drain and drain window), and a 2000-cycle delivery run.
 func TestFig8Walkthrough(t *testing.T) {
 	e, _ := ByID("fig8")
 	var tot sim.Totals
@@ -151,8 +153,8 @@ func TestFig8Walkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs, cycles := tot.Runs.Load(), tot.Cycles.Load(); runs != 1 || cycles != 2000 {
-		t.Errorf("fig8 credited %d runs of %d cycles in all, want 1 and 2000", runs, cycles)
+	if runs, cycles := tot.Runs.Load(), tot.Cycles.Load(); runs != 2 || cycles != 10+2000 {
+		t.Errorf("fig8 credited %d runs of %d cycles in all, want 2 and 10+2000", runs, cycles)
 	}
 	tb := tables[0]
 	if len(tb.Rows) != 8 {
@@ -167,6 +169,38 @@ func TestFig8Walkthrough(t *testing.T) {
 	}
 	if !foundDelivery {
 		t.Errorf("walkthrough did not deliver all packets: %v", tb.Notes)
+	}
+}
+
+// TestFig8StopsAtFirstDrain: on fig8's planted deadlock a probe sees the
+// freeze begin, then the window end having forced packets along the
+// drain path, and a stop there ends the run at that cycle.
+func TestFig8StopsAtFirstDrain(t *testing.T) {
+	r, _, err := fig8Planted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []sim.Event
+	r.Probe = &sim.Probe{OnEvent: func(e sim.Event) bool {
+		if e.Kind != sim.EventEject {
+			events = append(events, e)
+		}
+		return e.Kind == sim.EventDrainEnd
+	}}
+	if _, err := r.RunSynthetic(traffic.UniformRandom{N: r.Graph.N()}, 0, 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range events {
+		kinds = append(kinds, string(e.Kind))
+	}
+	if got := strings.Join(kinds, " "); got != "drain_start drain_end run_end" {
+		t.Fatalf("events %q, want drain_start drain_end run_end", got)
+	}
+	start, end, stop := events[0], events[1], events[2]
+	if end.Moved <= 0 || !(start.Cycle < end.Cycle && end.Cycle == stop.Cycle && stop.Cycle == r.Net.Cycle()) {
+		t.Errorf("drain start at %d, end at %d moving %d packets, run stopped at %d (clock %d); want moved > 0 and the stop at the end",
+			start.Cycle, end.Cycle, end.Moved, stop.Cycle, r.Net.Cycle())
 	}
 }
 

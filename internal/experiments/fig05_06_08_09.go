@@ -137,55 +137,24 @@ func fig6(_ context.Context, _ Scale, _ uint64) ([]Table, error) {
 // between routers 2 and 5 faulty, two planted deadlock cycles, one drain
 // hop, and full delivery afterwards.
 func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
-	g, err := topology.MustMesh(3, 3).WithoutEdge(2, 5)
+	r, pkts, err := fig8Planted()
 	if err != nil {
 		return nil, err
-	}
-	// Strict minimal routing (DerouteAfter -1) keeps the planted cycles
-	// blocked; single-flit packets make pre-drain and drain one cycle each.
-	r, err := sim.BuildOn(g, nil, sim.Params{
-		Scheme: sim.SchemeDRAIN, VNets: 1, VCsPerVN: 1, Classes: 1,
-		StickyEscape: true, DerouteAfter: -1, MaxFlits: 1, Epoch: 8, Seed: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Two deadlock cycles in the style of the paper's Fig. 8. Each
-	// packet's destination is chosen so its *unique* minimal next hop is
-	// the buffer held by the next packet in the cycle (the faulty 2-5
-	// link makes several of these choices unique):
-	//   cycle A: buffers 0→1, 1→4, 4→3, 3→0 (lower-left square)
-	//   cycle B: buffers 7→4, 4→5, 5→8, 8→7 (upper-right square)
-	type plant struct{ from, to, dst int }
-	plants := []plant{
-		{0, 1, 7}, {1, 4, 3}, {4, 3, 0}, {3, 0, 2}, // cycle A
-		{7, 4, 5}, {4, 5, 8}, {5, 8, 6}, {8, 7, 1}, // cycle B
-	}
-	pkts := make([]*noc.Packet, 0, len(plants))
-	for _, pl := range plants {
-		p, err := r.Net.PlacePacket(pl.from, pl.to, pl.dst, 0)
-		if err != nil {
-			return nil, err
-		}
-		pkts = append(pkts, p)
-	}
-	if !r.Net.HasDeadlock(noc.LivenessOpts{}) {
-		return nil, fmt.Errorf("fig8: planted scenario is not deadlocked")
 	}
 	before := make([]int, len(pkts))
 	for i, p := range pkts {
 		before[i] = p.At()
 	}
-	// Run until the first drain fires, then observe. This loop has no
-	// cycle bound (the drain epoch decides when it ends), so the ctx is
-	// the only way out if configuration ever breaks the drain trigger.
-	for r.Drain.Stats().Drains == 0 {
-		if err := r.Net.StepContext(ctx); err != nil {
-			return nil, err
-		}
-		if err := r.TickScheme(); err != nil {
-			return nil, err
-		}
+	// Run without traffic until the first drain window ends, then
+	// observe. The epoch decides when that is; the cycle bound only
+	// catches a broken trigger.
+	r.Probe = &sim.Probe{OnEvent: func(e sim.Event) bool { return e.Kind == sim.EventDrainEnd }}
+	if _, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: r.Graph.N()}, 0, 0, 1000); err != nil {
+		return nil, err
+	}
+	r.Probe = nil
+	if r.Drain.Stats().Drains == 0 {
+		return nil, fmt.Errorf("fig8: no drain window within 1000 cycles")
 	}
 	t := Table{
 		ID:      "fig8",
@@ -211,7 +180,7 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 	}
 	deadAfter := r.Net.HasDeadlock(noc.LivenessOpts{})
 	// Let the network finish delivering everything (more drains allowed).
-	res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: g.N()}, 0, 0, 2000)
+	res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: r.Graph.N()}, 0, 0, 2000)
 	if err != nil {
 		return nil, err
 	}
@@ -220,6 +189,47 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 			"some scenarios need more).", deadAfter),
 		fmt.Sprintf("All %d of %d deadlocked packets were eventually delivered.", res.Counters.Ejected, len(pkts)))
 	return []Table{t}, nil
+}
+
+// fig8Planted builds fig8's network: DRAIN on the faulty 3x3 mesh with
+// two deadlock cycles in the style of the paper's Fig. 8 placed in its
+// buffers. Each packet's destination is chosen so its *unique* minimal
+// next hop is the buffer held by the next packet in the cycle (the faulty
+// 2-5 link makes several of these choices unique):
+//
+//	cycle A: buffers 0→1, 1→4, 4→3, 3→0 (lower-left square)
+//	cycle B: buffers 7→4, 4→5, 5→8, 8→7 (upper-right square)
+func fig8Planted() (*sim.Runner, []*noc.Packet, error) {
+	g, err := topology.MustMesh(3, 3).WithoutEdge(2, 5)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Strict minimal routing (DerouteAfter -1) keeps the planted cycles
+	// blocked; single-flit packets make pre-drain and drain one cycle each.
+	r, err := sim.BuildOn(g, nil, sim.Params{
+		Scheme: sim.SchemeDRAIN, VNets: 1, VCsPerVN: 1, Classes: 1,
+		StickyEscape: true, DerouteAfter: -1, MaxFlits: 1, Epoch: 8, Seed: 1,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	type plant struct{ from, to, dst int }
+	plants := []plant{
+		{0, 1, 7}, {1, 4, 3}, {4, 3, 0}, {3, 0, 2}, // cycle A
+		{7, 4, 5}, {4, 5, 8}, {5, 8, 6}, {8, 7, 1}, // cycle B
+	}
+	pkts := make([]*noc.Packet, 0, len(plants))
+	for _, pl := range plants {
+		p, err := r.Net.PlacePacket(pl.from, pl.to, pl.dst, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		pkts = append(pkts, p)
+	}
+	if !r.Net.HasDeadlock(noc.LivenessOpts{}) {
+		return nil, nil, fmt.Errorf("fig8: planted scenario is not deadlocked")
+	}
+	return r, pkts, nil
 }
 
 func fig9(_ context.Context, _ Scale, _ uint64) ([]Table, error) {

@@ -18,15 +18,16 @@ const LocalPort = -1
 
 // Packet is a network packet. With virtual cut-through and single-packet
 // VCs (Table II "Buffer Organization"), a packet is the unit of buffering
-// and Flits only determines link serialization time.
+// and Flits only determines link serialization time. Its JSON form is
+// its trace record: identity, timestamps and hop counts.
 type Packet struct {
 	// The fields a hop reads or writes come first, so a packet in transit
 	// costs the simulator one or two cache lines, not all of them.
-	Dst   int
-	Class int // message class; mapped to VNet = Class mod VNets
-	VNet  int
-	Flits int
-	Hops  int
+	Dst   int `json:"dst"`
+	Class int `json:"class"` // message class; mapped to VNet = Class mod VNets
+	VNet  int `json:"-"`
+	Flits int `json:"flits"`
+	Hops  int `json:"hops"`
 
 	// Position, maintained by the network. The pipeline state of a
 	// buffered packet (when it may move, whether it is departing) lives
@@ -37,32 +38,32 @@ type Packet struct {
 
 	// InEscape marks a packet that has entered an escape VC; it may
 	// never return to a non-escape VC (paper §III-A).
-	InEscape bool
+	InEscape bool `json:"-"`
 	// DownPhase is the up*/down* routing phase: true once the packet has
 	// taken a down link (it may then never go up again).
-	DownPhase bool
+	DownPhase bool `json:"-"`
 	// pooled marks a packet sitting in the free-list (see pool.go):
 	// set by ReleasePacket, cleared by NewPacket's full rewrite. It
 	// exists to catch use-after-release and double-release bugs.
 	pooled bool
 
-	ID  int64
-	Src int
+	ID  int64 `json:"id"`
+	Src int   `json:"src"`
 
 	// Timestamps (cycles). CreatedAt is when the packet entered the
 	// injection queue, InjectedAt when it left the queue into a VC,
 	// EjectedAt when it entered the ejection queue.
-	CreatedAt  int64
-	InjectedAt int64
-	EjectedAt  int64
+	CreatedAt  int64 `json:"created"`
+	InjectedAt int64 `json:"injected"`
+	EjectedAt  int64 `json:"ejected"`
 
 	// Statistics (with Hops above).
-	Misroutes int // hops that did not reduce BFS distance to Dst
-	DrainHops int // hops forced by drain windows
-	SpinHops  int // hops forced by SPIN recovery
+	Misroutes int `json:"misroutes"`  // hops that did not reduce BFS distance to Dst
+	DrainHops int `json:"drain_hops"` // hops forced by drain windows
+	SpinHops  int `json:"spin_hops"`  // hops forced by SPIN recovery
 
 	// Payload carries protocol-level context (e.g. a coherence message).
-	Payload any
+	Payload any `json:"-"`
 }
 
 // At returns the router currently buffering the packet.

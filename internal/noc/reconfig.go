@@ -10,10 +10,10 @@ import (
 
 // ReconfigReport summarizes one live topology reconfiguration.
 type ReconfigReport struct {
-	LinksFailed   int // unidirectional links newly marked down
-	LinksRestored int // unidirectional links newly marked up
-	Rerouted      int // buffered packets evacuated off failed links
-	Dropped       int // packets dropped (in flight over, or stranded in, failed links)
+	LinksFailed   int `json:"links_failed"`   // unidirectional links newly marked down
+	LinksRestored int `json:"links_restored"` // unidirectional links newly marked up
+	Rerouted      int `json:"rerouted"`       // buffered packets evacuated off failed links
+	Dropped       int `json:"dropped"`        // packets dropped (in flight over, or stranded in, failed links)
 }
 
 // Reconfigure errors (package-level so the alloc-free reconfig path

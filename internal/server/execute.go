@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"drain/internal/experiments"
-	"drain/internal/sim"
 )
 
 // execute runs one canonical job and encodes its Response body. The
@@ -52,9 +51,9 @@ func executeFigure(ctx context.Context, c canonical) ([]experiments.Table, strin
 }
 
 // executeSweep runs a load sweep (the service form of cmd/drainsim
-// -sweep) and renders it as one table.
+// -sweep) on the server's run slots and renders it as one table.
 func executeSweep(ctx context.Context, c canonical) ([]experiments.Table, string, error) {
-	curve, err := sim.LoadSweepContext(ctx, c.Params, c.Pattern, c.Rates, c.Warmup, c.Measure)
+	curve, err := experiments.LoadSweep(ctx, c.Params, c.Pattern, c.Rates, c.Warmup, c.Measure)
 	if err != nil {
 		return nil, "", err
 	}

@@ -108,7 +108,7 @@ func TestFigureJobMatchesCLIAndCaches(t *testing.T) {
 	}
 }
 
-// A served sweep must report the same curve sim.LoadSweepContext computes.
+// A served sweep must report the same curve experiments.LoadSweep computes.
 func TestSweepJobMatchesLoadSweep(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
@@ -126,7 +126,7 @@ func TestSweepJobMatchesLoadSweep(t *testing.T) {
 	}
 
 	p := sim.Params{Width: 4, Height: 4, Faults: 2, FaultSeed: 1, Scheme: sim.SchemeDRAIN, Seed: 1}
-	curve, err := sim.LoadSweepContext(context.Background(), p, "uniform", []float64{0.02, 0.05}, 200, 500)
+	curve, err := experiments.LoadSweep(context.Background(), p, "uniform", []float64{0.02, 0.05}, 200, 500)
 	if err != nil {
 		t.Fatalf("direct sweep: %v", err)
 	}

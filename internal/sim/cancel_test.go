@@ -85,16 +85,6 @@ func TestRunSyntheticCancelPromptWallClock(t *testing.T) {
 	}
 }
 
-func TestLoadSweepCancelledBetweenRates(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := LoadSweepContext(ctx, Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Seed: 1},
-		"uniform", []float64{0.02, 0.05}, 100, 400)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // TestContextVariantsIdenticalResults pins the contract that an
 // undisturbed context changes nothing: RunSynthetic and
 // RunSyntheticContext(Background) produce identical results.

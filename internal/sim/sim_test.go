@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
-	"drain/internal/stats"
 	"drain/internal/topology"
 	"drain/internal/traffic"
 	"drain/internal/workload"
@@ -155,58 +153,6 @@ func TestSchemeNoneDetectsDeadlock(t *testing.T) {
 	if !ares.Deadlocked || ares.Completed || ares.DeadlockCycle != ares.Runtime || ares.Runtime%512 != 0 {
 		t.Errorf("canneal on VN3 x 1 VC: deadlocked %v, completed %v, deadlock at %d, runtime %d; want a deadlock confirmed at the end of the run, on a 512-cycle sweep",
 			ares.Deadlocked, ares.Completed, ares.DeadlockCycle, ares.Runtime)
-	}
-}
-
-func TestLoadSweepMonotoneThroughput(t *testing.T) {
-	curve, err := LoadSweepContext(context.Background(), Params{Width: 4, Height: 4, Scheme: SchemeDRAIN, Seed: 6, Epoch: 2000},
-		"uniform", []float64{0.02, 0.10, 0.30}, 500, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 3 {
-		t.Fatalf("curve has %d points", len(curve))
-	}
-	if curve[0].AvgLat > curve[2].AvgLat {
-		t.Errorf("latency decreased with load: %+v", curve)
-	}
-	if curve.Saturation() < curve[0].Accepted {
-		t.Error("saturation below low-load accepted rate")
-	}
-}
-
-// TestLoadSweepSharesOneTopology pins the sweep's hoisting: building the
-// graph and routing table once and BuildOn per rate gives exactly the
-// points a fresh Build per rate gives, also on a faulty mesh whose fault
-// schedule swaps each run's table mid-run.
-func TestLoadSweepSharesOneTopology(t *testing.T) {
-	rates := []float64{0.02, 0.10, 0.30}
-	faulty := Params{Width: 4, Height: 4, Faults: 3, FaultSeed: 2, Scheme: SchemeDRAIN, Seed: 6, Epoch: 2000}
-	g, _, err := faulty.BuildGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := topology.RemovableEdges(g)[0]
-	faulty.FaultSchedule = []FaultEvent{{Cycle: 900, A: e.A, B: e.B, Fail: true}}
-	for _, p := range []Params{{Width: 4, Height: 4, Scheme: SchemeEscapeVC, Seed: 6}, faulty} {
-		curve, err := LoadSweepContext(context.Background(), p, "uniform", rates, 500, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rate := range rates {
-			r, err := Build(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, rate, 500, 3000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := stats.LoadPoint{Offered: rate, Accepted: res.Accepted, AvgLat: res.AvgLatency, P99Lat: res.P99Latency}
-			if curve[i] != want {
-				t.Errorf("%v rate %.2f: sweep point %+v, fresh Build gives %+v", p.Scheme, rate, curve[i], want)
-			}
-		}
 	}
 }
 
