@@ -31,8 +31,18 @@ lint:
 test-race:
 	$(GO) test -race -short ./...
 
+## test-allocs: the allocation guards, by name. A renamed guard would
+## match nothing and pass silently, so each name must first be listed by
+## `go test -list` in ALLOC_PKGS.
+ALLOC_TESTS = TestStepAllocs TestStepWindowAllocs TestProbeWindowAllocs TestRunAllocsPerDeliveredPacket \
+	TestAppRunAllocsPerMessage TestGoldenCounters TestReconfigureAndDrainRotateAllocs TestRotateBlockedCycleAllocs \
+	TestValidateFaultScheduleAllocs TestRestoreBuildsNoTable TestNewTableAllocs TestNewAllocs
+ALLOC_PKGS = . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
 test-allocs:
-	$(GO) test -run 'TestStepAllocs|TestStepWindowAllocs|TestProbeWindowAllocs|TestRunAllocsPerDeliveredPacket|TestAppRunAllocsPerMessage|TestGoldenCounters|TestReconfigureAndDrainRotateAllocs|TestRotateBlockedCycleAllocs|TestValidateFaultScheduleAllocs|TestRestoreBuildsNoTable|TestNewTableAllocs|TestNewAllocs' -count=1 . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
+	@listed=$$($(GO) test -list . $(ALLOC_PKGS)) || { printf '%s\n' "$$listed"; exit 1; }; missing=; \
+	for t in $(ALLOC_TESTS); do grep -qx "$$t" <<< "$$listed" || missing="$$missing $$t"; done; \
+	test -z "$$missing" || { echo "test-allocs: no test in $(ALLOC_PKGS) is named:$$missing"; exit 1; }
+	$(GO) test -run '$(subst $() ,|,$(strip $(ALLOC_TESTS)))' -count=1 $(ALLOC_PKGS)
 
 ## bench: run and print the hot-path Go benchmarks (BenchmarkStep's
 ## event/dense load points, BenchmarkStepAllocs), the fault path's

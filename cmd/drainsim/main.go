@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	wl := fs.String("workload", "", "run a coherence workload instead of synthetic traffic")
 	ops := fs.Int64("ops", 500, "memory operations per core for -workload runs")
 	maxCycles := fs.Int64("max-cycles", 5_000_000, "cycle budget for -workload runs")
-	tracePath := fs.String("trace", "", "write the run's events (ejections, drain windows, spins, faults, fast-forwards) to this file as JSON lines (not with -sweep)")
+	tracePath := fs.String("trace", "", "write the run's events (ejections, drain windows, spins, faults, run end) to this file as JSON lines (not with -sweep)")
 	sweep := fs.String("sweep", "", "comma-separated offered loads for a latency/throughput sweep (overrides -rate; not with -trace or -workload)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -64,6 +65,35 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// A sweep's runners never see r.Probe, and a workload is not swept.
 		fmt.Fprintln(stderr, "drainsim: -sweep cannot be combined with -trace or -workload")
 		return 2
+	}
+	// Every value is checked before anything is built or printed, by the
+	// server's sweep rules: a run simulates what it was given or nothing.
+	ws, hs, _ := strings.Cut(strings.ToLower(*mesh), "x")
+	w, errW := strconv.Atoi(ws)
+	h, errH := strconv.Atoi(hs)
+	var rates []float64
+	badRate := !(*rate > 0 && *rate <= 1)
+	if *sweep != "" {
+		for _, f := range strings.Split(*sweep, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			badRate = badRate || err != nil || !(v > 0 && v <= 1)
+			rates = append(rates, v)
+		}
+	}
+	for _, c := range []struct {
+		bad bool
+		why string
+	}{
+		{errW != nil || errH != nil || w < 1 || h < 1, fmt.Sprintf("bad -mesh %q: want WxH, both sides >= 1", *mesh)},
+		{badRate, "every -rate and -sweep rate must be a number in (0, 1]"},
+		{*warmup < 0 || *faults < 0, "-warmup and -faults must be >= 0"},
+		{*measure < 1 || *epoch < 1, "-measure and -epoch must be >= 1"},
+		{*wl != "" && (*ops < 1 || *maxCycles < 1), "-ops and -max-cycles must be >= 1 with -workload"},
+	} {
+		if c.bad {
+			fmt.Fprintln(stderr, "drainsim:", c.why)
+			return 2
+		}
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "drainsim:", err)
@@ -104,10 +134,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	sch, err := sim.ParseScheme(*scheme)
 	if err != nil {
 		return fail(err)
-	}
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil {
-		return fail(fmt.Errorf("bad -mesh %q: %v", *mesh, err))
 	}
 	sched, err := sim.ParseFaultSchedule(*faultSchedule)
 	if err != nil {
@@ -186,14 +212,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *sweep != "" {
-		var rates []float64
-		for _, s := range strings.Split(*sweep, ",") {
-			var v float64
-			if _, err := fmt.Sscan(strings.TrimSpace(s), &v); err != nil {
-				return fail(fmt.Errorf("bad -sweep entry %q: %v", s, err))
-			}
-			rates = append(rates, v)
-		}
 		// The rates share this process's CPUs, one run slot each, as
 		// cmd/experiments' figures do by default.
 		slots := experiments.NewSlots(runtime.GOMAXPROCS(0))
@@ -219,7 +237,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "traffic: %s at %.3f packets/node/cycle\n", pat.Name(), *rate)
-	fmt.Fprintf(stdout, "fast-forwarded: %d cycles\n", res.FastForwarded)
 	fmt.Fprintf(stdout, "accepted: %.4f packets/node/cycle\n", res.Accepted)
 	fmt.Fprintf(stdout, "latency: avg=%.1f p99=%d cycles\n", res.AvgLatency, res.P99Latency)
 	fmt.Fprintf(stdout, "hops: avg=%.2f, misroutes/1k packets: %.1f\n", res.AvgHops, res.MisroutesPerK)

@@ -49,7 +49,8 @@ func TestParseScheme(t *testing.T) {
 
 // Every flag a stranger can get wrong is answered with one line on
 // stderr and a non-zero exit, never a panic. Flags that cannot be
-// combined exit 2, as an unknown flag does, before anything runs.
+// combined, and values out of range, exit 2, as an unknown flag does,
+// before anything is built or printed.
 func TestBadFlagsExitWithAReason(t *testing.T) {
 	small := []string{"-mesh", "3x3", "-warmup", "10", "-measure", "10", "-ops", "5"}
 	try := func(bad []string) (code int, stdout string) {
@@ -84,6 +85,20 @@ func TestBadFlagsExitWithAReason(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-sweep", "0.02,0.05", "-trace", trace},   // the sweep's runs would leave the trace empty
 		{"-workload", "canneal", "-sweep", "0.02"}, // the workload would run and the sweep not
+		// Out-of-range values, one per rule: each would otherwise run
+		// something other than what was asked, or print before failing.
+		{"-mesh", "0x3"},                             // mesh sides >= 1
+		{"-mesh", "-2x3"},                            // mesh sides >= 1
+		{"-mesh", "4x4x4"},                           // nothing after WxH
+		{"-rate", "2"},                               // rates in (0, 1]
+		{"-sweep", "0.1,abc"},                        // sweep entries are numbers
+		{"-sweep", "0.1,1.5"},                        // sweep rates in (0, 1]
+		{"-warmup", "-1"},                            // warm-up >= 0
+		{"-measure", "0"},                            // measured cycles >= 1
+		{"-faults", "-1"},                            // faults >= 0
+		{"-epoch", "-3"},                             // epoch >= 1
+		{"-workload", "canneal", "-ops", "0"},        // ops >= 1 under -workload
+		{"-workload", "canneal", "-max-cycles", "0"}, // max-cycles >= 1 under -workload
 	} {
 		if code, stdout := try(bad); code != 2 || stdout != "" {
 			t.Errorf("drainsim %v: exit %d, printed %q; want exit 2 and nothing run", bad, code, stdout)
@@ -100,7 +115,6 @@ func TestTinyRunPinned(t *testing.T) {
 	const want = `topology: 3x3 mesh, 0 faults, 9 routers, 24 links, diameter 4
 scheme: drain (VNets=1, VCs/VNet=2)
 traffic: uniform_random at 0.100 packets/node/cycle
-fast-forwarded: 1 cycles
 accepted: 0.0989 packets/node/cycle
 latency: avg=6.5 p99=19 cycles
 hops: avg=2.02, misroutes/1k packets: 9.0

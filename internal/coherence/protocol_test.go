@@ -247,29 +247,13 @@ func TestFwdGetSReinstallsEvictedLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func(c int, addr int64) {
-		t.Helper()
-		nd := sys.nodes[c]
-		done := nd.opsCompleted
-		nd.mshrs.Put(addr, &mshr{addr: addr})
-		nd.opsIssued++
-		sys.send(c, sys.home(addr), Msg{Type: GetS, Addr: addr, Requester: c})
-		for i := 0; i < 1000 && nd.opsCompleted == done; i++ {
-			n.Step()
-			sys.Tick()
-		}
-		if nd.opsCompleted == done {
-			t.Fatalf("core %d's read of %d never completed", c, addr)
-		}
-		settle(t, n, sys)
-	}
-	const a, b = 2, 3 // homed at nodes 2 and 3, neither a reader
-	read(0, a)        // core 0 owns a (E)
-	read(0, b)        // the fill of b evicts a silently: the home still says core 0 owns it
+	const a, b = 2, 3     // homed at nodes 2 and 3, neither a reader
+	read(t, n, sys, 0, a) // core 0 owns a (E)
+	read(t, n, sys, 0, b) // the fill of b evicts a silently: the home still says core 0 owns it
 	if _, has := sys.nodes[0].lines.Get(a); has {
 		t.Fatal("core 0 kept line a through a fill into its one-line L1: the test sets up nothing")
 	}
-	read(1, a) // FwdGetS to core 0, which no longer holds a
+	read(t, n, sys, 1, a) // FwdGetS to core 0, which no longer holds a
 	if sys.stats.MsgsByType[FwdGetS] != 1 {
 		t.Fatalf("%d FwdGetS sent, want 1", sys.stats.MsgsByType[FwdGetS])
 	}

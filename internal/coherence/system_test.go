@@ -76,6 +76,26 @@ func runSystem(t *testing.T, n *noc.Network, s *System, ctrl *core.Controller, m
 // protocol uses, which installs it on the first reference.
 func dirAt(s *System, r int, addr int64) dirLine { return *s.dirLine(r, addr) }
 
+// read has core c read addr through a hand-sent GetS, as coreIssue
+// would on a miss, and runs until the read completes and the network
+// settles.
+func read(t *testing.T, n *noc.Network, sys *System, c int, addr int64) {
+	t.Helper()
+	nd := sys.nodes[c]
+	done := nd.opsCompleted
+	nd.mshrs.Put(addr, &mshr{addr: addr})
+	nd.opsIssued++
+	sys.send(c, sys.home(addr), Msg{Type: GetS, Addr: addr, Requester: c})
+	for i := 0; i < 1000 && nd.opsCompleted == done; i++ {
+		n.Step()
+		sys.Tick()
+	}
+	if nd.opsCompleted == done {
+		t.Fatalf("core %d's read of %d never completed", c, addr)
+	}
+	settle(t, n, sys)
+}
+
 // settle runs the network until it holds no packets (all in-flight
 // protocol messages delivered and consumed).
 func settle(t *testing.T, n *noc.Network, sys *System) {

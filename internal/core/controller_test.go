@@ -120,11 +120,10 @@ func TestPathSearchAlgorithmOnFaultyTopology(t *testing.T) {
 	}
 }
 
-// TestNextWorkCycleTracksDrainSchedule pins the fast-forward hint the
-// synthetic driver uses to bound idle windows: while running it is the
-// scheduled drain, during a freeze it is the very next cycle (frozen
-// ticks account stats every cycle, so none may be skipped), and it is
-// never in the past.
+// TestNextWorkCycleTracksDrainSchedule pins the controller's next-work
+// hint: while running it is the scheduled drain, during a freeze it is
+// the very next cycle (frozen ticks account stats every cycle), and it
+// is never in the past.
 func TestNextWorkCycleTracksDrainSchedule(t *testing.T) {
 	n := drainNet(t, topology.MustMesh(3, 3).Graph, 2, 10)
 	c, err := New(n, Config{Epoch: 50, PreDrain: 3, DrainWindow: 4})

@@ -249,9 +249,9 @@ func (c *Controller) Tick() error {
 
 // NextWorkCycle returns the next cycle at which Tick could do anything
 // observable: the scheduled drain while running, or the very next cycle
-// during a freeze (frozen phases account FrozenCycles every tick, so no
-// frozen cycle may be skipped). Drivers use it to bound idle
-// fast-forward windows (see noc.Network.NextWorkCycle).
+// during a freeze (frozen phases account FrozenCycles every tick). The
+// run loop does not read it; it is kept for the frozen
+// cmd/drainbench/cycle.go until ROADMAP B1(d).
 func (c *Controller) NextWorkCycle() int64 {
 	if c.phase == phaseRunning {
 		return c.nextDrainAt

@@ -123,27 +123,35 @@ func fig4(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "Per-virtual-network power on the escape-VC baseline (3 VNets)",
 		Columns: []string{"workload", "active (mW)", "wasted (mW)", "wasted share"},
 	}
+	// The five app runs share the run-slot budget; each writes only its
+	// own index, and the rows are assembled in order afterwards.
 	params := power.DefaultParams()
-	for _, prof := range workload.Parsec5() {
+	profs := workload.Parsec5()
+	act, waste := make([]float64, len(profs)), make([]float64, len(profs))
+	err := ForEachConfigContext(ctx, len(profs), func(i int) error {
 		r, res, err := runApp(ctx, sim.Params{
 			Width: w, Height: h, Scheme: sim.SchemeEscapeVC,
 			Classes: 3, InjectCap: 16, Seed: seed,
-		}, prof, ops, maxCycles)
+		}, profs[i], ops, maxCycles)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rc := power.RouterConfig{
 			Ports: r.PortsPerRouter(), VNets: 3, VCsPerVN: 2,
 			FlitBits: 128, BufDepth: 5, Scheme: power.SchemeEscapeVC,
 		}
-		vp := power.PerVNPower(res.Counters, rc, params, res.Runtime, r.Graph.N(), 1.0)
-		var act, waste float64
-		for _, v := range vp {
-			act += v.ActiveMW
-			waste += v.WastedMW
+		for _, v := range power.PerVNPower(res.Counters, rc, params, res.Runtime, r.Graph.N(), 1.0) {
+			act[i] += v.ActiveMW
+			waste[i] += v.WastedMW
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, prof := range profs {
 		t.Rows = append(t.Rows, []string{
-			prof.Name, f2(act), f2(waste), pct(waste / (act + waste)),
+			prof.Name, f2(act[i]), f2(waste[i]), pct(waste[i] / (act[i] + waste[i])),
 		})
 	}
 	t.Notes = append(t.Notes, "Paper expectation: wasted share dominates for every workload.")

@@ -126,13 +126,9 @@ func DefaultConfig() *Config {
 		HotRoots: []string{
 			"internal/noc.Network.Step",
 			"internal/noc.Network.StepContext",
-			// Event-core entry points the synthetic driver hits between
-			// Steps: the idle fast-forward pair, the per-iteration hint,
-			// and the dirty-list ejection sink.
-			"internal/noc.Network.NextWorkCycle",
-			"internal/noc.Network.SkipIdle",
+			// The dirty-list ejection sink the synthetic driver hits
+			// between Steps.
 			"internal/noc.Network.DiscardEjected",
-			"internal/traffic.Generator.SkipQuiet",
 			// Live reconfiguration runs mid-simulation between Steps; the
 			// overlay swap, flight drops and buffer evacuations must not
 			// allocate (the routing-table rebuild happens outside, in sim).

@@ -8,8 +8,8 @@ package noc
 // order the dense stepper's 0..N-1 scan does, or the shared RNG would
 // be consumed in a different sequence.
 //
-// Iteration (nextWord) and emptiness (any) scan the words: one word per
-// 64 routers, so 64 loads a cycle on the largest served mesh (64x64).
+// Iteration (nextWord) scans the words: one word per 64 routers, so 64
+// loads a cycle on the largest served mesh (64x64).
 type bitset struct {
 	words []uint64
 }
@@ -42,6 +42,3 @@ func (b *bitset) nextWord(w int) int {
 	}
 	return -1
 }
-
-// any reports whether the set is non-empty.
-func (b *bitset) any() bool { return b.nextWord(-1) >= 0 }

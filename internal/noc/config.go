@@ -77,7 +77,7 @@ type Config struct {
 	Seed uint64
 
 	// Engine selects the cycle-core implementation. The zero value is
-	// EngineEvent (activity bitmaps + timing wheel + idle fast-forward);
+	// EngineEvent (activity bitmaps + timing wheel);
 	// EngineDense, the reference the differential tests compare it with,
 	// keeps the exhaustive per-cycle rescans. The two are byte-identical
 	// — same RNG draw sequence, same counters, same results — differing

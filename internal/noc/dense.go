@@ -80,16 +80,5 @@ func (d *denseEngine) removeFailedFlights(n *Network, down []bool) int {
 	return dropped
 }
 
-// nextWorkCycle cannot prove idleness without event bookkeeping, so the
-// dense engine always reports possible work next cycle; drivers built
-// on the hint (sim.RunSyntheticContext) then never skip, and stay
-// engine-agnostic.
-func (d *denseEngine) nextWorkCycle(n *Network) int64 { return n.cycle + 1 }
-
-// skipIdle must never be reached: nextWorkCycle never admits a window.
-func (d *denseEngine) skipIdle(_ *Network, _ int64) {
-	panic("noc: dense engine cannot fast-forward (driver ignored nextWorkCycle)")
-}
-
 // check has nothing beyond the shared CheckInvariants scans.
 func (d *denseEngine) check(_ *Network) error { return nil }

@@ -5,9 +5,9 @@ type EngineKind int
 
 const (
 	// EngineEvent is the event-driven core (the default): activity
-	// bitmaps for allocation and injection, a timing wheel over future
-	// events, and idle fast-forward support. Byte-identical to
-	// EngineDense — same RNG draw sequence, same counters, same results.
+	// bitmaps for allocation and injection and a timing wheel over
+	// future events. Byte-identical to EngineDense — same RNG draw
+	// sequence, same counters, same results.
 	EngineEvent EngineKind = iota
 	// EngineDense is the reference stepper: every cycle it rescans all
 	// in-flight transfers, all routers with occupied input VCs, and all
@@ -54,16 +54,6 @@ type engine interface {
 	inflightCount() int
 	// eachFlight visits every pending transfer (diagnostics only).
 	eachFlight(fn func(f *flight))
-	// nextWorkCycle returns a lower bound on the next cycle at which
-	// stepping the network could have any observable effect: the
-	// earliest pending wheel event, or now+1 when any activity bit is
-	// set. The dense engine always answers now+1 (it cannot prove
-	// idleness), which makes drivers engine-agnostic.
-	nextWorkCycle(n *Network) int64
-	// skipIdle advances the clock k cycles in one jump. Callers must
-	// have proven the window empty via nextWorkCycle; the dense engine
-	// panics (its nextWorkCycle never admits a skippable window).
-	skipIdle(n *Network, k int64)
 	// removeFailedFlights drops every pending non-eject transfer whose
 	// destination link is marked down, applying n.dropFlight to each and
 	// returning the count. Drop effects commute (disjoint packets and

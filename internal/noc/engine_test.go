@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"math"
 	"testing"
 
 	"drain/internal/routing"
@@ -65,71 +64,6 @@ func newTestNet(t *testing.T, kind EngineKind) *Network {
 		t.Fatal(err)
 	}
 	return n
-}
-
-func TestNextWorkCycleStates(t *testing.T) {
-	n := newTestNet(t, EngineEvent)
-	if got := n.NextWorkCycle(); got != math.MaxInt64 {
-		t.Fatalf("empty network NextWorkCycle = %d, want MaxInt64", got)
-	}
-	// A queued injection is immediate work.
-	if !n.Inject(n.NewPacket(0, 2, 0, 1)) {
-		t.Fatal("inject refused on an empty network")
-	}
-	if got := n.NextWorkCycle(); got != n.Cycle()+1 {
-		t.Fatalf("with queued injection NextWorkCycle = %d, want %d", got, n.Cycle()+1)
-	}
-	// Run to delivery; the hint must never admit skipping a cycle the
-	// dense semantics would act in (each Step's work happens at most
-	// one cycle after the hint).
-	for i := 0; i < 64 && n.InFlightPackets() > 0; i++ {
-		n.Step()
-		n.DiscardEjected()
-	}
-	if n.InFlightPackets() != 0 {
-		t.Fatal("packet not delivered within 64 cycles on a 4-ring")
-	}
-	if got := n.NextWorkCycle(); got != math.MaxInt64 {
-		t.Fatalf("drained network NextWorkCycle = %d, want MaxInt64", got)
-	}
-	// The dense engine can never prove idleness.
-	d := newTestNet(t, EngineDense)
-	if got := d.NextWorkCycle(); got != d.Cycle()+1 {
-		t.Fatalf("dense NextWorkCycle = %d, want %d", got, d.Cycle()+1)
-	}
-}
-
-func TestSkipIdleAdvancesClock(t *testing.T) {
-	n := newTestNet(t, EngineEvent)
-	n.SkipIdle(100)
-	if n.Cycle() != 100 {
-		t.Fatalf("cycle = %d after SkipIdle(100)", n.Cycle())
-	}
-	n.SkipIdle(0) // no-op
-	n.SkipIdle(-5)
-	if n.Cycle() != 100 {
-		t.Fatalf("cycle = %d after no-op skips", n.Cycle())
-	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// A frozen skip accounts the window as frozen cycles, exactly as k
-	// dense Steps would have.
-	n.SetFrozen(true)
-	n.SkipIdle(7)
-	if n.Counters.FrozenCyc != 7 {
-		t.Fatalf("FrozenCyc = %d after frozen SkipIdle(7)", n.Counters.FrozenCyc)
-	}
-}
-
-func TestSkipIdlePanicsOnDense(t *testing.T) {
-	n := newTestNet(t, EngineDense)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dense SkipIdle did not panic")
-		}
-	}()
-	n.SkipIdle(1)
 }
 
 // TestInjPendingCount pins the incremental non-empty-injection-queue

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -25,11 +24,6 @@ import (
 //     per-slot FIFOs of flights (landing this cycle, in creation order —
 //     the same order the dense inflights scan lands them) and of wakes
 //     (routers whose placed packet matures this cycle).
-//
-// Because every future effect lives on the wheel, the engine can also
-// prove windows of idleness: nextWorkCycle reports the earliest pending
-// event, and skipIdle advances the clock over provably empty cycles in
-// one jump (the idle fast-forward used by sim.RunSyntheticContext).
 type eventEngine struct {
 	// The wheel has a power-of-two number of slots strictly larger than
 	// maxOff = max(MaxFlits, RouterLatency), the furthest any event is
@@ -174,39 +168,6 @@ func (e *eventEngine) removeFailedFlights(n *Network, down []bool) int {
 	}
 	e.count -= dropped
 	return dropped
-}
-
-// nextWorkCycle returns the earliest cycle at which stepping could have
-// any effect: now+1 while any activity bit is set (an eligible or
-// blocked head retries every cycle, and a queued injection would
-// succeed as soon as a slot frees), otherwise the earliest pending
-// wheel event, otherwise "never" — the network is completely empty.
-//
-//drain:hotpath per-iteration driver query, dispatched through the engine seam (dynamic calls are not followed)
-func (e *eventEngine) nextWorkCycle(n *Network) int64 {
-	if e.alloc.any() || e.inj.any() {
-		return n.cycle + 1
-	}
-	for d := int64(1); d <= e.size; d++ {
-		s := (n.cycle + d) & e.mask
-		if len(e.flights[s]) > 0 || len(e.wakes[s]) > 0 {
-			return n.cycle + d
-		}
-	}
-	return math.MaxInt64
-}
-
-// skipIdle jumps the clock over k cycles the caller proved empty via
-// nextWorkCycle. No wheel slot in the window holds an event and no
-// activity bit is set, so the only per-cycle effects a dense run of k
-// Steps would have produced are the frozen-cycle counter ticks.
-//
-//drain:hotpath fast-forward entry, dispatched from Network.SkipIdle through the engine seam (dynamic calls are not followed)
-func (e *eventEngine) skipIdle(n *Network, k int64) {
-	n.cycle += k
-	if n.frozen {
-		n.Counters.FrozenCyc += k
-	}
 }
 
 // check validates the wheel and the activity bitmaps against a full

@@ -250,23 +250,19 @@ func (n *Network) SetFrozen(v bool) { n.frozen = v }
 // InflightCount returns the number of transfers currently on links.
 func (n *Network) InflightCount() int { return n.eng.inflightCount() }
 
-// NextWorkCycle returns a lower bound on the next cycle at which
-// stepping the network could have any observable effect. The event
-// engine reports the earliest pending event (math.MaxInt64 when the
-// network is completely empty); the dense engine always reports the
-// next cycle. Drivers combine this with their own horizon (traffic
-// generators, scheme controllers) to fast-forward via SkipIdle.
-func (n *Network) NextWorkCycle() int64 { return n.eng.nextWorkCycle(n) }
+// NextWorkCycle is a shim kept for the frozen cmd/drainbench/cycle.go
+// until ROADMAP B1(d): every run steps every cycle. It returns a lower
+// bound on the next cycle at which stepping could have an observable
+// effect, and the next cycle always is one.
+func (n *Network) NextWorkCycle() int64 { return n.cycle + 1 }
 
-// SkipIdle advances the clock k cycles in one jump. The caller must
-// have proven the whole window idle: every cycle skipped must satisfy
-// cycle < NextWorkCycle() and see no injections or external mutations.
-// k <= 0 is a no-op.
+// SkipIdle is a shim kept for the frozen cmd/drainbench/cycle.go until
+// ROADMAP B1(d). It would jump the clock over k cycles below
+// NextWorkCycle(); there are none, so it accepts only k <= 0.
 func (n *Network) SkipIdle(k int64) {
-	if k <= 0 {
-		return
+	if k > 0 {
+		panic("noc: SkipIdle over a cycle that may have work")
 	}
-	n.eng.skipIdle(n, k)
 }
 
 // NewPacket returns a packet with position/IDs initialized; the caller

@@ -105,17 +105,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "drainserved_sim_runs_total %d\n", s.totals.Runs.Load())
 	fmt.Fprintf(w, "drainserved_sim_cycles_total %d\n", cycles)
 	fmt.Fprintf(w, "drainserved_sim_cycles_per_second %.0f\n", rate)
-	// Idle fast-forward observability: how many of the simulated cycles
-	// were jumped over rather than stepped (and the fraction), so a
-	// deployment can tell whether its traffic ever exercises the
-	// fast-forward machinery at all.
-	ff := s.totals.FastForwarded.Load()
-	ffFrac := 0.0
-	if cycles > 0 {
-		ffFrac = float64(ff) / float64(cycles)
-	}
-	fmt.Fprintf(w, "drainserved_sim_fastforward_cycles_total %d\n", ff)
-	fmt.Fprintf(w, "drainserved_sim_fastforward_fraction %.4f\n", ffFrac)
 	fmt.Fprintf(w, "drainserved_sim_reconfigs_total %d\n", s.totals.Reconfigs.Load())
 	fmt.Fprintf(w, "drainserved_sim_packets_rerouted_total %d\n", s.totals.Rerouted.Load())
 	fmt.Fprintf(w, "drainserved_job_latency_ms_count %d\n", count)

@@ -263,8 +263,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"drainserved_cache_hit_rate 0.5000",
 		"drainserved_sim_cycles_total ",
 		"drainserved_sim_cycles_per_second ",
-		"drainserved_sim_fastforward_cycles_total ",
-		"drainserved_sim_fastforward_fraction ",
 		"drainserved_job_latency_ms_count 1",
 		"drainserved_job_latency_ms_p50 ",
 		"drainserved_job_latency_ms_p99 ",

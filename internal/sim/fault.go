@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -173,17 +172,6 @@ func connectedWithout(g *topology.Graph, down, seen []bool, stack []int) bool {
 		}
 	}
 	return count == g.N()
-}
-
-// nextFaultCycle returns the cycle of the next unapplied scheduled
-// fault event (math.MaxInt64 when none remain). Together with the
-// network and scheme hints it bounds idle fast-forward windows, so a
-// skip can never jump over a scheduled reconfiguration.
-func (r *Runner) nextFaultCycle() int64 {
-	if r.faultIdx < len(r.Params.FaultSchedule) {
-		return r.Params.FaultSchedule[r.faultIdx].Cycle
-	}
-	return math.MaxInt64
 }
 
 // applyDueFaults applies every scheduled fault event due at or before

@@ -120,9 +120,6 @@ func TestFaultScheduleByteIdenticalAcrossEngines(t *testing.T) {
 	dense := base
 	dense.Engine = noc.EngineDense
 	res, reps := run(dense)
-	// FastForwarded is telemetry the dense oracle never accrues
-	// (see TestEngineDifferential); exclude it from byte-identity.
-	res.FastForwarded = ref.FastForwarded
 	if !reflect.DeepEqual(res, ref) {
 		t.Errorf("dense: result diverges:\n got %+v\nwant %+v", res, ref)
 	}

@@ -11,14 +11,13 @@ type EventKind string
 
 // Event kinds, each with the Event fields it sets.
 const (
-	EventEject       EventKind = "eject"        // Packet
-	EventDrainStart  EventKind = "drain_start"  // the credit freeze began
-	EventDrainEnd    EventKind = "drain_end"    // the freeze lifted; Moved, Ejected, Full
-	EventSpinDetect  EventKind = "spin_detect"  // SPIN confirmed a deadlock
-	EventSpin        EventKind = "spin"         // SPIN rotated a blocked cycle
-	EventFault       EventKind = "fault"        // Fault
-	EventFastForward EventKind = "fast_forward" // Span cycles jumped over from Cycle
-	EventRunEnd      EventKind = "run_end"      // the run returned
+	EventEject      EventKind = "eject"       // Packet
+	EventDrainStart EventKind = "drain_start" // the credit freeze began
+	EventDrainEnd   EventKind = "drain_end"   // the freeze lifted; Moved, Ejected, Full
+	EventSpinDetect EventKind = "spin_detect" // SPIN confirmed a deadlock
+	EventSpin       EventKind = "spin"        // SPIN rotated a blocked cycle
+	EventFault      EventKind = "fault"       // Fault
+	EventRunEnd     EventKind = "run_end"     // the run returned
 )
 
 // Event is one thing a run did, at network cycle Cycle; fields its Kind
@@ -34,7 +33,6 @@ type Event struct {
 	Ejected int64               `json:"ejected,omitempty"`
 	Full    bool                `json:"full,omitempty"`
 	Fault   *noc.ReconfigReport `json:"fault,omitempty"`
-	Span    int64               `json:"span,omitempty"`
 }
 
 // Probe watches the runs of the Runner it is set on (Runner.Probe).

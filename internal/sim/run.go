@@ -23,8 +23,8 @@ type SyntheticResult struct {
 	DeadlockCycle int64
 	Counters      noc.Counters
 	Cycles        int64
-	// FastForwarded counts the cycles the idle fast-forward jumped over
-	// instead of stepping.
+	// FastForwarded is always 0, as every run steps every cycle: kept
+	// for the frozen cmd/drainbench/cycle.go until ROADMAP B1(d).
 	FastForwarded int64
 }
 
@@ -63,7 +63,6 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 		DeadlockCycle: l.deadlockCycle,
 		Counters:      r.Net.Counters,
 		Cycles:        r.Net.Cycle(),
-		FastForwarded: l.fastForwarded,
 	}
 	if delivered > 0 {
 		res.AvgHops = float64(hops) / float64(delivered)
@@ -86,8 +85,8 @@ type runLoop struct {
 	measure       func(*noc.Packet)
 	opts          noc.LivenessOpts
 
-	completed, deadlocked        bool
-	deadlockCycle, fastForwarded int64
+	completed, deadlocked bool
+	deadlockCycle         int64
 }
 
 // loop is the one cycle loop every run steps through, at most l.total
@@ -97,14 +96,13 @@ type runLoop struct {
 // the network is frozen, steps the network and the scheme, then ticks the
 // coherence system (the run completes when it is Done) or sinks every
 // ejection. Ejections are measured; SchemeNone runs stop on a confirmed
-// deadlock, generator-driven runs jump over provably idle windows, a
-// Runner.Probe sees every event (it may stop the run after an
-// iteration), and the run is credited to ctx's Totals once.
+// deadlock, a Runner.Probe sees every event (it may stop the run after
+// an iteration), and the run is credited to ctx's Totals once.
 func (r *Runner) loop(ctx context.Context, l *runLoop) error {
 	base, counters := r.Net.Cycle(), r.Net.Counters
 	pr := r.Probe
 	defer func() {
-		r.credit(ctx, base, counters, l.fastForwarded)
+		r.credit(ctx, base, counters)
 		pr.emit(Event{Kind: EventRunEnd, Cycle: r.Net.Cycle()})
 	}()
 	measuring := l.warmup < 0
@@ -170,45 +168,6 @@ func (r *Runner) loop(ctx context.Context, l *runLoop) error {
 			}
 			lastEject = r.Net.Counters.Ejected
 		}
-		if pr.stopped() {
-			break // before fast-forward can move the clock
-		}
-		// Idle fast-forward: when network, scheme and generator all prove
-		// a window of do-nothing iterations, jump over it in one go. An
-		// iteration j steps the clock from j to j+1 (firing cycle j+1's
-		// events) and ticks the scheme at j+1, so the first iteration that
-		// may matter is (earliest interesting cycle) - 1. The window is
-		// further capped so that the warmup flip, every StepContext
-		// cancellation poll (the bounded-cancel contract), and every
-		// deadlock-watch sweep still execute on their exact cycles.
-		if l.gen != nil && !r.Net.Frozen() {
-			// NextWorkCycle hints are absolute network cycles; -base maps
-			// them onto the iteration counter.
-			u := min(r.Net.NextWorkCycle(), r.nextSchemeWorkCycle()) - base - 1
-			// A fault at absolute cycle C is applied at the top of
-			// iteration C-base, so that iteration must execute.
-			u = min(u, r.nextFaultCycle()-base, l.total)
-			if cyc < l.warmup {
-				u = min(u, l.warmup)
-			}
-			// StepContext polls ctx when the absolute clock is a multiple of
-			// CancelCheckEvery, so the boundary is computed absolutely too.
-			u = min(u, (base+cyc+noc.CancelCheckEvery)&^(noc.CancelCheckEvery-1)-base)
-			if watch {
-				u = min(u, (cyc+1)|511)
-			}
-			if w := u - (cyc + 1); w > 0 {
-				// The generator may stop short at the first cycle in which
-				// some node's rate draw fires; stepping resumes there.
-				skipped := l.gen.SkipQuiet(r.Graph.N(), w)
-				r.Net.SkipIdle(skipped)
-				if skipped > 0 {
-					pr.emit(Event{Kind: EventFastForward, Cycle: r.Net.Cycle() - skipped, Span: skipped})
-				}
-				cyc += skipped
-				l.fastForwarded += skipped
-			}
-		}
 	}
 	return nil
 }
@@ -247,6 +206,12 @@ func (r *Runner) RunAppContext(ctx context.Context, prof workload.Profile, opsTa
 	res := AppResult{Workload: prof.Name}
 	if r.Params.Classes < coherence.NumClasses {
 		return res, fmt.Errorf("sim: coherence runs need Classes=3 (have %d)", r.Params.Classes)
+	}
+	if c := r.Params.InjectCap; 0 < c && c < 2 {
+		// A FwdGetS/FwdGetM answer is a Data plus a DirAck, both
+		// ClassResp, injected together: one slot can never admit the
+		// pair, so the node's Forward queue would wait forever.
+		return res, fmt.Errorf("sim: coherence runs need InjectCap 0 (unbounded) or >= 2 (have %d): a forward's answer injects two Response packets at once", c)
 	}
 	sys, err := coherence.New(r.Net, coherence.Config{
 		Gen:       prof,

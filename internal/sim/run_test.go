@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drain/internal/coherence"
@@ -291,32 +292,28 @@ func TestRunAppRequiresThreeClasses(t *testing.T) {
 	}
 }
 
-// TestIdleFastForwardFires: every differential test zeroes
-// FastForwarded before comparing, so this is the one assertion that
-// the idle fast-forward actually opens windows at low load — and that
-// skipping changes nothing else: the dense engine never skips.
-func TestIdleFastForwardFires(t *testing.T) {
-	run := func(eng noc.EngineKind) SyntheticResult {
-		r, err := Build(Params{Width: 4, Height: 4, Scheme: SchemeEscapeVC, Seed: 7, Engine: eng})
+// A forward's answer injects two Response packets at once, so a
+// coherence run with one injection slot per class could never answer
+// one: it is refused up front, naming why. Unbounded (0) and two slots
+// run.
+func TestRunAppRefusesOneInjectionSlot(t *testing.T) {
+	for _, tc := range []struct {
+		injectCap int
+		refused   bool
+	}{{1, true}, {0, false}, {2, false}} {
+		r, err := Build(Params{Width: 3, Height: 3, Scheme: SchemeDRAIN, Classes: 3, InjectCap: tc.injectCap, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.005, 200, 3000)
-		if err != nil {
-			t.Fatal(err)
+		res, err := r.RunApp(workload.MustGet("lu"), 20, 100_000)
+		switch {
+		case tc.refused && (err == nil || !strings.Contains(err.Error(), "Response")):
+			t.Errorf("InjectCap %d: err = %v, want a refusal naming the Response pair", tc.injectCap, err)
+		case tc.refused && r.Net.Cycle() != 0:
+			t.Errorf("InjectCap %d: refused after %d cycles, want before the first", tc.injectCap, r.Net.Cycle())
+		case !tc.refused && (err != nil || !res.Completed):
+			t.Errorf("InjectCap %d: err = %v, completed = %v; want a completed run", tc.injectCap, err, res.Completed)
 		}
-		return res
-	}
-	event, dense := run(noc.EngineEvent), run(noc.EngineDense)
-	if event.FastForwarded <= 0 {
-		t.Fatalf("low-load run fast-forwarded %d of %d cycles, want > 0", event.FastForwarded, event.Cycles)
-	}
-	if dense.FastForwarded != 0 {
-		t.Fatalf("dense engine fast-forwarded %d cycles; it is the never-skipping reference", dense.FastForwarded)
-	}
-	event.FastForwarded = 0
-	if !reflect.DeepEqual(event, dense) {
-		t.Errorf("fast-forwarded run diverges from the stepped one:\nevent: %+v\ndense: %+v", event, dense)
 	}
 }
 

@@ -6,7 +6,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"drain/internal/coherence"
@@ -406,22 +405,6 @@ func (r *Runner) TickScheme() error {
 		return r.Oracle.Tick()
 	}
 	return nil
-}
-
-// nextSchemeWorkCycle returns the next cycle at which the scheme's
-// controller could do anything observable (math.MaxInt64 when no
-// controller is wired). Together with noc.Network.NextWorkCycle it
-// bounds the run loop's idle fast-forward windows.
-func (r *Runner) nextSchemeWorkCycle() int64 {
-	switch {
-	case r.Drain != nil:
-		return r.Drain.NextWorkCycle()
-	case r.Spin != nil:
-		return r.Spin.NextWorkCycle()
-	case r.Oracle != nil:
-		return r.Oracle.NextWorkCycle()
-	}
-	return math.MaxInt64
 }
 
 // PortsPerRouter returns the mean router port count (links + local) for

@@ -95,22 +95,3 @@ func TestSpinSkipsCheckWhenProgressing(t *testing.T) {
 		t.Errorf("%d spurious spins", st.Spins)
 	}
 }
-
-// TestOracleNextWorkCycle pins the oracle's fast-forward hint to its
-// periodic check boundary.
-func TestOracleNextWorkCycle(t *testing.T) {
-	n := spinNet(t, topology.MustMesh(2, 2).Graph, 1, 3)
-	o := NewOracle(n, 32, noc.LivenessOpts{})
-	if got := o.NextWorkCycle(); got != 32 {
-		t.Fatalf("fresh oracle NextWorkCycle = %d, want 32", got)
-	}
-	for n.Cycle() < 40 {
-		n.Step()
-		if err := o.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := o.NextWorkCycle(); got != 64 {
-		t.Fatalf("after first sweep NextWorkCycle = %d, want 64", got)
-	}
-}

@@ -123,17 +123,6 @@ func (c *Controller) Tick() error {
 	return nil
 }
 
-// NextWorkCycle returns the next cycle at which Tick could do anything
-// observable: the scheduled spin while one is pending, otherwise the
-// next detection sweep. Drivers use it to bound idle fast-forward
-// windows (see noc.Network.NextWorkCycle).
-func (c *Controller) NextWorkCycle() int64 {
-	if c.pending != nil {
-		return c.pendingAt
-	}
-	return c.nextCheckAt
-}
-
 func (c *Controller) opts() noc.LivenessOpts {
 	return noc.LivenessOpts{EjectLiveByClass: c.cfg.EjectLiveByClass}
 }
@@ -157,10 +146,6 @@ func NewOracle(net *noc.Network, period int64, opts noc.LivenessOpts) *Oracle {
 	}
 	return &Oracle{net: net, period: period, nextAt: net.Cycle() + period, opts: opts}
 }
-
-// NextWorkCycle returns the oracle's next check boundary (see
-// Controller.NextWorkCycle).
-func (o *Oracle) NextWorkCycle() int64 { return o.nextAt }
 
 // Tick breaks every blocked cycle present at the check boundary.
 func (o *Oracle) Tick() error {

@@ -191,32 +191,3 @@ func TestOracleBreaksDeadlocksInstantly(t *testing.T) {
 		t.Error("oracle never needed to break a deadlock under saturation")
 	}
 }
-
-// TestControllerNextWorkCycle pins the fast-forward hint: the next
-// detection sweep while idle, the scheduled spin while one is pending.
-func TestControllerNextWorkCycle(t *testing.T) {
-	n := spinNet(t, topology.MustMesh(2, 2).Graph, 1, 1)
-	c := New(n, Config{Timeout: 64})
-	if got := c.NextWorkCycle(); got != 64 {
-		t.Fatalf("fresh controller NextWorkCycle = %d, want 64", got)
-	}
-	for i := 0; i < 200; i++ {
-		n.Step()
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.NextWorkCycle(); got <= n.Cycle() {
-			t.Fatalf("cycle %d: NextWorkCycle = %d is not in the future", n.Cycle(), got)
-		}
-	}
-	// An idle network re-arms check boundaries without ever spinning.
-	if got, want := c.NextWorkCycle(), c.nextCheckAt; got != want {
-		t.Fatalf("idle NextWorkCycle = %d, want next sweep at %d", got, want)
-	}
-	// With a spin pending, the hint is the coordinated execution cycle.
-	c.pending = []noc.VCRef{{}}
-	c.pendingAt = n.Cycle() + 17
-	if got := c.NextWorkCycle(); got != n.Cycle()+17 {
-		t.Fatalf("pending NextWorkCycle = %d, want %d", got, n.Cycle()+17)
-	}
-}

@@ -180,13 +180,6 @@ type Generator struct {
 	rateThresh uint64
 	rateCached float64
 
-	// pendingSrc/hasPending memoize a mid-cycle stop inside SkipQuiet:
-	// the node whose rate draw passed, whose injection draws have not
-	// happened yet. The next Tick resumes from exactly that point, so
-	// the RNG sequence matches a generator ticked every cycle.
-	pendingSrc int
-	hasPending bool
-
 	// Created counts generation attempts that were actually injected.
 	Created int64
 	// Skipped counts injections suppressed by a full queue.
@@ -246,83 +239,46 @@ func (g *Generator) refreshThresh() {
 	g.rateCached = g.Rate
 }
 
-// Tick injects this cycle's packets into the network. If the previous
-// call was a SkipQuiet that stopped mid-cycle, Tick first completes that
-// cycle's pending injection and continues from the following node, so
-// the draw sequence is exactly that of a generator ticked every cycle.
+// Tick injects this cycle's packets into the network. For a node whose
+// rate draw passes, the order of draws and effects is load-bearing for
+// determinism: queue-cap check, destination draw, self-test, size draw,
+// inject.
 func (g *Generator) Tick(n *noc.Network) {
 	if g.Rate != g.rateCached {
 		g.refreshThresh()
 	}
 	nodes := n.Graph().N()
-	src := 0
-	if g.hasPending {
-		g.hasPending = false
-		g.emit(n, g.pendingSrc)
-		src = g.pendingSrc + 1
-	}
-	for ; src < nodes; src++ {
+	for src := 0; src < nodes; src++ {
 		if g.src.Uint64()&mask53 >= g.rateThresh {
 			continue
 		}
-		g.emit(n, src)
-	}
-}
-
-// emit performs the injection-side draws and effects for a node whose
-// rate draw passed (the draw/effect order here is load-bearing for
-// determinism: queue-cap check, destination draw, self-test, size draw,
-// inject).
-func (g *Generator) emit(n *noc.Network, src int) {
-	if g.InjQueueCap > 0 && n.InjQueueLen(src, g.Class) >= g.InjQueueCap {
-		g.Skipped++
-		return
-	}
-	dst := g.Pattern.Dest(src, g.rng)
-	if dst == src {
-		return
-	}
-	flits := 1
-	if g.rng.Float64() >= g.CtrlFraction {
-		flits = g.DataFlits
-	}
-	p := n.NewPacket(src, dst, g.Class, flits)
-	if n.Inject(p) {
-		g.Created++
-	} else {
-		// A refused injection leaves ownership with us (the queue never
-		// saw the packet), so hand it straight back to the pool.
-		g.Skipped++
-		n.ReleasePacket(p)
-	}
-}
-
-// SkipQuiet fast-forwards the generator over up to max cycles in which
-// no node injects, drawing exactly the per-cycle rate draws a ticked
-// generator would have drawn. It returns the number of fully quiet
-// cycles k (0 ≤ k ≤ max): the caller may skip k network cycles; if
-// k < max, cycle k is not quiet and the caller must resume per-cycle
-// stepping there — the next Tick finishes that cycle's draws from the
-// memoized stop point. Callers use this during provably idle windows
-// (see noc.Network.NextWorkCycle); a generator with a pending injection
-// never skips.
-//
-//drain:hotpath idle fast-forward companion to Network.SkipIdle
-func (g *Generator) SkipQuiet(nodes int, max int64) int64 {
-	if g.hasPending || max <= 0 {
-		return 0
-	}
-	if g.Rate != g.rateCached {
-		g.refreshThresh()
-	}
-	for k := int64(0); k < max; k++ {
-		for src := 0; src < nodes; src++ {
-			if g.src.Uint64()&mask53 < g.rateThresh {
-				g.pendingSrc = src
-				g.hasPending = true
-				return k
-			}
+		if g.InjQueueCap > 0 && n.InjQueueLen(src, g.Class) >= g.InjQueueCap {
+			g.Skipped++
+			continue
+		}
+		dst := g.Pattern.Dest(src, g.rng)
+		if dst == src {
+			continue
+		}
+		flits := 1
+		if g.rng.Float64() >= g.CtrlFraction {
+			flits = g.DataFlits
+		}
+		p := n.NewPacket(src, dst, g.Class, flits)
+		if n.Inject(p) {
+			g.Created++
+		} else {
+			// A refused injection leaves ownership with us (the queue
+			// never saw the packet), so hand it straight back to the pool.
+			g.Skipped++
+			n.ReleasePacket(p)
 		}
 	}
-	return max
 }
+
+// SkipQuiet is a shim kept for the frozen cmd/drainbench/cycle.go until
+// ROADMAP B1(d): every run ticks its generator every cycle. It reports
+// how many of the next max cycles the generator may skip, and skips
+// none: it draws nothing and returns 0, so the next Tick draws the
+// next cycle.
+func (g *Generator) SkipQuiet(nodes int, max int64) int64 { return 0 }

@@ -232,79 +232,6 @@ func TestRateThresholdMatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestSkipQuietMatchesTicked pins the fast-forward contract: a
-// generator driven by SkipQuiet windows plus resumed Ticks must make
-// exactly the injections, in the same cycles, with the same RNG stream,
-// as a twin ticked every cycle.
-func TestSkipQuietMatchesTicked(t *testing.T) {
-	m := topology.MustMesh(4, 4)
-	build := func(seed uint64) *noc.Network {
-		n, err := noc.New(noc.Config{
-			Graph: m.Graph, Mesh: m, Routing: routing.XY,
-			VNets: 1, VCsPerVN: 2, Classes: 1, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	for _, rate := range []float64{0.003, 0.02, 0.3} {
-		nT, nS := build(9), build(9)
-		gT := NewGenerator(UniformRandom{N: 16}, rate, 5)
-		gS := NewGenerator(UniformRandom{N: 16}, rate, 5)
-		wrng := rng(77)
-		step := func(n *noc.Network) {
-			n.Step()
-			n.DiscardEjected()
-		}
-		cyc := 0
-		for cyc < 4000 {
-			// The skipping side asks for a random window; every cycle
-			// SkipQuiet reports quiet, the ticked side must inject
-			// nothing.
-			w := int64(1 + wrng.IntN(50))
-			k := gS.SkipQuiet(16, w)
-			if k > 0 && nS.NextWorkCycle() > nS.Cycle()+k {
-				nS.SkipIdle(k)
-			} else {
-				for i := int64(0); i < k; i++ {
-					step(nS)
-				}
-			}
-			for i := int64(0); i < k; i++ {
-				before := gT.Created + gT.Skipped
-				gT.Tick(nT)
-				if gT.Created+gT.Skipped != before {
-					t.Fatalf("rate=%v cycle %d: SkipQuiet skipped a cycle with an injection attempt", rate, cyc+int(i))
-				}
-				step(nT)
-			}
-			cyc += int(k)
-			if k == w {
-				continue
-			}
-			// Window ended on a non-quiet cycle: both sides tick it
-			// (the skipper resumes from its memoized node).
-			gS.Tick(nS)
-			step(nS)
-			gT.Tick(nT)
-			step(nT)
-			cyc++
-		}
-		if gT.Created != gS.Created || gT.Skipped != gS.Skipped {
-			t.Fatalf("rate=%v: ticked created/skipped %d/%d, skipper %d/%d",
-				rate, gT.Created, gT.Skipped, gS.Created, gS.Skipped)
-		}
-		if ct, cs := nT.Counters.Created, nS.Counters.Created; ct != cs {
-			t.Fatalf("rate=%v: network created counts diverge: %d vs %d", rate, ct, cs)
-		}
-		// Equal stream position: both generators' next draws agree.
-		if a, b := gT.rng.Uint64(), gS.rng.Uint64(); a != b {
-			t.Fatalf("rate=%v: generator rng streams diverge", rate)
-		}
-	}
-}
-
 // TestNewGeneratorModeExactIsNewGenerator: the shim cmd/drainbench
 // builds its generator through is the plain constructor — same draws.
 func TestNewGeneratorModeExactIsNewGenerator(t *testing.T) {
