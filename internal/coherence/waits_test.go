@@ -206,3 +206,52 @@ func TestWaitsHasNoSideEffects(t *testing.T) {
 		t.Errorf("RNG positions differ: next draws %d and %d", a, b)
 	}
 }
+
+// TestGetMFanOutBeyondInjectCapWaitsForever pins ROADMAP A5's dynamic
+// capacity wait: a GetM on a line Shared by more other cores than
+// InjectCap needs one Forward slot per sharer at once, so emit refuses
+// it every cycle. The home names the wait and the writer never retires.
+// It pins today's behaviour; sending the invalidations in batches moves
+// coherence bytes, and must invert this test.
+func TestGetMFanOutBeyondInjectCapWaitsForever(t *testing.T) {
+	m := topology.MustMesh(3, 3)
+	n, err := noc.New(noc.Config{
+		Graph: m.Graph, Mesh: m, VNets: 3, VCsPerVN: 2, Classes: NumClasses,
+		PolicyEscape: true, Routing: routing.AdaptiveMinimal, EscapeRouting: routing.AdaptiveMinimal,
+		InjectCap: 2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(n, Config{Gen: testGen{issue: 0, private: 4, shared: 4}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, home, writer = 0, 0, 4 // line 0 is homed at node 0
+	for c := 1; c <= 3; c++ {
+		read(t, n, sys, c, a)
+	}
+	if dl := dirAt(sys, home, a); dl.state != Shared {
+		t.Fatalf("line %d is in directory state %d after three reads, want Shared", a, dl.state)
+	}
+	nd := sys.nodes[writer]
+	nd.mshrs.Put(a, &mshr{addr: a})
+	nd.opsIssued++
+	sys.send(writer, home, Msg{Type: GetM, Addr: a, Requester: writer})
+	want := []Wait{{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd}}
+	waited := 0
+	for i := 0; i < 5000; i++ {
+		n.Step()
+		sys.Tick()
+		switch got := sys.Waits(home); {
+		case reflect.DeepEqual(got, want):
+			waited++
+		case waited > 0:
+			t.Fatalf("cycle %d: home waits %v after %d cycles of %v", n.Cycle(), got, waited, want)
+		}
+	}
+	if waited < 4900 || nd.opsCompleted != 0 || sys.stats.MsgsByType[Inv] != 0 {
+		t.Errorf("home waited on Forward capacity %d of 5000 cycles; writer retired %d ops; %d Invs sent: want the GetM stuck (fixed? invert this test)",
+			waited, nd.opsCompleted, sys.stats.MsgsByType[Inv])
+	}
+}

@@ -156,7 +156,7 @@ func (rs *refState) optionFor(out int, req *refRequest, conservativeOK bool) (op
 	if (conservativeOK || bypass) && n.cfg.PolicyEscape {
 		if c, ok := refFindCand(req.escOuts, out); ok {
 			if slot, ok2 := rs.freeDownstreamSlot(out, p.VNet, true); ok2 {
-				return option{toSlot: int32(slot), setEscape: !n.cfg.NonStickyEscape, downPhase: c.DownPhase(), productive: c.Productive()}, true
+				return option{toSlot: int32(slot), downPhase: c.DownPhase(), productive: c.Productive()}, true
 			}
 		}
 	}

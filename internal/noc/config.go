@@ -42,8 +42,6 @@ type Config struct {
 	EjectCap int
 	// InjectCap bounds each per-class injection queue (0 = unbounded).
 	InjectCap int
-	// RouterLatency is the per-hop pipeline latency in cycles (Table II: 1).
-	RouterLatency int
 
 	// DerouteAfter lets a packet routed by AdaptiveMinimal request *any*
 	// output (misroute, including U-turns) once it has stalled this many
@@ -119,9 +117,6 @@ func (c *Config) Validate() error {
 	}
 	if c.EjectCap <= 0 {
 		c.EjectCap = 4
-	}
-	if c.RouterLatency <= 0 {
-		c.RouterLatency = 1
 	}
 	if c.DerouteAfter == 0 {
 		c.DerouteAfter = 8

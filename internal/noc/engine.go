@@ -34,8 +34,8 @@ func (k EngineKind) String() string {
 // same ascending order, which is why the two are byte-identical.
 //
 // The Network notifies its engine at every point that changes head
-// eligibility or queue occupancy: placed (a packet entered an input
-// VC), noteInject (an injection queue went non-empty), addFlight (a
+// eligibility or queue occupancy: placed (seat put a packet in an
+// input VC), noteInject (an injection queue went non-empty), addFlight (a
 // transfer started). Missing a notification would strand a packet in
 // the event engine; CheckInvariants cross-checks the activity bitmaps
 // and the wheel against a full state scan to catch exactly that.
@@ -45,8 +45,8 @@ type engine interface {
 	step(n *Network)
 	// addFlight registers a started transfer landing at f.doneAt.
 	addFlight(n *Network, f flight)
-	// placed records that a packet now heads an input VC of router,
-	// becoming eligible at readyAt (readyAt <= now means immediately).
+	// placed records that seat made a packet the head of an input VC of
+	// router, eligible now (readyAt <= now) or next cycle.
 	placed(n *Network, router int, readyAt int64)
 	// noteInject records that router's injection queues went non-empty.
 	noteInject(n *Network, router int)

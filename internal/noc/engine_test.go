@@ -22,25 +22,21 @@ func TestEventWheelSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		maxFlits, routerLatency int
-		wantSize                int64
+		maxFlits int
+		wantSize int64
 	}{
-		{1, 1, 2},
-		{5, 1, 8},
-		{8, 1, 16}, // power-of-two offset still needs a strictly larger wheel
-		{5, 9, 16},
-		{16, 4, 32},
+		{1, 2},
+		{5, 8},
+		{8, 16}, // power-of-two offset still needs a strictly larger wheel
+		{16, 32},
 	}
 	for _, c := range cases {
-		cfg := Config{Graph: g, MaxFlits: c.maxFlits, RouterLatency: c.routerLatency}
+		cfg := Config{Graph: g, MaxFlits: c.maxFlits}
 		e := newEventEngine(&cfg)
 		maxOff := int64(c.maxFlits)
-		if int64(c.routerLatency) > maxOff {
-			maxOff = int64(c.routerLatency)
-		}
 		if e.size != c.wantSize || e.mask != c.wantSize-1 || e.maxOff != maxOff {
-			t.Errorf("maxFlits=%d latency=%d: size=%d mask=%d maxOff=%d, want size=%d",
-				c.maxFlits, c.routerLatency, e.size, e.mask, e.maxOff, c.wantSize)
+			t.Errorf("maxFlits=%d: size=%d mask=%d maxOff=%d, want size=%d",
+				c.maxFlits, e.size, e.mask, e.maxOff, c.wantSize)
 		}
 		if e.size&(e.size-1) != 0 || e.size <= maxOff {
 			t.Errorf("wheel size %d is not a power of two strictly above offset %d", e.size, maxOff)
@@ -66,41 +62,34 @@ func newTestNet(t *testing.T, kind EngineKind) *Network {
 	return n
 }
 
-// TestInjPendingCount pins the incremental non-empty-injection-queue
-// count that lets injectFromQueues skip whole cycles: it must rise as
-// queues go non-empty, fall as they drain, and always agree with the
-// recount in CheckInvariants.
-func TestInjPendingCount(t *testing.T) {
+// TestInjectBitTracksQueues pins the event engine's injection set, the
+// only record of which routers have queued packets: a router's bit rises
+// as one of its queues goes non-empty and falls at the visit that empties
+// them, and CheckInvariants agrees at every step.
+func TestInjectBitTracksQueues(t *testing.T) {
 	n := newTestNet(t, EngineEvent)
-	if n.injPending != 0 {
-		t.Fatalf("fresh network injPending = %d", n.injPending)
-	}
-	// Three packets at router 0 make ONE non-empty queue; one more at
-	// router 1 makes two.
+	inj := &n.eng.(*eventEngine).inj
 	for i := 0; i < 3; i++ {
 		if !n.Inject(n.NewPacket(0, 2, 0, 1)) {
 			t.Fatal("inject refused")
 		}
 	}
-	if n.injPending != 1 {
-		t.Fatalf("injPending = %d after 3 injections at one router, want 1", n.injPending)
-	}
 	if !n.Inject(n.NewPacket(1, 3, 0, 1)) {
 		t.Fatal("inject refused")
 	}
-	if n.injPending != 2 {
-		t.Fatalf("injPending = %d with two routers queued, want 2", n.injPending)
+	if !inj.get(0) || !inj.get(1) || inj.get(2) || inj.get(3) {
+		t.Fatalf("injection set %b after injections at routers 0 and 1", inj.words[0])
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64 && n.injPending > 0; i++ {
+	for i := 0; i < 64 && (n.hasQueued(0) || n.hasQueued(1)); i++ {
 		n.Step()
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 	}
-	if n.injPending != 0 {
-		t.Fatalf("injPending = %d after draining, want 0", n.injPending)
+	if n.hasQueued(0) || n.hasQueued(1) || inj.words[0] != 0 {
+		t.Fatalf("injection set %b with queues at 0: %v, at 1: %v", inj.words[0], n.hasQueued(0), n.hasQueued(1))
 	}
 }

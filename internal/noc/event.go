@@ -3,10 +3,9 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
-// eventEngine is the event-driven cycle core. Three structures replace
+// eventEngine is the event-driven cycle core. Four structures replace
 // the dense engine's exhaustive scans:
 //
 //   - alloc: a bitmap of routers that may hold an input VC head eligible
@@ -14,48 +13,55 @@ import (
 //     randomness, and clears the bit) but are never stale-CLEAR: a bit is
 //     cleared only when a visit granted every eligible head it counted,
 //     and every path that creates eligibility (land, injection, rotation,
-//     direct placement, readyAt maturation) re-sets the bit or schedules
-//     a wake. That one-sided invariant is what makes the engine
+//     direct placement, maturation) re-sets the bit, now or through
+//     next. That one-sided invariant is what makes the engine
 //     byte-identical to the dense stepper — see DESIGN.md §"Event-driven
 //     core" — and CheckInvariants verifies it against a full scan.
+//   - next: the routers a head matures at next cycle (routers take one
+//     cycle, so every seated head is immature for exactly that long).
 //   - inj: a bitmap of routers whose injection queues may be non-empty
 //     (same one-sided staleness; injection draws no randomness at all).
-//   - a timing wheel of power-of-two size > max(MaxFlits, RouterLatency):
-//     per-slot FIFOs of flights (landing this cycle, in creation order —
-//     the same order the dense inflights scan lands them) and of wakes
-//     (routers whose placed packet matures this cycle).
+//   - a timing wheel of power-of-two size > MaxFlits: per-slot FIFOs of
+//     flights landing that cycle, in creation order — the same order the
+//     dense inflights scan lands them.
 type eventEngine struct {
 	// The wheel has a power-of-two number of slots strictly larger than
-	// maxOff = max(MaxFlits, RouterLatency), the furthest any event is
-	// scheduled ahead, so each pending cycle has a private slot.
+	// maxOff = MaxFlits, the furthest a transfer lands ahead, so each
+	// pending cycle has a private slot.
 	size, mask, maxOff int64
 	flights            [][]flight // [cycle&mask] -> transfers landing that cycle
-	wakes              [][]int32  // [cycle&mask] -> routers with a head maturing then
 	count              int        // pending transfers across all slots
 
 	alloc bitset // routers that may have an eligible head
+	next  bitset // routers with a head maturing next cycle
 	inj   bitset // routers whose injection queues may be non-empty
 }
 
 func newEventEngine(cfg *Config) *eventEngine {
-	e := &eventEngine{maxOff: int64(max(cfg.MaxFlits, cfg.RouterLatency)), size: 1}
+	e := &eventEngine{maxOff: int64(cfg.MaxFlits), size: 1}
 	for e.size <= e.maxOff {
 		e.size <<= 1
 	}
 	e.mask = e.size - 1
-	e.flights, e.wakes = make([][]flight, e.size), make([][]int32, e.size)
-	e.alloc, e.inj = newBitset(cfg.Graph.N()), newBitset(cfg.Graph.N())
+	e.flights = make([][]flight, e.size)
+	e.alloc, e.next, e.inj = newBitset(cfg.Graph.N()), newBitset(cfg.Graph.N()), newBitset(cfg.Graph.N())
 	return e
 }
 
-// step advances one cycle: fire this cycle's wheel slot (arrivals land
-// in creation order, matured heads re-arm their router's activity bit),
-// then — unless frozen — visit the active routers for allocation and
-// injection in ascending order, exactly the order the dense stepper's
-// 0..N-1 scans impose.
+// step advances one cycle: the heads seated last cycle mature (next joins
+// alloc), this cycle's wheel slot fires (arrivals land in creation order,
+// into next), then — unless frozen — the active routers are visited for
+// allocation and injection in ascending order, exactly the order the
+// dense stepper's 0..N-1 scans impose. next joins alloc before the
+// landings: after them it would hold this cycle's arrivals, and a visit
+// could clear the bit of a router whose head matures only next cycle.
 //
 //drain:hotpath event-core cycle entry, dispatched from Network.Step through the engine seam (dynamic calls are not followed)
 func (e *eventEngine) step(n *Network) {
+	for i, w := range e.next.words {
+		e.alloc.words[i] |= w
+		e.next.words[i] = 0
+	}
 	slot := n.cycle & e.mask
 	if fl := e.flights[slot]; len(fl) > 0 {
 		e.count -= len(fl)
@@ -63,12 +69,6 @@ func (e *eventEngine) step(n *Network) {
 			n.land(fl[i])
 		}
 		e.flights[slot] = fl[:0]
-	}
-	if ws := e.wakes[slot]; len(ws) > 0 {
-		for _, r := range ws {
-			e.alloc.set(int(r))
-		}
-		e.wakes[slot] = ws[:0]
 	}
 	if n.frozen {
 		n.Counters.FrozenCyc++
@@ -118,17 +118,16 @@ func (e *eventEngine) addFlight(n *Network, f flight) {
 	e.count++
 }
 
-// placed arms router's activity bit, now or at the head's maturation
-// cycle. readyAt is always within the wheel horizon (RouterLatency).
+// placed arms router's activity bit now, or at the start of next cycle
+// when the head matures then (readyAt is at most cycle+1).
 //
-//drain:hotpath called from land/injection through the engine seam (dynamic calls are not followed)
+//drain:hotpath called from seat through the engine seam (dynamic calls are not followed)
 func (e *eventEngine) placed(n *Network, router int, readyAt int64) {
 	if readyAt <= n.cycle {
 		e.alloc.set(router)
 		return
 	}
-	slot := readyAt & e.mask
-	e.wakes[slot] = append(e.wakes[slot], int32(router))
+	e.next.set(router)
 }
 
 // noteInject arms router's injection bit.
@@ -173,8 +172,9 @@ func (e *eventEngine) removeFailedFlights(n *Network, down []bool) int {
 // check validates the wheel and the activity bitmaps against a full
 // scan: flights sit in the right slot within the horizon, the count
 // agrees, every eligible head's router has its bit set (the never-
-// stale-clear invariant), every immature head has a pending wake, and
-// every non-empty injection queue has its router's bit set.
+// stale-clear invariant), every immature head matures next cycle with its
+// router's next bit set, and every non-empty injection queue has its
+// router's bit set.
 func (e *eventEngine) check(n *Network) error {
 	total := 0
 	for s := range e.flights {
@@ -194,18 +194,17 @@ func (e *eventEngine) check(n *Network) error {
 	}
 	if err := n.eachSlot(func(r, _, _ int, s *vcSlot) error {
 		switch {
-		case s.sending: // departing heads need neither bit nor wake
+		case s.sending: // departing heads need no bit
 			return nil
 		case s.readyAt <= n.cycle:
 			if !e.alloc.get(r) {
 				return fmt.Errorf("noc: eligible head (packet %d) at router %d but activity bit clear", s.pkt.ID, r)
 			}
 			return nil
-		case s.readyAt > n.cycle+e.maxOff:
-			return fmt.Errorf("noc: packet %d matures at %d, beyond the wheel horizon %d", s.pkt.ID, s.readyAt, n.cycle+e.maxOff)
-		}
-		if !slices.Contains(e.wakes[s.readyAt&e.mask], int32(r)) {
-			return fmt.Errorf("noc: immature head (packet %d) at router %d has no wake at cycle %d", s.pkt.ID, r, s.readyAt)
+		case s.readyAt != n.cycle+1:
+			return fmt.Errorf("noc: packet %d matures at %d, not next cycle %d", s.pkt.ID, s.readyAt, n.cycle+1)
+		case !e.next.get(r):
+			return fmt.Errorf("noc: immature head (packet %d) at router %d but next bit clear", s.pkt.ID, r)
 		}
 		return nil
 	}); err != nil {

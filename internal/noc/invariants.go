@@ -37,6 +37,9 @@ func (n *Network) CheckInvariants() error {
 		if p.inLink != LocalPort && n.cfg.PolicyEscape && p.InEscape && !n.cfg.IsEscapeSlot(s) {
 			return fmt.Errorf("noc: escape packet %d occupies non-escape slot %d", p.ID, s)
 		}
+		if n.stickyAt(s) && !p.InEscape {
+			return fmt.Errorf("noc: packet %d in escape %s is not sticky", p.ID, where)
+		}
 		if p.InEscape && n.cfg.NonStickyEscape { // the shared escape mask relies on it
 			return fmt.Errorf("noc: packet %d at %s is marked InEscape under non-sticky escape", p.ID, where)
 		}
@@ -102,17 +105,11 @@ func (n *Network) CheckInvariants() error {
 			}
 		}
 	}
-	// The incremental non-empty-injection-queue count must agree with a
-	// full recount (injectFromQueues relies on it to skip empty cycles).
-	// The same sweep notes every queued packet, so the pool check below
-	// sees the complete live set.
-	injCount := 0
+	// Note every queued packet, so the pool check below sees the complete
+	// live set.
 	for r := 0; r < n.g.N(); r++ {
 		for c := range n.injQ[r] {
 			q := &n.injQ[r][c]
-			if q.Len() > 0 {
-				injCount++
-			}
 			for i := 0; i < q.n; i++ {
 				if err := note(q.buf[(q.head+i)%len(q.buf)], fmt.Sprintf("injQ[%d][%d]", r, c)); err != nil {
 					return err
@@ -127,9 +124,6 @@ func (n *Network) CheckInvariants() error {
 				}
 			}
 		}
-	}
-	if n.injPending != injCount {
-		return fmt.Errorf("noc: injPending %d, recount %d", n.injPending, injCount)
 	}
 	// Pool safety: every free-list entry is marked pooled, appears only
 	// once, and is not simultaneously live anywhere the sweeps above saw —

@@ -251,16 +251,16 @@ func TestLoneHeadOverdueAfterFreezeDeroutes(t *testing.T) {
 }
 
 func TestLoneHeadWithImmatureCompanions(t *testing.T) {
-	lr := meshRig(t, 3, 3, func(c *Config) { c.RouterLatency = 3 })
-	lr.do(func(n *Network) { n.Inject(n.NewPacket(4, 0, 0, 1)) })
-	lr.step() // into the local VC, three cycles from maturing
-	q := localHead(lr.exit, 4)
-	h := lr.place(1, 4, 8, 0, 1)
-	lr.step()
-	b := int(lr.exit.ports[lr.exit.localPort(4)].bit0) + q.slot
-	if lr.exit.loneGrants != 1 || !lr.exit.slotOf(h).sending || lr.exit.sub(4, 0)[mPend]>>uint(b)&1 == 0 {
-		t.Errorf("%d uncontested grants, matured head sending %v, router 4 pending mask %b (companion is bit %d)",
-			lr.exit.loneGrants, lr.exit.slotOf(h).sending, lr.exit.sub(4, 0)[mPend], b)
+	lr := meshRig(t, 3, 3, nil)
+	q := lr.place(0, 1, 7, 1, 1) // its only way on is 1->4
+	lr.step()                    // q's transfer over 1->4 lands next cycle
+	h := lr.place(3, 4, 8, 0, 1)
+	granted := lr.exit.loneGrants
+	lr.step() // q lands at router 4 before the visit, immature at it
+	b := int(lr.exit.ports[mustLinkID(t, lr.exit, 1, 4)].bit0) + q.slot
+	if lr.exit.loneGrants != granted+1 || !lr.exit.slotOf(h).sending || q.atRouter != 4 || lr.exit.sub(4, 0)[mPend]>>uint(b)&1 == 0 {
+		t.Errorf("%d uncontested grants, matured head sending %v, companion at router %d, router 4 pending mask %b (companion is bit %d)",
+			lr.exit.loneGrants-granted, lr.exit.slotOf(h).sending, q.atRouter, lr.exit.sub(4, 0)[mPend], b)
 	}
 	lr.finish()
 }

@@ -47,7 +47,6 @@ type flight struct {
 	toSlot   int32
 	eject    bool
 	// effects applied on arrival
-	setEscape  bool
 	downPhase  bool
 	productive bool
 }
@@ -98,10 +97,6 @@ type Network struct {
 
 	injQ [][]pktQueue // [router][class]
 	ejQ  [][]pktQueue
-
-	// injPending counts non-empty (router, class) injection queues so a
-	// cycle with nothing queued skips the router × class scan entirely.
-	injPending int
 
 	// ejDirty/ejDirtyList track routers whose ejection queues received
 	// packets since the last DiscardEjected sweep, so synthetic sinks
@@ -305,7 +300,6 @@ func (n *Network) Inject(p *Packet) bool {
 	}
 	q := &n.injQ[p.Src][p.Class]
 	if q.Len() == 0 {
-		n.injPending++
 		n.eng.noteInject(n, p.Src)
 	}
 	q.Push(p)
@@ -454,6 +448,19 @@ func (n *Network) occupy(router, port, s int, p *Packet, readyAt int64) {
 	b := int(pm.bit0) + s
 	blk := n.sub(router, b>>6)
 	blk[mPend] |= 1 << uint(b&63)
+}
+
+// seat makes p the head of the given slot of router's input port inLink
+// (a link, or LocalPort), eligible to move from readyAt: the one way a
+// packet enters a VC buffer. Entering an escape VC under the sticky
+// discipline makes the packet sticky.
+func (n *Network) seat(p *Packet, router, inLink, slot int, readyAt int64) {
+	n.occupy(router, n.portOf(inLink, router), slot, p, readyAt)
+	p.atRouter, p.inLink, p.slot = router, inLink, slot
+	if n.stickyAt(slot) {
+		p.InEscape = true
+	}
+	n.eng.placed(n, router, readyAt)
 }
 
 // vacate empties slot s of the given input port and marks it free. The

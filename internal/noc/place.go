@@ -18,11 +18,6 @@ func (n *Network) PlacePacket(from, to, dst, slot int) (*Packet, error) {
 		return nil, fmt.Errorf("noc: slot %d of link %d->%d is occupied", slot, from, to)
 	}
 	p := n.NewPacket(from, dst, slot/n.cfg.VCsPerVN, 1)
-	p.atRouter = to
-	p.inLink = l
-	p.slot = slot
-	p.InEscape = n.stickyAt(slot)
-	n.occupy(to, l, slot, p, 0)
-	n.eng.placed(n, to, 0)
+	n.seat(p, to, l, slot, 0)
 	return p, nil
 }

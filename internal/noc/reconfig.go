@@ -192,15 +192,8 @@ func (n *Network) evacuate(p *Packet, fromLink, fromSlot int) bool {
 			return false
 		}
 	}
-	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	n.dropWaiting(r, fromLink, fromSlot)
-	n.occupy(r, toLink, toSlot, p, readyAt)
-	p.inLink = toLink
-	p.slot = toSlot
-	if n.stickyAt(toSlot) {
-		p.InEscape = true
-	}
+	n.seat(p, r, toLink, toSlot, n.cycle+1)
 	n.Counters.FaultReroutes++
-	n.eng.placed(n, r, readyAt)
 	return true
 }

@@ -46,7 +46,6 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 	if len(next) != n.g.NumLinks() {
 		return rep, errRotatePathLen
 	}
-	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	for vn := 0; vn < n.cfg.VNets; vn++ {
 		slot := n.cfg.EscapeSlot(vn)
 		moved := n.scrPkts[:n.g.NumLinks()] // new occupant per link
@@ -56,38 +55,23 @@ func (n *Network) DrainRotate(next []int) (DrainReport, error) {
 			if p == nil {
 				continue
 			}
-			oldRouter := p.atRouter
-			n.dropWaiting(oldRouter, l, slot) // successors are installed after the sweep
+			n.dropWaiting(p.atRouter, l, slot) // successors are seated after the sweep
 			d := next[l]
-			target := n.g.Link(d)
-			p.Hops++
+			to := n.g.Link(d).To
+			n.forceHop(p, to)
 			p.DrainHops++
-			n.Counters.Hops++
 			n.Counters.DrainMoves++
-			n.Counters.LinkFlits += int64(p.Flits)
-			n.Counters.noteVNActivity(p.VNet, target.To, n.cycle, int64(p.Flits))
-			if n.tab.Dist(target.To, p.Dst) >= n.tab.Dist(oldRouter, p.Dst) {
-				p.Misroutes++
-				n.Counters.Misroutes++
-			}
-			if p.Dst == target.To && n.ejectSpace(target.To, p.Class) {
-				n.pushEject(target.To, p)
+			if p.Dst == to && n.ejectSpace(to, p.Class) {
+				n.pushEject(to, p)
 				rep.Ejected++
 				continue
 			}
-			p.atRouter = target.To
-			p.inLink = d
-			p.slot = slot
-			n.eng.placed(n, target.To, readyAt)
-			// A forced turn invalidates any up*/down* phase bookkeeping;
-			// DRAIN's escape VC is unrestricted so the phase restarts.
-			p.DownPhase = false
 			moved[d] = p
 			rep.Moved++
 		}
 		for l, p := range moved {
 			if p != nil {
-				n.occupy(p.atRouter, l, slot, p, readyAt)
+				n.seat(p, n.g.Link(l).To, l, slot, n.cycle+1)
 			}
 		}
 	}
@@ -115,31 +99,31 @@ func (n *Network) RotateBlockedCycle(refs []VCRef) error {
 		}
 		pkts[i] = p
 	}
-	readyAt := n.cycle + int64(n.cfg.RouterLatency)
-	for i := range refs {
-		nxt := refs[(i+1)%len(refs)]
-		p := pkts[i]
-		target := n.g.Link(nxt.Link)
-		if n.tab.Dist(target.To, p.Dst) >= n.tab.Dist(p.atRouter, p.Dst) {
-			p.Misroutes++
-			n.Counters.Misroutes++
-		}
-		n.dropWaiting(p.atRouter, refs[i].Link, refs[i].Slot) // successors are installed after the sweep
-		p.atRouter = target.To
-		p.inLink = nxt.Link
-		p.slot = nxt.Slot
-		n.eng.placed(n, target.To, readyAt)
-		p.Hops++
+	for i, p := range pkts {
+		n.forceHop(p, n.g.Link(refs[(i+1)%len(refs)].Link).To)
 		p.SpinHops++
-		p.DownPhase = false
-		n.Counters.Hops++
 		n.Counters.SpinMoves++
-		n.Counters.LinkFlits += int64(p.Flits)
-		n.Counters.noteVNActivity(p.VNet, target.To, n.cycle, int64(p.Flits))
+		n.dropWaiting(p.atRouter, refs[i].Link, refs[i].Slot) // successors are seated after the sweep
 	}
-	for i, ref := range refs {
-		p := pkts[(i-1+len(pkts))%len(pkts)]
-		n.occupy(p.atRouter, ref.Link, ref.Slot, p, readyAt)
+	for i, p := range pkts {
+		nxt := refs[(i+1)%len(refs)]
+		n.seat(p, n.g.Link(nxt.Link).To, nxt.Link, nxt.Slot, n.cycle+1)
 	}
 	return nil
+}
+
+// forceHop applies the effects of a hop a rotation forces on the buffered
+// packet p, to router `to`: the misroute test and the hop counters. A
+// forced turn invalidates any up*/down* phase bookkeeping (DRAIN's escape
+// VC is unrestricted), so the phase restarts.
+func (n *Network) forceHop(p *Packet, to int) {
+	if n.tab.Dist(to, p.Dst) >= n.tab.Dist(p.atRouter, p.Dst) {
+		p.Misroutes++
+		n.Counters.Misroutes++
+	}
+	p.Hops++
+	p.DownPhase = false
+	n.Counters.Hops++
+	n.Counters.LinkFlits += int64(p.Flits)
+	n.Counters.noteVNActivity(p.VNet, to, n.cycle, int64(p.Flits))
 }

@@ -75,10 +75,10 @@ const (
 const never = math.MaxInt64
 
 // option is one feasible (head → output slot) assignment on an output:
-// the downstream slot and the arrival effects of the candidate taken.
+// the downstream slot and the arrival effects of the candidate taken
+// (whether the slot makes the packet sticky, seat decides).
 type option struct {
 	toSlot     int32
-	setEscape  bool // enters the downstream escape VC and makes the packet sticky
 	downPhase  bool
 	productive bool
 }
@@ -129,16 +129,8 @@ func (n *Network) land(f flight) {
 		n.pushEject(int(f.toRouter), p)
 		return
 	}
-	readyAt := n.cycle + int64(n.cfg.RouterLatency)
 	toRouter := int(f.toRouter)
-	n.occupy(toRouter, int(f.toLink), int(f.toSlot), p, readyAt)
-	p.atRouter = toRouter
-	p.inLink = int(f.toLink)
-	p.slot = int(f.toSlot)
 	p.Hops++
-	if f.setEscape {
-		p.InEscape = true
-	}
 	p.DownPhase = f.downPhase
 	if !f.productive {
 		p.Misroutes++
@@ -148,7 +140,7 @@ func (n *Network) land(f flight) {
 	n.Counters.LinkFlits += int64(p.Flits)
 	n.Counters.BufWrites += int64(p.Flits)
 	n.Counters.noteVNActivity(p.VNet, toRouter, n.cycle, int64(p.Flits))
-	n.eng.placed(n, toRouter, readyAt)
+	n.seat(p, toRouter, int(f.toLink), int(f.toSlot), n.cycle+1)
 }
 
 // pushEject delivers p to its destination's ejection queue.
@@ -267,7 +259,7 @@ func (n *Network) loneOption(r, b int) (out int, g option, ok bool) {
 			return out, option{toSlot: int32(base + bits.TrailingZeros64(free)), downPhase: mc.DownPhase(), productive: mc.Productive()}, true
 		}
 		if viaEsc {
-			return out, option{toSlot: int32(base), setEscape: n.sticky, downPhase: ec.DownPhase(), productive: ec.Productive()}, true
+			return out, option{toSlot: int32(base), downPhase: ec.DownPhase(), productive: ec.Productive()}, true
 		}
 	}
 	return 0, option{}, false
@@ -548,7 +540,6 @@ func (n *Network) optionAt(blk []uint64, out, b int, p *Packet) option {
 	}
 	return option{
 		toSlot:     int32(p.VNet*n.cfg.VCsPerVN + bits.TrailingZeros64(free)),
-		setEscape:  esc && n.sticky,
 		downPhase:  blk[i+flagDown]>>sh&1 != 0,
 		productive: blk[i+flagDetour]>>sh&1 == 0,
 	}
@@ -594,7 +585,6 @@ func (n *Network) startLink(r, b, out int, g option) {
 		toLink:     int32(out),
 		toSlot:     g.toSlot,
 		toRouter:   int32(n.g.Link(out).To),
-		setEscape:  g.setEscape,
 		downPhase:  g.downPhase,
 		productive: g.productive,
 	})
@@ -630,13 +620,9 @@ func (n *Network) routerFreeInVN(router, vn int) int {
 	return c
 }
 
-// injectFromQueues moves injection-queue heads into free local VCs. The
-// injPending count of non-empty queues lets whole cycles skip the
-// router × class scan when nothing is waiting.
+// injectFromQueues moves injection-queue heads into free local VCs,
+// scanning every router.
 func (n *Network) injectFromQueues() {
-	if n.injPending == 0 {
-		return
-	}
 	for r := 0; r < n.g.N(); r++ {
 		n.injectRouterQueues(r)
 	}
@@ -659,24 +645,12 @@ func (n *Network) injectRouterQueues(r int) (pending bool) {
 			continue
 		}
 		q.Pop()
-		if q.Len() == 0 {
-			n.injPending--
-		} else {
-			pending = true
-		}
-		readyAt := n.cycle + int64(n.cfg.RouterLatency)
-		n.occupy(r, n.localPort(r), slot, p, readyAt)
-		p.atRouter = r
-		p.inLink = LocalPort
-		p.slot = slot
+		pending = pending || q.Len() > 0
 		p.InjectedAt = n.cycle
-		if n.stickyAt(slot) {
-			p.InEscape = true
-		}
 		n.Counters.Injected++
 		n.Counters.BufWrites += int64(p.Flits)
 		n.Counters.noteVNActivity(p.VNet, r, n.cycle, int64(p.Flits))
-		n.eng.placed(n, r, readyAt)
+		n.seat(p, r, LocalPort, slot, n.cycle+1)
 	}
 	return pending
 }
