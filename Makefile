@@ -36,8 +36,8 @@ test-race:
 ## `go test -list` in ALLOC_PKGS.
 ALLOC_TESTS = TestStepAllocs TestStepWindowAllocs TestProbeWindowAllocs TestRunAllocsPerDeliveredPacket \
 	TestAppRunAllocsPerMessage TestGoldenCounters TestReconfigureAndDrainRotateAllocs TestRotateBlockedCycleAllocs \
-	TestValidateFaultScheduleAllocs TestRestoreBuildsNoTable TestNewTableAllocs TestNewAllocs
-ALLOC_PKGS = . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence
+	TestValidateFaultScheduleAllocs TestRestoreBuildsNoTable TestNewTableAllocs TestNewAllocs TestCacheHitAllocs
+ALLOC_PKGS = . ./internal/sim ./internal/noc ./internal/routing ./internal/coherence ./internal/server
 test-allocs:
 	@listed=$$($(GO) test -list . $(ALLOC_PKGS)) || { printf '%s\n' "$$listed"; exit 1; }; missing=; \
 	for t in $(ALLOC_TESTS); do grep -qx "$$t" <<< "$$listed" || missing="$$missing $$t"; done; \
@@ -111,7 +111,8 @@ bench-all:
 
 ## fuzz: short native-fuzz smoke over the noc invariant properties, the
 ## dense-vs-event engine byte-identity differential, the fault-schedule
-## syntax and validation, and the server's request canonicalization.
+## syntax and validation, the server's request canonicalization and its
+## answers to a repeated request body.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) ./internal/noc
@@ -120,6 +121,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzValidateFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzRepeatedBody -fuzztime=$(FUZZTIME) ./internal/server
 
 ## results: regenerate the quick-scale markdown tables under results/.
 results:

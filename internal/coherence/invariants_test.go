@@ -139,7 +139,8 @@ func stalePutM(before, now line) bool {
 
 // The single-writer and directory-agreement invariants hold after every
 // cycle of contended runs that evict, forward, invalidate and write
-// back, from a prewarmed start whose records are still derived. The one
+// back, from a prewarmed start whose records are still derived, and no
+// node ever holds more than Config.MSHRs MSHRs. The one
 // violation allowed is the pinned stale PutM; a seed that hits it is
 // checked no further, its state being known wrong from there on.
 func TestProtocolInvariantsEveryCycle(t *testing.T) {
@@ -161,6 +162,11 @@ func TestProtocolInvariantsEveryCycle(t *testing.T) {
 			n.Step()
 			sys.Tick()
 			checked++
+			for r, nd := range sys.nodes {
+				if nd.mshrs.Len() > sys.cfg.MSHRs {
+					t.Fatalf("seed %d, cycle %d: node %d holds %d MSHRs, Config.MSHRs is %d", seed, n.Cycle(), r, nd.mshrs.Len(), sys.cfg.MSHRs)
+				}
+			}
 			now := lines(sys)
 			addr, err := violation(now)
 			if err != nil && stalePutM(before[addr], now[addr]) {

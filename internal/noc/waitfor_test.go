@@ -33,25 +33,18 @@ func ringNet(t *testing.T, n int) *Network {
 	return net
 }
 
-// plantPacket places a packet directly into a link VC buffer (white-box).
+// plantPacket places a packet into a link VC buffer through PlacePacket
+// (which seats it the one way every packet enters a buffer) and requires
+// the planted state to pass CheckInvariants.
 func plantPacket(t *testing.T, n *Network, from, to, dst, slot int) *Packet {
 	t.Helper()
-	l, ok := n.g.LinkID(from, to)
-	if !ok {
-		t.Fatalf("no link %d->%d", from, to)
+	p, err := n.PlacePacket(from, to, dst, slot)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n.LinkOccupant(l, slot) != nil {
-		t.Fatalf("slot %d of link %d->%d already occupied", slot, from, to)
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("after planting %d->%d slot %d: %v", from, to, slot, err)
 	}
-	p := n.NewPacket(from, dst, 0, 1)
-	p.atRouter = to
-	p.inLink = l
-	p.slot = slot
-	if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(slot) {
-		p.InEscape = true
-	}
-	n.occupy(to, l, slot, p, 0)
-	n.eng.placed(n, to, 0)
 	return p
 }
 

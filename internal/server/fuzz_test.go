@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -32,16 +34,9 @@ func spelledOut(c canonical) Request {
 // sim.Build must take what canonicalization admitted (schedule-free
 // sweeps of up to 64 routers), so a validated request cannot end as a 500.
 func FuzzCanonicalize(f *testing.F) {
-	seeds := append([]string{keyLiteralBody}, append(badDecode, badCanonical...)...)
-	for _, bodies := range requestFieldCases {
-		seeds = append(seeds, bodies...)
-	}
-	sort.Strings(seeds) // a stable seed numbering
-	for _, body := range seeds {
-		f.Add([]byte(body))
-	}
+	addRequestSeeds(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeRequest(bytes.NewReader(body))
+		req, err := decodeRequest(body)
 		if err != nil {
 			return
 		}
@@ -51,7 +46,7 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		for i, again := range []Request{req, spelledOut(c)} {
 			data, _ := json.Marshal(again)
-			back, err := decodeRequest(bytes.NewReader(data))
+			back, err := decodeRequest(data)
 			c2, err2 := back.Canonicalize()
 			if err != nil || err2 != nil || c2.Key() != c.Key() {
 				t.Fatalf("%s, re-encoded from an accepted request: decode %v, canonicalize %v, key %s -> %s", data, err, err2, c.Key(), c2.Key())
@@ -64,6 +59,60 @@ func FuzzCanonicalize(f *testing.F) {
 			if _, err := sim.Build(c.Params); err != nil {
 				t.Fatalf("accepted request %s does not build: %v", body, err)
 			}
+		}
+	})
+}
+
+// addRequestSeeds seeds f with every request body the tests name,
+// accepted and rejected.
+func addRequestSeeds(f *testing.F) {
+	seeds := append([]string{keyLiteralBody}, append(badDecode, badCanonical...)...)
+	for _, bodies := range requestFieldCases {
+		seeds = append(seeds, bodies...)
+	}
+	sort.Strings(seeds) // a stable seed numbering
+	for _, body := range seeds {
+		f.Add([]byte(body))
+	}
+}
+
+// FuzzRepeatedBody posts each body twice through the handler. Before an
+// accepted body is posted, marker bytes are cached under its canonical
+// key, so no simulation runs: both posts must be hits answering the
+// marker, and the body (if within the size limit) must be the one body
+// remembered. A rejected body must get the same 4xx both times and leave
+// nothing remembered.
+func FuzzRepeatedBody(f *testing.F) {
+	addRequestSeeds(f)
+	marker := []byte("marker")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{CacheEntries: 1}) // one key at most: a small cache keeps each run cheap
+		accepted := false
+		if req, err := decodeRequest(body); err == nil {
+			if c, err := req.Canonicalize(); err == nil {
+				s.cache.Put(c.Key(), marker)
+				accepted = true
+			}
+		}
+		h := s.Handler()
+		first := serve(h, body)
+		second := serve(h, body)
+		for i, rec := range []*httptest.ResponseRecorder{first, second} {
+			if accepted {
+				wantHit(t, fmt.Sprintf("accepted %q, post %d", body, i+1), rec, marker)
+			} else if rec.Code < 400 || rec.Code >= 500 || rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("rejected %q, post %d: status %d %q; first post %d %q", body, i+1, rec.Code, rec.Body.Bytes(), first.Code, first.Body.Bytes())
+			}
+		}
+		want := 0
+		if accepted && len(body) <= rememberBodyBytes {
+			want = 1
+		}
+		if n := s.cache.remembered(); n != want {
+			t.Fatalf("%q (accepted %v): %d bodies remembered, want %d", body, accepted, n, want)
+		}
+		if hits, misses := s.cache.Hits(), s.cache.Misses(); accepted && (hits != 2 || misses != 0) || !accepted && hits+misses != 0 {
+			t.Fatalf("%q (accepted %v): hits=%d misses=%d", body, accepted, hits, misses)
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 // keyOf decodes a JSON request body and returns its cache key.
 func keyOf(t *testing.T, body string) string {
 	t.Helper()
-	req, err := decodeRequest(strings.NewReader(body))
+	req, err := decodeRequest([]byte(body))
 	if err != nil {
 		t.Fatalf("decode %q: %v", body, err)
 	}
@@ -176,7 +176,7 @@ func TestEveryRequestFieldReachesTheKey(t *testing.T) {
 			t.Errorf("Request.%s (%q) has no case in requestFieldCases: show that it reaches the key", typ.Field(i).Name, name)
 		}
 		for _, body := range requestFieldCases[name] {
-			req, err := decodeRequest(strings.NewReader(body))
+			req, err := decodeRequest([]byte(body))
 			if err != nil || reflect.ValueOf(req).Field(i).IsZero() {
 				t.Errorf("%s: case %s does not decode (%v) or does not set the field", name, body, err)
 				continue
@@ -231,7 +231,7 @@ var badCanonical = []string{
 
 func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 	for _, body := range badCanonical {
-		req, err := decodeRequest(strings.NewReader(body))
+		req, err := decodeRequest([]byte(body))
 		if err != nil {
 			t.Fatalf("decode %q: %v", body, err)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -149,7 +150,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBody))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	// A byte-identical repeat of an accepted request is answered from the
+	// entry it was remembered under, before any decoding.
+	if body, ok := s.cache.Lookup(data); ok {
+		writeBody(w, "hit", body)
+		return
+	}
+	req, err := decodeRequest(data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -161,6 +173,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	key := c.Key()
 	if body, ok := s.cache.Get(key); ok {
+		s.cache.Remember(key, data)
 		writeBody(w, "hit", body)
 		return
 	}
@@ -202,6 +215,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		s.cache.Put(key, body)
+		s.cache.Remember(key, data)
 		w.Header().Set("Server-Timing", fmt.Sprintf("wait;dur=%.3f, run;dur=%.3f",
 			slotted.Sub(admitted).Seconds()*1e3, done.Sub(slotted).Seconds()*1e3))
 		writeBody(w, "miss", body)
@@ -216,11 +230,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeRequest reads a request body: exactly one JSON object with known
-// fields. A second value or trailing text is an error, not silently
-// dropped.
-func decodeRequest(body io.Reader) (Request, error) {
-	dec := json.NewDecoder(body)
+// decodeRequest decodes a request body: exactly one JSON object with
+// known fields. A second value or trailing text is an error, not
+// silently dropped.
+func decodeRequest(data []byte) (Request, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
