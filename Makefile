@@ -112,16 +112,17 @@ bench-all:
 ## fuzz: short native-fuzz smoke over the noc invariant properties, the
 ## dense-vs-event engine byte-identity differential, the fault-schedule
 ## syntax and validation, the server's request canonicalization and its
-## answers to a repeated request body.
+## answers to a repeated request body. Minimizing an interesting input is
+## capped at 1 s, so it cannot eat the whole -fuzztime budget.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) ./internal/noc
-	$(GO) test -run=^$$ -fuzz=FuzzDrainRotation -fuzztime=$(FUZZTIME) ./internal/noc
-	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) ./internal/noc
-	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run=^$$ -fuzz=FuzzValidateFaultSchedule -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) ./internal/server
-	$(GO) test -run=^$$ -fuzz=FuzzRepeatedBody -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzDrainRotation -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzValidateFaultSchedule -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzRepeatedBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 
 ## results: regenerate the quick-scale markdown tables under results/.
 results:

@@ -190,24 +190,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "protocol: issued=%d completed=%d hits=%d misses=%d messages=%d\n",
 			res.Protocol.OpsIssued, res.Protocol.OpsCompleted,
 			res.Protocol.Hits, res.Protocol.Misses, res.Protocol.MsgsSent)
-		for node, ws := range res.Waits {
-			if len(ws) > 0 {
-				why := make([]string, len(ws))
-				for i, w := range ws {
-					why[i] = w.String()
-				}
-				fmt.Fprintf(stdout, "node %d waits: %s\n", node, strings.Join(why, "; "))
-			}
-		}
 		if res.Drains > 0 {
 			fmt.Fprintf(stdout, "drains: %d\n", res.Drains)
 		}
 		if res.Spins > 0 {
 			fmt.Fprintf(stdout, "spins: %d\n", res.Spins)
 		}
-		if res.Deadlocked {
-			fmt.Fprintf(stdout, "DEADLOCKED at cycle %d\n", res.DeadlockCycle)
-		}
+		printStall(stdout, res.Stall)
 		return 0
 	}
 
@@ -240,9 +229,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fmt.Fprintf(stdout, "accepted: %.4f packets/node/cycle\n", res.Accepted)
 	fmt.Fprintf(stdout, "latency: avg=%.1f p99=%d cycles\n", res.AvgLatency, res.P99Latency)
 	fmt.Fprintf(stdout, "hops: avg=%.2f, misroutes/1k packets: %.1f\n", res.AvgHops, res.MisroutesPerK)
-	if res.Deadlocked {
-		fmt.Fprintf(stdout, "DEADLOCKED at cycle %d\n", res.DeadlockCycle)
-	}
+	printStall(stdout, res.Stall)
 	if r.Drain != nil {
 		st := r.Drain.Stats()
 		fmt.Fprintf(stdout, "drains: %d (%d full), %d packet-hops forced, %d drain-ejections\n",
@@ -257,4 +244,30 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			c.Reconfigs, c.FaultReroutes, c.FaultDrops)
 	}
 	return 0
+}
+
+// printStall prints what a run's stall watch recorded, if anything: the
+// deadlock or the quiet windows, the blocked walk ExplainStall named,
+// and the oldest and most-hopped packets in the network.
+func printStall(w io.Writer, st *sim.Stall) {
+	if st == nil {
+		return
+	}
+	if st.Deadlocked {
+		fmt.Fprintf(w, "DEADLOCKED at cycle %d\n", st.Cycle)
+	} else {
+		fmt.Fprintf(w, "stalled from cycle %d: %d quiet windows, the longest %d cycles\n", st.Cycle, st.Quiet, st.Longest)
+	}
+	x := st.Why
+	fmt.Fprintf(w, "stall at cycle %d: %v; each node waits on the next", st.At, x.Kind)
+	if x.Loop >= 0 {
+		fmt.Fprintf(w, ", the last on #%d", x.Loop)
+	}
+	fmt.Fprintln(w)
+	for i, nd := range x.Nodes {
+		fmt.Fprintf(w, "  #%d %v\n", i, nd)
+	}
+	if x.Oldest.Kind != 0 {
+		fmt.Fprintf(w, "oldest packet: %v\nmost hops: %v\n", x.Oldest, x.MostHops)
+	}
 }

@@ -165,15 +165,18 @@ func TestTraceWritesJSONLines(t *testing.T) {
 	}
 }
 
-// An incomplete workload run prints, node by node, what each stopped
-// consumer waits for: here the 4x4 endpoint stall sim.TestVN1EndpointStall
-// pins, whose node 0 Request head waits on Response injection capacity.
+// An incomplete workload run prints its stall, each node waiting on the
+// next: here the 4x4 endpoint stall sim.TestVN1EndpointStall pins, whose
+// node 0 Request head (class 0) waits on Response (class 2) injection
+// capacity.
 func TestIncompleteWorkloadPrintsWaits(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run(strings.Fields("-mesh 4x4 -workload canneal -ops 2000 -seed 10 -epoch 8192 -max-cycles 300000"), &stdout, &stderr)
 	out := stdout.String()
 	if code != 0 || !strings.Contains(out, "completed=false") ||
-		!strings.Contains(out, "\nnode 0 waits: request head: injection capacity of class 2;") {
+		!strings.Contains(out, "\nstall at cycle 300000: local-port capacity cycle; each node waits on the next, the last on #0\n"+
+			"  #0 ejection queue of class 0 at router 0 (4 queued), head: ") ||
+		!strings.Contains(out, "\n  #1 injection queue of class 2 at router 0 (16 queued), head: ") {
 		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant an incomplete run naming node 0's Request head wait", code, stderr.String(), out)
 	}
 }

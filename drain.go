@@ -105,6 +105,8 @@ type Result struct {
 	// Shared metrics.
 	AvgLatency float64
 	P99Latency int64
+	// Deadlocked: an unprotected run stopped on a confirmed deadlock
+	// (sim.Stall.Deadlocked).
 	Deadlocked bool
 
 	// Application metrics (Workload runs).
@@ -162,7 +164,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{
 			AvgLatency: res.AvgLatency,
 			P99Latency: res.P99Latency,
-			Deadlocked: res.Deadlocked,
+			Deadlocked: res.Stall != nil && res.Stall.Deadlocked,
 			Completed:  res.Completed,
 			Runtime:    res.Runtime,
 			Drains:     res.Drains,
@@ -198,7 +200,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		MisroutesPerK: res.MisroutesPerK,
 		AvgLatency:    res.AvgLatency,
 		P99Latency:    res.P99Latency,
-		Deadlocked:    res.Deadlocked,
+		Deadlocked:    res.Stall != nil && res.Stall.Deadlocked,
 	}
 	if r.Drain != nil {
 		out.Drains = r.Drain.Stats().Drains

@@ -137,19 +137,48 @@ func stalePutM(before, now line) bool {
 		!now.rec.busy && now.rec.state == Invalid && held(now, c)
 }
 
+// fwdGetSReinstall reports whether core c holding more lines than its L1
+// has room for is the defect TestFwdGetSReinstallsEvictedLine pins, on
+// line l: a cycle ago c held no copy, and now it holds one Shared while
+// the busy record awaits c's DirAck. A FwdGetS reached c, the owner on
+// record, after c had evicted the line silently, and c installed it with
+// no eviction. No other path grows an L1 without evicting first.
+func fwdGetSReinstall(before, now line, c int) bool {
+	held := func(l line) (LineState, bool) {
+		i := slices.IndexFunc(l.holders, func(h holder) bool { return h.core == c })
+		if i < 0 {
+			return Invalid, false
+		}
+		return l.holders[i].state, true
+	}
+	_, had := held(before)
+	st, has := held(now)
+	return !had && has && st == Shared && now.rec.busy && int(now.rec.ackFrom) == c && !now.rec.gotDirAck
+}
+
 // The single-writer and directory-agreement invariants hold after every
 // cycle of contended runs that evict, forward, invalidate and write
-// back, from a prewarmed start whose records are still derived, and no
-// node ever holds more than Config.MSHRs MSHRs. The one
-// violation allowed is the pinned stale PutM; a seed that hits it is
-// checked no further, its state being known wrong from there on.
+// back, from a prewarmed start whose records are still derived; no node
+// ever holds more than Config.MSHRs MSHRs, and no L1 more than
+// Config.L1Lines lines. Six seeds run with InjectCap 16, and two with
+// InjectCap 2, where a GetM's invalidations go out in batches. The
+// violations allowed are the two pinned defects. A seed that hits the
+// stale PutM is checked no further, its state being known wrong from
+// there on. Each FwdGetS reinstall (every seed has some within ~1 000
+// cycles) lets its L1 hold one line more from then on, as a fill evicts
+// only to make room for itself; a line more than that fails.
 func TestProtocolInvariantsEveryCycle(t *testing.T) {
 	m := topology.MustMesh(3, 3)
 	gen := warmGen{testGen: testGen{issue: 0.3, sharedFrac: 0.5, writeFrac: 0.4, shared: 24, private: 40}, lines: 8}
 	var sent Stats
-	checked, stale := 0, 0
-	for seed := uint64(1); seed <= 6; seed++ {
-		n := protoNet(t, m.Graph, m, 3, seed)
+	checked, stale, reinstalls, batched := 0, 0, 0, 0
+	runs := []struct {
+		seed      uint64
+		injectCap int
+	}{{1, 16}, {2, 16}, {3, 16}, {4, 16}, {5, 16}, {6, 16}, {1, 2}, {2, 2}}
+	for _, run := range runs {
+		seed := run.seed
+		n := protoNetCap(t, m.Graph, m, 3, seed, run.injectCap)
 		sys, err := New(n, Config{Gen: gen, L1Lines: 16, OpsTarget: 400, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -158,19 +187,36 @@ func TestProtocolInvariantsEveryCycle(t *testing.T) {
 		if _, err := violation(before); err != nil {
 			t.Fatalf("seed %d, after prewarm: %v", seed, err)
 		}
+		reinstalled := make([]int, len(sys.nodes)) // FwdGetS reinstalls seen, by node
 		for !sys.Done() && n.Cycle() < 200_000 {
 			n.Step()
 			sys.Tick()
 			checked++
+			now := lines(sys)
 			for r, nd := range sys.nodes {
 				if nd.mshrs.Len() > sys.cfg.MSHRs {
 					t.Fatalf("seed %d, cycle %d: node %d holds %d MSHRs, Config.MSHRs is %d", seed, n.Cycle(), r, nd.mshrs.Len(), sys.cfg.MSHRs)
 				}
+				if nd.invPending {
+					batched++
+				}
+				if nd.lines.Len() <= sys.cfg.L1Lines+reinstalled[r] {
+					continue
+				}
+				for addr, l := range now {
+					if fwdGetSReinstall(before[addr], l, r) {
+						reinstalled[r]++
+						reinstalls++
+					}
+				}
+				if nd.lines.Len() > sys.cfg.L1Lines+reinstalled[r] {
+					t.Fatalf("seed %d InjectCap %d, cycle %d: node %d's L1 holds %d lines, Config.L1Lines is %d and %d FwdGetS reinstalls are pinned there",
+						seed, run.injectCap, n.Cycle(), r, nd.lines.Len(), sys.cfg.L1Lines, reinstalled[r])
+				}
 			}
-			now := lines(sys)
 			addr, err := violation(now)
 			if err != nil && stalePutM(before[addr], now[addr]) {
-				t.Logf("seed %d, cycle %d: the pinned stale PutM: %v", seed, n.Cycle(), err)
+				t.Logf("seed %d InjectCap %d, cycle %d: the pinned stale PutM: %v", seed, run.injectCap, n.Cycle(), err)
 				stale++
 				break
 			} else if err != nil {
@@ -182,10 +228,14 @@ func TestProtocolInvariantsEveryCycle(t *testing.T) {
 			sent.MsgsByType[ty] += k
 		}
 	}
-	t.Logf("%d cycles checked, %d of 6 seeds stopped by the stale PutM", checked, stale)
+	t.Logf("%d cycles checked; %d of %d runs stopped by the stale PutM; %d FwdGetS reinstalls overfilled an L1; %d cycles with invalidations batched",
+		checked, stale, len(runs), reinstalls, batched)
 	for _, ty := range []MsgType{FwdGetS, FwdGetM, Inv, PutM} {
 		if sent.MsgsByType[ty] == 0 {
 			t.Errorf("no %v was sent: the runs do not exercise that path", ty)
 		}
+	}
+	if batched == 0 {
+		t.Error("no GetM's invalidations outnumbered InjectCap: the InjectCap 2 runs do not reach the batches")
 	}
 }

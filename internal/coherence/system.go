@@ -83,6 +83,8 @@ type sharerSet []uint64
 
 func (ss sharerSet) add(c int) { ss[c>>6] |= 1 << (c & 63) }
 
+func (ss sharerSet) has(c int) bool { return ss[c>>6]>>(c&63)&1 != 0 }
+
 // dirLine is the directory's view of one cache line.
 type dirLine struct {
 	// sharers stays nil until the line's first Shared transition: most
@@ -95,6 +97,10 @@ type dirLine struct {
 	// from the old owner ackFrom.
 	busy, gotUnblock, gotDirAck bool
 	requester, ackFrom          int32
+	// invNext is the sharer cursor of a GetM whose invalidations outnumber
+	// InjectCap: the first core whose Inv has not gone out yet (sendInvs).
+	// The sharers stay recorded until every Inv has.
+	invNext int32
 }
 
 // lock opens a transaction for requester; ackFrom ≥ 0 names the old owner
@@ -130,6 +136,10 @@ type node struct {
 	// waits holds where each consumer stopped during the last Tick (Kind
 	// 0: it did not stop); Waits expands a busy line's entry.
 	waits [numConsumers]Wait
+	// invAddr is the line whose invalidations are still going out, when
+	// invPending: the home consumes no Request until they all have.
+	invAddr    int64
+	invPending bool
 
 	opsIssued    int64
 	opsCompleted int64
@@ -289,9 +299,9 @@ func (s *System) home(addr int64) int {
 	return h
 }
 
-// send injects a coherence message; only emit calls it, after counting
-// capacity. The payload is a *Msg off the free list, so storing it in the
-// interface allocates nothing.
+// send injects a coherence message; only emit and sendInvs call it,
+// after counting capacity. The payload is a *Msg off the free list, so
+// storing it in the interface allocates nothing.
 func (s *System) send(from int, to int, m Msg) {
 	p := s.net.NewPacket(from, to, m.Type.Class(), m.Type.Flits())
 	pm := take(&s.freeMsgs)
@@ -574,7 +584,7 @@ func (s *System) consumeForwards(r int) {
 func (s *System) consumeRequests(r int) {
 	nd := s.nodes[r]
 	nd.waits[RequestHead] = Wait{}
-	for {
+	for !nd.invPending || !s.sendInvs(r) {
 		p := s.net.PeekEjected(r, ClassReq)
 		if p == nil {
 			return
@@ -590,6 +600,28 @@ func (s *System) consumeRequests(r int) {
 			return
 		}
 	}
+	if s.net.PeekEjected(r, ClassReq) != nil {
+		nd.waits[RequestHead] = Wait{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd}
+	}
+}
+
+// sendInvs sends as many of home r's outstanding invalidations
+// (invPending) as fit InjectCap, in ascending core order, and reports
+// whether any remain.
+func (s *System) sendInvs(r int) bool {
+	nd := s.nodes[r]
+	dl := s.dirLine(r, nd.invAddr)
+	for ; int(dl.invNext) < len(s.nodes); dl.invNext++ {
+		if sh := int(dl.invNext); dl.sharers.has(sh) && sh != int(dl.requester) {
+			if s.net.InjQueueLen(r, ClassFwd) >= s.injectCap {
+				return true
+			}
+			s.send(r, sh, Msg{Type: Inv, Addr: nd.invAddr, Requester: int(dl.requester)})
+		}
+	}
+	clear(dl.sharers)
+	nd.invPending = false
+	return false
 }
 
 // processRequest applies one directory request through emit; it returns
@@ -598,7 +630,7 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 	c := m.Requester
 	fwd := dl.state == Modified && dl.owner != c // the owner supplies the data
 	data := Msg{Type: Data, Addr: m.Addr, Requester: c, Excl: m.Type == GetM || dl.state != Shared}
-	b := s.batch[:0]
+	b, later := s.batch[:0], -1
 	switch {
 	case m.Type == PutM:
 		b = append(b, out{c, Msg{Type: WBAck, Addr: m.Addr, Requester: c}})
@@ -616,6 +648,12 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 			}
 		}
 		data.Acks = len(b)
+		if s.injectCap > 0 && len(b) > s.injectCap {
+			// More than InjectCap can ever admit at once: the Data and
+			// the Invs that fit now go out, and sendInvs sends the rest.
+			fit := max(0, s.injectCap-s.net.InjQueueLen(r, ClassFwd))
+			b, later = b[:fit], b[fit].to
+		}
 		fallthrough
 	default:
 		b = append(b, out{c, data})
@@ -647,7 +685,9 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 		if fwd {
 			ackFrom = dl.owner
 		}
-		if dl.state == Shared {
+		if later >= 0 {
+			dl.invNext, s.nodes[r].invAddr, s.nodes[r].invPending = int32(later), m.Addr, true
+		} else if dl.state == Shared {
 			clear(dl.sharers)
 		}
 		dl.lock(c, ackFrom)

@@ -36,6 +36,12 @@ func (g testGen) IssueProb() float64 { return g.issue }
 // per-class configuration; vnets=1 shares one VN (DRAIN's setup).
 func protoNet(t *testing.T, g *topology.Graph, m *topology.Mesh, vnets int, seed uint64) *noc.Network {
 	t.Helper()
+	return protoNetCap(t, g, m, vnets, seed, 16)
+}
+
+// protoNetCap is protoNet with the given InjectCap.
+func protoNetCap(t *testing.T, g *topology.Graph, m *topology.Mesh, vnets int, seed uint64, injectCap int) *noc.Network {
+	t.Helper()
 	kind := routing.AdaptiveMinimal
 	esc := routing.AdaptiveMinimal
 	n, err := noc.New(noc.Config{
@@ -44,7 +50,7 @@ func protoNet(t *testing.T, g *topology.Graph, m *topology.Mesh, vnets int, seed
 		PolicyEscape:  true,
 		Routing:       kind,
 		EscapeRouting: esc,
-		InjectCap:     16,
+		InjectCap:     injectCap,
 		Seed:          seed,
 	})
 	if err != nil {

@@ -1,6 +1,10 @@
 package coherence
 
-import "fmt"
+import (
+	"slices"
+
+	"drain/internal/noc"
+)
 
 // Consumer names one of the four places a node's protocol engine stops.
 type Consumer uint8
@@ -13,8 +17,6 @@ const (
 	Issue                       // the core issuing its next access
 	numConsumers
 )
-
-var consumerNames = [numConsumers]string{"request head", "forward head", "fills", "issue"}
 
 // WaitKind says what a stopped consumer waits for.
 type WaitKind uint8
@@ -35,21 +37,6 @@ type Wait struct {
 	Addr   int64   // WaitBusyLine, WaitPending: the line
 	Awaits MsgType // WaitBusyLine: Unblock from the requester or DirAck from the old owner
 	From   int     // WaitBusyLine: the node Awaits must come from
-}
-
-// String renders the wait as "consumer: reason".
-func (w Wait) String() string {
-	by := consumerNames[w.By]
-	switch w.Kind {
-	case WaitCapacity:
-		return fmt.Sprintf("%s: injection capacity of class %d", by, w.Class)
-	case WaitBusyLine:
-		return fmt.Sprintf("%s: line %d busy, awaiting %v from node %d", by, w.Addr, w.Awaits, w.From)
-	case WaitMSHRs:
-		return by + ": MSHRs full"
-	default:
-		return fmt.Sprintf("%s: miss on line %d pending", by, w.Addr)
-	}
 }
 
 // Waits returns why node r's consumers stopped during the last Tick, in
@@ -78,4 +65,24 @@ func (s *System) Waits(r int) []Wait {
 		}
 	}
 	return ws
+}
+
+// HeadWait reports what node r's class ejection queue head waited on in
+// the last Tick (noc.Consumer): room in one of r's injection queues, or
+// the responses its busy line awaits. A Response head never waits.
+func (s *System) HeadWait(r, class int) (inject int, awaits func(*noc.Packet) bool, stopped bool) {
+	// A Request or Forward head is the consumer of the same number.
+	ws := slices.DeleteFunc(s.Waits(r), func(w Wait) bool { return class > ClassFwd || w.By != Consumer(class) })
+	if len(ws) == 0 {
+		return 0, nil, false
+	}
+	if ws[0].Kind == WaitCapacity {
+		return ws[0].Class, nil, true
+	}
+	return -1, func(p *noc.Packet) bool {
+		m, ok := p.Payload.(*Msg)
+		return ok && p.Dst == r && slices.ContainsFunc(ws, func(w Wait) bool {
+			return m.Type == w.Awaits && m.Addr == w.Addr && p.Src == w.From
+		})
+	}, true
 }

@@ -3,6 +3,7 @@ package coherence
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"drain/internal/noc"
@@ -138,9 +139,6 @@ func TestWaitsNamesEachKind(t *testing.T) {
 		sys.nodes[0].mshrs.Put(a, &mshr{addr: a})
 		sys.coreIssue(0)
 		check(t, sys, 0, Wait{By: Issue, Kind: WaitPending, Addr: a})
-		if got, want := sys.Waits(0)[0].String(), "issue: miss on line 2 pending"; got != want {
-			t.Errorf("String() = %q, want %q", got, want)
-		}
 	})
 }
 
@@ -207,13 +205,13 @@ func TestWaitsHasNoSideEffects(t *testing.T) {
 	}
 }
 
-// TestGetMFanOutBeyondInjectCapWaitsForever pins ROADMAP A5's dynamic
-// capacity wait: a GetM on a line Shared by more other cores than
-// InjectCap needs one Forward slot per sharer at once, so emit refuses
-// it every cycle. The home names the wait and the writer never retires.
-// It pins today's behaviour; sending the invalidations in batches moves
-// coherence bytes, and must invert this test.
-func TestGetMFanOutBeyondInjectCapWaitsForever(t *testing.T) {
+// TestGetMFanOutBeyondInjectCapIsBatched checks the invalidation batches
+// (ROADMAP A12): a GetM on a line Shared by more other cores than
+// InjectCap sends the Data and the Invs that fit, and the rest on later
+// cycles; meanwhile the next Request waits, naming the Forward queue's
+// capacity. Every Inv goes out, every InvAck is counted, the writer
+// retires, and so does the Request that waited.
+func TestGetMFanOutBeyondInjectCapIsBatched(t *testing.T) {
 	m := topology.MustMesh(3, 3)
 	n, err := noc.New(noc.Config{
 		Graph: m.Graph, Mesh: m, VNets: 3, VCsPerVN: 2, Classes: NumClasses,
@@ -227,31 +225,50 @@ func TestGetMFanOutBeyondInjectCapWaitsForever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const a, home, writer = 0, 0, 4 // line 0 is homed at node 0
+	const a, b, home, writer, reader = 0, 9, 0, 4, 8 // lines 0 and 9 are homed at node 0
 	for c := 1; c <= 3; c++ {
 		read(t, n, sys, c, a)
 	}
 	if dl := dirAt(sys, home, a); dl.state != Shared {
 		t.Fatalf("line %d is in directory state %d after three reads, want Shared", a, dl.state)
 	}
-	nd := sys.nodes[writer]
-	nd.mshrs.Put(a, &mshr{addr: a})
-	nd.opsIssued++
-	sys.send(writer, home, Msg{Type: GetM, Addr: a, Requester: writer})
-	want := []Wait{{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd}}
-	waited := 0
-	for i := 0; i < 5000; i++ {
-		n.Step()
-		sys.Tick()
-		switch got := sys.Waits(home); {
-		case reflect.DeepEqual(got, want):
-			waited++
-		case waited > 0:
-			t.Fatalf("cycle %d: home waits %v after %d cycles of %v", n.Cycle(), got, waited, want)
+	// The GetM, then a GetS behind it, reach the home's Request queue
+	// before the home looks at it.
+	for _, rq := range []struct {
+		c    int
+		addr int64
+		t    MsgType
+	}{{writer, a, GetM}, {reader, b, GetS}} {
+		sys.nodes[rq.c].mshrs.Put(rq.addr, &mshr{addr: rq.addr, write: rq.t == GetM})
+		sys.nodes[rq.c].opsIssued++
+		queued := n.EjectedLen(home, ClassReq)
+		sys.send(rq.c, home, Msg{Type: rq.t, Addr: rq.addr, Requester: rq.c})
+		for i := 0; i < 100 && n.EjectedLen(home, ClassReq) == queued; i++ {
+			n.Step()
 		}
 	}
-	if waited < 4900 || nd.opsCompleted != 0 || sys.stats.MsgsByType[Inv] != 0 {
-		t.Errorf("home waited on Forward capacity %d of 5000 cycles; writer retired %d ops; %d Invs sent: want the GetM stuck (fixed? invert this test)",
-			waited, nd.opsCompleted, sys.stats.MsgsByType[Inv])
+	if got := n.EjectedLen(home, ClassReq); got != 2 {
+		t.Fatalf("the home's Request queue holds %d, want the GetM and the GetS", got)
+	}
+	sys.Tick()
+	want := []Wait{{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd}}
+	if got, invs := sys.Waits(home), sys.stats.MsgsByType[Inv]; !reflect.DeepEqual(got, want) || invs != 2 {
+		t.Errorf("after the GetM: home waits %v with %d Invs sent; want %v with 2 (InjectCap)", got, invs, want)
+	}
+	for i := 0; i < 1000 && (sys.nodes[writer].opsCompleted == 0 || sys.nodes[reader].opsCompleted == 0); i++ {
+		n.Step()
+		sys.Tick()
+	}
+	settle(t, n, sys)
+	st := sys.Stats()
+	if st.MsgsByType[Inv] != 3 || st.MsgsByType[InvAck] != 3 || sys.nodes[writer].opsCompleted != 1 || sys.nodes[reader].opsCompleted != 1 {
+		t.Errorf("%d Invs and %d InvAcks sent, writer retired %d ops, reader %d: want 3, 3, 1 and 1",
+			st.MsgsByType[Inv], st.MsgsByType[InvAck], sys.nodes[writer].opsCompleted, sys.nodes[reader].opsCompleted)
+	}
+	if dl := dirAt(sys, home, a); dl.busy || dl.state != Modified || dl.owner != writer || slices.ContainsFunc(dl.sharers, func(w uint64) bool { return w != 0 }) {
+		t.Errorf("line %d's record is %+v, want it idle, Modified by %d, with no sharers", a, dl, writer)
+	}
+	if _, err := violation(lines(sys)); err != nil {
+		t.Error(err)
 	}
 }

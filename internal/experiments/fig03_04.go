@@ -75,7 +75,7 @@ func fig3(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		if err != nil {
 			return err
 		}
-		deadlocked[i] = res.Deadlocked
+		deadlocked[i] = res.Stall != nil && res.Stall.Deadlocked
 		return nil
 	})
 	if err != nil {

@@ -285,18 +285,26 @@ func grantsInEdges(n *Network, edges map[*Packet][]int) error {
 	return err
 }
 
-// checkRotation verifies that rotating a fully loaded escape layer
-// conserves every packet (no overwrite at any fan-in). Same contract as
-// checkConservation.
+// checkRotation verifies where a drain rotation sends every packet, with
+// every VC of every link loaded: on a random graph of 4–13 routers, or
+// (bit 7 of nRaw) a 2–4 x 2–4 mesh with up to two links removed, under
+// 1–3 virtual networks of 1–3 VCs each. In each VN, link l's escape
+// packet ends in the escape VC of next[l], one drain hop on; or, when
+// next[l]'s head router is its destination and that class's ejection
+// queue still had room (links rotate in ID order), in that queue. Every
+// other packet stays where it was. Same contract as checkConservation.
 func checkRotation(seed uint64, nRaw uint8) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcd))
-	nNodes := int(nRaw%10) + 4
-	g, err := topology.NewRandomConnected(nNodes, 4, rng)
+	g, err := topology.NewRandomConnected(int(nRaw%10)+4, 4, rng)
+	if nRaw&0x80 != 0 {
+		g, err = topology.RemoveRandomLinks(topology.MustMesh(int(nRaw%3)+2, int(nRaw/3%3)+2).Graph, rng.IntN(3), rng)
+	}
 	if err != nil {
 		return errSkip
 	}
+	vnets := rng.IntN(3) + 1
 	net, err := New(Config{
-		Graph: g, VNets: 1, VCsPerVN: 1, Classes: 1,
+		Graph: g, VNets: vnets, VCsPerVN: rng.IntN(3) + 1, Classes: vnets,
 		PolicyEscape:  true,
 		Routing:       routing.AdaptiveMinimal,
 		EscapeRouting: routing.AdaptiveMinimal,
@@ -306,10 +314,14 @@ func checkRotation(seed uint64, nRaw uint8) error {
 	if err != nil {
 		return errSkip
 	}
-	// Fill EVERY escape buffer.
+	// Fill EVERY VC buffer, and note where each packet sits.
+	V := net.vcPerPort
+	was := make([]*Packet, g.NumLinks()*V)
 	for _, l := range g.Links() {
-		if _, err := net.PlacePacket(l.From, l.To, rng.IntN(nNodes), 0); err != nil {
-			return fmt.Errorf("place packet on link %d->%d: %w", l.From, l.To, err)
+		for s := 0; s < V; s++ {
+			if was[l.ID*V+s], err = net.PlacePacket(l.From, l.To, rng.IntN(g.N()), s); err != nil {
+				return fmt.Errorf("place packet on link %d->%d slot %d: %w", l.From, l.To, s, err)
+			}
 		}
 	}
 	path, err := drainpath.FindEulerian(g)
@@ -320,7 +332,22 @@ func checkRotation(seed uint64, nRaw uint8) error {
 	for id := range next {
 		next[id] = path.NextID(id)
 	}
-	before := net.InFlightPackets()
+	// Where each packet must end: want[i] is the one in link VC i
+	// afterwards, ejectedAt[p] the router whose queue p must be in.
+	want := slices.Clone(was)
+	ejectedAt := map[*Packet]int{}
+	for vn := 0; vn < vnets; vn++ {
+		esc, queued := net.cfg.EscapeSlot(vn), make([]int, g.N())
+		for l, d := range next {
+			p, to := was[l*V+esc], g.Link(d).To
+			if p.Dst == to && queued[to] < net.cfg.EjectCap {
+				queued[to]++
+				ejectedAt[p] = to
+				p = nil
+			}
+			want[d*V+esc] = p
+		}
+	}
 	net.SetFrozen(true)
 	rep, err := net.DrainRotate(next)
 	if err != nil {
@@ -329,13 +356,25 @@ func checkRotation(seed uint64, nRaw uint8) error {
 	if err := net.CheckInvariants(); err != nil {
 		return fmt.Errorf("after rotate: %w", err)
 	}
-	// All packets accounted for: moved + ejected == total, and the
-	// network still holds total (ejections moved to queues).
-	if rep.Moved+rep.Ejected != g.NumLinks() {
-		return fmt.Errorf("rotate report: moved=%d ejected=%d links=%d", rep.Moved, rep.Ejected, g.NumLinks())
+	if rep.Moved+rep.Ejected != g.NumLinks()*vnets || rep.Ejected != len(ejectedAt) {
+		return fmt.Errorf("rotate report: moved=%d ejected=%d, want %d moved and %d ejected", rep.Moved, rep.Ejected, g.NumLinks()*vnets-len(ejectedAt), len(ejectedAt))
 	}
-	if got := net.InFlightPackets(); got != before {
-		return fmt.Errorf("rotate lost packets: before=%d after=%d", before, got)
+	for i, p := range want {
+		if got := net.LinkOccupant(i/V, i%V); got != p {
+			return fmt.Errorf("link %d VC %d holds %v after the rotation, want %v", i/V, i%V, got, p)
+		}
+		if p != nil && net.cfg.IsEscapeSlot(i%V) != (p.DrainHops == 1) {
+			return fmt.Errorf("%v in link %d VC %d made %d drain hops", p, i/V, i%V, p.DrainHops)
+		}
+	}
+	for r := 0; r < g.N(); r++ {
+		for c := 0; c < vnets; c++ {
+			for p := net.PopEjected(r, c); p != nil; p = net.PopEjected(r, c) {
+				if at, ok := ejectedAt[p]; !ok || at != r || p.DrainHops != 1 {
+					return fmt.Errorf("%v (%d drain hops) ejected at router %d, want it there: %v", p, p.DrainHops, r, ok && at == r)
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -450,3 +450,56 @@ func TestAdaptiveNetworkDeadlocksUnderSaturation(t *testing.T) {
 		t.Error("saturated unprotected adaptive 4x4 with 1 VC never deadlocked")
 	}
 }
+
+func TestExplainStallRoutingCycle(t *testing.T) {
+	const ring = 6
+	n := ringNet(t, ring)
+	if x := n.ExplainStall(nil); x.Kind != NoStall || x.Nodes != nil || x.Oldest.Kind != 0 {
+		t.Errorf("empty network explained as %+v", x)
+	}
+	pkts := plantRingDeadlock(t, n, ring)
+	x := n.ExplainStall(nil)
+	if x.Kind != RoutingCycle || x.Loop != 0 || len(x.Nodes) != ring {
+		t.Fatalf("planted ring deadlock explained as %v, loop %d over %v; want a routing cycle of %d link VCs", x.Kind, x.Loop, x.Nodes, ring)
+	}
+	for i, w := range x.Nodes {
+		// Each packet waits on the next clockwise link's buffer.
+		next := x.Nodes[(i+1)%ring]
+		if w.Kind != LinkVC || n.g.Link(w.Link).From != (w.Router+ring-1)%ring || next.Router != (w.Router+1)%ring {
+			t.Errorf("node %d is %v, then %v; want clockwise link VCs", i, w, next)
+		}
+	}
+	if x.Oldest.Packet.ID != pkts[0].ID || x.MostHops.Packet.ID != pkts[0].ID {
+		t.Errorf("oldest %v, most hops %v; want the first planted packet for both (all tie)", x.Oldest, x.MostHops)
+	}
+}
+
+// awaitConsumer's every non-empty ejection queue head awaits packet p.
+type awaitConsumer struct{ p *Packet }
+
+func (c awaitConsumer) HeadWait(r, class int) (int, func(*Packet) bool, bool) {
+	return -1, func(q *Packet) bool { return q == c.p }, true
+}
+
+func TestExplainStallHeadOfLine(t *testing.T) {
+	n := ringNet(t, 6)
+	// Router 1's ejection queue is full, its head awaiting a packet that
+	// is free to move, and a packet at 1 waits to eject behind it.
+	plantPacket(t, n, 0, 1, 1, 0)
+	for i := 0; i < n.cfg.EjectCap; i++ {
+		n.ejQ[1][0].Push(n.NewPacket(0, 1, 0, 1))
+	}
+	awaited := plantPacket(t, n, 3, 4, 0, 0)
+	if x := n.ExplainStall(nil); x.Kind != NoStall {
+		t.Errorf("with every ejection queue a sink: %v over %v, want no stall", x.Kind, x.Nodes)
+	}
+	x := n.ExplainStall(awaitConsumer{awaited})
+	if x.Kind != HeadOfLine || x.Loop >= 0 || len(x.Nodes) != 2 {
+		t.Fatalf("%v, loop %d over %v; want the head of line at router 1", x.Kind, x.Loop, x.Nodes)
+	}
+	q, w := x.Nodes[0], x.Nodes[1]
+	if q.Kind != EjQueue || q.Router != 1 || q.Len != n.cfg.EjectCap ||
+		w.Kind != Awaited || w.Router != 4 || w.Link != awaited.inLink || w.Packet.ID != awaited.ID {
+		t.Errorf("named %v awaiting %v; want router 1's full ejection queue awaiting %v", q, w, awaited)
+	}
+}

@@ -17,6 +17,7 @@ const (
 	EventSpinDetect EventKind = "spin_detect" // SPIN confirmed a deadlock
 	EventSpin       EventKind = "spin"        // SPIN rotated a blocked cycle
 	EventFault      EventKind = "fault"       // Fault
+	EventStall      EventKind = "stall"       // Stall: the stall watch recorded one
 	EventRunEnd     EventKind = "run_end"     // the run returned
 )
 
@@ -33,6 +34,7 @@ type Event struct {
 	Ejected int64               `json:"ejected,omitempty"`
 	Full    bool                `json:"full,omitempty"`
 	Fault   *noc.ReconfigReport `json:"fault,omitempty"`
+	Stall   *Stall              `json:"stall,omitempty"`
 }
 
 // Probe watches the runs of the Runner it is set on (Runner.Probe).

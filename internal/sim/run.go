@@ -19,8 +19,7 @@ type SyntheticResult struct {
 	P99Latency    int64
 	AvgHops       float64
 	MisroutesPerK float64 // misroutes per 1000 delivered packets
-	Deadlocked    bool    // a persistent deadlock was observed (SchemeNone)
-	DeadlockCycle int64
+	Stall         *Stall  // what the stall watch saw; nil: no stall
 	Counters      noc.Counters
 	Cycles        int64
 	// FastForwarded is always 0, as every run steps every cycle: kept
@@ -30,8 +29,7 @@ type SyntheticResult struct {
 
 // RunSynthetic drives the runner's network with the given pattern and
 // rate for warmup+measure cycles, measuring only the post-warmup window.
-// For SchemeNone the run additionally watches for persistent deadlocks
-// and stops early when one is confirmed.
+// SchemeNone runs stop early on a confirmed deadlock (see Stall).
 func (r *Runner) RunSynthetic(pattern traffic.Pattern, rate float64, warmup, measure int64) (SyntheticResult, error) {
 	return r.RunSyntheticContext(context.Background(), pattern, rate, warmup, measure)
 }
@@ -56,13 +54,12 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 		return SyntheticResult{Offered: rate}, err
 	}
 	res := SyntheticResult{
-		Offered:       rate,
-		AvgLatency:    lat.Mean(),
-		P99Latency:    lat.P99(),
-		Deadlocked:    l.deadlocked,
-		DeadlockCycle: l.deadlockCycle,
-		Counters:      r.Net.Counters,
-		Cycles:        r.Net.Cycle(),
+		Offered:    rate,
+		AvgLatency: lat.Mean(),
+		P99Latency: lat.P99(),
+		Stall:      l.stall,
+		Counters:   r.Net.Counters,
+		Cycles:     r.Net.Cycle(),
 	}
 	if delivered > 0 {
 		res.AvgHops = float64(hops) / float64(delivered)
@@ -77,17 +74,43 @@ func (r *Runner) RunSyntheticContext(ctx context.Context, pattern traffic.Patter
 // runLoop is one run through (*Runner).loop: its traffic source — a
 // generator (synthetic) or a coherence system (app) — and settings, then
 // what the loop saw. measure sees every ejection after iteration warmup
-// (-1: from the first); opts are the SchemeNone deadlock watch's.
+// (-1: from the first).
 type runLoop struct {
 	gen           *traffic.Generator
 	sys           *coherence.System
 	warmup, total int64
 	measure       func(*noc.Packet)
-	opts          noc.LivenessOpts
 
-	completed, deadlocked bool
-	deadlockCycle         int64
+	completed bool
+	stall     *Stall
+	// The stall watch's state: the counts at its last check, the checks
+	// since either moved, and whether the last check suspected deadlock.
+	lastEject, lastOps, quiet int64
+	suspect                   bool
 }
+
+// Stall is what a run's stall watch saw. The watch checks every
+// watchEvery cycles; quietChecks checks in a row with no ejection (and,
+// in an app run, no retired op) make a quiet window. It records the
+// stall at the first quiet window, or where SchemeNone confirms a
+// deadlock and stops the run: two checks in a row that see no ejection
+// and a non-live link VC (HasDeadlock).
+type Stall struct {
+	Cycle      int64 // the network cycle it was recorded at
+	Deadlocked bool  // SchemeNone confirmed a deadlock at Cycle
+	// Quiet counts the run's quiet windows; Longest is its longest
+	// stretch of checks without progress, in cycles.
+	Quiet   int
+	Longest int64
+	// Why is Net.ExplainStall at cycle At: Cycle, or the run's end when
+	// the run ended in a quiet window, still stalled.
+	At  int64
+	Why noc.Explanation
+}
+
+// Watch cadence: a check every watchEvery cycles, and a quiet window is
+// quietChecks checks (8 192 cycles) without progress.
+const watchEvery, quietChecks = 512, 16
 
 // loop is the one cycle loop every run steps through, at most l.total
 // iterations. Iteration cyc steps the clock from base+cyc to base+cyc+1,
@@ -95,9 +118,10 @@ type runLoop struct {
 // iteration applies the faults that are due, ticks the generator unless
 // the network is frozen, steps the network and the scheme, then ticks the
 // coherence system (the run completes when it is Done) or sinks every
-// ejection. Ejections are measured; SchemeNone runs stop on a confirmed
-// deadlock, a Runner.Probe sees every event (it may stop the run after
-// an iteration), and the run is credited to ctx's Totals once.
+// ejection. Ejections are measured; the stall watch records l.stall (a
+// SchemeNone run stops on a confirmed deadlock), a Runner.Probe sees
+// every event (it may stop the run after an iteration), and the run is
+// credited to ctx's Totals once.
 func (r *Runner) loop(ctx context.Context, l *runLoop) error {
 	base, counters := r.Net.Cycle(), r.Net.Counters
 	pr := r.Probe
@@ -117,8 +141,6 @@ func (r *Runner) loop(ctx context.Context, l *runLoop) error {
 	defer func() { r.Net.OnEject = nil }()
 	pr.begin(r)
 
-	watch := r.Params.Scheme == SchemeNone
-	lastEject, suspect := int64(0), false
 	for cyc := int64(0); cyc < l.total && !pr.stopped(); cyc++ {
 		// Scheduled faults fire first, before injection and Step, so an
 		// event at cycle C reconfigures on the C→C+1 boundary.
@@ -154,22 +176,65 @@ func (r *Runner) loop(ctx context.Context, l *runLoop) error {
 			// taken by OnEject as the packets landed).
 			r.Net.DiscardEjected()
 		}
-		if watch && cyc%512 == 511 {
-			// A deadlock is confirmed when two consecutive sweeps find
-			// non-live buffers with zero ejections in between.
-			if r.Net.Counters.Ejected == lastEject && r.Net.HasDeadlock(l.opts) {
-				if suspect {
-					l.deadlocked, l.deadlockCycle = true, r.Net.Cycle()
-					break
-				}
-				suspect = true
-			} else {
-				suspect = false
-			}
-			lastEject = r.Net.Counters.Ejected
+		if cyc%watchEvery == watchEvery-1 && l.watch(r, pr) {
+			break
 		}
 	}
+	if l.stall != nil && l.quiet >= quietChecks && l.stall.At != r.Net.Cycle() {
+		l.explain(r) // still stalled: explain the state the run ends in
+	}
 	return nil
+}
+
+// watch is the stall watch's check, every watchEvery cycles: it counts
+// quiet windows and reports whether a SchemeNone run must stop on a
+// confirmed deadlock. The first quiet window, or the deadlock, records
+// the stall, explained, and reports it to the probe.
+func (l *runLoop) watch(r *Runner, pr *Probe) (stop bool) {
+	ejected, ops := r.Net.Counters.Ejected, int64(0)
+	if l.sys != nil {
+		ops = l.sys.Stats().OpsCompleted
+	}
+	if l.quiet++; ejected != l.lastEject || ops != l.lastOps {
+		l.quiet = 0
+	}
+	if r.Params.Scheme == SchemeNone {
+		opts := noc.LivenessOpts{} // a synthetic run's every ejection queue is a sink
+		if l.sys != nil {
+			opts.EjectLiveByClass = sinkClasses(r.Params.Classes)
+		}
+		deadlock := ejected == l.lastEject && r.Net.HasDeadlock(opts)
+		stop, l.suspect = deadlock && l.suspect, deadlock
+	}
+	l.lastEject, l.lastOps = ejected, ops
+	window := l.quiet > 0 && l.quiet%quietChecks == 0
+	st, first := l.stall, l.stall == nil
+	if first && !window && !stop {
+		return stop
+	}
+	if first {
+		st = &Stall{}
+		l.stall = st
+		defer pr.emit(Event{Kind: EventStall, Cycle: r.Net.Cycle(), Stall: st})
+	}
+	if window {
+		st.Quiet++
+	}
+	st.Longest = max(st.Longest, l.quiet*watchEvery)
+	if first || stop {
+		l.explain(r)
+		st.Cycle, st.Deadlocked = st.At, stop
+	}
+	return stop
+}
+
+// explain sets the stall's explanation to the network's state now.
+func (l *runLoop) explain(r *Runner) {
+	var c noc.Consumer
+	if l.sys != nil {
+		c = l.sys
+	}
+	l.stall.At, l.stall.Why = r.Net.Cycle(), r.Net.ExplainStall(c)
 }
 
 // AppResult summarizes a closed-loop coherence workload run.
@@ -183,13 +248,7 @@ type AppResult struct {
 	Counters   noc.Counters
 	Drains     int64
 	Spins      int64
-	// Deadlocked reports a persistent deadlock (SchemeNone runs only;
-	// protected schemes resolve deadlocks instead).
-	Deadlocked    bool
-	DeadlockCycle int64
-	// Waits holds, by node, the protocol waits (coherence.System.Waits)
-	// when the run ended incomplete; nil when it completed.
-	Waits [][]coherence.Wait
+	Stall      *Stall // what the stall watch saw; nil: no stall
 }
 
 // RunApp executes a coherence workload to completion (every core
@@ -223,22 +282,15 @@ func (r *Runner) RunAppContext(ctx context.Context, prof workload.Profile, opsTa
 		return res, err
 	}
 	var lat stats.Sample
-	l := runLoop{sys: sys, warmup: -1, total: maxCycles, measure: func(p *noc.Packet) { lat.Add(p.NetworkLatency()) },
-		opts: noc.LivenessOpts{EjectLiveByClass: sinkClasses(r.Params.Classes)}}
+	l := runLoop{sys: sys, warmup: -1, total: maxCycles, measure: func(p *noc.Packet) { lat.Add(p.NetworkLatency()) }}
 	if err := r.loop(ctx, &l); err != nil {
 		return res, err
 	}
-	res.Completed, res.Deadlocked, res.DeadlockCycle = l.completed, l.deadlocked, l.deadlockCycle
+	res.Completed, res.Stall = l.completed, l.stall
 	res.Runtime = r.Net.Cycle()
 	res.AvgLatency = lat.Mean()
 	res.P99Latency = lat.P99()
 	res.Protocol = sys.Stats()
-	if !res.Completed {
-		res.Waits = make([][]coherence.Wait, r.Graph.N())
-		for n := range res.Waits {
-			res.Waits[n] = sys.Waits(n)
-		}
-	}
 	res.Counters = r.Net.Counters
 	if r.Drain != nil {
 		res.Drains = r.Drain.Stats().Drains

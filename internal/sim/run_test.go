@@ -119,8 +119,8 @@ func TestDrainStatsSurfaceInAppResult(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("did not complete")
 	}
-	if res.Waits != nil {
-		t.Errorf("a completed run reports waits %v", res.Waits)
+	if res.Stall != nil {
+		t.Errorf("a completed run reports a stall: %+v", *res.Stall)
 	}
 	if res.Drains == 0 {
 		t.Error("500-cycle epochs over a long run must record drains")
@@ -256,7 +256,7 @@ func TestDoRScheme(t *testing.T) {
 	if res.MisroutesPerK != 0 {
 		t.Errorf("deterministic DoR misrouted %.2f/1k", res.MisroutesPerK)
 	}
-	if res.Accepted < 0.04 || res.Deadlocked {
+	if res.Accepted < 0.04 || res.Stall != nil {
 		t.Errorf("DoR degenerate: %+v", res)
 	}
 	// DoR on a faulty mesh must be rejected.

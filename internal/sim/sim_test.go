@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"drain/internal/noc"
 	"drain/internal/topology"
 	"drain/internal/traffic"
 	"drain/internal/workload"
@@ -91,8 +92,8 @@ func TestRunSyntheticLowLoad(t *testing.T) {
 		if res.AvgLatency < 3 || res.AvgLatency > 60 {
 			t.Errorf("%v: implausible low-load latency %.1f", s, res.AvgLatency)
 		}
-		if res.Deadlocked {
-			t.Errorf("%v: deadlock at low load", s)
+		if res.Stall != nil {
+			t.Errorf("%v: stall at low load: %+v", s, *res.Stall)
 		}
 	}
 }
@@ -128,16 +129,15 @@ func TestSchemeNoneDetectsDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Deadlocked {
-		t.Error("saturated unprotected network did not report deadlock")
-	}
-	if res.DeadlockCycle <= 0 {
-		t.Error("deadlock cycle not recorded")
+	// The run stops on the check that confirms the deadlock, the third
+	// (1 536 cycles), and records a routing cycle there.
+	if st := res.Stall; st == nil || !st.Deadlocked || st.Cycle != res.Cycles || res.Cycles != 1536 || st.Why.Kind != noc.RoutingCycle {
+		t.Errorf("saturated unprotected network: stall %+v at run end %d; want a routing-cycle deadlock recorded at the end of the run, cycle 1536", st, res.Cycles)
 	}
 
 	// The app path of the same watch, on fig3's quick canneal cell with no
-	// links removed (deadlocked in 3 of 3 runs): the run stops on the sweep
-	// that confirms the deadlock, at a multiple of the 512-cycle period.
+	// links removed (deadlocked in 3 of 3 runs): the run stops on the check
+	// that confirms the deadlock, the fourth (2 048 cycles).
 	app, err := Build(Params{
 		Width: 4, Height: 4, Scheme: SchemeNone, Seed: 1,
 		Classes: 3, VNets: 3, VCsPerVN: 1, InjectCap: 16, MSHRs: 8,
@@ -150,9 +150,9 @@ func TestSchemeNoneDetectsDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ares.Deadlocked || ares.Completed || ares.DeadlockCycle != ares.Runtime || ares.Runtime%512 != 0 {
-		t.Errorf("canneal on VN3 x 1 VC: deadlocked %v, completed %v, deadlock at %d, runtime %d; want a deadlock confirmed at the end of the run, on a 512-cycle sweep",
-			ares.Deadlocked, ares.Completed, ares.DeadlockCycle, ares.Runtime)
+	if st := ares.Stall; ares.Completed || st == nil || !st.Deadlocked || st.Cycle != ares.Runtime || ares.Runtime != 2048 {
+		t.Errorf("canneal on VN3 x 1 VC: completed %v, stall %+v, runtime %d; want a deadlock recorded at the end of the run, cycle 2048",
+			ares.Completed, st, ares.Runtime)
 	}
 }
 
@@ -176,6 +176,9 @@ func TestRunAppAcrossSchemes(t *testing.T) {
 		}
 		if res.Runtime <= 0 || res.AvgLatency <= 0 {
 			t.Errorf("%v: degenerate result %+v", s, res)
+		}
+		if res.Stall != nil {
+			t.Errorf("%v: a run that completed with no quiet window reports a stall: %+v", s, *res.Stall)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"slices"
+	"strings"
 	"testing"
 
 	"drain/internal/coherence"
@@ -10,10 +10,10 @@ import (
 )
 
 // TestVN1EndpointStall pins the two kinds of endpoint stall single-VN
-// DRAIN runs into today, each named through the protocol's waits
-// (AppResult.Waits). It pins wrong behaviour: the runs stall short of
-// their ops target, and the fix (parking busy-line requests by address
-// plus NI loopback, ROADMAP B2) must invert this test.
+// DRAIN runs into today, each named by the run's Stall (ExplainStall at
+// the run's end). It pins wrong behaviour: the runs stall short of their
+// ops target, and the fix (parking busy-line requests by address plus NI
+// loopback, ROADMAP B2) must invert this test.
 //
 //   - Local-port kind: one router's local-port VCs hold Requests its node
 //     sent to itself, which cannot eject into its full Request queue; the
@@ -23,8 +23,8 @@ import (
 //     whose line is busy, and the Unblock the line awaits bounces between
 //     the home's neighbours on main VCs, so no drain ever moves it.
 //
-// The wait-for analysis sees both as non-live but names no cycle: it has
-// no endpoint nodes.
+// The link-VC analysis (HasDeadlock, FindBlockedCycle) sees both as
+// non-live but names no cycle: only ExplainStall has endpoint nodes.
 func TestVN1EndpointStall(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -58,6 +58,16 @@ func TestVN1EndpointStall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var stalls []int64 // the cycles of the stall events
+			r.Probe = &Probe{OnEvent: func(e Event) bool {
+				if e.Kind == EventStall {
+					stalls = append(stalls, e.Cycle)
+					if q, long := e.Stall.Quiet, e.Stall.Longest; q != 1 || long != quietChecks*watchEvery {
+						t.Errorf("the stall event reports %d quiet windows, the longest %d cycles; want the first, %d cycles", q, long, quietChecks*watchEvery)
+					}
+				}
+				return false
+			}}
 			res, err := r.RunApp(workload.MustGet(tc.prof), tc.ops, tc.maxCycles)
 			if err != nil {
 				t.Fatal(err)
@@ -65,44 +75,56 @@ func TestVN1EndpointStall(t *testing.T) {
 			if res.Completed || res.Protocol.OpsCompleted != tc.completed {
 				t.Fatalf("completed=%v with %d ops, want a stall at %d: the stall moved (fixed? invert this test)", res.Completed, res.Protocol.OpsCompleted, tc.completed)
 			}
-			net, cfg, at := r.Net, r.Net.Config(), tc.router
-			if got := net.EjectedLen(at, coherence.ClassReq); got != cfg.EjectCap {
-				t.Errorf("node %d's Request ejection queue holds %d, want it full (%d)", at, got, cfg.EjectCap)
+			net, cfg, at, st := r.Net, r.Net.Config(), tc.router, res.Stall
+			if st == nil || st.At != res.Runtime || len(st.Why.Nodes) < 2 {
+				t.Fatalf("stall %+v: want one explained at the run's end, cycle %d", st, res.Runtime)
+			}
+			if len(stalls) != 1 || stalls[0] != st.Cycle || st.Deadlocked || st.Quiet == 0 || st.Longest < quietChecks*watchEvery || st.Cycle >= st.At {
+				t.Errorf("stall events at %v for a stall recorded at %d with %d quiet windows, the longest %d cycles: want one event, at the first quiet window, before the run's end",
+					stalls, st.Cycle, st.Quiet, st.Longest)
+			}
+			x := st.Why
+			if head := x.Nodes[0]; head.Kind != noc.EjQueue || head.Router != at || head.Class != coherence.ClassReq || head.Len != cfg.EjectCap {
+				t.Errorf("the stall starts at %v; want node %d's full Request ejection queue (%d)", head, at, cfg.EjectCap)
 			}
 			if tc.headOfLine {
-				checkHeadOfLine(t, r, res.Waits[at], at)
+				checkHeadOfLine(t, x, at)
 			} else {
-				checkLocalPort(t, net, res.Waits[at], at)
+				checkLocalPort(t, net, x, at)
 			}
 			opts := noc.LivenessOpts{EjectLiveByClass: sinkClasses(cfg.Classes)}
 			if !net.HasDeadlock(opts) {
 				t.Error("HasDeadlock is false on the stalled state")
 			}
 			if cyc := net.FindBlockedCycle(opts); cyc != nil {
-				t.Errorf("FindBlockedCycle names %v: the wait-for graph learned endpoint nodes; update this test", cyc)
+				t.Errorf("FindBlockedCycle names %v: the link-VC analysis learned endpoint nodes; update this test", cyc)
 			}
 		})
 	}
 }
 
-// checkLocalPort asserts the local-port kind at router at: its local VCs
-// hold self-addressed Requests, its Response injection queue is full,
-// and its Request head waits on that queue's capacity.
-func checkLocalPort(t *testing.T, net *noc.Network, waits []coherence.Wait, at int) {
+// checkLocalPort asserts the local-port kind at router at: the stall is a
+// cycle from its Request head to its full Response injection queue (the
+// head waits on that queue's capacity) to a local VC holding a Request
+// from node at to itself, back to the head; and every local VC at at
+// holds such a Request.
+func checkLocalPort(t *testing.T, net *noc.Network, x noc.Explanation, at int) {
 	t.Helper()
 	cfg := net.Config()
+	if x.Kind != noc.LocalPortCycle || x.Loop != 0 || len(x.Nodes) != 3 {
+		t.Fatalf("stall %v with loop %d over %v; want a local-port capacity cycle of three nodes", x.Kind, x.Loop, x.Nodes)
+	}
+	if q := x.Nodes[1]; q.Kind != noc.InjQueue || q.Router != at || q.Class != coherence.ClassResp || q.Len != cfg.InjectCap {
+		t.Errorf("the Request head waits on %v; want node %d's full Response injection queue (%d)", q, at, cfg.InjectCap)
+	}
+	if vc, p := x.Nodes[2], x.Nodes[2].Packet; vc.Kind != noc.LocalVC || vc.Router != at || p.Class != coherence.ClassReq || p.Src != at || p.Dst != at {
+		t.Errorf("the Response queue waits on %v; want a local VC at %d holding a Request from node %d to itself", vc, at, at)
+	}
 	for s := 0; s < cfg.VCsPerPort(); s++ {
 		p := net.LocalOccupant(at, s)
 		if p == nil || p.Class != coherence.ClassReq || p.Src != at || p.Dst != at {
 			t.Errorf("router %d local VC %d holds %v, want a Request from node %d to itself", at, s, p, at)
 		}
-	}
-	if got := net.InjQueueLen(at, coherence.ClassResp); got != cfg.InjectCap {
-		t.Errorf("node %d's Response injection queue holds %d, want it full (%d)", at, got, cfg.InjectCap)
-	}
-	want := coherence.Wait{By: coherence.RequestHead, Kind: coherence.WaitCapacity, Class: coherence.ClassResp}
-	if !slices.Contains(waits, want) {
-		t.Errorf("node %d waits %v, want %v", at, waits, want)
 	}
 }
 
@@ -112,32 +134,25 @@ func checkLocalPort(t *testing.T, net *noc.Network, waits []coherence.Wait, at i
 const minMisroutes = 10_000
 
 // checkHeadOfLine asserts the head-of-line kind at home at: its Request
-// head waits on a busy line awaiting an Unblock, and that Unblock sits in
-// a link VC, never moved by a drain, having misrouted more than
+// head's line is busy, and the Unblock for that line the head awaits
+// sits in a link VC, never moved by a drain, having misrouted more than
 // minMisroutes times.
-func checkHeadOfLine(t *testing.T, r *Runner, waits []coherence.Wait, at int) {
+func checkHeadOfLine(t *testing.T, x noc.Explanation, at int) {
 	t.Helper()
-	i := slices.IndexFunc(waits, func(w coherence.Wait) bool {
-		return w.By == coherence.RequestHead && w.Kind == coherence.WaitBusyLine && w.Awaits == coherence.Unblock
-	})
-	if i < 0 {
-		t.Fatalf("node %d waits %v, want its Request head on a busy line awaiting Unblock", at, waits)
+	if x.Kind != noc.HeadOfLine || len(x.Nodes) != 2 {
+		t.Fatalf("stall %v over %v; want a head-of-line stall of two nodes", x.Kind, x.Nodes)
 	}
-	w, cfg := waits[i], r.Net.Config()
-	for l := 0; l < r.Graph.NumLinks(); l++ {
-		for s := 0; s < cfg.VCsPerPort(); s++ {
-			p := r.Net.LinkOccupant(l, s)
-			if p == nil {
-				continue
-			}
-			if m := p.Payload.(*coherence.Msg); m.Type != coherence.Unblock || m.Addr != w.Addr || p.Src != w.From || p.Dst != at {
-				continue
-			}
-			if p.DrainHops != 0 || p.Misroutes <= minMisroutes {
-				t.Errorf("the awaited Unblock in link %d VC %d has %d drain hops and %d misroutes, want 0 and more than %d", l, s, p.DrainHops, p.Misroutes, minMisroutes)
-			}
-			return
-		}
+	addr := func(p noc.Packet) string { // the line of a payload rendered "Type@addr(...)"
+		_, a, _ := strings.Cut(p.Payload.(string), "@")
+		a, _, _ = strings.Cut(a, "(")
+		return a
 	}
-	t.Errorf("no link VC holds the Unblock for line %d from node %d that node %d awaits", w.Addr, w.From, at)
+	head, w := x.Nodes[0].Packet, x.Nodes[1]
+	p := w.Packet
+	if w.Kind != noc.Awaited || w.Link < 0 || !strings.HasPrefix(p.Payload.(string), "Unblock@") || addr(p) != addr(head) || p.Dst != at {
+		t.Fatalf("node %d's Request head %v awaits %v; want the Unblock for its line, in a link VC", at, head, w)
+	}
+	if p.DrainHops != 0 || p.Misroutes <= minMisroutes {
+		t.Errorf("the awaited Unblock has %d drain hops and %d misroutes, want 0 and more than %d", p.DrainHops, p.Misroutes, minMisroutes)
+	}
 }
