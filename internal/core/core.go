@@ -109,18 +109,7 @@ type Controller struct {
 // ready controller. The first drain window fires one epoch from now.
 func New(net *noc.Network, cfg Config) (*Controller, error) {
 	cfg.setDefaults(net.Config().MaxFlits)
-	var (
-		p   *drainpath.Path
-		err error
-	)
-	switch cfg.Algorithm {
-	case PathEulerian:
-		p, err = drainpath.FindEulerian(net.Graph())
-	case PathSearch:
-		p, err = drainpath.FindCoveringCycle(net.Graph(), 0)
-	default:
-		err = fmt.Errorf("core: unknown path algorithm %d", cfg.Algorithm)
-	}
+	p, err := cfg.findPath(net.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -137,6 +126,17 @@ func New(net *noc.Network, cfg Config) (*Controller, error) {
 		next:        next,
 		nextDrainAt: net.Cycle() + cfg.Epoch,
 	}, nil
+}
+
+// findPath finds a drain path over g with the configured algorithm.
+func (c *Config) findPath(g *topology.Graph) (*drainpath.Path, error) {
+	switch c.Algorithm {
+	case PathEulerian:
+		return drainpath.FindEulerian(g)
+	case PathSearch:
+		return drainpath.FindCoveringCycle(g, 0)
+	}
+	return nil, fmt.Errorf("core: unknown path algorithm %d", c.Algorithm)
 }
 
 // Path returns the drain path in use.
@@ -163,18 +163,7 @@ func (c *Controller) Reconfigure(active *topology.Graph) error {
 		}
 		return nil
 	}
-	var (
-		p   *drainpath.Path
-		err error
-	)
-	switch c.cfg.Algorithm {
-	case PathEulerian:
-		p, err = drainpath.FindEulerian(active)
-	case PathSearch:
-		p, err = drainpath.FindCoveringCycle(active, 0)
-	default:
-		err = fmt.Errorf("core: unknown path algorithm %d", c.cfg.Algorithm)
-	}
+	p, err := c.cfg.findPath(active)
 	if err != nil {
 		return fmt.Errorf("core: drain path recomputation failed: %w", err)
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
 	"drain/internal/routing"
@@ -46,6 +47,16 @@ func TestConservativeInjectionHoldsBackLastVC(t *testing.T) {
 	}
 	if p.Hops != 0 {
 		t.Error("local packet crossed a link despite conservative rule")
+	}
+	// The wait-for relation follows the admission: the local head waits
+	// on the blocker's slot, not on the free one it may not take, so with
+	// no class a sink it is as non-live as the blocker.
+	w, local, blocker := n.waitFor(sinkMask{false}), n.g.NumLinks()*n.vcPerPort, mustLinkID(t, n, 0, 1)*n.vcPerPort
+	for n.LocalOccupant(0, local%n.vcPerPort) != p {
+		local++
+	}
+	if ts := slices.Compact(w.targets[local]); !slices.Equal(ts, []int{blocker}) || w.live[local] || w.live[blocker] {
+		t.Errorf("the local head waits on %v (live %v), want only the blocker's slot %d (live %v), neither live", ts, w.live[local], blocker, w.live[blocker])
 	}
 	// Consuming the eject queue lets the blocker leave; both slots free
 	// up and the local packet flows.

@@ -8,67 +8,47 @@ import (
 	"drain/internal/routing"
 )
 
-// Wait-for / liveness analysis over link VC buffers.
-//
-// A VC buffer is *live* when its packet can eventually move: it is empty,
-// its packet is already departing, it can eject, or one of the buffers it
-// is allowed to move into is free or live. The least fixpoint of this
-// relation separates buffers that can make progress (given cooperative
-// scheduling) from buffers caught in a resource deadlock: every allowed
-// successor of a non-live buffer is occupied by another non-live packet.
-//
-// This is the oracle the simulator uses to *measure* deadlocks (paper
-// Fig. 3), the detector SPIN's timeout probes resolve against, and the
-// source of the blocked cycles that forced-movement recovery rotates.
+// The wait-for relation answers every deadlock question: HasDeadlock
+// (SchemeNone's stop rule, Fig. 3), FindBlockedCycle (SPIN, the oracle)
+// and ExplainStall (the stall watch). Its nodes are link VCs, local VCs,
+// per-(router, class) injection and ejection queues, and awaited packets.
+// A node is *live* when what it holds can eventually move: it is empty or
+// departing, or a node it waits on is free or live. The least fixpoint
+// separates buffers that can progress (given cooperative scheduling) from
+// buffers caught in a deadlock, and a walk along non-live nodes names it.
+// Link VCs wait only on link VCs (moveTargets) and their ejection queue,
+// so the other nodes never change a link VC's verdict.
 
-// LivenessOpts configures the analysis.
-type LivenessOpts struct {
-	// EjectLiveByClass[c] treats ejection of class c as always eventually
-	// possible (a protocol "sink" class, or synthetic traffic that is
-	// always consumed). nil means every class's ejection is a live sink;
-	// otherwise classes not listed live only if their queue currently has
-	// space.
-	EjectLiveByClass []bool
+// Consumer is the protocol engine consuming a network's ejection queues,
+// as the relation sees it (*coherence.System satisfies it). HeadWait
+// reports whether the head of router r's class queue stopped in the last
+// cycle, and on what: room in r's injection queue of class inject; or,
+// when inject < 0, a packet awaits accepts (if in no VC, assumed to
+// come); or, when awaits is nil too, nothing: the head never moves. A
+// nil Consumer makes every ejection queue a sink.
+type Consumer interface {
+	HeadWait(r, class int) (inject int, awaits func(*Packet) bool, stopped bool)
 }
 
-func (o LivenessOpts) ejectLive(n *Network, router, class int) bool {
-	if o.EjectLiveByClass == nil {
-		return true
-	}
-	if class < len(o.EjectLiveByClass) && o.EjectLiveByClass[class] {
-		return true
-	}
-	return n.ejectSpace(router, class)
+// relation is the wait-for relation decided: live and targets over its
+// nodes, numbered VC slot i%V of port i/V below inj, the (router, class)
+// injection queues from inj, the ejection queues from ej, and from aw the
+// packet in VC i-aw as awaited (never live).
+type relation struct {
+	live        []bool
+	targets     [][]int
+	inj, ej, aw int
 }
 
-// HasDeadlock reports whether any link VC is non-live.
-func (n *Network) HasDeadlock(opts LivenessOpts) bool {
-	live, _ := n.liveness(opts)
-	return slices.Contains(live, false)
-}
-
-// liveness computes the live bit for every link VC slot (flat index
-// link*vcPerPort+slot) and returns it with the edges it was decided over
-// (vcEdges; a packet at its destination has none).
-func (n *Network) liveness(opts LivenessOpts) (live []bool, targets [][]int) {
-	total := n.g.NumLinks() * n.vcPerPort
-	live, targets = make([]bool, total), make([][]int, total)
-	n.vcEdges(total, live, targets, func(router, class int) (bool, []int) {
-		return opts.ejectLive(n, router, class), nil
-	})
-	settle(live, targets)
-	return live, targets
-}
-
-// vcEdges decides the first k VC slots (flat index port*vcPerPort+slot):
-// targets[i] lists the slots the waiting packet in slot i may move into
-// (moveTargets), or what eject says for one at its destination. An empty,
-// reserved (an arriving packet is moving) or departing slot is live, as
-// is one with a free target.
-func (n *Network) vcEdges(k int, live []bool, targets [][]int, eject func(router, class int) (bool, []int)) {
-	for i := range k {
-		port, slot := i/n.vcPerPort, n.slot(i/n.vcPerPort, i%n.vcPerPort)
-		router, p := port-n.g.NumLinks(), slot.pkt
+// waitFor builds the relation under consumer c and settles it.
+func (n *Network) waitFor(c Consumer) relation {
+	V, C, N, L := n.vcPerPort, n.cfg.Classes, n.g.N(), n.g.NumLinks()
+	w := relation{inj: (L + N) * V}
+	w.ej, w.aw = w.inj+N*C, w.inj+2*N*C
+	live, targets, buf := make([]bool, w.aw+w.inj), make([][]int, w.aw+w.inj), []int(nil)
+	for i := range w.inj {
+		port, slot := i/V, n.slot(i/V, i%V)
+		router, p := port-L, slot.pkt
 		if router < 0 {
 			router = n.g.Link(port).To
 		}
@@ -76,12 +56,81 @@ func (n *Network) vcEdges(k int, live []bool, targets [][]int, eject func(router
 		case p == nil || slot.sending:
 			live[i] = true
 		case p.Dst == router: // eject is the only option at the destination
-			live[i], targets[i] = eject(router, p.Class)
-		default:
-			targets[i] = n.moveTargets(p, router, nil)
+			live[i], targets[i] = n.ejectSpace(router, p.Class), []int{w.ej + router*C + p.Class}
+		default: // targets share one buffer: a grown one leaves earlier lists intact
+			k := len(buf)
+			if buf = n.moveTargets(p, router, buf); port >= L {
+				buf = n.localTargets(p, buf, k)
+			}
+			targets[i] = buf[k:len(buf):len(buf)]
 			live[i] = n.anyFree(targets[i])
 		}
 	}
+	for q := range N * C {
+		r, class := q/C, q%C
+		if p := n.injQ[r][class].Peek(); p != nil {
+			for s := range n.cfg.VCsPerVN {
+				targets[w.inj+q] = append(targets[w.inj+q], (L+r)*V+p.VNet*n.cfg.VCsPerVN+s)
+			}
+		}
+		live[w.inj+q] = targets[w.inj+q] == nil || n.anyFree(targets[w.inj+q])
+		live[w.ej+q] = true
+		if c == nil || n.ejQ[r][class].Len() == 0 {
+			continue
+		}
+		inject, awaits, stopped := c.HeadWait(r, class)
+		switch {
+		case !stopped:
+		case inject >= 0:
+			targets[w.ej+q], live[w.ej+q] = []int{w.inj + r*C + inject}, false
+		case awaits == nil: // a dead end
+			live[w.ej+q] = false
+		default:
+			for i := range w.inj {
+				if p := n.slot(i/V, i%V).pkt; p != nil && awaits(p) {
+					targets[w.ej+q], live[w.ej+q] = []int{w.aw + i}, false
+					break
+				}
+			}
+		}
+	}
+	settle(live, targets)
+	w.live, w.targets = live, targets
+	return w
+}
+
+// localTargets narrows buf[k:], the slots a local VC's packet p may move
+// into, to what the injection admission lets it take. A slot on an output
+// conservativeOK admits stays, as does the escape slot when the bounded
+// bypass (InjectPatience) will open it. On any other output the packet
+// waits instead on the occupied slots whose freeing would admit it: the
+// output's VN slots, or with one VC per VN the downstream router's VN
+// input slots; none when there are fewer than two of those, as the
+// admission needs two free.
+func (n *Network) localTargets(p *Packet, buf []int, k int) []int {
+	V, per, vn := n.vcPerPort, n.cfg.VCsPerVN, p.VNet
+	bypass := n.cfg.PolicyEscape && n.cfg.InjectPatience > 0
+	end := len(buf) // the narrowed list goes after end, then moves to k
+	for _, t := range buf[k:end] {
+		link := t / V
+		if bypass && n.cfg.IsEscapeSlot(t%V) || n.conservativeOK(link, vn) {
+			buf = append(buf, t)
+			continue
+		}
+		ports := n.inLinks[n.g.Link(link).To]
+		if per > 1 {
+			ports = []int{link}
+		}
+		if len(ports)*per < 2 {
+			continue
+		}
+		for _, l := range ports {
+			for busy := ^n.freeInVN(l, vn) & n.vnMask; busy != 0; busy &= busy - 1 {
+				buf = append(buf, l*V+vn*per+bits.TrailingZeros64(busy))
+			}
+		}
+	}
+	return append(buf[:k], buf[end:]...)
 }
 
 // anyFree reports whether any of the flat slot indices is free.
@@ -94,8 +143,11 @@ func (n *Network) anyFree(slots []int) bool {
 // settle completes the least fixpoint: live holds the nodes live by
 // themselves, and every node with a live target becomes live.
 func settle(live []bool, targets [][]int) {
-	rev := make([][]int32, len(live)) // rev[t]: the nodes that wait on t
+	rev := make([][]int32, len(live)) // rev[t]: the nodes not yet live that wait on t
 	for i, ts := range targets {
+		if live[i] {
+			continue
+		}
 		for _, t := range ts {
 			rev[t] = append(rev[t], int32(i))
 		}
@@ -122,8 +174,8 @@ func settle(live []bool, targets [][]int) {
 // link VC at router, may eventually move into: moves with every stall
 // assumed (adaptive packets can deroute over any output once stalled),
 // each list's productive outputs first, main expanded into the VN's
-// mainVC slots, then esc into its escVC. FindBlockedCycle follows the
-// first blocked target, so extracted cycles track the packets' *desired*
+// mainVC slots, then esc into its escVC. The walk follows the first
+// blocked target, so extracted cycles track the packets' *desired*
 // moves (as SPIN's probes do) and forced rotations make real forward
 // progress.
 func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
@@ -144,53 +196,51 @@ func (n *Network) moveTargets(p *Packet, router int, buf []int) []int {
 	return buf
 }
 
-// FindBlockedCycle extracts one cycle of mutually blocked VC buffers from
-// the current deadlock, or nil if the network is deadlock-free. The
-// returned refs satisfy RotateBlockedCycle's preconditions: consecutive
-// refs share a router, every ref is occupied, and each packet is allowed
-// to move into its successor buffer.
-func (n *Network) FindBlockedCycle(opts LivenessOpts) []VCRef {
-	live, targets := n.liveness(opts)
-	cur := slices.Index(live, false)
+// walk follows, from node cur, each node's first non-live target until
+// a node repeats, and returns the nodes in walk order with the index the
+// repeat closes the loop at, or -1 where a node has no non-live target
+// (a dead end).
+func (w relation) walk(cur int) (nodes []int, loop int) {
+	pos := make([]int32, len(w.live)) // a node's place in the walk, plus one
+	for pos[cur] == 0 {
+		nodes = append(nodes, cur)
+		pos[cur] = int32(len(nodes))
+		next := slices.IndexFunc(w.targets[cur], func(t int) bool { return !w.live[t] })
+		if next < 0 {
+			return nodes, -1
+		}
+		cur = w.targets[cur][next]
+	}
+	return nodes, int(pos[cur]) - 1
+}
+
+// HasDeadlock reports whether any link VC is non-live under c.
+func (n *Network) HasDeadlock(c Consumer) bool {
+	return slices.Contains(n.waitFor(c).live[:n.g.NumLinks()*n.vcPerPort], false)
+}
+
+// FindBlockedCycle extracts one cycle of mutually blocked link VCs under
+// c, walking from the first non-live link VC, or returns nil if there is
+// none, the walk dead-ends or its cycle leaves the link VCs (through an
+// endpoint, which only a protocol's head waits lead to). The returned
+// refs satisfy RotateBlockedCycle's preconditions: consecutive refs share
+// a router, every ref is occupied, and each packet is allowed to move
+// into its successor buffer.
+func (n *Network) FindBlockedCycle(c Consumer) []VCRef {
+	w, links := n.waitFor(c), n.g.NumLinks()*n.vcPerPort
+	cur := slices.Index(w.live[:links], false)
 	if cur < 0 {
 		return nil
 	}
-	// Walk non-live successors along liveness' edges until a slot
-	// repeats; pos[i] is slot i's position in the walk, plus one.
-	pos := make([]int32, len(live))
-	var walk []int
-	for pos[cur] == 0 {
-		walk = append(walk, cur)
-		pos[cur] = int32(len(walk))
-		next := slices.IndexFunc(targets[cur], func(t int) bool { return !live[t] })
-		if next < 0 {
-			// Dead end: the packet's only blocked option is ejection
-			// (possible when eject queues are not treated as live).
-			return nil
-		}
-		cur = targets[cur][next]
+	nodes, loop := w.walk(cur)
+	if loop < 0 || slices.ContainsFunc(nodes[loop:], func(i int) bool { return i >= links }) {
+		return nil
 	}
-	cycle := walk[pos[cur]-1:]
-	refs := make([]VCRef, len(cycle))
-	for i, idx := range cycle {
+	refs := make([]VCRef, len(nodes)-loop)
+	for i, idx := range nodes[loop:] {
 		refs[i] = VCRef{Link: idx / n.vcPerPort, Slot: idx % n.vcPerPort}
 	}
 	return refs
-}
-
-// Endpoint nodes. ExplainStall extends the relation past the link VCs to
-// the network interface: a local VC waits like a link VC, an injection
-// queue's head on a free local VC of its VN, and an ejection queue's head
-// on what the Consumer above reports. With no consumer, every ejection
-// queue is a sink.
-
-// Consumer is the protocol engine consuming a network's ejection queues,
-// as ExplainStall sees it (*coherence.System satisfies it). HeadWait
-// reports whether the head of router r's class queue stopped in the last
-// cycle, and on what: room in r's injection queue of class inject, or,
-// when inject < 0, a packet awaits accepts (if in no VC, assumed to come).
-type Consumer interface {
-	HeadWait(r, class int) (inject int, awaits func(*Packet) bool, stopped bool)
 }
 
 // NodeKind names a node of the wait-for relation.
@@ -261,24 +311,14 @@ type Explanation struct {
 	Oldest, MostHops WaitNode
 }
 
-// ExplainStall decides liveness over every node, with c's head waits
-// (nil: every ejection queue is a sink), and walks from the first blocked
-// node, ejection queues first, to a blocked node each waits on. It
-// changes no state.
+// ExplainStall walks the relation under c from the first blocked node,
+// ejection queues first, to a blocked node each waits on. It changes no
+// state.
 func (n *Network) ExplainStall(c Consumer) Explanation {
-	V, C, N, L := n.vcPerPort, n.cfg.Classes, n.g.N(), n.g.NumLinks()
-	// Nodes: VC slot i%V of port i/V below inj, the injection queues from
-	// inj, the ejection queues from ej, and from aw the packet in VC i-aw
-	// as awaited (never live).
-	inj := (L + N) * V
-	ej, aw := inj+N*C, inj+2*N*C
-	live, targets := make([]bool, aw+inj), make([][]int, aw+inj)
-	pkt := func(i int) *Packet { return n.slot(i/V, i%V).pkt }
-	n.vcEdges(inj, live, targets, func(router, class int) (bool, []int) {
-		return n.ejectSpace(router, class), []int{ej + router*C + class}
-	})
-	oldest, most := -1, -1
-	for i := range inj {
+	w := n.waitFor(c)
+	pkt := func(i int) *Packet { return n.slot(i/n.vcPerPort, i%n.vcPerPort).pkt }
+	x, oldest, most := Explanation{Loop: -1}, -1, -1
+	for i := range w.inj {
 		p := pkt(i)
 		if p == nil {
 			continue
@@ -290,52 +330,19 @@ func (n *Network) ExplainStall(c Consumer) Explanation {
 			most = i
 		}
 	}
-	for q := range N * C {
-		r, class := q/C, q%C
-		if p := n.injQ[r][class].Peek(); p != nil {
-			for s := range n.cfg.VCsPerVN {
-				targets[inj+q] = append(targets[inj+q], (L+r)*V+p.VNet*n.cfg.VCsPerVN+s)
-			}
-		}
-		live[inj+q] = targets[inj+q] == nil || n.anyFree(targets[inj+q])
-		live[ej+q] = true
-		if c == nil || n.ejQ[r][class].Len() == 0 {
-			continue
-		}
-		if inject, awaits, stopped := c.HeadWait(r, class); stopped && inject >= 0 {
-			targets[ej+q], live[ej+q] = []int{inj + r*C + inject}, false
-		} else if stopped {
-			for i := range inj {
-				if p := pkt(i); p != nil && awaits(p) {
-					targets[ej+q], live[ej+q] = []int{aw + i}, false
-					break
-				}
-			}
-		}
-	}
-	settle(live, targets)
-
-	x := Explanation{Loop: -1}
 	if oldest >= 0 {
-		x.Oldest, x.MostHops = n.waitNode(oldest, inj, ej), n.waitNode(most, inj, ej)
+		x.Oldest, x.MostHops = n.waitNode(oldest, w), n.waitNode(most, w)
 	}
-	cur := slices.Index(live[ej:aw], false) + ej // ejection queues first
-	if cur < ej {
-		if cur = slices.Index(live[:aw], false); cur < 0 {
+	cur := slices.Index(w.live[w.ej:w.aw], false) + w.ej
+	if cur < w.ej {
+		if cur = slices.Index(w.live[:w.aw], false); cur < 0 {
 			return x
 		}
 	}
-	pos := make([]int32, len(live)) // a node's place in the walk, plus one
-	for pos[cur] == 0 {
-		x.Nodes = append(x.Nodes, n.waitNode(cur, inj, ej))
-		pos[cur] = int32(len(x.Nodes))
-		next := slices.IndexFunc(targets[cur], func(t int) bool { return !live[t] })
-		if next < 0 {
-			break
-		}
-		if cur = targets[cur][next]; pos[cur] > 0 {
-			x.Loop = int(pos[cur]) - 1
-		}
+	nodes, loop := w.walk(cur)
+	x.Loop = loop
+	for _, i := range nodes {
+		x.Nodes = append(x.Nodes, n.waitNode(i, w))
 	}
 	switch last := x.Nodes[len(x.Nodes)-1].Kind; {
 	case last == Awaited:
@@ -350,12 +357,11 @@ func (n *Network) ExplainStall(c Consumer) Explanation {
 	return x
 }
 
-// waitNode names ExplainStall's node i; inj and ej are where its
-// injection and ejection queue nodes start.
-func (n *Network) waitNode(i, inj, ej int) WaitNode {
-	V, C, L := n.vcPerPort, n.cfg.Classes, n.g.NumLinks()
-	if aw := 2*ej - inj; i >= aw {
-		w := n.waitNode(i-aw, inj, ej)
+// waitNode names node i of relation r.
+func (n *Network) waitNode(i int, r relation) WaitNode {
+	V, C, L, inj, ej := n.vcPerPort, n.cfg.Classes, n.g.NumLinks(), r.inj, r.ej
+	if i >= r.aw {
+		w := n.waitNode(i-r.aw, r)
 		w.Kind = Awaited
 		return w
 	}

@@ -65,13 +65,13 @@ func plantRingDeadlock(t *testing.T, n *Network, ringSize int) []*Packet {
 
 func TestEmptyNetworkHasNoDeadlock(t *testing.T) {
 	n := ringNet(t, 6)
-	if n.HasDeadlock(LivenessOpts{}) {
+	if n.HasDeadlock(nil) {
 		t.Error("empty network reported deadlocked")
 	}
-	if live, _ := n.liveness(LivenessOpts{}); slices.Contains(live, false) {
-		t.Errorf("non-live VCs in empty network: %v", live)
+	if w := n.waitFor(nil); slices.Contains(w.live[:w.aw], false) { // awaited nodes are never live
+		t.Errorf("non-live nodes in empty network: %v", w.live[:w.aw])
 	}
-	if c := n.FindBlockedCycle(LivenessOpts{}); c != nil {
+	if c := n.FindBlockedCycle(nil); c != nil {
 		t.Errorf("cycle in empty network: %v", c)
 	}
 }
@@ -83,12 +83,11 @@ func TestPlantedRingDeadlockDetected(t *testing.T) {
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if !n.HasDeadlock(LivenessOpts{}) {
+	if !n.HasDeadlock(nil) {
 		t.Fatal("planted deadlock not detected")
 	}
-	nonLive := 0
-	live, _ := n.liveness(LivenessOpts{})
-	for _, l := range live {
+	w, nonLive := n.waitFor(nil), 0
+	for _, l := range w.live[:w.aw] {
 		if !l {
 			nonLive++
 		}
@@ -112,7 +111,7 @@ func TestSingleBlockedPacketIsLive(t *testing.T) {
 	n := ringNet(t, 6)
 	plantPacket(t, n, 0, 1, 3, 0) // wants link 1->2
 	plantPacket(t, n, 1, 2, 3, 0) // at 2, wants 2->3 which is free
-	if n.HasDeadlock(LivenessOpts{}) {
+	if n.HasDeadlock(nil) {
 		t.Error("live chain misreported as deadlock")
 	}
 }
@@ -125,12 +124,11 @@ func TestEjectQueueFullLiveness(t *testing.T) {
 		n.ejQ[1][0].Push(n.NewPacket(0, 1, 0, 1))
 	}
 	// With ejection treated as a live sink, no deadlock.
-	if n.HasDeadlock(LivenessOpts{}) {
+	if n.HasDeadlock(nil) {
 		t.Error("sink-class packet misreported as deadlocked")
 	}
-	// With strict queue-space semantics, it is non-live.
-	strict := LivenessOpts{EjectLiveByClass: []bool{false}}
-	if !n.HasDeadlock(strict) {
+	// With no class a sink, it is non-live.
+	if !n.HasDeadlock(sinkMask{false}) {
 		t.Error("full eject queue should be non-live under strict semantics")
 	}
 	_ = p
@@ -140,7 +138,7 @@ func TestFindBlockedCycleIsRotatable(t *testing.T) {
 	const ring = 6
 	n := ringNet(t, ring)
 	plantRingDeadlock(t, n, ring)
-	refs := n.FindBlockedCycle(LivenessOpts{})
+	refs := n.FindBlockedCycle(nil)
 	if len(refs) == 0 {
 		t.Fatal("no cycle found in planted deadlock")
 	}
@@ -161,11 +159,11 @@ func TestFindBlockedCycleIsRotatable(t *testing.T) {
 				delivered++
 			}
 		}
-		if !n.HasDeadlock(LivenessOpts{}) && n.InFlightPackets() == 0 {
+		if !n.HasDeadlock(nil) && n.InFlightPackets() == 0 {
 			break
 		}
-		if n.HasDeadlock(LivenessOpts{}) {
-			if refs := n.FindBlockedCycle(LivenessOpts{}); refs != nil {
+		if n.HasDeadlock(nil) {
+			if refs := n.FindBlockedCycle(nil); refs != nil {
 				if err := n.RotateBlockedCycle(refs); err != nil {
 					t.Fatal(err)
 				}
@@ -338,7 +336,7 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 	next := nextTable(path, n.g)
 	n.SetFrozen(true)
 	deadline := 4 * ring // drains needed is bounded by the cycle length
-	for i := 0; i < deadline && n.HasDeadlock(LivenessOpts{}); i++ {
+	for i := 0; i < deadline && n.HasDeadlock(nil); i++ {
 		if _, err := n.DrainRotate(next); err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +344,7 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n.HasDeadlock(LivenessOpts{}) {
+	if n.HasDeadlock(nil) {
 		t.Fatal("drain rotations did not break the deadlock")
 	}
 	n.SetFrozen(false)
@@ -360,7 +358,7 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 				delivered++
 			}
 		}
-		if i%20 == 19 && n.HasDeadlock(LivenessOpts{}) {
+		if i%20 == 19 && n.HasDeadlock(nil) {
 			n.SetFrozen(true)
 			if _, err := n.DrainRotate(next); err != nil {
 				t.Fatal(err)
@@ -443,7 +441,7 @@ func TestAdaptiveNetworkDeadlocksUnderSaturation(t *testing.T) {
 			n.PopEjected(r, 0)
 		}
 		if c%50 == 0 {
-			deadlocked = n.HasDeadlock(LivenessOpts{})
+			deadlocked = n.HasDeadlock(nil)
 		}
 	}
 	if !deadlocked {
@@ -501,5 +499,36 @@ func TestExplainStallHeadOfLine(t *testing.T) {
 	if q.Kind != EjQueue || q.Router != 1 || q.Len != n.cfg.EjectCap ||
 		w.Kind != Awaited || w.Router != 4 || w.Link != awaited.inLink || w.Packet.ID != awaited.ID {
 		t.Errorf("named %v awaiting %v; want router 1's full ejection queue awaiting %v", q, w, awaited)
+	}
+}
+
+// TestLeafInjectionBlock pins a known block (ROADMAP B5): with one VC per
+// VN and no escape VC, a local packet bound for a router of degree 1
+// never leaves its local VC. The conservative admission wants the
+// downstream router to keep two free input buffers in the VN, a leaf
+// has one, and the patience bypass opens only an escape slot. With two
+// VCs per VN the same packet ejects at cycle 5. ExplainStall names the
+// local VC as a dead end.
+func TestLeafInjectionBlock(t *testing.T) {
+	for _, vcs := range []int{1, 2} {
+		n := lineNet(t, 3, 1, vcs, func(c *Config) { c.DerouteAfter = -1 })
+		p := n.NewPacket(1, 2, 0, 1)
+		n.Inject(p)
+		for n.Cycle() < 100_000 && n.Counters.Ejected == 0 {
+			n.Step()
+		}
+		if vcs == 2 {
+			if p.EjectedAt != 5 {
+				t.Errorf("with 2 VCs the packet ejected at cycle %d, want 5", p.EjectedAt)
+			}
+			continue
+		}
+		if n.Counters.Ejected != 0 || n.LocalOccupant(1, 0) != p {
+			t.Fatalf("with 1 VC the packet left its local VC (%d ejected): the block is fixed; update ROADMAP B5 and this test", n.Counters.Ejected)
+		}
+		x := n.ExplainStall(nil)
+		if x.Kind != DeadEnd || len(x.Nodes) != 1 || x.Nodes[0].Kind != LocalVC || x.Nodes[0].Router != 1 || x.Nodes[0].Packet.ID != p.ID {
+			t.Errorf("explained as %v over %v; want a dead end at router 1's local VC", x.Kind, x.Nodes)
+		}
 	}
 }

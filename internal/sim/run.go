@@ -199,11 +199,9 @@ func (l *runLoop) watch(r *Runner, pr *Probe) (stop bool) {
 		l.quiet = 0
 	}
 	if r.Params.Scheme == SchemeNone {
-		opts := noc.LivenessOpts{} // a synthetic run's every ejection queue is a sink
-		if l.sys != nil {
-			opts.EjectLiveByClass = sinkClasses(r.Params.Classes)
-		}
-		deadlock := ejected == l.lastEject && r.Net.HasDeadlock(opts)
+		// A synthetic run's sink has emptied every ejection queue by now,
+		// so its view decides as nil would.
+		deadlock := ejected == l.lastEject && r.Net.HasDeadlock(deadlockView(r.Params.Classes))
 		stop, l.suspect = deadlock && l.suspect, deadlock
 	}
 	l.lastEject, l.lastOps = ejected, ops

@@ -372,25 +372,32 @@ func BuildOn(g *topology.Graph, mesh *topology.Mesh, p Params) (*Runner, error) 
 		}
 		r.Drain = ctl
 	case SchemeSPIN:
-		r.Spin = spinrec.New(net, spinrec.Config{Timeout: p.SpinTimeout, EjectLiveByClass: sinkClasses(p.Classes)})
+		r.Spin = spinrec.New(net, spinrec.Config{Timeout: p.SpinTimeout, View: deadlockView(p.Classes)})
 	case SchemeIdeal:
-		r.Oracle = spinrec.NewOracle(net, 8, noc.LivenessOpts{EjectLiveByClass: sinkClasses(p.Classes)})
+		r.Oracle = spinrec.NewOracle(net, deadlockView(p.Classes))
 	}
 	return r, nil
 }
 
-// sinkClasses marks which classes' ejection queues always drain: for
-// single-class synthetic traffic everything sinks; for coherence only
-// the response class is a guaranteed sink (paper §III-D2).
-func sinkClasses(classes int) []bool {
+// deadlockView is the consumer SPIN, the oracle and SchemeNone's stop
+// rule decide deadlock under: nil (every ejection queue a sink) for one
+// class, synthetic traffic that is always consumed; respSink for
+// coherence, whose one guaranteed sink is the Response class (paper
+// §III-D2).
+func deadlockView(classes int) noc.Consumer {
 	if classes <= 1 {
-		return nil // all live
+		return nil
 	}
-	out := make([]bool, classes)
-	if classes > coherence.ClassResp {
-		out[coherence.ClassResp] = true
-	}
-	return out
+	return respSink{}
+}
+
+// respSink's queued heads of every class but Response are stopped on
+// nothing, so a packet waiting to eject behind one is live only while
+// the queue has room.
+type respSink struct{}
+
+func (respSink) HeadWait(_, class int) (int, func(*noc.Packet) bool, bool) {
+	return -1, nil, class != coherence.ClassResp
 }
 
 // TickScheme advances whichever controller the scheme uses; call once

@@ -23,8 +23,11 @@ import (
 //     whose line is busy, and the Unblock the line awaits bounces between
 //     the home's neighbours on main VCs, so no drain ever moves it.
 //
-// The link-VC analysis (HasDeadlock, FindBlockedCycle) sees both as
-// non-live but names no cycle: only ExplainStall has endpoint nodes.
+// Under deadlockView, the network-only view SPIN and SchemeNone decide
+// by, both states have a non-live link VC (HasDeadlock), but
+// FindBlockedCycle's walk from it ends at an ejection queue the view
+// stops, so it names no cycle; ExplainStall walks on through the
+// system's own head waits.
 func TestVN1EndpointStall(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -92,12 +95,12 @@ func TestVN1EndpointStall(t *testing.T) {
 			} else {
 				checkLocalPort(t, net, x, at)
 			}
-			opts := noc.LivenessOpts{EjectLiveByClass: sinkClasses(cfg.Classes)}
-			if !net.HasDeadlock(opts) {
+			view := deadlockView(cfg.Classes)
+			if !net.HasDeadlock(view) {
 				t.Error("HasDeadlock is false on the stalled state")
 			}
-			if cyc := net.FindBlockedCycle(opts); cyc != nil {
-				t.Errorf("FindBlockedCycle names %v: the link-VC analysis learned endpoint nodes; update this test", cyc)
+			if cyc := net.FindBlockedCycle(view); cyc != nil {
+				t.Errorf("FindBlockedCycle names %v under the network-only view; update this test", cyc)
 			}
 		})
 	}
@@ -154,5 +157,31 @@ func checkHeadOfLine(t *testing.T, x noc.Explanation, at int) {
 	}
 	if p.DrainHops != 0 || p.Misroutes <= minMisroutes {
 		t.Errorf("the awaited Unblock has %d drain hops and %d misroutes, want 0 and more than %d", p.DrainHops, p.Misroutes, minMisroutes)
+	}
+}
+
+// TestSchemeNoneDeadlockIsExplained: the quick fig3 cell blackscholes,
+// 2 links removed, run 0 deadlocks on the leaf-injection block (ROADMAP
+// B5): a local VC's head the injection admission never lets out, which
+// the stall names as a dead end rather than as no stall.
+func TestSchemeNoneDeadlockIsExplained(t *testing.T) {
+	r, err := Build(Params{
+		Width: 4, Height: 4, Faults: 2, FaultSeed: 1,
+		Scheme: SchemeNone, Classes: 3, VNets: 3, VCsPerVN: 1,
+		InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunApp(workload.MustGet("blackscholes"), 0, 25_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stall
+	if st == nil || !st.Deadlocked {
+		t.Fatalf("stall %+v: want the confirmed deadlock fig3 counts", st)
+	}
+	if x := st.Why; x.Kind != noc.DeadEnd || x.Nodes[len(x.Nodes)-1].Kind != noc.LocalVC {
+		t.Errorf("the deadlock is explained as %v over %v; want a dead end at a local VC", x.Kind, x.Nodes)
 	}
 }

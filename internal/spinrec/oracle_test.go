@@ -3,21 +3,44 @@ package spinrec
 import (
 	"testing"
 
-	"drain/internal/noc"
 	"drain/internal/topology"
 )
 
+// TestOracleDefaultPeriod: the oracle checks every oraclePeriod (8)
+// cycles, so a planted deadlock stands until the first check and is
+// broken there.
 func TestOracleDefaultPeriod(t *testing.T) {
-	n := spinNet(t, topology.MustMesh(2, 2).Graph, 1, 1)
-	o := NewOracle(n, 0, noc.LivenessOpts{})
-	if o.period != 8 {
-		t.Errorf("default period = %d, want 8", o.period)
+	g, err := topology.NewRing(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := spinNet(t, g, 1, 1)
+	for r := 0; r < 6; r++ {
+		if _, err := n.PlacePacket(r, (r+1)%6, (r+3)%6, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := NewOracle(n, nil)
+	for n.Cycle() < 8 {
+		if err := o.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if o.Breaks != 0 {
+			t.Fatalf("the oracle broke a cycle at cycle %d, before its first check at 8", n.Cycle())
+		}
+		n.Step()
+	}
+	if err := o.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Breaks == 0 {
+		t.Error("the oracle did not break the planted deadlock at its first check, cycle 8")
 	}
 }
 
 func TestOracleIdleIsFree(t *testing.T) {
 	n := spinNet(t, topology.MustMesh(3, 3).Graph, 2, 2)
-	o := NewOracle(n, 4, noc.LivenessOpts{})
+	o := NewOracle(n, nil)
 	for i := 0; i < 200; i++ {
 		n.Step()
 		if err := o.Tick(); err != nil {

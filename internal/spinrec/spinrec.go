@@ -24,10 +24,9 @@ type Config struct {
 	Timeout int64
 	// ProbeHopLatency is the per-hop latency of probe and move messages.
 	ProbeHopLatency int64
-	// EjectLiveByClass is passed to the liveness analysis: classes whose
-	// ejection queues always drain eventually (protocol sinks). nil means
-	// all classes sink.
-	EjectLiveByClass []bool
+	// View is the consumer the wait-for analysis decides deadlock under
+	// (noc.Consumer; nil: every ejection queue is a sink).
+	View noc.Consumer
 }
 
 func (c *Config) setDefaults() {
@@ -85,7 +84,7 @@ func (c *Controller) Tick() error {
 		}
 		// Coordinated spin: re-extract the blocked cycle (packets may
 		// have moved since the probe) and rotate it.
-		refs := c.net.FindBlockedCycle(c.opts())
+		refs := c.net.FindBlockedCycle(c.cfg.View)
 		if refs != nil {
 			if err := c.net.RotateBlockedCycle(refs); err != nil {
 				return err
@@ -110,7 +109,7 @@ func (c *Controller) Tick() error {
 		return nil
 	}
 	c.stats.Checks++
-	refs := c.net.FindBlockedCycle(c.opts())
+	refs := c.net.FindBlockedCycle(c.cfg.View)
 	if refs == nil {
 		return nil
 	}
@@ -123,28 +122,24 @@ func (c *Controller) Tick() error {
 	return nil
 }
 
-func (c *Controller) opts() noc.LivenessOpts {
-	return noc.LivenessOpts{EjectLiveByClass: c.cfg.EjectLiveByClass}
-}
-
 // Oracle is an idealized recovery scheme used for the paper's "ideal
 // deadlock-free fully adaptive" baseline (Fig. 5): it detects and breaks
 // deadlocks instantly and at zero modelled cost. It bounds what any
 // recovery scheme could achieve.
 type Oracle struct {
 	net    *noc.Network
-	period int64
+	view   noc.Consumer
 	nextAt int64
-	opts   noc.LivenessOpts
 	Breaks int64
 }
 
-// NewOracle returns an oracle checking every period cycles.
-func NewOracle(net *noc.Network, period int64, opts noc.LivenessOpts) *Oracle {
-	if period <= 0 {
-		period = 8
-	}
-	return &Oracle{net: net, period: period, nextAt: net.Cycle() + period, opts: opts}
+// oraclePeriod is how many cycles apart the oracle checks.
+const oraclePeriod = 8
+
+// NewOracle returns an oracle deciding deadlock under view (see
+// Config.View), checking every oraclePeriod cycles.
+func NewOracle(net *noc.Network, view noc.Consumer) *Oracle {
+	return &Oracle{net: net, view: view, nextAt: net.Cycle() + oraclePeriod}
 }
 
 // Tick breaks every blocked cycle present at the check boundary.
@@ -152,9 +147,9 @@ func (o *Oracle) Tick() error {
 	if o.net.Cycle() < o.nextAt {
 		return nil
 	}
-	o.nextAt = o.net.Cycle() + o.period
+	o.nextAt = o.net.Cycle() + oraclePeriod
 	for i := 0; i < 64; i++ { // bound work per check
-		refs := o.net.FindBlockedCycle(o.opts)
+		refs := o.net.FindBlockedCycle(o.view)
 		if refs == nil {
 			return nil
 		}
