@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"os"
 	"strings"
 	"time"
@@ -56,20 +55,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("bad -mesh %q: %v", *mesh, serr))
 		}
 		var m *topology.Mesh
-		m, err = topology.NewMesh(w, h)
-		if err == nil {
+		if m, err = topology.NewMesh(w, h); err == nil {
 			g = m.Graph
 		}
 	}
+	if err == nil {
+		g, err = topology.FaultPattern(g, *faults, *faultSeed)
+	}
 	if err != nil {
 		return fail(err)
-	}
-	if *faults > 0 {
-		rng := rand.New(rand.NewPCG(*faultSeed, *faultSeed^0xb5297a4d))
-		g, err = topology.RemoveRandomLinks(g, *faults, rng)
-		if err != nil {
-			return fail(err)
-		}
 	}
 
 	fmt.Fprintf(stdout, "topology: %d routers, %d bidirectional edges, %d unidirectional links, diameter %d\n",

@@ -224,15 +224,11 @@ type DrainPath struct {
 // on a Width×Height mesh with the given fault count and pattern seed,
 // and returns the covering cycle.
 func ComputeDrainPath(width, height, faults int, faultSeed uint64) (DrainPath, error) {
-	r, err := sim.Build(sim.Params{
-		Width: width, Height: height,
-		Faults: faults, FaultSeed: faultSeed,
-		Scheme: DRAIN,
-	})
+	g, _, err := sim.Params{Width: width, Height: height, Faults: faults, FaultSeed: faultSeed}.BuildGraph()
 	if err != nil {
 		return DrainPath{}, err
 	}
-	return pathFor(r.Graph)
+	return pathFor(g)
 }
 
 // ComputeDrainPathOn runs the offline algorithm on an arbitrary

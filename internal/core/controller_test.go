@@ -4,12 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"drain/internal/noc"
 	"drain/internal/topology"
 )
 
 func TestDrainWindowChargesFreeze(t *testing.T) {
 	n := drainNet(t, topology.MustMesh(3, 3).Graph, 2, 10)
-	c, err := New(n, Config{Epoch: 50, PreDrain: 3, DrainWindow: 4})
+	c, err := New(n, Config{Epoch: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +32,9 @@ func TestDrainWindowChargesFreeze(t *testing.T) {
 	if c.Stats().Drains != 1 {
 		t.Fatalf("drains = %d, want 1", c.Stats().Drains)
 	}
-	// PreDrain(3) + DrainWindow(4) ± scheduling boundaries.
-	if frozenSpan < 6 || frozenSpan > 10 {
-		t.Errorf("frozen for %d cycles, want ≈7", frozenSpan)
+	// Pre-drain and a one-hop window, MaxFlits (5) cycles each.
+	if frozenSpan != 10 {
+		t.Errorf("frozen for %d cycles, want 10", frozenSpan)
 	}
 	if n.Frozen() {
 		t.Error("network left frozen after the window")
@@ -73,35 +74,45 @@ func TestMultiHopDrainWindow(t *testing.T) {
 	}
 }
 
-func TestExtendedPreDrainWhenNotQuiesced(t *testing.T) {
-	// A PreDrain shorter than the largest packet forces the controller
-	// to extend the freeze instead of corrupting the rotation.
-	g := topology.MustMesh(4, 1).Graph
-	n := drainNet(t, g, 2, 12)
-	c, err := New(n, Config{Epoch: 30, PreDrain: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep 5-flit packets flowing so a transfer is usually in flight
-	// when the epoch expires.
-	for i := 0; i < 2000; i++ {
-		if i%3 == 0 {
-			src := i % 4
-			dst := (i + 2) % 4
-			if src != dst && n.InjQueueLen(src, 0) < 2 {
-				n.Inject(n.NewPacket(src, dst, 0, 5))
+// TestDrainStartsQuiesced: the pre-drain freeze is the largest packet's
+// serialization, so every transfer granted before it lands before the
+// rotation. 5-flit packets offered at every router every cycle keep
+// transfers on the links whenever an epoch expires; at each drain start
+// none may be left, on both engines.
+func TestDrainStartsQuiesced(t *testing.T) {
+	g := topology.MustMesh(4, 4).Graph
+	for _, eng := range []noc.EngineKind{noc.EngineEvent, noc.EngineDense} {
+		n := drainNet(t, g, 2, 12, func(c *noc.Config) { c.Engine = eng })
+		c, err := New(n, Config{Epoch: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		busyFreezes := 0
+		for i := 0; i < 3000; i++ {
+			for src := 0; src < g.N(); src++ {
+				if dst := (src + 1 + i%(g.N()-1)) % g.N(); n.InjQueueLen(src, 0) < 2 {
+					n.Inject(n.NewPacket(src, dst, 0, 5))
+				}
+			}
+			n.Step()
+			if c.phase == phasePreDrain && n.Cycle() >= c.phaseEndsAt && n.InflightCount() != 0 {
+				t.Fatalf("engine %d, cycle %d: drain starts with %d transfers in flight", eng, n.Cycle(), n.InflightCount())
+			}
+			running := c.phase == phaseRunning
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if running && c.phase == phasePreDrain && n.InflightCount() > 0 {
+				busyFreezes++
+			}
+			for r := 0; r < g.N(); r++ {
+				for n.PopEjected(r, 0) != nil {
+				}
 			}
 		}
-		n.Step()
-		if err := c.Tick(); err != nil {
-			t.Fatal(err) // would be ErrNotQuiesced without the extension
+		if st := c.Stats(); st.Drains < 50 || busyFreezes*2 < int(st.Drains) {
+			t.Errorf("engine %d: %d drains, %d freezes began with transfers in flight; want ≥ 50, at least half", eng, st.Drains, busyFreezes)
 		}
-		for r := 0; r < 4; r++ {
-			n.PopEjected(r, 0)
-		}
-	}
-	if c.Stats().Drains == 0 {
-		t.Error("no drains with a 30-cycle epoch")
 	}
 }
 
@@ -126,7 +137,7 @@ func TestPathSearchAlgorithmOnFaultyTopology(t *testing.T) {
 // is never in the past.
 func TestNextWorkCycleTracksDrainSchedule(t *testing.T) {
 	n := drainNet(t, topology.MustMesh(3, 3).Graph, 2, 10)
-	c, err := New(n, Config{Epoch: 50, PreDrain: 3, DrainWindow: 4})
+	c, err := New(n, Config{Epoch: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

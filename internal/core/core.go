@@ -35,13 +35,6 @@ type Config struct {
 	// Epoch is the number of cycles between drain windows (paper
 	// default: 64K cycles; Fig. 14 sweeps 16…64K).
 	Epoch int64
-	// PreDrain is the credit-freeze length in cycles before each drain;
-	// it must cover the largest packet's serialization so the network
-	// quiesces (paper: 5 cycles = max packet size).
-	PreDrain int
-	// DrainWindow is the cycles charged for each forced hop (link
-	// serialization of the drained packets).
-	DrainWindow int
 	// DrainHops is the number of forced hops per drain window. The paper
 	// (footnote 3) finds 1 always best; >1 is exposed for the ablation.
 	DrainHops int
@@ -52,15 +45,9 @@ type Config struct {
 	Algorithm PathAlgorithm
 }
 
-func (c *Config) setDefaults(maxFlits int) {
+func (c *Config) setDefaults() {
 	if c.Epoch <= 0 {
 		c.Epoch = 64 * 1024
-	}
-	if c.PreDrain <= 0 {
-		c.PreDrain = maxFlits
-	}
-	if c.DrainWindow <= 0 {
-		c.DrainWindow = maxFlits
 	}
 	if c.DrainHops <= 0 {
 		c.DrainHops = 1
@@ -108,7 +95,7 @@ type Controller struct {
 // New computes the drain path for the network's topology and returns a
 // ready controller. The first drain window fires one epoch from now.
 func New(net *noc.Network, cfg Config) (*Controller, error) {
-	cfg.setDefaults(net.Config().MaxFlits)
+	cfg.setDefaults()
 	p, err := cfg.findPath(net.Graph())
 	if err != nil {
 		return nil, err
@@ -200,38 +187,30 @@ func (c *Controller) Draining() bool { return c.phase != phaseRunning }
 // Tick advances the controller's epoch state machine by one cycle.
 func (c *Controller) Tick() error {
 	now := c.net.Cycle()
-	switch c.phase {
-	case phaseRunning:
+	switch {
+	case c.phase == phaseRunning:
 		if now >= c.nextDrainAt {
 			// Epoch register hit zero: freeze credits (pre-drain window).
+			// Every transfer granted up to now lands by now + MaxFlits,
+			// the largest packet's serialization (paper: 5 cycles), and
+			// none is granted while frozen, so the rotation finds the
+			// links quiesced; DrainRotate refuses it otherwise.
 			c.net.SetFrozen(true)
 			c.phase = phasePreDrain
-			c.phaseEndsAt = now + int64(c.cfg.PreDrain)
+			c.phaseEndsAt = now + c.flits()
 		}
-	case phasePreDrain:
-		if now < c.phaseEndsAt {
-			c.stats.FrozenCycles++
-			return nil
-		}
-		if c.net.InflightCount() > 0 {
-			// A transfer longer than PreDrain is still landing; extend
-			// the freeze rather than corrupt the rotation.
-			c.stats.FrozenCycles++
-			return nil
-		}
+	case now < c.phaseEndsAt:
+		c.stats.FrozenCycles++
+	case c.phase == phasePreDrain:
 		if err := c.drainNow(); err != nil {
 			return err
 		}
 		c.phase = phaseDraining
 		c.stats.FrozenCycles++
-	case phaseDraining:
-		if now >= c.phaseEndsAt {
-			c.net.SetFrozen(false)
-			c.phase = phaseRunning
-			c.nextDrainAt = now + c.cfg.Epoch
-			return nil
-		}
-		c.stats.FrozenCycles++
+	default: // the drain window is over
+		c.net.SetFrozen(false)
+		c.phase = phaseRunning
+		c.nextDrainAt = now + c.cfg.Epoch
 	}
 	return nil
 }
@@ -261,7 +240,6 @@ func (c *Controller) drainNow() error {
 		c.net.Counters.FullDrains++
 		hops = c.path.Len()
 	}
-	moved := 0
 	for h := 0; h < hops; h++ {
 		rep, err := c.net.DrainRotate(c.next)
 		if err != nil {
@@ -269,17 +247,16 @@ func (c *Controller) drainNow() error {
 		}
 		c.stats.PacketsMoved += int64(rep.Moved)
 		c.stats.Ejections += int64(rep.Ejected)
-		moved = rep.Moved
-		if moved == 0 {
+		if rep.Moved == 0 {
 			break // escape VCs empty; no need to keep rotating
 		}
 	}
-	// Charge serialization time for the forced hops actually performed.
-	c.phaseEndsAt = c.net.Cycle() + int64(c.cfg.DrainWindow)
-	if full {
-		c.phaseEndsAt = c.net.Cycle() + int64(c.cfg.DrainWindow*c.path.Len())
-	} else if c.cfg.DrainHops > 1 {
-		c.phaseEndsAt = c.net.Cycle() + int64(c.cfg.DrainWindow*c.cfg.DrainHops)
-	}
+	// Charge one largest packet's serialization per forced hop the
+	// window allows, performed or not.
+	c.phaseEndsAt = c.net.Cycle() + c.flits()*int64(hops)
 	return nil
 }
+
+// flits is the largest packet's serialization time in cycles: the
+// pre-drain freeze, and the charge for each forced hop of a drain window.
+func (c *Controller) flits() int64 { return int64(c.net.Config().MaxFlits) }

@@ -10,9 +10,9 @@ import (
 
 // drainNet builds a DRAIN-configured network: 1 VN, escape policy with an
 // unrestricted escape VC, fully adaptive routing.
-func drainNet(t *testing.T, g *topology.Graph, vcs int, seed uint64) *noc.Network {
+func drainNet(t *testing.T, g *topology.Graph, vcs int, seed uint64, mutate ...func(*noc.Config)) *noc.Network {
 	t.Helper()
-	n, err := noc.New(noc.Config{
+	cfg := noc.Config{
 		Graph:         g,
 		VNets:         1,
 		VCsPerVN:      vcs,
@@ -22,7 +22,11 @@ func drainNet(t *testing.T, g *topology.Graph, vcs int, seed uint64) *noc.Networ
 		EscapeRouting: routing.AdaptiveMinimal,
 		DerouteAfter:  -1, // strict minimal: drains alone must resolve deadlocks
 		Seed:          seed,
-	})
+	}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	n, err := noc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +42,6 @@ func TestControllerDefaults(t *testing.T) {
 	cfg := c.Config()
 	if cfg.Epoch != 64*1024 {
 		t.Errorf("epoch = %d, want 64K", cfg.Epoch)
-	}
-	if cfg.PreDrain != n.Config().MaxFlits {
-		t.Errorf("predrain = %d, want %d", cfg.PreDrain, n.Config().MaxFlits)
 	}
 	if cfg.DrainHops != 1 || cfg.FullDrainEvery != 1024 {
 		t.Error("unexpected defaults")
@@ -67,7 +68,7 @@ func TestBothPathAlgorithms(t *testing.T) {
 
 func TestEpochScheduling(t *testing.T) {
 	n := drainNet(t, topology.MustMesh(3, 3).Graph, 2, 3)
-	c, err := New(n, Config{Epoch: 100, PreDrain: 5, DrainWindow: 5})
+	c, err := New(n, Config{Epoch: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,13 @@ type refState struct {
 	n *Network
 	// reserved holds the (link, slot) targets of pending transfers.
 	reserved map[[2]int]bool
+	// bypass holds the local heads offered an escape slot only because
+	// they outwaited injectPatience.
+	bypass map[*vcSlot]bool
 }
 
 func newRefState(n *Network) *refState {
-	rs := &refState{n: n, reserved: map[[2]int]bool{}}
+	rs := &refState{n: n, reserved: map[[2]int]bool{}, bypass: map[*vcSlot]bool{}}
 	n.eng.eachFlight(func(f *flight) {
 		if !f.eject {
 			rs.reserved[[2]int{int(f.toLink), int(f.toSlot)}] = true
@@ -152,10 +155,11 @@ func (rs *refState) optionFor(out int, req *refRequest, conservativeOK bool) (op
 			}
 		}
 	}
-	bypass := n.cfg.InjectPatience > 0 && n.cycle-req.slot.readyAt >= int64(n.cfg.InjectPatience)
+	bypass := n.cycle-req.slot.readyAt >= injectPatience
 	if (conservativeOK || bypass) && n.cfg.PolicyEscape {
 		if c, ok := refFindCand(req.escOuts, out); ok {
 			if slot, ok2 := rs.freeDownstreamSlot(out, p.VNet, true); ok2 {
+				rs.bypass[req.slot] = !conservativeOK
 				return option{toSlot: int32(slot), downPhase: c.DownPhase(), productive: c.Productive()}, true
 			}
 		}
@@ -201,6 +205,9 @@ type refEngine struct {
 	// noExit keeps every visit on the general path: the run that never
 	// took the uncontested exit, which lonePair compares the exit with.
 	noExit bool
+	// bypasses counts the grants of an escape slot to a local head the
+	// injection admission refused.
+	bypasses int
 }
 
 func (e *refEngine) step(n *Network) {
@@ -303,6 +310,9 @@ func (e *refEngine) allocateRouter(n *Network, r int) {
 	rs := newRefState(n)
 	want := rs.gather(r)
 	if !e.noExit && e.lone(n, r, rs, want) {
+		if rs.bypass[want[0].slot] {
+			e.bypasses++
+		}
 		return
 	}
 	n.promote(r)
@@ -350,6 +360,11 @@ func (e *refEngine) allocateRouter(n *Network, r int) {
 		}
 		if count != 0 {
 			n.commitLinkGrant(r, out, count, productive)
+			for _, o := range got {
+				if o.slot.sending && rs.bypass[o.slot] {
+					e.bypasses++
+				}
+			}
 		}
 	}
 }
@@ -382,7 +397,9 @@ func hubGraph(t *testing.T, n int) *topology.Graph {
 
 // TestAllocatorMatchesReference drives seeded random traffic through
 // configurations that reach every branch of option building — single-VC
-// virtual networks (the bubble rule),
+// virtual networks (the bubble rule, which a router of degree 1 never
+// passes, so local heads bound for it take the escape slot once they
+// outwait injectPatience),
 // derouting (AllOutputs sets, U-turns) on and off, three virtual
 // networks, turn-restricted sticky escape routing (down-phase bits)
 // beside a later deroute threshold, escape lists unlike the main ones
@@ -393,6 +410,10 @@ func hubGraph(t *testing.T, n int) *topology.Graph {
 // every router visit, the option lists of the exhaustive scan.
 func TestAllocatorMatchesReference(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
+	leaf, err := mesh.Graph.WithoutEdge(0, 1) // router 0's one input admits no local packet
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -400,9 +421,9 @@ func TestAllocatorMatchesReference(t *testing.T) {
 	}{
 		{"drain-vc2", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, PolicyEscape: true, NonStickyEscape: true}, 0.5},
 		{"drain-sticky", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, PolicyEscape: true}, 0.5},
-		{"drain-vc1-bubble", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 1, PolicyEscape: true, NonStickyEscape: true, InjectPatience: 40}, 0.5},
+		{"drain-vc1-bubble", Config{Graph: leaf, VNets: 1, VCsPerVN: 1, PolicyEscape: true, NonStickyEscape: true, DerouteAfter: -1}, 0.25},
 		{"spin-vc1-noescape", Config{Graph: mesh.Graph, VNets: 2, VCsPerVN: 1, Classes: 2}, 0.5},
-		{"minimal-only", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, DerouteAfter: -1, InjectPatience: 30}, 0.6},
+		{"minimal-only", Config{Graph: mesh.Graph, VNets: 1, VCsPerVN: 2, DerouteAfter: -1}, 0.6},
 		{"coherence-vn3", Config{Graph: mesh.Graph, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, NonStickyEscape: true}, 0.6},
 		{"escape-xy-sticky", Config{Graph: mesh.Graph, Mesh: mesh, VNets: 3, VCsPerVN: 2, Classes: 3, PolicyEscape: true, EscapeRouting: routing.XY, DerouteAfter: 6}, 0.6},
 		{"escape-xy-nonsticky", Config{Graph: mesh.Graph, Mesh: mesh, VNets: 1, VCsPerVN: 2, PolicyEscape: true, NonStickyEscape: true, EscapeRouting: routing.XY}, 0.6},
@@ -453,6 +474,9 @@ func TestAllocatorMatchesReference(t *testing.T) {
 			if n.Counters.VCAllocs == 0 || n.loneGrants == 0 || n.loneGrants == n.Counters.SWAllocs {
 				t.Fatalf("%d link grants, %d of %d grants by the uncontested exit: a path was compared with nothing",
 					n.Counters.VCAllocs, n.loneGrants, n.Counters.SWAllocs)
+			}
+			if cfg.Graph == leaf && ref.bypasses == 0 {
+				t.Fatal("no local head outwaited injectPatience into an escape slot: the bypass was compared with nothing")
 			}
 		})
 	}

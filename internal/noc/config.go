@@ -53,15 +53,6 @@ type Config struct {
 	// regimes".
 	DerouteAfter int
 
-	// InjectPatience bounds how long the conservative injection rule may
-	// defer a local packet: after stalling this many cycles at the head
-	// of its local VC, the packet may claim any legal free slot. Without
-	// this, an injection-side dependency (e.g. a coherence Unblock stuck
-	// behind wedged requests) could starve forever — the paper's
-	// §III-D2 progress argument assumes injection eventually succeeds
-	// once drains free buffers. Default 512; negative disables bypass.
-	InjectPatience int
-
 	// NonStickyEscape relaxes the "once in escape, always in escape"
 	// rule: packets in escape VCs may move back to non-escape VCs.
 	// Classic escape-VC deadlock freedom (Duato) keeps stickiness;
@@ -120,9 +111,6 @@ func (c *Config) Validate() error {
 	}
 	if c.DerouteAfter == 0 {
 		c.DerouteAfter = 8
-	}
-	if c.InjectPatience == 0 {
-		c.InjectPatience = 512
 	}
 	if c.Engine != EngineEvent && c.Engine != EngineDense {
 		return fmt.Errorf("noc: unknown Config.Engine %d", int(c.Engine))

@@ -152,12 +152,12 @@ func TestLoneHeadBehindBusyLinkFallsBack(t *testing.T) {
 
 func TestLoneLocalHeadConservativeRuleAndPatience(t *testing.T) {
 	// Only the escape slot of 0->1 is free, so the conservative rule
-	// refuses a head injected at router 0 until InjectPatience runs out.
+	// refuses a head injected at router 0 until injectPatience runs out.
 	setup := func(t *testing.T) (*loneRig, *Packet) {
 		lr := newLoneRig(t, func(k EngineKind) *Network {
 			return lineNet(t, 3, 1, 2, func(c *Config) {
 				c.PolicyEscape, c.EscapeRouting, c.NonStickyEscape = true, routing.AdaptiveMinimal, true
-				c.InjectPatience, c.DerouteAfter, c.Engine = 20, -1, k
+				c.DerouteAfter, c.Engine = -1, k
 			})
 		})
 		lr.do(func(n *Network) { fillEjectQueue(n, 2, 0) })
@@ -174,7 +174,7 @@ func TestLoneLocalHeadConservativeRuleAndPatience(t *testing.T) {
 		if lr.exit.loneGrants != 0 || !isReady(lr.exit, p) {
 			t.Fatalf("%d uncontested grants, local head routed %v: the conservative rule was skipped", lr.exit.loneGrants, isReady(lr.exit, p))
 		}
-		for i := 0; i < 30; i++ {
+		for i := 0; i < injectPatience+10; i++ {
 			lr.step() // patience runs out on the general path
 		}
 		if lr.exit.Counters.Ejected != 1 || lr.exit.loneGrants != 0 {
@@ -184,7 +184,7 @@ func TestLoneLocalHeadConservativeRuleAndPatience(t *testing.T) {
 	t.Run("admitted", func(t *testing.T) {
 		lr, p := setup(t)
 		lr.do(func(n *Network) { n.SetFrozen(true) })
-		for i := 0; i < 25; i++ {
+		for i := 0; i < injectPatience+5; i++ {
 			lr.step() // patience runs out unvisited
 		}
 		lr.do(func(n *Network) { n.SetFrozen(false) })

@@ -603,11 +603,15 @@ func (n *Network) routeCands(k routing.Kind, r, dst int, phase, stalled bool) []
 	return n.tab.Candidates(k, r, dst, phase)
 }
 
-// injectBypass reports whether a local head has stalled long enough to
-// skip the conservative injection admission (progress guarantee; see
-// Config.InjectPatience).
+// injectPatience is how long the conservative injection admission may
+// defer a local head: after that many cycles it may claim the escape slot
+// (only: there is no bypass without an escape VC), which drains keep
+// turning over, so injection progresses (paper §III-D2).
+const injectPatience = 512
+
+// injectBypass reports whether a local head has outwaited injectPatience.
 func (n *Network) injectBypass(slot *vcSlot) bool {
-	return n.cfg.InjectPatience > 0 && n.cycle-slot.readyAt >= int64(n.cfg.InjectPatience)
+	return n.cycle-slot.readyAt >= injectPatience
 }
 
 // routerFreeInVN counts free VC slots of virtual network vn across all

@@ -31,7 +31,7 @@ func lineNet(t *testing.T, n, vnets, vcs int, mutate func(*Config)) *Network {
 func TestConservativeInjectionHoldsBackLastVC(t *testing.T) {
 	// 2 VCs per VN: a local packet may not claim the last free slot of
 	// the downstream port.
-	n := lineNet(t, 3, 1, 2, func(c *Config) { c.InjectPatience = -1 })
+	n := lineNet(t, 3, 1, 2, nil)
 	// Pin a blocker in one of the two VC slots on link 0->1: it is at
 	// its destination (router 1) but the eject queue is full.
 	fillEjectQueue(n, 1, 0)
@@ -93,7 +93,6 @@ func TestInjectPatienceBypassUsesEscapeSlot(t *testing.T) {
 		c.PolicyEscape = true
 		c.EscapeRouting = routing.AdaptiveMinimal
 		c.NonStickyEscape = true
-		c.InjectPatience = 20
 		c.DerouteAfter = -1
 	})
 	// Pin a blocker in the non-escape slot of 0->1: destined for router
@@ -113,7 +112,7 @@ func TestInjectPatienceBypassUsesEscapeSlot(t *testing.T) {
 	n.Inject(p)
 	// Conservative rule fails (only the escape slot of 0->1 is free);
 	// before patience elapses the packet must wait.
-	for i := 0; i < 15; i++ {
+	for i := 0; i < injectPatience-5; i++ {
 		n.Step()
 	}
 	if p.Hops != 0 || p.EjectedAt != 0 {
@@ -133,7 +132,7 @@ func TestInjectPatienceBypassUsesEscapeSlot(t *testing.T) {
 func TestBubbleRuleForSingleVC(t *testing.T) {
 	// VC-1: local injection needs a second free buffer at the target
 	// router, not just the target port.
-	n := lineNet(t, 4, 1, 1, func(c *Config) { c.DerouteAfter = -1; c.InjectPatience = -1 })
+	n := lineNet(t, 4, 1, 1, func(c *Config) { c.DerouteAfter = -1 })
 	// Router 1 has input links 0->1 and 2->1. Pin a blocker in 2->1 (at
 	// its destination with a full eject queue); then a local packet at 0
 	// heading right sees a free 0->1 slot but no bubble at router 1.
@@ -289,7 +288,7 @@ func TestEjectPortSerialization(t *testing.T) {
 func TestDerouteEventuallyMisroutes(t *testing.T) {
 	// With deroute enabled, a packet whose minimal path is permanently
 	// blocked escapes around the obstruction.
-	n := lineNet(t, 4, 1, 1, func(c *Config) { c.DerouteAfter = 4; c.InjectPatience = 1 })
+	n := lineNet(t, 4, 1, 1, func(c *Config) { c.DerouteAfter = 4 })
 	// Block the direct path 1->2 with a parked packet (its dst's eject
 	// queue is filled so it cannot leave).
 	parked, err := n.PlacePacket(1, 2, 3, 0)

@@ -17,7 +17,8 @@ import (
 // separates buffers that can progress (given cooperative scheduling) from
 // buffers caught in a deadlock, and a walk along non-live nodes names it.
 // Link VCs wait only on link VCs (moveTargets) and their ejection queue,
-// so the other nodes never change a link VC's verdict.
+// so HasDeadlock and FindBlockedCycle build the local VCs only when the
+// rest of the relation leaves some link VC non-live.
 
 // Consumer is the protocol engine consuming a network's ejection queues,
 // as the relation sees it (*coherence.System satisfies it). HeadWait
@@ -42,30 +43,20 @@ type relation struct {
 
 // waitFor builds the relation under consumer c and settles it.
 func (n *Network) waitFor(c Consumer) relation {
+	w := n.waitForLinks(c)
+	w.addVCs(n, n.g.NumLinks()*n.vcPerPort, w.inj)
+	return w
+}
+
+// waitForLinks builds and settles the relation under c but for its local
+// VCs (non-live, waiting on nothing). Settling is monotone: what it finds
+// live is live in the whole relation.
+func (n *Network) waitForLinks(c Consumer) relation {
 	V, C, N, L := n.vcPerPort, n.cfg.Classes, n.g.N(), n.g.NumLinks()
 	w := relation{inj: (L + N) * V}
 	w.ej, w.aw = w.inj+N*C, w.inj+2*N*C
-	live, targets, buf := make([]bool, w.aw+w.inj), make([][]int, w.aw+w.inj), []int(nil)
-	for i := range w.inj {
-		port, slot := i/V, n.slot(i/V, i%V)
-		router, p := port-L, slot.pkt
-		if router < 0 {
-			router = n.g.Link(port).To
-		}
-		switch {
-		case p == nil || slot.sending:
-			live[i] = true
-		case p.Dst == router: // eject is the only option at the destination
-			live[i], targets[i] = n.ejectSpace(router, p.Class), []int{w.ej + router*C + p.Class}
-		default: // targets share one buffer: a grown one leaves earlier lists intact
-			k := len(buf)
-			if buf = n.moveTargets(p, router, buf); port >= L {
-				buf = n.localTargets(p, buf, k)
-			}
-			targets[i] = buf[k:len(buf):len(buf)]
-			live[i] = n.anyFree(targets[i])
-		}
-	}
+	live, targets := make([]bool, w.aw+w.inj), make([][]int, w.aw+w.inj)
+	w.live, w.targets = live, targets
 	for q := range N * C {
 		r, class := q/C, q%C
 		if p := n.injQ[r][class].Peek(); p != nil {
@@ -94,26 +85,52 @@ func (n *Network) waitFor(c Consumer) relation {
 			}
 		}
 	}
-	settle(live, targets)
-	w.live, w.targets = live, targets
+	w.addVCs(n, 0, L*V)
 	return w
+}
+
+// addVCs decides VC nodes lo to hi-1 (slot i%V of port i/V) and settles
+// w again.
+func (w *relation) addVCs(n *Network, lo, hi int) {
+	V, L := n.vcPerPort, n.g.NumLinks()
+	var buf []int
+	for i := lo; i < hi; i++ {
+		port, slot := i/V, n.slot(i/V, i%V)
+		router, p := port-L, slot.pkt
+		if router < 0 {
+			router = n.g.Link(port).To
+		}
+		switch {
+		case p == nil || slot.sending:
+			w.live[i] = true
+		case p.Dst == router: // eject is the only option at the destination
+			w.live[i], w.targets[i] = n.ejectSpace(router, p.Class), []int{w.ej + router*n.cfg.Classes + p.Class}
+		default: // targets share one buffer: a grown one leaves earlier lists intact
+			k := len(buf)
+			if buf = n.moveTargets(p, router, buf); port >= L {
+				buf = n.localTargets(p, buf, k)
+			}
+			w.targets[i] = buf[k:len(buf):len(buf)]
+			w.live[i] = n.anyFree(w.targets[i])
+		}
+	}
+	settle(w.live, w.targets)
 }
 
 // localTargets narrows buf[k:], the slots a local VC's packet p may move
 // into, to what the injection admission lets it take. A slot on an output
-// conservativeOK admits stays, as does the escape slot when the bounded
-// bypass (InjectPatience) will open it. On any other output the packet
+// conservativeOK admits stays, as does the escape slot, which the bounded
+// bypass (injectPatience) will open. On any other output the packet
 // waits instead on the occupied slots whose freeing would admit it: the
 // output's VN slots, or with one VC per VN the downstream router's VN
 // input slots; none when there are fewer than two of those, as the
 // admission needs two free.
 func (n *Network) localTargets(p *Packet, buf []int, k int) []int {
 	V, per, vn := n.vcPerPort, n.cfg.VCsPerVN, p.VNet
-	bypass := n.cfg.PolicyEscape && n.cfg.InjectPatience > 0
 	end := len(buf) // the narrowed list goes after end, then moves to k
 	for _, t := range buf[k:end] {
 		link := t / V
-		if bypass && n.cfg.IsEscapeSlot(t%V) || n.conservativeOK(link, vn) {
+		if n.cfg.PolicyEscape && n.cfg.IsEscapeSlot(t%V) || n.conservativeOK(link, vn) {
 			buf = append(buf, t)
 			continue
 		}
@@ -216,7 +233,19 @@ func (w relation) walk(cur int) (nodes []int, loop int) {
 
 // HasDeadlock reports whether any link VC is non-live under c.
 func (n *Network) HasDeadlock(c Consumer) bool {
-	return slices.Contains(n.waitFor(c).live[:n.g.NumLinks()*n.vcPerPort], false)
+	_, cur := n.linkVerdicts(c)
+	return cur >= 0
+}
+
+// linkVerdicts settles the relation under c as far as the link VCs'
+// verdicts need: with the local VCs only when some link VC is non-live
+// without them. It returns the first non-live link VC, or -1.
+func (n *Network) linkVerdicts(c Consumer) (relation, int) {
+	w, links := n.waitForLinks(c), n.g.NumLinks()*n.vcPerPort
+	if slices.Contains(w.live[:links], false) {
+		w.addVCs(n, links, w.inj)
+	}
+	return w, slices.Index(w.live[:links], false)
 }
 
 // FindBlockedCycle extracts one cycle of mutually blocked link VCs under
@@ -227,11 +256,11 @@ func (n *Network) HasDeadlock(c Consumer) bool {
 // a router, every ref is occupied, and each packet is allowed to move
 // into its successor buffer.
 func (n *Network) FindBlockedCycle(c Consumer) []VCRef {
-	w, links := n.waitFor(c), n.g.NumLinks()*n.vcPerPort
-	cur := slices.Index(w.live[:links], false)
+	w, cur := n.linkVerdicts(c)
 	if cur < 0 {
 		return nil
 	}
+	links := n.g.NumLinks() * n.vcPerPort
 	nodes, loop := w.walk(cur)
 	if loop < 0 || slices.ContainsFunc(nodes[loop:], func(i int) bool { return i >= links }) {
 		return nil

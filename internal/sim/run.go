@@ -83,18 +83,19 @@ type runLoop struct {
 
 	completed bool
 	stall     *Stall
-	// The stall watch's state: the counts at its last check, the checks
-	// since either moved, and whether the last check suspected deadlock.
-	lastEject, lastOps, quiet int64
-	suspect                   bool
+	// The stall watch's state: the ejections at its last check, the quiet
+	// checks since, and whether the last check suspected deadlock.
+	lastEject, quiet int64
+	suspect          bool
 }
 
 // Stall is what a run's stall watch saw. The watch checks every
-// watchEvery cycles; quietChecks checks in a row with no ejection (and,
-// in an app run, no retired op) make a quiet window. It records the
-// stall at the first quiet window, or where SchemeNone confirms a
-// deadlock and stops the run: two checks in a row that see no ejection
-// and a non-live link VC (HasDeadlock).
+// watchEvery cycles; quietChecks checks in a row that see no ejection and
+// a packet in the network make a quiet window (L1 hits are no progress,
+// and an empty network no stall). It records the stall at the first
+// quiet window, or where SchemeNone confirms a deadlock and stops the
+// run: two checks in a row that see no ejection and a non-live link VC
+// (HasDeadlock).
 type Stall struct {
 	Cycle      int64 // the network cycle it was recorded at
 	Deadlocked bool  // SchemeNone confirmed a deadlock at Cycle
@@ -191,11 +192,8 @@ func (r *Runner) loop(ctx context.Context, l *runLoop) error {
 // confirmed deadlock. The first quiet window, or the deadlock, records
 // the stall, explained, and reports it to the probe.
 func (l *runLoop) watch(r *Runner, pr *Probe) (stop bool) {
-	ejected, ops := r.Net.Counters.Ejected, int64(0)
-	if l.sys != nil {
-		ops = l.sys.Stats().OpsCompleted
-	}
-	if l.quiet++; ejected != l.lastEject || ops != l.lastOps {
+	ejected := r.Net.Counters.Ejected
+	if l.quiet++; ejected != l.lastEject || r.Net.InFlightPackets() == 0 {
 		l.quiet = 0
 	}
 	if r.Params.Scheme == SchemeNone {
@@ -204,7 +202,7 @@ func (l *runLoop) watch(r *Runner, pr *Probe) (stop bool) {
 		deadlock := ejected == l.lastEject && r.Net.HasDeadlock(deadlockView(r.Params.Classes))
 		stop, l.suspect = deadlock && l.suspect, deadlock
 	}
-	l.lastEject, l.lastOps = ejected, ops
+	l.lastEject = ejected
 	window := l.quiet > 0 && l.quiet%quietChecks == 0
 	st, first := l.stall, l.stall == nil
 	if first && !window && !stop {

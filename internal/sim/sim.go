@@ -6,7 +6,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"drain/internal/coherence"
 	"drain/internal/core"
@@ -268,15 +267,8 @@ func (p Params) BuildGraph() (*topology.Graph, *topology.Mesh, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	g := mesh.Graph
-	if p.Faults > 0 {
-		rng := rand.New(rand.NewPCG(p.FaultSeed, p.FaultSeed^0xb5297a4d))
-		g, err = topology.RemoveRandomLinks(g, p.Faults, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return g, mesh, nil
+	g, err := topology.FaultPattern(mesh.Graph, p.Faults, p.FaultSeed)
+	return g, mesh, err
 }
 
 // BuildTopology is BuildGraph plus the topology's routing table: what

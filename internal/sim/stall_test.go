@@ -185,3 +185,53 @@ func TestSchemeNoneDeadlockIsExplained(t *testing.T) {
 		t.Errorf("the deadlock is explained as %v over %v; want a dead end at a local VC", x.Kind, x.Nodes)
 	}
 }
+
+// TestStallWatchSeesWedgedNetworkBehindL1Hits: the cell
+// TestSchemeNoneDeadlockIsExplained stops, run under SPIN with the same
+// virtual networks and VCs, never stops — SPIN rotates blocked link
+// cycles, and the leaf-blocked local head is none — while the cores go
+// on retiring the ops that hit in their L1s. Progress is an ejection, so
+// the watch still records the stall, and at the run's end names the
+// local VC as a dead end.
+func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
+	r, err := Build(Params{
+		Width: 4, Height: 4, Faults: 2, FaultSeed: 1,
+		Scheme: SchemeSPIN, Classes: 3, VNets: 3, VCsPerVN: 1,
+		InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunApp(workload.MustGet("blackscholes"), 0, 60_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stall
+	if st == nil || st.Deadlocked || st.Quiet == 0 || st.At != res.Runtime {
+		t.Fatalf("stall %+v: want quiet windows, explained at the run's end (cycle %d)", st, res.Runtime)
+	}
+	if x := st.Why; x.Kind != noc.DeadEnd || x.Nodes[len(x.Nodes)-1].Kind != noc.LocalVC {
+		t.Errorf("the stall is explained as %v over %v; want a dead end at a local VC", x.Kind, x.Nodes)
+	}
+}
+
+// TestStallWatchIgnoresEmptyNetwork: cores that only load lines their
+// L1s were prewarmed with send nothing, so nothing is ejected for the
+// whole run; an empty network is not stalled, and no stall is recorded.
+func TestStallWatchIgnoresEmptyNetwork(t *testing.T) {
+	r, err := Build(Params{Width: 2, Height: 2, Scheme: SchemeDRAIN, Classes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := workload.Profile{Name: "l1-hits", Suite: "test", Issue: 0.5, PrivateLines: 8, SharedLines: 1}
+	res, err := r.RunApp(hits, 0, 4*quietChecks*watchEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.Injected != 0 || res.Protocol.OpsCompleted == 0 {
+		t.Fatalf("%d packets injected, %d ops retired; want L1 hits alone", res.Counters.Injected, res.Protocol.OpsCompleted)
+	}
+	if res.Stall != nil {
+		t.Errorf("stall %+v recorded over an empty network", res.Stall)
+	}
+}

@@ -54,7 +54,7 @@ func TestOracleIdleIsFree(t *testing.T) {
 
 func TestSpinProbeDelayBeforeRotation(t *testing.T) {
 	// After detection, the spin must wait the probe round-trip before
-	// rotating (2 hops per cycle member at ProbeHopLatency).
+	// rotating (2 hops per cycle member at probeHopLatency).
 	g, err := topology.NewRing(6)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSpinProbeDelayBeforeRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := New(n, Config{Timeout: 50, ProbeHopLatency: 2})
+	c := New(n, Config{Timeout: 50})
 	detectedAt, spunAt := int64(-1), int64(-1)
 	for i := 0; i < 1000 && spunAt < 0; i++ {
 		n.Step()
@@ -84,9 +84,9 @@ func TestSpinProbeDelayBeforeRotation(t *testing.T) {
 	if detectedAt < 0 || spunAt < 0 {
 		t.Fatalf("detected=%d spun=%d", detectedAt, spunAt)
 	}
-	// 6-member cycle × 2 walks × 2 cycles/hop = 24 cycles of delay.
-	if spunAt-detectedAt < 20 {
-		t.Errorf("spin fired %d cycles after detection; probe delay not charged", spunAt-detectedAt)
+	// 6-member cycle × 2 walks × 1 cycle/hop = 12 cycles of delay.
+	if d := spunAt - detectedAt; d != 12 {
+		t.Errorf("spin fired %d cycles after detection, want the 12-cycle probe round trip", d)
 	}
 }
 

@@ -22,8 +22,6 @@ type Config struct {
 	// Timeout is the stall time before a router suspects deadlock and
 	// launches a probe (SPIN paper / DRAIN §V-B: 1024 cycles).
 	Timeout int64
-	// ProbeHopLatency is the per-hop latency of probe and move messages.
-	ProbeHopLatency int64
 	// View is the consumer the wait-for analysis decides deadlock under
 	// (noc.Consumer; nil: every ejection queue is a sink).
 	View noc.Consumer
@@ -33,10 +31,11 @@ func (c *Config) setDefaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 1024
 	}
-	if c.ProbeHopLatency <= 0 {
-		c.ProbeHopLatency = 1
-	}
 }
+
+// probeHopLatency is the per-hop latency of probe and move messages, in
+// cycles.
+const probeHopLatency = 1
 
 // Stats reports SPIN activity.
 type Stats struct {
@@ -118,7 +117,7 @@ func (c *Controller) Tick() error {
 	c.stats.Probes += int64(2 * len(refs))
 	c.net.Counters.Probes += int64(2 * len(refs))
 	c.pending = refs
-	c.pendingAt = now + c.cfg.ProbeHopLatency*int64(2*len(refs))
+	c.pendingAt = now + probeHopLatency*int64(2*len(refs))
 	return nil
 }
 

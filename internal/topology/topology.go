@@ -321,6 +321,16 @@ func RemoveRandomLinks(g *Graph, k int, rng *rand.Rand) (*Graph, error) {
 	return New(g.n, cur.edges)
 }
 
+// FaultPattern is the fault pattern a run with faults random link
+// failures and fault seed seed simulates on: RemoveRandomLinks drawing
+// from a PCG stream the seed alone fixes. With no faults it is g itself.
+func FaultPattern(g *Graph, faults int, seed uint64) (*Graph, error) {
+	if faults <= 0 {
+		return g, nil
+	}
+	return RemoveRandomLinks(g, faults, rand.New(rand.NewPCG(seed, seed^0xb5297a4d)))
+}
+
 // deleteOne removes the one element of s equal to v, keeping the order.
 func deleteOne[T comparable](s []T, v T) []T {
 	i := slices.Index(s, v)
