@@ -2,7 +2,7 @@ GO ?= go
 # bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs results-check results-check-full golden-check bench bench-e2e bench-pair bench-all fuzz results loc clean
+.PHONY: check build vet lint test-race test-allocs results-check results-check-full golden-check golden-cover results-cover cover-lines bench bench-e2e bench-pair bench-all fuzz results loc clean
 
 ## check: build + vet + drainvet (four analyzers) + race tests + the
 ## hot-path allocation guards + the committed quick tables regenerated
@@ -145,6 +145,37 @@ results-check-full:
 ## differs from cmd/drainbench/golden.json or any other check fails.
 golden-check:
 	$(GO) run ./cmd/drainbench -seed 1
+
+## golden-cover: golden-check's run under a coverage build — drainbench
+## built outside its directory with every package of the module
+## instrumented, run -seed 1 under GOCOVERDIR — with the merged counts
+## written by `go tool covdata textfmt` to COVER_OUT (about 3.5 min on 2
+## cores). results-cover: the same for every quick figure. A block with
+## count 0 runs in none of those runs, so a change confined to such
+## blocks moves none of their bytes (a new field of a hashed type still
+## does: golden-check decides). Counters are not atomic (atomic ones
+## take the golden run past 9 min), so a block that concurrent runs
+## share may read low; a zero is exact.
+COVER_OUT ?= cover.out
+golden-cover:
+	$(call cover_run,./cmd/drainbench,-seed 1)
+
+results-cover:
+	$(call cover_run,./cmd/experiments,-fig all -scale quick -parallel 2 -out "$$tmp/out")
+
+cover_run = set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
+	$(GO) build -cover -covermode=count -coverpkg=./... -o "$$tmp/bin" $(1); \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin" $(2) > /dev/null; \
+	$(GO) tool covdata textfmt -i "$$tmp/cov" -o $(COVER_OUT); echo "$@: $(COVER_OUT)"
+
+## cover-lines LINES='internal/core/core.go:238-242 ...': every block of
+## COVER_OUT that overlaps one of the ranges (paths from the module
+## root), as `file:from.col,to.col statements count`.
+cover-lines:
+	@test -n "$(LINES)" || { echo "usage: make cover-lines LINES='path/file.go:from-to ...' [COVER_OUT=cover.out]"; exit 2; }
+	@mod=$$($(GO) list -m); for r in $(LINES); do span=$${r##*:}; \
+		awk -F'[:, ]' -v f="$$mod/$${r%:*}" -v lo="$${span%-*}" -v hi="$${span#*-}" \
+			'$$1 == f && int($$2) <= hi+0 && int($$3) >= lo+0' $(COVER_OUT); done
 
 comma := ,
 FULL_FIGS = $(subst $() ,$(comma),$(basename $(notdir $(wildcard results/full/*.md))))

@@ -33,14 +33,17 @@ func TestDrainWindowChargesFreeze(t *testing.T) {
 		t.Fatalf("drains = %d, want 1", c.Stats().Drains)
 	}
 	// Pre-drain and a one-hop window, MaxFlits (5) cycles each.
-	if frozenSpan != 10 {
-		t.Errorf("frozen for %d cycles, want 10", frozenSpan)
+	if frozenSpan != 10 || n.Counters.FrozenCyc != 10 {
+		t.Errorf("frozen for %d cycles (%d counted), want 10", frozenSpan, n.Counters.FrozenCyc)
 	}
 	if n.Frozen() {
 		t.Error("network left frozen after the window")
 	}
 }
 
+// TestMultiHopDrainWindow: a window of DrainHops 3 forces its hops
+// MaxFlits cycles apart, the first MaxFlits after the freeze, and thaws
+// MaxFlits after the last.
 func TestMultiHopDrainWindow(t *testing.T) {
 	g := topology.MustMesh(3, 3).Graph
 	n := drainNet(t, g, 2, 11)
@@ -56,14 +59,30 @@ func TestMultiHopDrainWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.SetFrozen(true)
-	for i := 0; i < 300 && c.Stats().Drains == 0; i++ {
+	var frozeAt, thawAt int64
+	var hops []int64
+	for i := 0; i < 300 && thawAt == 0; i++ {
 		n.Step()
+		was, left := c.Draining(), c.left
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
+		}
+		switch {
+		case !was && c.Draining():
+			frozeAt = n.Cycle()
+		case was && !c.Draining():
+			thawAt = n.Cycle()
+		case c.left != left && c.left >= 0:
+			hops = append(hops, n.Cycle())
 		}
 	}
 	if c.Stats().Drains != 1 {
 		t.Fatal("no drain happened")
+	}
+	f := int64(n.Config().MaxFlits)
+	want := []int64{frozeAt + f, frozeAt + 2*f, frozeAt + 3*f}
+	if !reflect.DeepEqual(hops, want) || thawAt != frozeAt+4*f {
+		t.Errorf("froze at %d, hops at %v, thawed at %d; want hops at %v and the thaw at %d", frozeAt, hops, thawAt, want, frozeAt+4*f)
 	}
 	// The packet moved up to 3 forced hops (fewer only if it ejected).
 	if p.DrainHops == 0 && p.EjectedAt == 0 {
@@ -76,9 +95,10 @@ func TestMultiHopDrainWindow(t *testing.T) {
 
 // TestDrainStartsQuiesced: the pre-drain freeze is the largest packet's
 // serialization, so every transfer granted before it lands before the
-// rotation. 5-flit packets offered at every router every cycle keep
-// transfers on the links whenever an epoch expires; at each drain start
-// none may be left, on both engines.
+// first rotation, and none is granted before the later ones. 5-flit
+// packets offered at every router every cycle keep transfers on the
+// links whenever an epoch expires; at each forced hop none may be left,
+// on both engines.
 func TestDrainStartsQuiesced(t *testing.T) {
 	g := topology.MustMesh(4, 4).Graph
 	for _, eng := range []noc.EngineKind{noc.EngineEvent, noc.EngineDense} {
@@ -95,14 +115,14 @@ func TestDrainStartsQuiesced(t *testing.T) {
 				}
 			}
 			n.Step()
-			if c.phase == phasePreDrain && n.Cycle() >= c.phaseEndsAt && n.InflightCount() != 0 {
-				t.Fatalf("engine %d, cycle %d: drain starts with %d transfers in flight", eng, n.Cycle(), n.InflightCount())
+			if c.frozen && n.Cycle() >= c.at && c.left != 0 && n.InflightCount() != 0 {
+				t.Fatalf("engine %d, cycle %d: forced hop with %d transfers in flight", eng, n.Cycle(), n.InflightCount())
 			}
-			running := c.phase == phaseRunning
+			running := !c.frozen
 			if err := c.Tick(); err != nil {
 				t.Fatal(err)
 			}
-			if running && c.phase == phasePreDrain && n.InflightCount() > 0 {
+			if running && c.frozen && n.InflightCount() > 0 {
 				busyFreezes++
 			}
 			for r := 0; r < g.N(); r++ {
@@ -133,8 +153,8 @@ func TestPathSearchAlgorithmOnFaultyTopology(t *testing.T) {
 
 // TestNextWorkCycleTracksDrainSchedule pins the controller's next-work
 // hint: while running it is the scheduled drain, during a freeze it is
-// the very next cycle (frozen ticks account stats every cycle), and it
-// is never in the past.
+// the window's next hop or thaw, at most MaxFlits cycles away, and it is
+// never in the past.
 func TestNextWorkCycleTracksDrainSchedule(t *testing.T) {
 	n := drainNet(t, topology.MustMesh(3, 3).Graph, 2, 10)
 	c, err := New(n, Config{Epoch: 50})
@@ -156,8 +176,8 @@ func TestNextWorkCycleTracksDrainSchedule(t *testing.T) {
 		}
 		if c.Draining() {
 			sawFreeze = true
-			if got != n.Cycle()+1 {
-				t.Fatalf("cycle %d: frozen NextWorkCycle = %d, want %d", n.Cycle(), got, n.Cycle()+1)
+			if f := int64(n.Config().MaxFlits); got > n.Cycle()+f {
+				t.Fatalf("cycle %d: frozen NextWorkCycle = %d, want at most %d", n.Cycle(), got, n.Cycle()+f)
 			}
 		}
 		if c.Stats().Drains == 1 && !c.Draining() {

@@ -63,17 +63,7 @@ type Stats struct {
 	FullDrains   int64 // full drains executed
 	PacketsMoved int64 // packet-hops forced by drains
 	Ejections    int64 // packets ejected during drains
-	FrozenCycles int64 // cycles the network spent frozen
 }
-
-// controller state machine phases.
-type phase int
-
-const (
-	phaseRunning phase = iota
-	phasePreDrain
-	phaseDraining
-)
 
 // Controller drives DRAIN over a network. Call Tick exactly once per
 // cycle, after Network.Step.
@@ -84,10 +74,9 @@ type Controller struct {
 	full *drainpath.Path // the construction-time path, over net.Graph()
 	next []int           // turn-table: next[linkID] = successor link
 
-	phase       phase
-	nextDrainAt int64
-	phaseEndsAt int64
-	drainCount  int64
+	frozen bool  // a drain window is open
+	left   int   // forced hops the open window has yet to make; -1 in its pre-drain
+	at     int64 // the cycle Tick next acts: a window's freeze, forced hop or thaw
 
 	stats Stats
 }
@@ -106,12 +95,12 @@ func New(net *noc.Network, cfg Config) (*Controller, error) {
 		next[id] = p.NextID(id)
 	}
 	return &Controller{
-		cfg:         cfg,
-		net:         net,
-		path:        p,
-		full:        p,
-		next:        next,
-		nextDrainAt: net.Cycle() + cfg.Epoch,
+		cfg:  cfg,
+		net:  net,
+		path: p,
+		full: p,
+		next: next,
+		at:   net.Cycle() + cfg.Epoch,
 	}, nil
 }
 
@@ -182,81 +171,60 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Draining reports whether the network is currently frozen by the
 // controller (pre-drain or drain window in progress).
-func (c *Controller) Draining() bool { return c.phase != phaseRunning }
+func (c *Controller) Draining() bool { return c.frozen }
 
-// Tick advances the controller's epoch state machine by one cycle.
+// Tick advances the controller by one cycle. A drain window freezes the
+// network; every MaxFlits cycles after that it forces one hop, until it
+// has made the hops it allows (DrainHops, or the path's length on a full
+// drain), and MaxFlits cycles after the last it thaws. The run loop's
+// sinks run in every frozen cycle, so ejection queues empty between hops.
 func (c *Controller) Tick() error {
 	now := c.net.Cycle()
-	switch {
-	case c.phase == phaseRunning:
-		if now >= c.nextDrainAt {
-			// Epoch register hit zero: freeze credits (pre-drain window).
-			// Every transfer granted up to now lands by now + MaxFlits,
-			// the largest packet's serialization (paper: 5 cycles), and
-			// none is granted while frozen, so the rotation finds the
-			// links quiesced; DrainRotate refuses it otherwise.
-			c.net.SetFrozen(true)
-			c.phase = phasePreDrain
-			c.phaseEndsAt = now + c.flits()
-		}
-	case now < c.phaseEndsAt:
-		c.stats.FrozenCycles++
-	case c.phase == phasePreDrain:
-		if err := c.drainNow(); err != nil {
-			return err
-		}
-		c.phase = phaseDraining
-		c.stats.FrozenCycles++
-	default: // the drain window is over
+	if now < c.at {
+		return nil
+	}
+	c.at = now + c.flits()
+	if !c.frozen {
+		// Epoch register hit zero: freeze credits (pre-drain window).
+		// Every transfer granted up to now lands by now + MaxFlits,
+		// the largest packet's serialization (paper: 5 cycles), and
+		// none is granted while frozen, so every rotation finds the
+		// links quiesced; DrainRotate refuses one otherwise.
+		c.net.SetFrozen(true)
+		c.frozen, c.left = true, -1
+		return nil
+	}
+	if c.left == 0 { // the drain window is over
 		c.net.SetFrozen(false)
-		c.phase = phaseRunning
-		c.nextDrainAt = now + c.cfg.Epoch
+		c.frozen, c.at = false, now+c.cfg.Epoch
+		return nil
 	}
+	if c.left < 0 { // the pre-drain is over: size the window
+		c.stats.Drains++
+		c.net.Counters.Drains++
+		c.left = c.cfg.DrainHops
+		if c.stats.Drains%int64(c.cfg.FullDrainEvery) == 0 {
+			c.stats.FullDrains++
+			c.net.Counters.FullDrains++
+			c.left = c.path.Len()
+		}
+	}
+	rep, err := c.net.DrainRotate(c.next)
+	if err != nil {
+		return fmt.Errorf("core: drain window failed: %w", err)
+	}
+	c.left--
+	c.stats.PacketsMoved += int64(rep.Moved)
+	c.stats.Ejections += int64(rep.Ejected)
 	return nil
 }
 
-// NextWorkCycle returns the next cycle at which Tick could do anything
-// observable: the scheduled drain while running, or the very next cycle
-// during a freeze (frozen phases account FrozenCycles every tick). The
-// run loop does not read it; it is kept for the frozen
+// NextWorkCycle returns the next cycle at which Tick acts: the scheduled
+// drain while running, the open window's next hop or thaw during a
+// freeze. The run loop does not read it; it is kept for the frozen
 // cmd/drainbench/cycle.go until ROADMAP B1(d).
-func (c *Controller) NextWorkCycle() int64 {
-	if c.phase == phaseRunning {
-		return c.nextDrainAt
-	}
-	return c.net.Cycle() + 1
-}
-
-// drainNow performs the rotation(s) for this drain window and sets the
-// window's end time.
-func (c *Controller) drainNow() error {
-	c.drainCount++
-	c.stats.Drains++
-	c.net.Counters.Drains++
-	hops := c.cfg.DrainHops
-	full := c.drainCount%int64(c.cfg.FullDrainEvery) == 0
-	if full {
-		c.stats.FullDrains++
-		c.net.Counters.FullDrains++
-		hops = c.path.Len()
-	}
-	for h := 0; h < hops; h++ {
-		rep, err := c.net.DrainRotate(c.next)
-		if err != nil {
-			return fmt.Errorf("core: drain window failed: %w", err)
-		}
-		c.stats.PacketsMoved += int64(rep.Moved)
-		c.stats.Ejections += int64(rep.Ejected)
-		if rep.Moved == 0 {
-			break // escape VCs empty; no need to keep rotating
-		}
-	}
-	// Charge one largest packet's serialization per forced hop the
-	// window allows, performed or not.
-	c.phaseEndsAt = c.net.Cycle() + c.flits()*int64(hops)
-	return nil
-}
+func (c *Controller) NextWorkCycle() int64 { return c.at }
 
 // flits is the largest packet's serialization time in cycles: the
-// pre-drain freeze, and the charge for each forced hop of a drain window.
+// pre-drain freeze, and the spacing of a drain window's forced hops.
 func (c *Controller) flits() int64 { return int64(c.net.Config().MaxFlits) }

@@ -54,13 +54,19 @@ func (a *drainAudit) check(e sim.Event) bool {
 
 // TestDrainAudit audits DRAIN runs: quick fig14's epoch-16 point (8x8,
 // uniform random at 0.45: a drain window every ~26 cycles at saturation),
-// 4x4 runs at 0.3 with a full drain every fourth window, and the reconfig
-// figure's 2-link burst schedule (failures and recoveries between
-// drains). On a fault-free mesh every router has two input links, so a
-// packet a full drain moves away from its destination is back within one
-// rotation less than the path; the 4x4 run with 2 links removed has a
-// router of degree 1, which the path passes once, so a full drain one
-// rotation short would leave a packet behind there.
+// 4x4 runs at 0.3 with a full drain every fourth window, one of them
+// with traffic on two virtual networks, and the reconfig figure's
+// 2-link burst schedule (failures and recoveries between drains).
+//
+// The 4x4 sweep removes 0–4 links, fault seeds 1–6. Removing links leaves
+// routers of degree 1 and concentrates escape packets on them, more than
+// one ejection queue holds: a full drain empties the escape VCs only if
+// the sinks run between its hops (7 of the 24 faulty runs fail when the
+// hops run back to back in one cycle). On a fault-free mesh every router
+// has two input links, so a packet a full drain moves away from its
+// destination is back within one rotation less than the path; a router
+// of degree 1 the path passes once, so a full drain one rotation short
+// would leave a packet behind there.
 func TestDrainAudit(t *testing.T) {
 	t.Run("fig14-epoch16", func(t *testing.T) {
 		r, err := sim.Build(sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Epoch: 16, Seed: 1})
@@ -75,21 +81,74 @@ func TestDrainAudit(t *testing.T) {
 			t.Errorf("%d drain windows audited, want ≥ 100", a.windows)
 		}
 	})
-	for _, faults := range []int{0, 2} {
+	for faults := range 5 {
 		t.Run(fmt.Sprintf("4x4-faults%d-full-every-4", faults), func(t *testing.T) {
-			r, err := sim.Build(fullDrainParams(faults))
-			if err != nil {
-				t.Fatal(err)
+			seeds := uint64(6)
+			if faults == 0 {
+				seeds = 1 // the fault seed picks no link
 			}
-			a := auditDrains(t, r)
-			if _, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.3, 1000, 5000); err != nil {
-				t.Fatal(err)
-			}
-			if a.full < 5 {
-				t.Errorf("%d full drains audited, want ≥ 5", a.full)
+			for seed := uint64(1); seed <= seeds; seed++ {
+				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+					p := sim.Params{Width: 4, Height: 4, Faults: faults, FaultSeed: seed, Scheme: sim.SchemeDRAIN, Epoch: 128, FullDrainEvery: 4, Seed: 1}
+					r, err := sim.Build(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a := auditDrains(t, r)
+					if _, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.3, 1000, 5000); err != nil {
+						t.Fatal(err)
+					}
+					if a.full < 5 {
+						t.Errorf("%d full drains audited, want ≥ 5", a.full)
+					}
+				})
 			}
 		})
 	}
+	t.Run("4x4-faults3-2vn", func(t *testing.T) {
+		// RunSynthetic offers class 0 only, so this loop drives the runner
+		// as Runner's loop does, with one generator per class and so
+		// traffic on both virtual networks: a rotation that skipped VN > 0
+		// would leave escape packets behind.
+		r, err := sim.Build(sim.Params{Width: 4, Height: 4, Faults: 3, FaultSeed: 1, Scheme: sim.SchemeDRAIN, VNets: 2, Classes: 2, Epoch: 128, FullDrainEvery: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &drainAudit{t: t, r: r}
+		var gens []*traffic.Generator
+		for class := range 2 {
+			g := traffic.NewGenerator(traffic.UniformRandom{N: 16}, 0.15, uint64(class+1))
+			g.CtrlFraction, g.Class = 1, class
+			gens = append(gens, g)
+		}
+		var full int64 // full drains before the open window
+		for range 6000 {
+			if !r.Net.Frozen() {
+				for _, g := range gens {
+					g.Tick(r.Net)
+				}
+			}
+			r.Net.Step()
+			was := r.Drain.Draining()
+			if err := r.TickScheme(); err != nil {
+				t.Fatal(err)
+			}
+			r.Net.DiscardEjected()
+			if st := r.Drain.Stats(); !was && r.Drain.Draining() {
+				full = st.FullDrains
+			} else if was && !r.Drain.Draining() && a.check(sim.Event{Kind: sim.EventDrainEnd, Cycle: r.Net.Cycle(), Full: st.FullDrains > full}) {
+				break
+			}
+		}
+		if a.full < 5 {
+			t.Errorf("%d full drains audited, want ≥ 5", a.full)
+		}
+		for vn, flits := range r.Net.Counters.VNFlits {
+			if flits == 0 {
+				t.Errorf("no traffic on VN %d", vn)
+			}
+		}
+	})
 	t.Run("reconfig-k2", func(t *testing.T) {
 		const seed, k = 1, 2
 		p := sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Epoch: 1024, Seed: seed}
@@ -113,53 +172,4 @@ func TestDrainAudit(t *testing.T) {
 			t.Errorf("%d drain windows audited over %d reconfigurations, want ≥ 4 over the burst and its recovery", a.windows, len(r.FaultReports))
 		}
 	})
-}
-
-// fullDrainParams is a 4x4 DRAIN network with faults links removed (fault
-// seed 1), a drain window every 128 cycles and a full drain every fourth.
-func fullDrainParams(faults int) sim.Params {
-	return sim.Params{Width: 4, Height: 4, Faults: faults, FaultSeed: 1, Scheme: sim.SchemeDRAIN, Epoch: 128, FullDrainEvery: 4, Seed: 1}
-}
-
-// TestFullDrainStrandsPacketsAtFullEjectionQueue pins a finding of the
-// audit (ROADMAP A10): a full drain does not always empty the escape VCs.
-// Its rotations run back to back within one cycle, so nothing consumes an
-// ejection queue between them, and DrainRotate ejects a packet only while
-// its destination's queue has room. With more escape packets bound for
-// one router than that queue holds, the rest go round the whole path and
-// stay. With 3 links removed, the fourth full drain of the run leaves two
-// such packets, both bound for router 11, a router of degree 1. The fix (let a full
-// drain's ejections be consumed, or size it to the queues) must invert
-// this test.
-func TestFullDrainStrandsPacketsAtFullEjectionQueue(t *testing.T) {
-	r, err := sim.Build(fullDrainParams(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pathLen := r.Drain.Path().Len()
-	full, stranded := 0, 0
-	r.Probe = &sim.Probe{OnEvent: func(e sim.Event) bool {
-		if e.Kind != sim.EventDrainEnd || !e.Full {
-			return false
-		}
-		full++
-		for l := range r.Net.Graph().NumLinks() {
-			if p := r.Net.EscapeOccupant(l, 0); p != nil {
-				stranded++
-				if p.DrainHops < pathLen {
-					t.Errorf("full drain %d left packet %d after %d drain hops, fewer than the path's %d: it never reached its destination", full, p.ID, p.DrainHops, pathLen)
-				}
-			}
-		}
-		return stranded > 0
-	}}
-	if _, err := r.RunSynthetic(traffic.UniformRandom{N: 16}, 0.3, 1000, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if stranded == 0 {
-		t.Fatalf("no full drain of %d left an escape packet behind: fixed? invert this test and update ROADMAP A10", full)
-	}
-	if full != 4 || stranded != 2 {
-		t.Errorf("full drain %d left %d packets, want the fourth, two: the finding moved", full, stranded)
-	}
 }

@@ -28,84 +28,90 @@ func init() {
 	})
 }
 
-func fig3(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	w, h := 4, 4
-	linksRemoved := []int{0, 2, 4, 6, 8}
-	runs := 3
-	maxCycles := int64(25_000)
-	mshrs := 8 // raises pressure on the small quick system (see DESIGN.md)
+// fig3Grid is fig3's run grid at one scale: one job per VC count,
+// workload, links removed and run, numbered in that order (job i is run
+// i%runs of cell i/runs). Every cell-run is an independent simulation,
+// so the whole figure fans out at once.
+type fig3Grid struct {
+	w, h      int
+	vcs       []int
+	profs     []workload.Profile
+	links     []int
+	runs      int
+	maxCycles int64
+}
+
+func newFig3Grid(sc Scale) fig3Grid {
+	g := fig3Grid{w: 4, h: 4, vcs: []int{1, 4}, profs: workload.Parsec5(), links: []int{0, 2, 4, 6, 8}, runs: 3, maxCycles: 25_000}
 	if sc == Full {
-		w, h = 8, 8
-		linksRemoved = []int{0, 2, 4, 6, 8, 10, 12}
-		runs = 5
-		maxCycles = 200_000
-		mshrs = 8
+		g.w, g.h, g.links, g.runs, g.maxCycles = 8, 8, []int{0, 2, 4, 6, 8, 10, 12}, 5, 200_000
 	}
-	// One job per (VC count, workload, fault count, run): every cell-run
-	// is an independent simulation, so the whole figure fans out at once.
-	vcsList := []int{1, 4}
-	profs := workload.Parsec5()
-	perCell := runs
-	perLR := len(linksRemoved) * perCell
-	perProf := len(profs) * perLR
-	deadlocked := make([]bool, len(vcsList)*perProf)
+	return g
+}
+
+func (g fig3Grid) jobs() int { return len(g.vcs) * len(g.profs) * len(g.links) * g.runs }
+
+// run runs job i.
+func (g fig3Grid) run(ctx context.Context, seed uint64, i int) (sim.AppResult, error) {
+	run, cell := uint64(i%g.runs), i/g.runs
+	li, wi, vi := cell%len(g.links), cell/len(g.links)%len(g.profs), cell/len(g.links)/len(g.profs)
+	r, err := sim.Build(sim.Params{
+		Width: g.w, Height: g.h,
+		Faults: g.links[li], FaultSeed: seed + run*7919,
+		Scheme:    sim.SchemeNone,
+		Classes:   3,
+		VNets:     3,
+		VCsPerVN:  g.vcs[vi],
+		InjectCap: 16,
+		MSHRs:     8, // raises pressure on the small quick system (see DESIGN.md)
+		// Strictly minimal adaptive: the deadlock-prone
+		// substrate whose failures this figure measures.
+		DerouteAfter: -1,
+		Seed:         seed + run*104729,
+	})
+	if err != nil {
+		return sim.AppResult{}, err
+	}
+	return r.RunAppContext(ctx, g.profs[wi], 0, g.maxCycles)
+}
+
+func fig3(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
+	g := newFig3Grid(sc)
+	deadlocked := make([]bool, g.jobs())
 	err := ForEachConfigContext(ctx, len(deadlocked), func(i int) error {
-		run := i % perCell
-		li := i / perCell % len(linksRemoved)
-		wi := i / perLR % len(profs)
-		vi := i / perProf
-		r, err := sim.Build(sim.Params{
-			Width: w, Height: h,
-			Faults: linksRemoved[li], FaultSeed: seed + uint64(run)*7919,
-			Scheme:    sim.SchemeNone,
-			Classes:   3,
-			VNets:     3,
-			VCsPerVN:  vcsList[vi],
-			InjectCap: 16,
-			MSHRs:     mshrs,
-			// Strictly minimal adaptive: the deadlock-prone
-			// substrate whose failures this figure measures.
-			DerouteAfter: -1,
-			Seed:         seed + uint64(run)*104729,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := r.RunAppContext(ctx, profs[wi], 0, maxCycles)
-		if err != nil {
-			return err
-		}
+		res, err := g.run(ctx, seed, i)
 		deadlocked[i] = res.Stall != nil && res.Stall.Deadlocked
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	var tables []Table
-	for vi, vcs := range vcsList {
+	for vi, vcs := range g.vcs {
 		t := Table{
 			ID:      "fig3",
-			Title:   fmt.Sprintf("%% of runs deadlocked, %d VC/VNet, %dx%d mesh, unprotected adaptive routing", vcs, w, h),
+			Title:   fmt.Sprintf("%% of runs deadlocked, %d VC/VNet, %dx%d mesh, unprotected adaptive routing", vcs, g.w, g.h),
 			Columns: []string{"workload"},
 		}
-		for _, lr := range linksRemoved {
+		for _, lr := range g.links {
 			t.Columns = append(t.Columns, fmt.Sprintf("%d links", lr))
 		}
-		for wi, prof := range profs {
+		for wi, prof := range g.profs {
 			row := []string{prof.Name}
-			for li := range linksRemoved {
+			for li := range g.links {
+				cell := (vi*len(g.profs)+wi)*len(g.links) + li
 				count := 0
-				for run := 0; run < runs; run++ {
-					if deadlocked[vi*perProf+wi*perLR+li*perCell+run] {
+				for _, d := range deadlocked[cell*g.runs : (cell+1)*g.runs] {
+					if d {
 						count++
 					}
 				}
-				row = append(row, pct(float64(count)/float64(runs)))
+				row = append(row, pct(float64(count)/float64(g.runs)))
 			}
 			t.Rows = append(t.Rows, row)
 		}
 		t.Notes = append(t.Notes,
-			fmt.Sprintf("%d runs per cell, %d-cycle horizon, scale=%v.", runs, maxCycles, sc))
+			fmt.Sprintf("%d runs per cell, %d-cycle horizon, scale=%v.", g.runs, g.maxCycles, sc))
 		tables = append(tables, t)
 	}
 	return tables, nil

@@ -187,7 +187,8 @@ func (rs *refState) linkOptions(out int, reqs []refRequest) []refOption {
 				conservativeOK = false
 			}
 			if conservativeOK && n.cfg.VCsPerVN == 1 {
-				conservativeOK = rs.routerFreeInVN(n.g.Link(out).To, p.VNet) >= 2
+				to := n.g.Link(out).To
+				conservativeOK = rs.routerFreeInVN(to, p.VNet) >= min(2, len(n.inLinks[to]))
 			}
 		}
 		if g, ok := rs.optionFor(out, req, conservativeOK); ok {

@@ -520,10 +520,13 @@ func (n *Network) linkOptions(r, out int) (count, productive int) {
 // move into and the network cannot self-jam into 100% occupancy. With
 // single-VC virtual networks the port rule degenerates, so a
 // bubble-flow-control-style router rule applies instead: the target
-// router must retain a second free buffer in the VN.
+// router must retain a second free buffer in the VN, unless it has only
+// one (a leaf, whose buffer a packet enters only to eject there or to
+// turn back).
 func (n *Network) conservativeOK(out, vn int) bool {
 	if n.cfg.VCsPerVN == 1 {
-		return n.freeInVN(out, vn) != 0 && n.routerFreeInVN(n.g.Link(out).To, vn) >= 2
+		to := n.g.Link(out).To
+		return n.freeInVN(out, vn) != 0 && n.routerFreeInVN(to, vn) >= min(2, len(n.inLinks[to]))
 	}
 	return bits.OnesCount64(n.freeInVN(out, vn)) >= 2
 }

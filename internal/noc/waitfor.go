@@ -123,8 +123,7 @@ func (w *relation) addVCs(n *Network, lo, hi int) {
 // bypass (injectPatience) will open. On any other output the packet
 // waits instead on the occupied slots whose freeing would admit it: the
 // output's VN slots, or with one VC per VN the downstream router's VN
-// input slots; none when there are fewer than two of those, as the
-// admission needs two free.
+// input slots.
 func (n *Network) localTargets(p *Packet, buf []int, k int) []int {
 	V, per, vn := n.vcPerPort, n.cfg.VCsPerVN, p.VNet
 	end := len(buf) // the narrowed list goes after end, then moves to k
@@ -137,9 +136,6 @@ func (n *Network) localTargets(p *Packet, buf []int, k int) []int {
 		ports := n.inLinks[n.g.Link(link).To]
 		if per > 1 {
 			ports = []int{link}
-		}
-		if len(ports)*per < 2 {
-			continue
 		}
 		for _, l := range ports {
 			for busy := ^n.freeInVN(l, vn) & n.vnMask; busy != 0; busy &= busy - 1 {

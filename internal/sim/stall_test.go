@@ -161,57 +161,68 @@ func checkHeadOfLine(t *testing.T, x noc.Explanation, at int) {
 }
 
 // TestSchemeNoneDeadlockIsExplained: the quick fig3 cell blackscholes,
-// 2 links removed, run 0 deadlocks on the leaf-injection block (ROADMAP
-// B5): a local VC's head the injection admission never lets out, which
-// the stall names as a dead end rather than as no stall.
+// 2 links removed, run 0 used to deadlock on the leaf-injection block (a
+// local VC's head the injection admission never let into a router of
+// degree 1, named a dead end). The admission now lets it in, and the run
+// records no stall. canneal with no link removed still deadlocks there,
+// a queue head awaiting a packet that does not come.
 func TestSchemeNoneDeadlockIsExplained(t *testing.T) {
-	r, err := Build(Params{
-		Width: 4, Height: 4, Faults: 2, FaultSeed: 1,
-		Scheme: SchemeNone, Classes: 3, VNets: 3, VCsPerVN: 1,
-		InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RunApp(workload.MustGet("blackscholes"), 0, 25_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stall
-	if st == nil || !st.Deadlocked {
-		t.Fatalf("stall %+v: want the confirmed deadlock fig3 counts", st)
-	}
-	if x := st.Why; x.Kind != noc.DeadEnd || x.Nodes[len(x.Nodes)-1].Kind != noc.LocalVC {
-		t.Errorf("the deadlock is explained as %v over %v; want a dead end at a local VC", x.Kind, x.Nodes)
+	for _, c := range []struct {
+		prof   string
+		faults int
+		want   noc.StallKind
+	}{{"blackscholes", 2, noc.NoStall}, {"canneal", 0, noc.HeadOfLine}} {
+		r, err := Build(Params{
+			Width: 4, Height: 4, Faults: c.faults, FaultSeed: 1,
+			Scheme: SchemeNone, Classes: 3, VNets: 3, VCsPerVN: 1,
+			InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunApp(workload.MustGet(c.prof), 0, 25_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stall
+		if c.want == noc.NoStall {
+			if st != nil {
+				t.Errorf("%s, %d links removed: stall %+v, want none", c.prof, c.faults, st)
+			}
+			continue
+		}
+		if st == nil || !st.Deadlocked || st.Why.Kind != c.want {
+			t.Errorf("%s, %d links removed: stall %+v, want the confirmed deadlock fig3 counts, a %v", c.prof, c.faults, st, c.want)
+		}
 	}
 }
 
-// TestStallWatchSeesWedgedNetworkBehindL1Hits: the cell
-// TestSchemeNoneDeadlockIsExplained stops, run under SPIN with the same
-// virtual networks and VCs, never stops — SPIN rotates blocked link
-// cycles, and the leaf-blocked local head is none — while the cores go
-// on retiring the ops that hit in their L1s. Progress is an ejection, so
+// TestStallWatchSeesWedgedNetworkBehindL1Hits: the quick fig3 cell
+// canneal, no link removed, run 0, under SPIN with the same virtual
+// networks and VCs, never stops — SPIN rotates blocked link cycles, and
+// the queue head awaiting a packet is none — while the cores go on
+// retiring the ops that hit in their L1s. Progress is an ejection, so
 // the watch still records the stall, and at the run's end names the
-// local VC as a dead end.
+// head of line.
 func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
 	r, err := Build(Params{
-		Width: 4, Height: 4, Faults: 2, FaultSeed: 1,
+		Width: 4, Height: 4, FaultSeed: 1,
 		Scheme: SchemeSPIN, Classes: 3, VNets: 3, VCsPerVN: 1,
 		InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunApp(workload.MustGet("blackscholes"), 0, 60_000)
+	res, err := r.RunApp(workload.MustGet("canneal"), 0, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := res.Stall
-	if st == nil || st.Deadlocked || st.Quiet == 0 || st.At != res.Runtime {
-		t.Fatalf("stall %+v: want quiet windows, explained at the run's end (cycle %d)", st, res.Runtime)
+	if st == nil || st.Deadlocked || st.Quiet == 0 || st.At != res.Runtime || res.Protocol.OpsCompleted == 0 {
+		t.Fatalf("stall %+v after %d ops: want quiet windows while ops retire, explained at the run's end (cycle %d)", st, res.Protocol.OpsCompleted, res.Runtime)
 	}
-	if x := st.Why; x.Kind != noc.DeadEnd || x.Nodes[len(x.Nodes)-1].Kind != noc.LocalVC {
-		t.Errorf("the stall is explained as %v over %v; want a dead end at a local VC", x.Kind, x.Nodes)
+	if x := st.Why; x.Kind != noc.HeadOfLine {
+		t.Errorf("the stall is explained as %v over %v; want a head of line", x.Kind, x.Nodes)
 	}
 }
 
