@@ -181,14 +181,15 @@ comma := ,
 FULL_FIGS = $(subst $() ,$(comma),$(basename $(notdir $(wildcard results/full/*.md))))
 
 # check_tables(dir, -fig value and flags): regenerate into a temp dir and
-# diff every dir/*.md against its regenerated twin; the figure sets must
-# match too.
+# diff every dir/*.md against its regenerated twin, then fail naming each
+# table that differs; the figure sets must match too.
 check_tables = set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/experiments -fig $(2) -parallel 2 -out "$$tmp" > /dev/null; \
-	for f in $(1)/*.md; do \
-		diff -u --label "$$f" --label "regenerated $$(basename "$$f")" <(grep -v '^_(scale=' "$$f") <(grep -v '^_(scale=' "$$tmp/$$(basename "$$f")"); \
+	bad=; for f in $(1)/*.md; do \
+		diff -u --label "$$f" --label "regenerated $$(basename "$$f")" <(grep -v '^_(scale=' "$$f") <(grep -v '^_(scale=' "$$tmp/$$(basename "$$f")") || bad="$$bad $$f"; \
 	done; \
 	test "$$(ls "$$tmp" | wc -l)" -eq "$$(ls $(1)/*.md | wc -l)" || { echo "$@: $(1)/ and the regenerated figures differ"; exit 1; }; \
+	test -z "$$bad" || { echo "$@: tables differ:$$bad"; exit 1; }; \
 	echo "$@: $$(ls $(1)/*.md | wc -l) tables byte-identical"
 
 ## loc: the three sizes ROADMAP tracks ("lines removed at constant

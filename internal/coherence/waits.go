@@ -69,7 +69,9 @@ func (s *System) Waits(r int) []Wait {
 
 // HeadWait reports what node r's class ejection queue head waited on in
 // the last Tick (noc.Consumer): room in one of r's injection queues, or
-// the responses its busy line awaits. A Response head never waits.
+// the responses its busy line awaits, and before those are sent, the
+// Data and forwards r sent for the line, which they answer. A Response
+// head never waits.
 func (s *System) HeadWait(r, class int) (inject int, awaits func(*noc.Packet) bool, stopped bool) {
 	// A Request or Forward head is the consumer of the same number.
 	ws := slices.DeleteFunc(s.Waits(r), func(w Wait) bool { return class > ClassFwd || w.By != Consumer(class) })
@@ -81,8 +83,9 @@ func (s *System) HeadWait(r, class int) (inject int, awaits func(*noc.Packet) bo
 	}
 	return -1, func(p *noc.Packet) bool {
 		m, ok := p.Payload.(*Msg)
-		return ok && p.Dst == r && slices.ContainsFunc(ws, func(w Wait) bool {
-			return m.Type == w.Awaits && m.Addr == w.Addr && p.Src == w.From
+		return ok && slices.ContainsFunc(ws, func(w Wait) bool {
+			return m.Addr == w.Addr && (p.Dst == r && p.Src == w.From && m.Type == w.Awaits ||
+				p.Src == r && (m.Type == Data || m.Type.Class() == ClassFwd))
 		})
 	}, true
 }

@@ -51,11 +51,11 @@ func newFig3Grid(sc Scale) fig3Grid {
 
 func (g fig3Grid) jobs() int { return len(g.vcs) * len(g.profs) * len(g.links) * g.runs }
 
-// run runs job i.
-func (g fig3Grid) run(ctx context.Context, seed uint64, i int) (sim.AppResult, error) {
+// params returns job i's parameters and workload.
+func (g fig3Grid) params(seed uint64, i int) (sim.Params, workload.Profile) {
 	run, cell := uint64(i%g.runs), i/g.runs
 	li, wi, vi := cell%len(g.links), cell/len(g.links)%len(g.profs), cell/len(g.links)/len(g.profs)
-	r, err := sim.Build(sim.Params{
+	return sim.Params{
 		Width: g.w, Height: g.h,
 		Faults: g.links[li], FaultSeed: seed + run*7919,
 		Scheme:    sim.SchemeNone,
@@ -68,18 +68,19 @@ func (g fig3Grid) run(ctx context.Context, seed uint64, i int) (sim.AppResult, e
 		// substrate whose failures this figure measures.
 		DerouteAfter: -1,
 		Seed:         seed + run*104729,
-	})
-	if err != nil {
-		return sim.AppResult{}, err
-	}
-	return r.RunAppContext(ctx, g.profs[wi], 0, g.maxCycles)
+	}, g.profs[wi]
 }
 
 func fig3(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 	g := newFig3Grid(sc)
 	deadlocked := make([]bool, g.jobs())
 	err := ForEachConfigContext(ctx, len(deadlocked), func(i int) error {
-		res, err := g.run(ctx, seed, i)
+		p, prof := g.params(seed, i)
+		r, err := sim.Build(p)
+		if err != nil {
+			return err
+		}
+		res, err := r.RunAppContext(ctx, prof, 0, g.maxCycles)
 		deadlocked[i] = res.Stall != nil && res.Stall.Deadlocked
 		return err
 	})

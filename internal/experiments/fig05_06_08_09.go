@@ -178,7 +178,7 @@ func fig8(ctx context.Context, _ Scale, _ uint64) ([]Table, error) {
 			fmt.Sprintf("%d", before[i]), after, closer,
 		})
 	}
-	deadAfter := r.Net.HasDeadlock(nil)
+	deadAfter := r.Net.HasDeadlock()
 	// Let the network finish delivering everything (more drains allowed).
 	res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: r.Graph.N()}, 0, 0, 2000)
 	if err != nil {
@@ -226,7 +226,7 @@ func fig8Planted() (*sim.Runner, []*noc.Packet, error) {
 		}
 		pkts = append(pkts, p)
 	}
-	if !r.Net.HasDeadlock(nil) {
+	if !r.Net.HasDeadlock() {
 		return nil, nil, fmt.Errorf("fig8: planted scenario is not deadlocked")
 	}
 	return r, pkts, nil

@@ -102,7 +102,7 @@ func TestRotateBlockedCycleAllocs(t *testing.T) {
 	n := ringNet(t, 6)
 	plantRingDeadlock(t, n, 6)
 	n.Step()
-	cyc := n.FindBlockedCycle(nil)
+	cyc := n.FindBlockedCycle()
 	if len(cyc) == 0 {
 		t.Fatal("no blocked cycle to rotate")
 	}

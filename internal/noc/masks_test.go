@@ -179,7 +179,7 @@ func TestRotationsMoveRoutedHeads(t *testing.T) {
 	rref := withRefEngine(ring)
 	plantRingDeadlock(t, ring, 6)
 	stepChecked(t, ring, rref)
-	cyc := ring.FindBlockedCycle(nil)
+	cyc := ring.FindBlockedCycle()
 	if ready, _ := countHeads(ring, mReady, func(*vcSlot, int64) bool { return true }); len(cyc) == 0 || ready < len(cyc) {
 		t.Fatalf("blocked cycle of %d, %d routed heads", len(cyc), ready)
 	}

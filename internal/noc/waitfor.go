@@ -16,17 +16,18 @@ import (
 // departing, or a node it waits on is free or live. The least fixpoint
 // separates buffers that can progress (given cooperative scheduling) from
 // buffers caught in a deadlock, and a walk along non-live nodes names it.
-// Link VCs wait only on link VCs (moveTargets) and their ejection queue,
-// so HasDeadlock and FindBlockedCycle build the local VCs only when the
-// rest of the relation leaves some link VC non-live.
+// The deadlock verdicts are the network's: with every ejection queue a
+// sink and live, a link VC waits only on link VCs (moveTargets) or a live
+// queue, so HasDeadlock and FindBlockedCycle build no local VC. Only
+// ExplainStall reads a protocol's head waits (Consumer).
 
 // Consumer is the protocol engine consuming a network's ejection queues,
-// as the relation sees it (*coherence.System satisfies it). HeadWait
+// as ExplainStall sees it (*coherence.System satisfies it). HeadWait
 // reports whether the head of router r's class queue stopped in the last
 // cycle, and on what: room in r's injection queue of class inject; or,
-// when inject < 0, a packet awaits accepts (if in no VC, assumed to
-// come); or, when awaits is nil too, nothing: the head never moves. A
-// nil Consumer makes every ejection queue a sink.
+// when inject < 0, a packet awaits accepts (if in no VC or injection
+// queue, assumed to come); or, when awaits is nil too, nothing: the head
+// never moves. A nil Consumer makes every ejection queue a sink.
 type Consumer interface {
 	HeadWait(r, class int) (inject int, awaits func(*Packet) bool, stopped bool)
 }
@@ -77,16 +78,31 @@ func (n *Network) waitForLinks(c Consumer) relation {
 		case awaits == nil: // a dead end
 			live[w.ej+q] = false
 		default:
-			for i := range w.inj {
-				if p := n.slot(i/V, i%V).pkt; p != nil && awaits(p) {
-					targets[w.ej+q], live[w.ej+q] = []int{w.aw + i}, false
-					break
-				}
+			if t := n.awaitedAt(w, awaits); t >= 0 {
+				targets[w.ej+q], live[w.ej+q] = []int{t}, false
 			}
 		}
 	}
 	w.addVCs(n, 0, L*V)
 	return w
+}
+
+// awaitedAt returns the node holding the packet awaits accepts: the VC
+// it is in as an awaited node, else the injection queue it waits in, at
+// any position; or -1 when none holds it, and it is assumed to come.
+func (n *Network) awaitedAt(w relation, awaits func(*Packet) bool) int {
+	V, C := n.vcPerPort, n.cfg.Classes
+	for i := range w.inj {
+		if p := n.slot(i/V, i%V).pkt; p != nil && awaits(p) {
+			return w.aw + i
+		}
+	}
+	for q := range w.ej - w.inj {
+		if slices.ContainsFunc(n.injQ[q/C][q%C].buf, func(p *Packet) bool { return p != nil && awaits(p) }) {
+			return w.inj + q
+		}
+	}
+	return -1
 }
 
 // addVCs decides VC nodes lo to hi-1 (slot i%V of port i/V) and settles
@@ -227,40 +243,25 @@ func (w relation) walk(cur int) (nodes []int, loop int) {
 	return nodes, int(pos[cur]) - 1
 }
 
-// HasDeadlock reports whether any link VC is non-live under c.
-func (n *Network) HasDeadlock(c Consumer) bool {
-	_, cur := n.linkVerdicts(c)
-	return cur >= 0
-}
+// HasDeadlock reports whether any link VC is non-live with every
+// ejection queue a sink.
+func (n *Network) HasDeadlock() bool { return n.FindBlockedCycle() != nil }
 
-// linkVerdicts settles the relation under c as far as the link VCs'
-// verdicts need: with the local VCs only when some link VC is non-live
-// without them. It returns the first non-live link VC, or -1.
-func (n *Network) linkVerdicts(c Consumer) (relation, int) {
-	w, links := n.waitForLinks(c), n.g.NumLinks()*n.vcPerPort
-	if slices.Contains(w.live[:links], false) {
-		w.addVCs(n, links, w.inj)
-	}
-	return w, slices.Index(w.live[:links], false)
-}
-
-// FindBlockedCycle extracts one cycle of mutually blocked link VCs under
-// c, walking from the first non-live link VC, or returns nil if there is
-// none, the walk dead-ends or its cycle leaves the link VCs (through an
-// endpoint, which only a protocol's head waits lead to). The returned
+// FindBlockedCycle extracts one cycle of mutually blocked link VCs, with
+// every ejection queue a sink, walking from the first non-live link VC,
+// or returns nil if there is none. A non-live link VC's packet has moves
+// (every packet off its destination does), all into occupied, non-live
+// link VCs, so the walk always closes a cycle of link VCs. The returned
 // refs satisfy RotateBlockedCycle's preconditions: consecutive refs share
 // a router, every ref is occupied, and each packet is allowed to move
 // into its successor buffer.
-func (n *Network) FindBlockedCycle(c Consumer) []VCRef {
-	w, cur := n.linkVerdicts(c)
+func (n *Network) FindBlockedCycle() []VCRef {
+	w := n.waitForLinks(nil)
+	cur := slices.Index(w.live[:n.g.NumLinks()*n.vcPerPort], false)
 	if cur < 0 {
 		return nil
 	}
-	links := n.g.NumLinks() * n.vcPerPort
 	nodes, loop := w.walk(cur)
-	if loop < 0 || slices.ContainsFunc(nodes[loop:], func(i int) bool { return i >= links }) {
-		return nil
-	}
 	refs := make([]VCRef, len(nodes)-loop)
 	for i, idx := range nodes[loop:] {
 		refs[i] = VCRef{Link: idx / n.vcPerPort, Slot: idx % n.vcPerPort}

@@ -12,10 +12,10 @@ import (
 	"drain/internal/topology"
 )
 
-// sinkMask is a network-only view of a consumer: class c's ejection
-// always drains when m[c] is set; any other class's queued head is
-// stopped on nothing, so a packet waiting to eject behind it is live only
-// while the queue has room.
+// sinkMask is a consumer whose class c's ejection always drains when
+// m[c] is set; any other class's queued head is stopped on nothing, so a
+// packet waiting to eject behind it is live only while the queue has
+// room.
 type sinkMask []bool
 
 func (m sinkMask) HeadWait(_, class int) (int, func(*Packet) bool, bool) {
@@ -74,14 +74,14 @@ func refFindBlockedCycle(n *Network, sink []bool) []VCRef {
 }
 
 // checkWaitForReference loads a random network and asserts that the
-// relation decides every link VC as the reference does and that
-// HasDeadlock and FindBlockedCycle agree with it, with every ejection
-// queue a sink (nil) and under a random network-only view. The network
-// is a random graph of 4–13 routers or (bit 7 of nRaw) a 2–4 x 2–4 mesh
-// with up to two links removed, 1–3 VNs of 1–3 VCs, strictly minimal or
-// not, with an escape VC or not; each link VC holds a packet with
-// probability (fill%8+1)/8, some routers inject one, a few cycles run
-// without consuming, and some ejection queues are then filled. Same
+// relation decides every link VC as the reference does, with every
+// ejection queue a sink (nil) and under a random sinkMask, and that
+// HasDeadlock and FindBlockedCycle agree with it in the first. The
+// network is a random graph of 4–13 routers or (bit 7 of nRaw) a 2–4 x
+// 2–4 mesh with up to two links removed, 1–3 VNs of 1–3 VCs, strictly
+// minimal or not, with an escape VC or not; each link VC holds a packet
+// with probability (fill%8+1)/8, some routers inject one, a few cycles
+// run without consuming, and some ejection queues are then filled. Same
 // contract as checkConservation.
 func checkWaitForReference(seed uint64, nRaw, fill uint8) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
@@ -146,12 +146,13 @@ func checkWaitForReference(seed uint64, nRaw, fill uint8) error {
 		if got := net.waitFor(v.c).live[:len(live)]; !slices.Equal(got, live) {
 			return fmt.Errorf("sinks %v: link-VC verdicts %v, reference %v", v.sink, got, live)
 		}
-		if got, want := net.HasDeadlock(v.c), slices.Contains(live, false); got != want {
-			return fmt.Errorf("sinks %v: HasDeadlock %v, reference %v", v.sink, got, want)
-		}
-		if got, want := net.FindBlockedCycle(v.c), refFindBlockedCycle(net, v.sink); !slices.Equal(got, want) {
-			return fmt.Errorf("sinks %v: FindBlockedCycle %v, reference %v", v.sink, got, want)
-		}
+	}
+	live, _ := refLiveness(net, nil)
+	if got, want := net.HasDeadlock(), slices.Contains(live, false); got != want {
+		return fmt.Errorf("HasDeadlock %v, reference %v", got, want)
+	}
+	if got, want := net.FindBlockedCycle(), refFindBlockedCycle(net, nil); !slices.Equal(got, want) {
+		return fmt.Errorf("FindBlockedCycle %v, reference %v", got, want)
 	}
 	return nil
 }

@@ -65,13 +65,13 @@ func plantRingDeadlock(t *testing.T, n *Network, ringSize int) []*Packet {
 
 func TestEmptyNetworkHasNoDeadlock(t *testing.T) {
 	n := ringNet(t, 6)
-	if n.HasDeadlock(nil) {
+	if n.HasDeadlock() {
 		t.Error("empty network reported deadlocked")
 	}
 	if w := n.waitFor(nil); slices.Contains(w.live[:w.aw], false) { // awaited nodes are never live
 		t.Errorf("non-live nodes in empty network: %v", w.live[:w.aw])
 	}
-	if c := n.FindBlockedCycle(nil); c != nil {
+	if c := n.FindBlockedCycle(); c != nil {
 		t.Errorf("cycle in empty network: %v", c)
 	}
 }
@@ -83,7 +83,7 @@ func TestPlantedRingDeadlockDetected(t *testing.T) {
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if !n.HasDeadlock(nil) {
+	if !n.HasDeadlock() {
 		t.Fatal("planted deadlock not detected")
 	}
 	w, nonLive := n.waitFor(nil), 0
@@ -111,7 +111,7 @@ func TestSingleBlockedPacketIsLive(t *testing.T) {
 	n := ringNet(t, 6)
 	plantPacket(t, n, 0, 1, 3, 0) // wants link 1->2
 	plantPacket(t, n, 1, 2, 3, 0) // at 2, wants 2->3 which is free
-	if n.HasDeadlock(nil) {
+	if n.HasDeadlock() {
 		t.Error("live chain misreported as deadlock")
 	}
 }
@@ -124,21 +124,20 @@ func TestEjectQueueFullLiveness(t *testing.T) {
 		n.ejQ[1][0].Push(n.NewPacket(0, 1, 0, 1))
 	}
 	// With ejection treated as a live sink, no deadlock.
-	if n.HasDeadlock(nil) {
+	if n.HasDeadlock() {
 		t.Error("sink-class packet misreported as deadlocked")
 	}
 	// With no class a sink, it is non-live.
-	if !n.HasDeadlock(sinkMask{false}) {
+	if n.waitFor(sinkMask{false}).live[p.inLink*n.vcPerPort] {
 		t.Error("full eject queue should be non-live under strict semantics")
 	}
-	_ = p
 }
 
 func TestFindBlockedCycleIsRotatable(t *testing.T) {
 	const ring = 6
 	n := ringNet(t, ring)
 	plantRingDeadlock(t, n, ring)
-	refs := n.FindBlockedCycle(nil)
+	refs := n.FindBlockedCycle()
 	if len(refs) == 0 {
 		t.Fatal("no cycle found in planted deadlock")
 	}
@@ -159,11 +158,11 @@ func TestFindBlockedCycleIsRotatable(t *testing.T) {
 				delivered++
 			}
 		}
-		if !n.HasDeadlock(nil) && n.InFlightPackets() == 0 {
+		if !n.HasDeadlock() && n.InFlightPackets() == 0 {
 			break
 		}
-		if n.HasDeadlock(nil) {
-			if refs := n.FindBlockedCycle(nil); refs != nil {
+		if n.HasDeadlock() {
+			if refs := n.FindBlockedCycle(); refs != nil {
 				if err := n.RotateBlockedCycle(refs); err != nil {
 					t.Fatal(err)
 				}
@@ -336,7 +335,7 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 	next := nextTable(path, n.g)
 	n.SetFrozen(true)
 	deadline := 4 * ring // drains needed is bounded by the cycle length
-	for i := 0; i < deadline && n.HasDeadlock(nil); i++ {
+	for i := 0; i < deadline && n.HasDeadlock(); i++ {
 		if _, err := n.DrainRotate(next); err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +343,7 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n.HasDeadlock(nil) {
+	if n.HasDeadlock() {
 		t.Fatal("drain rotations did not break the deadlock")
 	}
 	n.SetFrozen(false)
@@ -358,7 +357,7 @@ func TestDrainRotateBreaksPlantedDeadlock(t *testing.T) {
 				delivered++
 			}
 		}
-		if i%20 == 19 && n.HasDeadlock(nil) {
+		if i%20 == 19 && n.HasDeadlock() {
 			n.SetFrozen(true)
 			if _, err := n.DrainRotate(next); err != nil {
 				t.Fatal(err)
@@ -441,7 +440,7 @@ func TestAdaptiveNetworkDeadlocksUnderSaturation(t *testing.T) {
 			n.PopEjected(r, 0)
 		}
 		if c%50 == 0 {
-			deadlocked = n.HasDeadlock(nil)
+			deadlocked = n.HasDeadlock()
 		}
 	}
 	if !deadlocked {
@@ -499,6 +498,25 @@ func TestExplainStallHeadOfLine(t *testing.T) {
 	if q.Kind != EjQueue || q.Router != 1 || q.Len != n.cfg.EjectCap ||
 		w.Kind != Awaited || w.Router != 4 || w.Link != awaited.inLink || w.Packet.ID != awaited.ID {
 		t.Errorf("named %v awaiting %v; want router 1's full ejection queue awaiting %v", q, w, awaited)
+	}
+}
+
+// TestAwaitedPacketInInjectionQueue: an ejection queue whose head awaits
+// a packet no VC holds waits on the injection queue that holds it, at any
+// position; a packet found nowhere is assumed to come.
+func TestAwaitedPacketInInjectionQueue(t *testing.T) {
+	n := ringNet(t, 6)
+	n.ejQ[1][0].Push(n.NewPacket(0, 1, 0, 1))
+	n.Inject(n.NewPacket(3, 4, 0, 1))
+	awaited := n.NewPacket(3, 1, 0, 1)
+	w := n.waitFor(awaitConsumer{awaited})
+	if q := w.ej + 1; !w.live[q] || w.targets[q] != nil {
+		t.Errorf("a head awaiting a packet found nowhere: live %v, waiting on %v; want live, on nothing", w.live[q], w.targets[q])
+	}
+	n.Inject(awaited)
+	w = n.waitFor(awaitConsumer{awaited})
+	if q := w.ej + 1; !slices.Equal(w.targets[q], []int{w.inj + 3}) {
+		t.Errorf("the head waits on %v; want router 3's injection queue, node %d", w.targets[q], w.inj+3)
 	}
 }
 

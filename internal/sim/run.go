@@ -197,9 +197,7 @@ func (l *runLoop) watch(r *Runner, pr *Probe) (stop bool) {
 		l.quiet = 0
 	}
 	if r.Params.Scheme == SchemeNone {
-		// A synthetic run's sink has emptied every ejection queue by now,
-		// so its view decides as nil would.
-		deadlock := ejected == l.lastEject && r.Net.HasDeadlock(deadlockView(r.Params.Classes))
+		deadlock := ejected == l.lastEject && r.Net.HasDeadlock()
 		stop, l.suspect = deadlock && l.suspect, deadlock
 	}
 	l.lastEject = ejected

@@ -7,7 +7,6 @@ package sim
 import (
 	"fmt"
 
-	"drain/internal/coherence"
 	"drain/internal/core"
 	"drain/internal/noc"
 	"drain/internal/routing"
@@ -364,32 +363,11 @@ func BuildOn(g *topology.Graph, mesh *topology.Mesh, p Params) (*Runner, error) 
 		}
 		r.Drain = ctl
 	case SchemeSPIN:
-		r.Spin = spinrec.New(net, spinrec.Config{Timeout: p.SpinTimeout, View: deadlockView(p.Classes)})
+		r.Spin = spinrec.New(net, spinrec.Config{Timeout: p.SpinTimeout})
 	case SchemeIdeal:
-		r.Oracle = spinrec.NewOracle(net, deadlockView(p.Classes))
+		r.Oracle = spinrec.NewOracle(net)
 	}
 	return r, nil
-}
-
-// deadlockView is the consumer SPIN, the oracle and SchemeNone's stop
-// rule decide deadlock under: nil (every ejection queue a sink) for one
-// class, synthetic traffic that is always consumed; respSink for
-// coherence, whose one guaranteed sink is the Response class (paper
-// §III-D2).
-func deadlockView(classes int) noc.Consumer {
-	if classes <= 1 {
-		return nil
-	}
-	return respSink{}
-}
-
-// respSink's queued heads of every class but Response are stopped on
-// nothing, so a packet waiting to eject behind one is live only while
-// the queue has room.
-type respSink struct{}
-
-func (respSink) HeadWait(_, class int) (int, func(*noc.Packet) bool, bool) {
-	return -1, nil, class != coherence.ClassResp
 }
 
 // TickScheme advances whichever controller the scheme uses; call once

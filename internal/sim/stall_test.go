@@ -23,11 +23,10 @@ import (
 //     whose line is busy, and the Unblock the line awaits bounces between
 //     the home's neighbours on main VCs, so no drain ever moves it.
 //
-// Under deadlockView, the network-only view SPIN and SchemeNone decide
-// by, both states have a non-live link VC (HasDeadlock), but
-// FindBlockedCycle's walk from it ends at an ejection queue the view
-// stops, so it names no cycle; ExplainStall walks on through the
-// system's own head waits.
+// The network is not deadlocked, its endpoints are: with every ejection
+// queue a sink, as SPIN and SchemeNone decide, no link VC is non-live
+// (HasDeadlock) and FindBlockedCycle names no cycle; ExplainStall walks
+// on through the system's own head waits.
 func TestVN1EndpointStall(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -95,12 +94,11 @@ func TestVN1EndpointStall(t *testing.T) {
 			} else {
 				checkLocalPort(t, net, x, at)
 			}
-			view := deadlockView(cfg.Classes)
-			if !net.HasDeadlock(view) {
-				t.Error("HasDeadlock is false on the stalled state")
+			if net.HasDeadlock() {
+				t.Error("HasDeadlock is true on the endpoint stall")
 			}
-			if cyc := net.FindBlockedCycle(view); cyc != nil {
-				t.Errorf("FindBlockedCycle names %v under the network-only view; update this test", cyc)
+			if cyc := net.FindBlockedCycle(); cyc != nil {
+				t.Errorf("FindBlockedCycle names %v on the endpoint stall", cyc)
 			}
 		})
 	}
@@ -164,23 +162,17 @@ func checkHeadOfLine(t *testing.T, x noc.Explanation, at int) {
 // 2 links removed, run 0 used to deadlock on the leaf-injection block (a
 // local VC's head the injection admission never let into a router of
 // degree 1, named a dead end). The admission now lets it in, and the run
-// records no stall. canneal with no link removed still deadlocks there,
-// a queue head awaiting a packet that does not come.
+// records no stall. canneal with no link removed still deadlocks there:
+// a home's Request head awaits the response to a Data it sent, and that
+// Data waits in its Response injection queue behind a routing cycle of
+// Response VCs.
 func TestSchemeNoneDeadlockIsExplained(t *testing.T) {
 	for _, c := range []struct {
 		prof   string
 		faults int
 		want   noc.StallKind
-	}{{"blackscholes", 2, noc.NoStall}, {"canneal", 0, noc.HeadOfLine}} {
-		r, err := Build(Params{
-			Width: 4, Height: 4, Faults: c.faults, FaultSeed: 1,
-			Scheme: SchemeNone, Classes: 3, VNets: 3, VCsPerVN: 1,
-			InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.RunApp(workload.MustGet(c.prof), 0, 25_000)
+	}{{"blackscholes", 2, noc.NoStall}, {"canneal", 0, noc.RoutingCycle}} {
+		_, res, err := runFig3Cell(SchemeNone, 3, c.prof, c.faults, 25_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,23 +189,47 @@ func TestSchemeNoneDeadlockIsExplained(t *testing.T) {
 	}
 }
 
-// TestStallWatchSeesWedgedNetworkBehindL1Hits: the quick fig3 cell
-// canneal, no link removed, run 0, under SPIN with the same virtual
-// networks and VCs, never stops — SPIN rotates blocked link cycles, and
-// the queue head awaiting a packet is none — while the cores go on
-// retiring the ops that hit in their L1s. Progress is an ejection, so
-// the watch still records the stall, and at the run's end names the
-// head of line.
-func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
+// runFig3Cell runs run 0 of a quick fig3 cell (4x4, fault seed 1, seed 1,
+// one VC per VN, strictly minimal) under scheme with vnets virtual
+// networks.
+func runFig3Cell(scheme Scheme, vnets int, prof string, faults int, maxCycles int64) (*Runner, AppResult, error) {
 	r, err := Build(Params{
-		Width: 4, Height: 4, FaultSeed: 1,
-		Scheme: SchemeSPIN, Classes: 3, VNets: 3, VCsPerVN: 1,
+		Width: 4, Height: 4, Faults: faults, FaultSeed: 1,
+		Scheme: scheme, Classes: 3, VNets: vnets, VCsPerVN: 1,
 		InjectCap: 16, MSHRs: 8, DerouteAfter: -1, Seed: 1,
 	})
 	if err != nil {
+		return nil, AppResult{}, err
+	}
+	res, err := r.RunApp(workload.MustGet(prof), 0, maxCycles)
+	return r, res, err
+}
+
+// TestSpinDetectsRoutingCycle: in the quick fig3 cell canneal, 2 links
+// removed, run 0, under SPIN, a routing cycle of link VCs forms while
+// some packet at its destination waits on a full Request ejection queue.
+// SPIN decides with every ejection queue a sink, so it detects and spins
+// the cycle and the run records no stall. (While it decided under a view
+// in which no Request head moved, its walk dead-ended at that queue: no
+// detection in 56 checks, and 7 quiet windows.)
+func TestSpinDetectsRoutingCycle(t *testing.T) {
+	r, res, err := runFig3Cell(SchemeSPIN, 3, "canneal", 2, 60_000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunApp(workload.MustGet("canneal"), 0, 60_000)
+	if st := r.Spin.Stats(); st.Detections == 0 || res.Stall != nil {
+		t.Errorf("SPIN %+v, stall %+v; want a detection and no stall", st, res.Stall)
+	}
+}
+
+// TestStallWatchSeesWedgedNetworkBehindL1Hits: the quick fig3 cell
+// canneal, no link removed, run 0, under SPIN with one virtual network,
+// never stops — SPIN rotates blocked link cycles, and the queue head
+// awaiting a packet is none — while the cores go on retiring the ops that
+// hit in their L1s. Progress is an ejection, so the watch still records
+// the stall, and at the run's end names the head of line.
+func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
+	_, res, err := runFig3Cell(SchemeSPIN, 1, "canneal", 0, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +239,22 @@ func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
 	}
 	if x := st.Why; x.Kind != noc.HeadOfLine {
 		t.Errorf("the stall is explained as %v over %v; want a head of line", x.Kind, x.Nodes)
+	}
+}
+
+// TestExplainStallFollowsAwaitedIntoInjectionQueue: the quick fig3 cell
+// fluidanimate, no link removed, run 0, under SPIN with one virtual
+// network stalls with Request heads awaiting responses that sit in
+// Response injection queues, or that answer forwards still in the home's
+// own injection queue. The explainer follows them there and names the
+// stall, where it once assumed they would come and named none.
+func TestExplainStallFollowsAwaitedIntoInjectionQueue(t *testing.T) {
+	_, res, err := runFig3Cell(SchemeSPIN, 1, "fluidanimate", 0, 60_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stall; st == nil || st.Why.Kind != noc.LocalPortCycle {
+		t.Errorf("stall %+v; want one explained as a local-port capacity cycle", st)
 	}
 }
 

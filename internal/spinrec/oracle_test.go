@@ -20,7 +20,7 @@ func TestOracleDefaultPeriod(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	o := NewOracle(n, nil)
+	o := NewOracle(n)
 	for n.Cycle() < 8 {
 		if err := o.Tick(); err != nil {
 			t.Fatal(err)
@@ -40,7 +40,7 @@ func TestOracleDefaultPeriod(t *testing.T) {
 
 func TestOracleIdleIsFree(t *testing.T) {
 	n := spinNet(t, topology.MustMesh(3, 3).Graph, 2, 2)
-	o := NewOracle(n, nil)
+	o := NewOracle(n)
 	for i := 0; i < 200; i++ {
 		n.Step()
 		if err := o.Tick(); err != nil {

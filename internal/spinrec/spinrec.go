@@ -4,13 +4,14 @@
 // the blocked cycle, and the routers involved then perform a coordinated
 // one-hop "spin" of the cycle's packets.
 //
-// The hardware probe walk is modelled by the wait-for analysis in
-// internal/noc (the probes' observable result is exactly "which cycle of
-// buffers is blocked"), and its latency is charged explicitly: detection
-// is only attempted every Timeout cycles, and a confirmed cycle spins
-// only after a delay proportional to the cycle length (probe propagation
-// plus the synchronization message, as in the SPIN paper). The modelled
-// +15% control area/power overhead is charged in internal/power.
+// The hardware probe walk is modelled by the network's deadlock verdict,
+// noc's FindBlockedCycle (the probes' observable result is exactly "which
+// cycle of link buffers is blocked", every ejection queue a sink), and
+// its latency is charged explicitly: detection is only attempted every
+// Timeout cycles, and a confirmed cycle spins only after a delay
+// proportional to the cycle length (probe propagation plus the
+// synchronization message, as in the SPIN paper). The modelled +15%
+// control area/power overhead is charged in internal/power.
 package spinrec
 
 import (
@@ -22,15 +23,6 @@ type Config struct {
 	// Timeout is the stall time before a router suspects deadlock and
 	// launches a probe (SPIN paper / DRAIN §V-B: 1024 cycles).
 	Timeout int64
-	// View is the consumer the wait-for analysis decides deadlock under
-	// (noc.Consumer; nil: every ejection queue is a sink).
-	View noc.Consumer
-}
-
-func (c *Config) setDefaults() {
-	if c.Timeout <= 0 {
-		c.Timeout = 1024
-	}
 }
 
 // probeHopLatency is the per-hop latency of probe and move messages, in
@@ -63,7 +55,9 @@ type Controller struct {
 
 // New returns a SPIN controller for the network.
 func New(net *noc.Network, cfg Config) *Controller {
-	cfg.setDefaults()
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 1024
+	}
 	return &Controller{
 		cfg:         cfg,
 		net:         net,
@@ -83,7 +77,7 @@ func (c *Controller) Tick() error {
 		}
 		// Coordinated spin: re-extract the blocked cycle (packets may
 		// have moved since the probe) and rotate it.
-		refs := c.net.FindBlockedCycle(c.cfg.View)
+		refs := c.net.FindBlockedCycle()
 		if refs != nil {
 			if err := c.net.RotateBlockedCycle(refs); err != nil {
 				return err
@@ -108,7 +102,7 @@ func (c *Controller) Tick() error {
 		return nil
 	}
 	c.stats.Checks++
-	refs := c.net.FindBlockedCycle(c.cfg.View)
+	refs := c.net.FindBlockedCycle()
 	if refs == nil {
 		return nil
 	}
@@ -127,7 +121,6 @@ func (c *Controller) Tick() error {
 // recovery scheme could achieve.
 type Oracle struct {
 	net    *noc.Network
-	view   noc.Consumer
 	nextAt int64
 	Breaks int64
 }
@@ -135,10 +128,9 @@ type Oracle struct {
 // oraclePeriod is how many cycles apart the oracle checks.
 const oraclePeriod = 8
 
-// NewOracle returns an oracle deciding deadlock under view (see
-// Config.View), checking every oraclePeriod cycles.
-func NewOracle(net *noc.Network, view noc.Consumer) *Oracle {
-	return &Oracle{net: net, view: view, nextAt: net.Cycle() + oraclePeriod}
+// NewOracle returns an oracle checking every oraclePeriod cycles.
+func NewOracle(net *noc.Network) *Oracle {
+	return &Oracle{net: net, nextAt: net.Cycle() + oraclePeriod}
 }
 
 // Tick breaks every blocked cycle present at the check boundary.
@@ -148,7 +140,7 @@ func (o *Oracle) Tick() error {
 	}
 	o.nextAt = o.net.Cycle() + oraclePeriod
 	for i := 0; i < 64; i++ { // bound work per check
-		refs := o.net.FindBlockedCycle(o.view)
+		refs := o.net.FindBlockedCycle()
 		if refs == nil {
 			return nil
 		}

@@ -136,7 +136,7 @@ func TestDetectionLatencyRespectsTimeout(t *testing.T) {
 			}
 		}
 		n.Step()
-		if deadlockAt < 0 && n.HasDeadlock(nil) {
+		if deadlockAt < 0 && n.HasDeadlock() {
 			deadlockAt = n.Cycle()
 		}
 		if err := c.Tick(); err != nil {
@@ -163,7 +163,7 @@ func TestDetectionLatencyRespectsTimeout(t *testing.T) {
 func TestOracleBreaksDeadlocksInstantly(t *testing.T) {
 	g := topology.MustMesh(4, 4).Graph
 	n := spinNet(t, g, 1, 7)
-	o := NewOracle(n, nil)
+	o := NewOracle(n)
 	created, delivered := 0, 0
 	for cyc := 0; cyc < 15000; cyc++ {
 		for r := 0; r < 16; r++ {
