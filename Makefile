@@ -2,7 +2,7 @@ GO ?= go
 # bench-pair's recipe is bash (pipefail, arithmetic, functions).
 SHELL := /bin/bash
 
-.PHONY: check build vet lint test-race test-allocs results-check results-check-full golden-check golden-cover results-cover cover-lines bench bench-e2e bench-pair bench-all fuzz results loc clean
+.PHONY: check build vet lint test-race test-allocs results-check results-check-full golden-check golden-cover results-cover results-cover-full cover-lines bench bench-e2e bench-pair bench-all fuzz results loc clean
 
 ## check: build + vet + drainvet (four analyzers) + race tests + the
 ## hot-path allocation guards + the committed quick tables regenerated
@@ -110,15 +110,17 @@ bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 ## fuzz: short native-fuzz smoke over the noc invariant properties, the
-## dense-vs-event engine byte-identity differential, the fault-schedule
-## syntax and validation, the server's request canonicalization and its
-## answers to a repeated request body. Minimizing an interesting input is
+## dense-vs-event engine byte-identity differential, the coherence
+## protocol's per-cycle invariants, the fault-schedule syntax and
+## validation, the server's request canonicalization and its answers to
+## a repeated request body. Minimizing an interesting input is
 ## capped at 1 s, so it cannot eat the whole -fuzztime budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzConservation -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDrainRotation -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/noc
 	$(GO) test -run=^$$ -fuzz=FuzzDenseVsEvent -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/noc
+	$(GO) test -run=^$$ -fuzz=FuzzCoherence -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/coherence
 	$(GO) test -run=^$$ -fuzz=FuzzParseFaultSchedule -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzValidateFaultSchedule -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
@@ -150,7 +152,9 @@ golden-check:
 ## built outside its directory with every package of the module
 ## instrumented, run -seed 1 under GOCOVERDIR — with the merged counts
 ## written by `go tool covdata textfmt` to COVER_OUT (about 3.5 min on 2
-## cores). results-cover: the same for every quick figure. A block with
+## cores). results-cover: the same for every quick figure, and
+## results-cover-full for the figures of results/full/ at full scale
+## (about 6 min). A block with
 ## count 0 runs in none of those runs, so a change confined to such
 ## blocks moves none of their bytes (a new field of a hashed type still
 ## does: golden-check decides). Counters are not atomic (atomic ones
@@ -162,6 +166,9 @@ golden-cover:
 
 results-cover:
 	$(call cover_run,./cmd/experiments,-fig all -scale quick -parallel 2 -out "$$tmp/out")
+
+results-cover-full:
+	$(call cover_run,./cmd/experiments,-fig $(FULL_FIGS) -scale full -parallel 2 -out "$$tmp/out")
 
 cover_run = set -euo pipefail; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
 	$(GO) build -cover -covermode=count -coverpkg=./... -o "$$tmp/bin" $(1); \

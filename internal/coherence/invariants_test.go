@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"drain/internal/core"
+	"drain/internal/noc"
+	"drain/internal/routing"
 	"drain/internal/topology"
 )
 
@@ -156,17 +159,119 @@ func fwdGetSReinstall(before, now line, c int) bool {
 	return !had && has && st == Shared && now.rec.busy && int(now.rec.ackFrom) == c && !now.rec.gotDirAck
 }
 
-// The single-writer and directory-agreement invariants hold after every
-// cycle of contended runs that evict, forward, invalidate and write
-// back, from a prewarmed start whose records are still derived; no node
-// ever holds more than Config.MSHRs MSHRs, and no L1 more than
-// Config.L1Lines lines. Six seeds run with InjectCap 16, and two with
-// InjectCap 2, where a GetM's invalidations go out in batches. The
-// violations allowed are the two pinned defects. A seed that hits the
-// stale PutM is checked no further, its state being known wrong from
-// there on. Each FwdGetS reinstall (every seed has some within ~1 000
-// cycles) lets its L1 hold one line more from then on, as a fill evicts
-// only to make room for itself; a line more than that fails.
+// invariants checks one system after every cycle: the single-writer
+// and directory-agreement invariants; no node holds more than
+// Config.MSHRs MSHRs, nor any L1 more than Config.L1Lines lines; and in
+// every class, each message sent is in an injection queue, a link or
+// local VC or an ejection queue, or consumed. The violations allowed are
+// the two pinned defects. A stale PutM ends the check, the state being
+// known wrong from there on. Each FwdGetS reinstall lets its L1 hold one
+// line more from then on, as a fill evicts only to make room for itself;
+// a line more than that fails.
+type invariants struct {
+	n           *noc.Network
+	sys         *System
+	before      map[int64]line
+	reinstalled []int             // FwdGetS reinstalls seen, by node
+	consumed    [NumClasses]int64 // messages Tick popped, by class
+	// reinstalls and batched count the reinstalls and the node-cycles
+	// with invalidations batched.
+	reinstalls, batched int
+}
+
+func newInvariants(n *noc.Network, sys *System) (*invariants, error) {
+	c := &invariants{n: n, sys: sys, before: lines(sys), reinstalled: make([]int, len(sys.nodes))}
+	if _, err := violation(c.before); err != nil {
+		return nil, fmt.Errorf("after prewarm: %v", err)
+	}
+	return c, nil
+}
+
+// tick runs sys.Tick, the one consumer of the ejection queues, and
+// checks the state it leaves. stale reports the pinned stale PutM.
+func (c *invariants) tick() (stale bool, err error) {
+	n, sys := c.n, c.sys
+	var queued [NumClasses]int
+	for r := range sys.nodes {
+		for cl := range NumClasses {
+			queued[cl] += n.EjectedLen(r, cl)
+		}
+	}
+	sys.Tick()
+	var sent, held [NumClasses]int64
+	for ty, k := range sys.stats.MsgsByType {
+		sent[MsgType(ty).Class()] += k
+	}
+	for r := range sys.nodes {
+		for cl := range NumClasses {
+			c.consumed[cl] += int64(queued[cl] - n.EjectedLen(r, cl))
+			queued[cl] = 0
+			held[cl] += int64(n.InjQueueLen(r, cl) + n.EjectedLen(r, cl))
+		}
+	}
+	eachBuffered(n, func(p *noc.Packet) { held[p.Class]++ })
+	for cl := range NumClasses {
+		if sent[cl] != held[cl]+c.consumed[cl] {
+			return false, fmt.Errorf("cycle %d: class %d sent %d messages, but %d are held and %d consumed",
+				n.Cycle(), cl, sent[cl], held[cl], c.consumed[cl])
+		}
+	}
+	now := lines(sys)
+	for r, nd := range sys.nodes {
+		if nd.mshrs.Len() > sys.cfg.MSHRs {
+			return false, fmt.Errorf("cycle %d: node %d holds %d MSHRs, Config.MSHRs is %d", n.Cycle(), r, nd.mshrs.Len(), sys.cfg.MSHRs)
+		}
+		if nd.invPending {
+			c.batched++
+		}
+		if nd.lines.Len() <= sys.cfg.L1Lines+c.reinstalled[r] {
+			continue
+		}
+		for addr, l := range now {
+			if fwdGetSReinstall(c.before[addr], l, r) {
+				c.reinstalled[r]++
+				c.reinstalls++
+			}
+		}
+		if nd.lines.Len() > sys.cfg.L1Lines+c.reinstalled[r] {
+			return false, fmt.Errorf("cycle %d: node %d's L1 holds %d lines, Config.L1Lines is %d and %d FwdGetS reinstalls are pinned there",
+				n.Cycle(), r, nd.lines.Len(), sys.cfg.L1Lines, c.reinstalled[r])
+		}
+	}
+	addr, err := violation(now)
+	if err != nil && stalePutM(c.before[addr], now[addr]) {
+		return true, fmt.Errorf("cycle %d: the pinned stale PutM: %v", n.Cycle(), err)
+	} else if err != nil {
+		return false, fmt.Errorf("cycle %d: %v", n.Cycle(), err)
+	}
+	c.before = now
+	return false, nil
+}
+
+// eachBuffered calls f on the packet in every occupied link and local VC
+// of n.
+func eachBuffered(n *noc.Network, f func(*noc.Packet)) {
+	cfg := n.Config()
+	for slot := range cfg.VCsPerPort() {
+		for l := range n.Graph().NumLinks() {
+			if p := n.LinkOccupant(l, slot); p != nil {
+				f(p)
+			}
+		}
+		for r := range n.Graph().N() {
+			if p := n.LocalOccupant(r, slot); p != nil {
+				f(p)
+			}
+		}
+	}
+}
+
+// The invariants hold after every cycle of contended runs that evict,
+// forward, invalidate and write back, from a prewarmed start whose
+// records are still derived. Six seeds run with InjectCap 16, and two
+// with InjectCap 2, where a GetM's invalidations go out in batches. A
+// seed that hits the stale PutM is checked no further; every seed has
+// FwdGetS reinstalls within ~1 000 cycles.
 func TestProtocolInvariantsEveryCycle(t *testing.T) {
 	m := topology.MustMesh(3, 3)
 	gen := warmGen{testGen: testGen{issue: 0.3, sharedFrac: 0.5, writeFrac: 0.4, shared: 24, private: 40}, lines: 8}
@@ -183,47 +288,23 @@ func TestProtocolInvariantsEveryCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := lines(sys)
-		if _, err := violation(before); err != nil {
-			t.Fatalf("seed %d, after prewarm: %v", seed, err)
+		chk, err := newInvariants(n, sys)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		reinstalled := make([]int, len(sys.nodes)) // FwdGetS reinstalls seen, by node
 		for !sys.Done() && n.Cycle() < 200_000 {
 			n.Step()
-			sys.Tick()
 			checked++
-			now := lines(sys)
-			for r, nd := range sys.nodes {
-				if nd.mshrs.Len() > sys.cfg.MSHRs {
-					t.Fatalf("seed %d, cycle %d: node %d holds %d MSHRs, Config.MSHRs is %d", seed, n.Cycle(), r, nd.mshrs.Len(), sys.cfg.MSHRs)
-				}
-				if nd.invPending {
-					batched++
-				}
-				if nd.lines.Len() <= sys.cfg.L1Lines+reinstalled[r] {
-					continue
-				}
-				for addr, l := range now {
-					if fwdGetSReinstall(before[addr], l, r) {
-						reinstalled[r]++
-						reinstalls++
-					}
-				}
-				if nd.lines.Len() > sys.cfg.L1Lines+reinstalled[r] {
-					t.Fatalf("seed %d InjectCap %d, cycle %d: node %d's L1 holds %d lines, Config.L1Lines is %d and %d FwdGetS reinstalls are pinned there",
-						seed, run.injectCap, n.Cycle(), r, nd.lines.Len(), sys.cfg.L1Lines, reinstalled[r])
-				}
-			}
-			addr, err := violation(now)
-			if err != nil && stalePutM(before[addr], now[addr]) {
-				t.Logf("seed %d InjectCap %d, cycle %d: the pinned stale PutM: %v", seed, run.injectCap, n.Cycle(), err)
+			if isStale, err := chk.tick(); isStale {
+				t.Logf("seed %d InjectCap %d, %v", seed, run.injectCap, err)
 				stale++
 				break
 			} else if err != nil {
-				t.Fatalf("seed %d, cycle %d: %v", seed, n.Cycle(), err)
+				t.Fatalf("seed %d InjectCap %d, %v", seed, run.injectCap, err)
 			}
-			before = now
 		}
+		reinstalls += chk.reinstalls
+		batched += chk.batched
 		for ty, k := range sys.Stats().MsgsByType {
 			sent.MsgsByType[ty] += k
 		}
@@ -238,4 +319,59 @@ func TestProtocolInvariantsEveryCycle(t *testing.T) {
 	if batched == 0 {
 		t.Error("no GetM's invalidations outnumbered InjectCap: the InjectCap 2 runs do not reach the batches")
 	}
+}
+
+// FuzzCoherence checks the invariants after every cycle of a small
+// system: a 2x2 to 4x4 mesh with three VNs, or with one VN under a DRAIN
+// controller; any testGen; a few L1 lines, MSHRs and queue slots.
+func FuzzCoherence(f *testing.F) {
+	f.Add(uint8(1), uint8(1), false, uint8(30), uint8(50), uint8(40), uint8(24), uint8(40), uint8(16), uint8(4), uint8(4), uint8(0), uint64(1))
+	f.Add(uint8(2), uint8(0), true, uint8(60), uint8(70), uint8(50), uint8(8), uint8(12), uint8(4), uint8(2), uint8(1), uint8(1), uint64(2))
+	f.Add(uint8(0), uint8(2), false, uint8(99), uint8(100), uint8(100), uint8(3), uint8(2), uint8(2), uint8(1), uint8(0), uint8(0), uint64(3))
+	f.Fuzz(func(t *testing.T, w, h uint8, drain bool, issue, sharedPct, writePct, shared, private, l1, mshrs, ejectCap, injectCap uint8, seed uint64) {
+		m := topology.MustMesh(2+int(w%3), 2+int(h%3))
+		vnets := 3
+		if drain {
+			vnets = 1
+		}
+		n, err := noc.New(noc.Config{
+			Graph: m.Graph, Mesh: m, VNets: vnets, VCsPerVN: 2, Classes: NumClasses,
+			PolicyEscape: true, Routing: routing.AdaptiveMinimal, EscapeRouting: routing.AdaptiveMinimal,
+			EjectCap: 1 + int(ejectCap%4), InjectCap: 2 + int(injectCap%3), Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := warmGen{testGen: testGen{
+			issue: float64(1+issue%100) / 100, sharedFrac: float64(sharedPct%101) / 100, writeFrac: float64(writePct%101) / 100,
+			shared: 1 + int64(shared%32), private: 1 + int64(private%64),
+		}, lines: int64(l1 % 12)}
+		sys, err := New(n, Config{Gen: gen, L1Lines: 2 + int(l1%15), MSHRs: 1 + int(mshrs%4), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ctrl *core.Controller
+		if drain {
+			if ctrl, err = core.New(n, core.Config{Epoch: 256, FullDrainEvery: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chk, err := newInvariants(n, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 1500 {
+			n.Step()
+			if ctrl != nil {
+				if err := ctrl.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stale, err := chk.tick(); stale {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

@@ -133,9 +133,9 @@ type node struct {
 	// unfinished counts the MSHRs that are completed but still waiting for
 	// injection capacity to fill and unblock (what retryCompletions retries).
 	unfinished int
-	// waits holds where each consumer stopped during the last Tick (Kind
-	// 0: it did not stop); Waits expands a busy line's entry.
-	waits [numConsumers]Wait
+	// stops holds where the Request and Forward heads stopped during the
+	// last Tick, indexed by class (HeadWait reads them).
+	stops [ClassFwd + 1]headStop
 	// invAddr is the line whose invalidations are still going out, when
 	// invPending: the home consumes no Request until they all have.
 	invAddr    int64
@@ -340,12 +340,13 @@ type out struct {
 }
 
 // emit is the protocol's one injection gate. If node r's batch fits
-// InjectCap in every class, it injects the batch in order and pops a head
-// consumer's head; else it changes nothing, records by's wait on the
-// first class that lacks room and returns false. A Forward head is
-// released before its replies take packets and a Request head after,
-// which the pool's reuse order (and so PoolFree) depends on.
-func (s *System) emit(r int, by Consumer, batch []out) bool {
+// InjectCap in every class, it injects the batch in order and pops the
+// head of r's ejection queue of class head (−1 for a fill or an issue:
+// none); else it changes nothing, records the head's stop on the first
+// class that lacks room and returns false. A Forward head is released
+// before its replies take packets and a Request head after, which the
+// pool's reuse order (and so PoolFree) depends on.
+func (s *System) emit(r, head int, batch []out) bool {
 	s.batch = batch[:0] // keep a grown backing array for the next batch
 	if s.injectCap > 0 {
 		var need [NumClasses]int
@@ -354,18 +355,20 @@ func (s *System) emit(r int, by Consumer, batch []out) bool {
 		}
 		for c, n := range need {
 			if n > 0 && s.net.InjQueueLen(r, c)+n > s.injectCap {
-				s.nodes[r].waits[by] = Wait{By: by, Kind: WaitCapacity, Class: c}
+				if head >= 0 {
+					s.nodes[r].stops[head] = headStop{stopped: true, inject: c}
+				}
 				return false
 			}
 		}
 	}
-	if by == ForwardHead {
+	if head == ClassFwd {
 		s.release(s.net.PopEjected(r, ClassFwd))
 	}
 	for _, o := range batch {
 		s.send(r, o.to, o.m)
 	}
-	if by == RequestHead {
+	if head == ClassReq {
 		s.release(s.net.PopEjected(r, ClassReq))
 	}
 	return true
@@ -464,7 +467,7 @@ func (s *System) tryFinish(r int, ms *mshr) {
 	if needWB {
 		b = append(b, out{s.home(victim), Msg{Type: PutM, Addr: victim, Requester: r}})
 	}
-	if !s.emit(r, Fills, append(b, out{s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r}})) {
+	if !s.emit(r, -1, append(b, out{s.home(ms.addr), Msg{Type: Unblock, Addr: ms.addr, Requester: r}})) {
 		return
 	}
 	if victim >= 0 {
@@ -523,7 +526,6 @@ func mix64(x uint64) uint64 {
 // the same seed must finish the same ones first.
 func (s *System) retryCompletions(r int) {
 	nd := s.nodes[r]
-	nd.waits[Fills] = Wait{}
 	if nd.unfinished == 0 {
 		return // the usual cycle: skip the table walk
 	}
@@ -549,7 +551,7 @@ func (s *System) retryCompletions(r int) {
 
 func (s *System) consumeForwards(r int) {
 	nd := s.nodes[r]
-	nd.waits[ForwardHead] = Wait{}
+	nd.stops[ClassFwd] = headStop{}
 	for {
 		p := s.net.PeekEjected(r, ClassFwd)
 		if p == nil {
@@ -568,7 +570,7 @@ func (s *System) consumeForwards(r int) {
 		default:
 			panic("coherence: unexpected forward " + m.Type.String())
 		}
-		if !s.emit(r, ForwardHead, b) {
+		if !s.emit(r, ClassFwd, b) {
 			return
 		}
 		if m.Type == FwdGetS {
@@ -583,7 +585,7 @@ func (s *System) consumeForwards(r int) {
 
 func (s *System) consumeRequests(r int) {
 	nd := s.nodes[r]
-	nd.waits[RequestHead] = Wait{}
+	nd.stops[ClassReq] = headStop{}
 	for !nd.invPending || !s.sendInvs(r) {
 		p := s.net.PeekEjected(r, ClassReq)
 		if p == nil {
@@ -593,7 +595,7 @@ func (s *System) consumeRequests(r int) {
 		dl := s.dirLine(r, m.Addr)
 		if m.Type != PutM && dl.busy {
 			// Head-of-line stall: the whole queue waits for this line.
-			nd.waits[RequestHead] = Wait{By: RequestHead, Kind: WaitBusyLine, Addr: m.Addr}
+			nd.stops[ClassReq] = headStop{stopped: true, inject: -1, addr: m.Addr}
 			return
 		}
 		if !s.processRequest(r, m, dl) {
@@ -601,7 +603,7 @@ func (s *System) consumeRequests(r int) {
 		}
 	}
 	if s.net.PeekEjected(r, ClassReq) != nil {
-		nd.waits[RequestHead] = Wait{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd}
+		nd.stops[ClassReq] = headStop{stopped: true, inject: ClassFwd}
 	}
 }
 
@@ -658,7 +660,7 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 	default:
 		b = append(b, out{c, data})
 	}
-	if !s.emit(r, RequestHead, b) {
+	if !s.emit(r, ClassReq, b) {
 		return false
 	}
 	switch {
@@ -700,7 +702,6 @@ func (s *System) processRequest(r int, m Msg, dl *dirLine) bool {
 
 func (s *System) coreIssue(r int) {
 	nd := s.nodes[r]
-	nd.waits[Issue] = Wait{}
 	if s.cfg.OpsTarget > 0 && nd.opsIssued >= s.cfg.OpsTarget {
 		return
 	}
@@ -728,12 +729,8 @@ func (s *System) coreIssue(r int) {
 	if write {
 		t = GetM
 	}
-	if _, pending := nd.mshrs.Get(addr); pending {
-		nd.waits[Issue] = Wait{By: Issue, Kind: WaitPending, Addr: addr}
-	} else if nd.mshrs.Len() >= s.cfg.MSHRs {
-		nd.waits[Issue] = Wait{By: Issue, Kind: WaitMSHRs}
-	}
-	if nd.waits[Issue].Kind != 0 || !s.emit(r, Issue, append(s.batch[:0], out{s.home(addr), Msg{Type: t, Addr: addr, Requester: r}})) {
+	if _, pending := nd.mshrs.Get(addr); pending || nd.mshrs.Len() >= s.cfg.MSHRs ||
+		!s.emit(r, -1, append(s.batch[:0], out{s.home(addr), Msg{Type: t, Addr: addr, Requester: r}})) {
 		nd.blockedCyc++
 		return
 	}

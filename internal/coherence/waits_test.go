@@ -17,10 +17,12 @@ type fixedGen struct{ addr int64 }
 func (g fixedGen) Next(int, *rand.Rand) (int64, bool) { return g.addr, false }
 func (fixedGen) IssueProb() float64                   { return 1 }
 
-// TestWaitsNamesEachKind plants every wait kind on a 2x2 mesh, driving
-// one consumer at a time, and checks that Waits names it: capacity of
-// each class, a busy line awaiting Unblock and DirAck, MSHRs full and a
-// miss already pending. A fresh system has no wait.
+// TestWaitsNamesEachKind plants every stop on a 2x2 mesh, driving one
+// consumer at a time. HeadWait names each head's: capacity of a class, or
+// a busy line awaiting Unblock and DirAck from named nodes. A fill or an
+// issue that cannot proceed leaves its state as it was: the fill stays
+// completed and unfinished, the issue counts a blocked cycle and adds no
+// op, MSHR or message. A fresh system has no stop.
 func TestWaitsNamesEachKind(t *testing.T) {
 	const home, a = 2, int64(2) // line a is homed at node 2
 	build := func(t *testing.T, mshrs int) (*noc.Network, *System) {
@@ -52,10 +54,48 @@ func TestWaitsNamesEachKind(t *testing.T) {
 			n.Inject(n.NewPacket(r, (r+1)%4, class, 1))
 		}
 	}
-	check := func(t *testing.T, sys *System, r int, want ...Wait) {
+	// head checks HeadWait for node r's class head: inject is the class
+	// it waits on, busy for a busy line, whose awaited responses to r are
+	// want, or none.
+	type awaited struct {
+		t    MsgType
+		from int
+	}
+	const none, busy = -2, -1
+	head := func(t *testing.T, sys *System, r, class, inject int, want ...awaited) {
 		t.Helper()
-		if got := sys.Waits(r); !reflect.DeepEqual(got, want) {
-			t.Errorf("node %d waits %v, want %v", r, got, want)
+		got, awaits, stopped := sys.HeadWait(r, class)
+		if !stopped {
+			got = none
+		}
+		if got != inject || (awaits != nil) != (inject == busy) {
+			t.Fatalf("node %d class %d head: HeadWait = (%d, awaits %t, %t), want inject %d", r, class, got, awaits != nil, stopped, inject)
+		}
+		if awaits == nil {
+			return
+		}
+		var resp []awaited
+		for _, mt := range []MsgType{Unblock, DirAck} {
+			for from := range sys.nodes {
+				if awaits(&noc.Packet{Src: from, Dst: r, Payload: &Msg{Type: mt, Addr: a}}) {
+					resp = append(resp, awaited{mt, from})
+				}
+			}
+		}
+		data := awaits(&noc.Packet{Src: r, Dst: 0, Payload: &Msg{Type: Data, Addr: a}})
+		if !reflect.DeepEqual(resp, want) || !data {
+			t.Errorf("node %d awaits %v and the Data it sent %t, want %v and true", r, resp, data, want)
+		}
+	}
+	// refused checks that core r cannot issue its next access.
+	refused := func(t *testing.T, sys *System, r int) {
+		t.Helper()
+		nd := sys.nodes[r]
+		blocked, issued, mshrs, sent := nd.blockedCyc, nd.opsIssued, nd.mshrs.Len(), sys.stats.MsgsSent
+		sys.coreIssue(r)
+		if nd.blockedCyc != blocked+1 || nd.opsIssued != issued || nd.mshrs.Len() != mshrs || sys.stats.MsgsSent != sent {
+			t.Errorf("a refused issue: blocked cycles %d → %d, ops %d → %d, MSHRs %d → %d, messages %d → %d; want +1 and no change",
+				blocked, nd.blockedCyc, issued, nd.opsIssued, mshrs, nd.mshrs.Len(), sent, sys.stats.MsgsSent)
 		}
 	}
 	getS := func(c int) Msg { return Msg{Type: GetS, Addr: a, Requester: c} }
@@ -63,7 +103,9 @@ func TestWaitsNamesEachKind(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) {
 		_, sys := build(t, 0)
 		for r := range sys.nodes {
-			check(t, sys, r)
+			for c := range NumClasses {
+				head(t, sys, r, c, none)
+			}
 		}
 	})
 	t.Run("capacity", func(t *testing.T) {
@@ -72,27 +114,30 @@ func TestWaitsNamesEachKind(t *testing.T) {
 		deliver(t, n, sys, 0, home, getS(0))
 		fill(n, home, ClassResp)
 		sys.consumeRequests(home)
-		check(t, sys, home, Wait{By: RequestHead, Kind: WaitCapacity, Class: ClassResp})
+		head(t, sys, home, ClassReq, ClassResp)
 		if n.EjectedLen(home, ClassReq) != 1 || dirAt(sys, home, a).busy {
 			t.Error("a refused Request was consumed or locked its line")
 		}
 		// Its Request injection queue full, the core cannot issue.
 		fill(n, 0, ClassReq)
-		sys.coreIssue(0)
-		check(t, sys, 0, Wait{By: Issue, Kind: WaitCapacity, Class: ClassReq})
+		refused(t, sys, 0)
 		// An invalidation needs a Response too.
 		deliver(t, n, sys, home, 1, Msg{Type: Inv, Addr: a, Requester: 0})
 		fill(n, 1, ClassResp)
 		sys.consumeForwards(1)
-		check(t, sys, 1, Wait{By: ForwardHead, Kind: WaitCapacity, Class: ClassResp})
-		// A completed miss needs a Response for its Unblock.
+		head(t, sys, 1, ClassFwd, ClassResp)
+		// A completed miss needs a Response for its Unblock; the Forward
+		// head's stop stands.
 		nd := sys.nodes[1]
-		nd.mshrs.Put(a, &mshr{addr: a, gotData: true, completed: true})
+		ms := &mshr{addr: a, gotData: true, completed: true}
+		nd.mshrs.Put(a, ms)
 		nd.unfinished++
 		sys.retryCompletions(1)
-		check(t, sys, 1,
-			Wait{By: ForwardHead, Kind: WaitCapacity, Class: ClassResp},
-			Wait{By: Fills, Kind: WaitCapacity, Class: ClassResp})
+		if got, ok := nd.mshrs.Get(a); !ok || got != ms || !ms.completed || nd.unfinished != 1 || nd.opsCompleted != 0 {
+			t.Errorf("a refused fill: MSHR kept %t, completed %t, %d unfinished, %d ops completed; want true, true, 1, 0",
+				ok && got == ms, ms.completed, nd.unfinished, nd.opsCompleted)
+		}
+		head(t, sys, 1, ClassFwd, ClassResp)
 	})
 	t.Run("forward capacity", func(t *testing.T) {
 		n, sys := build(t, 0)
@@ -101,16 +146,16 @@ func TestWaitsNamesEachKind(t *testing.T) {
 		deliver(t, n, sys, 0, home, getS(0))
 		fill(n, home, ClassFwd)
 		sys.consumeRequests(home)
-		check(t, sys, home, Wait{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd})
+		head(t, sys, home, ClassReq, ClassFwd)
 	})
 	t.Run("busy line", func(t *testing.T) {
 		n, sys := build(t, 0)
 		deliver(t, n, sys, 0, home, getS(0))
 		sys.consumeRequests(home)
-		check(t, sys, home)
+		head(t, sys, home, ClassReq, none)
 		deliver(t, n, sys, 3, home, getS(3))
 		sys.consumeRequests(home)
-		check(t, sys, home, Wait{By: RequestHead, Kind: WaitBusyLine, Addr: a, Awaits: Unblock, From: 0})
+		head(t, sys, home, ClassReq, busy, awaited{Unblock, 0})
 	})
 	t.Run("busy line with DirAck", func(t *testing.T) {
 		n, sys := build(t, 0)
@@ -119,33 +164,30 @@ func TestWaitsNamesEachKind(t *testing.T) {
 		sys.consumeRequests(home) // FwdGetS to the owner, node 1
 		deliver(t, n, sys, 3, home, getS(3))
 		sys.consumeRequests(home)
-		check(t, sys, home,
-			Wait{By: RequestHead, Kind: WaitBusyLine, Addr: a, Awaits: Unblock, From: 0},
-			Wait{By: RequestHead, Kind: WaitBusyLine, Addr: a, Awaits: DirAck, From: 1})
+		head(t, sys, home, ClassReq, busy, awaited{Unblock, 0}, awaited{DirAck, 1})
 		// The Unblock can overtake the DirAck.
 		deliver(t, n, sys, 0, home, Msg{Type: Unblock, Addr: a, Requester: 0})
 		sys.consumeResponses(home)
 		sys.consumeRequests(home)
-		check(t, sys, home, Wait{By: RequestHead, Kind: WaitBusyLine, Addr: a, Awaits: DirAck, From: 1})
+		head(t, sys, home, ClassReq, busy, awaited{DirAck, 1})
 	})
 	t.Run("MSHRs full", func(t *testing.T) {
 		_, sys := build(t, 1)
 		sys.nodes[0].mshrs.Put(a+4, &mshr{addr: a + 4})
-		sys.coreIssue(0)
-		check(t, sys, 0, Wait{By: Issue, Kind: WaitMSHRs})
+		refused(t, sys, 0)
 	})
 	t.Run("miss pending", func(t *testing.T) {
 		_, sys := build(t, 0)
 		sys.nodes[0].mshrs.Put(a, &mshr{addr: a})
-		sys.coreIssue(0)
-		check(t, sys, 0, Wait{By: Issue, Kind: WaitPending, Addr: a})
+		refused(t, sys, 0)
 	})
 }
 
 // TestWaitsHasNoSideEffects runs the same contended system twice, once
-// calling Waits at every node every cycle, and requires the two to end
-// in the same state: RNG position, every queue, Stats, counters and the
-// waits themselves.
+// asking HeadWait about every head every cycle and calling each awaits
+// on every packet a VC holds, and requires the two to end in the same
+// state: RNG position, every queue, Stats, counters and the stops
+// themselves.
 func TestWaitsHasNoSideEffects(t *testing.T) {
 	run := func(probe bool) (*noc.Network, *System) {
 		m := topology.MustMesh(2, 2)
@@ -165,22 +207,31 @@ func TestWaitsHasNoSideEffects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[WaitKind]int{}
+		var capacity, busyLine int
 		for i := 0; i < 3000; i++ {
 			n.Step()
 			sys.Tick()
-			if probe {
-				for r := range sys.nodes {
-					for _, w := range sys.Waits(r) {
-						seen[w.Kind]++
+			if !probe {
+				continue
+			}
+			for r := range sys.nodes {
+				for c := range NumClasses {
+					inject, awaits, stopped := sys.HeadWait(r, c)
+					switch {
+					case !stopped:
+					case inject >= 0:
+						capacity++
+					default:
+						busyLine++
+						eachBuffered(n, func(p *noc.Packet) { awaits(p) })
 					}
 				}
 			}
 		}
 		if probe {
-			t.Logf("waits seen by kind: %v", seen)
-			if seen[WaitCapacity] == 0 || seen[WaitBusyLine] == 0 {
-				t.Errorf("the run never waited on capacity and a busy line (%v): it compared too little", seen)
+			t.Logf("heads stopped on capacity %d times, on a busy line %d times", capacity, busyLine)
+			if capacity == 0 || busyLine == 0 {
+				t.Errorf("the run never stopped on capacity and a busy line (%d, %d): it compared too little", capacity, busyLine)
 			}
 		}
 		return n, sys
@@ -196,8 +247,8 @@ func TestWaitsHasNoSideEffects(t *testing.T) {
 				t.Errorf("node %d class %d: queues differ", r, c)
 			}
 		}
-		if w0, w1 := s0.Waits(r), s1.Waits(r); !reflect.DeepEqual(w0, w1) {
-			t.Errorf("node %d waits %v, probed run %v", r, w0, w1)
+		if w0, w1 := s0.nodes[r].stops, s1.nodes[r].stops; w0 != w1 {
+			t.Errorf("node %d stops %v, probed run %v", r, w0, w1)
 		}
 	}
 	if a, b := s0.rng.Uint64(), s1.rng.Uint64(); a != b {
@@ -251,9 +302,9 @@ func TestGetMFanOutBeyondInjectCapIsBatched(t *testing.T) {
 		t.Fatalf("the home's Request queue holds %d, want the GetM and the GetS", got)
 	}
 	sys.Tick()
-	want := []Wait{{By: RequestHead, Kind: WaitCapacity, Class: ClassFwd}}
-	if got, invs := sys.Waits(home), sys.stats.MsgsByType[Inv]; !reflect.DeepEqual(got, want) || invs != 2 {
-		t.Errorf("after the GetM: home waits %v with %d Invs sent; want %v with 2 (InjectCap)", got, invs, want)
+	if inject, _, stopped := sys.HeadWait(home, ClassReq); !stopped || inject != ClassFwd || sys.stats.MsgsByType[Inv] != 2 {
+		t.Errorf("after the GetM: home's Request head waits on class %d (stopped %t) with %d Invs sent; want %d with 2 (InjectCap)",
+			inject, stopped, sys.stats.MsgsByType[Inv], ClassFwd)
 	}
 	for i := 0; i < 1000 && (sys.nodes[writer].opsCompleted == 0 || sys.nodes[reader].opsCompleted == 0); i++ {
 		n.Step()

@@ -22,7 +22,8 @@ import (
 // ExplainStall reads a protocol's head waits (Consumer).
 
 // Consumer is the protocol engine consuming a network's ejection queues,
-// as ExplainStall sees it (*coherence.System satisfies it). HeadWait
+// as ExplainStall sees it (*coherence.System satisfies it from the one
+// stop each Request and Forward head records per Tick). HeadWait
 // reports whether the head of router r's class queue stopped in the last
 // cycle, and on what: room in r's injection queue of class inject; or,
 // when inject < 0, a packet awaits accepts (if in no VC or injection

@@ -224,10 +224,10 @@ func TestSpinDetectsRoutingCycle(t *testing.T) {
 
 // TestStallWatchSeesWedgedNetworkBehindL1Hits: the quick fig3 cell
 // canneal, no link removed, run 0, under SPIN with one virtual network,
-// never stops — SPIN rotates blocked link cycles, and the queue head
-// awaiting a packet is none — while the cores go on retiring the ops that
+// never stops — SPIN rotates blocked link cycles, and the Request heads
+// wait through local ports — while the cores go on retiring the ops that
 // hit in their L1s. Progress is an ejection, so the watch still records
-// the stall, and at the run's end names the head of line.
+// the stall, and at the run's end names the local-port capacity cycle.
 func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
 	_, res, err := runFig3Cell(SchemeSPIN, 1, "canneal", 0, 60_000)
 	if err != nil {
@@ -237,8 +237,8 @@ func TestStallWatchSeesWedgedNetworkBehindL1Hits(t *testing.T) {
 	if st == nil || st.Deadlocked || st.Quiet == 0 || st.At != res.Runtime || res.Protocol.OpsCompleted == 0 {
 		t.Fatalf("stall %+v after %d ops: want quiet windows while ops retire, explained at the run's end (cycle %d)", st, res.Protocol.OpsCompleted, res.Runtime)
 	}
-	if x := st.Why; x.Kind != noc.HeadOfLine {
-		t.Errorf("the stall is explained as %v over %v; want a head of line", x.Kind, x.Nodes)
+	if x := st.Why; x.Kind != noc.LocalPortCycle {
+		t.Errorf("the stall is explained as %v over %v; want a local-port capacity cycle", x.Kind, x.Nodes)
 	}
 }
 

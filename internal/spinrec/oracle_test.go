@@ -90,31 +90,44 @@ func TestSpinProbeDelayBeforeRotation(t *testing.T) {
 	}
 }
 
-func TestSpinSkipsCheckWhenProgressing(t *testing.T) {
-	// Ejections between checks suppress the (expensive) liveness sweep.
-	m := topology.MustMesh(3, 3)
-	n := spinNet(t, m.Graph, 2, 4)
-	c := New(n, Config{Timeout: 32})
-	for i := 0; i < 1000; i++ {
-		if i%4 == 0 {
-			src, dst := i%9, (i+4)%9
-			if src != dst && n.InjQueueLen(src, 0) < 2 {
-				n.Inject(n.NewPacket(src, dst, 0, 1))
-			}
+// TestSpinDetectsCycleBesideFlowingTraffic plants a routing cycle on
+// four routers while a flow elsewhere keeps ejecting. SPIN's timeout
+// counters are per router, so the flow hides nothing: the cycle spins
+// within Timeout plus the probe round trip of its forming.
+func TestSpinDetectsCycleBesideFlowingTraffic(t *testing.T) {
+	n := spinNet(t, topology.MustMesh(4, 4).Graph, 1, 1)
+	ring := []int{0, 1, 5, 4}
+	for i, r := range ring {
+		if _, err := n.PlacePacket(r, ring[(i+1)%4], ring[(i+2)%4], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	formedAt := n.Cycle()
+	const timeout = 64
+	c := New(n, Config{Timeout: timeout})
+	ejected, spunAt := 0, int64(-1)
+	for n.Cycle() < 512 && spunAt < 0 {
+		if n.Cycle()%4 == 0 {
+			n.Inject(n.NewPacket(15, 14, 0, 1))
 		}
 		n.Step()
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < 9; r++ {
-			n.PopEjected(r, 0)
+		for r := range 16 {
+			for p := n.PopEjected(r, 0); p != nil; p = n.PopEjected(r, 0) {
+				ejected++
+			}
+		}
+		if c.Stats().Spins > 0 {
+			spunAt = n.Cycle()
 		}
 	}
 	st := c.Stats()
-	if st.Checks > 5 {
-		t.Errorf("%d liveness sweeps despite continuous progress", st.Checks)
+	if limit := formedAt + timeout + 2*int64(len(ring))*probeHopLatency; spunAt < 0 || spunAt > limit {
+		t.Fatalf("spun at cycle %d (%+v, %d packets ejected beside the cycle), want by cycle %d", spunAt, st, ejected, limit)
 	}
-	if st.Spins != 0 {
-		t.Errorf("%d spurious spins", st.Spins)
+	if ejected == 0 || st.Detections != 1 {
+		t.Errorf("%d packets ejected and %d detections by the spin, want some and 1", ejected, st.Detections)
 	}
 }

@@ -7,8 +7,10 @@
 // The hardware probe walk is modelled by the network's deadlock verdict,
 // noc's FindBlockedCycle (the probes' observable result is exactly "which
 // cycle of link buffers is blocked", every ejection queue a sink), and
-// its latency is charged explicitly: detection is only attempted every
-// Timeout cycles, and a confirmed cycle spins only after a delay
+// its latency is charged explicitly: detection is attempted every
+// Timeout cycles, whatever ejects elsewhere meanwhile (the hardware's
+// timeout counters are per router, so traffic beside a cycle resets
+// none of them), and a confirmed cycle spins only after a delay
 // proportional to the cycle length (probe propagation plus the
 // synchronization message, as in the SPIN paper). The modelled +15%
 // control area/power overhead is charged in internal/power.
@@ -46,9 +48,8 @@ type Controller struct {
 	nextCheckAt int64
 	// pending spin: the cycle confirmed by probes, executing after the
 	// coordination delay.
-	pending     []noc.VCRef
-	pendingAt   int64
-	lastEjected int64
+	pending   []noc.VCRef
+	pendingAt int64
 
 	stats Stats
 }
@@ -94,13 +95,6 @@ func (c *Controller) Tick() error {
 		return nil
 	}
 	c.nextCheckAt = now + c.cfg.Timeout
-	// If packets ejected since the last check, the network is making
-	// progress; timeout counters would have been reset. Cheap filter
-	// before the full sweep.
-	if ej := c.net.Counters.Ejected; ej != c.lastEjected {
-		c.lastEjected = ej
-		return nil
-	}
 	c.stats.Checks++
 	refs := c.net.FindBlockedCycle()
 	if refs == nil {
