@@ -14,7 +14,7 @@
 //   - internal/drainpath — the offline drain-path algorithm (§III-B)
 //   - internal/noc       — the VC-router network simulator
 //   - internal/core      — the DRAIN controller (§III-C)
-//   - internal/spinrec   — the SPIN baseline and recovery oracle
+//   - internal/spinrec   — SPIN recovery, also at the ideal baseline's timing
 //   - internal/coherence — the MESI directory protocol
 //   - internal/workload  — PARSEC / SPLASH-2 / Ligra profiles
 //   - internal/power     — the analytical power and area model
@@ -49,7 +49,8 @@ type Scheme = sim.Scheme
 const (
 	// None runs unprotected fully adaptive routing (deadlocks possible).
 	None = sim.SchemeNone
-	// Ideal is fully adaptive routing with zero-cost oracle recovery.
+	// Ideal is fully adaptive routing with SPIN's recovery at ideal
+	// timing: a check every 8 cycles, probes that cost no time.
 	Ideal = sim.SchemeIdeal
 	// EscapeVC is the proactive baseline (turn-restricted escape VCs).
 	EscapeVC = sim.SchemeEscapeVC

@@ -7,6 +7,7 @@ import (
 
 	"drain/internal/sim"
 	"drain/internal/topology"
+	"drain/internal/traffic"
 )
 
 func TestDistinctTopologies(t *testing.T) {
@@ -95,6 +96,33 @@ func TestQuickFig11SimulatesThirtyNetworks(t *testing.T) {
 		}
 		if runs, cycles := tot.Runs.Load(), tot.Cycles.Load(); runs != 30 || cycles != 150_000 {
 			t.Errorf("budget %d: quick fig11 made %d runs of %d cycles in all, want 30 and 150000", budget, runs, cycles)
+		}
+	}
+}
+
+// TestQuickFig5IdealNeverRecovers rebuilds quick fig5's 8 ideal runs (4
+// distinct topologies × rates 0.02 and 0.45, 1 000 + 4 000 cycles, seed
+// 1): the controller checks every 8 cycles, 625 times a run, and never
+// detects a blocked cycle. So the ideal's check interval and recovery
+// timing move no byte of the committed fig5 tables.
+func TestQuickFig5IdealNeverRecovers(t *testing.T) {
+	for _, ft := range distinctTopologies([]int{0, 4, 8, 12}, 1) {
+		g, mesh, p, err := ft.build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Scheme = sim.SchemeIdeal
+		for _, rate := range []float64{0.02, 0.45} {
+			r, err := sim.BuildOn(g, mesh, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.RunSynthetic(traffic.UniformRandom{N: 64}, rate, 1000, 4000); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.Spin.Stats(); st.Checks != 625 || st.Detections != 0 {
+				t.Errorf("%d faults, rate %v: %+v, want 625 checks and no detection", ft.faults, rate, st)
+			}
 		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // The wait-for relation answers every deadlock question: HasDeadlock
-// (SchemeNone's stop rule, Fig. 3), FindBlockedCycle (SPIN, the oracle)
-// and ExplainStall (the stall watch). Its nodes are link VCs, local VCs,
-// per-(router, class) injection and ejection queues, and awaited packets.
+// (SchemeNone's stop rule, Fig. 3), FindBlockedCycle (the one recovery
+// controller, SPIN's and the ideal baseline's) and ExplainStall (the
+// stall watch). Its nodes are link VCs, local VCs, per-(router, class)
+// injection and ejection queues, and awaited packets.
 // A node is *live* when what it holds can eventually move: it is empty or
 // departing, or a node it waits on is free or live. The least fixpoint
 // separates buffers that can progress (given cooperative scheduling) from

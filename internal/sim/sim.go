@@ -22,8 +22,9 @@ const (
 	// SchemeNone applies no protection: fully adaptive routing that can
 	// and does deadlock (the paper's Fig. 3 measurement configuration).
 	SchemeNone Scheme = iota
-	// SchemeIdeal is deadlock-free fully adaptive routing by oracle:
-	// instant zero-cost recovery (Fig. 5's "ideal").
+	// SchemeIdeal is deadlock-free fully adaptive routing with SPIN's
+	// controller at ideal timing (Fig. 5's "ideal"): a check every 8
+	// cycles and probes that cost no time (spinrec.NewIdeal).
 	SchemeIdeal
 	// SchemeEscapeVC is the proactive baseline: escape VCs with
 	// turn-restricted routing (DoR fault-free, up*/down* faulty) and one
@@ -221,9 +222,8 @@ type Runner struct {
 	Graph  *topology.Graph // the (possibly faulty) topology in use
 	Net    *noc.Network
 
-	Drain  *core.Controller
-	Spin   *spinrec.Controller
-	Oracle *spinrec.Oracle
+	Drain *core.Controller
+	Spin  *spinrec.Controller // SPIN's or the ideal baseline's
 
 	// Probe, when set before a run, sees its events (see Probe). Nil, the
 	// default, costs the loop one branch per event site.
@@ -363,9 +363,9 @@ func BuildOn(g *topology.Graph, mesh *topology.Mesh, p Params) (*Runner, error) 
 		}
 		r.Drain = ctl
 	case SchemeSPIN:
-		r.Spin = spinrec.New(net, spinrec.Config{Timeout: p.SpinTimeout})
+		r.Spin = spinrec.New(net, p.SpinTimeout)
 	case SchemeIdeal:
-		r.Oracle = spinrec.NewOracle(net)
+		r.Spin = spinrec.NewIdeal(net)
 	}
 	return r, nil
 }
@@ -378,8 +378,6 @@ func (r *Runner) TickScheme() error {
 		return r.Drain.Tick()
 	case r.Spin != nil:
 		return r.Spin.Tick()
-	case r.Oracle != nil:
-		return r.Oracle.Tick()
 	}
 	return nil
 }

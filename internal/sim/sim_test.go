@@ -23,13 +23,9 @@ func TestBuildAllSchemes(t *testing.T) {
 			if r.Net.Config().VNets != 1 {
 				t.Errorf("%v: VNets = %d, want 1", s, r.Net.Config().VNets)
 			}
-		case SchemeSPIN:
+		case SchemeSPIN, SchemeIdeal:
 			if r.Spin == nil {
 				t.Errorf("%v: no spin controller", s)
-			}
-		case SchemeIdeal:
-			if r.Oracle == nil {
-				t.Errorf("%v: no oracle", s)
 			}
 		}
 	}
@@ -50,6 +46,14 @@ func TestVNetDefaults(t *testing.T) {
 	}
 	if dr.Net.Config().VNets != 1 {
 		t.Errorf("drain VNets = %d, want 1", dr.Net.Config().VNets)
+	}
+}
+
+// TestSpinTimeoutDefault: SPIN's detection timeout defaults in one
+// place, Params' defaulting, to the paper's 1024 cycles.
+func TestSpinTimeoutDefault(t *testing.T) {
+	if got := (Params{}).Normalized().SpinTimeout; got != 1024 {
+		t.Errorf("SpinTimeout = %d, want 1024", got)
 	}
 }
 

@@ -193,6 +193,11 @@ func TestSchemeNoneDeadlockIsExplained(t *testing.T) {
 // one VC per VN, strictly minimal) under scheme with vnets virtual
 // networks.
 func runFig3Cell(scheme Scheme, vnets int, prof string, faults int, maxCycles int64) (*Runner, AppResult, error) {
+	return runFig3CellProbed(scheme, vnets, prof, faults, maxCycles, nil)
+}
+
+// runFig3CellProbed is runFig3Cell with probe watching the run.
+func runFig3CellProbed(scheme Scheme, vnets int, prof string, faults int, maxCycles int64, probe *Probe) (*Runner, AppResult, error) {
 	r, err := Build(Params{
 		Width: 4, Height: 4, Faults: faults, FaultSeed: 1,
 		Scheme: scheme, Classes: 3, VNets: vnets, VCsPerVN: 1,
@@ -201,6 +206,7 @@ func runFig3Cell(scheme Scheme, vnets int, prof string, faults int, maxCycles in
 	if err != nil {
 		return nil, AppResult{}, err
 	}
+	r.Probe = probe
 	res, err := r.RunApp(workload.MustGet(prof), 0, maxCycles)
 	return r, res, err
 }
@@ -219,6 +225,27 @@ func TestSpinDetectsRoutingCycle(t *testing.T) {
 	}
 	if st := r.Spin.Stats(); st.Detections == 0 || res.Stall != nil {
 		t.Errorf("SPIN %+v, stall %+v; want a detection and no stall", st, res.Stall)
+	}
+}
+
+// TestIdealRecoveriesAreReported: in the quick fig3 cell canneal, 2
+// links removed, run 0, the ideal baseline spins routing cycles, and
+// every reader of SPIN's recoveries sees them: the run's Spins, the
+// controller's count and the probe's spin events agree.
+func TestIdealRecoveriesAreReported(t *testing.T) {
+	var events int64
+	probe := &Probe{OnEvent: func(e Event) bool {
+		if e.Kind == EventSpin {
+			events++
+		}
+		return false
+	}}
+	r, res, err := runFig3CellProbed(SchemeIdeal, 3, "canneal", 2, 60_000, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Spin.Stats().Spins; n == 0 || res.Spins != n || events != n {
+		t.Errorf("the run reports %d spins, the controller %d, the probe %d spin events; want the same, above 0", res.Spins, n, events)
 	}
 }
 

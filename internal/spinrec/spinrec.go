@@ -14,21 +14,19 @@
 // proportional to the cycle length (probe propagation plus the
 // synchronization message, as in the SPIN paper). The modelled +15%
 // control area/power overhead is charged in internal/power.
+//
+// One Controller also serves the paper's "ideal deadlock-free fully
+// adaptive" baseline (Fig. 5): NewIdeal checks every 8 cycles and its
+// probes cost no time, so a detected cycle spins in the tick that
+// found it. It bounds what any recovery scheme could achieve.
 package spinrec
 
 import (
 	"drain/internal/noc"
 )
 
-// Config parameterizes the SPIN controller.
-type Config struct {
-	// Timeout is the stall time before a router suspects deadlock and
-	// launches a probe (SPIN paper / DRAIN §V-B: 1024 cycles).
-	Timeout int64
-}
-
-// probeHopLatency is the per-hop latency of probe and move messages, in
-// cycles.
+// probeHopLatency is SPIN's per-hop latency of probe and move messages,
+// in cycles.
 const probeHopLatency = 1
 
 // Stats reports SPIN activity.
@@ -42,28 +40,37 @@ type Stats struct {
 // Controller drives SPIN recovery over a network. Call Tick once per
 // cycle after Network.Step.
 type Controller struct {
-	cfg Config
 	net *noc.Network
+	// timeout is the stall time before a router suspects deadlock and
+	// launches a probe; probeHop is the per-hop probe latency.
+	timeout, probeHop int64
 
 	nextCheckAt int64
-	// pending spin: the cycle confirmed by probes, executing after the
-	// coordination delay.
-	pending   []noc.VCRef
+	// pending: a cycle confirmed by probes, spinning at pendingAt after
+	// the coordination delay.
+	pending   bool
 	pendingAt int64
 
 	stats Stats
 }
 
-// New returns a SPIN controller for the network.
-func New(net *noc.Network, cfg Config) *Controller {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 1024
-	}
+// New returns a SPIN controller for the network that checks every
+// timeout cycles (SPIN paper / DRAIN §V-B: 1024).
+func New(net *noc.Network, timeout int64) *Controller {
 	return &Controller{
-		cfg:         cfg,
 		net:         net,
-		nextCheckAt: net.Cycle() + cfg.Timeout,
+		timeout:     timeout,
+		probeHop:    probeHopLatency,
+		nextCheckAt: net.Cycle() + timeout,
 	}
+}
+
+// NewIdeal returns the ideal baseline's controller: SPIN checking every
+// 8 cycles, with probes that cost no time.
+func NewIdeal(net *noc.Network) *Controller {
+	c := New(net, 8)
+	c.probeHop = 0
+	return c
 }
 
 // Stats returns a snapshot of controller activity.
@@ -72,76 +79,38 @@ func (c *Controller) Stats() Stats { return c.stats }
 // Tick advances the detector/recovery state machine by one cycle.
 func (c *Controller) Tick() error {
 	now := c.net.Cycle()
-	if c.pending != nil {
-		if now < c.pendingAt {
+	if !c.pending {
+		if now < c.nextCheckAt {
 			return nil
 		}
-		// Coordinated spin: re-extract the blocked cycle (packets may
-		// have moved since the probe) and rotate it.
+		c.nextCheckAt = now + c.timeout
+		c.stats.Checks++
 		refs := c.net.FindBlockedCycle()
-		if refs != nil {
-			if err := c.net.RotateBlockedCycle(refs); err != nil {
-				return err
-			}
-			c.stats.Spins++
-		}
-		c.pending = nil
-		// Re-arm detection quickly: bursts of deadlocks need back-to-
-		// back recoveries (DRAIN §III-D2 "burst of deadlocks").
-		c.nextCheckAt = now + c.cfg.Timeout/4
-		return nil
-	}
-	if now < c.nextCheckAt {
-		return nil
-	}
-	c.nextCheckAt = now + c.cfg.Timeout
-	c.stats.Checks++
-	refs := c.net.FindBlockedCycle()
-	if refs == nil {
-		return nil
-	}
-	c.stats.Detections++
-	// Probe walks the cycle, then a synchronization token walks it again.
-	c.stats.Probes += int64(2 * len(refs))
-	c.net.Counters.Probes += int64(2 * len(refs))
-	c.pending = refs
-	c.pendingAt = now + probeHopLatency*int64(2*len(refs))
-	return nil
-}
-
-// Oracle is an idealized recovery scheme used for the paper's "ideal
-// deadlock-free fully adaptive" baseline (Fig. 5): it detects and breaks
-// deadlocks instantly and at zero modelled cost. It bounds what any
-// recovery scheme could achieve.
-type Oracle struct {
-	net    *noc.Network
-	nextAt int64
-	Breaks int64
-}
-
-// oraclePeriod is how many cycles apart the oracle checks.
-const oraclePeriod = 8
-
-// NewOracle returns an oracle checking every oraclePeriod cycles.
-func NewOracle(net *noc.Network) *Oracle {
-	return &Oracle{net: net, nextAt: net.Cycle() + oraclePeriod}
-}
-
-// Tick breaks every blocked cycle present at the check boundary.
-func (o *Oracle) Tick() error {
-	if o.net.Cycle() < o.nextAt {
-		return nil
-	}
-	o.nextAt = o.net.Cycle() + oraclePeriod
-	for i := 0; i < 64; i++ { // bound work per check
-		refs := o.net.FindBlockedCycle()
 		if refs == nil {
 			return nil
 		}
-		if err := o.net.RotateBlockedCycle(refs); err != nil {
+		c.stats.Detections++
+		// Probe walks the cycle, then a synchronization token walks it again.
+		probes := int64(2 * len(refs))
+		c.stats.Probes += probes
+		c.net.Counters.Probes += probes
+		c.pending = true
+		c.pendingAt = now + c.probeHop*probes
+	}
+	if now < c.pendingAt {
+		return nil
+	}
+	// Coordinated spin: re-extract the blocked cycle (packets may have
+	// moved since the probe) and rotate it.
+	c.pending = false
+	if refs := c.net.FindBlockedCycle(); refs != nil {
+		if err := c.net.RotateBlockedCycle(refs); err != nil {
 			return err
 		}
-		o.Breaks++
+		c.stats.Spins++
 	}
+	// Re-arm detection quickly: bursts of deadlocks need back-to-back
+	// recoveries (DRAIN §III-D2 "burst of deadlocks").
+	c.nextCheckAt = now + c.timeout/4
 	return nil
 }
