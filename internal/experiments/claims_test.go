@@ -111,6 +111,36 @@ var paperClaims = map[string]func([]mdTable) []string{
 			return ""
 		})
 	},
+	// Fig. 14: low-load latency does not rise and saturation throughput
+	// does not fall as the epoch grows (rows come in epoch order).
+	"fig14": func(ts []mdTable) []string {
+		var prev []float64
+		return cols(ts, []string{"low-load latency", "saturation throughput"}, func(v []float64) string {
+			defer func() { prev = v }()
+			if prev != nil && (v[0] > prev[0] || v[1] < prev[1]) {
+				return fmt.Sprintf("latency %g after %g, saturation %g after %g", v[0], prev[0], v[1], prev[1])
+			}
+			return ""
+		})
+	},
+	// §VI: on every irregular topology DRAIN saturates no lower than the
+	// up*/down*-escape baseline, at no higher low-load latency (rows come
+	// in escape-vc, drain pairs per topology).
+	"disc": func(ts []mdTable) []string {
+		var esc []float64
+		return cols(ts, []string{"low-load latency", "saturation throughput"}, func(v []float64) string {
+			if esc == nil {
+				esc = v
+				return ""
+			}
+			e := esc
+			esc = nil
+			if v[0] > e[0] || v[1] < e[1] {
+				return fmt.Sprintf("drain latency %g vs escape-vc %g, saturation %g vs escape-vc %g", v[0], e[0], v[1], e[1])
+			}
+			return ""
+		})
+	},
 }
 
 // TestPaperClaimsHoldOnCommittedTables checks the paper's claims on the
@@ -137,10 +167,12 @@ func TestPaperClaimsHoldOnCommittedTables(t *testing.T) {
 // committed quick table with one cell edited against it.
 func TestPaperClaimsCatchEditedTable(t *testing.T) {
 	for _, tc := range []struct{ fig, row, from, to string }{
-		{"fig5", "| 4 |", "| 0.149 |", "| 0.190 |"},    // up*/down* saturation above ideal
-		{"fig10", "| 12 |", "| 0.105 |", "| 0.170 |"},  // escape-vc saturation above the others
-		{"fig11", "| 4 |", "| 12.944 |", "| 13.100 |"}, // drain 1.2 % off spin
-		{"fig11", "| 0 |", "| 14.178 |", "| 14.100 |"}, // escape-vc latency below the others
+		{"fig5", "| 4 |", "| 0.149 |", "| 0.190 |"},                                    // up*/down* saturation above ideal
+		{"fig10", "| 12 |", "| 0.105 |", "| 0.170 |"},                                  // escape-vc saturation above the others
+		{"fig11", "| 4 |", "| 12.944 |", "| 13.100 |"},                                 // drain 1.2 % off spin
+		{"fig11", "| 0 |", "| 14.178 |", "| 14.100 |"},                                 // escape-vc latency below the others
+		{"fig14", "| 4096 |", "| 0.227 |", "| 0.217 |"},                                // saturation falls from epoch 256 to 4096
+		{"disc", "| random 3-regular, 16 routers | drain |", "| 0.355 |", "| 0.240 |"}, // drain saturates below escape-vc
 	} {
 		md, err := os.ReadFile(filepath.Join("..", "..", "results", tc.fig+".md"))
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"drain/internal/sim"
 	"drain/internal/topology"
-	"drain/internal/traffic"
 )
 
 func init() {
@@ -31,11 +30,10 @@ func disc(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		warm, meas = 10_000, 50_000
 		trials = 5
 	}
-	type topoCase struct {
+	cases := []struct {
 		name string
 		make func(trial int) (*topology.Graph, error)
-	}
-	cases := []topoCase{
+	}{
 		{"chiplet 4x(2x2)+interposer", func(int) (*topology.Graph, error) {
 			return topology.NewChiplet(4, 2, 2)
 		}},
@@ -53,55 +51,36 @@ func disc(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "Low-load latency and saturation on irregular-by-design topologies",
 		Columns: []string{"topology", "scheme", "low-load latency", "saturation throughput"},
 	}
-	// One job per (topology case, scheme, trial); each job builds its own
-	// topology instance from the trial-keyed RNG, so jobs stay independent.
+	// One unit per (topology case, trial), drawn from the trial-keyed
+	// RNG; on it, each scheme at a low and a saturating rate.
+	var units []gridUnit
+	for _, c := range cases {
+		for trial := range trials {
+			// No mesh: the escape-vc scheme falls back to up*/down* escape
+			// routing automatically.
+			units = append(units, gridUnit{func() (*topology.Graph, *topology.Mesh, error) {
+				g, err := c.make(trial)
+				return g, nil, err
+			}, sim.Params{Seed: seed + uint64(trial)}})
+		}
+	}
 	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeDRAIN}
-	type discCell struct{ lat, sat float64 }
-	perScheme := trials
-	perCase := len(schemes) * perScheme
-	cells := make([]discCell, len(cases)*perCase)
-	err := ForEachConfigContext(ctx, len(cells), func(i int) error {
-		trial := i % perScheme
-		si := i / perScheme % len(schemes)
-		ci := i / perCase
-		g, err := cases[ci].make(trial)
-		if err != nil {
-			return err
+	gr := grid{units: units}
+	for _, scheme := range schemes {
+		for _, rate := range []float64{0.02, 0.45} {
+			gr.runs = append(gr.runs, gridRun{scheme: scheme, epoch: 4096, pattern: "uniform", rate: rate, warm: warm, meas: meas})
 		}
-		run := func(rate float64) (sim.SyntheticResult, error) {
-			// BuildOn with a non-mesh graph: the escape-vc scheme
-			// falls back to up*/down* escape routing automatically.
-			r, err := sim.BuildOn(g, nil, sim.Params{
-				Scheme: schemes[si],
-				Epoch:  4096,
-				Seed:   seed + uint64(trial),
-			})
-			if err != nil {
-				return sim.SyntheticResult{}, err
-			}
-			return r.RunSyntheticContext(ctx, traffic.UniformRandom{N: g.N()}, rate, warm, meas)
-		}
-		low, err := run(0.02)
-		if err != nil {
-			return err
-		}
-		high, err := run(0.45)
-		if err != nil {
-			return err
-		}
-		cells[i] = discCell{lat: low.AvgLatency, sat: high.Accepted}
-		return nil
-	})
+	}
+	res, err := gr.run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	for ci, c := range cases {
 		for si, s := range schemes {
 			var lat, sat float64
-			for trial := 0; trial < trials; trial++ {
-				cell := cells[ci*perCase+si*perScheme+trial]
-				lat += cell.lat
-				sat += cell.sat
+			for trial := range trials {
+				lat += res(ci*trials+trial, 2*si).AvgLatency
+				sat += res(ci*trials+trial, 2*si+1).Accepted
 			}
 			t.Rows = append(t.Rows, []string{
 				c.name, s.String(),

@@ -58,23 +58,22 @@ func fig5(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "8x8 mesh, uniform random: up*/down* vs ideal",
 		Columns: []string{"faults", "up*/down* low-load lat", "ideal low-load lat", "lat gap", "up*/down* saturation", "ideal saturation"},
 	}
-	m, err := faultSweep(ctx, seed, faults, patterns, warm, meas, []traffic.Pattern{traffic.UniformRandom{N: 64}}, []sweepRun{
-		{sim.SchemeUpDown, 0.02, avgLatency}, {sim.SchemeUpDown, 0.45, accepted},
-		{sim.SchemeIdeal, 0.02, avgLatency}, {sim.SchemeIdeal, 0.45, accepted},
-	})
+	s := newFaultSweep(seed, faults, patterns)
+	gr := grid{units: s.units}
+	for _, scheme := range []sim.Scheme{sim.SchemeUpDown, sim.SchemeIdeal} {
+		for _, rate := range []float64{0.02, 0.45} {
+			gr.runs = append(gr.runs, gridRun{scheme: scheme, pattern: "uniform", rate: rate, warm: warm, meas: meas})
+		}
+	}
+	res, err := gr.run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	for fi, f := range faults {
-		var udLat, idLat, udSat, idSat float64
-		for pi := 0; pi < patterns; pi++ {
-			udLat += m(0, fi, pi, 0)
-			udSat += m(0, fi, pi, 1)
-			idLat += m(0, fi, pi, 2)
-			idSat += m(0, fi, pi, 3)
-		}
-		n := float64(patterns)
-		udLat, idLat, udSat, idSat = udLat/n, idLat/n, udSat/n, idSat/n
+		udLat, _ := s.mean(res, fi, 0)
+		_, udSat := s.mean(res, fi, 1)
+		idLat, _ := s.mean(res, fi, 2)
+		_, idSat := s.mean(res, fi, 3)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", f), f1(udLat), f1(idLat),
 			pct(udLat/idLat - 1), f3(udSat), f3(idSat),

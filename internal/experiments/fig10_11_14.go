@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"drain/internal/sim"
-	"drain/internal/traffic"
 )
 
 func init() {
@@ -36,8 +35,8 @@ func init() {
 // synthMatrix runs the three schemes across fault counts at one rate,
 // for uniform random and transpose traffic, averaging over fault
 // patterns: one table per traffic pattern, titled title + ", <pattern>,
-// 8x8".
-func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, rate float64, metric func(sim.SyntheticResult) float64) ([]Table, error) {
+// 8x8", of saturation throughput if sat, else of low-load latency.
+func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, rate float64, sat bool) ([]Table, error) {
 	faults := []int{0, 4, 12}
 	warm, meas := int64(1000), int64(4000)
 	patterns := 2
@@ -46,38 +45,34 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, r
 		warm, meas = 10_000, 50_000
 		patterns = 10
 	}
-	var runs []sweepRun
-	for _, scheme := range []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeSPIN, sim.SchemeDRAIN} {
-		runs = append(runs, sweepRun{scheme, rate, metric})
-	}
+	s := newFaultSweep(seed, faults, patterns)
+	schemes := []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeSPIN, sim.SchemeDRAIN}
 	patNames := []string{"uniform", "transpose"}
-	pats := make([]traffic.Pattern, len(patNames))
-	for ti, name := range patNames {
-		pat, err := traffic.ByName(name, 64, 8)
-		if err != nil {
-			return nil, err
+	gr := grid{units: s.units}
+	for _, pat := range patNames {
+		for _, scheme := range schemes {
+			gr.runs = append(gr.runs, gridRun{scheme: scheme, pattern: pat, rate: rate, warm: warm, meas: meas})
 		}
-		pats[ti] = pat
 	}
-	m, err := faultSweep(ctx, seed, faults, patterns, warm, meas, pats, runs)
+	res, err := gr.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	tables := make([]Table, len(pats))
-	for ti := range pats {
+	tables := make([]Table, len(patNames))
+	for ti, pat := range patNames {
 		t := Table{
 			ID:      id,
-			Title:   title + ", " + patNames[ti] + ", 8x8",
+			Title:   title + ", " + pat + ", 8x8",
 			Columns: []string{"faults", "escape-vc", "spin", "drain"},
 		}
 		for fi, f := range faults {
 			row := []string{fmt.Sprintf("%d", f)}
-			for si := range runs {
-				sum := 0.0
-				for pi := 0; pi < patterns; pi++ {
-					sum += m(ti, fi, pi, si)
+			for si := range schemes {
+				v, acc := s.mean(res, fi, ti*len(schemes)+si)
+				if sat {
+					v = acc
 				}
-				row = append(row, f3(sum/float64(patterns)))
+				row = append(row, f3(v))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -87,11 +82,11 @@ func synthMatrix(ctx context.Context, sc Scale, seed uint64, id, title string, r
 }
 
 func fig10(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	return synthMatrix(ctx, sc, seed, "fig10", "Saturation throughput (packets/node/cycle)", 0.45, accepted)
+	return synthMatrix(ctx, sc, seed, "fig10", "Saturation throughput (packets/node/cycle)", 0.45, true)
 }
 
 func fig11(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
-	return synthMatrix(ctx, sc, seed, "fig11", "Low-load average packet latency (cycles)", 0.02, avgLatency)
+	return synthMatrix(ctx, sc, seed, "fig11", "Low-load average packet latency (cycles)", 0.02, false)
 }
 
 func fig14(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
@@ -106,41 +101,20 @@ func fig14(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 		Title:   "DRAIN epoch sweep, uniform random, 8x8",
 		Columns: []string{"epoch (cycles)", "low-load latency", "saturation throughput"},
 	}
-	// One job per (epoch, load point), all on one fault-free 8x8.
-	p := sim.Params{Width: 8, Height: 8, Scheme: sim.SchemeDRAIN, Seed: seed}
-	g, mesh, tab, err := p.BuildTopology()
-	if err != nil {
-		return nil, err
+	// One unit, a fault-free 8x8, and one run per (epoch, load point).
+	gr := grid{units: []gridUnit{topoUnit(sim.Params{Width: 8, Height: 8, Seed: seed})}}
+	for _, e := range epochs {
+		for _, rate := range []float64{0.02, 0.45} {
+			gr.runs = append(gr.runs, gridRun{scheme: sim.SchemeDRAIN, epoch: e, pattern: "uniform", rate: rate, warm: warm, meas: meas})
+		}
 	}
-	p.RoutingTable = tab
-	rates := []float64{0.02, 0.45}
-	metrics := make([]float64, len(epochs)*len(rates))
-	err = ForEachConfigContext(ctx, len(metrics), func(i int) error {
-		ri := i % len(rates)
-		ei := i / len(rates)
-		run := p
-		run.Epoch = epochs[ei]
-		r, err := sim.BuildOn(g, mesh, run)
-		if err != nil {
-			return err
-		}
-		res, err := r.RunSyntheticContext(ctx, traffic.UniformRandom{N: 64}, rates[ri], warm, meas)
-		if err != nil {
-			return err
-		}
-		if ri == 0 {
-			metrics[i] = res.AvgLatency
-		} else {
-			metrics[i] = res.Accepted
-		}
-		return nil
-	})
+	res, err := gr.run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	for ei, e := range epochs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", e), f1(metrics[ei*len(rates)]), f3(metrics[ei*len(rates)+1]),
+			fmt.Sprintf("%d", e), f1(res(0, 2*ei).AvgLatency), f3(res(0, 2*ei+1).Accepted),
 		})
 	}
 	t.Notes = append(t.Notes, "Paper Fig. 14: latency falls and throughput rises monotonically with epoch.")

@@ -5,7 +5,6 @@ import (
 
 	"drain/internal/power"
 	"drain/internal/sim"
-	"drain/internal/traffic"
 )
 
 func init() {
@@ -32,21 +31,22 @@ func headline(ctx context.Context, sc Scale, seed uint64) ([]Table, error) {
 	}
 	// Moderate load: restrictions hurt most when the network is loaded
 	// but escape VCs are not yet saturated.
-	lat, err := faultSweep(ctx, seed, faults, patterns, warm, meas, []traffic.Pattern{traffic.UniformRandom{N: 64}},
-		[]sweepRun{{sim.SchemeEscapeVC, 0.10, avgLatency}, {sim.SchemeDRAIN, 0.10, avgLatency}})
+	s := newFaultSweep(seed, faults, patterns)
+	gr := grid{units: s.units}
+	for _, scheme := range []sim.Scheme{sim.SchemeEscapeVC, sim.SchemeDRAIN} {
+		gr.runs = append(gr.runs, gridRun{scheme: scheme, pattern: "uniform", rate: 0.10, warm: warm, meas: meas})
+	}
+	res, err := gr.run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	var escLat, drainLat float64
-	n := 0
-	for fi := range faults {
-		for pi := 0; pi < patterns; pi++ {
-			escLat += lat(0, fi, pi, 0)
-			drainLat += lat(0, fi, pi, 1)
-			n++
-		}
+	for _, u := range s.cells { // fault rows, each in pattern order
+		escLat += res(u, 0).AvgLatency
+		drainLat += res(u, 1).AvgLatency
 	}
-	latSaving := 1 - (drainLat/float64(n))/(escLat/float64(n))
+	n := float64(len(s.cells))
+	latSaving := 1 - (drainLat/n)/(escLat/n)
 
 	// Power saving vs. the reactive baseline (SPIN): total router static
 	// power of the performance-comparison configurations (SPIN: 3 VNets

@@ -137,32 +137,36 @@ func renderTables(tables []Table) string {
 	return b.String()
 }
 
-// TestParallelDeterminism runs a real figure on budgets of 1, 2 and 4
+// TestParallelDeterminism runs real figures on budgets of 1, 2 and 4
 // run slots and requires byte-identical rendered markdown: every
 // simulation owns its RNG, results land in index-addressed slots, and
 // aggregation is a serial ordered pass, so the budget must be invisible
-// in the output.
+// in the output. fig14 shares one topology among all its runs, fig11
+// five, and disc six generated ones, each built by whichever of its runs
+// starts first.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig14 three times")
+		t.Skip("runs fig14, fig11 and disc three times each")
 	}
-	e, ok := ByID("fig14")
-	if !ok {
-		t.Fatal("fig14 not registered")
-	}
-	var serial string
-	for _, budget := range []int{1, 2, 4} {
-		slots := NewSlots(budget)
-		slots.TryAcquire()
-		tables, err := e.Run(WithSlots(context.Background(), slots), Quick, 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, id := range []string{"fig14", "fig11", "disc"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
 		}
-		got := renderTables(tables)
-		if budget == 1 {
-			serial = got
-		} else if got != serial {
-			t.Errorf("fig14 output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s", budget, serial, got)
+		var serial string
+		for _, budget := range []int{1, 2, 4} {
+			slots := NewSlots(budget)
+			slots.TryAcquire()
+			tables, err := e.Run(WithSlots(context.Background(), slots), Quick, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := renderTables(tables)
+			if budget == 1 {
+				serial = got
+			} else if got != serial {
+				t.Errorf("%s output differs between -parallel 1 and -parallel %d:\n--- serial ---\n%s\n--- parallel ---\n%s", id, budget, serial, got)
+			}
 		}
 	}
 }

@@ -161,7 +161,7 @@ type Params struct {
 	// value* the runner gets, so it pairs with BuildOn (Build constructs
 	// a fresh graph, which can never match). Routing is a pure function
 	// of the (already-keyed) topology parameters, so reuse cannot change
-	// results; excluded from cache keys (the server's
+	// results, and concurrent runs may share one; excluded from cache keys (the server's
 	// TestKeyStructsFullyClassified holds the list of such fields).
 	RoutingTable *routing.Table `json:"-"`
 
@@ -268,24 +268,6 @@ func (p Params) BuildGraph() (*topology.Graph, *topology.Mesh, error) {
 	}
 	g, err := topology.FaultPattern(mesh.Graph, p.Faults, p.FaultSeed)
 	return g, mesh, err
-}
-
-// BuildTopology is BuildGraph plus the topology's routing table: what
-// every Build of p pays for before the network exists. A caller that
-// builds several runners over one topology (a sweep's rates, a figure's
-// schemes) pays it once, sets Params.RoutingTable and calls BuildOn per
-// run; the graph and the table are immutable and safe to share between
-// concurrent runs.
-func (p Params) BuildTopology() (*topology.Graph, *topology.Mesh, *routing.Table, error) {
-	g, mesh, err := p.BuildGraph()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tab, err := routing.NewTable(g, mesh)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return g, mesh, tab, nil
 }
 
 // BuildOn constructs a Runner over an explicit topology (irregular,
